@@ -30,15 +30,15 @@ from .groups import (
     is_subgroup,
     pair,
     restricted_characters,
+    slant_product,
 )
-from .lattice import CodeSpec, build_boundary_terms
+from .lattice import CodeSpec, build_boundary_terms, first_violation
 from .operators import (
     ProductOperator,
     SiteKind,
     StateVector,
     clock_z,
     clock_z_dual,
-    commutation_phase,
     projective_x_dual,
     projective_x_tilde_dual,
     shift_x,
@@ -164,7 +164,7 @@ def string_order_operator(
     factors = {}
     kinds = {}
     if chain.convention == CLOCK:
-        slant = GroupElement(group, _slant_exps(beta, chi.exps))
+        slant = GroupElement(group, slant_product(beta, GroupElement(group, chi.exps)).exps)
         factors[sites[0]] = projective_x_tilde_dual(beta, chi)
         factors[sites[-1]] = projective_x_dual(beta, chi)
         for s in sites[1:-1]:
@@ -177,23 +177,6 @@ def string_order_operator(
         factors[sites[-1]] = clock_z(chi).adjoint()
         kinds = {sites[0]: SiteKind.EDGE_GROUP, sites[-1]: SiteKind.EDGE_GROUP}
     return ProductOperator.from_dict(factors, kinds, group.phase_modulus)
-
-
-def _slant_exps(beta: Cocycle, chi_exps) -> tuple:
-    """Slant product on raw exponent tuples (see groups.slant_product)."""
-    spec = beta.group
-    orders = spec.orders
-    out = []
-    for k in range(len(orders)):
-        acc = 0
-        for j in range(k + 1, len(orders)):
-            d = math.gcd(orders[k], orders[j])
-            acc += (orders[k] // d) * beta.pmatrix[k][j] * chi_exps[j]
-        for i in range(k):
-            d = math.gcd(orders[i], orders[k])
-            acc -= (orders[k] // d) * beta.pmatrix[i][k] * chi_exps[i]
-        out.append(acc % orders[k])
-    return tuple(out)
 
 
 def string_order_expectation(
@@ -266,7 +249,7 @@ def condensation_table(spec: CodeSpec, chain: SymmetricState1D) -> dict:
             factors[(j, col)] = mono
             kinds[(j, col)] = SiteKind.EDGE_GROUP
         string = ProductOperator.from_dict(factors, kinds, group.phase_modulus)
-        witness = _first_violation(terms, string)
+        witness = first_violation(terms, string)
         report["group_anyons"][str(g.exps)] = {
             "condenses": witness is None,
             "witness": witness,
@@ -280,17 +263,9 @@ def condensation_table(spec: CodeSpec, chain: SymmetricState1D) -> dict:
             factors[(j, col)] = mono
             kinds[(j, col)] = SiteKind.VERTEX_DUAL
         string = ProductOperator.from_dict(factors, kinds, group.phase_modulus)
-        witness = _first_violation(terms, string)
+        witness = first_violation(terms, string)
         report["dual_anyons"][str(chi.exps)] = {
             "condenses": witness is None,
             "witness": witness,
         }
     return report
-
-
-def _first_violation(terms, op) -> dict | None:
-    for t in terms:
-        ph = commutation_phase(t.op, op)
-        if ph is None or not ph.is_one:
-            return {"term": t.label.as_json(), "phase": None if ph is None else ph.k}
-    return None

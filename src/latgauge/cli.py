@@ -47,7 +47,6 @@ from .lattice import (
     ground_space_dimension_dense,
     logical_operators,
 )
-from .lattice import CapExceededError as LatticeCapExceeded
 from .operators import MonomialOperator, ProductOperator, SiteKind
 from .tensors import contract_mpo_layer, pull_through_check
 
@@ -233,10 +232,9 @@ def compose(group_text, num_layers, n, bc, twist_even, twist_odd, max_dim, tol, 
 @click.option("--beta", default=None, help="boundary cocycle (cylinder only)")
 @click.option("--subgroup", default=None, help="bottom boundary subgroup, e.g. 'e' or '0,0;1,1'")
 @click.option("--orientation", type=click.Choice(["standard", "reflected"]), default="standard", show_default=True)
-@click.option("--cap-bits", type=float, default=20.0, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--report", "out", default=None, help="report path")
-def code(group_text, n, m, bc, twist_even, twist_odd, beta, subgroup, orientation, cap_bits, seed, out):
+def code(group_text, n, m, bc, twist_even, twist_odd, beta, subgroup, orientation, seed, out):
     """Build the 2D code, check commutation, and compute the ground space."""
     group = parse_group(group_text)
     te = parse_twist(group, twist_even)
@@ -263,20 +261,15 @@ def code(group_text, n, m, bc, twist_even, twist_odd, beta, subgroup, orientatio
         checks.append(both)
     ground = None
     if vertical == "periodic":
-        try:
-            ground = ground_space_dimension(spec, cap_bits=cap_bits)
-        except LatticeCapExceeded as exc:
-            checks.append(
-                {"name": "ground_dimension", "passed": True, "skipped": str(exc)}
-            )
-        if ground is not None and lattice.total_dim <= 2**14:
+        ground = ground_space_dimension(spec)
+        if lattice.total_dim <= 2**14:
             dense = ground_space_dimension_dense(spec, seed=seed)
             checks.append(
                 {
                     "name": "ground_dimension_matches_dense",
-                    "claim": "trace formula and dense oracle agree",
+                    "claim": "normal form and dense oracle agree",
                     "passed": bool(dense == ground),
-                    "trace": ground,
+                    "normal_form": ground,
                     "dense": dense,
                 }
             )

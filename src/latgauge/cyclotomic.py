@@ -1,81 +1,19 @@
-"""Exact arithmetic with roots of unity.
+"""Exact tensors whose entries are sums of roots of unity.
 
 A phase is a power of the primitive L-th root of unity w = exp(2*pi*i/L),
 stored as an integer exponent mod L.  A sum of such phases is stored as an
-integer count vector c of length L, meaning sum_k c[k] * w**k.  Count
-vectors multiply by cyclic convolution and a vector equals an ordinary
-integer n exactly when the polynomial sum_k c[k] x**k - n is divisible by
-the L-th cyclotomic polynomial, which is decided with exact integer
-polynomial division.  No floating point enters any of these checks.
+integer count vector c of length L, meaning sum_k c[k] * w**k, so exact
+equality of two tensors is integer array equality.  Monomial operators
+act on them by permuting entries and rotating the count vectors; no
+floating point enters these checks.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-
-@functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the cyclotomic polynomial Phi_order."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    # x**order - 1 divided by the product of Phi_d over proper divisors d.
-    poly = [-1] + [0] * (order - 1) + [1]
-    for d in range(1, order):
-        if order % d == 0:
-            poly = _polydiv_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials; remainder must vanish."""
-    num = list(num)
-    quot = [0] * (len(num) - len(den) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("inexact polynomial division")
-        q = c // den[-1]
-        quot[k] = q
-        for i, dc in enumerate(den):
-            num[k + i] -= q * dc
-    if any(num):
-        raise ArithmeticError("nonzero remainder in exact polynomial division")
-    return quot
-
-
-def phase_counts_as_integer(counts: np.ndarray) -> int:
-    """Exact integer value of sum_k counts[k] * w**k, or raise.
-
-    The value is an integer iff the count polynomial is congruent to a
-    constant modulo Phi_L.  Raises ArithmeticError otherwise.
-    """
-    counts = np.asarray(counts, dtype=object)
-    modulus = counts.shape[-1]
-    phi = list(cyclotomic_polynomial(modulus))
-    rem = [int(c) for c in counts]
-    # Reduce modulo Phi_L by exact long division (quotient discarded).
-    for k in range(len(rem) - 1, len(phi) - 2, -1):
-        c = rem[k]
-        if c == 0:
-            continue
-        # Phi_L is monic, so the division is always exact.
-        for i, pc in enumerate(phi):
-            rem[k - len(phi) + 1 + i] -= c * pc
-    if any(rem[1:]):
-        raise ArithmeticError("phase sum is not a rational integer")
-    return rem[0]
-
-
-def phase_counts_value(counts: np.ndarray) -> complex:
-    """Floating point value of a count vector (for reports only)."""
-    modulus = counts.shape[-1]
-    roots = np.exp(2j * np.pi * np.arange(modulus) / modulus)
-    return complex(np.tensordot(np.asarray(counts, dtype=float), roots, axes=1))
 
 
 @dataclass

@@ -30,6 +30,7 @@ import numpy as np
 from .cyclotomic import PhaseTensor, mono_mul_left, mono_mul_right
 from .groups import Cocycle, GroupSpec
 from .operators import (
+    CapExceededError,
     MonomialOperator,
     ProductOperator,
     SiteKind,
@@ -45,10 +46,6 @@ from .operators import (
 )
 
 DEFAULT_DIM_CAP = 2**24
-
-
-class CapExceededError(RuntimeError):
-    """A requested computation would exceed the configured size cap."""
 
 
 def dimension_cap(override: int | None = None) -> int:

@@ -14,21 +14,21 @@ character labels.  Untwisted, each term is the four-body mix of two
 shifts and two clocks; a twist replaces the shift pair by the projective
 pair so the per-plaquette map label -> term stays a representation.
 
-Ground-space dimension is computed two independent ways: an exact trace
-of the product of plaquette projectors (a histogram of root-of-unity
-phases, evaluated with integer cyclotomic arithmetic) and a dense oracle
-that projects random vectors and ranks them.
+Ground-space dimension.  Every bulk term is a Weyl operator, a phase
+times a vector of shifts and characters per site, so the dimension is
+|G|**sites over the order of the group the terms generate, read off an
+integer echelon form of those vectors (0 when the group holds a scalar
+other than 1).  A dense oracle that projects random vectors and ranks
+them checks it independently.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import phase_counts_as_integer
 from .groups import (
     Cocycle,
     DualCharacter,
@@ -38,6 +38,7 @@ from .groups import (
     restricted_characters,
 )
 from .operators import (
+    CapExceededError,
     MonomialOperator,
     ProductOperator,
     SiteKind,
@@ -56,10 +57,6 @@ from .operators import (
 
 class GeometryError(ValueError):
     """Inconsistent or unsupported lattice geometry."""
-
-
-class CapExceededError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -291,109 +288,134 @@ def check_all_commute(terms) -> dict:
     }
 
 
+def first_violation(terms, op) -> dict | None:
+    """Witness for the first term that fails to commute with op, else None."""
+    for t in terms:
+        ph = commutation_phase(t.op, op)
+        if ph is None or not ph.is_one:
+            return {"term": t.label.as_json(), "phase": None if ph is None else ph.k}
+    return None
+
+
 # -- ground space dimension ---------------------------------------------------
 
 
-def _plaquette_term_table(spec: CodeSpec):
-    """Per plaquette, the list of corner ops for every label, plus geometry."""
-    lat = spec.lattice
-    centers = lat.plaquette_centers()
-    per_plaquette = []
-    for center in centers:
-        group_family = center[0] % 2 == 1
-        labels = list(spec.group.elements()) if group_family else list(spec.group.characters())
-        ops = [_plaquette_corners(spec, center, lab) for lab in labels]
-        per_plaquette.append((center, ops))
-    return centers, per_plaquette
+def _weyl_form(mono: MonomialOperator, group: GroupSpec) -> tuple[tuple, tuple, int]:
+    """(a, chi, c) with mono|h> = w**(c + chi(h)) |h + a>, or ArithmeticError.
+
+    a and c are read at h = 0 and chi at the unit elements; every basis
+    state is then checked, so a factor of any other shape is refused
+    rather than rounded to the nearest Weyl operator.
+    """
+    L = group.phase_modulus
+    a = group.exps_of(mono.perm[0])
+    c = mono.phase[0]
+    chi = []
+    for i, n in enumerate(group.orders):
+        unit = tuple(int(k == i) for k in range(len(group.orders)))
+        k, rem = divmod((mono.phase[group.index_of(unit)] - c) % L, L // n)
+        if rem:
+            raise ArithmeticError("site factor is not a Weyl operator")
+        chi.append(k)
+    for idx in range(group.size):
+        h = group.exps_of(idx)
+        if (
+            mono.perm[idx] != group.index_of(group.add_exps(h, a))
+            or mono.phase[idx] != (c + group.pair_exponent(chi, h)) % L
+        ):
+            raise ArithmeticError("site factor is not a Weyl operator")
+    return a, tuple(chi), c
 
 
-def ground_space_dimension(spec: CodeSpec, cap_bits: float = 20.0) -> int:
+def joint_eigenspace_dimension(ops, sites, group: GroupSpec) -> int:
+    """Exact dimension of the joint +1 eigenspace of commuting Weyl operators.
+
+    ops are ProductOperators on `sites`, each a |G|-dimensional space.
+    Every site factor is a Weyl operator (a, chi, c), so each op is a
+    phase w**c times an integer vector with columns a_i and chi_i mod n_i
+    per site, and the ops generate an Abelian group S.  The dimension is
+    |G|**sites / |S|, or 0 when S holds a scalar other than 1.
+
+    S is brought to echelon form column by column.  Euclid over the rows
+    and the modulus element n_j e_j (the identity, phase 0) leaves one
+    pivot with entry d_j dividing n_j and every other row zero in that
+    column; the pivot is dropped, since its power n_j / d_j lies in the
+    group the other rows generate.  Each row operation is a product in the Heisenberg
+    group.  Then |S| = prod_j n_j / d_j up to scalars, and the phases left
+    on the rows, now all zero vectors, are the scalars of S.
+    """
+    L = group.phase_modulus
+    k = len(group.orders)
+    site_index = {s: i for i, s in enumerate(sites)}
+    moduli = np.tile(np.array(group.orders * 2, dtype=np.int64), len(sites))
+    a_cols = (np.arange(len(sites))[:, None] * 2 * k + np.arange(k)).reshape(-1)
+    chi_cols = a_cols + k
+    weights = L // moduli[a_cols]
+    # One spare row beyond the ops holds the modulus element of the column
+    # in hand; a dropped pivot's row becomes the next spare.
+    vec = np.zeros((len(ops) + 1, len(moduli)), dtype=np.int64)
+    phase = np.zeros(len(ops) + 1, dtype=np.int64)
+    forms: dict = {}
+    for r, op in enumerate(ops):
+        for site, mono in op.factors:
+            if mono not in forms:
+                forms[mono] = _weyl_form(mono, group)
+            a, chi, c = forms[mono]
+            base = 2 * k * site_index[site]
+            vec[r, base : base + k] = a
+            vec[r, base + k : base + 2 * k] = chi
+            phase[r] += c
+    phase %= L
+
+    def absorb(rows, p, q):
+        """rows <- rows . p**q; the order of factors is moot as S is Abelian."""
+        ap = vec[p, a_cols] * weights
+        on = np.flatnonzero(ap)
+        self_pair = int(vec[p, chi_cols[on]] @ ap[on]) % L
+        cross = (vec[np.ix_(rows, chi_cols[on])] @ ap[on]) % L
+        phase[rows] = (phase[rows] + q * phase[p] + (q * (q - 1) // 2) * self_pair + q * cross) % L
+        supp = np.flatnonzero(vec[p])
+        block = vec[np.ix_(rows, supp)] + q[:, None] * vec[p, supp]
+        vec[np.ix_(rows, supp)] = block % moduli[supp]
+
+    spare = len(ops)
+    d_product = 1
+    for j, n in enumerate(moduli.tolist()):
+        rows = np.flatnonzero(vec[:, j])
+        if rows.size == 0:
+            d_product *= n
+            continue
+        vec[spare, j] = n
+        rows = np.append(rows, spare)
+        while rows.size > 1:
+            pick = int(np.argmin(vec[rows, j]))
+            p, others = rows[pick], np.delete(rows, pick)
+            absorb(others, p, -(vec[others, j] // vec[p, j]))
+            rows = np.append(others[vec[others, j] != 0], p)
+        spare = rows[0]
+        d_product *= int(vec[spare, j])
+        vec[spare] = 0
+        phase[spare] = 0
+    if phase.any():
+        return 0
+    dim, rem = divmod(d_product, group.size ** len(sites))
+    if rem:
+        raise ArithmeticError("stabilizer group order does not divide the space")
+    return dim
+
+
+def ground_space_dimension(spec: CodeSpec) -> int:
     """Exact dimension of the joint +1 eigenspace on the torus.
 
-    Expands tr prod_p Pi_p over all label assignments.  Each assignment
-    contributes a product of single-site traces, each of which is either
-    zero or |G| times a root of unity for these plaquette algebras; the
-    assignment histogram over phases is converted to an exact integer
-    with cyclotomic arithmetic.
+    Counts by integer normal form over every bulk term, identity labels
+    included, so a label map that failed to be a representation would
+    show up as a scalar relation instead of being assumed away.
     """
     lat = spec.lattice
     if lat.vertical != "periodic":
-        raise GeometryError("the trace formula is implemented for the torus")
-    size = spec.group.size
-    centers, per_plaquette = _plaquette_term_table(spec)
-    num_p = len(centers)
-    if num_p * math.log2(size) > cap_bits:
-        raise CapExceededError(
-            f"{num_p} plaquettes over Z_{size} exceeds the {cap_bits}-bit assignment cap"
-        )
-    L = spec.group.phase_modulus
-    sites = [s for s, _ in lat.sites()]
-    site_index = {s: i for i, s in enumerate(sites)}
-    # Which plaquettes touch each site, in global plaquette order.
-    touching: list[list[int]] = [[] for _ in sites]
-    for p, (center, _) in enumerate(per_plaquette):
-        for site in _plaquette_corners(spec, center, _first_label(spec, center)):
-            touching[site_index[site]].append(p)
-    ident = MonomialOperator.identity(size, L)
-    # Local trace tables: per site, over joint labels of its plaquettes.
-    dead_tables = []
-    phase_tables = []
-    for s_idx, site in enumerate(sites):
-        plqs = touching[s_idx]
-        shape = (size,) * len(plqs)
-        dead = np.zeros(shape, dtype=bool)
-        phases = np.zeros(shape, dtype=np.int64)
-        for local in itertools.product(range(size), repeat=len(plqs)):
-            op = ident
-            for p, lab_idx in zip(plqs, local):
-                corner = per_plaquette[p][1][lab_idx].get(site)
-                op = corner.multiply(op)
-            counts = op.trace_counts()
-            nz = np.nonzero(counts)[0]
-            if len(nz) == 0:
-                dead[local] = True
-            elif len(nz) == 1 and counts[nz[0]] == size:
-                phases[local] = nz[0]
-            elif phase_counts_as_integer(counts) == 0:
-                # Full character sums vanish exactly.
-                dead[local] = True
-            else:
-                raise ArithmeticError("site trace is not 0 or |G| times a phase")
-        dead_tables.append(dead)
-        phase_tables.append(phases)
-    # Enumerate assignments, vectorized over a flat index.
-    total = size**num_p
-    idx = np.arange(total, dtype=np.int64)
-    digits = []
-    for p in range(num_p):
-        digits.append((idx // (size ** (num_p - 1 - p))) % size)
-    alive = np.ones(total, dtype=bool)
-    phase_sum = np.zeros(total, dtype=np.int64)
-    for s_idx in range(len(sites)):
-        plqs = touching[s_idx]
-        local_flat = np.zeros(total, dtype=np.int64)
-        for p in plqs:
-            local_flat = local_flat * size + digits[p]
-        dead = dead_tables[s_idx].reshape(-1)[local_flat]
-        alive &= ~dead
-        phase_sum = (phase_sum + phase_tables[s_idx].reshape(-1)[local_flat]) % L
-    counts = np.bincount(phase_sum[alive], minlength=L).astype(np.int64)
-    # Each alive assignment contributes |G|**num_sites w**phase; dividing by
-    # |G|**num_p with num_sites == num_p leaves the bare phase histogram.
-    if len(sites) != num_p:
-        raise GeometryError("torus site and plaquette counts must match")
-    value = phase_counts_as_integer(counts)
-    if value < 0:
-        raise ArithmeticError("trace produced a negative dimension")
-    return int(value)
-
-
-def _first_label(spec: CodeSpec, center):
-    return (
-        next(iter(spec.group.elements()))
-        if center[0] % 2 == 1
-        else next(iter(spec.group.characters()))
-    )
+        raise GeometryError("the ground space is counted on the torus")
+    ops = [t.op for t in build_bulk_stabilizers(spec)]
+    return joint_eigenspace_dimension(ops, [s for s, _ in lat.sites()], spec.group)
 
 
 def ground_space_dimension_dense(
@@ -439,23 +461,6 @@ def ground_space_dimension_dense(
             raise ArithmeticError("dense oracle failed to converge")
 
 
-def stabilizer_group_order(terms, limit: int = 200000) -> int:
-    """Order of the group generated by the terms (BFS over exact monomials)."""
-    frontier = [t.op for t in terms]
-    seen = {ProductOperator.identity_op(terms[0].op.modulus)}
-    queue = [ProductOperator.identity_op(terms[0].op.modulus)]
-    while queue:
-        cur = queue.pop()
-        for gen in frontier:
-            nxt = gen.multiply(cur)
-            if nxt not in seen:
-                if len(seen) >= limit:
-                    raise CapExceededError("stabilizer group enumeration limit hit")
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen)
-
-
 # -- logical operators --------------------------------------------------------
 
 
@@ -485,12 +490,7 @@ def logical_operators(spec: CodeSpec) -> list[LogicalOperator]:
 
     def check(name, factors, kinds):
         op = ProductOperator.from_dict(factors, kinds, size_modulus)
-        witness = None
-        for t in terms:
-            ph = commutation_phase(t.op, op)
-            if ph is None or not ph.is_one:
-                witness = {"term": t.label.as_json(), "phase": None if ph is None else ph.k}
-                break
+        witness = first_violation(terms, op)
         out.append(LogicalOperator(name, op, witness is None, witness))
 
     for chi in spec.group.characters():

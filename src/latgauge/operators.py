@@ -47,6 +47,10 @@ from .groups import (
 )
 
 
+class CapExceededError(RuntimeError):
+    """A requested computation would exceed the configured size cap."""
+
+
 class SiteKind(enum.Enum):
     EDGE_GROUP = "edge_group"
     VERTEX_DUAL = "vertex_dual"
@@ -98,14 +102,6 @@ class MonomialOperator:
         if any(p != self.phase[0] for p in self.phase):
             return None
         return PhaseExponent(self.phase[0], self.modulus)
-
-    def trace_counts(self) -> np.ndarray:
-        """Exact trace as a count vector over phase exponents."""
-        counts = np.zeros(self.modulus, dtype=np.int64)
-        for i, p in enumerate(self.perm):
-            if p == i:
-                counts[self.phase[i]] += 1
-        return counts
 
     def to_dense(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=complex)

@@ -6,7 +6,6 @@ exact integer or operator identities where promised, 1e-10 for state
 overlaps, wall-clock bounds where stated.
 """
 
-import math
 import time
 
 import numpy as np
@@ -43,16 +42,15 @@ def test_criterion_02_ground_degeneracy_untwisted():
         e["dimension"] == GroupSpec(tuple(e["group"])).size ** 2 for e in rep["instances"]
     )
     dense_ok = all(e["dense"] == e["dimension"] for e in dense_checked)
-    # every skipped instance is genuinely over the assignment cap
-    skipped_ok = all(
-        e["n"] * e["m"] * math.log2(GroupSpec(tuple(e["group"])).size) > suite.CAP_BITS
-        for e in rep["skipped_over_cap"]
+    # every group and torus of the battery is counted, none skipped
+    all_counted = sorted((tuple(e["group"]), e["n"], e["m"]) for e in rep["instances"]) == sorted(
+        (orders, n, m) for orders in suite.GROUPS for n, m in suite.TORI
     )
     ok = (
         rep["passed"]
         and exact_ok
         and dense_ok
-        and skipped_ok
+        and all_counted
         and groups_seen == {(2,), (3,), (4,), (2, 2), (2, 3)}
         and len(dense_checked) >= 10
     )

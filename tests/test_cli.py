@@ -66,6 +66,17 @@ class TestCodeCommand:
         assert result.exit_code == 0, result.output
         assert report_from(result)["ground_dimension"] == 4
 
+    def test_torus_past_the_old_cap(self, runner):
+        result = runner.invoke(main, ["code", "--group", "2,2", "--n", "4", "--m", "4"])
+        assert result.exit_code == 0, result.output
+        rep = report_from(result)
+        assert rep["ground_dimension"] == 16
+        assert not any("skipped" in c for c in rep["checks"])
+
+    def test_cap_bits_option_is_gone(self, runner):
+        args = ["code", "--group", "2", "--n", "2", "--m", "2", "--cap-bits", "10"]
+        assert runner.invoke(main, args).exit_code == 2
+
     def test_cylinder_includes_boundary_checks(self, runner):
         result = runner.invoke(
             main, ["code", "--group", "2", "--n", "2", "--m", "2", "--bc", "cylinder"]

@@ -4,10 +4,10 @@
 import numpy as np
 import pytest
 
+from latgauge import gauging, lattice
 from latgauge.gauging import compose_gauging, initial_state, layer_stack
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes, slant_product
 from latgauge.lattice import (
-    CapExceededError,
     CodeSpec,
     GeometryError,
     Lattice2D,
@@ -16,15 +16,49 @@ from latgauge.lattice import (
     check_all_commute,
     ground_space_dimension,
     ground_space_dimension_dense,
+    joint_eigenspace_dimension,
     logical_operators,
-    stabilizer_group_order,
 )
-from latgauge.operators import ProductOperator, SiteKind, StateVector, clock_z
+from latgauge.operators import (
+    MonomialOperator,
+    ProductOperator,
+    SiteKind,
+    StateVector,
+    clock_z,
+    commutation_phase,
+    shift_x,
+)
+from latgauge.suite import GROUPS, TORI
+from trace_oracle import trace_ground_dimension
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
 Z4 = GroupSpec((4,))
 Z22 = GroupSpec((2, 2))
+
+
+def _oracle_configs():
+    """Every suite torus, twist pair and orientation within 2**16 assignments."""
+    configs = []
+    for orders in GROUPS:
+        group = GroupSpec(orders)
+        classes = [None if c.is_trivial else c for c in enumerate_cocycle_classes(group)]
+        for n, m in TORI:
+            if group.size ** (n * m) > 2**16:
+                continue
+            for even in classes:
+                for odd in classes:
+                    for orientation in ("standard", "reflected"):
+                        spec = CodeSpec(
+                            Lattice2D(group, n, m, "periodic"),
+                            twist_even=even,
+                            twist_odd=odd,
+                            orientation=orientation,
+                        )
+                        twists = f"{even is not None:d}{odd is not None:d}"
+                        tag = f"{'x'.join(map(str, orders))}-{n}x{m}-{twists}-{orientation}"
+                        configs.append(pytest.param(spec, id=tag))
+    return configs
 
 
 class TestGeometry:
@@ -141,24 +175,63 @@ class TestGroundSpace:
 
         image = {slant_product(alpha, g).exps for g in z42.elements()}
         assert len(image) == 4
-        dim = ground_space_dimension(spec, cap_bits=25)
+        dim = ground_space_dimension(spec)
         assert dim == z42.size**2 // len(image) == 16
         assert ground_space_dimension_dense(spec, dim_cap=2**17) == dim
 
-    def test_stabilizer_group_order_matches_counting(self):
-        # Untwisted: the group generated by all terms has order |G|**(P-2),
-        # so dim = |G|**sites / order reproduces the trace formula.
-        for group, n, m in [(Z2, 2, 2), (Z2, 3, 2), (Z3, 2, 2)]:
-            spec = CodeSpec(Lattice2D(group, n, m, "periodic"))
-            terms = build_bulk_stabilizers(spec)
-            order = stabilizer_group_order(terms)
-            assert order == group.size ** (n * m - 2)
-            assert group.size ** (n * m) // order == ground_space_dimension(spec)
+    @pytest.mark.parametrize("spec", _oracle_configs())
+    def test_matches_trace_and_dense_oracles(self, spec):
+        dim = ground_space_dimension(spec)
+        assert dim == trace_ground_dimension(spec, cap_bits=16.0)
+        if spec.lattice.total_dim <= 2**14:
+            assert dim == ground_space_dimension_dense(spec)
 
-    def test_cap_raises(self):
-        spec = CodeSpec(Lattice2D(Z3, 4, 4, "periodic"))
-        with pytest.raises(CapExceededError):
-            ground_space_dimension(spec, cap_bits=20.0)
+    @pytest.mark.parametrize(
+        "group,n,m,twisted,expected",
+        [
+            (Z3, 4, 4, False, 9),  # 3**16 assignments: past the trace formula's reach
+            (Z22, 16, 16, True, 16),  # m = 0 mod 4: the twist constraint squares away
+            (GroupSpec((2, 3)), 16, 16, False, 36),
+        ],
+    )
+    def test_large_tori(self, group, n, m, twisted, expected):
+        alpha = enumerate_cocycle_classes(group)[1] if twisted else None
+        spec = CodeSpec(Lattice2D(group, n, m, "periodic"), twist_even=alpha)
+        assert ground_space_dimension(spec) == expected
+
+    def test_scalar_relation_gives_zero(self):
+        # Z x Z, X x X and -(XZ) x (XZ) commute and multiply to -1, so no
+        # state is fixed by all three.
+        z = clock_z(Z2.character((1,)))
+        x = shift_x(Z2.element((1,)))
+        xz = x.multiply(z)
+        minus_xz = MonomialOperator(2, xz.perm, tuple(p + 1 for p in xz.phase), 2)
+        sites = ["a", "b"]
+        kinds = dict.fromkeys(sites, SiteKind.EDGE_GROUP)
+        ops = [
+            ProductOperator.from_dict({"a": a, "b": b}, kinds, 2)
+            for a, b in [(z, z), (x, x), (minus_xz, xz)]
+        ]
+        assert all(commutation_phase(p, q).is_one for p in ops for q in ops)
+        assert joint_eigenspace_dimension(ops, sites, Z2) == 0
+        dense = [np.kron(*(op.factor_map()[s].to_dense() for s in sites)) for op in ops]
+        assert np.allclose(dense[0] @ dense[1] @ dense[2], -np.eye(4))
+        proj = np.eye(4)
+        for mat in dense:
+            proj = proj @ (np.eye(4) + mat) / 2
+        assert np.allclose(proj, 0)
+
+    def test_non_weyl_factor_is_refused(self):
+        inversion = MonomialOperator(3, (0, 2, 1), (0, 0, 0), 3)
+        op = ProductOperator.from_dict({"a": inversion}, {"a": SiteKind.EDGE_GROUP}, 3)
+        with pytest.raises(ArithmeticError):
+            joint_eigenspace_dimension([op], ["a"], Z3)
+
+    def test_one_cap_error_class(self):
+        assert lattice.CapExceededError is gauging.CapExceededError
+        spec = CodeSpec(Lattice2D(Z2, 2, 2, "periodic"))
+        with pytest.raises(gauging.CapExceededError):
+            ground_space_dimension_dense(spec, dim_cap=8)
 
     def test_dense_oracle_on_cylinder(self):
         # Open vertical boundary with no boundary terms kept: the bulk
