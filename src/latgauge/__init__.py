@@ -18,15 +18,10 @@ from .operators import (
     SiteKind,
     StateVector,
     clock_z,
-    clock_z_dual,
     commutation_phase,
-    multiply,
     projective_x,
-    projective_x_dual,
     projective_x_tilde,
-    projective_x_tilde_dual,
     shift_x,
-    shift_x_dual,
 )
 
 __all__ = [
@@ -45,15 +40,10 @@ __all__ = [
     "SiteKind",
     "StateVector",
     "clock_z",
-    "clock_z_dual",
     "commutation_phase",
-    "multiply",
     "projective_x",
-    "projective_x_dual",
     "projective_x_tilde",
-    "projective_x_tilde_dual",
     "shift_x",
-    "shift_x_dual",
 ]
 
 __version__ = "0.1.0"

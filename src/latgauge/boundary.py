@@ -28,8 +28,6 @@ from .groups import (
     GroupElement,
     GroupSpec,
     is_subgroup,
-    pair,
-    restricted_characters,
     slant_product,
 )
 from .lattice import CodeSpec, build_boundary_terms, first_violation
@@ -38,11 +36,9 @@ from .operators import (
     SiteKind,
     StateVector,
     clock_z,
-    clock_z_dual,
-    projective_x_dual,
-    projective_x_tilde_dual,
+    projective_x,
+    projective_x_tilde,
     shift_x,
-    shift_x_dual,
 )
 
 SHIFT = "shift_symmetry"
@@ -134,7 +130,7 @@ def build_fixed_point_state(
 
 
 def symmetry_operator(chain: SymmetricState1D, g: GroupElement) -> ProductOperator:
-    mono = shift_x(g) if chain.convention == SHIFT else clock_z_dual(g)
+    mono = shift_x(g) if chain.convention == SHIFT else clock_z(g)
     kind = SiteKind.EDGE_GROUP if chain.convention == SHIFT else SiteKind.VERTEX_DUAL
     factors = {s: mono for s in chain.site_ids}
     kinds = {s: kind for s in chain.site_ids}
@@ -164,11 +160,11 @@ def string_order_operator(
     factors = {}
     kinds = {}
     if chain.convention == CLOCK:
-        slant = GroupElement(group, slant_product(beta, GroupElement(group, chi.exps)).exps)
-        factors[sites[0]] = projective_x_tilde_dual(beta, chi)
-        factors[sites[-1]] = projective_x_dual(beta, chi)
+        slant = slant_product(beta, GroupElement(group, chi.exps))
+        factors[sites[0]] = projective_x_tilde(beta, chi)
+        factors[sites[-1]] = projective_x(beta, chi)
         for s in sites[1:-1]:
-            factors[s] = clock_z_dual(slant)
+            factors[s] = clock_z(slant)
         kinds = {s: SiteKind.VERTEX_DUAL for s in sites}
     else:
         if not beta.is_trivial:
@@ -255,7 +251,7 @@ def condensation_table(spec: CodeSpec, chain: SymmetricState1D) -> dict:
             "witness": witness,
         }
     for chi in group.characters():
-        mono = shift_x_dual(chi)
+        mono = shift_x(chi)
         col = 0
         factors = {}
         kinds = {}

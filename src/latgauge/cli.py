@@ -16,6 +16,7 @@ amplitude cap (default 2**24) can be overridden with GAUGE_MAX_DIM or
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 import sys
@@ -55,6 +56,20 @@ SCHEMA_VERSION = 1
 
 class ConfigError(click.ClickException):
     exit_code = 2
+
+
+@contextlib.contextmanager
+def building_config():
+    """Report a ValueError raised while building specs or inputs as a bad configuration.
+
+    Wrap only construction, never the checks: a check that raises must
+    not be mistaken for a bad configuration.  GeometryError is a
+    ValueError.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_group(text: str) -> GroupSpec:
@@ -178,7 +193,8 @@ def compose(group_text, num_layers, n, bc, twist_even, twist_odd, max_dim, tol, 
     to = parse_twist(group, twist_odd)
     if num_layers < 1:
         raise ConfigError("need at least one layer")
-    layers = layer_stack(group, n, num_layers, bc, twist_even=te, twist_odd=to)
+    with building_config():
+        layers = layer_stack(group, n, num_layers, bc, twist_even=te, twist_odd=to)
     checks = []
     norms: list[float] = []
     try:
@@ -242,19 +258,18 @@ def code(group_text, n, m, bc, twist_even, twist_odd, beta, subgroup, orientatio
     bb = parse_twist(group, beta)
     sub = parse_subgroup(group, subgroup)
     vertical = "periodic" if bc == "torus" else "open"
-    try:
+    with building_config():
         lattice = Lattice2D(group, n, m, vertical)
         spec = CodeSpec(lattice, te, to, bb, subgroup_bottom=sub, orientation=orientation)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        boundary_terms = []
+        if vertical == "open":
+            boundary_terms = build_boundary_terms(spec, "bottom") + build_boundary_terms(spec, "top")
     terms = build_bulk_stabilizers(spec)
     checks = []
     commute = check_all_commute(terms)
     commute["claim"] = "all stabilizer terms commute pairwise"
     checks.append(commute)
-    boundary_terms = []
     if vertical == "open":
-        boundary_terms = build_boundary_terms(spec, "bottom") + build_boundary_terms(spec, "top")
         both = check_all_commute(terms + boundary_terms)
         both["name"] = "bulk_and_boundary_commute"
         both["claim"] = "boundary terms commute with the bulk"
@@ -322,7 +337,17 @@ def _load_code_spec(path: str) -> CodeSpec:
             text = ",".join(str(x) for x in raw) if isinstance(raw, list) else raw
             return parse_twist(group, text)
 
-        return CodeSpec(lattice, twist_of("twist_even"), twist_of("twist_odd"), twist_of("beta"))
+        subgroup = data.get("subgroup")
+        if subgroup is not None and not isinstance(subgroup, str):
+            raise ValueError("subgroup must be a string such as 'e' or '0,0;1,1'")
+        return CodeSpec(
+            lattice,
+            twist_of("twist_even"),
+            twist_of("twist_odd"),
+            twist_of("beta"),
+            subgroup_bottom=parse_subgroup(group, subgroup),
+            orientation=data.get("orientation", "standard"),
+        )
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad code spec {path!r}: {exc}")
 
@@ -443,9 +468,10 @@ def boundary(group_text, subgroup, n, m, beta, out):
     group = parse_group(group_text)
     sub = parse_subgroup(group, subgroup)
     bb = parse_twist(group, beta)
-    chain = build_fixed_point_state(group, sub, n, CLOCK)
+    with building_config():
+        chain = build_fixed_point_state(group, sub, n, CLOCK)
+        spec = CodeSpec(Lattice2D(group, n, m, "open"), boundary_beta=bb)
     surviving, raw = surviving_boundary_terms(chain, bb)
-    spec = CodeSpec(Lattice2D(group, n, m, "open"), boundary_beta=bb)
     table = condensation_table(spec, chain)
     from .groups import restricted_characters
 
@@ -486,27 +512,30 @@ def boundary(group_text, subgroup, n, m, beta, out):
 
 @main.command()
 @click.option("--group", "group_text", required=True)
-@click.option("--check-pull-through", is_flag=True, default=True)
 @click.option("--mpo-layers", is_flag=True, help="also compare MPO layers with the dense maps")
 @click.option("--n", type=int, default=2, show_default=True)
 @click.option("--out", default=None)
-def tn(group_text, check_pull_through, mpo_layers, n, out):
+def tn(group_text, mpo_layers, n, out):
     """Tensor identities and MPO equivalence."""
     group = parse_group(group_text)
-    checks = []
-    if check_pull_through:
-        rep = pull_through_check(group)
-        rep["claim"] = "every tensor symmetry identity holds with zero deviation"
-        checks.append(rep)
+    layers = []
+    if mpo_layers:
+        with building_config():
+            layers = [
+                LayerSpec(group, index, n, bc, None, offset=-index if bc == "open" else 0)
+                for index in (0, 1)
+                for bc in ("periodic", "open")
+            ]
+    rep = pull_through_check(group)
+    rep["claim"] = "every tensor symmetry identity holds with zero deviation"
+    checks = [rep]
     if mpo_layers:
         ok = True
-        for index in (0, 1):
-            for bc in ("periodic", "open"):
-                layer = LayerSpec(group, index, n, bc, None, offset=-index if bc == "open" else 0)
-                gmap = build_gauging_map(layer)
-                ratio = contract_mpo_layer(layer).proportional(gmap.exact_matrix())
-                if ratio is None or ratio <= 0:
-                    ok = False
+        for layer in layers:
+            gmap = build_gauging_map(layer)
+            ratio = contract_mpo_layer(layer).proportional(gmap.exact_matrix())
+            if ratio is None or ratio <= 0:
+                ok = False
         checks.append(
             {
                 "name": "mpo_equals_dense",

@@ -4,8 +4,9 @@ A phase is a power of the primitive L-th root of unity w = exp(2*pi*i/L),
 stored as an integer exponent mod L.  A sum of such phases is stored as an
 integer count vector c of length L, meaning sum_k c[k] * w**k, so exact
 equality of two tensors is integer array equality.  Monomial operators
-act on them by permuting entries and rotating the count vectors; no
-floating point enters these checks.
+act on them by permuting entries along one index and rotating the count
+vectors, and two tensors contract by a tensordot in which root exponents
+add mod L; no floating point enters these checks.
 """
 
 from __future__ import annotations
@@ -31,17 +32,6 @@ class PhaseTensor:
     @property
     def modulus(self) -> int:
         return self.counts.shape[-1]
-
-    @classmethod
-    def zeros(cls, shape: tuple[int, ...], modulus: int) -> "PhaseTensor":
-        return cls(np.zeros(shape + (modulus,), dtype=np.int64))
-
-    def copy(self) -> "PhaseTensor":
-        return PhaseTensor(self.counts.copy(), self.scale)
-
-    def mul_root(self, k: int) -> "PhaseTensor":
-        """Multiply every entry by w**k."""
-        return PhaseTensor(np.roll(self.counts, k % self.modulus, axis=-1), self.scale)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhaseTensor):
@@ -69,25 +59,23 @@ class PhaseTensor:
         )
 
 
-def mono_mul_left(tensor: PhaseTensor, perm: np.ndarray, phase: np.ndarray) -> PhaseTensor:
-    """Exact product M . T for a matrix-shaped tensor T.
+def mono_mul_left(
+    tensor: PhaseTensor, perm: np.ndarray, phase: np.ndarray, axis: int = 0
+) -> PhaseTensor:
+    """Exact product M . T with M acting on one index of T (the first by default).
 
-    M is the monomial matrix M|o> = w**phase[o] |perm[o]>, acting on the
-    first (row) index of T.
+    M is the monomial matrix M|o> = w**phase[o] |perm[o]>, so for a
+    matrix-shaped T the default is the product on the row index.
     """
-    counts = tensor.counts
+    counts = np.moveaxis(tensor.counts, axis, 0)
     modulus = tensor.modulus
-    rows = counts.shape[0]
+    flat = counts.reshape(counts.shape[0], -1, modulus)
     k = np.arange(modulus)
     gather = (k[None, :] - np.asarray(phase)[:, None]) % modulus
-    rolled = np.take_along_axis(
-        counts.reshape(rows, -1, modulus),
-        gather[:, None, :].repeat(counts.reshape(rows, -1, modulus).shape[1], axis=1),
-        axis=2,
-    ).reshape(counts.shape)
+    rolled = np.take_along_axis(flat, np.broadcast_to(gather[:, None, :], flat.shape), axis=2)
     out = np.empty_like(rolled)
     out[np.asarray(perm)] = rolled
-    return PhaseTensor(out, tensor.scale)
+    return PhaseTensor(np.moveaxis(out.reshape(counts.shape), 0, axis), tensor.scale)
 
 
 def mono_mul_right(tensor: PhaseTensor, perm: np.ndarray, phase: np.ndarray) -> PhaseTensor:
@@ -102,3 +90,21 @@ def mono_mul_right(tensor: PhaseTensor, perm: np.ndarray, phase: np.ndarray) -> 
     gather = (k[None, :] - phase[:, None]) % modulus
     out = np.take_along_axis(picked, gather[None, :, :].repeat(counts.shape[0], axis=0), axis=2)
     return PhaseTensor(out, tensor.scale)
+
+
+def contract(a: PhaseTensor, b: PhaseTensor, axes: tuple[int, int]) -> PhaseTensor:
+    """Exact tensordot of a and b over one index each, axes = (index of a, index of b).
+
+    Root exponents of the two factors add mod L, so the count vectors
+    convolve cyclically.  Free indices come out as in numpy.tensordot:
+    those of a, then those of b.
+    """
+    if a.modulus != b.modulus:
+        raise ValueError("tensors have different root moduli")
+    full = np.tensordot(a.counts, b.counts, axes=axes)
+    # full has a's root axis after a's free indices and b's root axis last.
+    full = np.moveaxis(full, a.counts.ndim - 2, -2)
+    out = np.zeros(full.shape[:-1], dtype=np.int64)
+    for i in range(a.modulus):
+        out += np.roll(full[..., i, :], i, axis=-1)
+    return PhaseTensor(out, a.scale * b.scale)

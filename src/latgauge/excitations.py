@@ -18,12 +18,10 @@ from .operators import (
     ProductOperator,
     SiteKind,
     clock_z,
-    clock_z_dual,
     commutation_phase,
     projective_x,
     projective_x_tilde,
     shift_x,
-    shift_x_dual,
 )
 
 
@@ -106,10 +104,7 @@ def string_operator(spec: CodeSpec, sspec: StringSpec) -> ProductOperator:
         if prev is not None and not _adjacent(lat, prev, site):
             raise ValueError(f"path step {prev!r} -> {site!r} is not a lattice move")
         prev = site
-    if sspec.flavor == "X":
-        mono = shift_x(sspec.label) if isinstance(sspec.label, GroupElement) else shift_x_dual(sspec.label)
-    else:
-        mono = clock_z_dual(sspec.label) if isinstance(sspec.label, GroupElement) else clock_z(sspec.label)
+    mono = shift_x(sspec.label) if sspec.flavor == "X" else clock_z(sspec.label)
     factors = {}
     for site in sspec.path:
         factors[site] = mono.multiply(factors[site]) if site in factors else mono
@@ -233,7 +228,7 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None, max_length
     dip = dipole_operator(spec, g, row, start, 1)
     bend_site = (row + 1, (start + 1) % (2 * lat.n))
     bend = ProductOperator.from_dict(
-        {bend_site: clock_z_dual(g)}, {bend_site: SiteKind.VERTEX_DUAL}, group.phase_modulus
+        {bend_site: clock_z(g)}, {bend_site: SiteKind.VERTEX_DUAL}, group.phase_modulus
     )
     bent = dip.multiply(bend)
     syn_d = syndrome(spec, dip, terms)

@@ -36,13 +36,9 @@ from .operators import (
     SiteKind,
     StateVector,
     clock_z,
-    clock_z_dual,
     projective_x,
-    projective_x_dual,
     projective_x_tilde,
-    projective_x_tilde_dual,
     shift_x,
-    shift_x_dual,
 )
 
 DEFAULT_DIM_CAP = 2**24
@@ -101,7 +97,7 @@ class LayerSpec:
     def matter_clock(self, label) -> MonomialOperator:
         if self.matter_rep is not None:
             return dict(self.matter_rep)[label.exps]
-        return clock_z_dual(label) if self.parity == "even" else clock_z(label)
+        return clock_z(label)
 
     @property
     def parity(self) -> str:
@@ -139,25 +135,14 @@ class LayerSpec:
             return list(self.group.elements())
         return list(self.group.characters())
 
-    def next_layer(self, twist: Cocycle | None = None) -> "LayerSpec":
-        n_next = self.n if self.boundary == "periodic" else self.n + 1
-        off_next = 0 if self.boundary == "periodic" else self.offset - 1
-        return LayerSpec(self.group, self.index + 1, n_next, self.boundary, twist, off_next)
-
 
 def _corner_ops(layer: LayerSpec, label) -> tuple[MonomialOperator, MonomialOperator, MonomialOperator]:
     """(left new, matter, right new) factors of the local symmetry at one site."""
     alpha = layer.twist if layer.twist is not None else Cocycle.trivial(layer.group)
-    if layer.parity == "even":
-        return (
-            projective_x_tilde(alpha, label),
-            layer.matter_clock(label),
-            projective_x(alpha, label),
-        )
     return (
-        projective_x_tilde_dual(alpha, label),
+        projective_x_tilde(alpha, label),
         layer.matter_clock(label),
-        projective_x_dual(alpha, label),
+        projective_x(alpha, label),
     )
 
 
@@ -213,10 +198,7 @@ class GaugingMap:
         Even layers produce a dual-character symmetry on the edge row,
         odd layers a group-element symmetry on the vertex row.
         """
-        if self.layer.parity == "even":
-            mono = clock_z(label)
-        else:
-            mono = clock_z_dual(label)
+        mono = clock_z(label)
         factors = {site: mono for site, _ in self.new_sites}
         kinds = {site: kind for site, kind in self.new_sites}
         return ProductOperator.from_dict(factors, kinds, self.group.phase_modulus)
@@ -232,12 +214,8 @@ class GaugingMap:
         if not 0 <= i < i_prime < self.layer.n:
             raise ValueError("need 0 <= i < i_prime < n")
         layer = self.layer
-        if layer.parity == "even":
-            sh = shift_x_dual(label)
-            string_mono = clock_z(label)
-        else:
-            sh = shift_x(label)
-            string_mono = clock_z_dual(label)
+        sh = shift_x(label)
+        string_mono = clock_z(label)
         row = layer.index
         pos = layer.matter_positions()
         bare_factors = {(row, pos[i]): sh, (row, pos[i_prime]): sh.adjoint()}
@@ -280,7 +258,7 @@ class GaugingMap:
 
     # -- exact dense form ----------------------------------------------------
 
-    def exact_matrix(self, cap: int | None = None) -> PhaseTensor:
+    def exact_matrix(self) -> PhaseTensor:
         """Exact (out, in, L) count tensor of the raw term sum.
 
         Rows are indexed by (matter config, new config) with matter sites
@@ -290,7 +268,7 @@ class GaugingMap:
         L = self.group.phase_modulus
         size = self.group.size
         n = self.layer.n
-        if self.out_dim * self.in_dim * L > dimension_cap(cap):
+        if self.out_dim * self.in_dim * L > dimension_cap():
             raise CapExceededError("exact tensor too large")
         alpha = self.layer.twist if self.layer.twist is not None else Cocycle.trivial(self.group)
         spec = self.group
@@ -394,9 +372,9 @@ def compose_gauging(
 # -- verification -----------------------------------------------------------
 
 
-def verify_emergent_symmetry(gmap: GaugingMap, cap: int | None = None) -> dict:
+def verify_emergent_symmetry(gmap: GaugingMap) -> dict:
     """Exact operator check that the new-row diagonal symmetry fixes the map."""
-    exact = gmap.exact_matrix(cap=cap)
+    exact = gmap.exact_matrix()
     out_dims = tuple(gmap.group.size for _ in gmap.out_sites)
     checks = []
     for label in gmap.layer.labels():
@@ -408,10 +386,10 @@ def verify_emergent_symmetry(gmap: GaugingMap, cap: int | None = None) -> dict:
     return {"name": "emergent_symmetry", "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def verify_string_order_mapping(layer: LayerSpec, i: int, i_prime: int, label, cap: int | None = None) -> dict:
+def verify_string_order_mapping(layer: LayerSpec, i: int, i_prime: int, label) -> dict:
     """Exact operator identity G . bare_pair = dressed_pair . G."""
     gmap = build_gauging_map(layer)
-    exact = gmap.exact_matrix(cap=cap)
+    exact = gmap.exact_matrix()
     bare, dressed = gmap.charged_pair_ops(i, i_prime, label)
     in_sites = [s for s, _ in gmap.matter_sites]
     in_dims = tuple(gmap.group.size for _ in in_sites)
@@ -448,15 +426,11 @@ def stack_local_symmetry_ops(layers) -> list[tuple[str, ProductOperator]]:
                 op = gmap.local_symmetry_op(i, label)
                 if k + 1 < len(layers):
                     north_site = (layer.index + 2, x2)
-                    if layer.parity == "even":
-                        north = clock_z_dual(label).adjoint()
-                        kind = SiteKind.VERTEX_DUAL
-                    else:
-                        north = clock_z(label).adjoint()
-                        kind = SiteKind.EDGE_GROUP
                     op = op.multiply(
                         ProductOperator.from_dict(
-                            {north_site: north}, {north_site: kind}, op.modulus
+                            {north_site: clock_z(label).adjoint()},
+                            {north_site: layer.matter_kind},
+                            op.modulus,
                         )
                     )
                 name = f"layer{layer.index}/site{(layer.index, x2)}/label{label.exps}"
@@ -527,7 +501,7 @@ def zero_dim_gauge(group: GroupSpec, psi: StateVector, n_pairs: int, tol: float 
         raise ValueError("n_pairs must be nonnegative")
     kind = psi.kinds[0]
     for g in group.elements():
-        mono = clock_z_dual(g) if kind == SiteKind.VERTEX_DUAL else shift_x(g)
+        mono = clock_z(g) if kind == SiteKind.VERTEX_DUAL else shift_x(g)
         op = ProductOperator.from_dict(
             {psi.site_ids[0]: mono}, {psi.site_ids[0]: kind}, group.phase_modulus
         )

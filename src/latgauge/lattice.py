@@ -29,14 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (
-    Cocycle,
-    DualCharacter,
-    GroupElement,
-    GroupSpec,
-    is_subgroup,
-    restricted_characters,
-)
+from .groups import Cocycle, GroupSpec, is_subgroup, restricted_characters
 from .operators import (
     CapExceededError,
     MonomialOperator,
@@ -44,14 +37,10 @@ from .operators import (
     SiteKind,
     StateVector,
     clock_z,
-    clock_z_dual,
     commutation_phase,
     projective_x,
-    projective_x_dual,
     projective_x_tilde,
-    projective_x_tilde_dual,
     shift_x,
-    shift_x_dual,
 )
 
 
@@ -171,17 +160,11 @@ def _plaquette_corners(spec: CodeSpec, center: tuple[int, int], label) -> dict:
     """
     lat = spec.lattice
     j, c = center
-    group_family = j % 2 == 1
-    twist = spec.twist_even if group_family else spec.twist_odd
+    twist = spec.twist_even if j % 2 == 1 else spec.twist_odd
     alpha = twist if twist is not None else Cocycle.trivial(spec.group)
-    if group_family:
-        west = projective_x_tilde(alpha, label)
-        east = projective_x(alpha, label)
-        clock = clock_z_dual(label)
-    else:
-        west = projective_x_tilde_dual(alpha, label)
-        east = projective_x_dual(alpha, label)
-        clock = clock_z(label)
+    west = projective_x_tilde(alpha, label)
+    east = projective_x(alpha, label)
+    clock = clock_z(label)
     north, south = clock.adjoint(), clock
     if spec.orientation == "reflected":
         west, east = east, west
@@ -245,8 +228,8 @@ def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
     for k in range(lat.n):
         c = 2 * k + 1
         for chi in labels:
-            west = projective_x_tilde_dual(beta, chi)
-            east = projective_x_dual(beta, chi)
+            west = projective_x_tilde(beta, chi)
+            east = projective_x(beta, chi)
             clock = clock_z(chi).adjoint() if which == "bottom" else clock_z(chi)
             factors = {
                 lat.wrap(row, c - 1): west,
@@ -501,14 +484,14 @@ def logical_operators(spec: CodeSpec) -> list[LogicalOperator]:
         kinds = {s: SiteKind.EDGE_GROUP for s in factors}
         check(f"Z_row{row}_chi{chi.exps}", factors, kinds)
         col = 0
-        factors = {(j, col): shift_x_dual(chi) for j in lat.rows if j % 2 == 0}
+        factors = {(j, col): shift_x(chi) for j in lat.rows if j % 2 == 0}
         kinds = {s: SiteKind.VERTEX_DUAL for s in factors}
         check(f"X_col{col}_chi{chi.exps}", factors, kinds)
     for g in spec.group.elements():
         if g.is_identity:
             continue
         row = 0
-        factors = {(row, x2): clock_z_dual(g) for x2 in lat.row_positions(row)}
+        factors = {(row, x2): clock_z(g) for x2 in lat.row_positions(row)}
         kinds = {s: SiteKind.VERTEX_DUAL for s in factors}
         check(f"Z_row{row}_g{g.exps}", factors, kinds)
         col = 1

@@ -7,16 +7,18 @@ Two kinds of local space occur, both of dimension |G|:
 
 A MonomialOperator is a permutation of the basis combined with a phase per
 basis state, M|i> = w**phase[i] |perm[i]|, so products, inverses and
-commutators stay exact: phases are integers mod L.  On EDGE_GROUP sites
-the generalized clock and shift act as
+commutators stay exact: phases are integers mod L.  The character group
+is isomorphic to G, so one constructor serves both site kinds; the label
+type (GroupElement or DualCharacter) names the site kind it acts on.  On
+EDGE_GROUP sites the generalized clock and shift act as
 
   shift_x(g)   |h>   -> |g h>
   clock_z(chi) |h>   -> chi(h) |h>
 
 and on VERTEX_DUAL sites with the roles of labels exchanged
 
-  shift_x_dual(chi) |k>  -> |chi k>
-  clock_z_dual(g)   |k>  -> k(g) |k>.
+  shift_x(chi) |k>  -> |chi k>
+  clock_z(g)   |k>  -> k(g) |k>.
 
 The projective variants twist the shifts by a 2-cocycle:
 
@@ -42,7 +44,6 @@ from .groups import (
     DualCharacter,
     GroupElement,
     GroupMismatchError,
-    GroupSpec,
     PhaseExponent,
 )
 
@@ -126,94 +127,52 @@ class MonomialOperator:
 # -- clock / shift constructors -------------------------------------------
 
 
-def _shift(spec: GroupSpec, exps: tuple[int, ...], phase_fn=None) -> MonomialOperator:
+def _shift(label: GroupElement | DualCharacter, alpha: Cocycle | None = None) -> MonomialOperator:
+    spec, exps = label.group, label.exps
     dim = spec.size
     perm = [0] * dim
     phase = [0] * dim
     for idx in range(dim):
         h = spec.exps_of(idx)
         perm[idx] = spec.index_of(spec.add_exps(exps, h))
-        if phase_fn is not None:
-            phase[idx] = phase_fn(h)
+        if alpha is not None:
+            phase[idx] = alpha.exponent(exps, h)
     return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus)
 
 
-def _clock(spec: GroupSpec, exps: tuple[int, ...]) -> MonomialOperator:
-    dim = spec.size
-    phase = tuple(spec.pair_exponent(exps, spec.exps_of(i)) for i in range(dim))
-    return MonomialOperator(dim, tuple(range(dim)), phase, spec.phase_modulus)
+def shift_x(label: GroupElement | DualCharacter) -> MonomialOperator:
+    """|h> -> |label h>."""
+    return _shift(label)
 
 
-def shift_x(g: GroupElement) -> MonomialOperator:
-    return _shift(g.group, g.exps)
+def clock_z(label: GroupElement | DualCharacter) -> MonomialOperator:
+    """Diagonal |h> -> label(h) |h>, with h of the other label type."""
+    spec, exps = label.group, label.exps
+    phase = tuple(spec.pair_exponent(exps, spec.exps_of(i)) for i in range(spec.size))
+    return MonomialOperator(spec.size, tuple(range(spec.size)), phase, spec.phase_modulus)
 
 
-def clock_z(chi: DualCharacter) -> MonomialOperator:
-    return _clock(chi.group, chi.exps)
+def projective_x(alpha: Cocycle, label: GroupElement | DualCharacter) -> MonomialOperator:
+    """Left projective shift, X(g) X(h) = alpha(g, h) X(g h)."""
+    if alpha.group != label.group:
+        raise GroupMismatchError("cocycle and label from different groups")
+    return _shift(label, alpha)
 
 
-def shift_x_dual(chi: DualCharacter) -> MonomialOperator:
-    return _shift(chi.group, chi.exps)
-
-
-def clock_z_dual(g: GroupElement) -> MonomialOperator:
-    """Diagonal representation of g on a VERTEX_DUAL site, |k> -> k(g)|k>."""
-    return _clock(g.group, g.exps)
-
-
-def _projective(spec: GroupSpec, alpha: Cocycle, exps: tuple[int, ...]) -> MonomialOperator:
-    dim = spec.size
-    perm = [0] * dim
-    phase = [0] * dim
-    for idx in range(dim):
-        h = spec.exps_of(idx)
-        perm[idx] = spec.index_of(spec.add_exps(exps, h))
-        phase[idx] = alpha.exponent(exps, h)
-    return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus)
-
-
-def _projective_tilde(spec: GroupSpec, alpha: Cocycle, exps: tuple[int, ...]) -> MonomialOperator:
+def projective_x_tilde(alpha: Cocycle, label: GroupElement | DualCharacter) -> MonomialOperator:
+    """Commuting right projective shift |h> -> conj(alpha)(h g^-1, g)|h g^-1>."""
+    if alpha.group != label.group:
+        raise GroupMismatchError("cocycle and label from different groups")
+    spec, exps = label.group, label.exps
     dim = spec.size
     neg = spec.neg_exps(exps)
     perm = [0] * dim
     phase = [0] * dim
     for idx in range(dim):
-        h = spec.exps_of(idx)
-        target = spec.add_exps(h, neg)
+        target = spec.add_exps(spec.exps_of(idx), neg)
         perm[idx] = spec.index_of(target)
         phase[idx] = -alpha.exponent(target, exps) % spec.phase_modulus
     return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus)
-
-
-def projective_x(alpha: Cocycle, g: GroupElement) -> MonomialOperator:
-    """Left projective shift, X(g) X(h) = alpha(g, h) X(g h)."""
-    if alpha.group != g.group:
-        raise GroupMismatchError("cocycle and element from different groups")
-    return _projective(g.group, alpha, g.exps)
-
-
-def projective_x_tilde(alpha: Cocycle, g: GroupElement) -> MonomialOperator:
-    """Commuting right projective shift |h> -> conj(alpha)(h g^-1, g)|h g^-1>."""
-    if alpha.group != g.group:
-        raise GroupMismatchError("cocycle and element from different groups")
-    return _projective_tilde(g.group, alpha, g.exps)
-
-
-def projective_x_dual(beta: Cocycle, chi: DualCharacter) -> MonomialOperator:
-    """projective_x with character labels, for VERTEX_DUAL sites."""
-    if beta.group != chi.group:
-        raise GroupMismatchError("cocycle and character from different groups")
-    return _projective(chi.group, beta, chi.exps)
-
-
-def projective_x_tilde_dual(beta: Cocycle, chi: DualCharacter) -> MonomialOperator:
-    if beta.group != chi.group:
-        raise GroupMismatchError("cocycle and character from different groups")
-    return _projective_tilde(chi.group, beta, chi.exps)
-
-
-def multiply(a: MonomialOperator, b: MonomialOperator) -> MonomialOperator:
-    return a.multiply(b)
 
 
 # -- products over sites ----------------------------------------------------
@@ -438,9 +397,6 @@ class StateVector:
             raise ValueError("states live on different site lists")
         return complex(np.vdot(self.amps, other.amps))
 
-    def fidelity(self, other: "StateVector") -> float:
-        return abs(self.inner(other)) ** 2 / (self.norm() ** 2 * other.norm() ** 2)
-
     def entanglement_entropy(self, cut: int) -> float:
         """Von Neumann entropy (natural log) across sites[:cut] | sites[cut:]."""
         left = int(np.prod(self.dims[:cut])) if cut else 1
@@ -506,9 +462,6 @@ class DiagonalOperator:
         return DiagonalOperator(self.diag * other.diag)
 
     __matmul__ = multiply
-
-    def close_to(self, other: "DiagonalOperator", tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.diag - other.diag)) <= tol)
 
 
 def irrep_flux_operator(table: FiniteGroupTable, character, n_sites: int) -> DiagonalOperator:

@@ -26,7 +26,6 @@ from .excitations import (
     confinement_report,
     horizontal_string_path,
     string_operator,
-    syndrome,
     vertical_string_path,
 )
 from .gauging import (
@@ -51,12 +50,10 @@ from .groups import (
 from .lattice import (
     CodeSpec,
     Lattice2D,
-    build_boundary_terms,
     build_bulk_stabilizers,
     check_all_commute,
     ground_space_dimension,
     ground_space_dimension_dense,
-    logical_operators,
 )
 from .operators import (
     FiniteGroupTable,
@@ -64,7 +61,6 @@ from .operators import (
     SiteKind,
     StateVector,
     clock_z,
-    clock_z_dual,
     fusion_coefficients,
     irrep_flux_operator,
 )

@@ -4,9 +4,11 @@ Each gauging layer is a matrix product operator built from two tensors of
 bond dimension |G|: an M tensor sitting on the matter sites (diagonal in
 the virtual label, acting as the matter clock) and a T tensor emitting the
 new site between two matter sites (a difference delta with a 1/|G|
-prefactor).  Entries are stored exactly as (coefficient, phase exponent)
-pairs so every displayed symmetry identity can be checked with zero
-tolerance.
+prefactor).  Every tensor is a cyclotomic.PhaseTensor: each nonzero entry
+is one root of unity, so its count vector is one-hot, and the T prefactor
+is the tensor's scale.  A symmetry identity dresses legs with monomial
+operators (cyclotomic.mono_mul_left on that leg) and is checked by exact
+equality.
 
 Index order conventions (row major in serialization):
 
@@ -15,9 +17,10 @@ Index order conventions (row major in serialization):
 
 Even-layer tensors (M_e, T_e) carry group-element virtual labels and act
 on vertex/edge physical spaces; odd-layer tensors (M_o, T_o) carry
-character labels with the two physical spaces exchanged.  M_tilde is the
-generic first-layer matter tensor, which with the diagonal matter
-representation used throughout equals M_e.
+character labels with the two physical spaces exchanged.  Only the label
+lists differ between the two: the clock and shift constructors take
+either label type.  M_tilde is the generic first-layer matter tensor,
+which with the diagonal matter representation used throughout equals M_e.
 """
 
 from __future__ import annotations
@@ -28,108 +31,41 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import PhaseTensor
-from .gauging import GaugingMap, LayerSpec, build_gauging_map
+from .cyclotomic import PhaseTensor, contract, mono_mul_left
+from .gauging import LayerSpec, build_gauging_map, dimension_cap
 from .groups import GroupSpec
-from .operators import (
-    MonomialOperator,
-    SiteKind,
-    StateVector,
-    clock_z,
-    clock_z_dual,
-    shift_x,
-    shift_x_dual,
-)
+from .operators import StateVector, clock_z, shift_x
 
 M_NAMES = ("M_tilde", "M_e", "M_o")
 T_NAMES = ("T_e", "T_o")
 
 
-@dataclass
-class GaugeTensor:
-    name: str
-    group: GroupSpec
-    legs: tuple[str, ...]
-    coeff: np.ndarray  # bool
-    phase: np.ndarray  # int64, exponents mod the group phase modulus
-    scale: Fraction
-
-    @property
-    def modulus(self) -> int:
-        return self.group.phase_modulus
-
-    def nonzero_count(self) -> int:
-        return int(self.coeff.sum())
-
-    def equals(self, other: "GaugeTensor") -> bool:
-        if self.coeff.shape != other.coeff.shape or self.scale != other.scale:
-            return False
-        if not np.array_equal(self.coeff, other.coeff):
-            return False
-        return np.array_equal(
-            np.where(self.coeff, self.phase % self.modulus, 0),
-            np.where(other.coeff, other.phase % other.modulus, 0),
-        )
-
-    def dress(self, leg: int, mono: MonomialOperator) -> "GaugeTensor":
-        """Contract a monomial operator into one leg (treated as a ket)."""
-        if mono.dim != self.coeff.shape[leg]:
-            raise ValueError("operator does not fit the leg dimension")
-        inv = np.empty(mono.dim, dtype=np.int64)
-        for i, p in enumerate(mono.perm):
-            inv[p] = i
-        coeff = np.take(self.coeff, inv, axis=leg)
-        phase = np.take(self.phase, inv, axis=leg)
-        add = np.array(mono.phase, dtype=np.int64)[inv]
-        shape = [1] * phase.ndim
-        shape[leg] = mono.dim
-        phase = (phase + add.reshape(shape)) % self.modulus
-        return GaugeTensor(self.name, self.group, self.legs, coeff, phase, self.scale)
-
-    def to_complex(self) -> np.ndarray:
-        w = np.exp(2j * np.pi / self.modulus)
-        return float(self.scale) * np.where(self.coeff, w**self.phase, 0.0)
-
-
-def build_tensor(name: str, group: GroupSpec) -> GaugeTensor:
+def build_tensor(name: str, group: GroupSpec) -> PhaseTensor:
     """Exact entries of the named MPO tensor."""
     size = group.size
     L = group.phase_modulus
     if name in M_NAMES:
-        coeff = np.zeros((size, size, size, size), dtype=bool)
-        phase = np.zeros((size, size, size, size), dtype=np.int64)
+        counts = np.zeros((size,) * 4 + (L,), dtype=np.int64)
         for v in range(size):
             for p in range(size):
-                coeff[v, v, p, p] = True
-                phase[v, v, p, p] = group.pair_exponent(group.exps_of(p), group.exps_of(v))
-        legs = ("left", "right", "phys_out", "phys_in")
-        return GaugeTensor(name, group, legs, coeff, phase, Fraction(1))
+                k = group.pair_exponent(group.exps_of(p), group.exps_of(v)) % L
+                counts[v, v, p, p, k] = 1
+        return PhaseTensor(counts)
     if name in T_NAMES:
-        coeff = np.zeros((size, size, size), dtype=bool)
-        phase = np.zeros((size, size, size), dtype=np.int64)
+        counts = np.zeros((size,) * 3 + (L,), dtype=np.int64)
         for l in range(size):
             for r in range(size):
                 p = group.index_of(group.add_exps(group.exps_of(l), group.neg_exps(group.exps_of(r))))
-                coeff[p, l, r] = True
-        legs = ("phys_out", "left", "right")
-        return GaugeTensor(name, group, legs, coeff, phase, Fraction(1, size))
+                counts[p, l, r, 0] = 1
+        return PhaseTensor(counts, Fraction(1, size))
     raise ValueError(f"unknown tensor name {name!r}")
 
 
-def _families(name: str, group: GroupSpec):
-    """(virtual clock, virtual shift, physical clock) builders for a tensor."""
-    if name in ("M_e", "M_tilde", "T_e"):
-        # group-element virtual labels
-        vclock = lambda chi: clock_z(chi)
-        vshift = lambda g: shift_x(g)
-        vlabels_clock = list(group.characters())
-        vlabels_shift = list(group.elements())
-    else:
-        vclock = lambda g: clock_z_dual(g)
-        vshift = lambda chi: shift_x_dual(chi)
-        vlabels_clock = list(group.elements())
-        vlabels_shift = list(group.characters())
-    return vclock, vshift, vlabels_clock, vlabels_shift
+def _virtual_labels(even: bool, group: GroupSpec) -> tuple[list, list]:
+    """(clock labels, shift labels) on the virtual legs of an even or odd tensor."""
+    if even:
+        return list(group.characters()), list(group.elements())
+    return list(group.elements()), list(group.characters())
 
 
 def pull_through_identities(name: str, group: GroupSpec):
@@ -139,138 +75,76 @@ def pull_through_identities(name: str, group: GroupSpec):
     builder maps a label to a list of (leg index, monomial) to contract;
     the dressed tensor must equal the original exactly.
     """
-    vclock, vshift, labels_clock, labels_shift = _families(name, group)
-    idents = []
+    labels_clock, labels_shift = _virtual_labels(name in ("M_e", "M_tilde", "T_e"), group)
     if name in T_NAMES:
         # legs: (phys_out=0, left=1, right=2)
-        idents.append(
+        return [
             (
                 "virtual clock pair compensated on the physical leg",
                 labels_clock,
-                lambda lab: [(1, vclock(lab)), (2, vclock(lab).adjoint()), (0, vclock(lab).adjoint())],
-            )
-        )
-        idents.append(
+                lambda lab: [(1, clock_z(lab)), (2, clock_z(lab).adjoint()), (0, clock_z(lab).adjoint())],
+            ),
             (
                 "simultaneous virtual shifts",
                 labels_shift,
-                lambda lab: [(1, vshift(lab)), (2, vshift(lab))],
-            )
-        )
-    else:
-        # legs: (left=0, right=1, phys_out=2, phys_in=3)
-        phys_clock = (lambda lab: clock_z_dual(lab)) if name != "M_o" else (lambda lab: clock_z(lab))
-        phys_labels = labels_shift  # the matter clock is labelled by the virtual shift labels
-        idents.append(
-            (
-                "physical clock conjugation",
-                phys_labels,
-                lambda lab: [(2, phys_clock(lab)), (3, phys_clock(lab).adjoint())],
-            )
-        )
-        idents.append(
-            (
-                "virtual shifts compensated by the input clock",
-                phys_labels,
-                lambda lab: [(3, phys_clock(lab)), (0, vshift(lab)), (1, vshift(lab))],
-            )
-        )
-        idents.append(
-            (
-                "virtual clock pair",
-                labels_clock,
-                lambda lab: [(0, vclock(lab)), (1, vclock(lab).adjoint())],
-            )
-        )
-    return idents
+                lambda lab: [(1, shift_x(lab)), (2, shift_x(lab))],
+            ),
+        ]
+    # legs: (left=0, right=1, phys_out=2, phys_in=3); the matter clock is
+    # labelled by the virtual shift labels.
+    return [
+        (
+            "physical clock conjugation",
+            labels_shift,
+            lambda lab: [(2, clock_z(lab)), (3, clock_z(lab).adjoint())],
+        ),
+        (
+            "virtual shifts compensated by the input clock",
+            labels_shift,
+            lambda lab: [(3, clock_z(lab)), (0, shift_x(lab)), (1, shift_x(lab))],
+        ),
+        (
+            "virtual clock pair",
+            labels_clock,
+            lambda lab: [(0, clock_z(lab)), (1, clock_z(lab).adjoint())],
+        ),
+    ]
 
 
-@dataclass
-class BlockedDiamond:
-    """M stacked on T, contracted through the shared physical index.
+def block_diamond(m_name: str, t_name: str, group: GroupSpec) -> PhaseTensor:
+    """M stacked on T, contracted through M's phys_in and T's phys_out.
 
     Legs: (upper_left, upper_right, lower_left, lower_right, phys_out).
     The upper pair comes from the M tensor, the lower pair from the T
     tensor one layer below.
     """
-
-    name: str
-    group: GroupSpec
-    coeff: np.ndarray
-    phase: np.ndarray
-    scale: Fraction
-
-    @property
-    def modulus(self) -> int:
-        return self.group.phase_modulus
-
-    def dress(self, leg: int, mono: MonomialOperator) -> "BlockedDiamond":
-        g = GaugeTensor(self.name, self.group, ("ul", "ur", "ll", "lr", "p"), self.coeff, self.phase, self.scale)
-        d = g.dress(leg, mono)
-        return BlockedDiamond(self.name, self.group, d.coeff, d.phase, d.scale)
-
-    def equals(self, other: "BlockedDiamond") -> bool:
-        a = GaugeTensor(self.name, self.group, ("ul", "ur", "ll", "lr", "p"), self.coeff, self.phase, self.scale)
-        b = GaugeTensor(other.name, other.group, ("ul", "ur", "ll", "lr", "p"), other.coeff, other.phase, other.scale)
-        return a.equals(b)
-
-
-def block_diamond(m_name: str, t_name: str, group: GroupSpec) -> BlockedDiamond:
-    """Contract M's phys_in with T's phys_out."""
-    m = build_tensor(m_name, group)
-    t = build_tensor(t_name, group)
-    size = group.size
-    coeff = np.zeros((size,) * 5, dtype=bool)
-    phase = np.zeros((size,) * 5, dtype=np.int64)
-    for ul in range(size):
-        for ll in range(size):
-            for lr in range(size):
-                ps = np.nonzero(t.coeff[:, ll, lr])[0]
-                for p in ps:
-                    if m.coeff[ul, ul, p, p]:
-                        coeff[ul, ul, ll, lr, p] = True
-                        phase[ul, ul, ll, lr, p] = (
-                            m.phase[ul, ul, p, p] + t.phase[p, ll, lr]
-                        ) % group.phase_modulus
-    return BlockedDiamond(f"{m_name}/{t_name}", group, coeff, phase, m.scale * t.scale)
+    d = contract(build_tensor(m_name, group), build_tensor(t_name, group), (3, 0))
+    return PhaseTensor(np.moveaxis(d.counts, 2, 4), d.scale)
 
 
 def blocked_diamond_identities(m_name: str, group: GroupSpec):
     """Virtual symmetries of the checkerboard diamond tensors."""
-    if m_name in ("M_e", "M_tilde"):
-        upper_shift = shift_x
-        upper_clock = clock_z
-        lower_clock = clock_z_dual
-        lower_shift = shift_x_dual
-        shift_labels = list(group.elements())
-        clock_labels = list(group.characters())
-    else:
-        upper_shift = shift_x_dual
-        upper_clock = clock_z_dual
-        lower_clock = clock_z
-        lower_shift = shift_x
-        shift_labels = list(group.characters())
-        clock_labels = list(group.elements())
+    clock_labels, shift_labels = _virtual_labels(m_name in ("M_e", "M_tilde"), group)
     return [
         (
             "four-leg shift and clock dressing",
             shift_labels,
             lambda lab: [
-                (0, upper_shift(lab)),
-                (1, upper_shift(lab)),
-                (2, lower_clock(lab)),
-                (3, lower_clock(lab).adjoint()),
+                (0, shift_x(lab)),
+                (1, shift_x(lab)),
+                (2, clock_z(lab)),
+                (3, clock_z(lab).adjoint()),
             ],
         ),
         (
             "upper virtual clock pair",
             clock_labels,
-            lambda lab: [(0, upper_clock(lab).adjoint()), (1, upper_clock(lab))],
+            lambda lab: [(0, clock_z(lab).adjoint()), (1, clock_z(lab))],
         ),
         (
             "lower virtual shift pair",
             clock_labels,
-            lambda lab: [(2, lower_shift(lab)), (3, lower_shift(lab))],
+            lambda lab: [(2, shift_x(lab)), (3, shift_x(lab))],
         ),
     ]
 
@@ -279,35 +153,23 @@ def pull_through_check(group: GroupSpec, names=None) -> dict:
     """Verify every tensor identity exactly; deviations must be zero."""
     if names is None:
         names = ["M_tilde", "M_e", "M_o", "T_e", "T_o"]
+    cases = [(name, build_tensor(name, group), pull_through_identities(name, group)) for name in names]
+    for m_name, t_name in [("M_e", "T_o"), ("M_o", "T_e")]:
+        diamond = block_diamond(m_name, t_name, group)
+        cases.append((f"diamond {m_name}/{t_name}", diamond, blocked_diamond_identities(m_name, group)))
     checks = []
-    for name in names:
-        tensor = build_tensor(name, group)
-        for desc, labels, recipe in pull_through_identities(name, group):
+    for tensor_name, tensor, identities in cases:
+        for desc, labels, recipe in identities:
             for lab in labels:
                 dressed = tensor
                 for leg, mono in recipe(lab):
-                    dressed = dressed.dress(leg, mono)
+                    dressed = mono_mul_left(dressed, mono.perm, mono.phase, axis=leg)
                 checks.append(
                     {
-                        "tensor": name,
+                        "tensor": tensor_name,
                         "identity": desc,
                         "label": lab.exps,
-                        "passed": dressed.equals(tensor),
-                    }
-                )
-    for m_name, t_name in [("M_e", "T_o"), ("M_o", "T_e")]:
-        diamond = block_diamond(m_name, t_name, group)
-        for desc, labels, recipe in blocked_diamond_identities(m_name, group):
-            for lab in labels:
-                dressed = diamond
-                for leg, mono in recipe(lab):
-                    dressed = dressed.dress(leg, mono)
-                checks.append(
-                    {
-                        "tensor": f"diamond {m_name}/{t_name}",
-                        "identity": desc,
-                        "label": lab.exps,
-                        "passed": dressed.equals(diamond),
+                        "passed": dressed == tensor,
                     }
                 )
     return {
@@ -321,7 +183,7 @@ def pull_through_check(group: GroupSpec, names=None) -> dict:
 # -- MPO contraction ----------------------------------------------------------
 
 
-def contract_mpo_layer(layer: LayerSpec, cap: int | None = None) -> PhaseTensor:
+def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
     """Contract the layer's M-T chain into an exact operator tensor.
 
     Output rows are ordered (matter config, new config) exactly as in
@@ -340,9 +202,7 @@ def contract_mpo_layer(layer: LayerSpec, cap: int | None = None) -> PhaseTensor:
     gmap = build_gauging_map(layer)
     L = group.phase_modulus
     out_dim, in_dim = gmap.out_dim, gmap.in_dim
-    from .gauging import dimension_cap
-
-    if out_dim * in_dim * L > dimension_cap(cap):
+    if out_dim * in_dim * L > dimension_cap():
         raise ValueError("exact MPO contraction too large")
     counts = np.zeros((out_dim, in_dim, L), dtype=np.int64)
     matter_pos = layer.matter_positions()
@@ -351,9 +211,8 @@ def contract_mpo_layer(layer: LayerSpec, cap: int | None = None) -> PhaseTensor:
     e_idx = group.index_of(group.identity().exps)
     n_new = len(new_pos)
     # Diagonal phase of the M tensor per (virtual label, physical state).
-    m_phase = np.array(
-        [[m_tensor.phase[v, v, p, p] for p in range(size)] for v in range(size)], dtype=np.int64
-    )
+    diag = np.arange(size)
+    m_phase = m_tensor.counts[diag[:, None], diag[:, None], diag, diag].argmax(axis=-1)
     m_configs = list(itertools.product(range(size), repeat=n))
     m_flat = np.array([int(np.ravel_multi_index(c, (size,) * n)) for c in m_configs], dtype=np.int64)
     m_array = np.array(m_configs, dtype=np.int64)
@@ -367,11 +226,12 @@ def contract_mpo_layer(layer: LayerSpec, cap: int | None = None) -> PhaseTensor:
         else:
             bonds = [(t[i], t[(i + 1) % n], (matter_pos[i] + 1) % (2 * n)) for i in range(n)]
         for left, right, pos in bonds:
-            ps = np.nonzero(t_tensor.coeff[:, left, right])[0]
-            if len(ps) != 1:
+            hits = np.argwhere(t_tensor.counts[:, left, right])
+            if len(hits) != 1:
                 raise ArithmeticError("T tensor column is not a single delta")
-            by_pos[pos] = int(ps[0])
-            extra += int(t_tensor.phase[ps[0], left, right])
+            p, k = hits[0]
+            by_pos[pos] = int(p)
+            extra += int(k)
         new_flat = 0
         for pos in new_pos:
             new_flat = new_flat * size + by_pos[pos]
@@ -381,7 +241,7 @@ def contract_mpo_layer(layer: LayerSpec, cap: int | None = None) -> PhaseTensor:
         rows = m_flat * (size**n_new) + new_flat
         np.add.at(counts, (rows, m_flat, phases % L), 1)
     num_t = n if not open_bc else n + 1
-    return PhaseTensor(counts, Fraction(1, size**num_t))
+    return PhaseTensor(counts, t_tensor.scale**num_t)
 
 
 # -- stacked networks ---------------------------------------------------------
@@ -409,20 +269,20 @@ def assemble_pepes(layers, geometry: str = "stack") -> PEPESNetwork:
     return PEPESNetwork(layers, geometry)
 
 
-def _layer_dense_unit(layer: LayerSpec, cap: int | None = None) -> np.ndarray:
+def _layer_dense_unit(layer: LayerSpec) -> np.ndarray:
     """Complex matrix of the layer MPO, scaled to the unit-isometry norm.
 
     The exact contraction carries one 1/|G| per T tensor; symmetric-sector
     isometry needs |G|**(scale_power - n) times the bare term sum.
     """
-    exact = contract_mpo_layer(layer, cap=cap)
+    exact = contract_mpo_layer(layer)
     gmap = build_gauging_map(layer)
     dense = exact.to_complex()
     n_t = len(layer.new_positions())
     return dense * float(layer.group.size ** (n_t + gmap.scale_power - layer.n))
 
 
-def contract_pepes(net: PEPESNetwork, input_state: StateVector, cap: int | None = None) -> StateVector:
+def contract_pepes(net: PEPESNetwork, input_state: StateVector) -> StateVector:
     """Contract the stacked MPO layers against an input row state."""
     state = input_state
     for layer in net.layers:
@@ -430,7 +290,7 @@ def contract_pepes(net: PEPESNetwork, input_state: StateVector, cap: int | None 
         matter_ids = tuple(s for s, _ in gmap.matter_sites)
         if state.site_ids[len(state.site_ids) - layer.n :] != matter_ids:
             raise ValueError("layer matter row must be the trailing sites of the state")
-        op = _layer_dense_unit(layer, cap=cap)
+        op = _layer_dense_unit(layer)
         d_in = gmap.in_dim
         other = state.amps.size // d_in
         mat = state.amps.reshape(other, d_in)
@@ -444,7 +304,7 @@ def contract_pepes(net: PEPESNetwork, input_state: StateVector, cap: int | None 
     if net.geometry == "adjoint_square":
         for layer in reversed(net.layers):
             gmap = build_gauging_map(layer)
-            op = _layer_dense_unit(layer, cap=cap)
+            op = _layer_dense_unit(layer)
             d_out = gmap.out_dim
             other = state.amps.size // d_out
             mat = state.amps.reshape(other, d_out)

@@ -155,15 +155,15 @@ class TestTwistedBoundary:
         # endpoint pair with the slant-product clock string between.
         beta = enumerate_cocycle_classes(Z22)[1]
         chain = build_fixed_point_state(Z22, [(0, 0)], 4, CLOCK)
-        from latgauge.operators import projective_x_dual, projective_x_tilde_dual
+        from latgauge.operators import projective_x, projective_x_tilde
 
         for chi in Z22.characters():
             ell = 3
             total = ProductOperator.identity_op(Z22.phase_modulus)
             for k in range(ell):
                 factors = {
-                    chain.site_at(k): projective_x_tilde_dual(beta, chi),
-                    chain.site_at(k + 1): projective_x_dual(beta, chi),
+                    chain.site_at(k): projective_x_tilde(beta, chi),
+                    chain.site_at(k + 1): projective_x(beta, chi),
                 }
                 kinds = {s: SiteKind.VERTEX_DUAL for s in factors}
                 total = total.multiply(
@@ -185,12 +185,12 @@ class TestTwistedBoundary:
             out_dims = tuple(group.size for _ in out_sites)
             in_sites = [s for s, _ in gmap.matter_sites]
             in_dims = tuple(group.size for _ in in_sites)
-            from latgauge.operators import clock_z, projective_x_dual, projective_x_tilde_dual
+            from latgauge.operators import clock_z, projective_x, projective_x_tilde
 
             for chi in group.characters():
                 term_factors = {
-                    (0, 0): projective_x_tilde_dual(beta, chi),
-                    (0, 2): projective_x_dual(beta, chi),
+                    (0, 0): projective_x_tilde(beta, chi),
+                    (0, 2): projective_x(beta, chi),
                     (1, 1): clock_z(chi).adjoint(),
                 }
                 term_kinds = {
@@ -200,8 +200,8 @@ class TestTwistedBoundary:
                 }
                 term = ProductOperator.from_dict(term_factors, term_kinds, group.phase_modulus)
                 eff_factors = {
-                    (0, 0): projective_x_tilde_dual(beta, chi),
-                    (0, 2): projective_x_dual(beta, chi),
+                    (0, 0): projective_x_tilde(beta, chi),
+                    (0, 2): projective_x(beta, chi),
                 }
                 eff_kinds = {k: SiteKind.VERTEX_DUAL for k in eff_factors}
                 eff = ProductOperator.from_dict(eff_factors, eff_kinds, group.phase_modulus)

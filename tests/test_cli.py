@@ -6,7 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from latgauge.cli import main, parse_group, parse_subgroup, parse_twist, validate_report
+from latgauge.excitations import StringSpec, string_operator, syndrome
 from latgauge.groups import GroupSpec
+from latgauge.lattice import CodeSpec, Lattice2D
 
 
 @pytest.fixture()
@@ -192,6 +194,49 @@ class TestAnyonsCommand:
         result = runner.invoke(main, ["anyons", "--spec", str(bad), "--op-file", str(ops)])
         assert result.exit_code == 2
 
+    def test_spec_orientation_and_subgroup_are_read(self, runner, tmp_path):
+        # A one-site Z(chi) string on a Z3 torus: reflecting the plaquettes
+        # conjugates the syndrome phase of label (1,) at center (1, 0).
+        group = GroupSpec((3,))
+        ops_path = tmp_path / "ops.json"
+        string = {"path": [[1, 1]], "label": [1], "family": "dual", "flavor": "Z"}
+        ops_path.write_text(json.dumps([{"name": "z", "string": string}]))
+        for orientation, phase in [("standard", 2), ("reflected", 1)]:
+            spec_path = tmp_path / f"{orientation}.json"
+            spec_path.write_text(
+                json.dumps(
+                    {"group": [3], "n": 3, "m": 4, "orientation": orientation, "subgroup": "e"}
+                )
+            )
+            result = runner.invoke(
+                main, ["anyons", "--spec", str(spec_path), "--op-file", str(ops_path)]
+            )
+            assert result.exit_code == 0, result.output
+            table = report_from(result)["syndromes"][0]
+            spec = CodeSpec(Lattice2D(group, 3, 4), orientation=orientation)
+            op = string_operator(spec, StringSpec(((1, 1),), group.character((1,)), "Z"))
+            expected = json.loads(json.dumps(syndrome(spec, op).as_json()))
+            assert table["violations"] == expected["violations"]
+            at_center = {
+                v["phase"]
+                for v in table["violations"]
+                if v["label"]["center"] == [1, 0] and v["label"]["element"] == [1]
+            }
+            assert at_center == {phase}
+
+    @pytest.mark.parametrize(
+        "extra", [{"orientation": "sideways"}, {"subgroup": "1"}, {"subgroup": [[0]]}]
+    )
+    def test_bad_orientation_or_subgroup_is_config_error(self, runner, tmp_path, extra):
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(json.dumps({"group": [3], "n": 3, "m": 4, **extra}))
+        ops_path = tmp_path / "ops.json"
+        ops_path.write_text("[]")
+        result = runner.invoke(
+            main, ["anyons", "--spec", str(spec_path), "--op-file", str(ops_path)]
+        )
+        assert result.exit_code == 2
+
 
 class TestOtherCommands:
     def test_confine(self, runner):
@@ -233,6 +278,32 @@ class TestOtherCommands:
         assert result.exit_code == 0, result.output
         rep = report_from(result)
         validate_report(rep)
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compose", "--group", "2", "--n", "1"],
+            ["boundary", "--group", "2", "--subgroup", "e", "--n", "1"],
+            ["code", "--group", "2", "--bc", "cylinder", "--m", "3"],
+            ["tn", "--group", "2", "--check-pull-through"],
+            ["tn", "--group", "2", "--n", "1", "--mpo-layers"],
+        ],
+        ids=[
+            "compose-one-site",
+            "boundary-one-site",
+            "code-odd-cylinder",
+            "tn-dead-flag",
+            "tn-one-site",
+        ],
+    )
+    def test_exit_two_with_one_line_message(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
 
 
 class TestSchema:

@@ -19,7 +19,7 @@ from latgauge.gauging import (
     zero_dim_gauge,
 )
 from latgauge.groups import Cocycle, GroupSpec, enumerate_cocycle_classes
-from latgauge.operators import ProductOperator, SiteKind, StateVector, clock_z_dual, shift_x
+from latgauge.operators import ProductOperator, SiteKind, StateVector, clock_z, shift_x
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -37,7 +37,7 @@ def symmetric_random_state(group, layer, seed):
     acc = np.zeros(dim, dtype=complex)
     for g in group.elements():
         op = ProductOperator.from_dict(
-            {s: clock_z_dual(g) for s in stv.site_ids},
+            {s: clock_z(g) for s in stv.site_ids},
             {s: SiteKind.VERTEX_DUAL for s in stv.site_ids},
             group.phase_modulus,
         )
@@ -89,11 +89,11 @@ class TestSingleMap:
     def test_matter_representation_hook(self):
         # A conjugated clock representation gauges identically at the level
         # of the map identities; and broken representations are rejected.
-        from latgauge.operators import MonomialOperator, clock_z_dual
+        from latgauge.operators import MonomialOperator
 
         rep = {}
         for g in Z3.elements():
-            base = clock_z_dual(g)
+            base = clock_z(g)
             rep[g.exps] = MonomialOperator(
                 base.dim,
                 base.perm,

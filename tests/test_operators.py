@@ -15,17 +15,12 @@ from latgauge.operators import (
     SiteKind,
     StateVector,
     clock_z,
-    clock_z_dual,
     commutation_phase,
     fusion_coefficients,
     irrep_flux_operator,
-    multiply,
     projective_x,
-    projective_x_dual,
     projective_x_tilde,
-    projective_x_tilde_dual,
     shift_x,
-    shift_x_dual,
 )
 
 Z2 = GroupSpec((2,))
@@ -48,8 +43,8 @@ class TestClockShift:
         for spec in SMALL_GROUPS:
             assert shift_x(spec.identity()).is_identity
             assert clock_z(spec.dual_identity()).is_identity
-            assert shift_x_dual(spec.dual_identity()).is_identity
-            assert clock_z_dual(spec.identity()).is_identity
+            assert shift_x(spec.dual_identity()).is_identity
+            assert clock_z(spec.identity()).is_identity
 
     def test_z2_clock_shift_anticommute(self):
         # Dense 2x2 oracle for the commutation scalar.
@@ -147,15 +142,14 @@ class TestProjective:
                         )
                         assert lhs == dressed
 
-    def test_dual_versions_match_on_exponent_tuples(self):
+    def test_character_and_element_with_same_exponents_agree(self):
         beta = enumerate_cocycle_classes(Z22)[1]
         for chi in Z22.characters():
-            a = projective_x_dual(beta, chi)
-            b = projective_x(beta, Z22.element(chi.exps))
-            assert a == b
-            assert projective_x_tilde_dual(beta, chi) == projective_x_tilde(
-                beta, Z22.element(chi.exps)
-            )
+            g = Z22.element(chi.exps)
+            assert projective_x(beta, chi) == projective_x(beta, g)
+            assert projective_x_tilde(beta, chi) == projective_x_tilde(beta, g)
+            assert shift_x(chi) == shift_x(g)
+            assert clock_z(chi) == clock_z(g)
 
 
 class TestMonomialAlgebra:
@@ -382,7 +376,7 @@ class TestApply:
     def test_kind_mismatch_rejected(self):
         stv = random_state(self.SITES, (3, 3, 3), 6)
         op = ProductOperator.from_dict(
-            {("a", 0): clock_z_dual(Z3.element((1,)))},
+            {("a", 0): clock_z(Z3.element((1,)))},
             {("a", 0): SiteKind.VERTEX_DUAL},
             3,
         )
