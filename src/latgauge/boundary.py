@@ -131,10 +131,8 @@ def build_fixed_point_state(
 
 def symmetry_operator(chain: SymmetricState1D, g: GroupElement) -> ProductOperator:
     mono = shift_x(g) if chain.convention == SHIFT else clock_z(g)
-    kind = SiteKind.EDGE_GROUP if chain.convention == SHIFT else SiteKind.VERTEX_DUAL
-    factors = {s: mono for s in chain.site_ids}
-    kinds = {s: kind for s in chain.site_ids}
-    return ProductOperator.from_dict(factors, kinds, chain.group.phase_modulus)
+    factors = ((s, mono) for s in chain.site_ids)
+    return ProductOperator.from_factors(factors, chain.group.phase_modulus)
 
 
 def string_order_operator(
@@ -157,22 +155,18 @@ def string_order_operator(
     elif i + ell >= chain.n:
         raise ValueError("string leaves the open chain")
     sites = [chain.site_at(i + k) for k in range(ell + 1)]
-    factors = {}
-    kinds = {}
     if chain.convention == CLOCK:
+        # The slant product is a character; the clock on vertex sites takes
+        # the element with the same exponents.
         slant = slant_product(beta, GroupElement(group, chi.exps))
-        factors[sites[0]] = projective_x_tilde(beta, chi)
-        factors[sites[-1]] = projective_x(beta, chi)
-        for s in sites[1:-1]:
-            factors[s] = clock_z(slant)
-        kinds = {s: SiteKind.VERTEX_DUAL for s in sites}
+        clock = clock_z(GroupElement(group, slant.exps))
+        factors = [(sites[0], projective_x_tilde(beta, chi)), (sites[-1], projective_x(beta, chi))]
+        factors += [(s, clock) for s in sites[1:-1]]
     else:
         if not beta.is_trivial:
             raise ValueError("diagonal endpoints support only the trivial boundary class")
-        factors[sites[0]] = clock_z(chi)
-        factors[sites[-1]] = clock_z(chi).adjoint()
-        kinds = {sites[0]: SiteKind.EDGE_GROUP, sites[-1]: SiteKind.EDGE_GROUP}
-    return ProductOperator.from_dict(factors, kinds, group.phase_modulus)
+        factors = [(sites[0], clock_z(chi)), (sites[-1], clock_z(chi).adjoint())]
+    return ProductOperator.from_factors(factors, group.phase_modulus)
 
 
 def string_order_expectation(
@@ -238,13 +232,8 @@ def condensation_table(spec: CodeSpec, chain: SymmetricState1D) -> dict:
     }, "group_anyons": {}, "dual_anyons": {}}
     for g in group.elements():
         mono = shift_x(g)
-        col = 1
-        factors = {}
-        kinds = {}
-        for j in range(1, lat.m, 2):
-            factors[(j, col)] = mono
-            kinds[(j, col)] = SiteKind.EDGE_GROUP
-        string = ProductOperator.from_dict(factors, kinds, group.phase_modulus)
+        factors = (((j, 1), mono) for j in range(1, lat.m, 2))
+        string = ProductOperator.from_factors(factors, group.phase_modulus)
         witness = first_violation(terms, string)
         report["group_anyons"][str(g.exps)] = {
             "condenses": witness is None,
@@ -252,13 +241,8 @@ def condensation_table(spec: CodeSpec, chain: SymmetricState1D) -> dict:
         }
     for chi in group.characters():
         mono = shift_x(chi)
-        col = 0
-        factors = {}
-        kinds = {}
-        for j in range(0, lat.m + 1, 2):
-            factors[(j, col)] = mono
-            kinds[(j, col)] = SiteKind.VERTEX_DUAL
-        string = ProductOperator.from_dict(factors, kinds, group.phase_modulus)
+        factors = (((j, 0), mono) for j in range(0, lat.m + 1, 2))
+        string = ProductOperator.from_factors(factors, group.phase_modulus)
         witness = first_violation(terms, string)
         report["dual_anyons"][str(chi.exps)] = {
             "condenses": witness is None,

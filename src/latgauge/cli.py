@@ -32,6 +32,7 @@ from .gauging import (
     LayerSpec,
     build_gauging_map,
     compose_gauging,
+    dimension_cap,
     initial_state,
     layer_stack,
     verify_emergent_symmetry,
@@ -48,7 +49,7 @@ from .lattice import (
     ground_space_dimension_dense,
     logical_operators,
 )
-from .operators import MonomialOperator, ProductOperator, SiteKind
+from .operators import ProductOperator
 from .tensors import contract_mpo_layer, pull_through_check
 
 SCHEMA_VERSION = 1
@@ -184,7 +185,10 @@ def main() -> None:
 @click.option("--twist-even", default=None, help="cocycle for even layers, p12=1 or row-major")
 @click.option("--twist-odd", default=None, help="cocycle for odd layers")
 @click.option("--max-dim", type=int, default=None, help="amplitude cap override")
-@click.option("--tol", type=float, default=1e-10, show_default=True, help="state check tolerance")
+@click.option(
+    "--tol", type=click.FloatRange(min=0, min_open=True), default=1e-10, show_default=True,
+    help="state check tolerance",
+)
 @click.option("--out", default=None, help="report path (stdout when omitted)")
 def compose(group_text, num_layers, n, bc, twist_even, twist_odd, max_dim, tol, out):
     """Compose gauging layers and verify all emergent identities."""
@@ -327,7 +331,10 @@ def _load_code_spec(path: str) -> CodeSpec:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         group = GroupSpec(tuple(data["group"]))
-        vertical = "periodic" if data.get("bc", "torus") == "torus" else "open"
+        bc = data.get("bc", "torus")
+        if bc not in ("torus", "cylinder"):
+            raise ValueError(f"bc must be 'torus' or 'cylinder', not {bc!r}")
+        vertical = "periodic" if bc == "torus" else "open"
         lattice = Lattice2D(group, int(data["n"]), int(data["m"]), vertical)
 
         def twist_of(key):
@@ -360,13 +367,16 @@ def _op_from_json(spec: CodeSpec, data: dict) -> ProductOperator:
         label = group.element(label_exps) if s.get("family", "group") == "group" else group.character(label_exps)
         sspec = StringSpec(tuple(tuple(p) for p in s["path"]), label, s["flavor"])
         return string_operator(spec, sspec)
-    factors = {}
-    kinds = {}
-    for item in data["factors"]:
-        site = tuple(item["site"])
-        factors[site] = MonomialOperator.from_json(item["op"])
-        kinds[site] = SiteKind(item["kind"])
-    return ProductOperator.from_dict(factors, kinds, group.phase_modulus)
+    pairs = [ProductOperator.factor_from_json(item) for item in data["factors"]]
+    sites = dict(spec.lattice.sites())
+    for site, mono in pairs:
+        if (mono.dim, mono.modulus) != (group.size, group.phase_modulus):
+            raise ValueError(
+                f"factor at {site!r} needs dim {group.size} and modulus {group.phase_modulus}"
+            )
+        if sites.get(site) != mono.kind:
+            raise ValueError(f"site {site!r} is not a {mono.kind.value} site of the lattice")
+    return ProductOperator.from_factors(pairs, group.phase_modulus)
 
 
 @main.command()
@@ -386,7 +396,7 @@ def anyons(spec_path, op_path, out):
     for k, data in enumerate(ops_data):
         try:
             op = _op_from_json(spec, data)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad operator entry {k}: {exc}")
         syn = syndrome(spec, op, terms)
         tables.append({"name": data.get("name", f"op{k}"), **syn.as_json()})
@@ -421,7 +431,8 @@ def confine(group_text, twist_even, spec_path, n, m, element, out):
         alpha = parse_twist(group, twist_even)
         if alpha is None:
             raise ConfigError("confinement needs a nontrivial even-layer twist")
-        spec = CodeSpec(Lattice2D(group, n, m, "periodic"), twist_even=alpha)
+        with building_config():
+            spec = CodeSpec(Lattice2D(group, n, m, "periodic"), twist_even=alpha)
     g = None
     if element is not None:
         try:
@@ -526,6 +537,12 @@ def tn(group_text, mpo_layers, n, out):
                 for index in (0, 1)
                 for bc in ("periodic", "open")
             ]
+            for layer in layers:
+                gmap = build_gauging_map(layer)
+                if gmap.out_dim * gmap.in_dim * group.phase_modulus > dimension_cap():
+                    raise ValueError(
+                        f"exact MPO contraction of layer {layer.index} ({layer.boundary}) is too large"
+                    )
     rep = pull_through_check(group)
     rep["claim"] = "every tensor symmetry identity holds with zero deviation"
     checks = [rep]

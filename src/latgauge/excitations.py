@@ -16,7 +16,6 @@ from .groups import GroupElement, PhaseExponent
 from .lattice import CodeSpec, build_bulk_stabilizers
 from .operators import (
     ProductOperator,
-    SiteKind,
     clock_z,
     commutation_phase,
     projective_x,
@@ -84,32 +83,21 @@ class StringSpec:
             raise ValueError("empty path")
 
 
-def _string_site_kind(sspec: StringSpec) -> SiteKind:
-    is_element = isinstance(sspec.label, GroupElement)
-    if sspec.flavor == "X":
-        return SiteKind.EDGE_GROUP if is_element else SiteKind.VERTEX_DUAL
-    return SiteKind.VERTEX_DUAL if is_element else SiteKind.EDGE_GROUP
-
-
 def string_operator(spec: CodeSpec, sspec: StringSpec) -> ProductOperator:
     lat = spec.lattice
-    kind = _string_site_kind(sspec)
+    mono = shift_x(sspec.label) if sspec.flavor == "X" else clock_z(sspec.label)
     site_set = dict(lat.sites())
     prev = None
     for site in sspec.path:
         if site not in site_set:
             raise ValueError(f"site {site!r} is not on the lattice")
-        if site_set[site] != kind:
+        if site_set[site] != mono.kind:
             raise ValueError(f"site {site!r} has the wrong kind for this string")
         if prev is not None and not _adjacent(lat, prev, site):
             raise ValueError(f"path step {prev!r} -> {site!r} is not a lattice move")
         prev = site
-    mono = shift_x(sspec.label) if sspec.flavor == "X" else clock_z(sspec.label)
-    factors = {}
-    for site in sspec.path:
-        factors[site] = mono.multiply(factors[site]) if site in factors else mono
-    kinds = {site: kind for site in sspec.path}
-    return ProductOperator.from_dict(factors, kinds, spec.group.phase_modulus)
+    factors = ((site, mono) for site in sspec.path)
+    return ProductOperator.from_factors(factors, spec.group.phase_modulus)
 
 
 def _adjacent(lat, a, b) -> bool:
@@ -152,13 +140,8 @@ def confined_string_operator(spec: CodeSpec, g: GroupElement, row: int, start_x2
     alpha = spec.twist_even if spec.twist_even is not None else Cocycle.trivial(spec.group)
     lat = spec.lattice
     mono = projective_x(alpha, g)
-    factors = {}
-    kinds = {}
-    for k in range(length):
-        site = (row, (start_x2 + 2 * k) % (2 * lat.n))
-        factors[site] = mono.multiply(factors[site]) if site in factors else mono
-        kinds[site] = SiteKind.EDGE_GROUP
-    return ProductOperator.from_dict(factors, kinds, spec.group.phase_modulus)
+    sites = ((row, (start_x2 + 2 * k) % (2 * lat.n)) for k in range(length))
+    return ProductOperator.from_factors(((site, mono) for site in sites), spec.group.phase_modulus)
 
 
 def dipole_operator(spec: CodeSpec, g: GroupElement, row: int, left_x2: int, height: int = 1) -> ProductOperator:
@@ -175,16 +158,13 @@ def dipole_operator(spec: CodeSpec, g: GroupElement, row: int, left_x2: int, hei
     two_n = 2 * lat.n
     left_mono = projective_x_tilde(alpha, g)
     right_mono = projective_x(alpha, g)
-    factors = {}
-    kinds = {}
+    factors = []
     for h in range(height):
         j = row + 2 * h
         if lat.vertical == "periodic":
             j %= lat.m
-        for site, mono in [((j, left_x2 % two_n), left_mono), ((j, (left_x2 + 2) % two_n), right_mono)]:
-            factors[site] = mono.multiply(factors[site]) if site in factors else mono
-            kinds[site] = SiteKind.EDGE_GROUP
-    return ProductOperator.from_dict(factors, kinds, spec.group.phase_modulus)
+        factors += [((j, left_x2 % two_n), left_mono), ((j, (left_x2 + 2) % two_n), right_mono)]
+    return ProductOperator.from_factors(factors, spec.group.phase_modulus)
 
 
 def braiding_phase(spec: CodeSpec, s1: StringSpec, s2: StringSpec) -> PhaseExponent | None:
@@ -227,9 +207,7 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None, max_length
     # the syndrome relocates multiplicatively (exact homomorphism).
     dip = dipole_operator(spec, g, row, start, 1)
     bend_site = (row + 1, (start + 1) % (2 * lat.n))
-    bend = ProductOperator.from_dict(
-        {bend_site: clock_z(g)}, {bend_site: SiteKind.VERTEX_DUAL}, group.phase_modulus
-    )
+    bend = ProductOperator.from_factors([(bend_site, clock_z(g))], group.phase_modulus)
     bent = dip.multiply(bend)
     syn_d = syndrome(spec, dip, terms)
     syn_b = syndrome(spec, bend, terms)
@@ -241,10 +219,8 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None, max_length
 
     braid = {}
     for chi in group.characters():
-        loop = ProductOperator.from_dict(
-            {(row, x2): clock_z(chi) for x2 in lat.row_positions(row)},
-            {(row, x2): SiteKind.EDGE_GROUP for x2 in lat.row_positions(row)},
-            group.phase_modulus,
+        loop = ProductOperator.from_factors(
+            (((row, x2), clock_z(chi)) for x2 in lat.row_positions(row)), group.phase_modulus
         )
         ph = commutation_phase(loop, dipole_operator(spec, g, row, start, 2))
         braid[str(chi.exps)] = None if ph is None else ph.k

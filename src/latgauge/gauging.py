@@ -96,7 +96,7 @@ class LayerSpec:
 
     def matter_clock(self, label) -> MonomialOperator:
         if self.matter_rep is not None:
-            return dict(self.matter_rep)[label.exps]
+            return dict(self.matter_rep)[label.exps].with_kind(self.matter_kind)
         return clock_z(label)
 
     @property
@@ -180,28 +180,20 @@ class GaugingMap:
             rpos = (x2 + 1) % (2 * layer.n)
         else:
             lpos, rpos = x2 - 1, x2 + 1
-        factors = {
-            (row + 1, lpos): left,
-            (row, x2): mid,
-            (row + 1, rpos): right,
-        }
-        kinds = {
-            (row + 1, lpos): layer.new_kind,
-            (row, x2): layer.matter_kind,
-            (row + 1, rpos): layer.new_kind,
-        }
-        return ProductOperator.from_dict(factors, kinds, self.group.phase_modulus)
+        factors = [((row + 1, lpos), left), ((row, x2), mid), ((row + 1, rpos), right)]
+        return ProductOperator.from_factors(factors, self.group.phase_modulus)
 
     def emergent_symmetry_op(self, label) -> ProductOperator:
         """Global diagonal symmetry on the new row; fixes the map's image.
 
         Even layers produce a dual-character symmetry on the edge row,
-        odd layers a group-element symmetry on the vertex row.
+        odd layers a group-element symmetry on the vertex row; the clock
+        takes the new row's label with the exponents of `label`.
         """
-        mono = clock_z(label)
-        factors = {site: mono for site, _ in self.new_sites}
-        kinds = {site: kind for site, kind in self.new_sites}
-        return ProductOperator.from_dict(factors, kinds, self.group.phase_modulus)
+        new_label = self.group.character if self.layer.parity == "even" else self.group.element
+        mono = clock_z(new_label(label.exps))
+        factors = ((site, mono) for site, _ in self.new_sites)
+        return ProductOperator.from_factors(factors, self.group.phase_modulus)
 
     def charged_pair_ops(self, i: int, i_prime: int, label) -> tuple[ProductOperator, ProductOperator]:
         """A symmetric two-point operator and its image under the map.
@@ -218,16 +210,12 @@ class GaugingMap:
         string_mono = clock_z(label)
         row = layer.index
         pos = layer.matter_positions()
-        bare_factors = {(row, pos[i]): sh, (row, pos[i_prime]): sh.adjoint()}
-        bare_kinds = {(row, pos[i]): layer.matter_kind, (row, pos[i_prime]): layer.matter_kind}
-        bare = ProductOperator.from_dict(bare_factors, bare_kinds, self.group.phase_modulus)
-        dressed_factors = dict(bare_factors)
-        dressed_kinds = dict(bare_kinds)
-        for (site, kind) in self.new_sites:
-            if pos[i] < site[1] < pos[i_prime]:
-                dressed_factors[site] = string_mono
-                dressed_kinds[site] = kind
-        dressed = ProductOperator.from_dict(dressed_factors, dressed_kinds, self.group.phase_modulus)
+        bare_factors = [((row, pos[i]), sh), ((row, pos[i_prime]), sh.adjoint())]
+        bare = ProductOperator.from_factors(bare_factors, self.group.phase_modulus)
+        string = [
+            (site, string_mono) for site, _ in self.new_sites if pos[i] < site[1] < pos[i_prime]
+        ]
+        dressed = ProductOperator.from_factors(bare_factors + string, self.group.phase_modulus)
         return bare, dressed
 
     # -- application to states ---------------------------------------------
@@ -425,14 +413,8 @@ def stack_local_symmetry_ops(layers) -> list[tuple[str, ProductOperator]]:
             for label in layer.labels():
                 op = gmap.local_symmetry_op(i, label)
                 if k + 1 < len(layers):
-                    north_site = (layer.index + 2, x2)
-                    op = op.multiply(
-                        ProductOperator.from_dict(
-                            {north_site: clock_z(label).adjoint()},
-                            {north_site: layer.matter_kind},
-                            op.modulus,
-                        )
-                    )
+                    north = ((layer.index + 2, x2), clock_z(label).adjoint())
+                    op = op.multiply(ProductOperator.from_factors([north], op.modulus))
                 name = f"layer{layer.index}/site{(layer.index, x2)}/label{label.exps}"
                 ops.append((name, op))
     return ops
@@ -469,8 +451,7 @@ def flatten_product_operator(site_ids, dims, op: ProductOperator):
         strides.append(acc)
         acc *= d
     strides = list(reversed(strides))
-    factor_map = op.factor_map()
-    for site, mono in factor_map.items():
+    for site, mono in op.factors:
         axis = site_ids.index(site)
         d = dims[axis]
         digits = (perm // strides[axis]) % d
@@ -502,9 +483,7 @@ def zero_dim_gauge(group: GroupSpec, psi: StateVector, n_pairs: int, tol: float 
     kind = psi.kinds[0]
     for g in group.elements():
         mono = clock_z(g) if kind == SiteKind.VERTEX_DUAL else shift_x(g)
-        op = ProductOperator.from_dict(
-            {psi.site_ids[0]: mono}, {psi.site_ids[0]: kind}, group.phase_modulus
-        )
+        op = ProductOperator.from_factors([(psi.site_ids[0], mono)], group.phase_modulus)
         moved = psi.apply(op)
         if np.max(np.abs(moved.amps - psi.amps)) > tol:
             raise ValueError("input state is not symmetric under the site representation")

@@ -149,8 +149,8 @@ class CodeSpec:
         return self.lattice.group
 
 
-def _plaquette_corners(spec: CodeSpec, center: tuple[int, int], label) -> dict:
-    """Corner operators of the plaquette at `center` for one label.
+def _plaquette_corners(spec: CodeSpec, center: tuple[int, int], label) -> list:
+    """(site, factor) corners of the plaquette at `center` for one label.
 
     Standard orientation: projective-conjugate shift west, projective
     shift east, adjoint clock north, clock south.  Reflected swaps both
@@ -169,22 +169,17 @@ def _plaquette_corners(spec: CodeSpec, center: tuple[int, int], label) -> dict:
     if spec.orientation == "reflected":
         west, east = east, west
         north, south = south, north
-    corners = {}
-    for site, op in [
+    return [
         (lat.wrap(j, c - 1), west),
         (lat.wrap(j, c + 1), east),
         (lat.wrap(j + 1, c), north),
         (lat.wrap(j - 1, c), south),
-    ]:
-        corners[site] = op.multiply(corners[site]) if site in corners else op
-    return corners
+    ]
 
 
 def _term(spec: CodeSpec, center, family: str, label) -> StabilizerTerm:
-    lat = spec.lattice
-    factors = _plaquette_corners(spec, center, label)
-    kinds = {site: lat.site_kind(site[0]) for site in factors}
-    op = ProductOperator.from_dict(factors, kinds, spec.group.phase_modulus)
+    corners = _plaquette_corners(spec, center, label)
+    op = ProductOperator.from_factors(corners, spec.group.phase_modulus)
     return StabilizerTerm(StabilizerLabel(center, family, label.exps), op)
 
 
@@ -231,13 +226,10 @@ def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
             west = projective_x_tilde(beta, chi)
             east = projective_x(beta, chi)
             clock = clock_z(chi).adjoint() if which == "bottom" else clock_z(chi)
-            factors = {
-                lat.wrap(row, c - 1): west,
-                lat.wrap(row, c + 1): east,
-                (inner, c): clock,
-            }
-            kinds = {site: lat.site_kind(site[0]) for site in factors}
-            op = ProductOperator.from_dict(factors, kinds, spec.group.phase_modulus)
+            factors = [
+                (lat.wrap(row, c - 1), west), (lat.wrap(row, c + 1), east), ((inner, c), clock)
+            ]
+            op = ProductOperator.from_factors(factors, spec.group.phase_modulus)
             terms.append(StabilizerTerm(StabilizerLabel((row, c), f"boundary_{which}", chi.exps), op))
     return terms
 
@@ -467,35 +459,22 @@ def logical_operators(spec: CodeSpec) -> list[LogicalOperator]:
     lat = spec.lattice
     if lat.vertical != "periodic":
         raise GeometryError("logical representatives are built on the torus")
-    size_modulus = spec.group.phase_modulus
     terms = build_bulk_stabilizers(spec)
     out = []
 
-    def check(name, factors, kinds):
-        op = ProductOperator.from_dict(factors, kinds, size_modulus)
+    def check(name, sites, mono):
+        op = ProductOperator.from_factors(((s, mono) for s in sites), spec.group.phase_modulus)
         witness = first_violation(terms, op)
         out.append(LogicalOperator(name, op, witness is None, witness))
 
     for chi in spec.group.characters():
         if chi.is_identity:
             continue
-        row = 1
-        factors = {(row, x2): clock_z(chi) for x2 in lat.row_positions(row)}
-        kinds = {s: SiteKind.EDGE_GROUP for s in factors}
-        check(f"Z_row{row}_chi{chi.exps}", factors, kinds)
-        col = 0
-        factors = {(j, col): shift_x(chi) for j in lat.rows if j % 2 == 0}
-        kinds = {s: SiteKind.VERTEX_DUAL for s in factors}
-        check(f"X_col{col}_chi{chi.exps}", factors, kinds)
+        check(f"Z_row1_chi{chi.exps}", [(1, x2) for x2 in lat.row_positions(1)], clock_z(chi))
+        check(f"X_col0_chi{chi.exps}", [(j, 0) for j in lat.rows if j % 2 == 0], shift_x(chi))
     for g in spec.group.elements():
         if g.is_identity:
             continue
-        row = 0
-        factors = {(row, x2): clock_z(g) for x2 in lat.row_positions(row)}
-        kinds = {s: SiteKind.VERTEX_DUAL for s in factors}
-        check(f"Z_row{row}_g{g.exps}", factors, kinds)
-        col = 1
-        factors = {(j, col): shift_x(g) for j in lat.rows if j % 2 == 1}
-        kinds = {s: SiteKind.EDGE_GROUP for s in factors}
-        check(f"X_col{col}_g{g.exps}", factors, kinds)
+        check(f"Z_row0_g{g.exps}", [(0, x2) for x2 in lat.row_positions(0)], clock_z(g))
+        check(f"X_col1_g{g.exps}", [(j, 1) for j in lat.rows if j % 2 == 1], shift_x(g))
     return out

@@ -8,9 +8,11 @@ Two kinds of local space occur, both of dimension |G|:
 A MonomialOperator is a permutation of the basis combined with a phase per
 basis state, M|i> = w**phase[i] |perm[i]|, so products, inverses and
 commutators stay exact: phases are integers mod L.  The character group
-is isomorphic to G, so one constructor serves both site kinds; the label
-type (GroupElement or DualCharacter) names the site kind it acts on.  On
-EDGE_GROUP sites the generalized clock and shift act as
+is isomorphic to G, so one constructor serves both site kinds, and the
+label type (GroupElement or DualCharacter) names the site kind: shifts
+act on the site whose basis has the label's type, clocks on the other
+kind.  Each constructor records that kind on the monomial.  On EDGE_GROUP
+sites the generalized clock and shift act as
 
   shift_x(g)   |h>   -> |g h>
   clock_z(chi) |h>   -> chi(h) |h>
@@ -20,14 +22,19 @@ and on VERTEX_DUAL sites with the roles of labels exchanged
   shift_x(chi) |k>  -> |chi k>
   clock_z(g)   |k>  -> k(g) |k>.
 
-The projective variants twist the shifts by a 2-cocycle:
+The projective variants twist the shifts by a 2-cocycle and act on the
+same site kind as shift_x:
 
   projective_x(alpha, g)       |h> -> alpha(g, h) |g h>
   projective_x_tilde(alpha, g) |h> -> conj(alpha)(h g^-1, g) |h g^-1>
 
 which form commuting left and right projective regular representations.
-ProductOperator tensors site-local monomials over named sites and is the
-workhorse for stabilizers, strings and logicals.  StateVector holds dense
+A monomial built without a label (a raw JSON factor, a matter_rep entry)
+has kind None until its caller stamps one with with_kind; multiplying
+factors of different kinds is refused, and so is applying a factor to a
+site of another kind.  ProductOperator tensors
+site-local monomials over named sites and is the workhorse for
+stabilizers, strings and logicals.  StateVector holds dense
 complex amplitudes; operator-level checks are exact, state-level checks
 use floating point with the tolerances fixed by the callers.
 """
@@ -35,7 +42,7 @@ use floating point with the tolerances fixed by the callers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,6 +70,7 @@ class MonomialOperator:
     perm: tuple[int, ...]
     phase: tuple[int, ...]
     modulus: int
+    kind: SiteKind | None = None
 
     def __post_init__(self) -> None:
         if sorted(self.perm) != list(range(self.dim)):
@@ -75,13 +83,18 @@ class MonomialOperator:
     def identity(cls, dim: int, modulus: int) -> "MonomialOperator":
         return cls(dim, tuple(range(dim)), (0,) * dim, modulus)
 
+    def with_kind(self, kind: SiteKind) -> "MonomialOperator":
+        return replace(self, kind=kind)
+
     def multiply(self, other: "MonomialOperator") -> "MonomialOperator":
         """Exact composition self . other (self applied second)."""
         if self.dim != other.dim or self.modulus != other.modulus:
             raise ValueError("operator dimensions or moduli differ")
+        if self.kind != other.kind:
+            raise ValueError("factors act on different site kinds")
         perm = tuple(self.perm[other.perm[i]] for i in range(self.dim))
         phase = tuple(other.phase[i] + self.phase[other.perm[i]] for i in range(self.dim))
-        return MonomialOperator(self.dim, perm, phase, self.modulus)
+        return MonomialOperator(self.dim, perm, phase, self.modulus, self.kind)
 
     __matmul__ = multiply
 
@@ -90,19 +103,11 @@ class MonomialOperator:
         for i, p in enumerate(self.perm):
             inv[p] = i
         phase = tuple(-self.phase[inv[j]] for j in range(self.dim))
-        return MonomialOperator(self.dim, tuple(inv), phase, self.modulus)
+        return MonomialOperator(self.dim, tuple(inv), phase, self.modulus, self.kind)
 
     @property
     def is_identity(self) -> bool:
         return self.perm == tuple(range(self.dim)) and all(p == 0 for p in self.phase)
-
-    def scalar_part(self) -> PhaseExponent | None:
-        """The phase if this operator is a scalar multiple of the identity."""
-        if self.perm != tuple(range(self.dim)):
-            return None
-        if any(p != self.phase[0] for p in self.phase):
-            return None
-        return PhaseExponent(self.phase[0], self.modulus)
 
     def to_dense(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
@@ -127,6 +132,12 @@ class MonomialOperator:
 # -- clock / shift constructors -------------------------------------------
 
 
+def _site_kind(label: GroupElement | DualCharacter, shift: bool) -> SiteKind:
+    """A shift acts on the site whose basis has the label's type, a clock on the other."""
+    on_edge = isinstance(label, GroupElement) == shift
+    return SiteKind.EDGE_GROUP if on_edge else SiteKind.VERTEX_DUAL
+
+
 def _shift(label: GroupElement | DualCharacter, alpha: Cocycle | None = None) -> MonomialOperator:
     spec, exps = label.group, label.exps
     dim = spec.size
@@ -137,7 +148,8 @@ def _shift(label: GroupElement | DualCharacter, alpha: Cocycle | None = None) ->
         perm[idx] = spec.index_of(spec.add_exps(exps, h))
         if alpha is not None:
             phase[idx] = alpha.exponent(exps, h)
-    return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus)
+    kind = _site_kind(label, shift=True)
+    return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus, kind)
 
 
 def shift_x(label: GroupElement | DualCharacter) -> MonomialOperator:
@@ -149,7 +161,8 @@ def clock_z(label: GroupElement | DualCharacter) -> MonomialOperator:
     """Diagonal |h> -> label(h) |h>, with h of the other label type."""
     spec, exps = label.group, label.exps
     phase = tuple(spec.pair_exponent(exps, spec.exps_of(i)) for i in range(spec.size))
-    return MonomialOperator(spec.size, tuple(range(spec.size)), phase, spec.phase_modulus)
+    kind = _site_kind(label, shift=False)
+    return MonomialOperator(spec.size, tuple(range(spec.size)), phase, spec.phase_modulus, kind)
 
 
 def projective_x(alpha: Cocycle, label: GroupElement | DualCharacter) -> MonomialOperator:
@@ -172,7 +185,8 @@ def projective_x_tilde(alpha: Cocycle, label: GroupElement | DualCharacter) -> M
         target = spec.add_exps(spec.exps_of(idx), neg)
         perm[idx] = spec.index_of(target)
         phase[idx] = -alpha.exponent(target, exps) % spec.phase_modulus
-    return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus)
+    kind = _site_kind(label, shift=True)
+    return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus, kind)
 
 
 # -- products over sites ----------------------------------------------------
@@ -182,44 +196,30 @@ def projective_x_tilde(alpha: Cocycle, label: GroupElement | DualCharacter) -> M
 class ProductOperator:
     """Tensor product of site-local monomials, identity elsewhere.
 
-    factors maps a hashable site id to a MonomialOperator; kinds records
-    the expected SiteKind per site so state application can reject
-    mismatched placements.
+    factors holds (site id, MonomialOperator) pairs sorted by site; each
+    factor carries the SiteKind it acts on, so state application can
+    reject mismatched placements.
     """
 
     factors: tuple[tuple[object, MonomialOperator], ...]
-    kinds: tuple[tuple[object, SiteKind], ...]
     modulus: int
 
     @classmethod
-    def from_dict(
-        cls,
-        factors: dict,
-        kinds: dict,
-        modulus: int,
-        drop_identity: bool = True,
-    ) -> "ProductOperator":
-        items = []
-        kind_items = []
-        for site in factors:
-            op = factors[site]
-            if drop_identity and op.is_identity:
-                continue
-            items.append((site, op))
-            kind_items.append((site, kinds[site]))
-        items.sort(key=lambda kv: repr(kv[0]))
-        kind_items.sort(key=lambda kv: repr(kv[0]))
-        return cls(tuple(items), tuple(kind_items), modulus)
+    def from_factors(cls, pairs, modulus: int) -> "ProductOperator":
+        """Product of (site, factor) pairs; a repeated site multiplies in
+        order (later factors act after earlier ones) and identities drop."""
+        by_site: dict = {}
+        for site, op in pairs:
+            by_site[site] = op.multiply(by_site[site]) if site in by_site else op
+        items = sorted(
+            ((site, op) for site, op in by_site.items() if not op.is_identity),
+            key=lambda kv: repr(kv[0]),
+        )
+        return cls(tuple(items), modulus)
 
     @classmethod
     def identity_op(cls, modulus: int) -> "ProductOperator":
-        return cls((), (), modulus)
-
-    def factor_map(self) -> dict:
-        return dict(self.factors)
-
-    def kind_map(self) -> dict:
-        return dict(self.kinds)
+        return cls((), modulus)
 
     @property
     def support(self) -> tuple:
@@ -229,62 +229,59 @@ class ProductOperator:
         """self . other with sitewise exact composition."""
         if self.modulus != other.modulus:
             raise ValueError("phase moduli differ")
-        fac = dict(other.factors)
-        kinds = dict(other.kinds)
-        for site, op in self.factors:
-            if site in fac:
-                fac[site] = op.multiply(fac[site])
-            else:
-                fac[site] = op
-        kinds.update(dict(self.kinds))
-        return ProductOperator.from_dict(fac, kinds, self.modulus)
+        return ProductOperator.from_factors(other.factors + self.factors, self.modulus)
 
     __matmul__ = multiply
 
     def adjoint(self) -> "ProductOperator":
-        fac = {site: op.adjoint() for site, op in self.factors}
-        return ProductOperator.from_dict(fac, self.kind_map(), self.modulus)
+        return ProductOperator.from_factors(
+            ((site, op.adjoint()) for site, op in self.factors), self.modulus
+        )
 
     def to_json(self) -> dict:
         return {
             "modulus": self.modulus,
             "factors": [
                 {"site": list(site) if isinstance(site, tuple) else site,
-                 "kind": kind.value,
+                 "kind": op.kind.value,
                  "op": op.to_json()}
-                for (site, op), (_, kind) in zip(self.factors, self.kinds)
+                for site, op in self.factors
             ],
         }
 
+    @staticmethod
+    def factor_from_json(item: dict) -> tuple:
+        """(site, factor) of one JSON factor entry; a list site becomes a tuple."""
+        site = tuple(item["site"]) if isinstance(item["site"], list) else item["site"]
+        return site, MonomialOperator.from_json(item["op"]).with_kind(SiteKind(item["kind"]))
+
     @classmethod
     def from_json(cls, data: dict) -> "ProductOperator":
-        factors = {}
-        kinds = {}
-        for item in data["factors"]:
-            site = tuple(item["site"]) if isinstance(item["site"], list) else item["site"]
-            factors[site] = MonomialOperator.from_json(item["op"])
-            kinds[site] = SiteKind(item["kind"])
-        return cls.from_dict(factors, kinds, data["modulus"])
+        return cls.from_factors(map(cls.factor_from_json, data["factors"]), data["modulus"])
 
 
 def commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent | None:
     """Scalar c with a.b = c b.a, or None when the commutator is not scalar.
 
-    Computed sitewise from a b a^-1 b^-1; the result is a global phase
-    exactly when every shared site contributes a scalar.
+    Computed sitewise by comparing a.b with b.a on each shared site; the
+    result is a global phase exactly when every shared site contributes a
+    scalar.
     """
     if a.modulus != b.modulus:
         raise ValueError("phase moduli differ")
-    fa, fb = dict(a.factors), dict(b.factors)
+    fb = dict(b.factors)
     total = PhaseExponent.one(a.modulus)
-    for site in fa:
-        if site not in fb:
+    for site, ma in a.factors:
+        mb = fb.get(site)
+        if mb is None:
             continue
-        m = fa[site].multiply(fb[site]).multiply(fa[site].adjoint()).multiply(fb[site].adjoint())
-        scalar = m.scalar_part()
-        if scalar is None:
+        ab, ba = ma.multiply(mb), mb.multiply(ma)
+        if ab.perm != ba.perm:
             return None
-        total = total * scalar
+        diffs = {(x - y) % ab.modulus for x, y in zip(ab.phase, ba.phase)}
+        if len(diffs) != 1:
+            return None
+        total = total * PhaseExponent(diffs.pop(), ab.modulus)
     return total
 
 
@@ -344,11 +341,10 @@ class StateVector:
     def apply(self, op: ProductOperator) -> "StateVector":
         """Apply a product operator; permutation plus phase per site."""
         out = self.amps
-        kinds = dict(op.kinds)
         w = np.exp(2j * np.pi / op.modulus) if op.factors else 1.0
         for site, mono in op.factors:
             axis = self.axis_of(site)
-            if kinds.get(site) is not None and kinds[site] != self.kinds[axis]:
+            if mono.kind != self.kinds[axis]:
                 raise ValueError(f"site kind mismatch at {site!r}")
             d = self.dims[axis]
             if mono.dim != d:

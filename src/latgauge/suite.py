@@ -263,15 +263,9 @@ def criterion_twisted_plaquette_product() -> dict:
                             total = t.op.multiply(total)
                     chi = slant_product(alpha, g)
                     lat = spec.lattice
-                    expected_factors = {}
-                    expected_kinds = {}
-                    for j in lat.rows:
-                        if j % 2 == 1:
-                            for x2 in lat.row_positions(j):
-                                expected_factors[(j, x2)] = clock_z(chi)
-                                expected_kinds[(j, x2)] = SiteKind.EDGE_GROUP
-                    expected = ProductOperator.from_dict(
-                        expected_factors, expected_kinds, group.phase_modulus
+                    edges = [(j, x2) for j in lat.rows if j % 2 == 1 for x2 in lat.row_positions(j)]
+                    expected = ProductOperator.from_factors(
+                        ((site, clock_z(chi)) for site in edges), group.phase_modulus
                     )
                     instances += 1
                     if total != expected:

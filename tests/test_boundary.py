@@ -19,7 +19,7 @@ from latgauge.cyclotomic import mono_mul_left, mono_mul_right
 from latgauge.gauging import LayerSpec, build_gauging_map, compose_gauging, flatten_product_operator, layer_stack
 from latgauge.groups import GroupSpec, all_subgroups, enumerate_cocycle_classes, restricted_characters
 from latgauge.lattice import CodeSpec, Lattice2D, build_boundary_terms
-from latgauge.operators import ProductOperator, SiteKind
+from latgauge.operators import ProductOperator
 
 Z2 = GroupSpec((2,))
 Z4 = GroupSpec((4,))
@@ -161,16 +161,25 @@ class TestTwistedBoundary:
             ell = 3
             total = ProductOperator.identity_op(Z22.phase_modulus)
             for k in range(ell):
-                factors = {
-                    chain.site_at(k): projective_x_tilde(beta, chi),
-                    chain.site_at(k + 1): projective_x(beta, chi),
-                }
-                kinds = {s: SiteKind.VERTEX_DUAL for s in factors}
-                total = total.multiply(
-                    ProductOperator.from_dict(factors, kinds, Z22.phase_modulus)
-                )
+                factors = [
+                    (chain.site_at(k), projective_x_tilde(beta, chi)),
+                    (chain.site_at(k + 1), projective_x(beta, chi)),
+                ]
+                total = total.multiply(ProductOperator.from_factors(factors, Z22.phase_modulus))
             expected = string_order_operator(chain, chi, beta, 0, ell)
             assert total == expected
+
+    def test_string_order_factors_match_the_chain(self):
+        # The slant-product clock on vertex sites takes an element label.
+        beta = enumerate_cocycle_classes(Z22)[1]
+        for convention, cls_beta in [(CLOCK, beta), (CLOCK, None), (SHIFT, None)]:
+            chain = build_fixed_point_state(Z22, [(0, 0)], 4, convention)
+            kinds = dict(zip(chain.state.site_ids, chain.state.kinds))
+            for chi in Z22.characters():
+                op = string_order_operator(chain, chi, cls_beta, 0, 3)
+                for site, mono in op.factors:
+                    assert mono.kind == kinds[site]
+                chain.state.apply(op)
 
     def test_beta_twisted_identity_through_the_map(self):
         # Exact operator identity: the three-body boundary term applied on
@@ -188,23 +197,13 @@ class TestTwistedBoundary:
             from latgauge.operators import clock_z, projective_x, projective_x_tilde
 
             for chi in group.characters():
-                term_factors = {
-                    (0, 0): projective_x_tilde(beta, chi),
-                    (0, 2): projective_x(beta, chi),
-                    (1, 1): clock_z(chi).adjoint(),
-                }
-                term_kinds = {
-                    (0, 0): SiteKind.VERTEX_DUAL,
-                    (0, 2): SiteKind.VERTEX_DUAL,
-                    (1, 1): SiteKind.EDGE_GROUP,
-                }
-                term = ProductOperator.from_dict(term_factors, term_kinds, group.phase_modulus)
-                eff_factors = {
-                    (0, 0): projective_x_tilde(beta, chi),
-                    (0, 2): projective_x(beta, chi),
-                }
-                eff_kinds = {k: SiteKind.VERTEX_DUAL for k in eff_factors}
-                eff = ProductOperator.from_dict(eff_factors, eff_kinds, group.phase_modulus)
+                eff_factors = [
+                    ((0, 0), projective_x_tilde(beta, chi)),
+                    ((0, 2), projective_x(beta, chi)),
+                ]
+                term_factors = eff_factors + [((1, 1), clock_z(chi).adjoint())]
+                term = ProductOperator.from_factors(term_factors, group.phase_modulus)
+                eff = ProductOperator.from_factors(eff_factors, group.phase_modulus)
                 perm_o, phase_o = flatten_product_operator(out_sites, out_dims, term)
                 perm_i, phase_i = flatten_product_operator(in_sites, in_dims, eff)
                 assert mono_mul_left(exact, perm_o, phase_o) == mono_mul_right(exact, perm_i, phase_i)

@@ -11,6 +11,10 @@ from latgauge.groups import GroupSpec
 from latgauge.lattice import CodeSpec, Lattice2D
 
 
+Z3_SHIFT = {"dim": 3, "perm": [1, 2, 0], "phase": [0, 0, 0], "modulus": 3}
+Z2_SHIFT = {"dim": 2, "perm": [1, 0], "phase": [0, 0], "modulus": 2}
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -225,6 +229,40 @@ class TestAnyonsCommand:
             assert at_center == {phase}
 
     @pytest.mark.parametrize(
+        "factor, exit_code",
+        [
+            ({"site": [1, 1], "kind": "edge_group", "op": Z3_SHIFT}, 0),
+            ({"site": [1, 1], "kind": "edge_group", "op": Z2_SHIFT}, 2),
+            ({"site": [1, 1], "kind": "edge_group", "op": {**Z3_SHIFT, "modulus": 6}}, 2),
+            ({"site": [9, 9], "kind": "edge_group", "op": Z3_SHIFT}, 2),
+            ({"site": [1, 1], "kind": "vertex_dual", "op": Z3_SHIFT}, 2),
+            ({"site": 7, "kind": "edge_group", "op": Z3_SHIFT}, 2),
+        ],
+        ids=["valid", "dim", "modulus", "off-lattice", "wrong-kind", "not-a-site"],
+    )
+    def test_raw_factors_are_checked_against_the_spec(self, runner, tmp_path, factor, exit_code):
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(json.dumps({"group": [3], "n": 2, "m": 2}))
+        ops_path = tmp_path / "ops.json"
+        ops_path.write_text(json.dumps([{"name": "raw", "factors": [factor]}]))
+        result = runner.invoke(
+            main, ["anyons", "--spec", str(spec_path), "--op-file", str(ops_path)]
+        )
+        assert result.exit_code == exit_code, result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("bc, exit_code", [("torus", 0), ("cylinder", 0), ("tours", 2)])
+    def test_spec_bc_is_torus_or_cylinder(self, runner, tmp_path, bc, exit_code):
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(json.dumps({"group": [3], "n": 3, "m": 4, "bc": bc}))
+        ops_path = tmp_path / "ops.json"
+        ops_path.write_text("[]")
+        result = runner.invoke(
+            main, ["anyons", "--spec", str(spec_path), "--op-file", str(ops_path)]
+        )
+        assert result.exit_code == exit_code, result.output
+
+    @pytest.mark.parametrize(
         "extra", [{"orientation": "sideways"}, {"subgroup": "1"}, {"subgroup": [[0]]}]
     )
     def test_bad_orientation_or_subgroup_is_config_error(self, runner, tmp_path, extra):
@@ -250,6 +288,14 @@ class TestOtherCommands:
     def test_confine_needs_twist(self, runner):
         result = runner.invoke(main, ["confine", "--group", "2,2", "--twist-even", "p12=0"])
         assert result.exit_code == 2
+
+    def test_confine_spec_with_misspelt_bc_is_config_error(self, runner, tmp_path):
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(
+            json.dumps({"group": [2, 2], "n": 4, "m": 8, "bc": "tours", "twist_even": [1]})
+        )
+        result = runner.invoke(main, ["confine", "--spec", str(spec_path)])
+        assert result.exit_code == 2, result.output
 
     def test_confine_from_spec_file(self, runner, tmp_path):
         spec_path = tmp_path / "code.json"
@@ -289,6 +335,10 @@ class TestConfigErrors:
             ["code", "--group", "2", "--bc", "cylinder", "--m", "3"],
             ["tn", "--group", "2", "--check-pull-through"],
             ["tn", "--group", "2", "--n", "1", "--mpo-layers"],
+            ["tn", "--group", "2", "--n", "8", "--mpo-layers"],
+            ["compose", "--group", "2", "--tol", "-1"],
+            ["compose", "--group", "2", "--tol", "0"],
+            ["confine", "--group", "2,2", "--twist-even", "p12=1", "--n", "1"],
         ],
         ids=[
             "compose-one-site",
@@ -296,6 +346,10 @@ class TestConfigErrors:
             "code-odd-cylinder",
             "tn-dead-flag",
             "tn-one-site",
+            "tn-mpo-too-large",
+            "compose-negative-tol",
+            "compose-zero-tol",
+            "confine-one-site",
         ],
     )
     def test_exit_two_with_one_line_message(self, runner, args):

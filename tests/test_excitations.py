@@ -17,7 +17,7 @@ from latgauge.excitations import (
 )
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes, pair, slant_product
 from latgauge.lattice import CodeSpec, Lattice2D, build_bulk_stabilizers
-from latgauge.operators import ProductOperator, SiteKind, commutation_phase
+from latgauge.operators import ProductOperator, commutation_phase
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -73,15 +73,13 @@ class TestSyndrome:
             chi = slant_product(alpha, g)
             from latgauge.operators import clock_z
 
-            factors = {
-                (j, x2): clock_z(chi)
+            factors = [
+                ((j, x2), clock_z(chi))
                 for j in lat.rows
                 if j % 2 == 1
                 for x2 in lat.row_positions(j)
-            }
-            logical = ProductOperator.from_dict(
-                factors, {s: SiteKind.EDGE_GROUP for s in factors}, Z22.phase_modulus
-            )
+            ]
+            logical = ProductOperator.from_factors(factors, Z22.phase_modulus)
             op = confined_string_operator(spec, Z22.element((1, 1)), 1, 3, 2)
             syn = syndrome(spec, op, terms)
             total = None

@@ -36,11 +36,7 @@ def symmetric_random_state(group, layer, seed):
     stv = StateVector(base.site_ids, base.kinds, base.dims, raw)
     acc = np.zeros(dim, dtype=complex)
     for g in group.elements():
-        op = ProductOperator.from_dict(
-            {s: clock_z(g) for s in stv.site_ids},
-            {s: SiteKind.VERTEX_DUAL for s in stv.site_ids},
-            group.phase_modulus,
-        )
+        op = ProductOperator.from_factors(((s, clock_z(g)) for s in stv.site_ids), group.phase_modulus)
         acc += stv.apply(op).amps
     out = StateVector(stv.site_ids, stv.kinds, stv.dims, acc / size)
     return out.normalized()
@@ -143,6 +139,26 @@ class TestEmergentSymmetry:
             assert verify_emergent_symmetry(build_gauging_map(layer))["passed"]
 
 
+class TestFactorKinds:
+    @pytest.mark.parametrize("bc", ["periodic", "open"])
+    def test_every_factor_matches_its_site(self, bc):
+        # The emergent symmetry takes the new row's label family, so its
+        # clocks act on the new row's site kind.
+        layers = layer_stack(Z22, 3, 2, bc)
+        kinds = {}
+        for layer in layers:
+            kinds.update(layer.matter_sites() + layer.new_sites())
+        ops = [op for _, op in stack_local_symmetry_ops(layers)]
+        for layer in layers:
+            gmap = build_gauging_map(layer)
+            pair_labels = Z22.characters() if layer.index == 0 else Z22.elements()
+            ops += [gmap.emergent_symmetry_op(lab) for lab in layer.labels()]
+            ops += [op for lab in pair_labels for op in gmap.charged_pair_ops(0, 2, lab)]
+        for op in ops:
+            for site, mono in op.factors:
+                assert mono.kind == kinds[site]
+
+
 class TestStringOrderMapping:
     @pytest.mark.parametrize("group", [Z2, Z3])
     def test_exact_identity_all_pairs(self, group):
@@ -220,11 +236,7 @@ class TestCompose:
         layers = layer_stack(group, 3, 2, "periodic")
         out = compose_gauging(layers, initial_state(group, layers[0]))
         corrupt_site = (1, 1)
-        op = ProductOperator.from_dict(
-            {corrupt_site: shift_x(group.element((1,)))},
-            {corrupt_site: SiteKind.EDGE_GROUP},
-            group.phase_modulus,
-        )
+        op = ProductOperator.from_factors([(corrupt_site, shift_x(group.element((1,))))], group.phase_modulus)
         corrupted = out.apply(op)
         rep = verify_local_symmetry(corrupted, layers)
         failing = {c["op"] for c in rep["violations"]}

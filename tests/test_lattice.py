@@ -128,14 +128,13 @@ class TestBulkStabilizers:
                         if t.label.family == "group" and t.label.exps == g.exps:
                             total = t.op.multiply(total)
                     chi = slant_product(alpha, g)
-                    factors = {
-                        (j, x2): clock_z(chi)
+                    factors = [
+                        ((j, x2), clock_z(chi))
                         for j in lat.rows
                         if j % 2 == 1
                         for x2 in lat.row_positions(j)
-                    }
-                    kinds = {s: SiteKind.EDGE_GROUP for s in factors}
-                    assert total == ProductOperator.from_dict(factors, kinds, group.phase_modulus)
+                    ]
+                    assert total == ProductOperator.from_factors(factors, group.phase_modulus)
 
     def test_orientation_variants_commute_and_agree_on_dimension(self):
         alpha = enumerate_cocycle_classes(Z22)[1]
@@ -205,16 +204,15 @@ class TestGroundSpace:
         z = clock_z(Z2.character((1,)))
         x = shift_x(Z2.element((1,)))
         xz = x.multiply(z)
-        minus_xz = MonomialOperator(2, xz.perm, tuple(p + 1 for p in xz.phase), 2)
+        minus_xz = MonomialOperator(2, xz.perm, tuple(p + 1 for p in xz.phase), 2, xz.kind)
         sites = ["a", "b"]
-        kinds = dict.fromkeys(sites, SiteKind.EDGE_GROUP)
         ops = [
-            ProductOperator.from_dict({"a": a, "b": b}, kinds, 2)
+            ProductOperator.from_factors([("a", a), ("b", b)], 2)
             for a, b in [(z, z), (x, x), (minus_xz, xz)]
         ]
         assert all(commutation_phase(p, q).is_one for p in ops for q in ops)
         assert joint_eigenspace_dimension(ops, sites, Z2) == 0
-        dense = [np.kron(*(op.factor_map()[s].to_dense() for s in sites)) for op in ops]
+        dense = [np.kron(*(dict(op.factors)[s].to_dense() for s in sites)) for op in ops]
         assert np.allclose(dense[0] @ dense[1] @ dense[2], -np.eye(4))
         proj = np.eye(4)
         for mat in dense:
@@ -223,7 +221,7 @@ class TestGroundSpace:
 
     def test_non_weyl_factor_is_refused(self):
         inversion = MonomialOperator(3, (0, 2, 1), (0, 0, 0), 3)
-        op = ProductOperator.from_dict({"a": inversion}, {"a": SiteKind.EDGE_GROUP}, 3)
+        op = ProductOperator.from_factors([("a", inversion)], 3)
         with pytest.raises(ArithmeticError):
             joint_eigenspace_dimension([op], ["a"], Z3)
 

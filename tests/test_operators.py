@@ -81,6 +81,7 @@ class TestClockShift:
                         rhs.perm,
                         tuple(p + scalar.k for p in rhs.phase),
                         rhs.modulus,
+                        rhs.kind,
                     )
                     assert lhs == dressed
 
@@ -101,7 +102,7 @@ class TestProjective:
                     rhs = projective_x(alpha, g * h)
                     k = alpha.evaluate(g, h).k
                     dressed = MonomialOperator(
-                        rhs.dim, rhs.perm, tuple(p + k for p in rhs.phase), rhs.modulus
+                        rhs.dim, rhs.perm, tuple(p + k for p in rhs.phase), rhs.modulus, rhs.kind
                     )
                     assert lhs == dressed
 
@@ -138,18 +139,62 @@ class TestProjective:
                         rhs = projective_x(alpha, g).multiply(clock_z(chi))
                         k = pair(chi, g).k
                         dressed = MonomialOperator(
-                            rhs.dim, rhs.perm, tuple(p + k for p in rhs.phase), rhs.modulus
+                            rhs.dim, rhs.perm, tuple(p + k for p in rhs.phase), rhs.modulus, rhs.kind
                         )
                         assert lhs == dressed
 
     def test_character_and_element_with_same_exponents_agree(self):
+        # Same perm and phase, different site kind.
         beta = enumerate_cocycle_classes(Z22)[1]
         for chi in Z22.characters():
             g = Z22.element(chi.exps)
-            assert projective_x(beta, chi) == projective_x(beta, g)
-            assert projective_x_tilde(beta, chi) == projective_x_tilde(beta, g)
-            assert shift_x(chi) == shift_x(g)
-            assert clock_z(chi) == clock_z(g)
+            for build in (
+                lambda lab: projective_x(beta, lab),
+                lambda lab: projective_x_tilde(beta, lab),
+                shift_x,
+                clock_z,
+            ):
+                a, b = build(chi), build(g)
+                assert (a.perm, a.phase) == (b.perm, b.phase)
+                assert {a.kind, b.kind} == {SiteKind.EDGE_GROUP, SiteKind.VERTEX_DUAL}
+
+
+class TestSiteKind:
+    @pytest.mark.parametrize("spec", SMALL_GROUPS)
+    def test_constructor_kind_follows_label(self, spec):
+        # Shifts act on the site whose basis has the label's type, clocks
+        # on the other kind.
+        alpha = enumerate_cocycle_classes(spec)[-1]
+        for g, chi in zip(spec.elements(), spec.characters()):
+            for lab, own, other in (
+                (g, SiteKind.EDGE_GROUP, SiteKind.VERTEX_DUAL),
+                (chi, SiteKind.VERTEX_DUAL, SiteKind.EDGE_GROUP),
+            ):
+                assert shift_x(lab).kind == own
+                assert projective_x(alpha, lab).kind == own
+                assert projective_x_tilde(alpha, lab).kind == own
+                assert clock_z(lab).kind == other
+                assert clock_z(lab).adjoint().kind == other
+
+    def test_unlabelled_monomial_has_no_kind(self):
+        m = MonomialOperator(2, (1, 0), (0, 0), 2)
+        assert m.kind is None
+        assert m.with_kind(SiteKind.EDGE_GROUP) == shift_x(Z2.element((1,)))
+
+    def test_mixed_kind_product_rejected(self):
+        x = shift_x(Z3.element((1,)))
+        z = clock_z(Z3.element((1,)))  # a vertex-site clock
+        for a, b in ((x, z), (z, x), (x, MonomialOperator(3, x.perm, x.phase, 3))):
+            with pytest.raises(ValueError, match="site kinds"):
+                a.multiply(b)
+        with pytest.raises(ValueError, match="site kinds"):
+            ProductOperator.from_factors([(0, x), (0, z)], 3)
+        pa = ProductOperator.from_factors([(0, x)], 3)
+        pb = ProductOperator.from_factors([(0, z)], 3)
+        with pytest.raises(ValueError, match="site kinds"):
+            pa.multiply(pb)
+        with pytest.raises(ValueError, match="site kinds"):
+            commutation_phase(pa, pb)
 
 
 class TestMonomialAlgebra:
@@ -192,81 +237,74 @@ class TestMonomialAlgebra:
 
     def test_json_roundtrip(self):
         m = clock_z(Z23.character((1, 2)))
-        assert MonomialOperator.from_json(m.to_json()) == m
+        back = MonomialOperator.from_json(m.to_json())
+        assert back.kind is None  # the kind travels with the site, not the op
+        assert back.with_kind(m.kind) == m
 
 
 class TestProductOperator:
-    def kinds(self, sites, kind):
-        return {s: kind for s in sites}
-
     def test_commutation_phase_single_site(self):
         x = shift_x(Z2.element((1,)))
         z = clock_z(Z2.character((1,)))
-        a = ProductOperator.from_dict({0: x}, self.kinds([0], SiteKind.EDGE_GROUP), 2)
-        b = ProductOperator.from_dict({0: z}, self.kinds([0], SiteKind.EDGE_GROUP), 2)
+        a = ProductOperator.from_factors([(0, x)], 2)
+        b = ProductOperator.from_factors([(0, z)], 2)
         ph = commutation_phase(a, b)
         assert ph is not None and ph.k == 1  # the scalar -1
 
     def test_disjoint_supports_commute(self):
         x = shift_x(Z3.element((1,)))
         z = clock_z(Z3.character((2,)))
-        a = ProductOperator.from_dict({0: x}, self.kinds([0], SiteKind.EDGE_GROUP), 3)
-        b = ProductOperator.from_dict({1: z}, self.kinds([1], SiteKind.EDGE_GROUP), 3)
+        a = ProductOperator.from_factors([(0, x)], 3)
+        b = ProductOperator.from_factors([(1, z)], 3)
         assert commutation_phase(a, b).is_one
 
     def test_not_scalar_returns_none(self):
         # A commutator that is diagonal but not constant is not a scalar.
         alpha = enumerate_cocycle_classes(Z22)[1]
-        a = ProductOperator.from_dict(
-            {0: projective_x(alpha, Z22.element((1, 0)))},
-            self.kinds([0], SiteKind.EDGE_GROUP),
-            2,
-        )
-        b = ProductOperator.from_dict(
-            {0: projective_x(alpha, Z22.element((0, 1)))},
-            self.kinds([0], SiteKind.EDGE_GROUP),
-            2,
-        )
+        a = ProductOperator.from_factors([(0, projective_x(alpha, Z22.element((1, 0))))], 2)
+        b = ProductOperator.from_factors([(0, projective_x(alpha, Z22.element((0, 1))))], 2)
         ph = commutation_phase(a, b)
         # X_alpha pairs commute up to the slant phase, which is scalar here;
         # build a genuinely non-scalar case from a shift and a partial clock.
-        mixed = MonomialOperator(4, (0, 1, 2, 3), (0, 1, 0, 0), 2)
-        c = ProductOperator.from_dict({0: mixed}, self.kinds([0], SiteKind.EDGE_GROUP), 2)
-        d = ProductOperator.from_dict(
-            {0: shift_x(Z22.element((1, 0)))}, self.kinds([0], SiteKind.EDGE_GROUP), 2
-        )
+        mixed = MonomialOperator(4, (0, 1, 2, 3), (0, 1, 0, 0), 2, SiteKind.EDGE_GROUP)
+        c = ProductOperator.from_factors([(0, mixed)], 2)
+        d = ProductOperator.from_factors([(0, shift_x(Z22.element((1, 0))))], 2)
         assert commutation_phase(c, d) is None
+        # Non-commuting permutations: a.b and b.a differ in their perm.
+        swaps = [MonomialOperator(3, p, (0, 0, 0), 3, SiteKind.EDGE_GROUP) for p in ((1, 0, 2), (0, 2, 1))]
+        e, f = (ProductOperator.from_factors([(0, m)], 3) for m in swaps)
+        assert commutation_phase(e, f) is None
         assert ph is not None
 
     def test_multiply_merges_sites(self):
-        a = ProductOperator.from_dict(
-            {0: shift_x(Z2.element((1,)))}, self.kinds([0], SiteKind.EDGE_GROUP), 2
-        )
-        b = ProductOperator.from_dict(
-            {0: shift_x(Z2.element((1,))), 1: clock_z(Z2.character((1,)))},
-            self.kinds([0, 1], SiteKind.EDGE_GROUP),
-            2,
+        a = ProductOperator.from_factors([(0, shift_x(Z2.element((1,))))], 2)
+        b = ProductOperator.from_factors(
+            [(0, shift_x(Z2.element((1,)))), (1, clock_z(Z2.character((1,))))], 2
         )
         prod = a.multiply(b)
-        fm = prod.factor_map()
+        fm = dict(prod.factors)
         assert 0 not in fm  # the shifts cancelled to the identity
         assert 1 in fm
 
     def test_adjoint_inverts(self):
-        op = ProductOperator.from_dict(
-            {0: shift_x(Z3.element((1,))), 1: clock_z(Z3.character((2,)))},
-            self.kinds([0, 1], SiteKind.EDGE_GROUP),
-            3,
+        op = ProductOperator.from_factors(
+            [(0, shift_x(Z3.element((1,)))), (1, clock_z(Z3.character((2,))))], 3
         )
         assert op.multiply(op.adjoint()) == ProductOperator.identity_op(3)
 
     def test_json_roundtrip(self):
-        op = ProductOperator.from_dict(
-            {(1, 1): shift_x(Z3.element((1,))), (0, 2): clock_z(Z3.character((2,)))},
-            {(1, 1): SiteKind.EDGE_GROUP, (0, 2): SiteKind.EDGE_GROUP},
-            3,
+        op = ProductOperator.from_factors(
+            [((1, 1), shift_x(Z3.element((1,)))), ((0, 2), clock_z(Z3.element((2,))))], 3
         )
-        assert ProductOperator.from_json(op.to_json()) == op
+        data = op.to_json()
+        assert [f["kind"] for f in data["factors"]] == ["vertex_dual", "edge_group"]
+        assert ProductOperator.from_json(data) == op
+
+    def test_from_factors_multiplies_in_order_and_drops_identities(self):
+        x, z = shift_x(Z3.element((1,))), clock_z(Z3.character((1,)))
+        op = ProductOperator.from_factors([(1, x), (0, z), (1, z), (0, z.adjoint())], 3)
+        assert op.factors == ((1, z.multiply(x)),)
+        assert z.multiply(x) != x.multiply(z)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_commutation_phase_matches_dense_oracle(self, seed):
@@ -281,11 +319,9 @@ class TestProductOperator:
             + [projective_x(alpha, g) for g in spec.elements()]
             + [projective_x_tilde(alpha, g) for g in spec.elements()]
         )
-        kinds = {0: SiteKind.EDGE_GROUP, 1: SiteKind.EDGE_GROUP}
         def pick():
-            return ProductOperator.from_dict(
-                {0: pool[rng.integers(len(pool))], 1: pool[rng.integers(len(pool))]},
-                kinds,
+            return ProductOperator.from_factors(
+                [(0, pool[rng.integers(len(pool))]), (1, pool[rng.integers(len(pool))])],
                 spec.phase_modulus,
             )
         for _ in range(10):
@@ -311,7 +347,7 @@ def random_state(sites, dims, seed):
 def dense_product(op, site_ids, dims):
     """Kronecker-product oracle for a product operator."""
     mats = []
-    factor_map = op.factor_map()
+    factor_map = dict(op.factors)
     for s, d in zip(site_ids, dims):
         mats.append(factor_map[s].to_dense() if s in factor_map else np.eye(d))
     total = np.ones((1, 1), dtype=complex)
@@ -331,9 +367,7 @@ class TestApply:
     def test_shift_moves_basis_state(self):
         sites = self.SITES[:1]
         stv = StateVector.basis_state(sites, (3,), (0,))
-        op = ProductOperator.from_dict(
-            {("a", 0): shift_x(Z3.element((2,)))}, {("a", 0): SiteKind.EDGE_GROUP}, 3
-        )
+        op = ProductOperator.from_factors([(("a", 0), shift_x(Z3.element((2,))))], 3)
         out = stv.apply(op)
         assert abs(out.amps[2] - 1) < 1e-15
 
@@ -351,9 +385,7 @@ class TestApply:
                 factors[s] = clock_z(spec.character((int(rng.integers(0, 3)),)))
         if not factors:
             factors[("a", 0)] = shift_x(spec.element((1,)))
-        op = ProductOperator.from_dict(
-            factors, {s: SiteKind.EDGE_GROUP for s in factors}, 3
-        )
+        op = ProductOperator.from_factors(factors.items(), 3)
         out = stv.apply(op)
         expected = dense_product(op, stv.site_ids, stv.dims) @ stv.amps
         assert np.max(np.abs(out.amps - expected)) < 1e-12
@@ -361,27 +393,25 @@ class TestApply:
 
     def test_sequential_applications_compose(self):
         stv = random_state(self.SITES, (3, 3, 3), 5)
-        a = ProductOperator.from_dict(
-            {("a", 0): shift_x(Z3.element((1,)))}, {("a", 0): SiteKind.EDGE_GROUP}, 3
-        )
-        b = ProductOperator.from_dict(
-            {("a", 0): clock_z(Z3.character((1,))), ("a", 2): shift_x(Z3.element((2,)))},
-            {("a", 0): SiteKind.EDGE_GROUP, ("a", 2): SiteKind.EDGE_GROUP},
-            3,
+        a = ProductOperator.from_factors([(("a", 0), shift_x(Z3.element((1,))))], 3)
+        b = ProductOperator.from_factors(
+            [(("a", 0), clock_z(Z3.character((1,)))), (("a", 2), shift_x(Z3.element((2,))))], 3
         )
         seq = stv.apply(b).apply(a)
         merged = stv.apply(a.multiply(b))
         assert np.max(np.abs(seq.amps - merged.amps)) < 1e-12
 
     def test_kind_mismatch_rejected(self):
+        # The kind is read from the factor: a vertex-site clock, a raw
+        # monomial stamped as a vertex factor, or an unstamped one cannot
+        # act on an edge site.
         stv = random_state(self.SITES, (3, 3, 3), 6)
-        op = ProductOperator.from_dict(
-            {("a", 0): clock_z(Z3.element((1,)))},
-            {("a", 0): SiteKind.VERTEX_DUAL},
-            3,
-        )
-        with pytest.raises(ValueError):
-            stv.apply(op)
+        raw = MonomialOperator(3, (1, 2, 0), (0, 0, 0), 3)
+        for mono in (clock_z(Z3.element((1,))), raw.with_kind(SiteKind.VERTEX_DUAL), raw):
+            op = ProductOperator.from_factors([(("a", 0), mono)], 3)
+            with pytest.raises(ValueError, match="site kind mismatch"):
+                stv.apply(op)
+        stv.apply(ProductOperator.from_factors([(("a", 0), raw.with_kind(SiteKind.EDGE_GROUP))], 3))
 
 
 class TestFluxOperators:

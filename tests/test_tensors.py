@@ -183,20 +183,16 @@ class TestPepes:
         # At the slanted open boundary the would-be plaquettes lose a corner
         # and the two-body remnants do not stabilize the state, so strings
         # ending there violate nothing.
-        from latgauge.operators import ProductOperator, SiteKind, clock_z, shift_x
+        from latgauge.operators import ProductOperator, clock_z, shift_x
 
         layers = layer_stack(Z2, 2, 3, "open")
         st = initial_state(Z2, layers[0])
         state = compose_gauging(layers, st).normalized()
         g, chi = Z2.element((1,)), Z2.character((1,))
         remnants = [
-            {(2, -2): clock_z(g), (1, -1): shift_x(g)},
-            {(3, -3): clock_z(chi), (2, -2): shift_x(chi)},
+            [((2, -2), clock_z(g)), ((1, -1), shift_x(g))],
+            [((3, -3), clock_z(chi)), ((2, -2), shift_x(chi))],
         ]
         for factors in remnants:
-            kinds = {
-                s: SiteKind.VERTEX_DUAL if s[0] % 2 == 0 else SiteKind.EDGE_GROUP
-                for s in factors
-            }
-            op = ProductOperator.from_dict(factors, kinds, 2)
+            op = ProductOperator.from_factors(factors, 2)
             assert abs(state.inner(state.apply(op)) - 1) > 0.5

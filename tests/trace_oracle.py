@@ -91,9 +91,17 @@ def _plaquette_term_table(spec: CodeSpec):
     for center in centers:
         group_family = center[0] % 2 == 1
         labels = list(spec.group.elements()) if group_family else list(spec.group.characters())
-        ops = [_plaquette_corners(spec, center, lab) for lab in labels]
+        ops = [_corner_map(spec, center, lab) for lab in labels]
         per_plaquette.append((center, ops))
     return centers, per_plaquette
+
+
+def _corner_map(spec: CodeSpec, center, label) -> dict:
+    """Site -> corner factor of one plaquette term, identity factors kept."""
+    corners: dict = {}
+    for site, op in _plaquette_corners(spec, center, label):
+        corners[site] = op.multiply(corners[site]) if site in corners else op
+    return corners
 
 
 def _first_label(spec: CodeSpec, center):
@@ -118,11 +126,12 @@ def trace_ground_dimension(spec: CodeSpec, cap_bits: float = 20.0) -> int:
         )
     L = spec.group.phase_modulus
     sites = [s for s, _ in lat.sites()]
+    kinds = dict(lat.sites())
     site_index = {s: i for i, s in enumerate(sites)}
     # Which plaquettes touch each site, in global plaquette order.
     touching: list[list[int]] = [[] for _ in sites]
     for p, (center, _) in enumerate(per_plaquette):
-        for site in _plaquette_corners(spec, center, _first_label(spec, center)):
+        for site in _corner_map(spec, center, _first_label(spec, center)):
             touching[site_index[site]].append(p)
     ident = MonomialOperator.identity(size, L)
     # Local trace tables: per site, over joint labels of its plaquettes.
@@ -134,7 +143,7 @@ def trace_ground_dimension(spec: CodeSpec, cap_bits: float = 20.0) -> int:
         dead = np.zeros(shape, dtype=bool)
         phases = np.zeros(shape, dtype=np.int64)
         for local in itertools.product(range(size), repeat=len(plqs)):
-            op = ident
+            op = ident.with_kind(kinds[site])
             for p, lab_idx in zip(plqs, local):
                 corner = per_plaquette[p][1][lab_idx].get(site)
                 op = corner.multiply(op)
