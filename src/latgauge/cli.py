@@ -364,7 +364,10 @@ def _op_from_json(spec: CodeSpec, data: dict) -> ProductOperator:
     if "string" in data:
         s = data["string"]
         label_exps = tuple(int(x) for x in s["label"])
-        label = group.element(label_exps) if s.get("family", "group") == "group" else group.character(label_exps)
+        family = s.get("family", "group")
+        if family not in ("group", "dual"):
+            raise ValueError(f"string family must be 'group' or 'dual', not {family!r}")
+        label = group.element(label_exps) if family == "group" else group.character(label_exps)
         sspec = StringSpec(tuple(tuple(p) for p in s["path"]), label, s["flavor"])
         return string_operator(spec, sspec)
     pairs = [ProductOperator.factor_from_json(item) for item in data["factors"]]

@@ -184,7 +184,7 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None, max_length
     if spec.twist_even is None or spec.twist_even.is_trivial:
         raise ValueError("confinement analysis needs a nontrivial even-layer twist")
     lat = spec.lattice
-    if lat.n < max_length + 1 or (lat.vertical == "periodic" and lat.m < 2 * max_length + 2):
+    if lat.n < max_length + 1 or lat.m < 2 * max_length + 2:
         raise ValueError("lattice too small to separate the tested string lengths")
     group = spec.group
     if g is None:

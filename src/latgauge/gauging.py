@@ -238,9 +238,14 @@ class GaugingMap:
         for i in range(layer.n):
             acc = None
             for label in labels:
-                term = out.apply(self.local_symmetry_op(i, label))
-                acc = term.amps if acc is None else acc + term.amps
-            out = StateVector(out.site_ids, out.kinds, out.dims, acc / size)
+                term = out.apply(self.local_symmetry_op(i, label)).amps
+                if acc is None:
+                    # The identity label's empty operator returns out.amps itself.
+                    acc = term.copy() if term is out.amps else term
+                else:
+                    acc += term
+            acc /= size
+            out = StateVector(out.site_ids, out.kinds, out.dims, acc)
         out.amps *= self.group.size**self.scale_power
         return out
 

@@ -293,7 +293,8 @@ class StateVector:
     """Dense amplitudes over an ordered list of sites (site_id, kind, dim).
 
     The flat index is row major in site order: the first site is the most
-    significant digit of the mixed-radix configuration label.
+    significant digit of the mixed-radix configuration label.  apply never
+    writes self.amps.
     """
 
     site_ids: tuple
@@ -339,8 +340,15 @@ class StateVector:
         return StateVector(self.site_ids, self.kinds, self.dims, self.amps.copy())
 
     def apply(self, op: ProductOperator) -> "StateVector":
-        """Apply a product operator; permutation plus phase per site."""
+        """Apply a product operator; permutation plus phase per site.
+
+        Each factor moves the d slices along its axis into another buffer:
+        a copy where the phase exponent is 0, one multiply otherwise.  A
+        diagonal factor after the first multiplies the owned buffer in
+        place.  self.amps is never written; the empty operator returns it.
+        """
         out = self.amps
+        spare = None
         w = np.exp(2j * np.pi / op.modulus) if op.factors else 1.0
         for site, mono in op.factors:
             axis = self.axis_of(site)
@@ -349,12 +357,21 @@ class StateVector:
             d = self.dims[axis]
             if mono.dim != d:
                 raise ValueError(f"operator dimension mismatch at {site!r}")
-            pre = int(np.prod(self.dims[:axis])) if axis else 1
-            post = int(np.prod(self.dims[axis + 1:])) if axis + 1 < len(self.dims) else 1
-            cur = out.reshape(pre, d, post)
-            nxt = np.empty_like(cur)
+            shape = (int(np.prod(self.dims[:axis])), d, -1)
             phases = w ** np.array(mono.phase)
-            nxt[:, np.array(mono.perm), :] = cur * phases[None, :, None]
+            cur = out.reshape(shape)
+            if out is not self.amps and mono.perm == tuple(range(d)):
+                for j, p in enumerate(mono.phase):
+                    if p:
+                        cur[:, j, :] *= phases[j]
+                continue
+            nxt = (np.empty_like(out) if spare is None else spare).reshape(shape)
+            for j, (k, p) in enumerate(zip(mono.perm, mono.phase)):
+                if p:
+                    np.multiply(cur[:, j, :], phases[j], out=nxt[:, k, :])
+                else:
+                    nxt[:, k, :] = cur[:, j, :]
+            spare = None if out is self.amps else out
             out = nxt.reshape(-1)
         return StateVector(self.site_ids, self.kinds, self.dims, out)
 

@@ -251,6 +251,26 @@ class TestAnyonsCommand:
         assert result.exit_code == exit_code, result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "family, exit_code", [(None, 0), ("group", 0), ("dual", 0), ("bogus", 2), (1, 2)]
+    )
+    def test_string_family_is_group_or_dual(self, runner, tmp_path, family, exit_code):
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(json.dumps({"group": [3], "n": 3, "m": 4}))
+        # A group X string and a dual Z string both act on the edge (1, 1);
+        # other families get the flavor a dual label would need.
+        flavor = "X" if family in (None, "group") else "Z"
+        string = {"path": [[1, 1]], "label": [1], "flavor": flavor}
+        if family is not None:
+            string["family"] = family
+        ops_path = tmp_path / "ops.json"
+        ops_path.write_text(json.dumps([{"name": "s", "string": string}]))
+        result = runner.invoke(
+            main, ["anyons", "--spec", str(spec_path), "--op-file", str(ops_path)]
+        )
+        assert result.exit_code == exit_code, result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("bc, exit_code", [("torus", 0), ("cylinder", 0), ("tours", 2)])
     def test_spec_bc_is_torus_or_cylinder(self, runner, tmp_path, bc, exit_code):
         spec_path = tmp_path / "code.json"
@@ -305,6 +325,19 @@ class TestOtherCommands:
         result = runner.invoke(main, ["confine", "--spec", str(spec_path)])
         assert result.exit_code == 0, result.output
         assert report_from(result)["single_violations"] == 3
+
+    @pytest.mark.parametrize("m, exit_code", [(4, 2), (6, 2), (8, 0)])
+    def test_confine_spec_cylinder_height(self, runner, tmp_path, m, exit_code):
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(
+            json.dumps(
+                {"group": [2, 2], "n": 4, "m": m, "bc": "cylinder", "twist_even": "p12=1"}
+            )
+        )
+        result = runner.invoke(main, ["confine", "--spec", str(spec_path)])
+        assert result.exit_code == exit_code, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == (1 if exit_code == 2 else 0)
 
     def test_boundary(self, runner):
         result = runner.invoke(main, ["boundary", "--group", "2", "--subgroup", "e", "--n", "4"])

@@ -142,6 +142,16 @@ class TestConfinement:
             assert rep["string_strictly_increasing"]
             assert rep["dipole_constant"]
 
+    @pytest.mark.parametrize("vertical", ["periodic", "open"])
+    def test_height_bound_on_torus_and_cylinder(self, vertical):
+        alpha = enumerate_cocycle_classes(Z22)[1]
+        for m in (4, 6):
+            spec = CodeSpec(Lattice2D(Z22, 4, m, vertical), twist_even=alpha)
+            with pytest.raises(ValueError, match="too small"):
+                confinement_report(spec)
+        rep = confinement_report(CodeSpec(Lattice2D(Z22, 4, 8, vertical), twist_even=alpha))
+        assert rep["string_strictly_increasing"] and rep["dipole_constant"]
+
     def test_trivial_twist_rejected(self):
         with pytest.raises(ValueError):
             confinement_report(untwisted(Z22, 4, 8))

@@ -115,6 +115,34 @@ class TestSingleMap:
             LayerSpec(Z3, 0, 2, "periodic", matter_rep=tuple(bad.items()))
 
 
+class TestInputsAreNotWritten:
+    @pytest.mark.parametrize("group", [Z2, Z3])
+    def test_map_and_compose_leave_their_input(self, group):
+        layers = layer_stack(group, 3, 2)
+        gmap = build_gauging_map(layers[0])
+        # The identity label's symmetry is the empty operator, whose
+        # application returns the input array itself.
+        assert gmap.local_symmetry_op(0, group.identity()).factors == ()
+        stv = symmetric_random_state(group, layers[0], 3)
+        before = stv.amps.tobytes()
+        out = gmap.apply(stv)
+        assert stv.amps.tobytes() == before
+        compose_gauging(layers, stv)
+        assert stv.amps.tobytes() == before
+        # Out-of-place projector sum in label order: the in-place
+        # accumulation must give the same bits.
+        ref = stv.tensor(
+            StateVector.product_state(gmap.new_sites, [np.eye(group.size)[0]] * len(gmap.new_sites))
+        )
+        for i in range(layers[0].n):
+            terms = [ref.apply(gmap.local_symmetry_op(i, lab)).amps for lab in layers[0].labels()]
+            acc = terms[0]
+            for term in terms[1:]:
+                acc = acc + term
+            ref = StateVector(ref.site_ids, ref.kinds, ref.dims, acc / group.size)
+        assert np.array_equal(out.amps, ref.amps * group.size**gmap.scale_power)
+
+
 class TestEmergentSymmetry:
     @pytest.mark.parametrize("group", [Z2, Z3, Z22])
     @pytest.mark.parametrize("index", [0, 1])

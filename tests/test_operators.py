@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latgauge.gauging import compose_gauging, initial_state, layer_stack, stack_local_symmetry_ops
 from latgauge.groups import Cocycle, GroupSpec, enumerate_cocycle_classes, pair, slant_product
 from latgauge.operators import (
     FiniteGroupTable,
@@ -412,6 +413,143 @@ class TestApply:
             with pytest.raises(ValueError, match="site kind mismatch"):
                 stv.apply(op)
         stv.apply(ProductOperator.from_factors([(("a", 0), raw.with_kind(SiteKind.EDGE_GROUP))], 3))
+
+
+def scatter_apply(state, op):
+    """The former StateVector.apply: a full-size phase product per factor,
+    then a fancy-index scatter.  Kept only as the oracle of the slice-wise
+    kernel."""
+    out = state.amps
+    w = np.exp(2j * np.pi / op.modulus) if op.factors else 1.0
+    for site, mono in op.factors:
+        axis = state.axis_of(site)
+        d = state.dims[axis]
+        pre = int(np.prod(state.dims[:axis])) if axis else 1
+        post = int(np.prod(state.dims[axis + 1:])) if axis + 1 < len(state.dims) else 1
+        cur = out.reshape(pre, d, post)
+        nxt = np.empty_like(cur)
+        phases = w ** np.array(mono.phase)
+        nxt[:, np.array(mono.perm), :] = cur * phases[None, :, None]
+        out = nxt.reshape(-1)
+    return out
+
+
+# Mixed local dimensions with one phase modulus (6), so Z2 and Z3 phases
+# are multiples of 3 and 2.
+MIXED_SITES = [
+    (("m", 0), SiteKind.EDGE_GROUP),
+    (("m", 1), SiteKind.VERTEX_DUAL),
+    (("m", 2), SiteKind.EDGE_GROUP),
+    (("m", 3), SiteKind.VERTEX_DUAL),
+]
+MIXED_DIMS = (2, 3, 6, 2)
+
+
+def mixed_factor(choice, d, kind):
+    """A modulus-6 monomial on a site of dimension d.
+
+    clock: identity perm, nonzero phases; shift: cyclic shift with phases;
+    raw: the reversal j -> d-1-j (not a Weyl permutation for d > 2).
+    """
+    step = 6 // d
+    if choice == "clock":
+        return MonomialOperator(d, tuple(range(d)), tuple(step * j for j in range(d)), 6, kind)
+    if choice == "shift":
+        perm = tuple((j + 1) % d for j in range(d))
+        return MonomialOperator(d, perm, tuple(j * j for j in range(d)), 6, kind)
+    perm = tuple(d - 1 - j for j in range(d))
+    return MonomialOperator(d, perm, tuple((5 * j + 1) % 6 for j in range(d)), 6).with_kind(kind)
+
+
+MIXED_CHOICES = [
+    ("clock", "shift", "raw", "shift"),
+    ("shift", "clock", "clock", "raw"),
+    ("raw", "shift", "shift", "shift"),
+    ("clock", None, "clock", None),
+    (None, "raw", None, None),
+    (None, None, "shift", "clock"),
+    ("raw", "clock", "raw", "shift"),
+]
+
+
+def mixed_op(choices):
+    pairs = [
+        (site, mixed_factor(c, d, kind))
+        for (site, kind), d, c in zip(MIXED_SITES, MIXED_DIMS, choices)
+        if c is not None
+    ]
+    return ProductOperator.from_factors(pairs, 6)
+
+
+def twisted_ops():
+    """Projective shifts, their commuting partners and clocks on Z2xZ2 sites."""
+    alpha = enumerate_cocycle_classes(Z22)[1]
+    g, h = Z22.element((1, 0)), Z22.element((1, 1))
+    return [
+        ProductOperator.from_factors(
+            [(("a", 0), clock_z(Z22.character((1, 1)))), (("a", 1), projective_x(alpha, g)),
+             (("a", 2), projective_x_tilde(alpha, h))],
+            2,
+        ),
+        ProductOperator.from_factors(
+            [(("a", 0), projective_x_tilde(alpha, g)), (("a", 2), clock_z(Z22.character((0, 1))))],
+            2,
+        ),
+    ]
+
+
+TWISTED_SITES = [(("a", k), SiteKind.EDGE_GROUP) for k in range(3)]
+
+
+def apply_cases():
+    """(state, op) pairs covering every branch of StateVector.apply."""
+    cases = [
+        (random_state(MIXED_SITES, MIXED_DIMS, 10 + k), mixed_op(choices))
+        for k, choices in enumerate(MIXED_CHOICES)
+    ]
+    cases += [(random_state(TWISTED_SITES, (4, 4, 4), 20 + k), op) for k, op in enumerate(twisted_ops())]
+    cases.append((random_state(MIXED_SITES, MIXED_DIMS, 30), ProductOperator.identity_op(6)))
+    return cases
+
+
+class TestSliceWiseApply:
+    @pytest.mark.parametrize("case", range(len(apply_cases())))
+    def test_apply_equals_the_scatter_formula(self, case):
+        stv, op = apply_cases()[case]
+        assert np.array_equal(stv.apply(op).amps, scatter_apply(stv, op))
+
+    def test_apply_on_a_gauged_stack(self):
+        # Interior symmetries are four-body: diagonal, two shifts, diagonal.
+        layers = layer_stack(Z3, 3, 3)
+        stv = compose_gauging(layers, initial_state(Z3, layers[0]))
+        for _, op in stack_local_symmetry_ops(layers):
+            assert np.array_equal(stv.apply(op).amps, scatter_apply(stv, op))
+
+    def test_mismatch_after_a_valid_factor_is_refused(self):
+        stv = random_state(MIXED_SITES, MIXED_DIMS, 50)
+        before = stv.amps.copy()
+        good = (("m", 0), mixed_factor("shift", 2, SiteKind.EDGE_GROUP))
+        bad = [
+            ((("m", 1), mixed_factor("shift", 2, SiteKind.VERTEX_DUAL)), "operator dimension mismatch"),
+            ((("m", 2), mixed_factor("raw", 6, SiteKind.VERTEX_DUAL)), "site kind mismatch"),
+        ]
+        for pair_, message in bad:
+            op = ProductOperator.from_factors([good, pair_], 6)
+            with pytest.raises(ValueError, match=message):
+                stv.apply(op)
+        assert stv.amps.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("case", range(len(apply_cases())))
+    def test_input_is_not_written(self, case):
+        stv, op = apply_cases()[case]
+        before = stv.amps.copy()
+        out = stv.apply(op)
+        assert stv.amps.tobytes() == before.tobytes()
+        # Only the empty operator hands back the input array.
+        if op.factors:
+            assert not np.shares_memory(out.amps, stv.amps)
+        else:
+            assert out.amps is stv.amps
 
 
 class TestFluxOperators:
