@@ -36,6 +36,7 @@ from .operators import (
     SiteKind,
     StateVector,
     clock_z,
+    flatten_product_operator,
     projective_x,
     projective_x_tilde,
     shift_x,
@@ -443,28 +444,6 @@ def verify_local_symmetry(state: StateVector, layers, tol: float = 1e-10) -> dic
         "violations": [c for c in checks if not c["passed"]],
         "num_checked": len(checks),
     }
-
-
-def flatten_product_operator(site_ids, dims, op: ProductOperator):
-    """Composite (perm, phase) arrays of a product operator on a full space."""
-    total = int(np.prod(dims))
-    perm = np.arange(total, dtype=np.int64)
-    phase = np.zeros(total, dtype=np.int64)
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides = list(reversed(strides))
-    for site, mono in op.factors:
-        axis = site_ids.index(site)
-        d = dims[axis]
-        digits = (perm // strides[axis]) % d
-        local_perm = np.array(mono.perm, dtype=np.int64)
-        local_phase = np.array(mono.phase, dtype=np.int64)
-        phase = (phase + local_phase[digits]) % op.modulus
-        perm = perm + (local_perm[digits] - digits) * strides[axis]
-    return perm, phase
 
 
 # -- zero dimensional gauging -------------------------------------------------

@@ -18,8 +18,8 @@ Ground-space dimension.  Every bulk term is a Weyl operator, a phase
 times a vector of shifts and characters per site, so the dimension is
 |G|**sites over the order of the group the terms generate, read off an
 integer echelon form of those vectors (0 when the group holds a scalar
-other than 1).  A dense oracle that projects random vectors and ranks
-them checks it independently.
+other than 1).  A dense oracle counts it again, exactly, from the orbits
+of basis states on which the terms' phases are consistent.
 """
 
 from __future__ import annotations
@@ -35,13 +35,15 @@ from .operators import (
     MonomialOperator,
     ProductOperator,
     SiteKind,
-    StateVector,
     clock_z,
     commutation_phase,
+    flatten_product_operator,
     projective_x,
     projective_x_tilde,
     shift_x,
 )
+
+DENSE_ORACLE_CAP = 2**14  # amplitudes up to which reports run the dense oracle
 
 
 class GeometryError(ValueError):
@@ -393,47 +395,50 @@ def ground_space_dimension(spec: CodeSpec) -> int:
     return joint_eigenspace_dimension(ops, [s for s, _ in lat.sites()], spec.group)
 
 
-def ground_space_dimension_dense(
-    spec: CodeSpec, seed: int = 7, tol: float = 1e-8, dim_cap: int = 2**14
-) -> int:
-    """Independent oracle: rank of the projected image of random vectors.
+def orbit_eigenspace_dimension(ops, sites, group: GroupSpec) -> int:
+    """Exact dimension of the joint +1 eigenspace of monomial operators.
 
-    Applies every plaquette projector to a batch of random states and
-    counts the numerical rank, growing the batch until it exceeds the
-    rank found.  Works for any boundary supported by the term builders.
+    With op|x> = w**phase[x] |perm[x]>, a joint +1 eigenvector is fixed up
+    to scale on each orbit of the perms: give the orbit's least state the
+    exponent theta = 0 and follow forward edges (every perm has finite
+    order), and the orbit holds one when every edge of every op agrees,
+    theta[perm[x]] = theta[x] + phase[x] mod L.  It never forms the group
+    the ops generate, so it checks joint_eigenspace_dimension independently.
     """
+    L = group.phase_modulus
+    flat = [flatten_product_operator(sites, (group.size,) * len(sites), op) for op in ops]
+    root = np.arange(group.size ** len(sites))
+    while True:
+        new = root
+        for perm, _ in flat:
+            new = np.minimum(new, new[perm])
+        new = new[new]
+        if np.array_equal(new, root):
+            break
+        root = new
+    is_root = root == np.arange(root.size)
+    theta = np.where(is_root, 0, -1)
+    frontier = np.flatnonzero(is_root)
+    while frontier.size:
+        reached = np.zeros(root.size, dtype=bool)
+        for perm, phase in flat:
+            src = frontier[theta[perm[frontier]] < 0]
+            theta[perm[src]] = (theta[src] + phase[src]) % L
+            reached[perm[src]] = True
+        frontier = np.flatnonzero(reached)
+    broken = np.zeros(root.size, dtype=bool)
+    for perm, phase in flat:
+        broken |= theta[perm] != (theta + phase) % L
+    return int(np.count_nonzero(is_root)) - np.unique(root[broken]).size
+
+
+def ground_space_dimension_dense(spec: CodeSpec, dim_cap: int = DENSE_ORACLE_CAP) -> int:
+    """Independent oracle: orbit count over the bulk terms, for any boundary."""
     lat = spec.lattice
     if lat.total_dim > dim_cap:
         raise CapExceededError("dense oracle dimension cap exceeded")
-    terms = build_bulk_stabilizers(spec)
-    by_center: dict = {}
-    for t in terms:
-        by_center.setdefault(t.label.center, []).append(t.op)
-    sites = lat.sites()
-    dims = tuple(spec.group.size for _ in sites)
-    rng = np.random.default_rng(seed)
-    batch = 8
-    while True:
-        vecs = []
-        for _ in range(batch):
-            raw = rng.normal(size=lat.total_dim) + 1j * rng.normal(size=lat.total_dim)
-            st = StateVector(
-                tuple(s for s, _ in sites), tuple(k for _, k in sites), dims, raw
-            )
-            for ops in by_center.values():
-                acc = np.zeros_like(st.amps)
-                for op in ops:
-                    acc += st.apply(op).amps
-                st = StateVector(st.site_ids, st.kinds, st.dims, acc / len(ops))
-            vecs.append(st.amps)
-        mat = np.array(vecs)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        rank = int(np.sum(sv > tol * max(1.0, sv[0] if len(sv) else 1.0)))
-        if rank < batch:
-            return rank
-        batch *= 2
-        if batch > 4 * lat.total_dim:
-            raise ArithmeticError("dense oracle failed to converge")
+    ops = [t.op for t in build_bulk_stabilizers(spec)]
+    return orbit_eigenspace_dimension(ops, [s for s, _ in lat.sites()], spec.group)
 
 
 # -- logical operators --------------------------------------------------------

@@ -285,6 +285,23 @@ def commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent |
     return total
 
 
+def flatten_product_operator(site_ids, dims, op: ProductOperator):
+    """(perm, phase) arrays with op|x> = w**phase[x] |perm[x]> on the full space.
+
+    Basis states x are numbered row major in site order, as in StateVector.
+    """
+    total = int(np.prod(dims))
+    perm = np.arange(total, dtype=np.int64)
+    phase = np.zeros(total, dtype=np.int64)
+    for site, mono in op.factors:
+        axis = site_ids.index(site)
+        stride = int(np.prod(dims[axis + 1 :]))
+        digits = (perm // stride) % dims[axis]
+        phase = (phase + np.array(mono.phase, dtype=np.int64)[digits]) % op.modulus
+        perm += (np.array(mono.perm, dtype=np.int64)[digits] - digits) * stride
+    return perm, phase
+
+
 # -- dense states ------------------------------------------------------------
 
 

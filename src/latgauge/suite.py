@@ -48,6 +48,7 @@ from .groups import (
     slant_product,
 )
 from .lattice import (
+    DENSE_ORACLE_CAP,
     CodeSpec,
     Lattice2D,
     build_bulk_stabilizers,
@@ -112,7 +113,7 @@ def criterion_ground_untwisted() -> dict:
             spec = CodeSpec(Lattice2D(group, n, m, "periodic"))
             dim = ground_space_dimension(spec)
             entry = {"group": orders, "n": n, "m": m, "dimension": dim, "expected": group.size**2}
-            if spec.lattice.total_dim <= 2**14:
+            if spec.lattice.total_dim <= DENSE_ORACLE_CAP:
                 entry["dense"] = ground_space_dimension_dense(spec)
                 if entry["dense"] != dim:
                     ok = False
@@ -143,7 +144,7 @@ def criterion_ground_twisted() -> dict:
     for n, m in [(2, 2), (3, 2), (4, 2), (2, 6)]:
         spec = CodeSpec(Lattice2D(group, n, m, "periodic"), twist_even=alpha)
         dim = ground_space_dimension(spec)
-        dense = ground_space_dimension_dense(spec) if spec.lattice.total_dim <= 2**14 else None
+        dense = ground_space_dimension_dense(spec) if spec.lattice.total_dim <= DENSE_ORACLE_CAP else None
         entries.append({"n": n, "m": m, "dimension": dim, "dense": dense})
         if dim != group.size or (dense is not None and dense != dim):
             ok = False

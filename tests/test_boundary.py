@@ -16,10 +16,10 @@ from latgauge.boundary import (
     symmetry_operator,
 )
 from latgauge.cyclotomic import mono_mul_left, mono_mul_right
-from latgauge.gauging import LayerSpec, build_gauging_map, compose_gauging, flatten_product_operator, layer_stack
+from latgauge.gauging import LayerSpec, build_gauging_map, compose_gauging, layer_stack
 from latgauge.groups import GroupSpec, all_subgroups, enumerate_cocycle_classes, restricted_characters
 from latgauge.lattice import CodeSpec, Lattice2D, build_boundary_terms
-from latgauge.operators import ProductOperator
+from latgauge.operators import ProductOperator, flatten_product_operator
 
 Z2 = GroupSpec((2,))
 Z4 = GroupSpec((4,))

@@ -83,6 +83,11 @@ class TestCodeCommand:
         args = ["code", "--group", "2", "--n", "2", "--m", "2", "--cap-bits", "10"]
         assert runner.invoke(main, args).exit_code == 2
 
+    def test_seed_option_is_gone(self, runner):
+        args = ["code", "--group", "2", "--n", "2", "--m", "2", "--seed", "7"]
+        assert runner.invoke(main, args).exit_code == 2
+        assert "--seed" not in runner.invoke(main, ["code", "--help"]).output
+
     def test_cylinder_includes_boundary_checks(self, runner):
         result = runner.invoke(
             main, ["code", "--group", "2", "--n", "2", "--m", "2", "--bc", "cylinder"]
@@ -352,6 +357,12 @@ class TestOtherCommands:
         rep = report_from(result)
         assert all(rep["condensation"]["group_anyons"].values())
 
+    def test_boundary_trivial_beta_runs(self, runner):
+        args = ["boundary", "--group", "2,2", "--subgroup", "all", "--n", "4", "--beta", "p12=0"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert all(c["passed"] for c in report_from(result)["checks"])
+
     def test_tn(self, runner):
         result = runner.invoke(main, ["tn", "--group", "2,2", "--mpo-layers"])
         assert result.exit_code == 0, result.output
@@ -372,6 +383,7 @@ class TestConfigErrors:
             ["compose", "--group", "2", "--tol", "-1"],
             ["compose", "--group", "2", "--tol", "0"],
             ["confine", "--group", "2,2", "--twist-even", "p12=1", "--n", "1"],
+            ["boundary", "--group", "2,2", "--subgroup", "all", "--n", "4", "--beta", "p12=1"],
         ],
         ids=[
             "compose-one-site",
@@ -383,6 +395,7 @@ class TestConfigErrors:
             "compose-negative-tol",
             "compose-zero-tol",
             "confine-one-site",
+            "boundary-nontrivial-beta",
         ],
     )
     def test_exit_two_with_one_line_message(self, runner, args):

@@ -1,5 +1,6 @@
 """Lattice code: geometry, stabilizers, ground space, logicals."""
 
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from latgauge import gauging, lattice
 from latgauge.gauging import compose_gauging, initial_state, layer_stack
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes, slant_product
 from latgauge.lattice import (
+    DENSE_ORACLE_CAP,
     CodeSpec,
     GeometryError,
     Lattice2D,
@@ -18,6 +20,7 @@ from latgauge.lattice import (
     ground_space_dimension_dense,
     joint_eigenspace_dimension,
     logical_operators,
+    orbit_eigenspace_dimension,
 )
 from latgauge.operators import (
     MonomialOperator,
@@ -29,7 +32,7 @@ from latgauge.operators import (
     shift_x,
 )
 from latgauge.suite import GROUPS, TORI
-from trace_oracle import trace_ground_dimension
+from trace_oracle import random_projection_dimension, trace_ground_dimension
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -58,6 +61,31 @@ def _oracle_configs():
                         twists = f"{even is not None:d}{odd is not None:d}"
                         tag = f"{'x'.join(map(str, orders))}-{n}x{m}-{twists}-{orientation}"
                         configs.append(pytest.param(spec, id=tag))
+    return configs
+
+
+def _suite_dense_configs():
+    """The tori on which `gauge suite` runs the dense oracle, with its caps.
+
+    Criterion 2: every GROUPS x TORI torus within DENSE_ORACLE_CAP.
+    Criterion 3: the twisted Z2xZ2 tori within that cap, and the 2x4 torus
+    it checks up to 2**17 amplitudes.
+    """
+    configs = []
+    for orders in GROUPS:
+        group = GroupSpec(orders)
+        for n, m in TORI:
+            spec = CodeSpec(Lattice2D(group, n, m, "periodic"))
+            if spec.lattice.total_dim <= DENSE_ORACLE_CAP:
+                tag = f"{'x'.join(map(str, orders))}-{n}x{m}"
+                configs.append(pytest.param(spec, DENSE_ORACLE_CAP, id=tag))
+    alpha = enumerate_cocycle_classes(Z22)[1]
+    for n, m in [(2, 2), (3, 2), (4, 2), (2, 6)]:
+        spec = CodeSpec(Lattice2D(Z22, n, m, "periodic"), twist_even=alpha)
+        if spec.lattice.total_dim <= DENSE_ORACLE_CAP:
+            configs.append(pytest.param(spec, DENSE_ORACLE_CAP, id=f"2x2-{n}x{m}-twisted"))
+    spec = CodeSpec(Lattice2D(Z22, 2, 4, "periodic"), twist_even=alpha)
+    configs.append(pytest.param(spec, 2**17, id="2x2-2x4-twisted"))
     return configs
 
 
@@ -182,8 +210,34 @@ class TestGroundSpace:
     def test_matches_trace_and_dense_oracles(self, spec):
         dim = ground_space_dimension(spec)
         assert dim == trace_ground_dimension(spec, cap_bits=16.0)
-        if spec.lattice.total_dim <= 2**14:
+        if spec.lattice.total_dim <= DENSE_ORACLE_CAP:
             assert dim == ground_space_dimension_dense(spec)
+        if spec.lattice.total_dim <= 2**12:
+            assert dim == random_projection_dimension(spec)
+
+    @pytest.mark.parametrize("spec,cap", _suite_dense_configs())
+    def test_dense_oracle_matches_normal_form_on_suite_tori(self, spec, cap):
+        assert ground_space_dimension_dense(spec, dim_cap=cap) == ground_space_dimension(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [pytest.param(p.values[0], id=p.id) for p in _suite_dense_configs() if p.values[1] == DENSE_ORACLE_CAP],
+    )
+    def test_dense_oracle_matches_normal_form_with_one_phase_shifted(self, spec):
+        # w times one non-identity term: the label map stops being a
+        # representation, and both counts must see the same consequence.
+        ops = [t.op for t in build_bulk_stabilizers(spec)]
+        k = next(i for i, op in enumerate(ops) if op.factors)
+        (site, mono), *rest = ops[k].factors
+        shifted = replace(mono, phase=tuple(p + 1 for p in mono.phase))
+        ops[k] = ProductOperator(((site, shifted), *rest), ops[k].modulus)
+        sites = [s for s, _ in spec.lattice.sites()]
+        assert orbit_eigenspace_dimension(ops, sites, spec.group) == joint_eigenspace_dimension(
+            ops, sites, spec.group
+        )
+
+    def test_no_ops_fix_the_whole_space(self):
+        assert orbit_eigenspace_dimension([], ["a", "b"], Z3) == 9
 
     @pytest.mark.parametrize(
         "group,n,m,twisted,expected",
@@ -212,6 +266,7 @@ class TestGroundSpace:
         ]
         assert all(commutation_phase(p, q).is_one for p in ops for q in ops)
         assert joint_eigenspace_dimension(ops, sites, Z2) == 0
+        assert orbit_eigenspace_dimension(ops, sites, Z2) == 0
         dense = [np.kron(*(dict(op.factors)[s].to_dense() for s in sites)) for op in ops]
         assert np.allclose(dense[0] @ dense[1] @ dense[2], -np.eye(4))
         proj = np.eye(4)

@@ -1,4 +1,4 @@
-"""Trace-formula oracle for the torus ground-space dimension.
+"""Slow-path oracles for the ground-space dimension: trace formula and random projection.
 
 Expands tr prod_p Pi_p over all |G|**plaquettes label assignments.  Each
 assignment contributes a product of single-site traces, each of which is
@@ -7,6 +7,11 @@ assignment histogram over phases is converted to an exact integer by
 reducing it against the cyclotomic polynomial.  The enumeration is
 exponential, so it refuses inputs over its assignment cap; tests compare
 lattice.ground_space_dimension against it at small sizes.
+
+random_projection_dimension is the floating-point oracle the dense orbit
+count replaced: the numerical rank of random states after every plaquette
+projector.  Tests compare lattice.ground_space_dimension_dense against it
+on small spaces.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import math
 
 import numpy as np
 
-from latgauge.lattice import CodeSpec, GeometryError, _plaquette_corners
-from latgauge.operators import CapExceededError, MonomialOperator
+from latgauge.lattice import CodeSpec, GeometryError, _plaquette_corners, build_bulk_stabilizers
+from latgauge.operators import CapExceededError, MonomialOperator, StateVector
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,3 +190,46 @@ def trace_ground_dimension(spec: CodeSpec, cap_bits: float = 20.0) -> int:
     if value < 0:
         raise ArithmeticError("trace produced a negative dimension")
     return int(value)
+
+
+def random_projection_dimension(
+    spec: CodeSpec, seed: int = 7, tol: float = 1e-8, dim_cap: int = 2**14
+) -> int:
+    """Independent oracle: rank of the projected image of random vectors.
+
+    Applies every plaquette projector to a batch of random states and
+    counts the numerical rank, growing the batch until it exceeds the
+    rank found.  Works for any boundary supported by the term builders.
+    """
+    lat = spec.lattice
+    if lat.total_dim > dim_cap:
+        raise CapExceededError("dense oracle dimension cap exceeded")
+    terms = build_bulk_stabilizers(spec)
+    by_center: dict = {}
+    for t in terms:
+        by_center.setdefault(t.label.center, []).append(t.op)
+    sites = lat.sites()
+    dims = tuple(spec.group.size for _ in sites)
+    rng = np.random.default_rng(seed)
+    batch = 8
+    while True:
+        vecs = []
+        for _ in range(batch):
+            raw = rng.normal(size=lat.total_dim) + 1j * rng.normal(size=lat.total_dim)
+            st = StateVector(
+                tuple(s for s, _ in sites), tuple(k for _, k in sites), dims, raw
+            )
+            for ops in by_center.values():
+                acc = np.zeros_like(st.amps)
+                for op in ops:
+                    acc += st.apply(op).amps
+                st = StateVector(st.site_ids, st.kinds, st.dims, acc / len(ops))
+            vecs.append(st.amps)
+        mat = np.array(vecs)
+        sv = np.linalg.svd(mat, compute_uv=False)
+        rank = int(np.sum(sv > tol * max(1.0, sv[0] if len(sv) else 1.0)))
+        if rank < batch:
+            return rank
+        batch *= 2
+        if batch > 4 * lat.total_dim:
+            raise ArithmeticError("dense oracle failed to converge")
