@@ -251,12 +251,14 @@ def compose(group_text, num_layers, n, bc, twist_even, twist_odd, max_dim, tol, 
 @click.option("--twist-even", default=None)
 @click.option("--twist-odd", default=None)
 @click.option("--beta", default=None, help="boundary cocycle (cylinder only)")
-@click.option("--subgroup", default=None, help="bottom boundary subgroup, e.g. 'e' or '0,0;1,1'")
+@click.option("--subgroup", default=None, help="bottom boundary subgroup (cylinder only), e.g. 'e' or '0,0;1,1'")
 @click.option("--orientation", type=click.Choice(["standard", "reflected"]), default="standard", show_default=True)
 @click.option("--report", "out", default=None, help="report path")
 def code(group_text, n, m, bc, twist_even, twist_odd, beta, subgroup, orientation, out):
     """Build the 2D code, check commutation, and compute the ground space."""
     group = parse_group(group_text)
+    if bc == "torus" and (beta is not None or subgroup is not None):
+        raise ConfigError("--beta and --subgroup set the cylinder's bottom boundary; a torus has none")
     te = parse_twist(group, twist_even)
     to = parse_twist(group, twist_odd)
     bb = parse_twist(group, beta)

@@ -24,6 +24,7 @@ of basis states on which the terms' phases are consistent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -151,6 +152,19 @@ class CodeSpec:
         return self.lattice.group
 
 
+@functools.cache
+def _corner_factors(alpha: Cocycle, label, orientation: str) -> tuple:
+    """(west, east, north, south) factors of a plaquette for one label."""
+    west = projective_x_tilde(alpha, label)
+    east = projective_x(alpha, label)
+    clock = clock_z(label)
+    north, south = clock.adjoint(), clock
+    if orientation == "reflected":
+        west, east = east, west
+        north, south = south, north
+    return west, east, north, south
+
+
 def _plaquette_corners(spec: CodeSpec, center: tuple[int, int], label) -> list:
     """(site, factor) corners of the plaquette at `center` for one label.
 
@@ -158,19 +172,14 @@ def _plaquette_corners(spec: CodeSpec, center: tuple[int, int], label) -> list:
     shift east, adjoint clock north, clock south.  Reflected swaps both
     pairs; the two conventions generate the same stabilizer group.  On a
     two-row torus north and south wrap onto the same site and their
-    clocks multiply away.
+    clocks multiply away.  The factors depend only on (cocycle, label,
+    orientation) and are built once per distinct key.
     """
     lat = spec.lattice
     j, c = center
     twist = spec.twist_even if j % 2 == 1 else spec.twist_odd
     alpha = twist if twist is not None else Cocycle.trivial(spec.group)
-    west = projective_x_tilde(alpha, label)
-    east = projective_x(alpha, label)
-    clock = clock_z(label)
-    north, south = clock.adjoint(), clock
-    if spec.orientation == "reflected":
-        west, east = east, west
-        north, south = south, north
+    west, east, north, south = _corner_factors(alpha, label, spec.orientation)
     return [
         (lat.wrap(j, c - 1), west),
         (lat.wrap(j, c + 1), east),

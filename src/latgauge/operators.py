@@ -42,6 +42,7 @@ use floating point with the tolerances fixed by the callers.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -260,29 +261,42 @@ class ProductOperator:
         return cls.from_factors(map(cls.factor_from_json, data["factors"]), data["modulus"])
 
 
+@functools.cache
+def _site_commutator(ma: MonomialOperator, mb: MonomialOperator) -> int | None:
+    """Exponent k with ma.mb = w**k mb.ma on one site, or None if not scalar."""
+    ab, ba = ma.multiply(mb), mb.multiply(ma)
+    if ab.perm != ba.perm:
+        return None
+    diffs = {(x - y) % ab.modulus for x, y in zip(ab.phase, ba.phase)}
+    if len(diffs) != 1:
+        return None
+    return diffs.pop()
+
+
 def commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent | None:
     """Scalar c with a.b = c b.a, or None when the commutator is not scalar.
 
     Computed sitewise by comparing a.b with b.a on each shared site; the
     result is a global phase exactly when every shared site contributes a
-    scalar.
+    scalar.  The per-site comparison is memoized on the pair of factors,
+    so its cost grows with the number of distinct factor pairs, not with
+    the number of operator pairs compared.
     """
     if a.modulus != b.modulus:
         raise ValueError("phase moduli differ")
     fb = dict(b.factors)
-    total = PhaseExponent.one(a.modulus)
+    total = 0
     for site, ma in a.factors:
         mb = fb.get(site)
         if mb is None:
             continue
-        ab, ba = ma.multiply(mb), mb.multiply(ma)
-        if ab.perm != ba.perm:
+        k = _site_commutator(ma, mb)
+        if k is None:
             return None
-        diffs = {(x - y) % ab.modulus for x, y in zip(ab.phase, ba.phase)}
-        if len(diffs) != 1:
-            return None
-        total = total * PhaseExponent(diffs.pop(), ab.modulus)
-    return total
+        if ma.modulus != a.modulus:
+            raise GroupMismatchError("phases with different moduli")
+        total += k
+    return PhaseExponent(total, a.modulus)
 
 
 def flatten_product_operator(site_ids, dims, op: ProductOperator):

@@ -62,6 +62,7 @@ from .operators import (
     SiteKind,
     StateVector,
     clock_z,
+    commutation_phase,
     fusion_coefficients,
     irrep_flux_operator,
 )
@@ -323,8 +324,6 @@ def criterion_braiding() -> dict:
             string_operator(spec, StringSpec(vertical_string_path(spec, 3, 1, 2), g, "X"))
         )
         zs_op = string_operator(spec, StringSpec(horizontal_string_path(spec, 1, 1, 3), chi, "Z"))
-        from .operators import commutation_phase
-
         ph2 = commutation_phase(zs_op, double)
         checks.append(ph2 == pair(chi, g) * pair(chi, g))
     return {

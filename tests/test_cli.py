@@ -98,9 +98,11 @@ class TestCodeCommand:
 
     def test_invalid_subgroup_is_config_error(self, runner):
         result = runner.invoke(
-            main, ["code", "--group", "4", "--n", "2", "--m", "2", "--subgroup", "1"]
+            main,
+            ["code", "--group", "4", "--n", "2", "--m", "2", "--bc", "cylinder", "--subgroup", "1"],
         )
         assert result.exit_code == 2
+        assert "not closed" in result.output
 
     def test_invalid_size_is_config_error(self, runner):
         result = runner.invoke(main, ["code", "--group", "2", "--n", "1", "--m", "2"])
@@ -384,6 +386,10 @@ class TestConfigErrors:
             ["compose", "--group", "2", "--tol", "0"],
             ["confine", "--group", "2,2", "--twist-even", "p12=1", "--n", "1"],
             ["boundary", "--group", "2,2", "--subgroup", "all", "--n", "4", "--beta", "p12=1"],
+            ["code", "--group", "2,2", "--beta", "p12=1"],
+            ["code", "--group", "2,2", "--beta", "p12=0"],
+            ["code", "--group", "2,2", "--subgroup", "e"],
+            ["code", "--group", "2", "--bc", "torus", "--subgroup", "all"],
         ],
         ids=[
             "compose-one-site",
@@ -396,6 +402,10 @@ class TestConfigErrors:
             "compose-zero-tol",
             "confine-one-site",
             "boundary-nontrivial-beta",
+            "code-torus-beta",
+            "code-torus-trivial-beta",
+            "code-torus-subgroup",
+            "code-torus-whole-group",
         ],
     )
     def test_exit_two_with_one_line_message(self, runner, args):

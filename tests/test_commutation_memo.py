@@ -1,0 +1,169 @@
+"""The memoized sitewise commutator and plaquette corners against the slow path.
+
+`sitewise_commutation_phase` is `operators.commutation_phase` as it was
+before the per-site comparison was memoized: it multiplies both orders on
+every shared site for every pair.  The memoized path must give the same
+phase, the same None and the same errors, and its work must not grow
+with the lattice.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from latgauge import lattice, operators
+from latgauge.groups import GroupMismatchError, GroupSpec, PhaseExponent, enumerate_cocycle_classes
+from latgauge.lattice import CodeSpec, Lattice2D, build_bulk_stabilizers, check_all_commute
+from latgauge.operators import (
+    MonomialOperator,
+    ProductOperator,
+    SiteKind,
+    clock_z,
+    commutation_phase,
+    shift_x,
+)
+from latgauge.suite import GROUPS, TORI, _twist_combinations
+
+Z4 = GroupSpec((4,))
+Z22 = GroupSpec((2, 2))
+
+
+def sitewise_commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent | None:
+    """Scalar c with a.b = c b.a, or None; recomputed on every shared site."""
+    if a.modulus != b.modulus:
+        raise ValueError("phase moduli differ")
+    fb = dict(b.factors)
+    total = PhaseExponent.one(a.modulus)
+    for site, ma in a.factors:
+        mb = fb.get(site)
+        if mb is None:
+            continue
+        ab, ba = ma.multiply(mb), mb.multiply(ma)
+        if ab.perm != ba.perm:
+            return None
+        diffs = {(x - y) % ab.modulus for x, y in zip(ab.phase, ba.phase)}
+        if len(diffs) != 1:
+            return None
+        total = total * PhaseExponent(diffs.pop(), ab.modulus)
+    return total
+
+
+def _suite_tori():
+    """Every torus of criterion 1: GROUPS x twist pairs x TORI."""
+    params = []
+    for orders in GROUPS:
+        group = GroupSpec(orders)
+        for even, odd in _twist_combinations(group):
+            for n, m in TORI:
+                spec = CodeSpec(Lattice2D(group, n, m, "periodic"), twist_even=even, twist_odd=odd)
+                twists = f"{even is not None:d}{odd is not None:d}"
+                params.append(pytest.param(spec, id=f"{'x'.join(map(str, orders))}-{n}x{m}-{twists}"))
+    return params
+
+
+def _overlapping_pairs(ops):
+    """Ordered pairs of distinct operators that share a site."""
+    by_site: dict = {}
+    for idx, op in enumerate(ops):
+        for site in op.support:
+            by_site.setdefault(site, set()).add(idx)
+    return sorted({(a, b) for idxs in by_site.values() for a in idxs for b in idxs if a != b})
+
+
+def _clear_caches():
+    operators._site_commutator.cache_clear()
+    lattice._corner_factors.cache_clear()
+
+
+class TestAgainstSitewiseOracle:
+    @pytest.mark.parametrize("spec", _suite_tori())
+    def test_every_overlapping_pair(self, spec):
+        ops = [t.op for t in build_bulk_stabilizers(spec)]
+        pairs = _overlapping_pairs(ops)
+        assert pairs
+        for a, b in pairs:
+            assert commutation_phase(ops[a], ops[b]) == sitewise_commutation_phase(ops[a], ops[b])
+
+    @pytest.mark.parametrize("spec", _suite_tori())
+    def test_one_shifted_phase_gives_the_same_violations(self, spec, monkeypatch):
+        # w on one basis state of one factor: the term stops being a Weyl
+        # operator, and both paths must find the same broken pairs.
+        terms = build_bulk_stabilizers(spec)
+        k = next(i for i, t in enumerate(terms) if t.op.factors)
+        (site, mono), *rest = terms[k].op.factors
+        shifted = replace(mono, phase=(mono.phase[0] + 1,) + mono.phase[1:])
+        terms[k] = replace(terms[k], op=ProductOperator(((site, shifted), *rest), terms[k].op.modulus))
+        fast = check_all_commute(terms)
+        monkeypatch.setattr(lattice, "commutation_phase", sitewise_commutation_phase)
+        slow = check_all_commute(terms)
+        assert fast == slow
+        assert not fast["passed"]
+
+    def test_raw_non_weyl_factor_gives_none(self):
+        reversal = MonomialOperator(4, (3, 2, 1, 0), (0,) * 4, 4).with_kind(SiteKind.EDGE_GROUP)
+        shift = shift_x(Z4.element((1,)))
+        a = ProductOperator.from_factors([("s", reversal)], 4)
+        b = ProductOperator.from_factors([("s", shift)], 4)
+        for _ in range(2):
+            assert sitewise_commutation_phase(a, b) is None
+            assert commutation_phase(a, b) is None
+            assert commutation_phase(b, a) is None
+
+    def test_mixed_kinds_raise_after_a_cached_call(self):
+        shift = shift_x(Z22.element((1, 0)))
+        clock = clock_z(Z22.character((1, 1)))
+        a = ProductOperator.from_factors([("s", shift)], 2)
+        b = ProductOperator.from_factors([("s", clock)], 2)
+        assert commutation_phase(a, b) == sitewise_commutation_phase(a, b) == PhaseExponent(1, 2)
+        wrong = ProductOperator.from_factors([("s", clock.with_kind(SiteKind.VERTEX_DUAL))], 2)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                commutation_phase(a, wrong)
+            with pytest.raises(ValueError):
+                sitewise_commutation_phase(a, wrong)
+
+    def test_factor_modulus_other_than_the_product_modulus_raises(self):
+        shift = shift_x(Z4.element((1,)))
+        clock = clock_z(Z4.character((1,)))
+        a = ProductOperator((("s", shift),), 2)
+        b = ProductOperator((("s", clock),), 2)
+        for path in (sitewise_commutation_phase, commutation_phase):
+            with pytest.raises(GroupMismatchError):
+                path(a, b)
+
+
+class TestWorkDoesNotGrowWithTheLattice:
+    @pytest.mark.parametrize(
+        "orders,twisted,sizes,misses",
+        [
+            ((2, 2), False, (4, 16), 72),
+            ((2, 2), True, (4, 16), 105),
+            ((4, 2), False, (4, 8), 392),
+        ],
+    )
+    def test_site_commutator_misses_do_not_depend_on_size(self, orders, twisted, sizes, misses):
+        group = GroupSpec(orders)
+        alpha = enumerate_cocycle_classes(group)[1] if twisted else None
+        for size in sizes:
+            _clear_caches()
+            spec = CodeSpec(Lattice2D(group, size, size, "periodic"), twist_even=alpha)
+            assert check_all_commute(build_bulk_stabilizers(spec))["passed"]
+            assert operators._site_commutator.cache_info().misses == misses
+
+    @pytest.mark.parametrize("spec", _suite_tori())
+    def test_corner_factors_built_twice_per_group_element(self, spec):
+        _clear_caches()
+        terms = build_bulk_stabilizers(spec)
+        info = lattice._corner_factors.cache_info()
+        assert info.misses == 2 * spec.group.size
+        assert info.hits + info.misses == len(terms)
+
+    def test_element_and_character_labels_do_not_collide(self):
+        _clear_caches()
+        alpha = enumerate_cocycle_classes(Z22)[1]
+        g, chi = Z22.element((1, 0)), Z22.character((1, 0))
+        edge = lattice._corner_factors(alpha, g, "standard")
+        vertex = lattice._corner_factors(alpha, chi, "standard")
+        assert lattice._corner_factors.cache_info().misses == 2
+        assert [f.kind for f in edge] == [SiteKind.EDGE_GROUP] * 2 + [SiteKind.VERTEX_DUAL] * 2
+        assert [f.kind for f in vertex] == [SiteKind.VERTEX_DUAL] * 2 + [SiteKind.EDGE_GROUP] * 2
