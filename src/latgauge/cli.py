@@ -336,6 +336,8 @@ def _load_code_spec(path: str) -> CodeSpec:
         bc = data.get("bc", "torus")
         if bc not in ("torus", "cylinder"):
             raise ValueError(f"bc must be 'torus' or 'cylinder', not {bc!r}")
+        if bc == "torus" and (data.get("beta") is not None or data.get("subgroup") is not None):
+            raise ValueError("beta and subgroup set the cylinder's bottom boundary; a torus has none")
         vertical = "periodic" if bc == "torus" else "open"
         lattice = Lattice2D(group, int(data["n"]), int(data["m"]), vertical)
 

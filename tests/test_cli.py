@@ -206,8 +206,9 @@ class TestAnyonsCommand:
         assert result.exit_code == 2
 
     def test_spec_orientation_and_subgroup_are_read(self, runner, tmp_path):
-        # A one-site Z(chi) string on a Z3 torus: reflecting the plaquettes
-        # conjugates the syndrome phase of label (1,) at center (1, 0).
+        # A one-site Z(chi) string on a Z3 cylinder: reflecting the plaquettes
+        # conjugates the syndrome phase of label (1,) at center (1, 0).  The
+        # subgroup needs the cylinder; a torus spec with one exits 2.
         group = GroupSpec((3,))
         ops_path = tmp_path / "ops.json"
         string = {"path": [[1, 1]], "label": [1], "family": "dual", "flavor": "Z"}
@@ -216,7 +217,10 @@ class TestAnyonsCommand:
             spec_path = tmp_path / f"{orientation}.json"
             spec_path.write_text(
                 json.dumps(
-                    {"group": [3], "n": 3, "m": 4, "orientation": orientation, "subgroup": "e"}
+                    {
+                        "group": [3], "n": 3, "m": 4, "bc": "cylinder",
+                        "orientation": orientation, "subgroup": "e",
+                    }
                 )
             )
             result = runner.invoke(
@@ -224,7 +228,11 @@ class TestAnyonsCommand:
             )
             assert result.exit_code == 0, result.output
             table = report_from(result)["syndromes"][0]
-            spec = CodeSpec(Lattice2D(group, 3, 4), orientation=orientation)
+            spec = CodeSpec(
+                Lattice2D(group, 3, 4, "open"),
+                subgroup_bottom=parse_subgroup(group, "e"),
+                orientation=orientation,
+            )
             op = string_operator(spec, StringSpec(((1, 1),), group.character((1,)), "Z"))
             expected = json.loads(json.dumps(syndrome(spec, op).as_json()))
             assert table["violations"] == expected["violations"]
@@ -323,6 +331,27 @@ class TestOtherCommands:
         )
         result = runner.invoke(main, ["confine", "--spec", str(spec_path)])
         assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize("command", ["confine", "anyons"])
+    @pytest.mark.parametrize(
+        "extra",
+        [{"beta": "p12=1", "subgroup": "e"}, {"beta": "p12=1"}, {"beta": "p12=0"}, {"subgroup": "all"}],
+        ids=["both", "beta", "trivial-beta", "subgroup"],
+    )
+    def test_torus_spec_with_bottom_boundary_is_config_error(self, runner, tmp_path, command, extra):
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(
+            json.dumps({"group": [2, 2], "n": 4, "m": 8, "twist_even": "p12=1", **extra})
+        )
+        ops_path = tmp_path / "ops.json"
+        ops_path.write_text("[]")
+        args = [command, "--spec", str(spec_path)]
+        if command == "anyons":
+            args += ["--op-file", str(ops_path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "a torus has none" in errors[0]
 
     def test_confine_from_spec_file(self, runner, tmp_path):
         spec_path = tmp_path / "code.json"

@@ -1,6 +1,7 @@
 """Gauging maps: normalization, emergent identities, composition, pairs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from latgauge.gauging import (
     zero_dim_gauge,
 )
 from latgauge.groups import Cocycle, GroupSpec, enumerate_cocycle_classes
-from latgauge.operators import ProductOperator, SiteKind, StateVector, clock_z, shift_x
+from latgauge.operators import (
+    ProductOperator,
+    SiteKind,
+    StateVector,
+    clock_z,
+    commutation_phase,
+    shift_x,
+)
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -308,6 +316,89 @@ class TestCompose:
             rows.setdefault(sid[0], []).append(sid[1])
         assert {j: len(v) for j, v in rows.items()} == {0: 2, 1: 3, 2: 4, 3: 5}
         assert verify_local_symmetry(out, layers)["passed"]
+
+
+def traced_peak(fn):
+    """(result, peak bytes) of fn() under tracemalloc, which sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestDenseBuffers:
+    def test_one_buffer_across_stack_symmetries(self):
+        layers = layer_stack(Z3, 3, 3)
+        state = compose_gauging(layers, initial_state(Z3, layers[0])).normalized()
+        buffer = np.empty_like(state.amps)
+        for _, op in stack_local_symmetry_ops(layers):
+            fresh = state.apply(op)
+            reused = state.apply(op, out=buffer)
+            assert reused.amps is buffer
+            assert np.array_equal(reused.amps, fresh.amps)
+            assert state.inner(reused) == state.inner(fresh)
+
+    def test_map_keeps_three_full_size_buffers(self):
+        # The last of five Z2 layers: the stacked state, the accumulator and
+        # one term buffer.  Fresh per-term arrays peaked at 4x the output.
+        layers = layer_stack(Z2, 3, 5)
+        state = compose_gauging(layers[:4], initial_state(Z2, layers[0]))
+        gmap = build_gauging_map(layers[4])
+        out, peak = traced_peak(lambda: gmap.apply(state))
+        assert peak < 3.5 * out.amps.nbytes
+
+    def test_local_symmetry_check_keeps_one_extra_buffer(self):
+        # The normalized copy and one buffer for every symmetry; a fresh
+        # array per symmetry peaked at 3x the state.
+        layers = layer_stack(Z2, 3, 5)
+        state = compose_gauging(layers, initial_state(Z2, layers[0]))
+        rep, peak = traced_peak(lambda: verify_local_symmetry(state, layers))
+        assert rep["passed"]
+        assert peak < 2.5 * state.amps.nbytes
+
+
+class TestIdentityEntries:
+    def stack(self):
+        layers = layer_stack(Z3, 2, 3)
+        return layers, compose_gauging(layers, initial_state(Z3, layers[0]))
+
+    def test_empty_operators_are_counted_and_pass_without_an_overlap(self, monkeypatch):
+        layers, state = self.stack()
+        ops = stack_local_symmetry_ops(layers)
+        empty = [name for name, op in ops if not op.factors]
+        assert empty and len(empty) < len(ops)
+        calls = []
+        inner = StateVector.inner
+        monkeypatch.setattr(StateVector, "inner", lambda a, b: calls.append(1) or inner(a, b))
+        rep = verify_local_symmetry(state, layers)
+        assert rep["passed"] and rep["num_checked"] == len(ops)
+        assert len(calls) == len(ops) - len(empty)
+
+    def test_empty_operators_record_overlap_exactly_one(self):
+        # With a zero tolerance every entry is listed, so each recorded
+        # overlap can be read.
+        layers, state = self.stack()
+        ops = dict(stack_local_symmetry_ops(layers))
+        rep = verify_local_symmetry(state, layers, tol=0.0)
+        assert [c["op"] for c in rep["violations"]] == list(ops)
+        for check in rep["violations"]:
+            if not ops[check["op"]].factors:
+                assert check["overlap"] == 1
+
+    def test_excitation_at_one_site_lists_its_non_empty_violations(self):
+        layers, state = self.stack()
+        site = (1, 1)
+        kick = ProductOperator.from_factors([(site, shift_x(Z3.element((1,))))], Z3.phase_modulus)
+        rep = verify_local_symmetry(state.apply(kick), layers)
+        ops = dict(stack_local_symmetry_ops(layers))
+        listed = [c["op"] for c in rep["violations"]]
+        expected = [name for name, op in ops.items() if not commutation_phase(op, kick).is_one]
+        assert listed == expected
+        assert listed and all(site in ops[name].support for name in listed)
+        assert rep["num_checked"] == len(ops)
 
 
 class TestZeroDimGauge:

@@ -6,6 +6,11 @@ in rounding would show.  The first three configurations have norms of
 exactly 1.0; the Z3 and Z2xZ3 stacks are there because theirs sit a few
 ulps off 1.0, where a different order of operations would show.
 
+The last two `compose` files were written before StateVector.apply moved
+each array once: the twisted Z2xZ2 stack on both layer parities puts
+phases on both permuted factors of every projective shift, and the open
+Z3 trapezoid has norms a few ulps off 1.0.
+
 The `gauge code` files were written while the dense ground-space oracle
 still ranked random projections; the two torus cases pin its `dense`
 entry, and the cylinder case the report without one.
@@ -30,6 +35,13 @@ CASES = {
     ],
     "compose_z3_layers3_n2.json": ["compose", "--group", "3", "--layers", "3", "--n", "2"],
     "compose_z2xz3_layers2_n2.json": ["compose", "--group", "2,3", "--layers", "2", "--n", "2"],
+    "compose_z2xz2_layers4_n2_twist_both.json": [
+        "compose", "--group", "2,2", "--layers", "4", "--n", "2", "--twist-even", "p12=1",
+        "--twist-odd", "p12=1",
+    ],
+    "compose_z3_layers3_n2_open.json": [
+        "compose", "--group", "3", "--layers", "3", "--n", "2", "--bc", "open",
+    ],
     "code_z2xz2_n2_m2_twist_even.json": [
         "code", "--group", "2,2", "--n", "2", "--m", "2", "--twist-even", "p12=1",
     ],
