@@ -11,7 +11,8 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
 configuration.  Reports contain no timings or other nondeterministic
 fields, so identical configurations produce byte-identical output.  The
 amplitude cap (default 2**24) can be overridden with GAUGE_MAX_DIM or
---max-dim.
+--max-dim; a value that is not a positive integer, or a cap too small for
+the requested checks, exits 2.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ def building_config():
         yield
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def check_env_cap() -> None:
+    """Exit 2 on a GAUGE_MAX_DIM that is not a positive integer, before any work."""
+    with building_config():
+        dimension_cap()
 
 
 def parse_group(text: str) -> GroupSpec:
@@ -185,7 +192,7 @@ def main() -> None:
 @click.option("--bc", type=click.Choice(["periodic", "open"]), default="periodic", show_default=True)
 @click.option("--twist-even", default=None, help="cocycle for even layers, p12=1 or row-major")
 @click.option("--twist-odd", default=None, help="cocycle for odd layers")
-@click.option("--max-dim", type=int, default=None, help="amplitude cap override")
+@click.option("--max-dim", type=click.IntRange(min=1), default=None, help="amplitude cap override")
 @click.option(
     "--tol", type=click.FloatRange(min=0, min_open=True), default=1e-10, show_default=True,
     help="state check tolerance",
@@ -198,6 +205,7 @@ def compose(group_text, num_layers, n, bc, twist_even, twist_odd, max_dim, tol, 
     to = parse_twist(group, twist_odd)
     if num_layers < 1:
         raise ConfigError("need at least one layer")
+    check_env_cap()
     with building_config():
         layers = layer_stack(group, n, num_layers, bc, twist_even=te, twist_odd=to)
     checks = []
@@ -220,7 +228,10 @@ def compose(group_text, num_layers, n, bc, twist_even, twist_odd, max_dim, tol, 
     for layer in layers:
         gmap = build_gauging_map(layer)
         if gmap.out_dim * gmap.in_dim * group.phase_modulus <= 2**22:
-            rep = verify_emergent_symmetry(gmap)
+            try:
+                rep = verify_emergent_symmetry(gmap)
+            except CapExceededError as exc:
+                raise ConfigError(str(exc))
             rep["name"] = f"emergent_symmetry_layer{layer.index}"
             rep["claim"] = "the dual symmetry on the new row fixes the map"
             checks.append(rep)
@@ -527,13 +538,14 @@ def boundary(group_text, subgroup, n, m, beta, out):
 @main.command()
 @click.option("--group", "group_text", required=True)
 @click.option("--mpo-layers", is_flag=True, help="also compare MPO layers with the dense maps")
-@click.option("--n", type=int, default=2, show_default=True)
+@click.option("--n", type=click.IntRange(min=2), default=2, show_default=True, help="sites per row")
 @click.option("--out", default=None)
 def tn(group_text, mpo_layers, n, out):
     """Tensor identities and MPO equivalence."""
     group = parse_group(group_text)
     layers = []
     if mpo_layers:
+        check_env_cap()
         with building_config():
             layers = [
                 LayerSpec(group, index, n, bc, None, offset=-index if bc == "open" else 0)
@@ -577,7 +589,11 @@ def tn(group_text, mpo_layers, n, out):
 @click.option("--out", default=None)
 def suite(out):
     """Run the complete verification battery."""
-    report = suite_mod.run_suite(echo=click.echo)
+    check_env_cap()
+    try:
+        report = suite_mod.run_suite(echo=click.echo)
+    except CapExceededError as exc:
+        raise ConfigError(f"{exc}; the suite needs a larger GAUGE_MAX_DIM")
     emit(report, out)
     sys.exit(0 if report["passed"] else 1)
 

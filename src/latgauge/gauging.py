@@ -49,7 +49,12 @@ def dimension_cap(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get("GAUGE_MAX_DIM")
-    return int(env) if env else DEFAULT_DIM_CAP
+    if not env:
+        return DEFAULT_DIM_CAP
+    cap = int(env) if env.strip().isdigit() else 0
+    if cap < 1:
+        raise ValueError(f"GAUGE_MAX_DIM must be a positive integer, not {env!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -151,8 +156,8 @@ class GaugingMap:
     """Concrete gauging map for one layer.
 
     apply() is the scalable path (dense amplitudes, projector products);
-    exact_matrix() enumerates the map at desk scale as an exact tensor of
-    root-of-unity counts for zero-tolerance operator identities.
+    exact_matrix() enumerates the map at desk scale as a sparse exact tensor
+    of root-of-unity counts for zero-tolerance operator identities.
     """
 
     def __init__(self, layer: LayerSpec):
@@ -249,14 +254,17 @@ class GaugingMap:
         out.amps *= self.group.size**self.scale_power
         return out
 
-    # -- exact dense form ----------------------------------------------------
+    # -- exact sparse form ---------------------------------------------------
 
     def exact_matrix(self) -> PhaseTensor:
-        """Exact (out, in, L) count tensor of the raw term sum.
+        """Exact sparse (out, in) PhaseTensor of the raw term sum.
 
         Rows are indexed by (matter config, new config) with matter sites
         first; the overall positive normalization is not included, so
-        identities should be checked projectively or on both sides.
+        identities should be checked projectively or on both sides.  Each
+        of the |G|**n projector terms contributes one root per input
+        config; the entries are collected as (flat index, root) arrays
+        and merged once, so no dense array is built.
         """
         L = self.group.phase_modulus
         size = self.group.size
@@ -266,7 +274,7 @@ class GaugingMap:
         alpha = self.layer.twist if self.layer.twist is not None else Cocycle.trivial(self.group)
         spec = self.group
         n_new = len(self.new_sites)
-        counts = np.zeros((self.out_dim, self.in_dim, L), dtype=np.int64)
+        flats, roots = [], []
         # Per matter site, the diagonal phase of the matter representation,
         # as a (basis state, label) table.
         all_labels = [lab.exps for lab in self.layer.labels()]
@@ -308,8 +316,11 @@ class GaugingMap:
             for col in range(1, n):
                 phases = phases + pair_table[m_configs[:, col], t_idx[col]]
             rows = m_flat * (size**n_new) + new_flat
-            np.add.at(counts, (rows, m_flat, phases % L), 1)
-        return PhaseTensor(counts)
+            flats.append(rows * self.in_dim + m_flat)
+            roots.append(phases)
+        return PhaseTensor.from_entries(
+            (self.out_dim, self.in_dim), L, np.concatenate(flats), np.concatenate(roots)
+        )
 
 
 def build_gauging_map(layer: LayerSpec) -> GaugingMap:

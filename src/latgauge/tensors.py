@@ -4,11 +4,12 @@ Each gauging layer is a matrix product operator built from two tensors of
 bond dimension |G|: an M tensor sitting on the matter sites (diagonal in
 the virtual label, acting as the matter clock) and a T tensor emitting the
 new site between two matter sites (a difference delta with a 1/|G|
-prefactor).  Every tensor is a cyclotomic.PhaseTensor: each nonzero entry
-is one root of unity, so its count vector is one-hot, and the T prefactor
-is the tensor's scale.  A symmetry identity dresses legs with monomial
-operators (cyclotomic.mono_mul_left on that leg) and is checked by exact
-equality.
+prefactor).  Every tensor is a sparse cyclotomic.PhaseTensor: each nonzero
+entry is one root of unity, stored as one key with multiplicity 1, and the
+T prefactor is the tensor's scale.  A symmetry identity dresses legs with
+monomial operators (cyclotomic.mono_mul_left on that leg) and is checked by
+exact equality.  The layer MPO reads the stored M and T entries and emits
+its own entries as (flat index, root) arrays, never a dense count array.
 
 Index order conventions (row major in serialization):
 
@@ -44,20 +45,20 @@ def build_tensor(name: str, group: GroupSpec) -> PhaseTensor:
     """Exact entries of the named MPO tensor."""
     size = group.size
     L = group.phase_modulus
+    flat, roots = [], []
     if name in M_NAMES:
-        counts = np.zeros((size,) * 4 + (L,), dtype=np.int64)
         for v in range(size):
             for p in range(size):
-                k = group.pair_exponent(group.exps_of(p), group.exps_of(v)) % L
-                counts[v, v, p, p, k] = 1
-        return PhaseTensor(counts)
+                flat.append(np.ravel_multi_index((v, v, p, p), (size,) * 4))
+                roots.append(group.pair_exponent(group.exps_of(p), group.exps_of(v)))
+        return PhaseTensor.from_entries((size,) * 4, L, flat, roots)
     if name in T_NAMES:
-        counts = np.zeros((size,) * 3 + (L,), dtype=np.int64)
         for l in range(size):
             for r in range(size):
                 p = group.index_of(group.add_exps(group.exps_of(l), group.neg_exps(group.exps_of(r))))
-                counts[p, l, r, 0] = 1
-        return PhaseTensor(counts, Fraction(1, size))
+                flat.append(np.ravel_multi_index((p, l, r), (size,) * 3))
+                roots.append(0)
+        return PhaseTensor.from_entries((size,) * 3, L, flat, roots, scale=Fraction(1, size))
     raise ValueError(f"unknown tensor name {name!r}")
 
 
@@ -119,7 +120,7 @@ def block_diamond(m_name: str, t_name: str, group: GroupSpec) -> PhaseTensor:
     tensor one layer below.
     """
     d = contract(build_tensor(m_name, group), build_tensor(t_name, group), (3, 0))
-    return PhaseTensor(np.moveaxis(d.counts, 2, 4), d.scale)
+    return d.transpose((0, 1, 3, 4, 2))
 
 
 def blocked_diamond_identities(m_name: str, group: GroupSpec):
@@ -204,18 +205,29 @@ def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
     out_dim, in_dim = gmap.out_dim, gmap.in_dim
     if out_dim * in_dim * L > dimension_cap():
         raise ValueError("exact MPO contraction too large")
-    counts = np.zeros((out_dim, in_dim, L), dtype=np.int64)
     matter_pos = layer.matter_positions()
     new_pos = layer.new_positions()
     open_bc = layer.boundary == "open"
     e_idx = group.index_of(group.identity().exps)
     n_new = len(new_pos)
     # Diagonal phase of the M tensor per (virtual label, physical state).
-    diag = np.arange(size)
-    m_phase = m_tensor.counts[diag[:, None], diag[:, None], diag, diag].argmax(axis=-1)
+    left, right, p_out, p_in = np.unravel_index(m_tensor.flat_indices, m_tensor.shape)
+    diagonal = (left == right) & (p_out == p_in)
+    m_phase = np.zeros((size, size), dtype=np.int64)
+    m_phase[left[diagonal], p_out[diagonal]] = m_tensor.roots[diagonal]
+    # The T tensor as (physical output, root) per (left, right) label pair.
+    t_out, t_left, t_right = np.unravel_index(t_tensor.flat_indices, t_tensor.shape)
+    per_pair = np.bincount(t_left * size + t_right, minlength=size * size)
+    if not np.all(per_pair == 1):
+        raise ArithmeticError("T tensor column is not a single delta")
+    t_phys = np.empty((size, size), dtype=np.int64)
+    t_root = np.empty((size, size), dtype=np.int64)
+    t_phys[t_left, t_right] = t_out
+    t_root[t_left, t_right] = t_tensor.roots
     m_configs = list(itertools.product(range(size), repeat=n))
     m_flat = np.array([int(np.ravel_multi_index(c, (size,) * n)) for c in m_configs], dtype=np.int64)
     m_array = np.array(m_configs, dtype=np.int64)
+    flats, roots = [], []
     for t in itertools.product(range(size), repeat=n):
         by_pos = {}
         extra = 0
@@ -225,13 +237,9 @@ def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
             bonds += [(t[n - 1], e_idx, matter_pos[n - 1] + 1)]
         else:
             bonds = [(t[i], t[(i + 1) % n], (matter_pos[i] + 1) % (2 * n)) for i in range(n)]
-        for left, right, pos in bonds:
-            hits = np.argwhere(t_tensor.counts[:, left, right])
-            if len(hits) != 1:
-                raise ArithmeticError("T tensor column is not a single delta")
-            p, k = hits[0]
-            by_pos[pos] = int(p)
-            extra += int(k)
+        for l, r, pos in bonds:
+            by_pos[pos] = int(t_phys[l, r])
+            extra += int(t_root[l, r])
         new_flat = 0
         for pos in new_pos:
             new_flat = new_flat * size + by_pos[pos]
@@ -239,9 +247,12 @@ def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
         for col in range(1, n):
             phases = phases + m_phase[t[col], m_array[:, col]]
         rows = m_flat * (size**n_new) + new_flat
-        np.add.at(counts, (rows, m_flat, phases % L), 1)
+        flats.append(rows * in_dim + m_flat)
+        roots.append(phases)
     num_t = n if not open_bc else n + 1
-    return PhaseTensor(counts, t_tensor.scale**num_t)
+    return PhaseTensor.from_entries(
+        (out_dim, in_dim), L, np.concatenate(flats), np.concatenate(roots), scale=t_tensor.scale**num_t
+    )
 
 
 # -- stacked networks ---------------------------------------------------------

@@ -410,6 +410,7 @@ class TestConfigErrors:
             ["code", "--group", "2", "--bc", "cylinder", "--m", "3"],
             ["tn", "--group", "2", "--check-pull-through"],
             ["tn", "--group", "2", "--n", "1", "--mpo-layers"],
+            ["tn", "--group", "2", "--n", "0"],
             ["tn", "--group", "2", "--n", "8", "--mpo-layers"],
             ["compose", "--group", "2", "--tol", "-1"],
             ["compose", "--group", "2", "--tol", "0"],
@@ -426,6 +427,7 @@ class TestConfigErrors:
             "code-odd-cylinder",
             "tn-dead-flag",
             "tn-one-site",
+            "tn-zero-sites-without-mpo",
             "tn-mpo-too-large",
             "compose-negative-tol",
             "compose-zero-tol",
@@ -442,6 +444,42 @@ class TestConfigErrors:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+        assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
+
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compose", "--group", "2", "--layers", "2", "--n", "2"],
+            ["compose", "--group", "2", "--layers", "2", "--n", "2", "--max-dim", "4096"],
+            ["suite"],
+            ["tn", "--group", "2", "--mpo-layers"],
+        ],
+        ids=["compose", "compose-max-dim", "suite", "tn"],
+    )
+    def test_bad_env_cap_is_named(self, runner, args, value):
+        result = runner.invoke(main, args, env={"GAUGE_MAX_DIM": value})
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "GAUGE_MAX_DIM" in errors[0], result.output
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_max_dim_is_named(self, runner, value):
+        result = runner.invoke(main, ["compose", "--group", "2", "--max-dim", value])
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "--max-dim" in errors[0], result.output
+
+    @pytest.mark.parametrize(
+        "args, cap",
+        [(["compose", "--group", "2", "--layers", "2", "--n", "2"], "100"), (["suite"], "1000")],
+        ids=["compose-exact-map", "suite"],
+    )
+    def test_env_cap_below_the_checks_is_config_error(self, runner, args, cap):
+        result = runner.invoke(main, args, env={"GAUGE_MAX_DIM": cap})
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
         assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
 
 
