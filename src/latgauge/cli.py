@@ -552,20 +552,16 @@ def tn(group_text, mpo_layers, n, out):
                 for index in (0, 1)
                 for bc in ("periodic", "open")
             ]
-            for layer in layers:
-                gmap = build_gauging_map(layer)
-                if gmap.out_dim * gmap.in_dim * group.phase_modulus > dimension_cap():
-                    raise ValueError(
-                        f"exact MPO contraction of layer {layer.index} ({layer.boundary}) is too large"
-                    )
     rep = pull_through_check(group)
     rep["claim"] = "every tensor symmetry identity holds with zero deviation"
     checks = [rep]
     if mpo_layers:
         ok = True
         for layer in layers:
-            gmap = build_gauging_map(layer)
-            ratio = contract_mpo_layer(layer).proportional(gmap.exact_matrix())
+            try:
+                ratio = contract_mpo_layer(layer).proportional(build_gauging_map(layer).exact_matrix())
+            except CapExceededError as exc:
+                raise ConfigError(str(exc))
             if ratio is None or ratio <= 0:
                 ok = False
         checks.append(

@@ -12,9 +12,10 @@ cyclotomic relations.
 Monomial operators act on one index by remapping that coordinate of every
 key and adding its phase to the root, and two tensors contract by a join
 on the contracted index in which root exponents add mod L and
-multiplicities multiply.  Each operation costs time in the number of
-nonzero entries, not in the size of the dense array, and no floating
-point enters these checks.
+multiplicities multiply.  A trace keeps the entries whose two traced
+coordinates agree, which closes a ring of contracted tensors exactly.
+Each operation costs time in the number of nonzero entries, not in the
+size of the dense array, and no floating point enters these checks.
 """
 
 from __future__ import annotations
@@ -125,6 +126,17 @@ class PhaseTensor:
         shape = tuple(self.shape[a] for a in axes)
         flat = np.ravel_multi_index(tuple(index[a] for a in axes), shape)
         return PhaseTensor.from_entries(shape, self.modulus, flat, self.roots, self.mults, self.scale)
+
+    def trace(self, a: int, b: int) -> "PhaseTensor":
+        """The sum over the diagonal of indices a and b, as numpy.trace(axis1=a, axis2=b)."""
+        if self.shape[a] != self.shape[b]:
+            raise ValueError("traced indices have different dimensions")
+        index = np.unravel_index(self.flat_indices, self.shape)
+        keep = index[a] == index[b]
+        rest = [k for k in range(len(self.shape)) if k not in (a, b)]
+        shape = tuple(self.shape[k] for k in rest)
+        flat = np.ravel_multi_index(tuple(index[k][keep] for k in rest), shape)
+        return PhaseTensor.from_entries(shape, self.modulus, flat, self.roots[keep], self.mults[keep], self.scale)
 
 
 def _split_axis(tensor: PhaseTensor, axis: int) -> tuple[np.ndarray, np.ndarray]:

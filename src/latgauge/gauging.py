@@ -390,27 +390,29 @@ def verify_emergent_symmetry(gmap: GaugingMap) -> dict:
     return {"name": "emergent_symmetry", "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def verify_string_order_mapping(layer: LayerSpec, i: int, i_prime: int, label) -> dict:
-    """Exact operator identity G . bare_pair = dressed_pair . G."""
-    gmap = build_gauging_map(layer)
+def verify_string_order_mapping(gmap: GaugingMap) -> dict:
+    """Exact operator identity G . bare_pair = dressed_pair . G for every pair and shift label.
+
+    Each pair i < i' of matter sites is checked with every shift label of
+    the matter row (characters on even layers, elements on odd ones)
+    against one exact matrix of the map.
+    """
     exact = gmap.exact_matrix()
-    bare, dressed = gmap.charged_pair_ops(i, i_prime, label)
     in_sites = [s for s, _ in gmap.matter_sites]
     in_dims = tuple(gmap.group.size for _ in in_sites)
     out_sites = [s for s, _ in gmap.out_sites]
     out_dims = tuple(gmap.group.size for _ in out_sites)
-    perm_in, phase_in = flatten_product_operator(in_sites, in_dims, bare)
-    perm_out, phase_out = flatten_product_operator(out_sites, out_dims, dressed)
-    lhs = mono_mul_right(exact, perm_in, phase_in)
-    rhs = mono_mul_left(exact, perm_out, phase_out)
-    ok = lhs == rhs
-    return {
-        "name": "string_order_mapping",
-        "i": i,
-        "i_prime": i_prime,
-        "label": label.exps,
-        "passed": bool(ok),
-    }
+    labels = list(gmap.group.characters() if gmap.layer.parity == "even" else gmap.group.elements())
+    checks = []
+    for i, i_prime in itertools.combinations(range(gmap.layer.n), 2):
+        for label in labels:
+            bare, dressed = gmap.charged_pair_ops(i, i_prime, label)
+            perm_in, phase_in = flatten_product_operator(in_sites, in_dims, bare)
+            perm_out, phase_out = flatten_product_operator(out_sites, out_dims, dressed)
+            lhs = mono_mul_right(exact, perm_in, phase_in)
+            rhs = mono_mul_left(exact, perm_out, phase_out)
+            checks.append({"i": i, "i_prime": i_prime, "label": label.exps, "passed": bool(lhs == rhs)})
+    return {"name": "string_order_mapping", "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 def stack_local_symmetry_ops(layers) -> list[tuple[str, ProductOperator]]:

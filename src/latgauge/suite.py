@@ -232,12 +232,8 @@ def criterion_string_order_mapping() -> dict:
     for orders in [(2,), (3,), (2, 2)]:
         group = GroupSpec(orders)
         for index in (0, 1):
-            layer = LayerSpec(group, index, 3, "periodic")
-            labels = list(group.characters()) if index == 0 else list(group.elements())
-            for i, i_prime in [(0, 1), (0, 2), (1, 2)]:
-                for lab in labels:
-                    rep = verify_string_order_mapping(layer, i, i_prime, lab)
-                    checks.append(rep["passed"])
+            rep = verify_string_order_mapping(build_gauging_map(LayerSpec(group, index, 3, "periodic")))
+            checks += [c["passed"] for c in rep["checks"]]
     return {
         "name": "string_order_mapping",
         "claim": "two-point symmetric operators map to string order operators",

@@ -8,8 +8,9 @@ prefactor).  Every tensor is a sparse cyclotomic.PhaseTensor: each nonzero
 entry is one root of unity, stored as one key with multiplicity 1, and the
 T prefactor is the tensor's scale.  A symmetry identity dresses legs with
 monomial operators (cyclotomic.mono_mul_left on that leg) and is checked by
-exact equality.  The layer MPO reads the stored M and T entries and emits
-its own entries as (flat index, root) arrays, never a dense count array.
+exact equality.  The layer MPO is contracted from the same M and T tensors
+by cyclotomic.contract, one virtual leg at a time, and shares no code with
+GaugingMap.exact_matrix, which it is checked against.
 
 Index order conventions (row major in serialization):
 
@@ -26,7 +27,6 @@ which with the diagonal matter representation used throughout equals M_e.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +35,7 @@ import numpy as np
 from .cyclotomic import PhaseTensor, contract, mono_mul_left
 from .gauging import LayerSpec, build_gauging_map, dimension_cap
 from .groups import GroupSpec
-from .operators import StateVector, clock_z, shift_x
+from .operators import CapExceededError, StateVector, clock_z, shift_x
 
 M_NAMES = ("M_tilde", "M_e", "M_o")
 T_NAMES = ("T_e", "T_o")
@@ -187,71 +187,47 @@ def pull_through_check(group: GroupSpec, names=None) -> dict:
 def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
     """Contract the layer's M-T chain into an exact operator tensor.
 
-    Output rows are ordered (matter config, new config) exactly as in
+    An M tensor sits on each matter site and a T tensor on the new site to
+    its right; open rows add a T on the far-left new site and close both
+    ends with the identity label, periodic rows close the ring by a trace.
+    Output rows are ordered (matter config, new config) as in
     GaugingMap.exact_matrix, so the two construction routes can be
     compared entrywise (the MPO carries the T prefactors in its scale).
     """
     if layer.twist is not None and not layer.twist.is_trivial:
         raise ValueError("the MPO tensors describe untwisted layers only")
     group = layer.group
-    size = group.size
-    n = layer.n
-    m_name = "M_e" if layer.parity == "even" else "M_o"
-    t_name = "T_e" if layer.parity == "even" else "T_o"
-    m_tensor = build_tensor(m_name, group)
-    t_tensor = build_tensor(t_name, group)
-    gmap = build_gauging_map(layer)
-    L = group.phase_modulus
-    out_dim, in_dim = gmap.out_dim, gmap.in_dim
-    if out_dim * in_dim * L > dimension_cap():
-        raise ValueError("exact MPO contraction too large")
-    matter_pos = layer.matter_positions()
-    new_pos = layer.new_positions()
+    size, L, n = group.size, group.phase_modulus, layer.n
     open_bc = layer.boundary == "open"
-    e_idx = group.index_of(group.identity().exps)
-    n_new = len(new_pos)
-    # Diagonal phase of the M tensor per (virtual label, physical state).
-    left, right, p_out, p_in = np.unravel_index(m_tensor.flat_indices, m_tensor.shape)
-    diagonal = (left == right) & (p_out == p_in)
-    m_phase = np.zeros((size, size), dtype=np.int64)
-    m_phase[left[diagonal], p_out[diagonal]] = m_tensor.roots[diagonal]
-    # The T tensor as (physical output, root) per (left, right) label pair.
-    t_out, t_left, t_right = np.unravel_index(t_tensor.flat_indices, t_tensor.shape)
-    per_pair = np.bincount(t_left * size + t_right, minlength=size * size)
-    if not np.all(per_pair == 1):
-        raise ArithmeticError("T tensor column is not a single delta")
-    t_phys = np.empty((size, size), dtype=np.int64)
-    t_root = np.empty((size, size), dtype=np.int64)
-    t_phys[t_left, t_right] = t_out
-    t_root[t_left, t_right] = t_tensor.roots
-    m_configs = list(itertools.product(range(size), repeat=n))
-    m_flat = np.array([int(np.ravel_multi_index(c, (size,) * n)) for c in m_configs], dtype=np.int64)
-    m_array = np.array(m_configs, dtype=np.int64)
-    flats, roots = [], []
-    for t in itertools.product(range(size), repeat=n):
-        by_pos = {}
-        extra = 0
-        if open_bc:
-            bonds = [(e_idx, t[0], matter_pos[0] - 1)]
-            bonds += [(t[i], t[i + 1], matter_pos[i] + 1) for i in range(n - 1)]
-            bonds += [(t[n - 1], e_idx, matter_pos[n - 1] + 1)]
-        else:
-            bonds = [(t[i], t[(i + 1) % n], (matter_pos[i] + 1) % (2 * n)) for i in range(n)]
-        for l, r, pos in bonds:
-            by_pos[pos] = int(t_phys[l, r])
-            extra += int(t_root[l, r])
-        new_flat = 0
-        for pos in new_pos:
-            new_flat = new_flat * size + by_pos[pos]
-        phases = extra + m_phase[t[0], m_array[:, 0]]
-        for col in range(1, n):
-            phases = phases + m_phase[t[col], m_array[:, col]]
-        rows = m_flat * (size**n_new) + new_flat
-        flats.append(rows * in_dim + m_flat)
-        roots.append(phases)
-    num_t = n if not open_bc else n + 1
+    new_pos = layer.new_positions()
+    out_dim, in_dim = size ** (n + len(new_pos)), size**n
+    if out_dim * in_dim * L > dimension_cap():
+        raise CapExceededError(f"exact MPO contraction of layer {layer.index} ({layer.boundary}) is too large")
+    even = layer.parity == "even"
+    m_tensor = build_tensor("M_e" if even else "M_o", group)  # (left, right, out, in)
+    t_tensor = build_tensor("T_e" if even else "T_o", group).transpose((1, 2, 0))  # (left, right, out)
+    # The identity label closes an open chain at both ends; a periodic ring
+    # is cut by a delta on the bond left of matter site 0 and closed by a
+    # trace over the two ends of the cut.
+    edge = PhaseTensor.from_entries((size,), L, [group.index_of(group.identity().exps)], [0])
+    cut = PhaseTensor.from_entries((size, size), L, np.arange(size) * (size + 1), np.zeros(size))
+    pos = layer.matter_positions()
+    tensors = [(t_tensor, [n + new_pos.index(pos[0] - 1)])] if open_bc else []
+    for i, x2 in enumerate(pos):
+        right = x2 + 1 if open_bc else (x2 + 1) % (2 * n)
+        tensors += [(m_tensor, [i, n + len(new_pos) + i]), (t_tensor, [n + new_pos.index(right)])]
+    # Each join contracts the next tensor's left leg with the chain's
+    # leading leg, so the open right leg always leads and the physical legs
+    # stack up behind it.  `legs` lists the output axis of each: matter out
+    # i, then new j, then matter in i.
+    chain, legs = (edge if open_bc else cut), []
+    for tensor, axes in tensors:
+        chain = contract(tensor, chain, (0, 0))
+        legs = axes + legs
+    chain = contract(edge, chain, (0, 0)) if open_bc else chain.trace(0, len(chain.shape) - 1)
+    chain = chain.transpose(np.argsort(legs))
     return PhaseTensor.from_entries(
-        (out_dim, in_dim), L, np.concatenate(flats), np.concatenate(roots), scale=t_tensor.scale**num_t
+        (out_dim, in_dim), L, chain.flat_indices, chain.roots, chain.mults, chain.scale
     )
 
 

@@ -50,6 +50,11 @@ def contract(a: np.ndarray, b: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def trace(counts: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Counts of the trace over indices a and b; the root axis stays last."""
+    return np.trace(counts, axis1=a, axis2=b)
+
+
 def equal(a: np.ndarray, b: np.ndarray, scale_a=Fraction(1), scale_b=Fraction(1)) -> bool:
     """Exact equality of two count tensors with their scalar prefactors."""
     return scale_a == scale_b and np.array_equal(a, b)

@@ -473,8 +473,12 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "args, cap",
-        [(["compose", "--group", "2", "--layers", "2", "--n", "2"], "100"), (["suite"], "1000")],
-        ids=["compose-exact-map", "suite"],
+        [
+            (["compose", "--group", "2", "--layers", "2", "--n", "2"], "100"),
+            (["suite"], "1000"),
+            (["suite"], "2000000"),
+        ],
+        ids=["compose-exact-map", "suite", "suite-mpo-layer"],
     )
     def test_env_cap_below_the_checks_is_config_error(self, runner, args, cap):
         result = runner.invoke(main, args, env={"GAUGE_MAX_DIM": cap})

@@ -201,14 +201,17 @@ class TestStringOrderMapping:
         for index in (0, 1):
             layer = LayerSpec(group, index, 3, "periodic")
             labels = group.characters() if index == 0 else group.elements()
-            for lab in labels:
-                for i, ip in [(0, 1), (0, 2), (1, 2)]:
-                    assert verify_string_order_mapping(layer, i, ip, lab)["passed"]
+            rep = verify_string_order_mapping(build_gauging_map(layer))
+            checked = {(c["i"], c["i_prime"], c["label"]): c["passed"] for c in rep["checks"]}
+            expected = {(i, ip, lab.exps) for lab in labels for i, ip in [(0, 1), (0, 2), (1, 2)]}
+            assert set(checked) == expected and len(rep["checks"]) == len(expected)
+            assert all(checked.values()) and rep["passed"]
 
     def test_identity_label_trivial(self):
         layer = LayerSpec(Z3, 1, 3, "periodic")
-        rep = verify_string_order_mapping(layer, 0, 2, Z3.identity())
-        assert rep["passed"]
+        rep = verify_string_order_mapping(build_gauging_map(layer))
+        [check] = [c for c in rep["checks"] if (c["i"], c["i_prime"], c["label"]) == (0, 2, Z3.identity().exps)]
+        assert check["passed"]
 
     def test_invalid_positions_rejected(self):
         layer = LayerSpec(Z2, 0, 3, "periodic")

@@ -14,6 +14,11 @@ Z3 trapezoid has norms a few ulps off 1.0.
 The `gauge code` files were written while the dense ground-space oracle
 still ranked random projections; the two torus cases pin its `dense`
 entry, and the cylinder case the report without one.
+
+The `suite` report and the `tn --mpo-layers` report were written while
+the layer MPO still copied the bond loop of `GaugingMap.exact_matrix`;
+they pin every criterion of the battery and the MPO comparison, so a
+change of construction route must leave both unchanged.
 """
 
 from pathlib import Path
@@ -49,8 +54,10 @@ CASES = {
     "code_z2_cylinder_m4_subgroup_e.json": [
         "code", "--group", "2", "--bc", "cylinder", "--m", "4", "--subgroup", "e",
     ],
+    "suite.json": ["suite"],
+    "tn_z2xz2_n3_mpo_layers.json": ["tn", "--group", "2,2", "--mpo-layers", "--n", "3"],
 }
-OUT_FLAG = {"compose": "--out", "code": "--report"}
+OUT_FLAG = {"compose": "--out", "code": "--report", "suite": "--out", "tn": "--out"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -242,6 +242,15 @@ def contractible_pair(draw):
     return a, b, (axis_a, axis_b)
 
 
+@st.composite
+def traceable_tensor(draw):
+    modulus = draw(st.integers(1, 4))
+    shape = list(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    a, b = draw(st.lists(st.integers(0, len(shape) - 1), min_size=2, max_size=2, unique=True))
+    shape[b] = shape[a]
+    return random_tensor(draw, tuple(shape), modulus), a, b
+
+
 class TestRandomTensors:
     @settings(max_examples=150, deadline=None)
     @given(tensor_and_monomial())
@@ -262,6 +271,25 @@ class TestRandomTensors:
         assert np.array_equal(got.counts, oracle.contract(a.counts, b.counts, axes))
         assert got.scale == a.scale * b.scale
 
+    @settings(max_examples=150, deadline=None)
+    @given(traceable_tensor())
+    def test_trace(self, case):
+        tensor, a, b = case
+        got = tensor.trace(a, b)
+        assert np.array_equal(got.counts, oracle.trace(tensor.counts, a, b))
+        assert got.scale == tensor.scale
+
+    def test_trace_tells_a_shifted_root_apart(self):
+        # The first stored entry of M_e, (0, 0, 0, 0), lies on the diagonal
+        # of the two virtual legs, so shifting its root changes the trace.
+        tensor = build_tensor("M_e", GroupSpec((3,)))
+        traced = tensor.trace(0, 1)
+        assert np.array_equal(traced.counts, oracle.trace(tensor.counts, 0, 1))
+        assert shifted_root(tensor).trace(0, 1) != traced
+        dense_shifted = oracle.trace(shifted_counts(tensor.counts, tensor.keys[0]), 0, 1)
+        assert np.array_equal(shifted_root(tensor).trace(0, 1).counts, dense_shifted)
+        assert not oracle.equal(dense_shifted, traced.counts)
+
 
 class TestMemory:
     def test_exact_checks_stay_proportional_to_entries(self):
@@ -275,7 +303,9 @@ class TestMemory:
             assert verify_emergent_symmetry(gmap)["passed"]
             emergent_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            assert verify_string_order_mapping(layer, 0, 2, label)["passed"]
+            rep = verify_string_order_mapping(gmap)
+            assert [c["passed"] for c in rep["checks"] if (c["i"], c["i_prime"], c["label"]) == (0, 2, label.exps)] == [True]
+            assert rep["passed"]
             string_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -112,7 +112,56 @@ class TestPullThrough:
         assert d.scale == Fraction(1, 4)
 
 
+def einsum_mpo(layer):
+    """Dense layer MPO by one np.einsum over the complex M and T tensors.
+
+    Matter site i carries M with bonds (a_i, c_i); the T to its right
+    joins c_i to a_{i+1}.  A periodic ring joins the last T to a_0.  An
+    open chain adds a T on the far-left new site, joining the identity
+    label to a_0, and closes its last T on the identity label.  The new
+    site of the T right of matter i is i on even periodic rows, (i + 1)
+    mod n on odd periodic rows and i + 1 on open rows.
+    """
+    group, n = layer.group, layer.n
+    even = layer.index % 2 == 0
+    m = build_tensor("M_e" if even else "M_o", group).to_complex()
+    t = build_tensor("T_e" if even else "T_o", group).to_complex()
+    open_bc = layer.boundary == "open"
+    n_new = n + 1 if open_bc else n
+    out = list(range(n))
+    new = list(range(n, n + n_new))
+    inp = list(range(n + n_new, 2 * n + n_new))
+    first = 2 * n + n_new
+    a = [first + i for i in range(n)]
+    c = [first + n + i for i in range(n)]
+    left_edge, right_edge = first + 2 * n, first + 2 * n + 1
+    operands = []
+    for i in range(n):
+        operands += [m, [a[i], c[i], out[i], inp[i]]]
+        if open_bc:
+            operands += [t, [new[i + 1], c[i], a[i + 1] if i + 1 < n else right_edge]]
+        else:
+            operands += [t, [new[i if even else (i + 1) % n], c[i], a[(i + 1) % n]]]
+    if open_bc:
+        edge = np.zeros(group.size)
+        edge[group.index_of(group.identity().exps)] = 1
+        operands += [t, [new[0], left_edge, a[0]], edge, [left_edge], edge, [right_edge]]
+    dense = np.einsum(*operands, out + new + inp, optimize=True)
+    return dense.reshape(group.size ** (n + n_new), group.size**n)
+
+
 class TestMpoEquivalence:
+    @pytest.mark.parametrize("group", [Z2, Z3, Z22], ids=["Z2", "Z3", "Z2xZ2"])
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("bc", ["periodic", "open"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_einsum_network(self, group, index, bc, n):
+        layer = LayerSpec(group, index, n, bc, None, offset=-index if bc == "open" else 0)
+        got = contract_mpo_layer(layer).to_complex()
+        expected = einsum_mpo(layer)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) < 1e-12
+
     @pytest.mark.parametrize("group", [Z2, Z3, Z22])
     @pytest.mark.parametrize("index", [0, 1])
     @pytest.mark.parametrize("bc", ["periodic", "open"])
