@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import GroupElement, PhaseExponent
-from .lattice import CodeSpec, build_bulk_stabilizers
+from .lattice import CodeSpec, build_bulk_stabilizers, check_moduli
 from .operators import (
     ProductOperator,
     clock_z,
@@ -55,11 +55,19 @@ class SyndromeMap:
 
 
 def syndrome(spec: CodeSpec, op: ProductOperator, terms=None) -> SyndromeMap:
+    """Phase of every term (the bulk terms by default) on op, in term order.
+
+    The moduli are checked up front, so a mismatch raises ValueError even
+    when op shares no site with any term.  Only terms that share a site
+    with op go through commutation_phase; every other term gets phase 0.
+    """
     if terms is None:
         terms = build_bulk_stabilizers(spec)
+    check_moduli(terms, op)
+    one = PhaseExponent.one(op.modulus)
     phases = {}
     for t in terms:
-        phases[t.label] = commutation_phase(t.op, op)
+        phases[t.label] = commutation_phase(t.op, op) if t.op.overlaps(op) else one
     return SyndromeMap(phases)
 
 

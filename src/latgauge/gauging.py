@@ -270,7 +270,7 @@ class GaugingMap:
         size = self.group.size
         n = self.layer.n
         if self.out_dim * self.in_dim * L > dimension_cap():
-            raise CapExceededError("exact tensor too large")
+            raise CapExceededError(f"exact tensor of layer {self.layer.index} ({self.layer.boundary}) is too large")
         alpha = self.layer.twist if self.layer.twist is not None else Cocycle.trivial(self.group)
         spec = self.group
         n_new = len(self.new_sites)

@@ -24,8 +24,8 @@ of basis states on which the terms' phases are consistent.
 
 from __future__ import annotations
 
+import bisect
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +36,7 @@ from .operators import (
     MonomialOperator,
     ProductOperator,
     SiteKind,
+    canonical,
     clock_z,
     commutation_phase,
     flatten_product_operator,
@@ -158,11 +159,23 @@ def _corner_factors(alpha: Cocycle, label, orientation: str) -> tuple:
     west = projective_x_tilde(alpha, label)
     east = projective_x(alpha, label)
     clock = clock_z(label)
-    north, south = clock.adjoint(), clock
+    north, south = canonical(clock.adjoint()), clock
     if orientation == "reflected":
         west, east = east, west
         north, south = south, north
     return west, east, north, south
+
+
+def _corner_sites(lat: Lattice2D, center: tuple[int, int]) -> tuple:
+    """(west, east, north, south) sites of the plaquette at `center`."""
+    j, c = center
+    return lat.wrap(j, c - 1), lat.wrap(j, c + 1), lat.wrap(j + 1, c), lat.wrap(j - 1, c)
+
+
+def _plaquette_cocycle(spec: CodeSpec, j: int) -> Cocycle:
+    """Twist of the plaquettes centered on row j; odd rows carry group labels."""
+    twist = spec.twist_even if j % 2 == 1 else spec.twist_odd
+    return twist if twist is not None else Cocycle.trivial(spec.group)
 
 
 def _plaquette_corners(spec: CodeSpec, center: tuple[int, int], label) -> list:
@@ -175,35 +188,29 @@ def _plaquette_corners(spec: CodeSpec, center: tuple[int, int], label) -> list:
     clocks multiply away.  The factors depend only on (cocycle, label,
     orientation) and are built once per distinct key.
     """
-    lat = spec.lattice
-    j, c = center
-    twist = spec.twist_even if j % 2 == 1 else spec.twist_odd
-    alpha = twist if twist is not None else Cocycle.trivial(spec.group)
-    west, east, north, south = _corner_factors(alpha, label, spec.orientation)
-    return [
-        (lat.wrap(j, c - 1), west),
-        (lat.wrap(j, c + 1), east),
-        (lat.wrap(j + 1, c), north),
-        (lat.wrap(j - 1, c), south),
-    ]
-
-
-def _term(spec: CodeSpec, center, family: str, label) -> StabilizerTerm:
-    corners = _plaquette_corners(spec, center, label)
-    op = ProductOperator.from_factors(corners, spec.group.phase_modulus)
-    return StabilizerTerm(StabilizerLabel(center, family, label.exps), op)
+    alpha = _plaquette_cocycle(spec, center[0])
+    return list(zip(_corner_sites(spec.lattice, center), _corner_factors(alpha, label, spec.orientation)))
 
 
 def build_bulk_stabilizers(spec: CodeSpec) -> list[StabilizerTerm]:
-    """One term per (plaquette, label), identity labels included."""
+    """One term per (plaquette, label), identity labels included.
+
+    Each term is the product of _plaquette_corners; the labels and the
+    cocycle of each row parity are made once, not once per plaquette.
+    """
+    group = spec.group
+    families = {
+        1: ("group", list(group.elements()), _plaquette_cocycle(spec, 1)),
+        0: ("dual", list(group.characters()), _plaquette_cocycle(spec, 0)),
+    }
     terms = []
     for center in spec.lattice.plaquette_centers():
-        if center[0] % 2 == 1:
-            for g in spec.group.elements():
-                terms.append(_term(spec, center, "group", g))
-        else:
-            for chi in spec.group.characters():
-                terms.append(_term(spec, center, "dual", chi))
+        family, labels, alpha = families[center[0] % 2]
+        sites = _corner_sites(spec.lattice, center)
+        for label in labels:
+            corners = zip(sites, _corner_factors(alpha, label, spec.orientation))
+            op = ProductOperator.from_factors(corners, group.phase_modulus)
+            terms.append(StabilizerTerm(StabilizerLabel(center, family, label.exps), op))
     return terms
 
 
@@ -246,37 +253,60 @@ def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
 
 
 def check_all_commute(terms) -> dict:
-    """Exact pairwise commutation report; only overlapping pairs are tested."""
+    """Exact pairwise commutation report over the pairs of terms that share a site.
+
+    For each term, the later terms on any of its sites are collected in
+    ascending order, and commutation_phase runs once per such pair, so
+    pairs_checked counts exactly the overlapping pairs and violations
+    come in (a, b) order.  Disjoint pairs commute and are not visited.
+    """
     by_site: dict = {}
     for idx, term in enumerate(terms):
-        for site in term.op.support:
+        for site in term.op.by_site:
             by_site.setdefault(site, []).append(idx)
-    candidates = set()
-    for idxs in by_site.values():
-        for a, b in itertools.combinations(sorted(idxs), 2):
-            candidates.add((a, b))
     violations = []
-    for a, b in sorted(candidates):
-        phase = commutation_phase(terms[a].op, terms[b].op)
-        if phase is None or not phase.is_one:
-            violations.append(
-                {
-                    "a": terms[a].label.as_json(),
-                    "b": terms[b].label.as_json(),
-                    "phase": None if phase is None else phase.k,
-                }
-            )
+    pairs_checked = 0
+    for a, term in enumerate(terms):
+        later = set()
+        for site in term.op.by_site:
+            idxs = by_site[site]
+            later.update(idxs[bisect.bisect_right(idxs, a) :])
+        pairs_checked += len(later)
+        for b in sorted(later):
+            phase = commutation_phase(term.op, terms[b].op)
+            if phase is None or not phase.is_one:
+                violations.append(
+                    {
+                        "a": term.label.as_json(),
+                        "b": terms[b].label.as_json(),
+                        "phase": None if phase is None else phase.k,
+                    }
+                )
     return {
         "name": "all_commute",
         "passed": not violations,
-        "pairs_checked": len(candidates),
+        "pairs_checked": pairs_checked,
         "violations": violations,
     }
 
 
+def check_moduli(terms, op) -> None:
+    """ValueError unless every term has op's phase modulus, as commutation_phase requires."""
+    if any(t.op.modulus != op.modulus for t in terms):
+        raise ValueError("phase moduli differ")
+
+
 def first_violation(terms, op) -> dict | None:
-    """Witness for the first term that fails to commute with op, else None."""
+    """Witness for the first term that fails to commute with op, else None.
+
+    The moduli are checked up front, so a mismatch raises ValueError even
+    when op shares no site with any term.  Then only the terms that share
+    a site with op are compared; every other term commutes with it.
+    """
+    check_moduli(terms, op)
     for t in terms:
+        if not t.op.overlaps(op):
+            continue
         ph = commutation_phase(t.op, op)
         if ph is None or not ph.is_one:
             return {"term": t.label.as_json(), "phase": None if ph is None else ph.k}

@@ -79,6 +79,11 @@ class MonomialOperator:
         if len(self.phase) != self.dim:
             raise ValueError("one phase exponent per basis state required")
         object.__setattr__(self, "phase", tuple(p % self.modulus for p in self.phase))
+        # Hashed once: the commutator memo looks factors up on every shared site.
+        object.__setattr__(self, "_hash", hash((self.dim, self.perm, self.phase, self.modulus, self.kind)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def identity(cls, dim: int, modulus: int) -> "MonomialOperator":
@@ -108,7 +113,7 @@ class MonomialOperator:
 
     @property
     def is_identity(self) -> bool:
-        return self.perm == tuple(range(self.dim)) and all(p == 0 for p in self.phase)
+        return self.perm == tuple(range(self.dim)) and not any(self.phase)
 
     def to_dense(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
@@ -133,6 +138,20 @@ class MonomialOperator:
 # -- clock / shift constructors -------------------------------------------
 
 
+_CANONICAL: dict = {}
+
+
+def canonical(mono: MonomialOperator) -> MonomialOperator:
+    """The first MonomialOperator built equal to mono.
+
+    The constructors below and the plaquette corners return canonical
+    factors, so equal factors are one object and memo lookups on them
+    match by identity instead of calling __eq__.  The table keeps one
+    entry per distinct factor built this way, a few per group and cocycle.
+    """
+    return _CANONICAL.setdefault(mono, mono)
+
+
 def _site_kind(label: GroupElement | DualCharacter, shift: bool) -> SiteKind:
     """A shift acts on the site whose basis has the label's type, a clock on the other."""
     on_edge = isinstance(label, GroupElement) == shift
@@ -150,7 +169,7 @@ def _shift(label: GroupElement | DualCharacter, alpha: Cocycle | None = None) ->
         if alpha is not None:
             phase[idx] = alpha.exponent(exps, h)
     kind = _site_kind(label, shift=True)
-    return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus, kind)
+    return canonical(MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus, kind))
 
 
 def shift_x(label: GroupElement | DualCharacter) -> MonomialOperator:
@@ -163,7 +182,7 @@ def clock_z(label: GroupElement | DualCharacter) -> MonomialOperator:
     spec, exps = label.group, label.exps
     phase = tuple(spec.pair_exponent(exps, spec.exps_of(i)) for i in range(spec.size))
     kind = _site_kind(label, shift=False)
-    return MonomialOperator(spec.size, tuple(range(spec.size)), phase, spec.phase_modulus, kind)
+    return canonical(MonomialOperator(spec.size, tuple(range(spec.size)), phase, spec.phase_modulus, kind))
 
 
 def projective_x(alpha: Cocycle, label: GroupElement | DualCharacter) -> MonomialOperator:
@@ -187,7 +206,7 @@ def projective_x_tilde(alpha: Cocycle, label: GroupElement | DualCharacter) -> M
         perm[idx] = spec.index_of(target)
         phase[idx] = -alpha.exponent(target, exps) % spec.phase_modulus
     kind = _site_kind(label, shift=True)
-    return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus, kind)
+    return canonical(MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus, kind))
 
 
 # -- products over sites ----------------------------------------------------
@@ -199,11 +218,15 @@ class ProductOperator:
 
     factors holds (site id, MonomialOperator) pairs sorted by site; each
     factor carries the SiteKind it acts on, so state application can
-    reject mismatched placements.
+    reject mismatched placements.  by_site maps each site to its factor;
+    it is built once, on construction, and must not be modified.
     """
 
     factors: tuple[tuple[object, MonomialOperator], ...]
     modulus: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "by_site", dict(self.factors))
 
     @classmethod
     def from_factors(cls, pairs, modulus: int) -> "ProductOperator":
@@ -225,6 +248,10 @@ class ProductOperator:
     @property
     def support(self) -> tuple:
         return tuple(site for site, _ in self.factors)
+
+    def overlaps(self, other: "ProductOperator") -> bool:
+        """True when the two operators act on a common site."""
+        return not self.by_site.keys().isdisjoint(other.by_site.keys())
 
     def multiply(self, other: "ProductOperator") -> "ProductOperator":
         """self . other with sitewise exact composition."""
@@ -273,30 +300,41 @@ def _site_commutator(ma: MonomialOperator, mb: MonomialOperator) -> int | None:
     return diffs.pop()
 
 
+@functools.cache
+def _phase(k: int, modulus: int) -> PhaseExponent:
+    """PhaseExponent(k, modulus), built once per reduced k: phases are immutable."""
+    return PhaseExponent(k, modulus)
+
+
 def commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent | None:
     """Scalar c with a.b = c b.a, or None when the commutator is not scalar.
 
     Computed sitewise by comparing a.b with b.a on each shared site; the
     result is a global phase exactly when every shared site contributes a
-    scalar.  The per-site comparison is memoized on the pair of factors,
-    so its cost grows with the number of distinct factor pairs, not with
-    the number of operator pairs compared.
+    scalar.  Only shared sites are visited: the operator with fewer
+    factors is walked, in its factor order, against the other's by_site
+    map, so operators with disjoint supports give phase 0 after the
+    moduli are compared.  The per-site comparison is memoized on the pair
+    of factors, so its cost grows with the number of distinct factor
+    pairs, not with the number of operator pairs compared.
     """
     if a.modulus != b.modulus:
         raise ValueError("phase moduli differ")
-    fb = dict(b.factors)
+    a_walks = len(a.factors) <= len(b.factors)
+    walk, other = (a.factors, b.by_site) if a_walks else (b.factors, a.by_site)
     total = 0
-    for site, ma in a.factors:
-        mb = fb.get(site)
-        if mb is None:
+    for site, mine in walk:
+        theirs = other.get(site)
+        if theirs is None:
             continue
+        ma, mb = (mine, theirs) if a_walks else (theirs, mine)
         k = _site_commutator(ma, mb)
         if k is None:
             return None
         if ma.modulus != a.modulus:
             raise GroupMismatchError("phases with different moduli")
         total += k
-    return PhaseExponent(total, a.modulus)
+    return _phase(total % a.modulus, a.modulus)
 
 
 def flatten_product_operator(site_ids, dims, op: ProductOperator):

@@ -486,6 +486,14 @@ class TestConfigErrors:
         assert isinstance(result.exception, SystemExit)
         assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
 
+    def test_suite_cap_below_an_exact_map_names_its_layer(self, runner):
+        result = runner.invoke(main, ["suite"], env={"GAUGE_MAX_DIM": "65536"})
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [
+            "Error: exact tensor of layer 0 (periodic) is too large; the suite needs a larger GAUGE_MAX_DIM"
+        ], result.output
+
 
 class TestSchema:
     def test_validate_rejects_missing_fields(self):
