@@ -154,8 +154,13 @@ class CodeSpec:
 
 
 @functools.cache
-def _corner_factors(alpha: Cocycle, label, orientation: str) -> tuple:
-    """(west, east, north, south) factors of a plaquette for one label."""
+def _corner_factors(twist: Cocycle | None, label, orientation: str) -> tuple:
+    """(west, east, north, south) factors of a plaquette for one label.
+
+    No twist means the trivial cocycle, which is then built once per
+    label rather than once per plaquette.
+    """
+    alpha = twist if twist is not None else Cocycle.trivial(label.group)
     west = projective_x_tilde(alpha, label)
     east = projective_x(alpha, label)
     clock = clock_z(label)
@@ -166,18 +171,6 @@ def _corner_factors(alpha: Cocycle, label, orientation: str) -> tuple:
     return west, east, north, south
 
 
-def _corner_sites(lat: Lattice2D, center: tuple[int, int]) -> tuple:
-    """(west, east, north, south) sites of the plaquette at `center`."""
-    j, c = center
-    return lat.wrap(j, c - 1), lat.wrap(j, c + 1), lat.wrap(j + 1, c), lat.wrap(j - 1, c)
-
-
-def _plaquette_cocycle(spec: CodeSpec, j: int) -> Cocycle:
-    """Twist of the plaquettes centered on row j; odd rows carry group labels."""
-    twist = spec.twist_even if j % 2 == 1 else spec.twist_odd
-    return twist if twist is not None else Cocycle.trivial(spec.group)
-
-
 def _plaquette_corners(spec: CodeSpec, center: tuple[int, int], label) -> list:
     """(site, factor) corners of the plaquette at `center` for one label.
 
@@ -185,31 +178,29 @@ def _plaquette_corners(spec: CodeSpec, center: tuple[int, int], label) -> list:
     shift east, adjoint clock north, clock south.  Reflected swaps both
     pairs; the two conventions generate the same stabilizer group.  On a
     two-row torus north and south wrap onto the same site and their
-    clocks multiply away.  The factors depend only on (cocycle, label,
+    clocks multiply away.  The factors depend only on (twist, label,
     orientation) and are built once per distinct key.
     """
-    alpha = _plaquette_cocycle(spec, center[0])
-    return list(zip(_corner_sites(spec.lattice, center), _corner_factors(alpha, label, spec.orientation)))
+    lat = spec.lattice
+    j, c = center
+    twist = spec.twist_even if j % 2 == 1 else spec.twist_odd
+    west, east, north, south = _corner_factors(twist, label, spec.orientation)
+    return [
+        (lat.wrap(j, c - 1), west),
+        (lat.wrap(j, c + 1), east),
+        (lat.wrap(j + 1, c), north),
+        (lat.wrap(j - 1, c), south),
+    ]
 
 
 def build_bulk_stabilizers(spec: CodeSpec) -> list[StabilizerTerm]:
-    """One term per (plaquette, label), identity labels included.
-
-    Each term is the product of _plaquette_corners; the labels and the
-    cocycle of each row parity are made once, not once per plaquette.
-    """
-    group = spec.group
-    families = {
-        1: ("group", list(group.elements()), _plaquette_cocycle(spec, 1)),
-        0: ("dual", list(group.characters()), _plaquette_cocycle(spec, 0)),
-    }
+    """One term per (plaquette, label), identity labels included."""
+    elements, characters = list(spec.group.elements()), list(spec.group.characters())
     terms = []
     for center in spec.lattice.plaquette_centers():
-        family, labels, alpha = families[center[0] % 2]
-        sites = _corner_sites(spec.lattice, center)
+        family, labels = ("group", elements) if center[0] % 2 == 1 else ("dual", characters)
         for label in labels:
-            corners = zip(sites, _corner_factors(alpha, label, spec.orientation))
-            op = ProductOperator.from_factors(corners, group.phase_modulus)
+            op = ProductOperator.from_factors(_plaquette_corners(spec, center, label), spec.group.phase_modulus)
             terms.append(StabilizerTerm(StabilizerLabel(center, family, label.exps), op))
     return terms
 
