@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import GroupElement, PhaseExponent
-from .lattice import CodeSpec, build_bulk_stabilizers, check_moduli
+from .lattice import CodeSpec, build_bulk_stabilizers, overlap_phases
 from .operators import (
     ProductOperator,
     clock_z,
@@ -57,17 +57,14 @@ class SyndromeMap:
 def syndrome(spec: CodeSpec, op: ProductOperator, terms=None) -> SyndromeMap:
     """Phase of every term (the bulk terms by default) on op, in term order.
 
-    The moduli are checked up front, so a mismatch raises ValueError even
-    when op shares no site with any term.  Only terms that share a site
-    with op go through commutation_phase; every other term gets phase 0.
+    Every term starts at phase 0; the terms that share a site with op then
+    take their phase from lattice.overlap_phases, which also checks the
+    moduli.
     """
     if terms is None:
         terms = build_bulk_stabilizers(spec)
-    check_moduli(terms, op)
-    one = PhaseExponent.one(op.modulus)
-    phases = {}
-    for t in terms:
-        phases[t.label] = commutation_phase(t.op, op) if t.op.overlaps(op) else one
+    phases = dict.fromkeys((t.label for t in terms), PhaseExponent.one(op.modulus))
+    phases.update((t.label, ph) for t, ph in overlap_phases(terms, op))
     return SyndromeMap(phases)
 
 

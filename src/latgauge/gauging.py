@@ -129,6 +129,11 @@ class LayerSpec:
             return [base + 2 * k for k in range(self.n)]
         return [self.offset - 1 + 2 * k for k in range(self.n + 1)]
 
+    @property
+    def scale_power(self) -> float:
+        """Power p with unit-isometry map = |G|**p times the projector product."""
+        return (self.n - 1) / 2 if self.boundary == "periodic" else self.n / 2
+
     def matter_sites(self) -> list[tuple]:
         return [((self.index, x2), self.matter_kind) for x2 in self.matter_positions()]
 
@@ -168,8 +173,7 @@ class GaugingMap:
         self.out_sites = self.matter_sites + self.new_sites
         size = self.group.size
         n = layer.n
-        # Power p with unit-isometry map = |G|**p times the projector product.
-        self.scale_power = (n - 1) / 2 if layer.boundary == "periodic" else n / 2
+        self.scale_power = layer.scale_power
         self.in_dim = size**n
         self.out_dim = size ** len(self.out_sites)
 

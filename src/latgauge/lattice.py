@@ -281,24 +281,27 @@ def check_all_commute(terms) -> dict:
     }
 
 
-def check_moduli(terms, op) -> None:
-    """ValueError unless every term has op's phase modulus, as commutation_phase requires."""
+def overlap_phases(terms, op):
+    """Yield (term, commutation_phase(term.op, op)) for each term that shares a site with op.
+
+    Terms come in order.  The moduli are checked before anything is
+    yielded, so a mismatch raises ValueError even when op shares no site
+    with any term.  Every term that is skipped commutes with op.  The
+    generator is lazy: a caller that stops early compares no later term.
+    """
     if any(t.op.modulus != op.modulus for t in terms):
         raise ValueError("phase moduli differ")
+    for t in terms:
+        if t.op.overlaps(op):
+            yield t, commutation_phase(t.op, op)
 
 
 def first_violation(terms, op) -> dict | None:
     """Witness for the first term that fails to commute with op, else None.
 
-    The moduli are checked up front, so a mismatch raises ValueError even
-    when op shares no site with any term.  Then only the terms that share
-    a site with op are compared; every other term commutes with it.
+    The first non-trivial pair of overlap_phases; the scan stops there.
     """
-    check_moduli(terms, op)
-    for t in terms:
-        if not t.op.overlaps(op):
-            continue
-        ph = commutation_phase(t.op, op)
+    for t, ph in overlap_phases(terms, op):
         if ph is None or not ph.is_one:
             return {"term": t.label.as_json(), "phase": None if ph is None else ph.k}
     return None

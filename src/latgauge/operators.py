@@ -219,14 +219,18 @@ class ProductOperator:
     factors holds (site id, MonomialOperator) pairs sorted by site; each
     factor carries the SiteKind it acts on, so state application can
     reject mismatched placements.  by_site maps each site to its factor;
-    it is built once, on construction, and must not be modified.
+    it is built once, on construction, and must not be modified.  A site
+    with two factors raises ValueError (from_factors multiplies them).
     """
 
     factors: tuple[tuple[object, MonomialOperator], ...]
     modulus: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "by_site", dict(self.factors))
+        by_site = dict(self.factors)
+        if len(by_site) != len(self.factors):
+            raise ValueError("operator has more than one factor on a site")
+        object.__setattr__(self, "by_site", by_site)
 
     @classmethod
     def from_factors(cls, pairs, modulus: int) -> "ProductOperator":
@@ -430,8 +434,6 @@ class StateVector:
             if mono.dim != self.dims[axis]:
                 raise ValueError(f"operator dimension mismatch at {site!r}")
             factors.append((axis, mono))
-        if len({axis for axis, _ in factors}) != len(factors):
-            raise ValueError("operator has more than one factor on a site")
         if out is None:
             if not factors:
                 return StateVector(self.site_ids, self.kinds, self.dims, self.amps)

@@ -66,7 +66,7 @@ from .operators import (
     fusion_coefficients,
     irrep_flux_operator,
 )
-from .tensors import assemble_pepes, contract_mpo_layer, contract_pepes, pull_through_check
+from .tensors import contract_pepes, mpo_layers, mpo_matches_map, pull_through_check
 
 GROUPS = [(2,), (3,), (4,), (2, 2), (2, 3)]
 TORI = [(2, 2), (3, 2), (4, 2), (2, 4), (3, 4), (4, 4)]  # (n, m)
@@ -380,27 +380,25 @@ def criterion_tensor_network() -> dict:
     mpo_checked = 0
     for orders in GROUPS:
         group = GroupSpec(orders)
-        for index in (0, 1):
-            for bc in ("periodic", "open"):
-                for n in (2, 3):
-                    layer = LayerSpec(group, index, n, bc, None, offset=-index if bc == "open" else 0)
-                    gmap = build_gauging_map(layer)
-                    if gmap.out_dim * gmap.in_dim * group.phase_modulus > 2**24:
-                        continue
-                    ratio = contract_mpo_layer(layer).proportional(gmap.exact_matrix())
-                    mpo_checked += 1
-                    if ratio is None or ratio <= 0:
-                        mpo_ok = False
+        for n in (2, 3):
+            for layer in mpo_layers(group, n):
+                gmap = build_gauging_map(layer)
+                if gmap.out_dim * gmap.in_dim * group.phase_modulus > 2**24:
+                    continue
+                mpo_checked += 1
+                if not mpo_matches_map(gmap):
+                    mpo_ok = False
     pepes_ok = True
     for orders in [(2,), (3,)]:
         group = GroupSpec(orders)
         layers = layer_stack(group, 2, 2, "periodic")
         st = initial_state(group, layers[0])
         direct = compose_gauging(layers, st).normalized()
-        via_tn = contract_pepes(assemble_pepes(layers), st).normalized().reordered(direct.site_ids)
+        via_tn = contract_pepes(layers, st).normalized().reordered(direct.site_ids)
         if abs(abs(direct.inner(via_tn)) - 1) > STATE_TOL:
             pepes_ok = False
-    trapezoid = assemble_pepes(layer_stack(GroupSpec((2,)), 2, 3, "open")).row_sizes()
+    layers = layer_stack(GroupSpec((2,)), 2, 3, "open")
+    trapezoid = [layers[0].n] + [len(layer.new_positions()) for layer in layers]
     return {
         "name": "tensor_network",
         "claim": "tensor identities hold exactly and the MPO path equals the dense path",

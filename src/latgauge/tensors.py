@@ -10,7 +10,10 @@ T prefactor is the tensor's scale.  A symmetry identity dresses legs with
 monomial operators (cyclotomic.mono_mul_left on that leg) and is checked by
 exact equality.  The layer MPO is contracted from the same M and T tensors
 by cyclotomic.contract, one virtual leg at a time, and shares no code with
-GaugingMap.exact_matrix, which it is checked against.
+GaugingMap.exact_matrix, which it is checked against (mpo_matches_map).
+The stacked network is contract_pepes: it applies each layer's contracted
+MPO to the trailing row of a state and appends the new row, which gives
+the composed state by a route independent of gauging.compose_gauging.
 
 Index order conventions (row major in serialization):
 
@@ -27,13 +30,12 @@ which with the diagonal matter representation used throughout equals M_e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .cyclotomic import PhaseTensor, contract, mono_mul_left
-from .gauging import LayerSpec, build_gauging_map, dimension_cap
+from .gauging import GaugingMap, LayerSpec, dimension_cap
 from .groups import GroupSpec
 from .operators import CapExceededError, StateVector, clock_z, shift_x
 
@@ -231,78 +233,48 @@ def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
     )
 
 
+def mpo_layers(group: GroupSpec, n: int) -> list[LayerSpec]:
+    """The four untwisted layers whose MPOs are checked: layers 0 and 1, periodic and open.
+
+    An open layer j starts at offset -j, as in gauging.layer_stack.
+    """
+    return [
+        LayerSpec(group, index, n, bc, None, offset=-index if bc == "open" else 0)
+        for index in (0, 1)
+        for bc in ("periodic", "open")
+    ]
+
+
+def mpo_matches_map(gmap: GaugingMap) -> bool:
+    """True when the layer's contracted MPO equals gmap.exact_matrix() up to a positive scalar."""
+    ratio = contract_mpo_layer(gmap.layer).proportional(gmap.exact_matrix())
+    return ratio is not None and ratio > 0
+
+
 # -- stacked networks ---------------------------------------------------------
 
 
-@dataclass
-class PEPESNetwork:
-    layers: tuple
-    geometry: str = "stack"  # or "adjoint_square"
+def contract_pepes(layers, input_state: StateVector) -> StateVector:
+    """Contract the stacked layer MPOs against an input row state.
 
-    def row_sizes(self) -> list[int]:
-        sizes = [self.layers[0].n]
-        for layer in self.layers:
-            sizes.append(len(layer.new_positions()))
-        return sizes
-
-
-def assemble_pepes(layers, geometry: str = "stack") -> PEPESNetwork:
-    layers = tuple(layers)
-    if geometry not in ("stack", "adjoint_square"):
-        raise ValueError("geometry must be 'stack' or 'adjoint_square'")
-    for prev, nxt in zip(layers, layers[1:]):
-        if nxt.index != prev.index + 1:
-            raise ValueError("layer indices must increase by one")
-    return PEPESNetwork(layers, geometry)
-
-
-def _layer_dense_unit(layer: LayerSpec) -> np.ndarray:
-    """Complex matrix of the layer MPO, scaled to the unit-isometry norm.
-
-    The exact contraction carries one 1/|G| per T tensor; symmetric-sector
-    isometry needs |G|**(scale_power - n) times the bare term sum.
+    Each layer's matter row must be the trailing sites of the state.  Its
+    contracted MPO acts there, and the layer's new row is appended.  The
+    contraction carries one 1/|G| per T tensor, so the MPO is rescaled by
+    |G|**(n_t + scale_power - n) to the unit-isometry normalization of
+    GaugingMap.apply.
     """
-    exact = contract_mpo_layer(layer)
-    gmap = build_gauging_map(layer)
-    dense = exact.to_complex()
-    n_t = len(layer.new_positions())
-    return dense * float(layer.group.size ** (n_t + gmap.scale_power - layer.n))
-
-
-def contract_pepes(net: PEPESNetwork, input_state: StateVector) -> StateVector:
-    """Contract the stacked MPO layers against an input row state."""
     state = input_state
-    for layer in net.layers:
-        gmap = build_gauging_map(layer)
-        matter_ids = tuple(s for s, _ in gmap.matter_sites)
-        if state.site_ids[len(state.site_ids) - layer.n :] != matter_ids:
+    for layer in layers:
+        n, size = layer.n, layer.group.size
+        if state.site_ids[len(state.site_ids) - n :] != tuple(s for s, _ in layer.matter_sites()):
             raise ValueError("layer matter row must be the trailing sites of the state")
-        op = _layer_dense_unit(layer)
-        d_in = gmap.in_dim
-        other = state.amps.size // d_in
-        mat = state.amps.reshape(other, d_in)
-        out = np.einsum("om,bm->bo", op, mat).reshape(-1)
-        site_ids = state.site_ids[: len(state.site_ids) - layer.n] + tuple(
-            s for s, _ in gmap.out_sites
+        new_sites = layer.new_sites()
+        op = contract_mpo_layer(layer).to_complex() * float(size ** (len(new_sites) + layer.scale_power - n))
+        out = np.einsum("om,bm->bo", op, state.amps.reshape(-1, size**n)).reshape(-1)
+        state = StateVector(
+            state.site_ids + tuple(s for s, _ in new_sites),
+            state.kinds + tuple(k for _, k in new_sites),
+            state.dims + (size,) * len(new_sites),
+            out,
         )
-        kinds = state.kinds[: len(state.kinds) - layer.n] + tuple(k for _, k in gmap.out_sites)
-        dims = state.dims + tuple(layer.group.size for _ in gmap.new_sites)
-        state = StateVector(site_ids, kinds, dims, out)
-    if net.geometry == "adjoint_square":
-        for layer in reversed(net.layers):
-            gmap = build_gauging_map(layer)
-            op = _layer_dense_unit(layer)
-            d_out = gmap.out_dim
-            other = state.amps.size // d_out
-            mat = state.amps.reshape(other, d_out)
-            out = np.einsum("om,bo->bm", op.conj(), mat).reshape(-1)
-            keep = len(state.site_ids) - len(gmap.new_sites)
-            drop_new = state.site_ids[keep:]
-            expected_new = tuple(s for s, _ in gmap.new_sites)
-            if drop_new != expected_new:
-                raise ValueError("adjoint contraction expects the layer's new row on top")
-            site_ids = state.site_ids[:keep]
-            kinds = state.kinds[:keep]
-            dims = state.dims[:keep]
-            state = StateVector(site_ids, kinds, dims, out)
     return state

@@ -184,15 +184,16 @@ class TestWorkIsOnePerOverlappingPair:
         return CodeSpec(Lattice2D(self.Z22, 16, 16, "periodic"), twist_even=enumerate_cocycle_classes(self.Z22)[1])
 
     @staticmethod
-    def _count(monkeypatch, module):
+    def _count(monkeypatch, *modules):
         calls = []
-        original = module.commutation_phase
+        for module in modules:
+            original = module.commutation_phase
 
-        def counting(a, b):
-            calls.append((a, b))
-            return original(a, b)
+            def counting(a, b, original=original):
+                calls.append((a, b))
+                return original(a, b)
 
-        monkeypatch.setattr(module, "commutation_phase", counting)
+            monkeypatch.setattr(module, "commutation_phase", counting)
         return calls
 
     def test_check_all_commute(self, spec, monkeypatch):
@@ -220,7 +221,9 @@ class TestWorkIsOnePerOverlappingPair:
         assert all(_shares_site(a, b) for a, b in calls)
 
     def test_confinement_report(self, spec, monkeypatch):
-        calls = self._count(monkeypatch, excitations)
+        # syndrome's scan goes through lattice.overlap_phases; the braid
+        # checks call commutation_phase from excitations.
+        calls = self._count(monkeypatch, excitations, lattice)
         scans = []
         original_syndrome = excitations.syndrome
 

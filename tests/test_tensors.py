@@ -9,7 +9,6 @@ from latgauge.gauging import LayerSpec, build_gauging_map, compose_gauging, init
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes
 from latgauge.cyclotomic import mono_mul_left
 from latgauge.tensors import (
-    assemble_pepes,
     block_diamond,
     build_tensor,
     contract_mpo_layer,
@@ -182,51 +181,85 @@ class TestMpoEquivalence:
             contract_mpo_layer(LayerSpec(Z22, 0, 2, "periodic", alpha))
 
 
+def _unit_layer_matrix(layer):
+    """The layer's contracted MPO at the unit-isometry scale of GaugingMap.apply."""
+    n_t = len(layer.new_positions())
+    scale = layer.group.size ** (n_t + layer.scale_power - layer.n)
+    return contract_mpo_layer(layer).to_complex() * float(scale)
+
+
 class TestPepes:
     @pytest.mark.parametrize("group", [Z2, Z3])
     def test_contraction_matches_composition(self, group):
         layers = layer_stack(group, 2, 2, "periodic")
         st = initial_state(group, layers[0])
         direct = compose_gauging(layers, st).normalized()
-        net = assemble_pepes(layers)
-        via_tn = contract_pepes(net, st).normalized().reordered(direct.site_ids)
+        via_tn = contract_pepes(layers, st).normalized().reordered(direct.site_ids)
         assert abs(abs(direct.inner(via_tn)) - 1) < 1e-10
+
+    @pytest.mark.parametrize(
+        "group, n, num_layers, bc",
+        [
+            (Z2, 2, 2, "periodic"),
+            (Z3, 2, 2, "periodic"),
+            (Z22, 2, 2, "periodic"),
+            (Z23, 2, 2, "periodic"),
+            (Z2, 2, 3, "open"),
+            (Z2, 3, 2, "open"),
+        ],
+        ids=["Z2", "Z3", "Z2xZ2", "Z2xZ3", "Z2-open-n2", "Z2-open-n3"],
+    )
+    def test_amplitudes_match_composition(self, group, n, num_layers, bc):
+        # Same sites, same order, same amplitudes: no normalization and no
+        # phase freedom between the two routes.
+        layers = layer_stack(group, n, num_layers, bc)
+        st = initial_state(group, layers[0])
+        direct = compose_gauging(layers, st)
+        via_tn = contract_pepes(layers, st)
+        assert via_tn.site_ids == direct.site_ids
+        assert via_tn.kinds == direct.kinds
+        assert np.max(np.abs(via_tn.amps - direct.amps)) < 1e-12
+
+    def test_matter_row_must_trail_the_state(self):
+        layers = layer_stack(Z2, 2, 2, "periodic")
+        with pytest.raises(ValueError, match="trailing sites"):
+            contract_pepes(layers[1:], initial_state(Z2, layers[0]))
 
     def test_single_layer_reduces_to_mpo(self):
         layer = LayerSpec(Z2, 0, 2, "periodic")
         st = initial_state(Z2, layer)
-        out = contract_pepes(assemble_pepes([layer]), st)
+        out = contract_pepes([layer], st)
         expected = build_gauging_map(layer).apply(st)
         assert np.max(np.abs(out.amps - expected.amps)) < 1e-12
 
     def test_trapezoid_row_sizes(self):
-        net = assemble_pepes(layer_stack(Z2, 2, 3, "open"))
-        assert net.row_sizes() == [2, 3, 4, 5]
-        net2 = assemble_pepes(layer_stack(Z3, 3, 2, "open"))
-        assert net2.row_sizes() == [3, 4, 5]
+        layers = layer_stack(Z2, 2, 3, "open")
+        assert [layers[0].n] + [len(layer.new_positions()) for layer in layers] == [2, 3, 4, 5]
+        layers2 = layer_stack(Z3, 3, 2, "open")
+        assert [layers2[0].n] + [len(layer.new_positions()) for layer in layers2] == [3, 4, 5]
 
     def test_open_boundary_contraction_matches_composition(self):
         layers = layer_stack(Z2, 2, 3, "open")
         st = initial_state(Z2, layers[0])
         direct = compose_gauging(layers, st).normalized()
-        via_tn = contract_pepes(assemble_pepes(layers), st).normalized().reordered(direct.site_ids)
+        via_tn = contract_pepes(layers, st).normalized().reordered(direct.site_ids)
         assert abs(abs(direct.inner(via_tn)) - 1) < 1e-10
 
     def test_adjoint_square_is_partial_isometry(self):
+        # W^dagger W for the two-layer open stack W, which acts on the
+        # input row: layer 1 acts on the trailing new row of layer 0.
         layers = layer_stack(Z2, 2, 2, "open")
-        net = assemble_pepes(layers, geometry="adjoint_square")
         st = initial_state(Z2, layers[0])
-        out = contract_pepes(net, st)
-        assert out.site_ids == st.site_ids
+        first, second = (_unit_layer_matrix(layer) for layer in layers)
+        forward = np.kron(np.eye(Z2.size ** layers[0].n), second) @ first
+        square = forward.conj().T @ forward
+        out = square @ st.amps
+        assert out.shape == st.amps.shape
         # idempotency of the composite map up to its scale on this input
-        again = contract_pepes(net, out)
-        ratio = again.norm() / out.norm()
-        third = contract_pepes(net, again)
-        assert abs(third.norm() / again.norm() - ratio) < 1e-10
-
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_pepes(layer_stack(Z2, 2, 2, "periodic"), geometry="ring")
+        again = square @ out
+        ratio = np.linalg.norm(again) / np.linalg.norm(out)
+        third = square @ again
+        assert abs(np.linalg.norm(third) / np.linalg.norm(again) - ratio) < 1e-10
 
     def test_trapezoid_boundary_remnants_are_not_stabilizers(self):
         # At the slanted open boundary the would-be plaquettes lose a corner
