@@ -18,7 +18,7 @@ Fourier rotation maps one convention onto the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .operators import (
 
 SHIFT = "shift_symmetry"
 CLOCK = "clock_symmetry"
+SURVIVAL_TOL = 1e-9  # a string order parameter within this of 1 counts as 1
 
 
 @dataclass
@@ -62,7 +63,7 @@ class SymmetricState1D:
         return self.state.site_ids[i % self.n if self.periodic else i]
 
 
-def _chain_sites(group: GroupSpec, n: int, convention: str):
+def _chain_sites(n: int, convention: str):
     if convention == CLOCK:
         return [((0, 2 * k), SiteKind.VERTEX_DUAL) for k in range(n)]
     return [(("s", k), SiteKind.EDGE_GROUP) for k in range(n)]
@@ -122,7 +123,7 @@ def build_fixed_point_state(
             tensor = np.tensordot(f, tensor, axes=([1], [axis]))
             tensor = np.moveaxis(tensor, 0, axis)
         amps = tensor.reshape(-1)
-    sites = _chain_sites(group, n, convention)
+    sites = _chain_sites(n, convention)
     state = StateVector(
         tuple(s for s, _ in sites), tuple(k for _, k in sites), (size,) * n, amps
     )
@@ -176,23 +177,19 @@ def string_order_expectation(
     return chain.state.inner(chain.state.apply(op))
 
 
-def surviving_boundary_terms(
-    chain: SymmetricState1D, beta: Cocycle | None = None, ells=None, tol: float = 1e-9
-) -> tuple[set, dict]:
+def surviving_boundary_terms(chain: SymmetricState1D, beta: Cocycle | None = None) -> tuple[set, dict]:
     """Characters whose boundary term stabilizes the gauged state.
 
     A term survives when the string order parameter equals one for every
-    tested length; raw expectation values are returned alongside so
-    non-fixed-point inputs are not silently rounded.
+    tested length 1..min(3, n - 1); raw expectation values are returned
+    alongside so non-fixed-point inputs are not silently rounded.
     """
-    if ells is None:
-        ells = range(1, min(4, chain.n))
     raw = {}
     surviving = set()
     for chi in chain.group.characters():
-        values = [string_order_expectation(chain, chi, beta, 0, ell) for ell in ells]
+        values = [string_order_expectation(chain, chi, beta, 0, ell) for ell in range(1, min(4, chain.n))]
         raw[chi.exps] = values
-        if all(abs(v - 1) < tol for v in values):
+        if all(abs(v - 1) < SURVIVAL_TOL for v in values):
             surviving.add(chi)
     return surviving, raw
 
@@ -209,21 +206,11 @@ def condensation_table(spec: CodeSpec, chain: SymmetricState1D) -> dict:
         raise ValueError("condensation needs an open vertical boundary")
     if chain.convention != CLOCK or chain.n != lat.n:
         raise ValueError("boundary state must be a clock-convention chain of matching width")
-    beta = spec.boundary_beta
-    surviving, raw = surviving_boundary_terms(chain, beta)
+    surviving, raw = surviving_boundary_terms(chain, spec.boundary_beta)
     # Build the surviving three-body terms themselves.
-    res_spec = CodeSpec(
-        lattice=lat,
-        twist_even=spec.twist_even,
-        twist_odd=spec.twist_odd,
-        boundary_beta=beta,
-        subgroup_bottom=None,
-        subgroup_top=spec.subgroup_top,
-        orientation=spec.orientation,
-    )
     terms = [
         t
-        for t in build_boundary_terms(res_spec, "bottom")
+        for t in build_boundary_terms(replace(spec, subgroup_bottom=None), "bottom")
         if any(t.label.exps == chi.exps for chi in surviving)
     ]
     group = spec.group

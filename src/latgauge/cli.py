@@ -25,7 +25,6 @@ import sys
 import click
 import numpy as np
 
-from . import suite as suite_mod
 from .boundary import CLOCK, build_fixed_point_state, condensation_table
 from .excitations import StringSpec, confinement_report, string_operator, syndrome
 from .gauging import (
@@ -51,9 +50,8 @@ from .lattice import (
     logical_operators,
 )
 from .operators import ProductOperator
+from .suite import SCHEMA_VERSION, envelope, run_suite
 from .tensors import mpo_layers, mpo_matches_map, pull_through_check
-
-SCHEMA_VERSION = 1
 
 
 class ConfigError(click.ClickException):
@@ -157,18 +155,6 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def envelope(command: str, config: dict, checks: list, **fields) -> dict:
-    """The versioned report of one subcommand; `fields` are its extra top-level keys."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-        **fields,
-    }
-
-
 def finish(report: dict, out: str | None) -> None:
     for check in report["checks"]:
         status = "PASS" if check.get("passed", True) else "FAIL"
@@ -237,10 +223,9 @@ def compose(group_text, num_layers, n, bc, twist_even, twist_odd, max_dim, tol, 
     local["claim"] = "the composed state satisfies every stack symmetry"
     checks.append(local)
     for layer in layers:
-        gmap = build_gauging_map(layer)
-        if gmap.out_dim * gmap.in_dim * group.phase_modulus <= 2**22:
+        if layer.exact_cells <= 2**22:
             try:
-                rep = verify_emergent_symmetry(gmap)
+                rep = verify_emergent_symmetry(build_gauging_map(layer))
             except CapExceededError as exc:
                 raise ConfigError(str(exc))
             rep["name"] = f"emergent_symmetry_layer{layer.index}"
@@ -273,33 +258,25 @@ def compose(group_text, num_layers, n, bc, twist_even, twist_odd, max_dim, tol, 
 def code(group_text, n, m, bc, twist_even, twist_odd, beta, subgroup, orientation, out):
     """Build the 2D code, check commutation, and compute the ground space."""
     group = parse_group(group_text)
-    if bc == "torus" and (beta is not None or subgroup is not None):
-        raise ConfigError("--beta and --subgroup set the cylinder's bottom boundary; a torus has none")
-    te = parse_twist(group, twist_even)
-    to = parse_twist(group, twist_odd)
-    bb = parse_twist(group, beta)
-    sub = parse_subgroup(group, subgroup)
-    vertical = "periodic" if bc == "torus" else "open"
     with building_config():
-        lattice = Lattice2D(group, n, m, vertical)
-        spec = CodeSpec(lattice, te, to, bb, subgroup_bottom=sub, orientation=orientation)
+        spec = _code_spec(group, n, m, bc, twist_even, twist_odd, beta, subgroup, orientation)
         boundary_terms = []
-        if vertical == "open":
+        if bc == "cylinder":
             boundary_terms = build_boundary_terms(spec, "bottom") + build_boundary_terms(spec, "top")
     terms = build_bulk_stabilizers(spec)
     checks = []
     commute = check_all_commute(terms)
     commute["claim"] = "all stabilizer terms commute pairwise"
     checks.append(commute)
-    if vertical == "open":
+    if bc == "cylinder":
         both = check_all_commute(terms + boundary_terms)
         both["name"] = "bulk_and_boundary_commute"
         both["claim"] = "boundary terms commute with the bulk"
         checks.append(both)
     ground = None
-    if vertical == "periodic":
+    if bc == "torus":
         ground = ground_space_dimension(spec)
-        if lattice.total_dim <= DENSE_ORACLE_CAP:
+        if spec.lattice.total_dim <= DENSE_ORACLE_CAP:
             dense = ground_space_dimension_dense(spec)
             checks.append(
                 {
@@ -311,7 +288,7 @@ def code(group_text, n, m, bc, twist_even, twist_odd, beta, subgroup, orientatio
                 }
             )
     logicals = []
-    if vertical == "periodic":
+    if bc == "torus":
         logicals = [
             {"name": l.name, "commutes": l.commutes, "witness": l.witness}
             for l in logical_operators(spec)
@@ -343,36 +320,38 @@ def code(group_text, n, m, bc, twist_even, twist_odd, beta, subgroup, orientatio
     finish(report, out)
 
 
+def _code_spec(group, n, m, bc, twist_even, twist_odd, beta, subgroup, orientation) -> CodeSpec:
+    """The code of `gauge code` and of a spec file, from the texts of its twists and subgroup.
+
+    beta and subgroup set the bottom boundary, so only a cylinder takes
+    them.  A bad value raises ValueError, or ConfigError from a parser.
+    """
+    if bc not in ("torus", "cylinder"):
+        raise ValueError(f"bc must be 'torus' or 'cylinder', not {bc!r}")
+    if bc == "torus" and (beta is not None or subgroup is not None):
+        raise ValueError("beta and subgroup set the cylinder's bottom boundary; a torus has none")
+    twists = [parse_twist(group, text) for text in (twist_even, twist_odd, beta)]
+    sub = parse_subgroup(group, subgroup)
+    lattice = Lattice2D(group, n, m, "periodic" if bc == "torus" else "open")
+    return CodeSpec(lattice, *twists, subgroup_bottom=sub, orientation=orientation)
+
+
 def _load_code_spec(path: str) -> CodeSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        group = GroupSpec(tuple(data["group"]))
-        bc = data.get("bc", "torus")
-        if bc not in ("torus", "cylinder"):
-            raise ValueError(f"bc must be 'torus' or 'cylinder', not {bc!r}")
-        if bc == "torus" and (data.get("beta") is not None or data.get("subgroup") is not None):
-            raise ValueError("beta and subgroup set the cylinder's bottom boundary; a torus has none")
-        vertical = "periodic" if bc == "torus" else "open"
-        lattice = Lattice2D(group, int(data["n"]), int(data["m"]), vertical)
 
-        def twist_of(key):
+        def text_of(key):
             raw = data.get(key)
-            if raw is None:
-                return None
-            text = ",".join(str(x) for x in raw) if isinstance(raw, list) else raw
-            return parse_twist(group, text)
+            return ",".join(str(x) for x in raw) if isinstance(raw, list) else raw
 
         subgroup = data.get("subgroup")
         if subgroup is not None and not isinstance(subgroup, str):
             raise ValueError("subgroup must be a string such as 'e' or '0,0;1,1'")
-        return CodeSpec(
-            lattice,
-            twist_of("twist_even"),
-            twist_of("twist_odd"),
-            twist_of("beta"),
-            subgroup_bottom=parse_subgroup(group, subgroup),
-            orientation=data.get("orientation", "standard"),
+        return _code_spec(
+            GroupSpec(tuple(data["group"])), int(data["n"]), int(data["m"]), data.get("bc", "torus"),
+            text_of("twist_even"), text_of("twist_odd"), text_of("beta"), subgroup,
+            data.get("orientation", "standard"),
         )
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad code spec {path!r}: {exc}")
@@ -558,7 +537,7 @@ def suite(out):
     """Run the complete verification battery."""
     check_env_cap()
     try:
-        report = suite_mod.run_suite(echo=click.echo)
+        report = run_suite(echo=click.echo)
     except CapExceededError as exc:
         raise ConfigError(f"{exc}; the suite needs a larger GAUGE_MAX_DIM")
     emit(report, out)

@@ -23,6 +23,8 @@ from .operators import (
     shift_x,
 )
 
+MAX_STRING_LENGTH = 3  # longest confined string and tallest dipole in confinement_report
+
 
 @dataclass
 class SyndromeMap:
@@ -140,11 +142,8 @@ def horizontal_string_path(spec: CodeSpec, row: int, start_x2: int, length: int)
 
 def confined_string_operator(spec: CodeSpec, g: GroupElement, row: int, start_x2: int, length: int) -> ProductOperator:
     """Projective shifts on consecutive edges of one row (twisted code)."""
-    from .groups import Cocycle
-
-    alpha = spec.twist_even if spec.twist_even is not None else Cocycle.trivial(spec.group)
     lat = spec.lattice
-    mono = projective_x(alpha, g)
+    mono = projective_x(spec.twist_even, g)
     sites = ((row, (start_x2 + 2 * k) % (2 * lat.n)) for k in range(length))
     return ProductOperator.from_factors(((site, mono) for site in sites), spec.group.phase_modulus)
 
@@ -156,13 +155,10 @@ def dipole_operator(spec: CodeSpec, g: GroupElement, row: int, left_x2: int, hei
     The shared plaquette between the two columns is never excited, so the
     pattern moves vertically without growing its syndrome.
     """
-    from .groups import Cocycle
-
-    alpha = spec.twist_even if spec.twist_even is not None else Cocycle.trivial(spec.group)
     lat = spec.lattice
     two_n = 2 * lat.n
-    left_mono = projective_x_tilde(alpha, g)
-    right_mono = projective_x(alpha, g)
+    left_mono = projective_x_tilde(spec.twist_even, g)
+    right_mono = projective_x(spec.twist_even, g)
     factors = []
     for h in range(height):
         j = row + 2 * h
@@ -177,7 +173,7 @@ def braiding_phase(spec: CodeSpec, s1: StringSpec, s2: StringSpec) -> PhaseExpon
     return commutation_phase(string_operator(spec, s1), string_operator(spec, s2))
 
 
-def confinement_report(spec: CodeSpec, g: GroupElement | None = None, max_length: int = 3) -> dict:
+def confinement_report(spec: CodeSpec, g: GroupElement | None = None) -> dict:
     """Energetics of the twisted code's projective-shift excitations.
 
     Reports, for a twisted code: the syndrome count of a single projective
@@ -186,10 +182,10 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None, max_length
     of bending the dipole with a horizontal clock, and the trivial
     braiding of the dipole with full-row character strings.
     """
-    if spec.twist_even is None or spec.twist_even.is_trivial:
+    if spec.twist_even.is_trivial:
         raise ValueError("confinement analysis needs a nontrivial even-layer twist")
     lat = spec.lattice
-    if lat.n < max_length + 1 or lat.m < 2 * max_length + 2:
+    if lat.n < MAX_STRING_LENGTH + 1 or lat.m < 2 * MAX_STRING_LENGTH + 2:
         raise ValueError("lattice too small to separate the tested string lengths")
     group = spec.group
     if g is None:
@@ -199,12 +195,12 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None, max_length
     start = 1
 
     string_counts = {}
-    for length in range(1, max_length + 1):
+    for length in range(1, MAX_STRING_LENGTH + 1):
         op = confined_string_operator(spec, g, row, start, length)
         string_counts[length] = len(syndrome(spec, op, terms).violated_centers())
 
     dipole_counts = {}
-    for height in range(1, max_length + 1):
+    for height in range(1, MAX_STRING_LENGTH + 1):
         op = dipole_operator(spec, g, row, start, height)
         dipole_counts[height] = len(syndrome(spec, op, terms).violated_centers())
 
@@ -235,7 +231,7 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None, max_length
         "single_violations": string_counts[1],
         "string_counts": string_counts,
         "string_strictly_increasing": all(
-            string_counts[k] < string_counts[k + 1] for k in range(1, max_length)
+            string_counts[k] < string_counts[k + 1] for k in range(1, MAX_STRING_LENGTH)
         ),
         "dipole_counts": dipole_counts,
         "dipole_constant": len(set(dipole_counts.values())) == 1,

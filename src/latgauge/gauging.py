@@ -61,16 +61,18 @@ def dimension_cap(override: int | None = None) -> int:
 class LayerSpec:
     """One gauging step: matter row `index`, new row `index + 1`.
 
-    matter_rep optionally overrides the diagonal matter representation:
-    a mapping from label exponent tuples to diagonal MonomialOperators
-    forming a genuine representation.  The default is the clock.
+    twist always holds a Cocycle of the group: None on input means the
+    trivial class and is replaced by it.  matter_rep optionally overrides
+    the diagonal matter representation: a mapping from label exponent
+    tuples to diagonal MonomialOperators forming a genuine representation.
+    The default is the clock.
     """
 
     group: GroupSpec
     index: int
     n: int
     boundary: str = "periodic"
-    twist: Cocycle | None = None
+    twist: Cocycle = None
     offset: int = 0
     matter_rep: tuple | None = None
 
@@ -79,7 +81,9 @@ class LayerSpec:
             raise ValueError("a layer needs at least two matter sites")
         if self.boundary not in ("periodic", "open"):
             raise ValueError("boundary must be 'periodic' or 'open'")
-        if self.twist is not None and self.twist.group != self.group:
+        if self.twist is None:
+            object.__setattr__(self, "twist", Cocycle.trivial(self.group))
+        elif self.twist.group != self.group:
             raise ValueError("twist cocycle defined on a different group")
         if self.boundary == "periodic" and self.offset != 0:
             raise ValueError("periodic layers have no offset")
@@ -134,6 +138,11 @@ class LayerSpec:
         """Power p with unit-isometry map = |G|**p times the projector product."""
         return (self.n - 1) / 2 if self.boundary == "periodic" else self.n / 2
 
+    @property
+    def exact_cells(self) -> int:
+        """Dense (out, in) cells of the exact map times the phase modulus, the size its caps bound."""
+        return self.group.size ** (2 * self.n + len(self.new_positions())) * self.group.phase_modulus
+
     def matter_sites(self) -> list[tuple]:
         return [((self.index, x2), self.matter_kind) for x2 in self.matter_positions()]
 
@@ -149,11 +158,10 @@ class LayerSpec:
 
 def _corner_ops(layer: LayerSpec, label) -> tuple[MonomialOperator, MonomialOperator, MonomialOperator]:
     """(left new, matter, right new) factors of the local symmetry at one site."""
-    alpha = layer.twist if layer.twist is not None else Cocycle.trivial(layer.group)
     return (
-        projective_x_tilde(alpha, label),
+        projective_x_tilde(layer.twist, label),
         layer.matter_clock(label),
-        projective_x(alpha, label),
+        projective_x(layer.twist, label),
     )
 
 
@@ -273,9 +281,9 @@ class GaugingMap:
         L = self.group.phase_modulus
         size = self.group.size
         n = self.layer.n
-        if self.out_dim * self.in_dim * L > dimension_cap():
+        if self.layer.exact_cells > dimension_cap():
             raise CapExceededError(f"exact tensor of layer {self.layer.index} ({self.layer.boundary}) is too large")
-        alpha = self.layer.twist if self.layer.twist is not None else Cocycle.trivial(self.group)
+        alpha = self.layer.twist
         spec = self.group
         n_new = len(self.new_sites)
         flats, roots = [], []

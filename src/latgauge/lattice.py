@@ -129,18 +129,29 @@ class StabilizerTerm:
 
 @dataclass(frozen=True)
 class CodeSpec:
+    """A code on a lattice: the twists of the two plaquette families and the boundaries.
+
+    twist_even twists the group plaquettes (odd rows), twist_odd the
+    character plaquettes, and boundary_beta the shift pair of the open
+    boundary terms.  The three always hold a Cocycle of the lattice's
+    group: None on input means the trivial class and is replaced by it.
+    """
+
     lattice: Lattice2D
-    twist_even: Cocycle | None = None
-    twist_odd: Cocycle | None = None
-    boundary_beta: Cocycle | None = None
+    twist_even: Cocycle = None
+    twist_odd: Cocycle = None
+    boundary_beta: Cocycle = None
     subgroup_bottom: tuple | None = None
     subgroup_top: tuple | None = None
     orientation: str = "standard"
 
     def __post_init__(self) -> None:
         g = self.lattice.group
-        for tw in (self.twist_even, self.twist_odd, self.boundary_beta):
-            if tw is not None and tw.group != g:
+        for name in ("twist_even", "twist_odd", "boundary_beta"):
+            tw = getattr(self, name)
+            if tw is None:
+                object.__setattr__(self, name, Cocycle.trivial(g))
+            elif tw.group != g:
                 raise GeometryError("twist cocycle defined on a different group")
         if self.orientation not in ("standard", "reflected"):
             raise GeometryError("orientation must be 'standard' or 'reflected'")
@@ -154,15 +165,14 @@ class CodeSpec:
 
 
 @functools.cache
-def _corner_factors(twist: Cocycle | None, label, orientation: str) -> tuple:
+def _corner_factors(twist: Cocycle, label, orientation: str) -> tuple:
     """(west, east, north, south) factors of a plaquette for one label.
 
-    No twist means the trivial cocycle, which is then built once per
-    label rather than once per plaquette.
+    The twisted shift pair of every bulk and boundary term comes from
+    here, built once per (twist, label, orientation).
     """
-    alpha = twist if twist is not None else Cocycle.trivial(label.group)
-    west = projective_x_tilde(alpha, label)
-    east = projective_x(alpha, label)
+    west = projective_x_tilde(twist, label)
+    east = projective_x(twist, label)
     clock = clock_z(label)
     north, south = canonical(clock.adjoint()), clock
     if orientation == "reflected":
@@ -209,16 +219,18 @@ def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
     """Three-body boundary stabilizers on an open vertical edge.
 
     The terms are the boundary-truncated character plaquettes, with the
-    shift pair twisted by boundary_beta.  When a boundary subgroup H is
-    given the labels are restricted to the characters trivial on H; an
-    absent subgroup emits all labels (the caller may filter afterwards).
+    shift pair twisted by boundary_beta: west, east and the inner clock
+    are the standard corner factors of _corner_factors, the inner clock
+    being the north one at the bottom and the south one at the top.  When
+    a boundary subgroup H is given the labels are restricted to the
+    characters trivial on H; an absent subgroup emits all labels (the
+    caller may filter afterwards).
     """
     lat = spec.lattice
     if lat.vertical != "open":
         raise GeometryError("boundary terms only exist with open vertical boundary")
     if which not in ("bottom", "top"):
         raise GeometryError("which must be 'bottom' or 'top'")
-    beta = spec.boundary_beta if spec.boundary_beta is not None else Cocycle.trivial(spec.group)
     row = 0 if which == "bottom" else lat.m
     if row % 2 != 0:
         raise GeometryError("boundary rows of odd parity are not supported here")
@@ -232,9 +244,8 @@ def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
     for k in range(lat.n):
         c = 2 * k + 1
         for chi in labels:
-            west = projective_x_tilde(beta, chi)
-            east = projective_x(beta, chi)
-            clock = clock_z(chi).adjoint() if which == "bottom" else clock_z(chi)
+            west, east, north, south = _corner_factors(spec.boundary_beta, chi, "standard")
+            clock = north if which == "bottom" else south
             factors = [
                 (lat.wrap(row, c - 1), west), (lat.wrap(row, c + 1), east), ((inner, c), clock)
             ]

@@ -239,10 +239,7 @@ class ProductOperator:
         by_site: dict = {}
         for site, op in pairs:
             by_site[site] = op.multiply(by_site[site]) if site in by_site else op
-        items = sorted(
-            ((site, op) for site, op in by_site.items() if not op.is_identity),
-            key=lambda kv: repr(kv[0]),
-        )
+        items = sorted((site, op) for site, op in by_site.items() if not op.is_identity)
         return cls(tuple(items), modulus)
 
     @classmethod

@@ -68,18 +68,27 @@ from .operators import (
 )
 from .tensors import contract_pepes, mpo_layers, mpo_matches_map, pull_through_check
 
+SCHEMA_VERSION = 1
 GROUPS = [(2,), (3,), (4,), (2, 2), (2, 3)]
 TORI = [(2, 2), (3, 2), (4, 2), (2, 4), (3, 4), (4, 4)]  # (n, m)
 STATE_TOL = 1e-10
 
 
+def envelope(command: str, config: dict, checks: list, **fields) -> dict:
+    """The versioned report of one command; `fields` are its extra top-level keys."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "config": config,
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+        **fields,
+    }
+
+
 def _twist_combinations(group: GroupSpec):
-    classes = enumerate_cocycle_classes(group)
-    combos = []
-    for even in classes:
-        for odd in classes:
-            combos.append((None if even.is_trivial else even, None if odd.is_trivial else odd))
-    return combos
+    """Every (even, odd) pair of cocycle classes, the trivial class first."""
+    return list(itertools.product(enumerate_cocycle_classes(group), repeat=2))
 
 
 def criterion_commutation() -> dict:
@@ -209,13 +218,12 @@ def criterion_emergent_symmetry() -> dict:
     for orders in [(2,), (3,), (4,), (2, 2)]:
         group = GroupSpec(orders)
         for twist in enumerate_cocycle_classes(group):
-            tw = None if twist.is_trivial else twist
             for index in (0, 1):
                 for n in (2, 3):
-                    layer = LayerSpec(group, index, n, "periodic", tw)
+                    layer = LayerSpec(group, index, n, "periodic", twist)
                     rep = verify_emergent_symmetry(build_gauging_map(layer))
                     checks.append(
-                        {"group": orders, "layer": index, "n": n, "twisted": tw is not None,
+                        {"group": orders, "layer": index, "n": n, "twisted": not twist.is_trivial,
                          "passed": rep["passed"]}
                     )
     return {
@@ -249,10 +257,7 @@ def criterion_twisted_plaquette_product() -> dict:
         group = GroupSpec(orders)
         for alpha in enumerate_cocycle_classes(group):
             for n, m in [(2, 2), (3, 2)]:
-                spec = CodeSpec(
-                    Lattice2D(group, n, m, "periodic"),
-                    twist_even=None if alpha.is_trivial else alpha,
-                )
+                spec = CodeSpec(Lattice2D(group, n, m, "periodic"), twist_even=alpha)
                 terms = build_bulk_stabilizers(spec)
                 for g in group.elements():
                     total = ProductOperator.identity_op(group.phase_modulus)
@@ -382,11 +387,10 @@ def criterion_tensor_network() -> dict:
         group = GroupSpec(orders)
         for n in (2, 3):
             for layer in mpo_layers(group, n):
-                gmap = build_gauging_map(layer)
-                if gmap.out_dim * gmap.in_dim * group.phase_modulus > 2**24:
+                if layer.exact_cells > 2**24:
                     continue
                 mpo_checked += 1
-                if not mpo_matches_map(gmap):
+                if not mpo_matches_map(build_gauging_map(layer)):
                     mpo_ok = False
     pepes_ok = True
     for orders in [(2,), (3,)]:
@@ -557,10 +561,4 @@ def run_suite(echo=None) -> dict:
         if echo is not None:
             status = "PASS" if rep["passed"] else "FAIL"
             echo(f"[{status}] {rep['name']} ({time.time() - t0:.2f}s)")
-    return {
-        "schema_version": 1,
-        "command": "suite",
-        "config": {},
-        "checks": results,
-        "passed": all(r["passed"] for r in results),
-    }
+    return envelope("suite", {}, results)

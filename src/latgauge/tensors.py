@@ -152,11 +152,9 @@ def blocked_diamond_identities(m_name: str, group: GroupSpec):
     ]
 
 
-def pull_through_check(group: GroupSpec, names=None) -> dict:
+def pull_through_check(group: GroupSpec) -> dict:
     """Verify every tensor identity exactly; deviations must be zero."""
-    if names is None:
-        names = ["M_tilde", "M_e", "M_o", "T_e", "T_o"]
-    cases = [(name, build_tensor(name, group), pull_through_identities(name, group)) for name in names]
+    cases = [(name, build_tensor(name, group), pull_through_identities(name, group)) for name in M_NAMES + T_NAMES]
     for m_name, t_name in [("M_e", "T_o"), ("M_o", "T_e")]:
         diamond = block_diamond(m_name, t_name, group)
         cases.append((f"diamond {m_name}/{t_name}", diamond, blocked_diamond_identities(m_name, group)))
@@ -196,14 +194,14 @@ def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
     GaugingMap.exact_matrix, so the two construction routes can be
     compared entrywise (the MPO carries the T prefactors in its scale).
     """
-    if layer.twist is not None and not layer.twist.is_trivial:
+    if not layer.twist.is_trivial:
         raise ValueError("the MPO tensors describe untwisted layers only")
     group = layer.group
     size, L, n = group.size, group.phase_modulus, layer.n
     open_bc = layer.boundary == "open"
     new_pos = layer.new_positions()
     out_dim, in_dim = size ** (n + len(new_pos)), size**n
-    if out_dim * in_dim * L > dimension_cap():
+    if layer.exact_cells > dimension_cap():
         raise CapExceededError(f"exact MPO contraction of layer {layer.index} ({layer.boundary}) is too large")
     even = layer.parity == "even"
     m_tensor = build_tensor("M_e" if even else "M_o", group)  # (left, right, out, in)
@@ -239,7 +237,7 @@ def mpo_layers(group: GroupSpec, n: int) -> list[LayerSpec]:
     An open layer j starts at offset -j, as in gauging.layer_stack.
     """
     return [
-        LayerSpec(group, index, n, bc, None, offset=-index if bc == "open" else 0)
+        LayerSpec(group, index, n, bc, offset=-index if bc == "open" else 0)
         for index in (0, 1)
         for bc in ("periodic", "open")
     ]

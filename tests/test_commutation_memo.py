@@ -56,7 +56,7 @@ def _suite_tori():
         for even, odd in _twist_combinations(group):
             for n, m in TORI:
                 spec = CodeSpec(Lattice2D(group, n, m, "periodic"), twist_even=even, twist_odd=odd)
-                twists = f"{even is not None:d}{odd is not None:d}"
+                twists = f"{not even.is_trivial:d}{not odd.is_trivial:d}"
                 params.append(pytest.param(spec, id=f"{'x'.join(map(str, orders))}-{n}x{m}-{twists}"))
     return params
 

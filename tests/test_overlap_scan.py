@@ -41,7 +41,7 @@ def _specs(vertical, sizes, orientations):
                 for orientation in orientations:
                     lat = Lattice2D(group, n, m, vertical)
                     spec = CodeSpec(lat, twist_even=even, twist_odd=odd, orientation=orientation)
-                    twists = f"{even is not None:d}{odd is not None:d}"
+                    twists = f"{not even.is_trivial:d}{not odd.is_trivial:d}"
                     name = f"{'x'.join(map(str, orders))}-{vertical}-{n}x{m}-{twists}-{orientation}"
                     params.append(pytest.param(spec, id=name))
     return params

@@ -94,7 +94,7 @@ def mpo_layers():
 
 
 def _layer_id(layer):
-    twisted = "twisted" if layer.twist is not None else "plain"
+    twisted = "plain" if layer.twist.is_trivial else "twisted"
     return f"{layer.group.orders}-L{layer.index}-n{layer.n}-{layer.boundary}-{twisted}"
 
 
