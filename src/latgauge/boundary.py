@@ -1,18 +1,13 @@
 """1D symmetric inputs, string order, and boundary condensation.
 
 The open vertical boundary of the 2D code is controlled by the quantum
-phase of the 1D state fed into the first gauging map.  Phases of a global
+phase of the 1D state fed into the first gauging map.  That state lives
+on the first row of the code: a periodic chain of VERTEX_DUAL sites on
+which the symmetry acts by the diagonal clocks.  Phases of a global
 symmetry are labelled by the unbroken subgroup H; the renormalization
-fixed point of each phase is an explicit product-of-cosets state whose
-string order parameters are exactly 0 or 1.
-
-Two equivalent conventions are exposed.  In the shift convention the chain
-carries EDGE_GROUP sites with the symmetry acting by shifts and the order
-parameters are diagonal clock pairs.  In the clock convention (the one the
-2D code uses for its first row) the chain carries VERTEX_DUAL sites, the
-symmetry acts by the diagonal clocks, and the order parameters are
-character shift pairs joined by a slant-product string.  A sitewise
-Fourier rotation maps one convention onto the other.
+fixed point of each phase is the sitewise Fourier image of an explicit
+product-of-cosets state, and its string order parameters (character shift
+pairs joined by a slant-product clock string) are exactly 0 or 1.
 """
 
 from __future__ import annotations
@@ -41,32 +36,19 @@ from .operators import (
     shift_x,
 )
 
-SHIFT = "shift_symmetry"
-CLOCK = "clock_symmetry"
 SURVIVAL_TOL = 1e-9  # a string order parameter within this of 1 counts as 1
 
 
 @dataclass
 class SymmetricState1D:
-    group: GroupSpec
-    unbroken: tuple
-    n: int
-    convention: str
-    state: StateVector
-    periodic: bool = True
+    """A periodic chain of n vertex sites (0, 2k) and its state."""
 
-    @property
-    def site_ids(self) -> tuple:
-        return self.state.site_ids
+    group: GroupSpec
+    n: int
+    state: StateVector
 
     def site_at(self, i: int):
-        return self.state.site_ids[i % self.n if self.periodic else i]
-
-
-def _chain_sites(n: int, convention: str):
-    if convention == CLOCK:
-        return [((0, 2 * k), SiteKind.VERTEX_DUAL) for k in range(n)]
-    return [(("s", k), SiteKind.EDGE_GROUP) for k in range(n)]
+        return self.state.site_ids[i % self.n]
 
 
 def fourier_matrix(group: GroupSpec) -> np.ndarray:
@@ -86,14 +68,14 @@ def fourier_matrix(group: GroupSpec) -> np.ndarray:
     return mat / math.sqrt(size)
 
 
-def build_fixed_point_state(
-    group: GroupSpec, subgroup, n: int, convention: str = CLOCK, periodic: bool = True
-) -> SymmetricState1D:
+def build_fixed_point_state(group: GroupSpec, subgroup, n: int) -> SymmetricState1D:
     """Fixed-point representative of the phase with unbroken subgroup H.
 
-    In the shift convention the state is the normalized sum over cosets of
-    (coset indicator)**n; H = G gives the uniform product state and
-    H = {e} the Greenberger-Horne-Zeilinger style sum over diagonals.
+    In group labels the state is the normalized sum over cosets of
+    (coset indicator)**n, invariant under the shifts: H = G gives the
+    uniform product state and H = {e} the Greenberger-Horne-Zeilinger
+    style sum over diagonals.  The sitewise Fourier rotation carries it
+    onto the chain, where the symmetry acts by the clocks.
     """
     subgroup = tuple(h if isinstance(h, GroupElement) else group.element(h) for h in subgroup)
     if not is_subgroup(group, subgroup):
@@ -101,10 +83,6 @@ def build_fixed_point_state(
     if n < 2:
         raise ValueError("need at least two sites")
     size = group.size
-    plus_h = np.zeros(size, dtype=complex)
-    for h in subgroup:
-        plus_h[group.index_of(h.exps)] = 1.0
-    plus_h /= math.sqrt(len(subgroup))
     amps = np.zeros(size**n, dtype=complex)
     for g in group.elements():
         local = np.zeros(size, dtype=complex)
@@ -116,24 +94,14 @@ def build_fixed_point_state(
             term = np.kron(term, local)
         amps += term
     amps /= np.linalg.norm(amps)
-    if convention == CLOCK:
-        f = fourier_matrix(group)
-        tensor = amps.reshape((size,) * n)
-        for axis in range(n):
-            tensor = np.tensordot(f, tensor, axes=([1], [axis]))
-            tensor = np.moveaxis(tensor, 0, axis)
-        amps = tensor.reshape(-1)
-    sites = _chain_sites(n, convention)
-    state = StateVector(
-        tuple(s for s, _ in sites), tuple(k for _, k in sites), (size,) * n, amps
-    )
-    return SymmetricState1D(group, subgroup, n, convention, state, periodic)
-
-
-def symmetry_operator(chain: SymmetricState1D, g: GroupElement) -> ProductOperator:
-    mono = shift_x(g) if chain.convention == SHIFT else clock_z(g)
-    factors = ((s, mono) for s in chain.site_ids)
-    return ProductOperator.from_factors(factors, chain.group.phase_modulus)
+    f = fourier_matrix(group)
+    tensor = amps.reshape((size,) * n)
+    for axis in range(n):
+        tensor = np.tensordot(f, tensor, axes=([1], [axis]))
+        tensor = np.moveaxis(tensor, 0, axis)
+    sites = tuple((0, 2 * k) for k in range(n))
+    state = StateVector(sites, (SiteKind.VERTEX_DUAL,) * n, (size,) * n, tensor.reshape(-1))
+    return SymmetricState1D(group, n, state)
 
 
 def string_order_operator(
@@ -141,32 +109,23 @@ def string_order_operator(
 ) -> ProductOperator:
     """Endpoint pair joined by the slant-product string, as an operator.
 
-    Clock convention: conjugate projective character shift at site i, the
-    plain one at site i+ell, and the diagonal clock of the slant product
-    on the ell-1 interior sites.  Shift convention: diagonal clock pair
-    at the endpoints (trivial beta only).
+    Conjugate projective character shift at site i, the plain one at site
+    i+ell, and the diagonal clock of the slant product on the ell-1
+    interior sites.
     """
     group = chain.group
     beta = beta if beta is not None else Cocycle.trivial(group)
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    if chain.periodic:
-        if ell >= chain.n:
-            raise ValueError("string longer than the chain")
-    elif i + ell >= chain.n:
-        raise ValueError("string leaves the open chain")
+    if ell >= chain.n:
+        raise ValueError("string longer than the chain")
     sites = [chain.site_at(i + k) for k in range(ell + 1)]
-    if chain.convention == CLOCK:
-        # The slant product is a character; the clock on vertex sites takes
-        # the element with the same exponents.
-        slant = slant_product(beta, GroupElement(group, chi.exps))
-        clock = clock_z(GroupElement(group, slant.exps))
-        factors = [(sites[0], projective_x_tilde(beta, chi)), (sites[-1], projective_x(beta, chi))]
-        factors += [(s, clock) for s in sites[1:-1]]
-    else:
-        if not beta.is_trivial:
-            raise ValueError("diagonal endpoints support only the trivial boundary class")
-        factors = [(sites[0], clock_z(chi)), (sites[-1], clock_z(chi).adjoint())]
+    # The slant product is a character; the clock on vertex sites takes
+    # the element with the same exponents.
+    slant = slant_product(beta, GroupElement(group, chi.exps))
+    clock = clock_z(GroupElement(group, slant.exps))
+    factors = [(sites[0], projective_x_tilde(beta, chi)), (sites[-1], projective_x(beta, chi))]
+    factors += [(s, clock) for s in sites[1:-1]]
     return ProductOperator.from_factors(factors, group.phase_modulus)
 
 
@@ -204,8 +163,8 @@ def condensation_table(spec: CodeSpec, chain: SymmetricState1D) -> dict:
     lat = spec.lattice
     if lat.vertical != "open":
         raise ValueError("condensation needs an open vertical boundary")
-    if chain.convention != CLOCK or chain.n != lat.n:
-        raise ValueError("boundary state must be a clock-convention chain of matching width")
+    if chain.n != lat.n:
+        raise ValueError("boundary state must be a chain of matching width")
     surviving, raw = surviving_boundary_terms(chain, spec.boundary_beta)
     # Build the surviving three-body terms themselves.
     terms = [

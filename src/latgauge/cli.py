@@ -25,7 +25,7 @@ import sys
 import click
 import numpy as np
 
-from .boundary import CLOCK, build_fixed_point_state, condensation_table
+from .boundary import build_fixed_point_state, condensation_table
 from .excitations import StringSpec, confinement_report, string_operator, syndrome
 from .gauging import (
     CapExceededError,
@@ -340,9 +340,13 @@ def _load_code_spec(path: str) -> CodeSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a code spec is a JSON object")
 
         def text_of(key):
             raw = data.get(key)
+            if raw is not None and not isinstance(raw, (str, list)):
+                raise ValueError(f"{key} must be a string, a list or null")
             return ",".join(str(x) for x in raw) if isinstance(raw, list) else raw
 
         subgroup = data.get("subgroup")
@@ -353,7 +357,7 @@ def _load_code_spec(path: str) -> CodeSpec:
             text_of("twist_even"), text_of("twist_odd"), text_of("beta"), subgroup,
             data.get("orientation", "standard"),
         )
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad code spec {path!r}: {exc}")
 
 
@@ -392,6 +396,8 @@ def anyons(spec_path, op_path, out):
             ops_data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad op file {op_path!r}: {exc}")
+    if not isinstance(ops_data, list):
+        raise ConfigError(f"bad op file {op_path!r}: it must hold a JSON list of operators")
     terms = build_bulk_stabilizers(spec)
     tables = []
     for k, data in enumerate(ops_data):
@@ -468,7 +474,7 @@ def boundary(group_text, subgroup, n, m, beta, out):
     if parse_twist(group, beta) is not None:
         raise ConfigError("a nontrivial --beta needs symmetry-protected fixed points, which are not built yet")
     with building_config():
-        chain = build_fixed_point_state(group, sub, n, CLOCK)
+        chain = build_fixed_point_state(group, sub, n)
         spec = CodeSpec(Lattice2D(group, n, m, "open"))
     table = condensation_table(spec, chain)
     expected = {chi.exps for chi in restricted_characters(group, sub)}

@@ -122,19 +122,11 @@ def _adjacent(lat, a, b) -> bool:
 
 def vertical_string_path(spec: CodeSpec, col_x2: int, start_row: int, length: int) -> tuple:
     """Path of `length` same-parity sites going up from start_row in one column."""
-    lat = spec.lattice
-    path = []
-    for k in range(length):
-        j = start_row + 2 * k
-        if lat.vertical == "periodic":
-            j %= lat.m
-        path.append((j, col_x2 % (2 * lat.n)))
-    return tuple(path)
+    return tuple(spec.lattice.wrap(start_row + 2 * k, col_x2) for k in range(length))
 
 
 def horizontal_string_path(spec: CodeSpec, row: int, start_x2: int, length: int) -> tuple:
-    lat = spec.lattice
-    return tuple((row, (start_x2 + 2 * k) % (2 * lat.n)) for k in range(length))
+    return tuple(spec.lattice.wrap(row, start_x2 + 2 * k) for k in range(length))
 
 
 # -- twisted-code excitations -------------------------------------------------
@@ -142,9 +134,8 @@ def horizontal_string_path(spec: CodeSpec, row: int, start_x2: int, length: int)
 
 def confined_string_operator(spec: CodeSpec, g: GroupElement, row: int, start_x2: int, length: int) -> ProductOperator:
     """Projective shifts on consecutive edges of one row (twisted code)."""
-    lat = spec.lattice
     mono = projective_x(spec.twist_even, g)
-    sites = ((row, (start_x2 + 2 * k) % (2 * lat.n)) for k in range(length))
+    sites = horizontal_string_path(spec, row, start_x2, length)
     return ProductOperator.from_factors(((site, mono) for site in sites), spec.group.phase_modulus)
 
 
@@ -156,15 +147,12 @@ def dipole_operator(spec: CodeSpec, g: GroupElement, row: int, left_x2: int, hei
     pattern moves vertically without growing its syndrome.
     """
     lat = spec.lattice
-    two_n = 2 * lat.n
     left_mono = projective_x_tilde(spec.twist_even, g)
     right_mono = projective_x(spec.twist_even, g)
     factors = []
     for h in range(height):
         j = row + 2 * h
-        if lat.vertical == "periodic":
-            j %= lat.m
-        factors += [((j, left_x2 % two_n), left_mono), ((j, (left_x2 + 2) % two_n), right_mono)]
+        factors += [(lat.wrap(j, left_x2), left_mono), (lat.wrap(j, left_x2 + 2), right_mono)]
     return ProductOperator.from_factors(factors, spec.group.phase_modulus)
 
 
@@ -207,7 +195,7 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None) -> dict:
     # Bending: multiply the dipole by a neighbouring vertex clock and check
     # the syndrome relocates multiplicatively (exact homomorphism).
     dip = dipole_operator(spec, g, row, start, 1)
-    bend_site = (row + 1, (start + 1) % (2 * lat.n))
+    bend_site = lat.wrap(row + 1, start + 1)
     bend = ProductOperator.from_factors([(bend_site, clock_z(g))], group.phase_modulus)
     bent = dip.multiply(bend)
     syn_d = syndrome(spec, dip, terms)

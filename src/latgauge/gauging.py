@@ -2,11 +2,12 @@
 
 A gauging map takes one horizontal row of matter sites, adjoins a new row
 of sites carrying the gauge fields, and projects onto the subspace where
-the matter symmetry has been made local.  Even-index layers gauge the
-group symmetry of a VERTEX_DUAL row (adding an EDGE_GROUP row above);
-odd-index layers gauge the dual symmetry of an EDGE_GROUP row (adding a
-VERTEX_DUAL row).  Iterating and stacking the rows produces the 2D states
-checked by the lattice module.
+the matter symmetry has been made local.  The matter symmetry always
+acts by the diagonal clocks: even-index layers gauge the group symmetry
+of a VERTEX_DUAL row (adding an EDGE_GROUP row above); odd-index layers
+gauge the dual symmetry of an EDGE_GROUP row (adding a VERTEX_DUAL row).
+Iterating and stacking the rows produces the 2D states checked by the
+lattice module.
 
 Site ids are (row, x2) with x2 twice the horizontal position, so vertex
 sites sit at even x2 and edge sites at odd x2.  With periodic horizontal
@@ -31,7 +32,6 @@ from .cyclotomic import PhaseTensor, mono_mul_left, mono_mul_right
 from .groups import Cocycle, GroupSpec
 from .operators import (
     CapExceededError,
-    MonomialOperator,
     ProductOperator,
     SiteKind,
     StateVector,
@@ -43,6 +43,7 @@ from .operators import (
 )
 
 DEFAULT_DIM_CAP = 2**24
+ZERO_DIM_TOL = 1e-12  # largest amplitude change a symmetric zero_dim_gauge input may show
 
 
 def dimension_cap(override: int | None = None) -> int:
@@ -62,10 +63,8 @@ class LayerSpec:
     """One gauging step: matter row `index`, new row `index + 1`.
 
     twist always holds a Cocycle of the group: None on input means the
-    trivial class and is replaced by it.  matter_rep optionally overrides
-    the diagonal matter representation: a mapping from label exponent
-    tuples to diagonal MonomialOperators forming a genuine representation.
-    The default is the clock.
+    trivial class and is replaced by it.  The matter row carries the
+    clock representation of the labels the layer gauges.
     """
 
     group: GroupSpec
@@ -74,7 +73,6 @@ class LayerSpec:
     boundary: str = "periodic"
     twist: Cocycle = None
     offset: int = 0
-    matter_rep: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -87,27 +85,6 @@ class LayerSpec:
             raise ValueError("twist cocycle defined on a different group")
         if self.boundary == "periodic" and self.offset != 0:
             raise ValueError("periodic layers have no offset")
-        if self.matter_rep is not None:
-            object.__setattr__(self, "matter_rep", tuple(sorted(dict(self.matter_rep).items())))
-            self._validate_matter_rep()
-
-    def _validate_matter_rep(self) -> None:
-        rep = dict(self.matter_rep)
-        labels = self.labels()
-        if set(rep) != {lab.exps for lab in labels}:
-            raise ValueError("matter_rep must cover every symmetry label exactly once")
-        for mono in rep.values():
-            if mono.perm != tuple(range(mono.dim)) or mono.dim != self.group.size:
-                raise ValueError("matter_rep entries must be diagonal monomials of the right dimension")
-        for a in labels:
-            for b in labels:
-                if rep[a.exps].multiply(rep[b.exps]) != rep[(a * b).exps]:
-                    raise ValueError("matter_rep is not a representation")
-
-    def matter_clock(self, label) -> MonomialOperator:
-        if self.matter_rep is not None:
-            return dict(self.matter_rep)[label.exps].with_kind(self.matter_kind)
-        return clock_z(label)
 
     @property
     def parity(self) -> str:
@@ -156,15 +133,6 @@ class LayerSpec:
         return list(self.group.characters())
 
 
-def _corner_ops(layer: LayerSpec, label) -> tuple[MonomialOperator, MonomialOperator, MonomialOperator]:
-    """(left new, matter, right new) factors of the local symmetry at one site."""
-    return (
-        projective_x_tilde(layer.twist, label),
-        layer.matter_clock(label),
-        projective_x(layer.twist, label),
-    )
-
-
 class GaugingMap:
     """Concrete gauging map for one layer.
 
@@ -188,9 +156,13 @@ class GaugingMap:
     # -- building blocks ---------------------------------------------------
 
     def local_symmetry_op(self, i: int, label) -> ProductOperator:
-        """The three-body symmetry enforced at matter site i."""
+        """The three-body symmetry enforced at matter site i.
+
+        Its factors are the conjugate projective shift on the left new
+        site, the clock on the matter site and the projective shift on
+        the right new site.
+        """
         layer = self.layer
-        left, mid, right = _corner_ops(layer, label)
         x2 = layer.matter_positions()[i]
         row = layer.index
         if layer.boundary == "periodic":
@@ -198,7 +170,11 @@ class GaugingMap:
             rpos = (x2 + 1) % (2 * layer.n)
         else:
             lpos, rpos = x2 - 1, x2 + 1
-        factors = [((row + 1, lpos), left), ((row, x2), mid), ((row + 1, rpos), right)]
+        factors = [
+            ((row + 1, lpos), projective_x_tilde(layer.twist, label)),
+            ((row, x2), clock_z(label)),
+            ((row + 1, rpos), projective_x(layer.twist, label)),
+        ]
         return ProductOperator.from_factors(factors, self.group.phase_modulus)
 
     def emergent_symmetry_op(self, label) -> ProductOperator:
@@ -287,13 +263,10 @@ class GaugingMap:
         spec = self.group
         n_new = len(self.new_sites)
         flats, roots = [], []
-        # Per matter site, the diagonal phase of the matter representation,
-        # as a (basis state, label) table.
+        # Per matter site, the phase of the matter clock as a (basis state,
+        # label) table.
         all_labels = [lab.exps for lab in self.layer.labels()]
-        pair_table = np.array(
-            [self.layer.matter_clock(lab).phase for lab in self.layer.labels()],
-            dtype=np.int64,
-        ).T
+        pair_table = np.array([clock_z(lab).phase for lab in self.layer.labels()], dtype=np.int64).T
         m_configs = np.array(list(itertools.product(range(size), repeat=n)), dtype=np.int64)
         m_flat = np.zeros(len(m_configs), dtype=np.int64)
         for col in range(n):
@@ -360,13 +333,11 @@ def layer_stack(
     return layers
 
 
-def initial_state(group: GroupSpec, layer: LayerSpec, local=None) -> StateVector:
-    """Product input on the layer's matter row; defaults to the identity label."""
-    size = group.size
-    if local is None:
-        local = np.zeros(size, dtype=complex)
-        local[0] = 1.0
-    return StateVector.product_state(layer.matter_sites(), [np.asarray(local, complex)] * layer.n)
+def initial_state(group: GroupSpec, layer: LayerSpec) -> StateVector:
+    """Product input on the layer's matter row, every site at the identity label."""
+    local = np.zeros(group.size, dtype=complex)
+    local[0] = 1.0
+    return StateVector.product_state(layer.matter_sites(), [local] * layer.n)
 
 
 def compose_gauging(
@@ -475,7 +446,7 @@ def verify_local_symmetry(state: StateVector, layers, tol: float = 1e-10) -> dic
 # -- zero dimensional gauging -------------------------------------------------
 
 
-def zero_dim_gauge(group: GroupSpec, psi: StateVector, n_pairs: int, tol: float = 1e-12) -> StateVector:
+def zero_dim_gauge(group: GroupSpec, psi: StateVector, n_pairs: int) -> StateVector:
     """Iterated gauging of a single symmetric site.
 
     Each round decouples a maximally entangled pair of group-labelled
@@ -495,7 +466,7 @@ def zero_dim_gauge(group: GroupSpec, psi: StateVector, n_pairs: int, tol: float 
         mono = clock_z(g) if kind == SiteKind.VERTEX_DUAL else shift_x(g)
         op = ProductOperator.from_factors([(psi.site_ids[0], mono)], group.phase_modulus)
         moved = psi.apply(op)
-        if np.max(np.abs(moved.amps - psi.amps)) > tol:
+        if np.max(np.abs(moved.amps - psi.amps)) > ZERO_DIM_TOL:
             raise ValueError("input state is not symmetric under the site representation")
     if n_pairs == 0:
         return psi.copy()

@@ -29,8 +29,8 @@ same site kind as shift_x:
   projective_x_tilde(alpha, g) |h> -> conj(alpha)(h g^-1, g) |h g^-1>
 
 which form commuting left and right projective regular representations.
-A monomial built without a label (a raw JSON factor, a matter_rep entry)
-has kind None until its caller stamps one with with_kind; multiplying
+A monomial built without a label (a raw JSON factor) has kind None
+until its caller stamps one with with_kind; multiplying
 factors of different kinds is refused, and so is applying a factor to a
 site of another kind.  ProductOperator tensors
 site-local monomials over named sites and is the workhorse for

@@ -14,12 +14,7 @@ import time
 
 import numpy as np
 
-from .boundary import (
-    CLOCK,
-    build_fixed_point_state,
-    condensation_table,
-    surviving_boundary_terms,
-)
+from .boundary import build_fixed_point_state, condensation_table, surviving_boundary_terms
 from .excitations import (
     StringSpec,
     braiding_phase,
@@ -341,13 +336,13 @@ def criterion_condensation() -> dict:
     for orders in [(2,), (4,), (2, 2)]:
         group = GroupSpec(orders)
         for sub in all_subgroups(group):
-            chain = build_fixed_point_state(group, sub, 4, CLOCK)
+            chain = build_fixed_point_state(group, sub, 4)
             surviving, _ = surviving_boundary_terms(chain)
             expected = set(restricted_characters(group, sub))
             res_ok = surviving == expected
             lat = Lattice2D(group, 2, 4, "open")
             spec = CodeSpec(lat)
-            table = condensation_table(spec, build_fixed_point_state(group, sub, 2, CLOCK))
+            table = condensation_table(spec, build_fixed_point_state(group, sub, 2))
             sub_exps = {h.exps for h in sub}
             cond_ok = all(
                 table["group_anyons"][str(g.exps)]["condenses"] == (g.exps in sub_exps)

@@ -1,25 +1,22 @@
 """Fixed-point inputs, string order, and condensation."""
 
-import math
+import itertools
 
 import numpy as np
 import pytest
 
 from latgauge.boundary import (
-    CLOCK,
-    SHIFT,
     build_fixed_point_state,
     condensation_table,
     string_order_expectation,
     string_order_operator,
     surviving_boundary_terms,
-    symmetry_operator,
 )
 from latgauge.cyclotomic import mono_mul_left, mono_mul_right
 from latgauge.gauging import LayerSpec, build_gauging_map, compose_gauging, layer_stack
 from latgauge.groups import GroupSpec, all_subgroups, enumerate_cocycle_classes, restricted_characters
 from latgauge.lattice import CodeSpec, Lattice2D, build_boundary_terms
-from latgauge.operators import ProductOperator, flatten_product_operator
+from latgauge.operators import ProductOperator, clock_z, flatten_product_operator
 
 Z2 = GroupSpec((2,))
 Z4 = GroupSpec((4,))
@@ -28,24 +25,28 @@ Z22 = GroupSpec((2, 2))
 
 class TestFixedPointStates:
     def test_ghz_for_fully_broken(self):
-        chain = build_fixed_point_state(Z2, [(0,)], 3, SHIFT)
-        expected = np.zeros(8, dtype=complex)
-        expected[0] = expected[7] = 1 / math.sqrt(2)
+        # The Fourier image of (|000> + |111>)/sqrt(2): 1/2 on every
+        # configuration of even parity.
+        chain = build_fixed_point_state(Z2, [(0,)], 3)
+        expected = np.array([0.5 if bin(k).count("1") % 2 == 0 else 0.0 for k in range(8)], dtype=complex)
         assert np.max(np.abs(chain.state.amps - expected)) < 1e-12
 
     def test_uniform_for_unbroken(self):
-        chain = build_fixed_point_state(Z2, [(0,), (1,)], 3, SHIFT)
-        assert np.max(np.abs(chain.state.amps - np.full(8, 1 / math.sqrt(8)))) < 1e-12
+        # The Fourier image of the uniform product state is all-identity.
+        chain = build_fixed_point_state(Z2, [(0,), (1,)], 3)
+        expected = np.zeros(8, dtype=complex)
+        expected[0] = 1.0
+        assert np.max(np.abs(chain.state.amps - expected)) < 1e-12
 
     @pytest.mark.parametrize("group", [Z2, Z4, Z22])
     def test_normalized_and_symmetric_everywhere(self, group):
         for sub in all_subgroups(group):
-            for conv in (SHIFT, CLOCK):
-                chain = build_fixed_point_state(group, sub, 3, conv)
-                assert abs(chain.state.norm() - 1) < 1e-12
-                for g in group.elements():
-                    moved = chain.state.apply(symmetry_operator(chain, g))
-                    assert np.max(np.abs(moved.amps - chain.state.amps)) < 1e-12
+            chain = build_fixed_point_state(group, sub, 3)
+            assert abs(chain.state.norm() - 1) < 1e-12
+            for g in group.elements():
+                factors = ((s, clock_z(g)) for s in chain.state.site_ids)
+                moved = chain.state.apply(ProductOperator.from_factors(factors, group.phase_modulus))
+                assert np.max(np.abs(moved.amps - chain.state.amps)) < 1e-12
 
     def test_open_subgroup_rejected(self):
         with pytest.raises(ValueError):
@@ -56,7 +57,7 @@ class TestStringOrder:
     def test_crisp_zero_one_and_translation_invariance(self):
         for group in (Z2, Z4, Z22):
             for sub in all_subgroups(group):
-                chain = build_fixed_point_state(group, sub, 4, CLOCK)
+                chain = build_fixed_point_state(group, sub, 4)
                 res = set(restricted_characters(group, sub))
                 for chi in group.characters():
                     expected = 1.0 if chi in res else 0.0
@@ -65,32 +66,43 @@ class TestStringOrder:
                             val = string_order_expectation(chain, chi, None, i, ell)
                             assert abs(val - expected) < 1e-12
 
-    def test_shift_convention_matches_clock_convention(self):
-        # The diagonal endpoint pair in the shift picture equals the shifted
-        # endpoint pair in the clock picture; both detect the same subgroup.
-        for sub in all_subgroups(Z4):
-            a = build_fixed_point_state(Z4, sub, 4, SHIFT)
-            b = build_fixed_point_state(Z4, sub, 4, CLOCK)
-            for chi in Z4.characters():
-                va = string_order_expectation(a, chi, None, 0, 2)
-                vb = string_order_expectation(b, chi, None, 0, 2)
-                assert abs(va - vb) < 1e-12
+    @pytest.mark.parametrize("group", [Z4, Z22])
+    def test_coset_state_clock_pairs_match_the_chain(self, group):
+        # Oracle: the group-label coset state sum_g (gH indicator)**n, built
+        # here, and its diagonal pair chi(g_0) conj(chi(g_ell)) averaged over
+        # |amplitude|**2; the chain's string order must give the same value.
+        n = 4
+        labels = list(group.elements())
+        for sub in all_subgroups(group):
+            cosets = {frozenset((g * h).exps for h in sub) for g in labels}
+            configs = list(itertools.product(labels, repeat=n))
+            amps = np.array([sum(all(x.exps in c for x in conf) for c in cosets) for conf in configs], float)
+            weights = amps**2 / np.sum(amps**2)
+            chain = build_fixed_point_state(group, sub, n)
+            for chi in group.characters():
+                k = np.array([[group.pair_exponent(chi.exps, x.exps) for x in conf] for conf in configs])
+                for ell in (1, 2, 3):
+                    pair = np.exp(2j * np.pi * (k[:, 0] - k[:, ell]) / group.phase_modulus)
+                    oracle = np.sum(weights * pair)
+                    assert abs(string_order_expectation(chain, chi, None, 0, ell) - oracle) < 1e-12
 
     def test_identity_character_always_one(self):
-        chain = build_fixed_point_state(Z22, [(0, 0)], 4, CLOCK)
+        chain = build_fixed_point_state(Z22, [(0, 0)], 4)
         assert abs(string_order_expectation(chain, Z22.dual_identity(), None, 0, 2) - 1) < 1e-12
 
     def test_bad_geometry_rejected(self):
-        chain = build_fixed_point_state(Z2, [(0,)], 3, CLOCK, periodic=False)
-        with pytest.raises(ValueError):
+        chain = build_fixed_point_state(Z2, [(0,)], 3)
+        with pytest.raises(ValueError, match="string longer than the chain"):
             string_order_expectation(chain, Z2.character((1,)), None, 1, 3)
+        with pytest.raises(ValueError, match="ell must be at least 1"):
+            string_order_expectation(chain, Z2.character((1,)), None, 1, 0)
 
 
 class TestSurvivingTerms:
     @pytest.mark.parametrize("group", [Z2, Z4, Z22])
     def test_matches_restricted_characters(self, group):
         for sub in all_subgroups(group):
-            chain = build_fixed_point_state(group, sub, 4, CLOCK)
+            chain = build_fixed_point_state(group, sub, 4)
             surviving, raw = surviving_boundary_terms(chain)
             assert surviving == set(restricted_characters(group, sub))
             for vals in raw.values():
@@ -100,7 +112,7 @@ class TestSurvivingTerms:
     def test_surviving_set_is_a_subgroup(self):
         for group in (Z4, Z22):
             for sub in all_subgroups(group):
-                chain = build_fixed_point_state(group, sub, 4, CLOCK)
+                chain = build_fixed_point_state(group, sub, 4)
                 surviving, _ = surviving_boundary_terms(chain)
                 exps = {chi.exps for chi in surviving}
                 for a in surviving:
@@ -112,7 +124,7 @@ class TestCondensation:
     @pytest.mark.parametrize("group", [Z2, Z4, Z22])
     def test_partition_matches_subgroup(self, group):
         for sub in all_subgroups(group):
-            chain = build_fixed_point_state(group, sub, 2, CLOCK)
+            chain = build_fixed_point_state(group, sub, 2)
             spec = CodeSpec(Lattice2D(group, 2, 4, "open"))
             table = condensation_table(spec, chain)
             sub_exps = {h.exps for h in sub}
@@ -125,7 +137,7 @@ class TestCondensation:
                 assert v["condenses"]
 
     def test_fully_unbroken_boundary_condenses_everything(self):
-        chain = build_fixed_point_state(Z2, [(0,), (1,)], 2, CLOCK)
+        chain = build_fixed_point_state(Z2, [(0,), (1,)], 2)
         spec = CodeSpec(Lattice2D(Z2, 2, 4, "open"))
         table = condensation_table(spec, chain)
         assert all(v["condenses"] for v in table["group_anyons"].values())
@@ -135,7 +147,7 @@ class TestCondensation:
         # State-level cross-check of the operator-level table.
         group = Z2
         for sub in all_subgroups(group):
-            chain = build_fixed_point_state(group, sub, 2, CLOCK)
+            chain = build_fixed_point_state(group, sub, 2)
             layers = layer_stack(group, 2, 4, "periodic")
             state = compose_gauging(layers, chain.state).normalized()
             spec = CodeSpec(Lattice2D(group, 2, 4, "open"))
@@ -154,7 +166,7 @@ class TestTwistedBoundary:
         # Product of ell adjacent boundary pairs telescopes into the
         # endpoint pair with the slant-product clock string between.
         beta = enumerate_cocycle_classes(Z22)[1]
-        chain = build_fixed_point_state(Z22, [(0, 0)], 4, CLOCK)
+        chain = build_fixed_point_state(Z22, [(0, 0)], 4)
         from latgauge.operators import projective_x, projective_x_tilde
 
         for chi in Z22.characters():
@@ -172,8 +184,8 @@ class TestTwistedBoundary:
     def test_string_order_factors_match_the_chain(self):
         # The slant-product clock on vertex sites takes an element label.
         beta = enumerate_cocycle_classes(Z22)[1]
-        for convention, cls_beta in [(CLOCK, beta), (CLOCK, None), (SHIFT, None)]:
-            chain = build_fixed_point_state(Z22, [(0, 0)], 4, convention)
+        for cls_beta in (beta, None):
+            chain = build_fixed_point_state(Z22, [(0, 0)], 4)
             kinds = dict(zip(chain.state.site_ids, chain.state.kinds))
             for chi in Z22.characters():
                 op = string_order_operator(chain, chi, cls_beta, 0, 3)

@@ -311,6 +311,44 @@ class TestAnyonsCommand:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize("command", ["anyons", "confine"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"group": [2, 2], "n": 4, "m": 8, "twist_even": 1},
+            {"group": [2, 2], "n": 4, "m": 8, "twist_even": True},
+            {"group": [2, 2], "n": 4, "m": 8, "twist_even": {"a": 1}},
+            [1, 2],
+            {"group": [2, 2], "n": None, "m": 8, "twist_even": "p12=1"},
+            {"group": 5, "n": 4, "m": 8, "twist_even": "p12=1"},
+        ],
+        ids=["twist-number", "twist-bool", "twist-object", "top-level-list", "n-null", "group-number"],
+    )
+    def test_spec_of_the_wrong_json_type_is_config_error(self, runner, tmp_path, command, spec):
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(json.dumps(spec))
+        ops_path = tmp_path / "ops.json"
+        ops_path.write_text("[]")
+        args = [command, "--spec", str(spec_path)]
+        if command == "anyons":
+            args += ["--op-file", str(ops_path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
+
+    @pytest.mark.parametrize("ops", [5, {"factors": []}, "ops"], ids=["number", "object", "string"])
+    def test_op_file_must_hold_a_list(self, runner, tmp_path, ops):
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(json.dumps({"group": [2], "n": 2, "m": 2}))
+        ops_path = tmp_path / "ops.json"
+        ops_path.write_text(json.dumps(ops))
+        result = runner.invoke(main, ["anyons", "--spec", str(spec_path), "--op-file", str(ops_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
+
+
 class TestOtherCommands:
     def test_confine(self, runner):
         result = runner.invoke(

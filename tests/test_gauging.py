@@ -90,38 +90,6 @@ class TestSingleMap:
         with pytest.raises(CapExceededError):
             build_gauging_map(layer).apply(initial_state(Z3, layer), cap=100)
 
-    def test_matter_representation_hook(self):
-        # A conjugated clock representation gauges identically at the level
-        # of the map identities; and broken representations are rejected.
-        from latgauge.operators import MonomialOperator
-
-        rep = {}
-        for g in Z3.elements():
-            base = clock_z(g)
-            rep[g.exps] = MonomialOperator(
-                base.dim,
-                base.perm,
-                tuple(base.phase[(i + 1) % base.dim] for i in range(base.dim)),
-                base.modulus,
-            )
-        layer = LayerSpec(Z3, 0, 2, "periodic", matter_rep=tuple(rep.items()))
-        gmap = build_gauging_map(layer)
-        assert verify_emergent_symmetry(gmap)["passed"]
-        # invariant input of the conjugated representation: the basis state
-        # whose shifted phase row is identically zero, index 2 here
-        local = np.zeros(3, dtype=complex)
-        local[2] = 1.0
-        out = gmap.apply(initial_state(Z3, layer, local))
-        assert abs(out.norm() - 1) < 1e-12
-        for i in range(layer.n):
-            for g in Z3.elements():
-                moved = out.apply(gmap.local_symmetry_op(i, g))
-                assert np.max(np.abs(moved.amps - out.amps)) < 1e-12
-        bad = dict(rep)
-        bad[(1,)] = MonomialOperator(3, (0, 1, 2), (0, 0, 1), 3)
-        with pytest.raises(ValueError):
-            LayerSpec(Z3, 0, 2, "periodic", matter_rep=tuple(bad.items()))
-
 
 class TestInputsAreNotWritten:
     @pytest.mark.parametrize("group", [Z2, Z3])

@@ -19,6 +19,11 @@ The `suite` report and the `tn --mpo-layers` report were written while
 the layer MPO still copied the bond loop of `GaugingMap.exact_matrix`;
 they pin every criterion of the battery and the MPO comparison, so a
 change of construction route must leave both unchanged.
+
+The `boundary` and `confine` files were written while the 1D input still
+had a shift convention and open chains beside the clock chain, and while
+the excitation paths wrapped their sites by hand; the `raw_expectations`
+floats of a `boundary` report pin the Fourier rotation of the chain.
 """
 
 from pathlib import Path
@@ -56,8 +61,18 @@ CASES = {
     ],
     "suite.json": ["suite"],
     "tn_z2xz2_n3_mpo_layers.json": ["tn", "--group", "2,2", "--mpo-layers", "--n", "3"],
+    "boundary_z2xz2_n3_subgroup_e.json": ["boundary", "--group", "2,2", "--subgroup", "e", "--n", "3"],
+    "boundary_z4_n4_subgroup_0_2.json": ["boundary", "--group", "4", "--subgroup", "0;2", "--n", "4"],
+    "confine_z2xz2_twist_even.json": ["confine", "--group", "2,2", "--twist-even", "p12=1"],
 }
-OUT_FLAG = {"compose": "--out", "code": "--report", "suite": "--out", "tn": "--out"}
+OUT_FLAG = {
+    "compose": "--out",
+    "code": "--report",
+    "suite": "--out",
+    "tn": "--out",
+    "boundary": "--out",
+    "confine": "--out",
+}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

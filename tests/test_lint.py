@@ -74,3 +74,37 @@ def test_every_parameter_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unread = _unread_parameters(tree)
     assert not unread, f"{path.name}: parameters never read {unread}"
+
+
+def _dataclass_fields(tree: ast.AST) -> list[tuple[str, str]]:
+    """(class, field) for every annotated field of every @dataclass class, ClassVar excluded."""
+    fields = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                if "ClassVar" not in ast.unparse(stmt.annotation):
+                    fields.append((node.name, stmt.target.id))
+    return fields
+
+
+def _attributes_read(paths) -> set[str]:
+    """Every attribute name loaded as `x.name` anywhere in the given sources."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_field_is_read(path):
+    read = _attributes_read(SRC.glob("*.py"))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = [f"{cls}.{name}" for cls, name in _dataclass_fields(tree) if name not in read]
+    assert not unread, f"{path.name}: dataclass fields never read {unread}"
