@@ -17,6 +17,12 @@ site and the stack grows into a trapezoid (row j spans x2 = -j .. 2(n0-1)+j).
 Each map is normalized so that inputs invariant under the row symmetry
 are sent to unit-norm outputs; the projector average itself would shrink
 them by a fixed power of |G| which is recorded on the map.
+
+A map acts on the matter row as the trailing sites of a stacked state
+and appends the new row behind it.  Its Gauss-law projectors are diagonal
+on the matter row, so the output factorises as psi[a, m] * K[m, e]: `a`
+the earlier rows, `m` the matter row, `e` the new row, and K the row
+kernel, the map applied to the all-ones matter row.
 """
 
 from __future__ import annotations
@@ -136,9 +142,11 @@ class LayerSpec:
 class GaugingMap:
     """Concrete gauging map for one layer.
 
-    apply() is the scalable path (dense amplitudes, projector products);
-    exact_matrix() enumerates the map at desk scale as a sparse exact tensor
-    of root-of-unity counts for zero-tolerance operator identities.
+    apply() is the scalable path: it builds the row kernel by projector
+    products on the row space and multiplies the dense state by it in one
+    broadcast.  exact_matrix() enumerates the map at desk scale as a
+    sparse exact tensor of root-of-unity counts for zero-tolerance
+    operator identities.
     """
 
     def __init__(self, layer: LayerSpec):
@@ -214,33 +222,38 @@ class GaugingMap:
 
     # -- application to states ---------------------------------------------
 
+    def row_kernel(self) -> np.ndarray:
+        """K[m, e], matter by new-row configurations: the map on the all-ones matter row.
+
+        K is the projector product on the |G|**(n + n_new) row space: site
+        i sums its |G| terms into the one buffer site i-1 read from, and
+        every term after the first lands in `term`.
+        """
+        size = self.group.size
+        ones, identity_local = np.ones(size, dtype=complex), np.eye(size, dtype=complex)[0]
+        kernel = StateVector.product_state(
+            self.out_sites, [ones] * self.layer.n + [identity_local] * len(self.new_sites)
+        )
+        term = np.empty_like(kernel.amps)
+        acc = np.empty_like(kernel.amps)
+        first, *rest = self.layer.labels()
+        for i in range(self.layer.n):
+            kernel.apply(self.local_symmetry_op(i, first), out=acc)
+            for label in rest:
+                acc += kernel.apply(self.local_symmetry_op(i, label), out=term).amps
+            acc /= size
+            kernel, acc = StateVector(kernel.site_ids, kernel.kinds, kernel.dims, acc), kernel.amps
+        kernel.amps *= size**self.scale_power
+        return kernel.amps.reshape(self.in_dim, -1)
+
     def apply(self, state: StateVector, cap: int | None = None) -> StateVector:
-        layer = self.layer
-        for (site, kind) in self.matter_sites:
-            axis = state.axis_of(site)
-            if state.kinds[axis] != kind:
-                raise ValueError(f"matter site {site!r} has wrong kind")
+        """The gauged state: one broadcast multiply of the state by the row kernel."""
+        site_ids, kinds, dims = gauged_layout(state, self.layer)
         new_dim = state.amps.size * (self.group.size ** len(self.new_sites))
         if new_dim > dimension_cap(cap):
             raise CapExceededError(f"output would need {new_dim} amplitudes")
-        size = self.group.size
-        identity_local = np.zeros(size, dtype=complex)
-        identity_local[0] = 1.0  # index 0 is the identity label
-        extension = StateVector.product_state(self.new_sites, [identity_local] * len(self.new_sites))
-        out = state.tensor(extension)
-        # Three full-size buffers per layer: site i sums into the one site
-        # i-1 read from, and every term after the first lands in `term`.
-        term = np.empty_like(out.amps)
-        acc = np.empty_like(out.amps)
-        first, *rest = layer.labels()
-        for i in range(layer.n):
-            out.apply(self.local_symmetry_op(i, first), out=acc)
-            for label in rest:
-                acc += out.apply(self.local_symmetry_op(i, label), out=term).amps
-            acc /= size
-            out, acc = StateVector(out.site_ids, out.kinds, out.dims, acc), out.amps
-        out.amps *= self.group.size**self.scale_power
-        return out
+        out = state.amps.reshape(-1, self.in_dim, 1) * self.row_kernel()
+        return StateVector(site_ids, kinds, dims, out.reshape(-1))
 
     # -- exact sparse form ---------------------------------------------------
 
@@ -306,6 +319,28 @@ class GaugingMap:
         return PhaseTensor.from_entries(
             (self.out_dim, self.in_dim), L, np.concatenate(flats), np.concatenate(roots)
         )
+
+
+def gauged_layout(state: StateVector, layer: LayerSpec) -> tuple[tuple, tuple, tuple]:
+    """Site ids, kinds and dims of `state` with the layer's new row appended.
+
+    Every route that gauges a stacked state acts on the layer's matter row
+    as the state's trailing sites, each with the matter kind and the
+    group's dimension; anything else raises ValueError.
+    """
+    size = layer.group.size
+    matter = layer.matter_sites()
+    tail = slice(-len(matter), None)
+    if state.site_ids[tail] != tuple(s for s, _ in matter):
+        raise ValueError("layer matter row must be the trailing sites of the state")
+    if state.kinds[tail] != tuple(k for _, k in matter) or state.dims[tail] != (size,) * len(matter):
+        raise ValueError("layer matter row has the wrong site kind or dimension")
+    new = layer.new_sites()
+    return (
+        state.site_ids + tuple(s for s, _ in new),
+        state.kinds + tuple(k for _, k in new),
+        state.dims + (size,) * len(new),
+    )
 
 
 def build_gauging_map(layer: LayerSpec) -> GaugingMap:
@@ -425,15 +460,19 @@ def verify_local_symmetry(state: StateVector, layers, tol: float = 1e-10) -> dic
     """Check the composed state is fixed by every stack symmetry.
 
     The overlap itself must be 1 (eigenvalue +1), not just its modulus,
-    so states excited into other eigenvalue sectors are caught.
+    so states excited into other eigenvalue sectors are caught.  Each
+    overlap <psi|O|psi> is divided by the squared norm, taken once, so no
+    normalized copy of the state is made.
     """
-    base = state.normalized()
-    buffer = np.empty_like(base.amps)
+    norm_sq = float(np.vdot(state.amps, state.amps).real)
+    if norm_sq == 0:
+        raise ZeroDivisionError("cannot normalize the zero vector")
+    buffer = np.empty_like(state.amps)
     checks = []
     for name, op in stack_local_symmetry_ops(layers):
-        # The empty operator fixes every state: <psi|psi> = 1 for the
-        # normalized base, so its full-size overlap is not taken.
-        overlap = base.inner(base.apply(op, out=buffer)) if op.factors else 1 + 0j
+        # The empty operator fixes every state, so its overlap is exactly 1
+        # and the full-size inner product is not taken.
+        overlap = state.inner(state.apply(op, out=buffer)) / norm_sq if op.factors else 1 + 0j
         checks.append({"op": name, "overlap": overlap, "passed": bool(abs(overlap - 1) < tol)})
     return {
         "name": "local_symmetry",

@@ -142,7 +142,6 @@ class CodeSpec:
     twist_odd: Cocycle = None
     boundary_beta: Cocycle = None
     subgroup_bottom: tuple | None = None
-    subgroup_top: tuple | None = None
     orientation: str = "standard"
 
     def __post_init__(self) -> None:
@@ -155,9 +154,8 @@ class CodeSpec:
                 raise GeometryError("twist cocycle defined on a different group")
         if self.orientation not in ("standard", "reflected"):
             raise GeometryError("orientation must be 'standard' or 'reflected'")
-        for sub in (self.subgroup_bottom, self.subgroup_top):
-            if sub is not None and not is_subgroup(g, sub):
-                raise GeometryError("boundary phase input is not a closed subgroup")
+        if self.subgroup_bottom is not None and not is_subgroup(g, self.subgroup_bottom):
+            raise GeometryError("boundary phase input is not a closed subgroup")
 
     @property
     def group(self) -> GroupSpec:
@@ -222,9 +220,9 @@ def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
     shift pair twisted by boundary_beta: west, east and the inner clock
     are the standard corner factors of _corner_factors, the inner clock
     being the north one at the bottom and the south one at the top.  When
-    a boundary subgroup H is given the labels are restricted to the
-    characters trivial on H; an absent subgroup emits all labels (the
-    caller may filter afterwards).
+    subgroup_bottom H is given the bottom labels are restricted to the
+    characters trivial on H; the top, and a bottom without H, emit all
+    labels (the caller may filter afterwards).
     """
     lat = spec.lattice
     if lat.vertical != "open":
@@ -235,11 +233,10 @@ def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
     if row % 2 != 0:
         raise GeometryError("boundary rows of odd parity are not supported here")
     inner = 1 if which == "bottom" else lat.m - 1
-    subgroup = spec.subgroup_bottom if which == "bottom" else spec.subgroup_top
-    if subgroup is None:
-        labels = list(spec.group.characters())
+    if which == "bottom" and spec.subgroup_bottom is not None:
+        labels = list(restricted_characters(spec.group, spec.subgroup_bottom))
     else:
-        labels = list(restricted_characters(spec.group, subgroup))
+        labels = list(spec.group.characters())
     terms = []
     for k in range(lat.n):
         c = 2 * k + 1

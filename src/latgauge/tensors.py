@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import PhaseTensor, contract, mono_mul_left
-from .gauging import GaugingMap, LayerSpec, dimension_cap
+from .gauging import GaugingMap, LayerSpec, dimension_cap, gauged_layout
 from .groups import GroupSpec
 from .operators import CapExceededError, StateVector, clock_z, shift_x
 
@@ -255,24 +255,18 @@ def mpo_matches_map(gmap: GaugingMap) -> bool:
 def contract_pepes(layers, input_state: StateVector) -> StateVector:
     """Contract the stacked layer MPOs against an input row state.
 
-    Each layer's matter row must be the trailing sites of the state.  Its
-    contracted MPO acts there, and the layer's new row is appended.  The
-    contraction carries one 1/|G| per T tensor, so the MPO is rescaled by
-    |G|**(n_t + scale_power - n) to the unit-isometry normalization of
-    GaugingMap.apply.
+    Each layer's matter row must be the trailing sites of the state, as
+    gauging.gauged_layout checks.  Its contracted MPO acts there, and the
+    layer's new row is appended.  The contraction carries one 1/|G| per T
+    tensor, so the MPO is rescaled by |G|**(n_t + scale_power - n) to the
+    unit-isometry normalization of GaugingMap.apply.
     """
     state = input_state
     for layer in layers:
         n, size = layer.n, layer.group.size
-        if state.site_ids[len(state.site_ids) - n :] != tuple(s for s, _ in layer.matter_sites()):
-            raise ValueError("layer matter row must be the trailing sites of the state")
-        new_sites = layer.new_sites()
-        op = contract_mpo_layer(layer).to_complex() * float(size ** (len(new_sites) + layer.scale_power - n))
+        layout = gauged_layout(state, layer)
+        n_t = len(layer.new_positions())
+        op = contract_mpo_layer(layer).to_complex() * float(size ** (n_t + layer.scale_power - n))
         out = np.einsum("om,bm->bo", op, state.amps.reshape(-1, size**n)).reshape(-1)
-        state = StateVector(
-            state.site_ids + tuple(s for s, _ in new_sites),
-            state.kinds + tuple(k for _, k in new_sites),
-            state.dims + (size,) * len(new_sites),
-            out,
-        )
+        state = StateVector(*layout, out)
     return state

@@ -28,10 +28,12 @@ from latgauge.operators import (
     commutation_phase,
     shift_x,
 )
+from latgauge.tensors import contract_pepes
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
 Z22 = GroupSpec((2, 2))
+Z23 = GroupSpec((2, 3))
 
 
 def symmetric_random_state(group, layer, seed):
@@ -105,18 +107,92 @@ class TestInputsAreNotWritten:
         assert stv.amps.tobytes() == before
         compose_gauging(layers, stv)
         assert stv.amps.tobytes() == before
-        # Out-of-place projector sum in label order: the in-place
-        # accumulation must give the same bits.
-        ref = stv.tensor(
-            StateVector.product_state(gmap.new_sites, [np.eye(group.size)[0]] * len(gmap.new_sites))
-        )
-        for i in range(layers[0].n):
-            terms = [ref.apply(gmap.local_symmetry_op(i, lab)).amps for lab in layers[0].labels()]
-            acc = terms[0]
-            for term in terms[1:]:
-                acc = acc + term
-            ref = StateVector(ref.site_ids, ref.kinds, ref.dims, acc / group.size)
-        assert np.array_equal(out.amps, ref.amps * group.size**gmap.scale_power)
+
+        def projector_sum(ref):
+            # Out-of-place projector sum in label order, then the scale.
+            for i in range(layers[0].n):
+                terms = [ref.apply(gmap.local_symmetry_op(i, lab)).amps for lab in layers[0].labels()]
+                acc = terms[0]
+                for term in terms[1:]:
+                    acc = acc + term
+                ref = StateVector(ref.site_ids, ref.kinds, ref.dims, acc / group.size)
+            return ref.amps * group.size**gmap.scale_power
+
+        new_row = StateVector.product_state(gmap.new_sites, [np.eye(group.size)[0]] * len(gmap.new_sites))
+        # On the row space the in-place accumulation must give the same bits.
+        ones = StateVector(stv.site_ids, stv.kinds, stv.dims, np.ones_like(stv.amps))
+        assert np.array_equal(gmap.row_kernel().reshape(-1), projector_sum(ones.tensor(new_row)))
+        stacked = projector_sum(stv.tensor(new_row))
+        assert np.max(np.abs(out.amps - stacked)) < 1e-14
+
+
+def _row_kernel_cases():
+    for group in (Z2, Z3, Z22, Z23):
+        for bc in ("periodic", "open"):
+            for index in (0, 1):
+                yield pytest.param(group, bc, index, False, id=f"{group.orders}-{bc}-layer{index}")
+    # Z2 x Z2 is the only group here with a nontrivial class.
+    for bc in ("periodic", "open"):
+        for index in (0, 1):
+            yield pytest.param(Z22, bc, index, True, id=f"{Z22.orders}-{bc}-layer{index}-twisted")
+
+
+class TestRowKernel:
+    """apply() against the exact tensor and the contracted MPO network."""
+
+    @staticmethod
+    def layer(group, bc, index, twisted):
+        twist = enumerate_cocycle_classes(group)[1] if twisted else None
+        return LayerSpec(group, index, 2, bc, twist, -index if bc == "open" else 0)
+
+    @staticmethod
+    def random_input(layer, leading, seed):
+        # With `leading` the matter row sits behind a row of earlier sites,
+        # the `a` axis of psi[a, m].
+        sites = layer.matter_sites()
+        if leading:
+            sites = [((layer.index - 1, x2), layer.new_kind) for x2 in layer.matter_positions()] + sites
+        rng = np.random.default_rng(seed)
+        dim = layer.group.size ** len(sites)
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        dims = (layer.group.size,) * len(sites)
+        return StateVector(tuple(s for s, _ in sites), tuple(k for _, k in sites), dims, amps / np.linalg.norm(amps))
+
+    @pytest.mark.parametrize("group,bc,index,twisted", list(_row_kernel_cases()))
+    @pytest.mark.parametrize("leading", [False, True])
+    def test_apply_matches_the_exact_tensor_and_the_mpo(self, group, bc, index, twisted, leading):
+        layer = self.layer(group, bc, index, twisted)
+        gmap = build_gauging_map(layer)
+        state = self.random_input(layer, leading, seed=7 + index)
+        out = gmap.apply(state)
+        assert out.site_ids == state.site_ids + tuple(s for s, _ in gmap.new_sites)
+        assert out.kinds == state.kinds + tuple(k for _, k in gmap.new_sites)
+        # exact_matrix is the raw sum of the |G|**n projector terms.
+        exact = gmap.exact_matrix().to_complex() * float(group.size ** (layer.scale_power - layer.n))
+        via_exact = (state.amps.reshape(-1, gmap.in_dim) @ exact.T).reshape(-1)
+        assert np.max(np.abs(out.amps - via_exact)) < 1e-12
+        if not twisted:
+            via_mpo = contract_pepes([layer], state)
+            assert via_mpo.site_ids == out.site_ids and via_mpo.kinds == out.kinds
+            assert np.max(np.abs(out.amps - via_mpo.amps)) < 1e-12
+
+    @pytest.mark.parametrize("bc", ["periodic", "open"])
+    def test_matter_row_not_trailing_is_refused(self, bc):
+        layer = self.layer(Z3, bc, 1, False)
+        state = self.random_input(layer, True, seed=1)
+        swapped = state.reordered(state.site_ids[layer.n :] + state.site_ids[: layer.n])
+        for route in (build_gauging_map(layer).apply, lambda st: contract_pepes([layer], st)):
+            with pytest.raises(ValueError, match="trailing sites"):
+                route(swapped)
+
+    @pytest.mark.parametrize("bc", ["periodic", "open"])
+    def test_matter_row_of_the_wrong_kind_is_refused(self, bc):
+        layer = self.layer(Z3, bc, 0, False)
+        state = self.random_input(layer, False, seed=1)
+        wrong = StateVector(state.site_ids, (layer.new_kind,) * layer.n, state.dims, state.amps)
+        for route in (build_gauging_map(layer).apply, lambda st: contract_pepes([layer], st)):
+            with pytest.raises(ValueError, match="wrong site kind"):
+                route(wrong)
 
 
 class TestEmergentSymmetry:
@@ -313,7 +389,7 @@ class TestDenseBuffers:
             assert state.inner(reused) == state.inner(fresh)
 
     def test_map_keeps_three_full_size_buffers(self):
-        # The last of five Z2 layers: the stacked state, the accumulator and
+        # The last of five Z2 layers: at most the state, an accumulator and
         # one term buffer.  Fresh per-term arrays peaked at 4x the output.
         layers = layer_stack(Z2, 3, 5)
         state = compose_gauging(layers[:4], initial_state(Z2, layers[0]))
@@ -321,14 +397,31 @@ class TestDenseBuffers:
         out, peak = traced_peak(lambda: gmap.apply(state))
         assert peak < 3.5 * out.amps.nbytes
 
+    def test_map_writes_only_its_output(self):
+        # The row kernel lives on the 2**6 row space; the broadcast multiply
+        # writes the output and makes no other full-size array.
+        layers = layer_stack(Z2, 3, 5)
+        state = compose_gauging(layers[:4], initial_state(Z2, layers[0]))
+        gmap = build_gauging_map(layers[4])
+        out, peak = traced_peak(lambda: gmap.apply(state))
+        assert peak < 1.5 * out.amps.nbytes
+
     def test_local_symmetry_check_keeps_one_extra_buffer(self):
-        # The normalized copy and one buffer for every symmetry; a fresh
-        # array per symmetry peaked at 3x the state.
+        # One buffer for every symmetry and no normalized copy: each overlap
+        # is divided by the squared norm.  With a normalized copy the peak
+        # was 2x the state, with a fresh array per symmetry 3x.
         layers = layer_stack(Z2, 3, 5)
         state = compose_gauging(layers, initial_state(Z2, layers[0]))
         rep, peak = traced_peak(lambda: verify_local_symmetry(state, layers))
         assert rep["passed"]
-        assert peak < 2.5 * state.amps.nbytes
+        assert peak < 1.5 * state.amps.nbytes
+
+    def test_local_symmetry_check_of_the_zero_state_raises(self):
+        layers = layer_stack(Z2, 2, 2)
+        state = compose_gauging(layers, initial_state(Z2, layers[0]))
+        zero = StateVector(state.site_ids, state.kinds, state.dims, np.zeros_like(state.amps))
+        with pytest.raises(ZeroDivisionError):
+            verify_local_symmetry(zero, layers)
 
 
 class TestIdentityEntries:

@@ -24,6 +24,15 @@ The `boundary` and `confine` files were written while the 1D input still
 had a shift convention and open chains beside the clock chain, and while
 the excitation paths wrapped their sites by hand; the `raw_expectations`
 floats of a `boundary` report pin the Fourier rotation of the chain.
+
+Three files were regenerated when GaugingMap.apply became one broadcast
+multiply by the layer's row kernel: `compose_z3_layers3_n2.json`,
+`compose_z2xz3_layers2_n2.json` and `suite.json`.  On groups with complex
+roots the product psi[a, m] * K[m, e] rounds differently from the
+projector loop over the whole stacked state.  In each file one float
+moved and nothing else: the second `norms` entry of each compose report
+by one ulp (1.1e-16), and the `frustration_free` `worst_deviation` of the
+suite from 6.26435505058391e-16 to 6.259111737608056e-16.
 """
 
 from pathlib import Path
