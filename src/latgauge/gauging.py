@@ -460,19 +460,22 @@ def verify_local_symmetry(state: StateVector, layers, tol: float = 1e-10) -> dic
     """Check the composed state is fixed by every stack symmetry.
 
     The overlap itself must be 1 (eigenvalue +1), not just its modulus,
-    so states excited into other eigenvalue sectors are caught.  Each
-    overlap <psi|O|psi> is divided by the squared norm, taken once, so no
-    normalized copy of the state is made.
+    so states excited into other eigenvalue sectors are caught.  The
+    overlaps <psi|O|psi> of all non-empty operators come from one
+    StateVector.expectations call, which sums over the state's support
+    only and allocates no full-size array; each is divided by the squared
+    norm, taken once, so no normalized copy of the state is made.
     """
     norm_sq = float(np.vdot(state.amps, state.amps).real)
     if norm_sq == 0:
         raise ZeroDivisionError("cannot normalize the zero vector")
-    buffer = np.empty_like(state.amps)
+    named = stack_local_symmetry_ops(layers)
+    # The empty operator fixes every state, so its overlap is exactly 1
+    # and no sum is taken for it.
+    values = iter(state.expectations([op for _, op in named if op.factors]))
     checks = []
-    for name, op in stack_local_symmetry_ops(layers):
-        # The empty operator fixes every state, so its overlap is exactly 1
-        # and the full-size inner product is not taken.
-        overlap = state.inner(state.apply(op, out=buffer)) / norm_sq if op.factors else 1 + 0j
+    for name, op in named:
+        overlap = next(values) / norm_sq if op.factors else 1 + 0j
         checks.append({"op": name, "overlap": overlap, "passed": bool(abs(overlap - 1) < tol)})
     return {
         "name": "local_symmetry",

@@ -56,6 +56,9 @@ from .groups import (
 )
 
 
+SUPPORT_TILE = 2**15  # support indices StateVector.expectations handles per pass
+
+
 class CapExceededError(RuntimeError):
     """A requested computation would exceed the configured size cap."""
 
@@ -366,7 +369,9 @@ class StateVector:
     significant digit of the mixed-radix configuration label.  apply moves
     the array once for all permuted sites, then applies phases factor by
     factor, into a fresh array or a caller-owned `out`; it never writes
-    self.amps.
+    self.amps.  expectations takes <psi|O|psi> for many operators at once
+    by summing over the nonzero amplitudes only, with no full-size
+    temporary beyond the support mask.
     """
 
     site_ids: tuple
@@ -423,14 +428,7 @@ class StateVector:
         written.  self.amps is never written; the empty operator without
         `out` returns it.
         """
-        factors = []
-        for site, mono in op.factors:
-            axis = self.axis_of(site)
-            if mono.kind != self.kinds[axis]:
-                raise ValueError(f"site kind mismatch at {site!r}")
-            if mono.dim != self.dims[axis]:
-                raise ValueError(f"operator dimension mismatch at {site!r}")
-            factors.append((axis, mono))
+        factors = self._placed(op)
         if out is None:
             if not factors:
                 return StateVector(self.site_ids, self.kinds, self.dims, self.amps)
@@ -450,6 +448,56 @@ class StateVector:
                 if p:
                     slices[:, k, :] *= phases[j]
         return StateVector(self.site_ids, self.kinds, self.dims, out)
+
+    def _placed(self, op: ProductOperator) -> list[tuple[int, MonomialOperator]]:
+        """(axis, factor) pairs of op, each checked against its site's kind and dimension."""
+        factors = []
+        for site, mono in op.factors:
+            axis = self.axis_of(site)
+            if mono.kind != self.kinds[axis]:
+                raise ValueError(f"site kind mismatch at {site!r}")
+            if mono.dim != self.dims[axis]:
+                raise ValueError(f"operator dimension mismatch at {site!r}")
+            factors.append((axis, mono))
+        return factors
+
+    def expectations(self, ops) -> list[complex]:
+        """Unnormalized <psi|O|psi> of each product operator in ops.
+
+        O|x> = w**phase(x) |y(x)>, so <psi|O|psi> is the sum over x of
+        conj(psi[y(x)]) w**phase(x) psi[x], and a term with psi[x] == 0 is
+        exactly zero.  The sum therefore runs over the support of self.amps
+        only, which for a composed gauged state (a stabilizer state) is a
+        small fraction of the amplitudes.  y and phase are read from the
+        digits d of x, factor by factor: y = x + sum of (perm[d] - d) *
+        stride, phase = sum of phase[d].  The support is taken in tiles of
+        SUPPORT_TILE indices whose digits serve every op, so the working
+        memory beyond the support indices (8 bytes per nonzero amplitude)
+        is O(tile).  Every op is checked as apply checks it before any sum.
+        """
+        strides = [int(np.prod(self.dims[axis + 1 :])) for axis in range(len(self.dims))]
+        plans = []
+        for op in ops:
+            steps = [
+                (axis, (np.array(mono.perm, dtype=np.int64) - np.arange(mono.dim)) * strides[axis], np.array(mono.phase))
+                for axis, mono in self._placed(op)
+            ]
+            plans.append((steps, np.exp(2j * np.pi / op.modulus) ** np.arange(op.modulus)))
+        axes = {axis for steps, _ in plans for axis, _, _ in steps}
+        totals = [0j] * len(plans)
+        support = np.flatnonzero(self.amps)
+        for start in range(0, support.size, SUPPORT_TILE):
+            x = support[start : start + SUPPORT_TILE]
+            psi = self.amps[x]
+            digits = {axis: x // strides[axis] % self.dims[axis] for axis in axes}
+            for k, (steps, roots) in enumerate(plans):
+                y = x.copy()
+                phase = np.zeros(x.size, dtype=np.int64)
+                for axis, moves, phases in steps:
+                    y += moves[digits[axis]]
+                    phase += phases[digits[axis]]
+                totals[k] += complex(np.vdot(self.amps[y], roots[phase % roots.size] * psi))
+        return totals
 
     def _move(self, factors, out: np.ndarray) -> None:
         """out[.., perm(j), ..] = amps[.., j, ..] over every permuted site in one gather.

@@ -21,6 +21,7 @@ from latgauge.gauging import (
 )
 from latgauge.groups import Cocycle, GroupSpec, enumerate_cocycle_classes
 from latgauge.operators import (
+    SUPPORT_TILE,
     ProductOperator,
     SiteKind,
     StateVector,
@@ -407,14 +408,24 @@ class TestDenseBuffers:
         assert peak < 1.5 * out.amps.nbytes
 
     def test_local_symmetry_check_keeps_one_extra_buffer(self):
-        # One buffer for every symmetry and no normalized copy: each overlap
-        # is divided by the squared norm.  With a normalized copy the peak
-        # was 2x the state, with a fresh array per symmetry 3x.
+        # No normalized copy: each overlap is divided by the squared norm.
+        # With a normalized copy the peak was 2x the state, with a fresh
+        # array per symmetry 3x.  The support-only sum below tightens this.
         layers = layer_stack(Z2, 3, 5)
         state = compose_gauging(layers, initial_state(Z2, layers[0]))
         rep, peak = traced_peak(lambda: verify_local_symmetry(state, layers))
         assert rep["passed"]
         assert peak < 1.5 * state.amps.nbytes
+
+    def test_local_symmetry_check_allocates_no_full_size_array(self):
+        # The overlaps are summed over the support, a small fraction of the
+        # amplitudes; the only full-size temporary is the support mask of
+        # np.flatnonzero, one byte per amplitude.
+        layers = layer_stack(Z2, 3, 5)
+        state = compose_gauging(layers, initial_state(Z2, layers[0]))
+        rep, peak = traced_peak(lambda: verify_local_symmetry(state, layers))
+        assert rep["passed"]
+        assert peak < 0.25 * state.amps.nbytes
 
     def test_local_symmetry_check_of_the_zero_state_raises(self):
         layers = layer_stack(Z2, 2, 2)
@@ -422,6 +433,90 @@ class TestDenseBuffers:
         zero = StateVector(state.site_ids, state.kinds, state.dims, np.zeros_like(state.amps))
         with pytest.raises(ZeroDivisionError):
             verify_local_symmetry(zero, layers)
+
+
+def _expectation_cases():
+    # (group, bc, layers, twist placement); sizes stay below 2**18 amplitudes.
+    for bc in ("periodic", "open"):
+        for group, periodic_layers, open_layers in ((Z2, 3, 3), (Z3, 3, 2), (Z22, 3, 2), (Z23, 2, 1)):
+            num_layers = periodic_layers if bc == "periodic" else open_layers
+            twists = ("trivial", "even", "odd", "both") if group is Z22 else ("trivial",)
+            for twist in twists:
+                yield pytest.param(group, bc, num_layers, twist, id=f"{group.orders}-{bc}-x{num_layers}-{twist}")
+
+
+def expectation_stack(group, bc, num_layers, twist):
+    alpha = enumerate_cocycle_classes(group)[1] if twist != "trivial" else None
+    even = alpha if twist in ("even", "both") else None
+    odd = alpha if twist in ("odd", "both") else None
+    layers = layer_stack(group, 2, num_layers, bc, twist_even=even, twist_odd=odd)
+    return layers, compose_gauging(layers, initial_state(group, layers[0]))
+
+
+def dense_violations(state, layers, tol=1e-10):
+    """Names verify_local_symmetry must list, from one StateVector.apply per symmetry."""
+    norm_sq = state.norm() ** 2
+    return [
+        name for name, op in stack_local_symmetry_ops(layers)
+        if op.factors and not abs(state.inner(state.apply(op)) / norm_sq - 1) < tol
+    ]
+
+
+class TestExpectations:
+    """StateVector.expectations against one StateVector.apply and inner per operator."""
+
+    @staticmethod
+    def assert_matches_apply(state, ops):
+        values = state.expectations(ops)
+        assert len(values) == len(ops)
+        for value, op in zip(values, ops):
+            assert abs(value - state.inner(state.apply(op))) < 1e-12
+
+    @pytest.mark.parametrize("group,bc,num_layers,twist", list(_expectation_cases()))
+    def test_every_stack_symmetry(self, group, bc, num_layers, twist):
+        layers, state = expectation_stack(group, bc, num_layers, twist)
+        self.assert_matches_apply(state, [op for _, op in stack_local_symmetry_ops(layers)])
+
+    @pytest.mark.parametrize("group,bc,num_layers,twist", list(_expectation_cases()))
+    def test_state_kicked_by_one_shift(self, group, bc, num_layers, twist):
+        layers, state = expectation_stack(group, bc, num_layers, twist)
+        # A dual shift on a matter vertex of the first layer breaks the
+        # symmetries whose clock sits on that vertex, in every stack.
+        shift = shift_x(group.character((1,) * len(group.orders)))
+        kick = ProductOperator.from_factors([((0, 0), shift)], group.phase_modulus)
+        kicked = state.apply(kick)
+        self.assert_matches_apply(kicked, [op for _, op in stack_local_symmetry_ops(layers)])
+        listed = [c["op"] for c in verify_local_symmetry(kicked, layers)["violations"]]
+        assert listed == dense_violations(kicked, layers)
+        assert listed
+
+    def test_dense_state_spanning_several_tiles(self):
+        layers = layer_stack(Z23, 2, 2)
+        stack = compose_gauging(layers, initial_state(Z23, layers[0]))
+        assert stack.amps.size > SUPPORT_TILE
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=stack.amps.size) + 1j * rng.normal(size=stack.amps.size)
+        state = StateVector(stack.site_ids, stack.kinds, stack.dims, amps / np.linalg.norm(amps))
+        self.assert_matches_apply(state, [op for _, op in stack_local_symmetry_ops(layers)])
+
+    def test_zero_state_gives_zeros(self):
+        layers, state = expectation_stack(Z3, "periodic", 2, "trivial")
+        zero = StateVector(state.site_ids, state.kinds, state.dims, np.zeros_like(state.amps))
+        ops = [op for _, op in stack_local_symmetry_ops(layers)]
+        assert zero.expectations(ops) == [0j] * len(ops)
+
+    def test_mismatched_factor_raises_the_apply_message(self):
+        layers, state = expectation_stack(Z3, "periodic", 2, "trivial")
+        good = [op for _, op in stack_local_symmetry_ops(layers) if op.factors][0]
+        site = (1, 1)
+        wrong_kind = ProductOperator.from_factors([(site, clock_z(Z3.element((1,))))], Z3.phase_modulus)
+        wrong_dim = ProductOperator.from_factors([(site, shift_x(Z2.element((1,))))], Z3.phase_modulus)
+        for bad, message in ((wrong_kind, "site kind mismatch"), (wrong_dim, "operator dimension mismatch")):
+            with pytest.raises(ValueError, match=message) as via_apply:
+                state.apply(bad)
+            with pytest.raises(ValueError, match=message) as via_expectations:
+                state.expectations([good, bad])
+            assert str(via_expectations.value) == str(via_apply.value)
 
 
 class TestIdentityEntries:
@@ -434,12 +529,13 @@ class TestIdentityEntries:
         ops = stack_local_symmetry_ops(layers)
         empty = [name for name, op in ops if not op.factors]
         assert empty and len(empty) < len(ops)
-        calls = []
-        inner = StateVector.inner
-        monkeypatch.setattr(StateVector, "inner", lambda a, b: calls.append(1) or inner(a, b))
+        passed = []
+        expectations = StateVector.expectations
+        monkeypatch.setattr(StateVector, "expectations", lambda st_, ops_: passed.extend(ops_) or expectations(st_, ops_))
         rep = verify_local_symmetry(state, layers)
         assert rep["passed"] and rep["num_checked"] == len(ops)
-        assert len(calls) == len(ops) - len(empty)
+        assert len(passed) == len(ops) - len(empty)
+        assert all(op.factors for op in passed)
 
     def test_empty_operators_record_overlap_exactly_one(self):
         # With a zero tolerance every entry is listed, so each recorded

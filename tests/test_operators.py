@@ -518,6 +518,13 @@ class TestSliceWiseApply:
         stv, op = apply_cases()[case]
         assert np.array_equal(stv.apply(op).amps, scatter_apply(stv, op))
 
+    @pytest.mark.parametrize("case", range(len(apply_cases())))
+    def test_expectation_equals_the_inner_product_of_apply(self, case):
+        # Mixed dimensions, reversal perms and twisted shifts, on dense states.
+        stv, op = apply_cases()[case]
+        (value,) = stv.expectations([op])
+        assert abs(value - stv.inner(stv.apply(op))) < 1e-12
+
     def test_apply_on_a_gauged_stack(self):
         # Interior symmetries are four-body: diagonal, two shifts, diagonal.
         layers = layer_stack(Z3, 3, 3)
