@@ -4,15 +4,19 @@ Every subcommand validates its configuration, runs the requested checks,
 prints a short human summary, and writes (or prints) a JSON report with a
 versioned schema:
 
-    {"schema_version": 1, "command": ..., "config": {...},
-     "checks": [{"name", "passed", ...}], "passed": bool}
+    {"schema_version": 2, "command": ..., "config": {...},
+     "checks": [{"name", "claim", "status", "passed", ...}], "passed": bool}
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
-configuration.  Reports contain no timings or other nondeterministic
-fields, so identical configurations produce byte-identical output.  The
-amplitude cap (default 2**24) can be overridden with GAUGE_MAX_DIM or
---max-dim; a value that is not a positive integer, or a cap too small for
-the requested checks, exits 2.
+A check's `status` is "passed", "failed" or "skipped", and its `passed`
+is true exactly when the status is "passed".  A check is skipped, with a
+`reason`, when its configuration is past one of the claim's own size
+limits (see claims.py); the summary prints it as SKIP.  The report's
+`passed` is true when no check failed.  Exit codes: 0 no check failed, 1
+at least one check failed, 2 bad configuration.  Reports contain no
+timings or other nondeterministic fields, so identical configurations
+produce byte-identical output.  The amplitude cap (default 2**24) can be
+overridden with GAUGE_MAX_DIM or --max-dim; a value that is not a
+positive integer, or a cap too small for the requested checks, exits 2.
 """
 
 from __future__ import annotations
@@ -25,33 +29,16 @@ import sys
 import click
 import numpy as np
 
-from .boundary import build_fixed_point_state, condensation_table
-from .excitations import StringSpec, confinement_report, string_operator, syndrome
-from .gauging import (
-    CapExceededError,
-    build_gauging_map,
-    compose_gauging,
-    dimension_cap,
-    initial_state,
-    layer_stack,
-    verify_emergent_symmetry,
-    verify_local_symmetry,
-)
-from .groups import Cocycle, GroupSpec, is_subgroup, restricted_characters
-from .lattice import (
-    DENSE_ORACLE_CAP,
-    CodeSpec,
-    Lattice2D,
-    build_boundary_terms,
-    build_bulk_stabilizers,
-    check_all_commute,
-    ground_space_dimension,
-    ground_space_dimension_dense,
-    logical_operators,
-)
+from . import claims
+from .boundary import build_fixed_point_state
+from .claims import SCHEMA_VERSION, check, envelope
+from .excitations import StringSpec, string_operator, syndrome
+from .gauging import CapExceededError, dimension_cap, layer_stack
+from .groups import Cocycle, GroupSpec, is_subgroup
+from .lattice import CodeSpec, Lattice2D, build_boundary_terms, build_bulk_stabilizers, logical_operators
 from .operators import ProductOperator
-from .suite import SCHEMA_VERSION, envelope, run_suite
-from .tensors import mpo_layers, mpo_matches_map, pull_through_check
+from .suite import run_suite
+from .tensors import mpo_layers
 
 
 class ConfigError(click.ClickException):
@@ -156,9 +143,9 @@ def _json_default(obj):
 
 
 def finish(report: dict, out: str | None) -> None:
-    for check in report["checks"]:
-        status = "PASS" if check.get("passed", True) else "FAIL"
-        click.echo(f"[{status}] {check['name']}")
+    for chk in report["checks"]:
+        reason = f": {chk['reason']}" if chk["status"] == "skipped" else ""
+        click.echo(f"[{chk['status'][:4].upper()}] {chk['name']}{reason}")
     emit(report, out)
     sys.exit(0 if report["passed"] else 1)
 
@@ -172,9 +159,13 @@ def validate_report(report: dict) -> None:
             raise ValueError(f"missing report key {key!r}")
     if not isinstance(report["checks"], list):
         raise ValueError("checks must be a list")
-    for check in report["checks"]:
-        if "name" not in check or "passed" not in check:
-            raise ValueError("each check needs a name and a passed flag")
+    for chk in report["checks"]:
+        if "name" not in chk or chk.get("status") not in ("passed", "failed", "skipped"):
+            raise ValueError("each check needs a name and a status of passed, failed or skipped")
+        if chk.get("passed") is not (chk["status"] == "passed"):
+            raise ValueError(f"check {chk['name']!r}: passed must be true exactly when the status is passed")
+    if report["passed"] is not all(c["status"] != "failed" for c in report["checks"]):
+        raise ValueError("a report passes exactly when no check failed")
 
 
 @click.group()
@@ -205,32 +196,12 @@ def compose(group_text, num_layers, n, bc, twist_even, twist_odd, max_dim, tol, 
     check_env_cap()
     with building_config():
         layers = layer_stack(group, n, num_layers, bc, twist_even=te, twist_odd=to)
-    checks = []
-    norms: list[float] = []
     try:
-        state = compose_gauging(layers, initial_state(group, layers[0]), cap=max_dim, norms_out=norms)
+        state, checks = claims.stack_symmetries(layers, tol, cap=max_dim)
+        for layer in layers:
+            checks += claims.emergent_symmetry(layer)
     except CapExceededError as exc:
         raise ConfigError(str(exc))
-    checks.append(
-        {
-            "name": "layer_norms_unit",
-            "claim": "symmetric inputs stay unit norm through every layer",
-            "passed": bool(all(abs(x - 1) < tol for x in norms)),
-            "norms": norms,
-        }
-    )
-    local = verify_local_symmetry(state, layers, tol=tol)
-    local["claim"] = "the composed state satisfies every stack symmetry"
-    checks.append(local)
-    for layer in layers:
-        if layer.exact_cells <= 2**22:
-            try:
-                rep = verify_emergent_symmetry(build_gauging_map(layer))
-            except CapExceededError as exc:
-                raise ConfigError(str(exc))
-            rep["name"] = f"emergent_symmetry_layer{layer.index}"
-            rep["claim"] = "the dual symmetry on the new row fixes the map"
-            checks.append(rep)
     config = {
         "group": list(group.orders),
         "layers": num_layers,
@@ -264,38 +235,17 @@ def code(group_text, n, m, bc, twist_even, twist_odd, beta, subgroup, orientatio
         if bc == "cylinder":
             boundary_terms = build_boundary_terms(spec, "bottom") + build_boundary_terms(spec, "top")
     terms = build_bulk_stabilizers(spec)
-    checks = []
-    commute = check_all_commute(terms)
-    commute["claim"] = "all stabilizer terms commute pairwise"
-    checks.append(commute)
-    if bc == "cylinder":
-        both = check_all_commute(terms + boundary_terms)
-        both["name"] = "bulk_and_boundary_commute"
-        both["claim"] = "boundary terms commute with the bulk"
-        checks.append(both)
+    checks = claims.commutation(terms, boundary_terms)
     ground = None
-    if bc == "torus":
-        ground = ground_space_dimension(spec)
-        if spec.lattice.total_dim <= DENSE_ORACLE_CAP:
-            dense = ground_space_dimension_dense(spec)
-            checks.append(
-                {
-                    "name": "ground_dimension_matches_dense",
-                    "claim": "normal form and dense oracle agree",
-                    "passed": bool(dense == ground),
-                    "normal_form": ground,
-                    "dense": dense,
-                }
-            )
     logicals = []
     if bc == "torus":
+        checks += claims.ground_dimension(spec)
+        ground = checks[-1]["normal_form"]
         logicals = [
             {"name": l.name, "commutes": l.commutes, "witness": l.witness}
             for l in logical_operators(spec)
         ]
-    violations = []
-    for check in checks:
-        violations.extend(check.get("violations", []))
+    violations = [v for chk in checks for v in chk.get("violations", [])]
     config = {
         "group": list(group.orders),
         "n": n,
@@ -312,7 +262,7 @@ def code(group_text, n, m, bc, twist_even, twist_odd, beta, subgroup, orientatio
         config,
         checks,
         generators=len(terms) + len(boundary_terms),
-        commutation_matrix_ok=commute["passed"],
+        commutation_matrix_ok=checks[0]["passed"],
         ground_dimension=ground,
         logicals=logicals,
         violations=violations,
@@ -407,7 +357,7 @@ def anyons(spec_path, op_path, out):
             raise ConfigError(f"bad operator entry {k}: {exc}")
         syn = syndrome(spec, op, terms)
         tables.append({"name": data.get("name", f"op{k}"), **syn.as_json()})
-    checks = [{"name": "syndromes_computed", "passed": True, "count": len(tables)}]
+    checks = [check("syndromes_computed", "every operator has a syndrome table", True, count=len(tables))]
     finish(envelope("anyons", {"spec": spec_path, "op_file": op_path}, checks, syndromes=tables), out)
 
 
@@ -440,21 +390,9 @@ def confine(group_text, twist_even, spec_path, n, m, element, out):
         except ValueError as exc:
             raise ConfigError(f"bad element {element!r}: {exc}")
     try:
-        rep = confinement_report(spec, g)
+        rep, checks = claims.confinement(spec, g)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    checks = [
-        {"name": "string_energy_grows", "passed": rep["string_strictly_increasing"],
-         "claim": "horizontal twisted strings cost energy linear in length",
-         "counts": rep["string_counts"]},
-        {"name": "dipole_moves_freely", "passed": rep["dipole_constant"],
-         "claim": "the dipole syndrome does not grow with vertical extent",
-         "counts": rep["dipole_counts"]},
-        {"name": "dipole_braids_trivially", "passed": rep["dipole_braids_trivially"],
-         "claim": "the dipole commutes with horizontal character strings"},
-        {"name": "syndrome_multiplicative", "passed": rep["bend_homomorphic"],
-         "claim": "bending relocates the syndrome multiplicatively"},
-    ]
     config = {"group": list(group.orders), "twist_even": twist_even, "spec": spec_path,
               "n": spec.lattice.n, "m": spec.lattice.m, "element": element}
     finish(envelope("confine", config, checks, single_violations=rep["single_violations"]), out)
@@ -476,23 +414,7 @@ def boundary(group_text, subgroup, n, m, beta, out):
     with building_config():
         chain = build_fixed_point_state(group, sub, n)
         spec = CodeSpec(Lattice2D(group, n, m, "open"))
-    table = condensation_table(spec, chain)
-    expected = {chi.exps for chi in restricted_characters(group, sub)}
-    checks = [
-        {
-            "name": "surviving_terms_match_restriction",
-            "claim": "surviving boundary terms are the characters trivial on H",
-            "passed": set(table["surviving"]) == expected,
-        },
-        {
-            "name": "condensation_partition",
-            "claim": "anyons in H condense, anyons outside H are blocked",
-            "passed": all(
-                table["group_anyons"][str(g.exps)]["condenses"] == (g in sub)
-                for g in group.elements()
-            ),
-        },
-    ]
+    table, checks = claims.boundary_condensation(spec, chain, sub)
     report = envelope(
         "boundary",
         {"group": list(group.orders), "subgroup": subgroup, "n": n, "m": m, "beta": beta},
@@ -517,23 +439,10 @@ def tn(group_text, check_mpo, n, out):
     group = parse_group(group_text)
     if check_mpo:
         check_env_cap()
-    rep = pull_through_check(group)
-    rep["claim"] = "every tensor symmetry identity holds with zero deviation"
-    checks = [rep]
-    if check_mpo:
-        try:
-            # A list, not a generator: every layer is checked, so a cap is
-            # reported even after a failing layer.
-            ok = all([mpo_matches_map(build_gauging_map(layer)) for layer in mpo_layers(group, n)])
-        except CapExceededError as exc:
-            raise ConfigError(str(exc))
-        checks.append(
-            {
-                "name": "mpo_equals_dense",
-                "claim": "MPO contraction equals the dense map up to a positive scalar",
-                "passed": ok,
-            }
-        )
+    try:
+        checks = claims.tensor_identities(group, mpo_layers(group, n) if check_mpo else ())
+    except CapExceededError as exc:
+        raise ConfigError(str(exc))
     finish(envelope("tn", {"group": list(group.orders), "n": n, "mpo_layers": bool(check_mpo)}, checks), out)
 
 

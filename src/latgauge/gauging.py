@@ -226,23 +226,19 @@ class GaugingMap:
         """K[m, e], matter by new-row configurations: the map on the all-ones matter row.
 
         K is the projector product on the |G|**(n + n_new) row space: site
-        i sums its |G| terms into the one buffer site i-1 read from, and
-        every term after the first lands in `term`.
+        i sums its |G| terms into one fresh array, which site i+1 reads.
         """
         size = self.group.size
         ones, identity_local = np.ones(size, dtype=complex), np.eye(size, dtype=complex)[0]
         kernel = StateVector.product_state(
             self.out_sites, [ones] * self.layer.n + [identity_local] * len(self.new_sites)
         )
-        term = np.empty_like(kernel.amps)
-        acc = np.empty_like(kernel.amps)
-        first, *rest = self.layer.labels()
         for i in range(self.layer.n):
-            kernel.apply(self.local_symmetry_op(i, first), out=acc)
-            for label in rest:
-                acc += kernel.apply(self.local_symmetry_op(i, label), out=term).amps
+            acc = np.zeros_like(kernel.amps)
+            for label in self.layer.labels():
+                acc += kernel.apply(self.local_symmetry_op(i, label)).amps
             acc /= size
-            kernel, acc = StateVector(kernel.site_ids, kernel.kinds, kernel.dims, acc), kernel.amps
+            kernel = StateVector(kernel.site_ids, kernel.kinds, kernel.dims, acc)
         kernel.amps *= size**self.scale_power
         return kernel.amps.reshape(self.in_dim, -1)
 

@@ -416,27 +416,19 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.site_ids, self.kinds, self.dims, self.amps.copy())
 
-    def apply(self, op: ProductOperator, out: np.ndarray | None = None) -> "StateVector":
+    def apply(self, op: ProductOperator) -> "StateVector":
         """Apply a product operator; permutation plus phase per site.
 
-        One move pass writes every amplitude to its permuted place in `out`
-        (a copy when no factor permutes), then each factor, in op.factors
-        order, multiplies its nonzero-phase slices in place.  `out` is an
-        optional caller-owned contiguous buffer with self.amps's shape and
-        dtype that shares no memory with it; without one a fresh array is
-        allocated.  Every factor and `out` are checked before anything is
-        written.  self.amps is never written; the empty operator without
-        `out` returns it.
+        One move pass writes every amplitude to its permuted place in a
+        fresh array (a copy when no factor permutes), then each factor, in
+        op.factors order, multiplies its nonzero-phase slices in place.
+        Every factor is checked before anything is written.  self.amps is
+        never written; the empty operator returns it.
         """
         factors = self._placed(op)
-        if out is None:
-            if not factors:
-                return StateVector(self.site_ids, self.kinds, self.dims, self.amps)
-            out = np.empty_like(self.amps)
-        elif out.shape != self.amps.shape or out.dtype != self.amps.dtype or not out.flags.c_contiguous:
-            raise ValueError("out must be contiguous with the amplitude array's shape and dtype")
-        elif np.shares_memory(out, self.amps):
-            raise ValueError("out must not share memory with the amplitudes")
+        if not factors:
+            return StateVector(self.site_ids, self.kinds, self.dims, self.amps)
+        out = np.empty_like(self.amps)
         self._move(factors, out)
         w = np.exp(2j * np.pi / op.modulus)
         for axis, mono in factors:

@@ -534,10 +534,35 @@ class TestConfigErrors:
 
 
 class TestSchema:
+    REPORT = {
+        "schema_version": 2, "command": "x", "config": {}, "passed": True,
+        "checks": [{"name": "a", "claim": "c", "status": "skipped", "passed": False, "reason": "r"}],
+    }
+
     def test_validate_rejects_missing_fields(self):
         with pytest.raises(ValueError):
-            validate_report({"schema_version": 1})
+            validate_report({"schema_version": 2})
         with pytest.raises(ValueError):
             validate_report(
-                {"schema_version": 2, "command": "x", "config": {}, "checks": [], "passed": True}
+                {"schema_version": 3, "command": "x", "config": {}, "checks": [], "passed": True}
             )
+
+    def test_schema_two_with_a_skip_is_valid(self):
+        validate_report(self.REPORT)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"schema_version": 1},
+            {"checks": [{"name": "a", "passed": True}]},
+            {"checks": [{"name": "a", "status": "ok", "passed": False}]},
+            {"checks": [{"name": "a", "status": "skipped", "passed": True}]},
+            {"checks": [{"name": "a", "status": "passed", "passed": False}]},
+            {"checks": [{"name": "a", "status": "failed", "passed": False}]},
+            {"passed": False},
+        ],
+        ids=["schema-1", "no-status", "unknown-status", "skip-passes", "pass-fails", "failed-passes", "skip-fails"],
+    )
+    def test_validate_rejects(self, change):
+        with pytest.raises(ValueError):
+            validate_report({**self.REPORT, **change})

@@ -6,7 +6,8 @@ are sometimes left out so the defaults are exercised too.  Confinement
 needs a torus of at least 4x8, so confine spec files may ask for one.
 Invalid values (order 1, malformed twists, misplaced factors) are drawn
 on purpose but less often than valid ones.  Reports of runs that exit 0
-or 1 must pass the schema check.
+or 1 must pass the schema check, and a run exits 0 exactly when no check
+of its report failed.
 """
 
 import json
@@ -160,4 +161,7 @@ def test_cli_exit_codes(case):
     assert "Traceback" not in result.output
     if result.exit_code in (0, 1):
         text = result.output
-        validate_report(json.loads(text[text.index("{"):]))
+        report = json.loads(text[text.index("{"):])
+        validate_report(report)
+        # A skipped check never changes the exit code; only a failed one does.
+        assert (result.exit_code == 0) == all(c["status"] != "failed" for c in report["checks"]), args

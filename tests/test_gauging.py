@@ -378,17 +378,6 @@ def traced_peak(fn):
 
 
 class TestDenseBuffers:
-    def test_one_buffer_across_stack_symmetries(self):
-        layers = layer_stack(Z3, 3, 3)
-        state = compose_gauging(layers, initial_state(Z3, layers[0])).normalized()
-        buffer = np.empty_like(state.amps)
-        for _, op in stack_local_symmetry_ops(layers):
-            fresh = state.apply(op)
-            reused = state.apply(op, out=buffer)
-            assert reused.amps is buffer
-            assert np.array_equal(reused.amps, fresh.amps)
-            assert state.inner(reused) == state.inner(fresh)
-
     def test_map_keeps_three_full_size_buffers(self):
         # The last of five Z2 layers: at most the state, an accumulator and
         # one term buffer.  Fresh per-term arrays peaked at 4x the output.

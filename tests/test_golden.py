@@ -33,6 +33,15 @@ projector loop over the whole stacked state.  In each file one float
 moved and nothing else: the second `norms` entry of each compose report
 by one ulp (1.1e-16), and the `frustration_free` `worst_deviation` of the
 suite from 6.26435505058391e-16 to 6.259111737608056e-16.
+
+All fifteen files were regenerated once for report schema 2, when each
+paper claim became one function shared by the suite and the subcommands.
+Every check gained `status`, `schema_version` went from 1 to 2, the
+suite report gained `skipped_over_cap` lists on criteria 2, 3, 5 and 11
+and a top-level `skipped` count, and `compose_z3_layers3_n2_open.json`
+gained the skipped `emergent_symmetry_layer2` check that schema 1 left
+out.  Dropping those additions and setting the version back to 1 gives
+the schema-1 files byte for byte; nothing else moved.
 """
 
 from pathlib import Path

@@ -535,7 +535,6 @@ class TestSliceWiseApply:
     def test_mismatch_after_a_valid_factor_is_refused(self):
         stv = random_state(MIXED_SITES, MIXED_DIMS, 50)
         before = stv.amps.copy()
-        buffer = np.full_like(stv.amps, np.nan)
         good = (("m", 0), mixed_factor("shift", 2, SiteKind.EDGE_GROUP))
         bad = [
             ((("m", 1), mixed_factor("shift", 2, SiteKind.VERTEX_DUAL)), "operator dimension mismatch"),
@@ -545,45 +544,12 @@ class TestSliceWiseApply:
             op = ProductOperator.from_factors([good, pair_], 6)
             with pytest.raises(ValueError, match=message):
                 stv.apply(op)
-            with pytest.raises(ValueError, match=message):
-                stv.apply(op, out=buffer)
         assert stv.amps.tobytes() == before.tobytes()
-        assert np.isnan(buffer).all()
 
     def test_repeated_site_is_refused(self):
         shift = mixed_factor("shift", 2, SiteKind.EDGE_GROUP)
         with pytest.raises(ValueError, match="more than one factor"):
             ProductOperator(((("m", 0), shift), (("m", 0), shift)), 6)
-
-    @pytest.mark.parametrize("case", range(len(apply_cases())))
-    def test_apply_into_a_caller_buffer(self, case):
-        stv, op = apply_cases()[case]
-        buffer = np.full_like(stv.amps, np.nan)
-        moved = stv.apply(op, out=buffer)
-        assert moved.amps is buffer
-        assert np.array_equal(buffer, scatter_apply(stv, op))
-
-    @pytest.mark.parametrize("case", [0, len(apply_cases()) - 1], ids=["product", "empty"])
-    def test_bad_buffers_are_refused_before_writing(self, case):
-        stv, op = apply_cases()[case]
-        before = stv.amps.copy()
-        size = stv.amps.size
-        wide = np.full(2 * size, np.nan, dtype=complex)
-        bad = {
-            "aliased": stv.amps,
-            "aliased view": stv.amps[:],
-            "misshapen": np.full(size + 1, np.nan, dtype=complex),
-            "two-dimensional": np.full((size, 1), np.nan, dtype=complex),
-            "wrong dtype": np.full(size, np.nan, dtype=np.complex64),
-            "strided": wide[::2],
-        }
-        for name, buffer in bad.items():
-            snapshot = buffer.tobytes()
-            with pytest.raises(ValueError, match="out must"):
-                stv.apply(op, out=buffer)
-            assert buffer.tobytes() == snapshot, name
-        assert stv.amps.tobytes() == before.tobytes()
-        assert np.isnan(wide).all()
 
     def test_shift_on_every_site_of_a_long_chain(self):
         # Every axis is permuted, so the gather's block is the whole array.
