@@ -193,6 +193,8 @@ def compose(group_text, num_layers, n, bc, twist_even, twist_odd, max_dim, tol, 
     to = parse_twist(group, twist_odd)
     if num_layers < 1:
         raise ConfigError("need at least one layer")
+    if not np.isfinite(tol):
+        raise ConfigError(f"--tol must be finite, got {tol}")
     check_env_cap()
     with building_config():
         layers = layer_stack(group, n, num_layers, bc, twist_even=te, twist_odd=to)

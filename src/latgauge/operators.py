@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,7 +57,7 @@ from .groups import (
 )
 
 
-SUPPORT_TILE = 2**15  # support indices StateVector.expectations handles per pass
+SUPPORT_TILE = 2**15  # basis indices each flat_action call walks
 
 
 class CapExceededError(RuntimeError):
@@ -341,20 +342,41 @@ def commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent |
     return _phase(total % a.modulus, a.modulus)
 
 
+def flat_action(dims, factors, x):
+    """Targets and phase exponents of the basis indices x under placed factors.
+
+    factors holds (axis, MonomialOperator) pairs on distinct axes of the
+    row-major space with local dimensions dims.  The digit of x on a
+    factor's axis is d = x // stride % dim; the factor sends it to perm[d],
+    so the target y gains (perm[d] - d) * stride, and it multiplies the
+    amplitude by w**phase[d].  Returns y and, in factor order, each
+    factor's phase[d] array.
+    """
+    y = x.copy()
+    phases = []
+    for axis, mono in factors:
+        stride = math.prod(dims[axis + 1 :])
+        d = x // stride % dims[axis]
+        y += ((np.array(mono.perm) - np.arange(mono.dim)) * stride)[d]
+        phases.append(np.array(mono.phase)[d])
+    return y, phases
+
+
 def flatten_product_operator(site_ids, dims, op: ProductOperator):
     """(perm, phase) arrays with op|x> = w**phase[x] |perm[x]> on the full space.
 
     Basis states x are numbered row major in site order, as in StateVector.
+    flat_action runs on tiles of SUPPORT_TILE indices, so the only
+    full-size arrays are the two returned.
     """
+    factors = [(site_ids.index(site), mono) for site, mono in op.factors]
     total = int(np.prod(dims))
     perm = np.arange(total, dtype=np.int64)
     phase = np.zeros(total, dtype=np.int64)
-    for site, mono in op.factors:
-        axis = site_ids.index(site)
-        stride = int(np.prod(dims[axis + 1 :]))
-        digits = (perm // stride) % dims[axis]
-        phase = (phase + np.array(mono.phase, dtype=np.int64)[digits]) % op.modulus
-        perm += (np.array(mono.perm, dtype=np.int64)[digits] - digits) * stride
+    for start in range(0, total, SUPPORT_TILE):
+        tile = slice(start, start + SUPPORT_TILE)
+        perm[tile], phases = flat_action(dims, factors, perm[tile])
+        phase[tile] = sum(phases) % op.modulus
     return perm, phase
 
 
@@ -363,15 +385,13 @@ def flatten_product_operator(site_ids, dims, op: ProductOperator):
 
 @dataclass
 class StateVector:
-    """Dense amplitudes over an ordered list of sites (site_id, kind, dim).
+    """Dense complex amplitudes over an ordered list of sites (site_id, kind, dim).
 
     The flat index is row major in site order: the first site is the most
-    significant digit of the mixed-radix configuration label.  apply moves
-    the array once for all permuted sites, then applies phases factor by
-    factor, into a fresh array or a caller-owned `out`; it never writes
-    self.amps.  expectations takes <psi|O|psi> for many operators at once
-    by summing over the nonzero amplitudes only, with no full-size
-    temporary beyond the support mask.
+    significant digit of the mixed-radix configuration label.  Amplitudes
+    are stored as complex; complex input is kept without a copy.  apply
+    and expectations walk the nonzero amplitudes only, in tiles of
+    SUPPORT_TILE indices, reading each target and phase from flat_action.
     """
 
     site_ids: tuple
@@ -380,6 +400,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
+        self.amps = np.asarray(self.amps, dtype=complex)
         expected = int(np.prod(self.dims)) if self.dims else 1
         if self.amps.shape != (expected,):
             raise ValueError("amplitude array does not match site dimensions")
@@ -419,26 +440,26 @@ class StateVector:
     def apply(self, op: ProductOperator) -> "StateVector":
         """Apply a product operator; permutation plus phase per site.
 
-        One move pass writes every amplitude to its permuted place in a
-        fresh array (a copy when no factor permutes), then each factor, in
-        op.factors order, multiplies its nonzero-phase slices in place.
-        Every factor is checked before anything is written.  self.amps is
-        never written; the empty operator returns it.
+        Each nonzero amplitude is scattered into a zeroed array, out[y] =
+        amps[x] * w**phase_1[d_1] * w**phase_2[d_2] ..., multiplied in
+        op.factors order.  Every factor is checked before anything is
+        written.  self.amps is never written; the empty operator returns it.
         """
         factors = self._placed(op)
         if not factors:
             return StateVector(self.site_ids, self.kinds, self.dims, self.amps)
-        out = np.empty_like(self.amps)
-        self._move(factors, out)
         w = np.exp(2j * np.pi / op.modulus)
-        for axis, mono in factors:
-            if not any(mono.phase):
-                continue
-            slices = out.reshape(int(np.prod(self.dims[:axis])), mono.dim, -1)
-            phases = w ** np.array(mono.phase)
-            for j, (k, p) in enumerate(zip(mono.perm, mono.phase)):
-                if p:
-                    slices[:, k, :] *= phases[j]
+        out = np.zeros_like(self.amps)
+        support = np.flatnonzero(self.amps)
+        for start in range(0, support.size, SUPPORT_TILE):
+            x = support[start : start + SUPPORT_TILE]
+            y, phases = flat_action(self.dims, factors, x)
+            values = self.amps[x]
+            for phase in phases:
+                # In place: values * tmp may run as tmp * values, and the
+                # fused complex product is not bitwise symmetric.
+                values *= w**phase
+            out[y] = values
         return StateVector(self.site_ids, self.kinds, self.dims, out)
 
     def _placed(self, op: ProductOperator) -> list[tuple[int, MonomialOperator]]:
@@ -460,62 +481,20 @@ class StateVector:
         conj(psi[y(x)]) w**phase(x) psi[x], and a term with psi[x] == 0 is
         exactly zero.  The sum therefore runs over the support of self.amps
         only, which for a composed gauged state (a stabilizer state) is a
-        small fraction of the amplitudes.  y and phase are read from the
-        digits d of x, factor by factor: y = x + sum of (perm[d] - d) *
-        stride, phase = sum of phase[d].  The support is taken in tiles of
-        SUPPORT_TILE indices whose digits serve every op, so the working
-        memory beyond the support indices (8 bytes per nonzero amplitude)
-        is O(tile).  Every op is checked as apply checks it before any sum.
+        small fraction of the amplitudes, and the working memory beyond the
+        support indices is O(SUPPORT_TILE).  Every op is checked as apply
+        checks it before any sum.
         """
-        strides = [int(np.prod(self.dims[axis + 1 :])) for axis in range(len(self.dims))]
-        plans = []
-        for op in ops:
-            steps = [
-                (axis, (np.array(mono.perm, dtype=np.int64) - np.arange(mono.dim)) * strides[axis], np.array(mono.phase))
-                for axis, mono in self._placed(op)
-            ]
-            plans.append((steps, np.exp(2j * np.pi / op.modulus) ** np.arange(op.modulus)))
-        axes = {axis for steps, _ in plans for axis, _, _ in steps}
-        totals = [0j] * len(plans)
+        placed = [(np.exp(2j * np.pi / op.modulus) ** np.arange(op.modulus), self._placed(op)) for op in ops]
+        totals = [0j] * len(placed)
         support = np.flatnonzero(self.amps)
         for start in range(0, support.size, SUPPORT_TILE):
             x = support[start : start + SUPPORT_TILE]
             psi = self.amps[x]
-            digits = {axis: x // strides[axis] % self.dims[axis] for axis in axes}
-            for k, (steps, roots) in enumerate(plans):
-                y = x.copy()
-                phase = np.zeros(x.size, dtype=np.int64)
-                for axis, moves, phases in steps:
-                    y += moves[digits[axis]]
-                    phase += phases[digits[axis]]
-                totals[k] += complex(np.vdot(self.amps[y], roots[phase % roots.size] * psi))
+            for k, (roots, factors) in enumerate(placed):
+                y, phases = flat_action(self.dims, factors, x)
+                totals[k] += complex(np.vdot(self.amps[y], roots[sum(phases) % roots.size] * psi))
         return totals
-
-    def _move(self, factors, out: np.ndarray) -> None:
-        """out[.., perm(j), ..] = amps[.., j, ..] over every permuted site in one gather.
-
-        The axes from the first permuted site to the last form one block of
-        size M, so the array is viewed as (A, M, B).  `source` holds, for each
-        position in the block, the position it is read from: each permuted
-        factor replaces its own digit by its inverse perm in one array pass.
-        One np.take along the block then copies runs of B amplitudes; on
-        gauged stacks, whose new sites sit last, it took about 40% of the time
-        of one advanced-index assignment over the separate permuted axes.
-        mode="clip" (the indices are in range) lets np.take write `out`
-        without an intermediate buffer.
-        """
-        moved = sorted((axis, mono.perm) for axis, mono in factors if mono.perm != tuple(range(mono.dim)))
-        if not moved:
-            np.copyto(out, self.amps)
-            return
-        lo, hi = moved[0][0], moved[-1][0] + 1
-        shape = (int(np.prod(self.dims[:lo])), int(np.prod(self.dims[lo:hi])), -1)
-        source = np.arange(shape[1])
-        for axis, perm in moved:
-            stride = int(np.prod(self.dims[axis + 1 : hi]))
-            digit = source // stride % self.dims[axis]
-            source += (np.argsort(perm)[digit] - digit) * stride
-        np.take(self.amps.reshape(shape), source, axis=1, out=out.reshape(shape), mode="clip")
 
     def tensor(self, other: "StateVector") -> "StateVector":
         return StateVector(

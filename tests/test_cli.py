@@ -452,6 +452,8 @@ class TestConfigErrors:
             ["tn", "--group", "2", "--n", "8", "--mpo-layers"],
             ["compose", "--group", "2", "--tol", "-1"],
             ["compose", "--group", "2", "--tol", "0"],
+            ["compose", "--group", "2", "--tol", "nan"],
+            ["compose", "--group", "2", "--tol", "inf"],
             ["confine", "--group", "2,2", "--twist-even", "p12=1", "--n", "1"],
             ["boundary", "--group", "2,2", "--subgroup", "all", "--n", "4", "--beta", "p12=1"],
             ["code", "--group", "2,2", "--beta", "p12=1"],
@@ -469,6 +471,8 @@ class TestConfigErrors:
             "tn-mpo-too-large",
             "compose-negative-tol",
             "compose-zero-tol",
+            "compose-nan-tol",
+            "compose-infinite-tol",
             "confine-one-site",
             "boundary-nontrivial-beta",
             "code-torus-beta",

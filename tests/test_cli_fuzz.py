@@ -44,7 +44,7 @@ COMPOSE = command(
     opt("--bc", st.sampled_from(["periodic", "open"])),
     opt("--twist-even", TWIST),
     opt("--twist-odd", TWIST),
-    opt("--tol", st.sampled_from([1e-10, 1e-3, 0.0, -1.0])),
+    opt("--tol", st.sampled_from([1e-10, 1e-3, 0.0, -1.0, math.nan, math.inf])),
     # A small amplitude cap keeps every stack cheap; larger ones exit 2.
     st.sampled_from([65536, 64, 0]).map(lambda cap: ["--max-dim", str(cap)]),
 )

@@ -108,3 +108,50 @@ def test_every_dataclass_field_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unread = [f"{cls}.{name}" for cls, name in _dataclass_fields(tree) if name not in read]
     assert not unread, f"{path.name}: dataclass fields never read {unread}"
+
+
+ROOT = SRC.parent.parent
+
+
+def _name_references(paths) -> dict[str, list[tuple[pathlib.Path, int]]]:
+    """name -> (path, line) of every loaded name, attribute, imported name
+    and dotted identifier string (span targets name methods as strings)."""
+    refs: dict = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [part for part in node.value.split(".") if part.isidentifier()]
+            else:
+                continue
+            for name in names:
+                refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def _registered_command(node: ast.AST) -> bool:
+    """True for a click command or group, registered by its decorator alone."""
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "attr", None) in ("command", "group") for d in node.decorator_list
+    )
+
+
+def test_every_function_is_referenced():
+    refs = _name_references(p for top in ("src", "tests", "bench") for p in sorted((ROOT / top).rglob("*.py")))
+    unreferenced = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or _registered_command(node):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if all(where == path and line in own for where, line in refs.get(name, [])):
+                unreferenced.append(f"{path.name}:{node.lineno} {name}")
+    assert not unreferenced, f"functions named nowhere outside their own definition: {unreferenced}"

@@ -1,6 +1,7 @@
 """Monomial operator algebra against dense-matrix oracles."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from latgauge.operators import (
     StateVector,
     clock_z,
     commutation_phase,
+    flatten_product_operator,
     fusion_coefficients,
     irrep_flux_operator,
     projective_x,
@@ -417,8 +419,8 @@ class TestApply:
 
 def scatter_apply(state, op):
     """The former StateVector.apply: a full-size phase product per factor,
-    then a fancy-index scatter.  Kept only as the oracle of the one-move
-    kernel."""
+    then a fancy-index scatter.  Kept as the bitwise oracle of apply's
+    walk over the support."""
     out = state.amps
     w = np.exp(2j * np.pi / op.modulus) if op.factors else 1.0
     for site, mono in op.factors:
@@ -501,6 +503,18 @@ def twisted_ops():
 TWISTED_SITES = [(("a", k), SiteKind.EDGE_GROUP) for k in range(3)]
 
 
+# Ten spectator qubits after the mixed sites: 73728 amplitudes, three tiles.
+TILED_SITES = MIXED_SITES + [(("t", k), SiteKind.EDGE_GROUP) for k in range(10)]
+TILED_DIMS = MIXED_DIMS + (2,) * 10
+
+
+def sparse_state(sites, dims, seed):
+    """A normalized random state with about two thirds of its amplitudes zero."""
+    stv = random_state(sites, dims, seed)
+    stv.amps[np.random.default_rng(seed + 1).random(stv.amps.size) < 2 / 3] = 0
+    return stv.normalized()
+
+
 def apply_cases():
     """(state, op) pairs covering every branch of StateVector.apply."""
     cases = [
@@ -509,6 +523,8 @@ def apply_cases():
     ]
     cases += [(random_state(TWISTED_SITES, (4, 4, 4), 20 + k), op) for k, op in enumerate(twisted_ops())]
     cases.append((random_state(MIXED_SITES, MIXED_DIMS, 30), ProductOperator.identity_op(6)))
+    cases.append((random_state(TILED_SITES, TILED_DIMS, 40).normalized(), mixed_op(MIXED_CHOICES[0])))
+    cases.append((sparse_state(MIXED_SITES, MIXED_DIMS, 42), mixed_op(MIXED_CHOICES[6])))
     return cases
 
 
@@ -524,6 +540,40 @@ class TestSliceWiseApply:
         stv, op = apply_cases()[case]
         (value,) = stv.expectations([op])
         assert abs(value - stv.inner(stv.apply(op))) < 1e-12
+
+    @pytest.mark.parametrize("case", range(len(apply_cases())))
+    def test_flatten_matches_the_dense_product(self, case):
+        # On the sites up to the last factor, so the tiled state's operator
+        # is compared as a 72 x 72 matrix.
+        stv, op = apply_cases()[case]
+        n = max((stv.axis_of(site) + 1 for site in op.support), default=0)
+        ids, dims = stv.site_ids[:n], stv.dims[:n]
+        perm, phase = flatten_product_operator(ids, dims, op)
+        total = int(np.prod(dims))
+        flat = np.zeros((total, total), dtype=complex)
+        flat[perm, np.arange(total)] = np.exp(2j * np.pi / op.modulus) ** phase
+        assert np.max(np.abs(flat - dense_product(op, ids, dims))) < 1e-12
+
+    @pytest.mark.parametrize("case", range(len(apply_cases())))
+    def test_flatten_matches_apply_on_the_whole_space(self, case):
+        stv, op = apply_cases()[case]
+        perm, phase = flatten_product_operator(stv.site_ids, stv.dims, op)
+        moved = stv.apply(op).amps[perm]
+        assert np.max(np.abs(moved - np.exp(2j * np.pi / op.modulus) ** phase * stv.amps)) < 1e-12
+
+    def test_real_amplitudes_act_as_their_complex_copy(self):
+        ids, kinds = tuple(s for s, _ in MIXED_SITES), tuple(k for _, k in MIXED_SITES)
+        amps = np.random.default_rng(70).normal(size=int(np.prod(MIXED_DIMS)))
+        twin_amps = amps.astype(complex)
+        twin = StateVector(ids, kinds, MIXED_DIMS, twin_amps)
+        assert twin.amps is twin_amps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            real = StateVector(ids, kinds, MIXED_DIMS, amps)
+            for choices in MIXED_CHOICES:
+                op = mixed_op(choices)
+                assert np.array_equal(real.apply(op).amps, twin.apply(op).amps)
+                assert real.expectations([op]) == twin.expectations([op])
 
     def test_apply_on_a_gauged_stack(self):
         # Interior symmetries are four-body: diagonal, two shifts, diagonal.
@@ -552,7 +602,8 @@ class TestSliceWiseApply:
             ProductOperator(((("m", 0), shift), (("m", 0), shift)), 6)
 
     def test_shift_on_every_site_of_a_long_chain(self):
-        # Every axis is permuted, so the gather's block is the whole array.
+        # Every site carries a phased flip, so each amplitude moves on all
+        # fourteen axes and takes fourteen phase products in factor order.
         sites = [(("c", k), SiteKind.EDGE_GROUP) for k in range(14)]
         stv = random_state(sites, (2,) * 14, 60)
         flip = MonomialOperator(2, (1, 0), (0, 1), 2, SiteKind.EDGE_GROUP)
