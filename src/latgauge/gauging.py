@@ -18,11 +18,12 @@ Each map is normalized so that inputs invariant under the row symmetry
 are sent to unit-norm outputs; the projector average itself would shrink
 them by a fixed power of |G| which is recorded on the map.
 
-A map acts on the matter row as the trailing sites of a stacked state
-and appends the new row behind it.  Its Gauss-law projectors are diagonal
-on the matter row, so the output factorises as psi[a, m] * K[m, e]: `a`
-the earlier rows, `m` the matter row, `e` the new row, and K the row
-kernel, the map applied to the all-ones matter row.
+A map is the product of its Gauss-law projectors, each the group average
+of one three-body local symmetry.  It acts on the matter row as the
+trailing sites of a stacked state and appends the new row behind it.
+The projectors are diagonal on the matter row, so the output factorises
+as psi[a, m] * K[m, e]: `a` the earlier rows, `m` the matter row, `e`
+the new row, and K the row kernel, the map on the all-ones matter row.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .operators import (
     SiteKind,
     StateVector,
     clock_z,
+    flat_action,
     flatten_product_operator,
     projective_x,
     projective_x_tilde,
@@ -142,11 +144,11 @@ class LayerSpec:
 class GaugingMap:
     """Concrete gauging map for one layer.
 
-    apply() is the scalable path: it builds the row kernel by projector
-    products on the row space and multiplies the dense state by it in one
-    broadcast.  exact_matrix() enumerates the map at desk scale as a
-    sparse exact tensor of root-of-unity counts for zero-tolerance
-    operator identities.
+    apply() and exact_matrix() read the same terms of the projector
+    product (_row_entries).  apply() sums them into the dense row kernel
+    and multiplies the state by it in one broadcast; exact_matrix() keeps
+    them as a sparse exact tensor of root-of-unity counts, at desk scale,
+    for zero-tolerance operator identities.
     """
 
     def __init__(self, layer: LayerSpec):
@@ -220,27 +222,44 @@ class GaugingMap:
         dressed = ProductOperator.from_factors(bare_factors + string, self.group.phase_modulus)
         return bare, dressed
 
-    # -- application to states ---------------------------------------------
+    # -- the map's terms ------------------------------------------------------
+
+    def _row_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The |G|**(2n) terms w**root |flat> of the map on the all-ones matter row.
+
+        From each matter configuration with the new row at the identity
+        label, site i replaces every entry by |G| copies, one per label,
+        each moved by local_symmetry_op(i, label) on the out_sites space.
+        """
+        size, L = self.group.size, self.group.phase_modulus
+        dims = (size,) * len(self.out_sites)
+        axis = {site: k for k, (site, _) in enumerate(self.out_sites)}
+        flat = np.arange(self.in_dim, dtype=np.int64) * size ** len(self.new_sites)
+        root = np.zeros(flat.size, dtype=np.min_scalar_type(L - 1))
+        for i in range(self.layer.n):
+            moved_flat = np.empty(flat.size * size, dtype=np.int64)
+            moved_root = np.empty(moved_flat.size, dtype=root.dtype)
+            for k, label in enumerate(self.layer.labels()):
+                factors = [(axis[site], mono) for site, mono in self.local_symmetry_op(i, label).factors]
+                part = slice(k * flat.size, (k + 1) * flat.size)
+                moved_flat[part], phases = flat_action(dims, factors, flat)
+                moved_root[part] = (root + sum(phases)) % L
+            flat, root = moved_flat, moved_root
+        return flat, root
 
     def row_kernel(self) -> np.ndarray:
         """K[m, e], matter by new-row configurations: the map on the all-ones matter row.
 
-        K is the projector product on the |G|**(n + n_new) row space: site
-        i sums its |G| terms into one fresh array, which site i+1 reads.
+        np.bincount sums each cell's term roots, scaled by |G|**(scale_power - n).
         """
-        size = self.group.size
-        ones, identity_local = np.ones(size, dtype=complex), np.eye(size, dtype=complex)[0]
-        kernel = StateVector.product_state(
-            self.out_sites, [ones] * self.layer.n + [identity_local] * len(self.new_sites)
-        )
-        for i in range(self.layer.n):
-            acc = np.zeros_like(kernel.amps)
-            for label in self.layer.labels():
-                acc += kernel.apply(self.local_symmetry_op(i, label)).amps
-            acc /= size
-            kernel = StateVector(kernel.site_ids, kernel.kinds, kernel.dims, acc)
-        kernel.amps *= size**self.scale_power
-        return kernel.amps.reshape(self.in_dim, -1)
+        L = self.group.phase_modulus
+        flat, root = self._row_entries()
+        w = np.exp(2j * np.pi * np.arange(L) / L)
+        kernel = np.empty(self.out_dim, dtype=complex)
+        kernel.real = np.bincount(flat, weights=w.real[root], minlength=self.out_dim)
+        kernel.imag = np.bincount(flat, weights=w.imag[root], minlength=self.out_dim)
+        kernel *= float(self.group.size) ** (self.scale_power - self.layer.n)
+        return kernel.reshape(self.in_dim, -1)
 
     def apply(self, state: StateVector, cap: int | None = None) -> StateVector:
         """The gauged state: one broadcast multiply of the state by the row kernel."""
@@ -251,70 +270,20 @@ class GaugingMap:
         out = state.amps.reshape(-1, self.in_dim, 1) * self.row_kernel()
         return StateVector(site_ids, kinds, dims, out.reshape(-1))
 
-    # -- exact sparse form ---------------------------------------------------
-
     def exact_matrix(self) -> PhaseTensor:
         """Exact sparse (out, in) PhaseTensor of the raw term sum.
 
         Rows are indexed by (matter config, new config) with matter sites
-        first; the overall positive normalization is not included, so
-        identities should be checked projectively or on both sides.  Each
-        of the |G|**n projector terms contributes one root per input
-        config; the entries are collected as (flat index, root) arrays
-        and merged once, so no dense array is built.
+        first, and a term's column is its matter config; the overall
+        positive normalization is not included, so identities should be
+        checked projectively or on both sides.
         """
-        L = self.group.phase_modulus
-        size = self.group.size
-        n = self.layer.n
         if self.layer.exact_cells > dimension_cap():
             raise CapExceededError(f"exact tensor of layer {self.layer.index} ({self.layer.boundary}) is too large")
-        alpha = self.layer.twist
-        spec = self.group
-        n_new = len(self.new_sites)
-        flats, roots = [], []
-        # Per matter site, the phase of the matter clock as a (basis state,
-        # label) table.
-        all_labels = [lab.exps for lab in self.layer.labels()]
-        pair_table = np.array([clock_z(lab).phase for lab in self.layer.labels()], dtype=np.int64).T
-        m_configs = np.array(list(itertools.product(range(size), repeat=n)), dtype=np.int64)
-        m_flat = np.zeros(len(m_configs), dtype=np.int64)
-        for col in range(n):
-            m_flat = m_flat * size + m_configs[:, col]
-        open_bc = self.layer.boundary == "open"
-        matter_pos = self.layer.matter_positions()
-        new_pos = self.layer.new_positions()
-        two_n = 2 * n
-        for t_idx in itertools.product(range(size), repeat=n):
-            t = [all_labels[k] for k in t_idx]
-            by_pos = {}
-            extra = 0
-            if open_bc:
-                left = spec.neg_exps(t[0])
-                by_pos[matter_pos[0] - 1] = left
-                extra += -alpha.exponent(left, t[0])
-                for i in range(n - 1):
-                    ket = spec.add_exps(t[i], spec.neg_exps(t[i + 1]))
-                    by_pos[matter_pos[i] + 1] = ket
-                    extra += -alpha.exponent(ket, t[i + 1])
-                by_pos[matter_pos[n - 1] + 1] = t[n - 1]
-            else:
-                for i in range(n):
-                    nxt = t[(i + 1) % n]
-                    ket = spec.add_exps(t[i], spec.neg_exps(nxt))
-                    by_pos[(matter_pos[i] + 1) % two_n] = ket
-                    extra += -alpha.exponent(ket, nxt)
-            new_flat = 0
-            for p in new_pos:
-                new_flat = new_flat * size + spec.index_of(by_pos[p])
-            phases = extra + pair_table[m_configs[:, 0], t_idx[0]]
-            for col in range(1, n):
-                phases = phases + pair_table[m_configs[:, col], t_idx[col]]
-            rows = m_flat * (size**n_new) + new_flat
-            flats.append(rows * self.in_dim + m_flat)
-            roots.append(phases)
-        return PhaseTensor.from_entries(
-            (self.out_dim, self.in_dim), L, np.concatenate(flats), np.concatenate(roots)
-        )
+        flat, root = self._row_entries()
+        column = flat // self.group.size ** len(self.new_sites)
+        shape = (self.out_dim, self.in_dim)
+        return PhaseTensor.from_entries(shape, self.group.phase_modulus, flat * self.in_dim + column, root)
 
 
 def gauged_layout(state: StateVector, layer: LayerSpec) -> tuple[tuple, tuple, tuple]:

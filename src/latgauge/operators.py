@@ -367,12 +367,13 @@ def flatten_product_operator(site_ids, dims, op: ProductOperator):
 
     Basis states x are numbered row major in site order, as in StateVector.
     flat_action runs on tiles of SUPPORT_TILE indices, so the only
-    full-size arrays are the two returned.
+    full-size arrays are the two returned; phase takes the smallest
+    unsigned dtype that holds op.modulus - 1.
     """
     factors = [(site_ids.index(site), mono) for site, mono in op.factors]
     total = int(np.prod(dims))
     perm = np.arange(total, dtype=np.int64)
-    phase = np.zeros(total, dtype=np.int64)
+    phase = np.zeros(total, dtype=np.min_scalar_type(op.modulus - 1))
     for start in range(0, total, SUPPORT_TILE):
         tile = slice(start, start + SUPPORT_TILE)
         perm[tile], phases = flat_action(dims, factors, perm[tile])

@@ -11,6 +11,7 @@ from latgauge.gauging import (
     LayerSpec,
     build_gauging_map,
     compose_gauging,
+    dimension_cap,
     initial_state,
     layer_stack,
     stack_local_symmetry_ops,
@@ -30,11 +31,16 @@ from latgauge.operators import (
     shift_x,
 )
 from latgauge.tensors import contract_pepes
+import exact_map_oracle
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
+Z4 = GroupSpec((4,))
 Z22 = GroupSpec((2, 2))
 Z23 = GroupSpec((2, 3))
+Z33 = GroupSpec((3, 3))
+Z42 = GroupSpec((4, 2))
+Z24 = GroupSpec((2, 4))
 
 
 def symmetric_random_state(group, layer, seed):
@@ -110,7 +116,7 @@ class TestInputsAreNotWritten:
         assert stv.amps.tobytes() == before
 
         def projector_sum(ref):
-            # Out-of-place projector sum in label order, then the scale.
+            # Float oracle: out-of-place projector sum in label order, then the scale.
             for i in range(layers[0].n):
                 terms = [ref.apply(gmap.local_symmetry_op(i, lab)).amps for lab in layers[0].labels()]
                 acc = terms[0]
@@ -120,9 +126,10 @@ class TestInputsAreNotWritten:
             return ref.amps * group.size**gmap.scale_power
 
         new_row = StateVector.product_state(gmap.new_sites, [np.eye(group.size)[0]] * len(gmap.new_sites))
-        # On the row space the in-place accumulation must give the same bits.
+        # The kernel sums each cell's roots directly, not through n
+        # projector steps, so it matches the loop within rounding only.
         ones = StateVector(stv.site_ids, stv.kinds, stv.dims, np.ones_like(stv.amps))
-        assert np.array_equal(gmap.row_kernel().reshape(-1), projector_sum(ones.tensor(new_row)))
+        assert np.max(np.abs(gmap.row_kernel().reshape(-1) - projector_sum(ones.tensor(new_row)))) < 1e-15
         stacked = projector_sum(stv.tensor(new_row))
         assert np.max(np.abs(out.amps - stacked)) < 1e-14
 
@@ -132,10 +139,11 @@ def _row_kernel_cases():
         for bc in ("periodic", "open"):
             for index in (0, 1):
                 yield pytest.param(group, bc, index, False, id=f"{group.orders}-{bc}-layer{index}")
-    # Z2 x Z2 is the only group here with a nontrivial class.
-    for bc in ("periodic", "open"):
-        for index in (0, 1):
-            yield pytest.param(Z22, bc, index, True, id=f"{Z22.orders}-{bc}-layer{index}-twisted")
+    # Twisted by each group's first nontrivial class.
+    for group in (Z22, Z33, Z42):
+        for bc in ("periodic", "open"):
+            for index in (0, 1):
+                yield pytest.param(group, bc, index, True, id=f"{group.orders}-{bc}-layer{index}-twisted")
 
 
 class TestRowKernel:
@@ -194,6 +202,31 @@ class TestRowKernel:
         for route in (build_gauging_map(layer).apply, lambda st: contract_pepes([layer], st)):
             with pytest.raises(ValueError, match="wrong site kind"):
                 route(wrong)
+
+
+def _oracle_layers():
+    """Layers 0-3 at n = 2-4 of up to four classes per group, both boundaries, within the cap."""
+    for group in (Z2, Z3, Z4, Z22, Z23, Z33, Z42, Z24):
+        for twist in enumerate_cocycle_classes(group)[:4]:
+            for bc in ("periodic", "open"):
+                for n in (2, 3, 4):
+                    for index in range(4):
+                        layer = LayerSpec(group, index, n, bc, twist, -index if bc == "open" else 0)
+                        if layer.exact_cells <= dimension_cap():
+                            yield layer
+
+
+class TestExactMatrix:
+    def test_equals_the_hand_enumeration(self):
+        # PhaseTensor equality compares shape, modulus, keys, mults and scale.
+        layers = list(_oracle_layers())
+        assert len(layers) == 160
+        differ = []
+        for layer in layers:
+            gmap = build_gauging_map(layer)
+            if gmap.exact_matrix() != exact_map_oracle.exact_matrix(gmap):
+                differ.append(layer)
+        assert differ == []
 
 
 class TestEmergentSymmetry:
@@ -386,6 +419,17 @@ class TestDenseBuffers:
         gmap = build_gauging_map(layers[4])
         out, peak = traced_peak(lambda: gmap.apply(state))
         assert peak < 3.5 * out.amps.nbytes
+
+    def test_first_layer_keeps_under_three_outputs(self):
+        # On the first layer the row kernel is as large as the output.  Its
+        # terms, (int64 flat, uint8 root) per cell, and one bincount
+        # temporary sit beside it; the projector loop peaked at 4x.
+        layer = layer_stack(Z2, 9, 1)[0]
+        gmap = build_gauging_map(layer)
+        state = initial_state(Z2, layer)
+        out, peak = traced_peak(lambda: gmap.apply(state))
+        assert out.amps.size == 2**18
+        assert peak < 3 * out.amps.nbytes
 
     def test_map_writes_only_its_output(self):
         # The row kernel lives on the 2**6 row space; the broadcast multiply

@@ -42,6 +42,17 @@ and a top-level `skipped` count, and `compose_z3_layers3_n2_open.json`
 gained the skipped `emergent_symmetry_layer2` check that schema 1 left
 out.  Dropping those additions and setting the version back to 1 gives
 the schema-1 files byte for byte; nothing else moved.
+
+Four files were regenerated when the row kernel became the sum of the
+map's term roots by np.bincount instead of the float projector loop.
+Five floats moved and nothing else, each norm toward 1: `norms[1]` and
+`norms[2]` of `compose_z3_layers3_n2.json`
+(0.9999999999999998 -> 1.0, 0.9999999999999994 -> 0.9999999999999999),
+`norms[0]` and `norms[1]` of `compose_z2xz3_layers2_n2.json`
+(0.9999999999999997 and 0.9999999999999996 -> 1.0), `norms[1]` of
+`compose_z3_layers3_n2_open.json` (0.9999999999999996 ->
+0.9999999999999999), and the `frustration_free` `worst_deviation` of the
+suite (6.259111737608056e-16 -> 6.277434907432094e-16).
 """
 
 from pathlib import Path

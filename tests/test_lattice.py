@@ -32,6 +32,7 @@ from latgauge.operators import (
     shift_x,
 )
 from latgauge.suite import GROUPS, TORI
+from test_gauging import traced_peak
 from trace_oracle import random_projection_dimension, trace_ground_dimension
 
 Z2 = GroupSpec((2,))
@@ -238,6 +239,17 @@ class TestGroundSpace:
 
     def test_no_ops_fix_the_whole_space(self):
         assert orbit_eigenspace_dimension([], ["a", "b"], Z3) == 9
+
+    def test_dense_oracle_keeps_one_byte_per_flattened_phase(self):
+        # Criterion 3's 2x4 twisted torus: 65536 amplitudes and 32 terms,
+        # each flattened to an int64 perm and a phase below the modulus.
+        # With int64 phases the traced peak was 572 bytes per amplitude;
+        # with uint8 phases it is about 350.
+        alpha = enumerate_cocycle_classes(Z22)[1]
+        spec = CodeSpec(Lattice2D(Z22, 2, 4, "periodic"), twist_even=alpha)
+        dim, peak = traced_peak(lambda: ground_space_dimension_dense(spec, dim_cap=2**17))
+        assert dim == 16
+        assert peak < 400 * spec.lattice.total_dim
 
     @pytest.mark.parametrize(
         "group,n,m,twisted,expected",
