@@ -9,11 +9,14 @@ are equal when their shapes, moduli, scales and both arrays are equal;
 that compares the count vectors exactly, without reducing them by
 cyclotomic relations.
 
-Monomial operators act on one index by remapping that coordinate of every
-key and adding its phase to the root, and two tensors contract by a join
-on the contracted index in which root exponents add mod L and
-multiplicities multiply.  A trace keeps the entries whose two traced
-coordinates agree, which closes a ring of contracted tensors exactly.
+Monomial operators act as (axis, MonomialOperator) pairs on the axes of
+the tensor, or of a finer split of its flat index such as one axis per
+site.  operators.flat_action, the basis-digit walk that states use too,
+moves every stored entry's flat index and adds the factors' phases to its
+root.  Two tensors contract by a join on the contracted index in which
+root exponents add mod L and multiplicities multiply.  A trace keeps the
+entries whose two traced coordinates agree, which closes a ring of
+contracted tensors exactly.
 Each operation costs time in the number of nonzero entries, not in the
 size of the dense array, and no floating point enters these checks.
 """
@@ -25,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .operators import flat_action
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,40 +154,32 @@ def _split_axis(tensor: PhaseTensor, axis: int) -> tuple[np.ndarray, np.ndarray]
     return along, high * stride + low
 
 
-def _remap(tensor: PhaseTensor, perm: np.ndarray, phase: np.ndarray, axis: int) -> PhaseTensor:
-    """Move index o on `axis` to perm[o] and add phase[o] to the root, entry by entry."""
-    stride = math.prod(tensor.shape[axis + 1 :])
-    flat = tensor.flat_indices
-    along = flat // stride % tensor.shape[axis]
-    moved = flat + (perm[along] - along) * stride
+def mono_mul_left(tensor: PhaseTensor, factors, dims=None) -> PhaseTensor:
+    """Exact product M . T, with M the (axis, MonomialOperator) pairs on the axes of dims.
+
+    dims defaults to tensor.shape; finer dims split the row-major flat
+    index into more axes, such as one per site.  operators.flat_action
+    moves each stored entry's flat index and gives the factors' phases,
+    which add to its root; its multiplicity is kept.
+    """
+    flat, phases = flat_action(tensor.shape if dims is None else dims, factors, tensor.flat_indices)
     return PhaseTensor.from_entries(
-        tensor.shape, tensor.modulus, moved, tensor.roots + phase[along], tensor.mults, tensor.scale
+        tensor.shape, tensor.modulus, flat, tensor.roots + sum(phases), tensor.mults, tensor.scale
     )
 
 
-def mono_mul_left(
-    tensor: PhaseTensor, perm: np.ndarray, phase: np.ndarray, axis: int = 0
-) -> PhaseTensor:
-    """Exact product M . T with M acting on one index of T (the first by default).
+def mono_mul_right(tensor: PhaseTensor, factors, dims=None) -> PhaseTensor:
+    """Exact product T . M, with M the (axis, MonomialOperator) pairs on the axes of dims.
 
-    M is the monomial matrix M|o> = w**phase[o] |perm[o]>, so for a
-    matrix-shaped T the default is the product on the row index.  Each
-    entry keeps its multiplicity: index o on the axis moves to perm[o] and
-    its root gains phase[o].
+    (T.M)[o, i] = w**phase[i] T[o, perm[i]], so an entry at perm[i] moves
+    to i, which is where the adjoint of M sends it, and gains phase[i],
+    the negated phase of that adjoint.
     """
-    return _remap(tensor, np.asarray(perm, dtype=np.int64), np.asarray(phase, dtype=np.int64), axis)
-
-
-def mono_mul_right(tensor: PhaseTensor, perm: np.ndarray, phase: np.ndarray) -> PhaseTensor:
-    """Exact product T . M on the second (column) index of T.
-
-    (T.M)[o, i] = w**phase[i] T[o, perm[i]], so this is the remap of axis
-    1 by the inverse permutation, with the phases carried along.
-    """
-    perm = np.asarray(perm, dtype=np.int64)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.size)
-    return _remap(tensor, inverse, np.asarray(phase, dtype=np.int64)[inverse], 1)
+    adjoints = [(axis, mono.adjoint()) for axis, mono in factors]
+    flat, phases = flat_action(tensor.shape if dims is None else dims, adjoints, tensor.flat_indices)
+    return PhaseTensor.from_entries(
+        tensor.shape, tensor.modulus, flat, tensor.roots - sum(phases), tensor.mults, tensor.scale
+    )
 
 
 def contract(a: PhaseTensor, b: PhaseTensor, axes: tuple[int, int]) -> PhaseTensor:

@@ -39,12 +39,12 @@ from .cyclotomic import PhaseTensor, mono_mul_left, mono_mul_right
 from .groups import Cocycle, GroupSpec
 from .operators import (
     CapExceededError,
+    MonomialOperator,
     ProductOperator,
     SiteKind,
     StateVector,
     clock_z,
     flat_action,
-    flatten_product_operator,
     projective_x,
     projective_x_tilde,
     shift_x,
@@ -162,6 +162,10 @@ class GaugingMap:
         self.scale_power = layer.scale_power
         self.in_dim = size**n
         self.out_dim = size ** len(self.out_sites)
+        # exact_matrix's (out, in) index, split into one axis per out site
+        # and then one per matter site again for the columns.
+        self.exact_dims = (size,) * (len(self.out_sites) + n)
+        self._axis = {site: k for k, (site, _) in enumerate(self.out_sites)}
 
     # -- building blocks ---------------------------------------------------
 
@@ -224,6 +228,15 @@ class GaugingMap:
 
     # -- the map's terms ------------------------------------------------------
 
+    def exact_factors(self, op: ProductOperator, columns: bool = False) -> list[tuple[int, MonomialOperator]]:
+        """op's (axis, factor) pairs on the axes of exact_dims.
+
+        Rows place the factors on the out sites; columns=True places them
+        on the matter sites of the column index.
+        """
+        shift = len(self.out_sites) if columns else 0
+        return [(self._axis[site] + shift, mono) for site, mono in op.factors]
+
     def _row_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The |G|**(2n) terms w**root |flat> of the map on the all-ones matter row.
 
@@ -232,15 +245,14 @@ class GaugingMap:
         each moved by local_symmetry_op(i, label) on the out_sites space.
         """
         size, L = self.group.size, self.group.phase_modulus
-        dims = (size,) * len(self.out_sites)
-        axis = {site: k for k, (site, _) in enumerate(self.out_sites)}
+        dims = self.exact_dims[: len(self.out_sites)]
         flat = np.arange(self.in_dim, dtype=np.int64) * size ** len(self.new_sites)
         root = np.zeros(flat.size, dtype=np.min_scalar_type(L - 1))
         for i in range(self.layer.n):
             moved_flat = np.empty(flat.size * size, dtype=np.int64)
             moved_root = np.empty(moved_flat.size, dtype=root.dtype)
             for k, label in enumerate(self.layer.labels()):
-                factors = [(axis[site], mono) for site, mono in self.local_symmetry_op(i, label).factors]
+                factors = self.exact_factors(self.local_symmetry_op(i, label))
                 part = slice(k * flat.size, (k + 1) * flat.size)
                 moved_flat[part], phases = flat_action(dims, factors, flat)
                 moved_root[part] = (root + sum(phases)) % L
@@ -362,13 +374,10 @@ def compose_gauging(
 def verify_emergent_symmetry(gmap: GaugingMap) -> dict:
     """Exact operator check that the new-row diagonal symmetry fixes the map."""
     exact = gmap.exact_matrix()
-    out_dims = tuple(gmap.group.size for _ in gmap.out_sites)
     checks = []
     for label in gmap.layer.labels():
         op = gmap.emergent_symmetry_op(label)
-        perm, phase = flatten_product_operator([s for s, _ in gmap.out_sites], out_dims, op)
-        lhs = mono_mul_left(exact, perm, phase)
-        ok = lhs == exact
+        ok = mono_mul_left(exact, gmap.exact_factors(op), gmap.exact_dims) == exact
         checks.append({"label": label.exps, "passed": bool(ok)})
     return {"name": "emergent_symmetry", "passed": all(c["passed"] for c in checks), "checks": checks}
 
@@ -381,19 +390,13 @@ def verify_string_order_mapping(gmap: GaugingMap) -> dict:
     against one exact matrix of the map.
     """
     exact = gmap.exact_matrix()
-    in_sites = [s for s, _ in gmap.matter_sites]
-    in_dims = tuple(gmap.group.size for _ in in_sites)
-    out_sites = [s for s, _ in gmap.out_sites]
-    out_dims = tuple(gmap.group.size for _ in out_sites)
     labels = list(gmap.group.characters() if gmap.layer.parity == "even" else gmap.group.elements())
     checks = []
     for i, i_prime in itertools.combinations(range(gmap.layer.n), 2):
         for label in labels:
             bare, dressed = gmap.charged_pair_ops(i, i_prime, label)
-            perm_in, phase_in = flatten_product_operator(in_sites, in_dims, bare)
-            perm_out, phase_out = flatten_product_operator(out_sites, out_dims, dressed)
-            lhs = mono_mul_right(exact, perm_in, phase_in)
-            rhs = mono_mul_left(exact, perm_out, phase_out)
+            lhs = mono_mul_right(exact, gmap.exact_factors(bare, columns=True), gmap.exact_dims)
+            rhs = mono_mul_left(exact, gmap.exact_factors(dressed), gmap.exact_dims)
             checks.append({"i": i, "i_prime": i_prime, "label": label.exps, "passed": bool(lhs == rhs)})
     return {"name": "string_order_mapping", "passed": all(c["passed"] for c in checks), "checks": checks}
 

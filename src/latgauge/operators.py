@@ -366,18 +366,19 @@ def flatten_product_operator(site_ids, dims, op: ProductOperator):
     """(perm, phase) arrays with op|x> = w**phase[x] |perm[x]> on the full space.
 
     Basis states x are numbered row major in site order, as in StateVector.
-    flat_action runs on tiles of SUPPORT_TILE indices, so the only
-    full-size arrays are the two returned; phase takes the smallest
-    unsigned dtype that holds op.modulus - 1.
+    flat_action runs on tiles of SUPPORT_TILE indices, each walked from a
+    fresh int64 arange, so the only full-size arrays are the two returned:
+    perm takes the smallest unsigned dtype that holds the last index, and
+    phase the smallest that holds op.modulus - 1.
     """
     factors = [(site_ids.index(site), mono) for site, mono in op.factors]
     total = int(np.prod(dims))
-    perm = np.arange(total, dtype=np.int64)
-    phase = np.zeros(total, dtype=np.min_scalar_type(op.modulus - 1))
+    perm = np.empty(total, dtype=np.min_scalar_type(total - 1))
+    phase = np.empty(total, dtype=np.min_scalar_type(op.modulus - 1))
     for start in range(0, total, SUPPORT_TILE):
-        tile = slice(start, start + SUPPORT_TILE)
-        perm[tile], phases = flat_action(dims, factors, perm[tile])
-        phase[tile] = sum(phases) % op.modulus
+        x = np.arange(start, min(start + SUPPORT_TILE, total), dtype=np.int64)
+        perm[x], phases = flat_action(dims, factors, x)
+        phase[x] = sum(phases) % op.modulus
     return perm, phase
 
 
@@ -587,20 +588,8 @@ class FiniteGroupTable:
         return True
 
 
-@dataclass
-class DiagonalOperator:
-    """Diagonal operator on a product of identical group-labelled sites."""
-
-    diag: np.ndarray
-
-    def multiply(self, other: "DiagonalOperator") -> "DiagonalOperator":
-        return DiagonalOperator(self.diag * other.diag)
-
-    __matmul__ = multiply
-
-
-def irrep_flux_operator(table: FiniteGroupTable, character, n_sites: int) -> DiagonalOperator:
-    """Diagonal operator weighting each configuration by chi(g_1 ... g_n).
+def irrep_flux_operator(table: FiniteGroupTable, character, n_sites: int) -> np.ndarray:
+    """Diagonal of the operator weighting each configuration by chi(g_1 ... g_n).
 
     character is a length |G| vector of character values per element and
     must be a class function.  For one-dimensional characters the result
@@ -619,7 +608,7 @@ def irrep_flux_operator(table: FiniteGroupTable, character, n_sites: int) -> Dia
         prod_index = np.array(
             [table.mult[p][g] for p in prod_index for g in range(n)], dtype=np.int64
         )
-    return DiagonalOperator(values[prod_index])
+    return values[prod_index]
 
 
 def fusion_coefficients(characters) -> np.ndarray:

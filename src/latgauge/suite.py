@@ -392,8 +392,8 @@ def criterion_flux_fusion() -> dict:
     for n_sites in (2, 3):
         ops = [irrep_flux_operator(table, chars[k], n_sites) for k in range(len(chars))]
         for s, r in itertools.product(range(len(chars)), repeat=2):
-            lhs = ops[s].multiply(ops[r]).diag
-            rhs = sum(coeffs[s, r, t] * ops[t].diag for t in range(len(chars)))
+            lhs = ops[s] * ops[r]
+            rhs = sum(coeffs[s, r, t] * ops[t] for t in range(len(chars)))
             checks.append(float(np.max(np.abs(lhs - rhs))) == 0.0)
         # factorization into site-local clocks
         for k, chi in enumerate(group.characters()):
@@ -401,14 +401,14 @@ def criterion_flux_fusion() -> dict:
             factor = np.ones(1, dtype=complex)
             for _ in range(n_sites):
                 factor = np.kron(factor, local)
-            checks.append(float(np.max(np.abs(ops[k].diag - factor))) == 0.0)
+            checks.append(float(np.max(np.abs(ops[k] - factor))) == 0.0)
     s3, s3_chars = _s3_table()
     s3_coeffs = fusion_coefficients(s3_chars)
     for n_sites in (2, 3):
         ops = [irrep_flux_operator(s3, s3_chars[k], n_sites) for k in range(3)]
         for s, r in itertools.product(range(3), repeat=2):
-            lhs = ops[s].multiply(ops[r]).diag
-            rhs = sum(s3_coeffs[s, r, t] * ops[t].diag for t in range(3))
+            lhs = ops[s] * ops[r]
+            rhs = sum(s3_coeffs[s, r, t] * ops[t] for t in range(3))
             checks.append(float(np.max(np.abs(lhs - rhs))) == 0.0)
     two_dim_square = s3_coeffs[2, 2].tolist()
     return check(

@@ -7,13 +7,14 @@ new site between two matter sites (a difference delta with a 1/|G|
 prefactor).  Every tensor is a sparse cyclotomic.PhaseTensor: each nonzero
 entry is one root of unity, stored as one key with multiplicity 1, and the
 T prefactor is the tensor's scale.  A symmetry identity dresses legs with
-monomial operators (cyclotomic.mono_mul_left on that leg) and is checked by
-exact equality.  The layer MPO is contracted from the same M and T tensors
-by cyclotomic.contract, one virtual leg at a time, and shares no code with
-GaugingMap.exact_matrix, which it is checked against (mpo_matches_map).
-The stacked network is contract_pepes: it applies each layer's contracted
-MPO to the trailing row of a state and appends the new row, which gives
-the composed state by a route independent of gauging.compose_gauging.
+monomial operators, all placed by one cyclotomic.mono_mul_left call, and
+is checked by exact equality.  The layer MPO is contracted from the same M
+and T tensors by cyclotomic.contract, one virtual leg at a time, and
+shares no code with GaugingMap.exact_matrix, which it is checked against
+(mpo_matches_map).  The stacked network is contract_pepes: it applies
+each layer's contracted MPO to the trailing row of a state and appends
+the new row, which gives the composed state by a route independent of
+gauging.compose_gauging.
 
 Index order conventions (row major in serialization):
 
@@ -162,15 +163,12 @@ def pull_through_check(group: GroupSpec) -> dict:
     for tensor_name, tensor, identities in cases:
         for desc, labels, recipe in identities:
             for lab in labels:
-                dressed = tensor
-                for leg, mono in recipe(lab):
-                    dressed = mono_mul_left(dressed, mono.perm, mono.phase, axis=leg)
                 checks.append(
                     {
                         "tensor": tensor_name,
                         "identity": desc,
                         "label": lab.exps,
-                        "passed": dressed == tensor,
+                        "passed": mono_mul_left(tensor, recipe(lab)) == tensor,
                     }
                 )
     return {

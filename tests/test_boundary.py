@@ -16,7 +16,7 @@ from latgauge.cyclotomic import mono_mul_left, mono_mul_right
 from latgauge.gauging import LayerSpec, build_gauging_map, compose_gauging, layer_stack
 from latgauge.groups import GroupSpec, all_subgroups, enumerate_cocycle_classes, restricted_characters
 from latgauge.lattice import CodeSpec, Lattice2D, build_boundary_terms
-from latgauge.operators import ProductOperator, clock_z, flatten_product_operator
+from latgauge.operators import ProductOperator, clock_z
 
 Z2 = GroupSpec((2,))
 Z4 = GroupSpec((4,))
@@ -202,10 +202,6 @@ class TestTwistedBoundary:
             layer = LayerSpec(group, 0, 2, "periodic")
             gmap = build_gauging_map(layer)
             exact = gmap.exact_matrix()
-            out_sites = [s for s, _ in gmap.out_sites]
-            out_dims = tuple(group.size for _ in out_sites)
-            in_sites = [s for s, _ in gmap.matter_sites]
-            in_dims = tuple(group.size for _ in in_sites)
             from latgauge.operators import clock_z, projective_x, projective_x_tilde
 
             for chi in group.characters():
@@ -216,6 +212,5 @@ class TestTwistedBoundary:
                 term_factors = eff_factors + [((1, 1), clock_z(chi).adjoint())]
                 term = ProductOperator.from_factors(term_factors, group.phase_modulus)
                 eff = ProductOperator.from_factors(eff_factors, group.phase_modulus)
-                perm_o, phase_o = flatten_product_operator(out_sites, out_dims, term)
-                perm_i, phase_i = flatten_product_operator(in_sites, in_dims, eff)
-                assert mono_mul_left(exact, perm_o, phase_o) == mono_mul_right(exact, perm_i, phase_i)
+                lhs = mono_mul_left(exact, gmap.exact_factors(term), gmap.exact_dims)
+                assert lhs == mono_mul_right(exact, gmap.exact_factors(eff, columns=True), gmap.exact_dims)

@@ -1,5 +1,6 @@
 """Lattice code: geometry, stabilizers, ground space, logicals."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -242,14 +243,15 @@ class TestGroundSpace:
 
     def test_dense_oracle_keeps_one_byte_per_flattened_phase(self):
         # Criterion 3's 2x4 twisted torus: 65536 amplitudes and 32 terms,
-        # each flattened to an int64 perm and a phase below the modulus.
-        # With int64 phases the traced peak was 572 bytes per amplitude;
-        # with uint8 phases it is about 350.
+        # each flattened to a perm and a phase below the modulus.  With
+        # int64 perms and phases the traced peak was 572 bytes per
+        # amplitude, with uint8 phases about 350, and with uint16 perms
+        # about 156.
         alpha = enumerate_cocycle_classes(Z22)[1]
         spec = CodeSpec(Lattice2D(Z22, 2, 4, "periodic"), twist_even=alpha)
         dim, peak = traced_peak(lambda: ground_space_dimension_dense(spec, dim_cap=2**17))
         assert dim == 16
-        assert peak < 400 * spec.lattice.total_dim
+        assert peak < 200 * spec.lattice.total_dim
 
     @pytest.mark.parametrize(
         "group,n,m,twisted,expected",
@@ -389,6 +391,19 @@ class TestBoundaryTerms:
         assert check_all_commute(terms)["passed"]
 
 
+def _stack_configs():
+    """Open lattices and periodic layer stacks: six groups, every twist pair, five sizes."""
+    configs = []
+    for orders in [(2,), (3,), (4,), (2, 2), (2, 3), (3, 3)]:
+        group = GroupSpec(orders)
+        classes = enumerate_cocycle_classes(group)
+        for (e, even), (o, odd) in itertools.product(enumerate(classes), repeat=2):
+            for n, m in [(2, 2), (3, 3), (2, 4), (3, 2), (2, 5)]:
+                tag = f"{'x'.join(map(str, orders))}-{n}x{m}-{e}{o}"
+                configs.append(pytest.param(group, even, odd, n, m, id=tag))
+    return configs
+
+
 class TestCrossModule:
     @pytest.mark.parametrize("group,twisted", [(Z2, False), (Z22, True)])
     def test_gauged_state_satisfies_lattice_terms(self, group, twisted):
@@ -399,3 +414,18 @@ class TestCrossModule:
         for term in build_bulk_stabilizers(spec):
             overlap = state.inner(state.apply(term.op))
             assert abs(overlap - 1) < 1e-10
+
+    @pytest.mark.parametrize("group,even,odd,n,m", _stack_configs())
+    def test_bulk_terms_are_the_stack_symmetries(self, group, even, odd, n, m):
+        # Each bulk term of the open lattice is one stack symmetry: a
+        # layer's three-body symmetry dressed by the next map's clock.
+        # Only the last layer's raw three-body symmetries are left over.
+        spec = CodeSpec(Lattice2D(group, n, m, "open"), twist_even=even, twist_odd=odd)
+        names_of = {}
+        for name, op in gauging.stack_local_symmetry_ops(layer_stack(group, n, m, "periodic", even, odd)):
+            names_of.setdefault(op, []).append(name)
+        for term in build_bulk_stabilizers(spec):
+            assert names_of.get(term.op), term.label
+            names_of[term.op].pop(0)
+        left = [name for names in names_of.values() for name in names]
+        assert all(name.startswith(f"layer{m - 1}/") for name in left)

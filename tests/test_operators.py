@@ -644,14 +644,14 @@ class TestFluxOperators:
         table = self.z22_table()
         chars = self.z22_char_matrix()
         for k, chi in enumerate(Z22.characters()):
-            op = irrep_flux_operator(table, chars[k], 2)
+            diag = irrep_flux_operator(table, chars[k], 2)
             local = chars[k]
-            assert np.array_equal(op.diag, np.kron(local, local))
+            assert np.array_equal(diag, np.kron(local, local))
 
     def test_trivial_character_gives_identity(self):
         table = self.z22_table()
-        op = irrep_flux_operator(table, np.ones(4), 3)
-        assert np.array_equal(op.diag, np.ones(64))
+        diag = irrep_flux_operator(table, np.ones(4), 3)
+        assert np.array_equal(diag, np.ones(64))
 
     def test_fusion_coefficients_are_deltas_for_abelian(self):
         n = fusion_coefficients(self.z22_char_matrix())

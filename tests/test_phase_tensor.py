@@ -26,7 +26,7 @@ from latgauge.gauging import (
     verify_string_order_mapping,
 )
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes
-from latgauge.operators import flatten_product_operator
+from latgauge.operators import MonomialOperator, flatten_product_operator
 from latgauge.suite import GROUPS
 from latgauge.tensors import (
     block_diamond,
@@ -136,8 +136,9 @@ class TestAgainstDenseOracle:
         out_sites = [s for s, _ in gmap.out_sites]
         out_dims = tuple(gmap.group.size for _ in out_sites)
         for label in layer.labels():
-            perm, phase = flatten_product_operator(out_sites, out_dims, gmap.emergent_symmetry_op(label))
-            lhs = mono_mul_left(exact, perm, phase)
+            op = gmap.emergent_symmetry_op(label)
+            perm, phase = flatten_product_operator(out_sites, out_dims, op)
+            lhs = mono_mul_left(exact, gmap.exact_factors(op), gmap.exact_dims)
             dense = oracle.mono_mul_left(counts, perm, phase)
             assert np.array_equal(lhs.counts, dense)
             assert lhs == exact and oracle.equal(dense, counts)
@@ -158,8 +159,8 @@ class TestAgainstDenseOracle:
                 bare, dressed = gmap.charged_pair_ops(i, i_prime, lab)
                 perm_in, phase_in = flatten_product_operator(in_sites, in_dims, bare)
                 perm_out, phase_out = flatten_product_operator(out_sites, out_dims, dressed)
-                lhs = mono_mul_right(exact, perm_in, phase_in)
-                rhs = mono_mul_left(exact, perm_out, phase_out)
+                lhs = mono_mul_right(exact, gmap.exact_factors(bare, columns=True), gmap.exact_dims)
+                rhs = mono_mul_left(exact, gmap.exact_factors(dressed), gmap.exact_dims)
                 dense_lhs = oracle.mono_mul_right(counts, perm_in, phase_in)
                 dense_rhs = oracle.mono_mul_left(counts, perm_out, phase_out)
                 assert np.array_equal(lhs.counts, dense_lhs)
@@ -178,9 +179,10 @@ class TestAgainstDenseOracle:
         out_sites = [s for s, _ in gmap.out_sites]
         out_dims = tuple(gmap.group.size for _ in out_sites)
         for label in layer.labels():
-            perm, phase = flatten_product_operator(out_sites, out_dims, gmap.emergent_symmetry_op(label))
+            op = gmap.emergent_symmetry_op(label)
+            perm, phase = flatten_product_operator(out_sites, out_dims, op)
             dense = oracle.mono_mul_left(mpo.counts, perm, phase)
-            assert np.array_equal(mono_mul_left(mpo, perm, phase).counts, dense)
+            assert np.array_equal(mono_mul_left(mpo, gmap.exact_factors(op), gmap.exact_dims).counts, dense)
         assert_shift_detected(mpo)
 
     @pytest.mark.parametrize("orders", GROUPS)
@@ -199,10 +201,11 @@ class TestAgainstDenseOracle:
                 for lab in labels:
                     dressed, dense = tensor, tensor.counts
                     for leg, mono in recipe(lab):
-                        dressed = mono_mul_left(dressed, mono.perm, mono.phase, axis=leg)
+                        dressed = mono_mul_left(dressed, [(leg, mono)])
                         dense = oracle.mono_mul_left(dense, mono.perm, mono.phase, axis=leg)
                         assert np.array_equal(dressed.counts, dense)
                     assert dressed == tensor and oracle.equal(dense, tensor.counts)
+                    assert mono_mul_left(tensor, recipe(lab)) == dressed
             assert_shift_detected(tensor)
 
 
@@ -217,15 +220,19 @@ def random_tensor(draw, shape, modulus):
 
 
 @st.composite
-def tensor_and_monomial(draw):
+def tensor_and_monomials(draw):
+    """A random tensor and random monomials on distinct axes of it."""
     modulus = draw(st.integers(1, 5))
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
     tensor = random_tensor(draw, shape, modulus)
-    axis = draw(st.integers(0, len(shape) - 1))
-    perm = np.array(draw(st.permutations(range(shape[axis]))), dtype=np.int64)
-    dim = shape[axis]
-    phase = np.array(draw(st.lists(st.integers(0, modulus - 1), min_size=dim, max_size=dim)))
-    return tensor, axis, perm, phase
+    axes = draw(st.lists(st.integers(0, len(shape) - 1), min_size=1, max_size=len(shape), unique=True))
+    factors = []
+    for axis in axes:
+        dim = shape[axis]
+        perm = draw(st.permutations(range(dim)))
+        phase = draw(st.lists(st.integers(0, modulus - 1), min_size=dim, max_size=dim))
+        factors.append((axis, MonomialOperator(dim, tuple(perm), tuple(phase), modulus)))
+    return tensor, factors
 
 
 @st.composite
@@ -253,15 +260,21 @@ def traceable_tensor(draw):
 
 class TestRandomTensors:
     @settings(max_examples=150, deadline=None)
-    @given(tensor_and_monomial())
+    @given(tensor_and_monomials())
     def test_monomial_products(self, case):
-        tensor, axis, perm, phase = case
-        got = mono_mul_left(tensor, perm, phase, axis=axis)
-        assert np.array_equal(got.counts, oracle.mono_mul_left(tensor.counts, perm, phase, axis=axis))
+        # One call places every factor; the oracle applies them one axis at a time.
+        tensor, factors = case
+        got = mono_mul_left(tensor, factors)
+        dense = tensor.counts
+        for axis, mono in factors:
+            dense = oracle.mono_mul_left(dense, mono.perm, mono.phase, axis=axis)
+        assert np.array_equal(got.counts, dense)
         assert got.scale == tensor.scale
-        if len(tensor.shape) == 2 and axis == 1:
-            got = mono_mul_right(tensor, perm, phase)
-            assert np.array_equal(got.counts, oracle.mono_mul_right(tensor.counts, perm, phase))
+        if len(tensor.shape) == 2:
+            for axis, mono in factors:
+                if axis == 1:
+                    got = mono_mul_right(tensor, [(1, mono)])
+                    assert np.array_equal(got.counts, oracle.mono_mul_right(tensor.counts, mono.perm, mono.phase))
 
     @settings(max_examples=150, deadline=None)
     @given(contractible_pair())

@@ -82,7 +82,7 @@ class TestPullThrough:
         from latgauge.operators import clock_z, shift_x
 
         x, z = shift_x(Z3.identity()), clock_z(Z3.dual_identity())
-        dressed = mono_mul_left(mono_mul_left(t, x.perm, x.phase, axis=1), z.perm, z.phase, axis=0)
+        dressed = mono_mul_left(t, [(1, x), (0, z)])
         assert dressed == t
 
     def test_dressing_matches_dense_leg_product(self):
@@ -92,7 +92,7 @@ class TestPullThrough:
         mono = projective_x(alpha, Z22.element((1, 1)))
         t = build_tensor("M_o", Z22)
         for leg in range(4):
-            dressed = mono_mul_left(t, mono.perm, mono.phase, axis=leg).to_complex()
+            dressed = mono_mul_left(t, [(leg, mono)]).to_complex()
             expected = np.moveaxis(np.tensordot(mono.to_dense(), t.to_complex(), axes=(1, leg)), 0, leg)
             assert np.max(np.abs(dressed - expected)) < 1e-12
 
