@@ -160,7 +160,8 @@ def mono_mul_left(tensor: PhaseTensor, factors, dims=None) -> PhaseTensor:
     dims defaults to tensor.shape; finer dims split the row-major flat
     index into more axes, such as one per site.  operators.flat_action
     moves each stored entry's flat index and gives the factors' phases,
-    which add to its root; its multiplicity is kept.
+    which add to its root; its multiplicity is kept.  Factors sit on
+    distinct axes; a repeated axis raises ValueError.
     """
     flat, phases = flat_action(tensor.shape if dims is None else dims, factors, tensor.flat_indices)
     return PhaseTensor.from_entries(
@@ -173,7 +174,7 @@ def mono_mul_right(tensor: PhaseTensor, factors, dims=None) -> PhaseTensor:
 
     (T.M)[o, i] = w**phase[i] T[o, perm[i]], so an entry at perm[i] moves
     to i, which is where the adjoint of M sends it, and gains phase[i],
-    the negated phase of that adjoint.
+    the negated phase of that adjoint.  A repeated axis raises ValueError.
     """
     adjoints = [(axis, mono.adjoint()) for axis, mono in factors]
     flat, phases = flat_action(tensor.shape if dims is None else dims, adjoints, tensor.flat_indices)

@@ -56,18 +56,27 @@ class SyndromeMap:
         }
 
 
-def syndrome(spec: CodeSpec, op: ProductOperator, terms=None) -> SyndromeMap:
-    """Phase of every term (the bulk terms by default) on op, in term order.
+def syndromes(spec: CodeSpec, ops, terms=None) -> list[SyndromeMap]:
+    """SyndromeMap of each op over the terms (the bulk terms by default), in term order.
 
-    Every term starts at phase 0; the terms that share a site with op then
-    take their phase from lattice.overlap_phases, which also checks the
-    moduli.
+    Every term starts at exponent 0; the terms that fail to commute with an
+    op then take their phase from lattice.overlap_phases, one pass for all
+    ops, which also checks the moduli.
     """
     if terms is None:
         terms = build_bulk_stabilizers(spec)
-    phases = dict.fromkeys((t.label for t in terms), PhaseExponent.one(op.modulus))
-    phases.update((t.label, ph) for t, ph in overlap_phases(terms, op))
-    return SyndromeMap(phases)
+    ops = list(ops)
+    maps = []
+    for op, hits in zip(ops, overlap_phases(terms, ops)):
+        phases = dict.fromkeys((t.label for t in terms), PhaseExponent.one(op.modulus))
+        phases.update((t.label, ph) for t, ph in hits)
+        maps.append(SyndromeMap(phases))
+    return maps
+
+
+def syndrome(spec: CodeSpec, op: ProductOperator, terms=None) -> SyndromeMap:
+    """Phase of every term (the bulk terms by default) on op, in term order."""
+    return syndromes(spec, [op], terms)[0]
 
 
 @dataclass(frozen=True)
@@ -182,25 +191,18 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None) -> dict:
     row = 1
     start = 1
 
-    string_counts = {}
-    for length in range(1, MAX_STRING_LENGTH + 1):
-        op = confined_string_operator(spec, g, row, start, length)
-        string_counts[length] = len(syndrome(spec, op, terms).violated_centers())
-
-    dipole_counts = {}
-    for height in range(1, MAX_STRING_LENGTH + 1):
-        op = dipole_operator(spec, g, row, start, height)
-        dipole_counts[height] = len(syndrome(spec, op, terms).violated_centers())
-
+    lengths = range(1, MAX_STRING_LENGTH + 1)
+    strings = [confined_string_operator(spec, g, row, start, k) for k in lengths]
+    dipoles = [dipole_operator(spec, g, row, start, k) for k in lengths]
     # Bending: multiply the dipole by a neighbouring vertex clock and check
     # the syndrome relocates multiplicatively (exact homomorphism).
-    dip = dipole_operator(spec, g, row, start, 1)
     bend_site = lat.wrap(row + 1, start + 1)
     bend = ProductOperator.from_factors([(bend_site, clock_z(g))], group.phase_modulus)
-    bent = dip.multiply(bend)
-    syn_d = syndrome(spec, dip, terms)
-    syn_b = syndrome(spec, bend, terms)
-    syn_db = syndrome(spec, bent, terms)
+    syns = syndromes(spec, strings + dipoles + [bend, dipoles[0].multiply(bend)], terms)
+    counts = [len(syn.violated_centers()) for syn in syns]
+    string_counts = dict(zip(lengths, counts[: len(lengths)]))
+    dipole_counts = dict(zip(lengths, counts[len(lengths) : 2 * len(lengths)]))
+    syn_d, syn_b, syn_db = syns[len(lengths)], syns[-2], syns[-1]
     homomorphic = all(
         syn_db.phases[lab] == syn_d.phases[lab] * syn_b.phases[lab] for lab in syn_db.phases
     )

@@ -24,7 +24,6 @@ of basis states on which the terms' phases are consistent.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass
 
@@ -36,10 +35,11 @@ from .operators import (
     MonomialOperator,
     ProductOperator,
     SiteKind,
+    _phase,
     canonical,
     clock_z,
-    commutation_phase,
     flatten_product_operator,
+    overlap_exponents,
     projective_x,
     projective_x_tilde,
     shift_x,
@@ -179,36 +179,50 @@ def _corner_factors(twist: Cocycle, label, orientation: str) -> tuple:
     return west, east, north, south
 
 
-def _plaquette_corners(spec: CodeSpec, center: tuple[int, int], label) -> list:
-    """(site, factor) corners of the plaquette at `center` for one label.
+def _plaquette_sites(lat: Lattice2D, center: tuple[int, int]) -> list:
+    """(site, corner positions) of the plaquette at `center`, in site order.
 
-    Standard orientation: projective-conjugate shift west, projective
-    shift east, adjoint clock north, clock south.  Reflected swaps both
-    pairs; the two conventions generate the same stabilizer group.  On a
-    two-row torus north and south wrap onto the same site and their
-    clocks multiply away.  The factors depend only on (twist, label,
-    orientation) and are built once per distinct key.
+    Positions 0..3 index the (west, east, north, south) corners of
+    _corner_factors.  On a two-row torus north and south wrap onto the
+    same site, which then holds both positions.
     """
-    lat = spec.lattice
     j, c = center
-    twist = spec.twist_even if j % 2 == 1 else spec.twist_odd
-    west, east, north, south = _corner_factors(twist, label, spec.orientation)
-    return [
-        (lat.wrap(j, c - 1), west),
-        (lat.wrap(j, c + 1), east),
-        (lat.wrap(j + 1, c), north),
-        (lat.wrap(j - 1, c), south),
-    ]
+    corners = (lat.wrap(j, c - 1), lat.wrap(j, c + 1), lat.wrap(j + 1, c), lat.wrap(j - 1, c))
+    on: dict = {}
+    for pos, site in enumerate(corners):
+        on.setdefault(site, []).append(pos)
+    return sorted(on.items())
 
 
 def build_bulk_stabilizers(spec: CodeSpec) -> list[StabilizerTerm]:
-    """One term per (plaquette, label), identity labels included."""
+    """One term per (plaquette, label), identity labels included.
+
+    Standard orientation: projective-conjugate shift west, projective
+    shift east, adjoint clock north, clock south.  Reflected swaps both
+    pairs; the two conventions generate the same stabilizer group.  The
+    sites and their order are found once per plaquette, and the factors
+    once per (twist, label, orientation).  Two corners on one site (the
+    two-row torus) multiply, south after north, and identity factors drop,
+    as in ProductOperator.from_factors.
+    """
     elements, characters = list(spec.group.elements()), list(spec.group.characters())
+    modulus = spec.group.phase_modulus
     terms = []
     for center in spec.lattice.plaquette_centers():
-        family, labels = ("group", elements) if center[0] % 2 == 1 else ("dual", characters)
+        group_family = center[0] % 2 == 1
+        family, labels = ("group", elements) if group_family else ("dual", characters)
+        twist = spec.twist_even if group_family else spec.twist_odd
+        placed = _plaquette_sites(spec.lattice, center)
         for label in labels:
-            op = ProductOperator.from_factors(_plaquette_corners(spec, center, label), spec.group.phase_modulus)
+            corners = _corner_factors(twist, label, spec.orientation)
+            factors = []
+            for site, positions in placed:
+                mono = corners[positions[0]]
+                for pos in positions[1:]:
+                    mono = corners[pos].multiply(mono)
+                if not mono.is_identity:
+                    factors.append((site, mono))
+            op = ProductOperator(tuple(factors), modulus)
             terms.append(StabilizerTerm(StabilizerLabel(center, family, label.exps), op))
     return terms
 
@@ -254,33 +268,22 @@ def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
 def check_all_commute(terms) -> dict:
     """Exact pairwise commutation report over the pairs of terms that share a site.
 
-    For each term, the later terms on any of its sites are collected in
-    ascending order, and commutation_phase runs once per such pair, so
-    pairs_checked counts exactly the overlapping pairs and violations
-    come in (a, b) order.  Disjoint pairs commute and are not visited.
+    One operators.overlap_exponents pass gives the commutation exponent of
+    every pair (a, b), a < b, that shares a site, in (a, b) order, so
+    pairs_checked counts exactly the overlapping pairs and violations come
+    in (a, b) order, with phase None for a commutator that is not scalar.
+    Disjoint pairs commute and are not visited.  The terms must share one
+    phase modulus.
     """
-    by_site: dict = {}
-    for idx, term in enumerate(terms):
-        for site in term.op.by_site:
-            by_site.setdefault(site, []).append(idx)
     violations = []
     pairs_checked = 0
-    for a, term in enumerate(terms):
-        later = set()
-        for site in term.op.by_site:
-            idxs = by_site[site]
-            later.update(idxs[bisect.bisect_right(idxs, a) :])
-        pairs_checked += len(later)
-        for b in sorted(later):
-            phase = commutation_phase(term.op, terms[b].op)
-            if phase is None or not phase.is_one:
-                violations.append(
-                    {
-                        "a": term.label.as_json(),
-                        "b": terms[b].label.as_json(),
-                        "phase": None if phase is None else phase.k,
-                    }
-                )
+    for a, b, k in overlap_exponents([t.op for t in terms]):
+        pairs_checked += k.size
+        bad = np.flatnonzero(k)
+        for ia, ib, kk in zip(a[bad].tolist(), b[bad].tolist(), k[bad].tolist()):
+            violations.append(
+                {"a": terms[ia].label.as_json(), "b": terms[ib].label.as_json(), "phase": None if kk < 0 else kk}
+            )
     return {
         "name": "all_commute",
         "passed": not violations,
@@ -289,30 +292,36 @@ def check_all_commute(terms) -> dict:
     }
 
 
-def overlap_phases(terms, op):
-    """Yield (term, commutation_phase(term.op, op)) for each term that shares a site with op.
+def overlap_phases(terms, ops) -> list[list[tuple]]:
+    """For each op, (term, phase) of every term that fails to commute with it, in term order.
 
-    Terms come in order.  The moduli are checked before anything is
-    yielded, so a mismatch raises ValueError even when op shares no site
-    with any term.  Every term that is skipped commutes with op.  The
-    generator is lazy: a caller that stops early compares no later term.
+    phase is the PhaseExponent c other than 1 with term.op . op = c
+    op . term.op, or None when the commutator is not scalar; every term not
+    listed commutes with the op.  All ops go through one
+    operators.overlap_exponents pass, which compares only terms that share
+    a site with an op.  The moduli are checked first, so a mismatch raises
+    ValueError even when an op shares no site with any term.
     """
-    if any(t.op.modulus != op.modulus for t in terms):
-        raise ValueError("phase moduli differ")
-    for t in terms:
-        if t.op.overlaps(op):
-            yield t, commutation_phase(t.op, op)
+    ops = list(ops)
+    out = [[] for _ in ops]
+    for a, b, k in overlap_exponents([t.op for t in terms], ops):
+        bad = np.flatnonzero(k)
+        for ia, ib, kk in zip(a[bad].tolist(), b[bad].tolist(), k[bad].tolist()):
+            out[ib].append((terms[ia], None if kk < 0 else _phase(kk, ops[ib].modulus)))
+    return out
+
+
+def _witness(violations) -> dict | None:
+    """The first (term, phase) of one op's overlap_phases as a witness, else None."""
+    if not violations:
+        return None
+    t, ph = violations[0]
+    return {"term": t.label.as_json(), "phase": None if ph is None else ph.k}
 
 
 def first_violation(terms, op) -> dict | None:
-    """Witness for the first term that fails to commute with op, else None.
-
-    The first non-trivial pair of overlap_phases; the scan stops there.
-    """
-    for t, ph in overlap_phases(terms, op):
-        if ph is None or not ph.is_one:
-            return {"term": t.label.as_json(), "phase": None if ph is None else ph.k}
-    return None
+    """Witness for the first term that fails to commute with op, else None."""
+    return _witness(overlap_phases(terms, [op])[0])
 
 
 # -- ground space dimension ---------------------------------------------------
@@ -498,29 +507,27 @@ def logical_operators(spec: CodeSpec) -> list[LogicalOperator]:
 
     Horizontal diagonal strings along one row of each parity and vertical
     shift strings along one column of each parity.  Each candidate is
-    checked exactly against every stabilizer; candidates that fail (the
-    vertical group-shift strings of a twisted code) are returned flagged
-    with the violating term.
+    checked exactly against every stabilizer, all in one overlap_phases
+    pass; candidates that fail (the vertical group-shift strings of a
+    twisted code) are returned flagged with the first violating term.
     """
     lat = spec.lattice
     if lat.vertical != "periodic":
         raise GeometryError("logical representatives are built on the torus")
-    terms = build_bulk_stabilizers(spec)
-    out = []
 
-    def check(name, sites, mono):
-        op = ProductOperator.from_factors(((s, mono) for s in sites), spec.group.phase_modulus)
-        witness = first_violation(terms, op)
-        out.append(LogicalOperator(name, op, witness is None, witness))
+    def string(sites, mono):
+        return ProductOperator.from_factors(((s, mono) for s in sites), spec.group.phase_modulus)
 
+    named = []
     for chi in spec.group.characters():
         if chi.is_identity:
             continue
-        check(f"Z_row1_chi{chi.exps}", [(1, x2) for x2 in lat.row_positions(1)], clock_z(chi))
-        check(f"X_col0_chi{chi.exps}", [(j, 0) for j in lat.rows if j % 2 == 0], shift_x(chi))
+        named.append((f"Z_row1_chi{chi.exps}", string([(1, x2) for x2 in lat.row_positions(1)], clock_z(chi))))
+        named.append((f"X_col0_chi{chi.exps}", string([(j, 0) for j in lat.rows if j % 2 == 0], shift_x(chi))))
     for g in spec.group.elements():
         if g.is_identity:
             continue
-        check(f"Z_row0_g{g.exps}", [(0, x2) for x2 in lat.row_positions(0)], clock_z(g))
-        check(f"X_col1_g{g.exps}", [(j, 1) for j in lat.rows if j % 2 == 1], shift_x(g))
-    return out
+        named.append((f"Z_row0_g{g.exps}", string([(0, x2) for x2 in lat.row_positions(0)], clock_z(g))))
+        named.append((f"X_col1_g{g.exps}", string([(j, 1) for j in lat.rows if j % 2 == 1], shift_x(g))))
+    found = overlap_phases(build_bulk_stabilizers(spec), [op for _, op in named])
+    return [LogicalOperator(name, op, not hits, _witness(hits)) for (name, op), hits in zip(named, found)]

@@ -71,6 +71,11 @@ class SiteKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MonomialOperator:
+    """M|i> = w**phase[i] |perm[i]> on one site of dimension dim, w = exp(2 pi i / modulus).
+
+    Frozen; its hash and is_identity are computed once, on construction.
+    """
+
     dim: int
     perm: tuple[int, ...]
     phase: tuple[int, ...]
@@ -83,8 +88,10 @@ class MonomialOperator:
         if len(self.phase) != self.dim:
             raise ValueError("one phase exponent per basis state required")
         object.__setattr__(self, "phase", tuple(p % self.modulus for p in self.phase))
-        # Hashed once: the commutator memo looks factors up on every shared site.
+        # Hashed and tested once: overlap_exponents numbers factors through a
+        # dict, and every product drops its identity factors.
         object.__setattr__(self, "_hash", hash((self.dim, self.perm, self.phase, self.modulus, self.kind)))
+        object.__setattr__(self, "is_identity", self.perm == tuple(range(self.dim)) and not any(self.phase))
 
     def __hash__(self) -> int:
         return self._hash
@@ -114,10 +121,6 @@ class MonomialOperator:
             inv[p] = i
         phase = tuple(-self.phase[inv[j]] for j in range(self.dim))
         return MonomialOperator(self.dim, tuple(inv), phase, self.modulus, self.kind)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(self.dim)) and not any(self.phase)
 
     def to_dense(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
@@ -254,10 +257,6 @@ class ProductOperator:
     def support(self) -> tuple:
         return tuple(site for site, _ in self.factors)
 
-    def overlaps(self, other: "ProductOperator") -> bool:
-        """True when the two operators act on a common site."""
-        return not self.by_site.keys().isdisjoint(other.by_site.keys())
-
     def multiply(self, other: "ProductOperator") -> "ProductOperator":
         """self . other with sitewise exact composition."""
         if self.modulus != other.modulus:
@@ -321,7 +320,9 @@ def commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent |
     map, so operators with disjoint supports give phase 0 after the
     moduli are compared.  The per-site comparison is memoized on the pair
     of factors, so its cost grows with the number of distinct factor
-    pairs, not with the number of operator pairs compared.
+    pairs, not with the number of operator pairs compared.  It serves
+    single pairs, such as braiding phases; scans over many pairs use
+    overlap_exponents.
     """
     if a.modulus != b.modulus:
         raise ValueError("phase moduli differ")
@@ -342,6 +343,146 @@ def commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent |
     return _phase(total % a.modulus, a.modulus)
 
 
+OVERLAP_MEETINGS = 2**11  # factor meetings each tile of overlap_exponents lists, at most
+OVERLAP_BINS = 2**13  # (row, column) bins each part of a tile counts into, at most
+# Table entry of a factor pair whose commutator is not scalar.  A pair's sum
+# reaches it only through such an entry: scalar entries are below the
+# modulus, and no pair shares 2**32 / modulus sites.
+_NOT_SCALAR = 2**32
+
+
+def _factor_exponent(ma: MonomialOperator, mb: MonomialOperator, modulus: int) -> int:
+    """_site_commutator(ma, mb), _NOT_SCALAR for None; errors as in commutation_phase."""
+    k = _site_commutator(ma, mb)
+    if k is None:
+        return _NOT_SCALAR
+    if ma.modulus != modulus:
+        raise GroupMismatchError("phases with different moduli")
+    return k
+
+
+def _column_meetings(cols, fids: dict):
+    """The factors of cols grouped by site, as int arrays.
+
+    Returns {site: site id}, and per site id the start and count of its
+    entries in col_op and col_fid, which hold each entry's operator index
+    (ascending within a site) and factor id.  fids numbers new factors.
+    """
+    by_site: dict = {}
+    for j, op in enumerate(cols):
+        for site, mono in op.factors:
+            by_site.setdefault(site, []).append((j, fids.setdefault(mono, len(fids))))
+    count = np.array([len(meets) for meets in by_site.values()], dtype=np.int64)
+    meetings = [m for meets in by_site.values() for m in meets]
+    col_op = np.array([j for j, _ in meetings], dtype=np.int64)
+    col_fid = np.array([f for _, f in meetings], dtype=np.int64)
+    return {site: s for s, site in enumerate(by_site)}, np.cumsum(count) - count, count, col_op, col_fid
+
+
+def _row_factors(rows, site_ids: dict, fids: dict):
+    """The factors of rows on the sites of site_ids, in row order, as int arrays.
+
+    Returns row_start, with row i's entries at row_start[i]:row_start[i + 1],
+    and each entry's row index, site id and factor id.
+    """
+    row_count, row_site, row_fid = [], [], []
+    for op in rows:
+        before = len(row_site)
+        for site, mono in op.factors:
+            s = site_ids.get(site)
+            if s is not None:
+                row_site.append(s)
+                row_fid.append(fids.setdefault(mono, len(fids)))
+        row_count.append(len(row_site) - before)
+    row_start = np.concatenate(([0], np.cumsum(row_count)))
+    row_op = np.repeat(np.arange(len(rows)), row_count)
+    return row_start, row_op, np.array(row_site, dtype=np.int64), np.array(row_fid, dtype=np.int64)
+
+
+def overlap_exponents(rows, cols=None):
+    """Commutation exponents of the pairs of ProductOperators that share a site.
+
+    Yields (i, j, k) integer arrays, one tile at a time, over every pair of
+    rows[i] and cols[j] that act on a common site, in (i, j) order; with
+    cols None the pairs are those of rows with i < j.  k is the exponent
+    with rows[i] . cols[j] = w**k cols[j] . rows[i], as commutation_phase
+    gives it, or -1 when the commutator is not scalar.  Pairs that share
+    no site commute and are not listed.  All operators must share one
+    modulus; ValueError otherwise.
+
+    Each distinct site factor gets an integer id, and _site_commutator
+    runs once per distinct (row factor, column factor) pair that meets on
+    a site, filling a small table.  A tile takes as many rows as keep its
+    meetings within OVERLAP_MEETINGS: np.repeat and fancy indexing list
+    every meeting of a row factor with a column factor on a site.  Its
+    columns are numbered in order, and np.bincount counts the meetings and
+    sums their exponents per (row, column) bin, over as many rows at a time
+    as fit in OVERLAP_BINS bins.  Bins are numbered in (i, j) order, so
+    nothing is sorted.
+    """
+    upper = cols is None
+    if upper:
+        cols = rows
+    moduli = {op.modulus for op in rows} | {op.modulus for op in cols}
+    if len(moduli) > 1:
+        raise ValueError("phase moduli differ")
+    if not rows or not cols:
+        return
+    (modulus,) = moduli
+    fids: dict = {}
+    site_ids, start, count, col_op, col_fid = _column_meetings(cols, fids)
+    row_start, row_op, row_site, row_fid = _row_factors(rows, site_ids, fids)
+    if not row_site.size:
+        return
+    factors = list(fids)
+    nf = len(factors)
+    table = np.full(nf * nf, -1, dtype=np.int64)
+    # A tile of rows lists at most OVERLAP_MEETINGS meetings (or one row's).
+    row_meets = np.bincount(row_op, weights=count[row_site], minlength=len(rows))
+    per_tile = max(1, OVERLAP_MEETINGS // int(row_meets.max()))
+    col_rank = np.zeros(len(cols), dtype=np.int64)
+    for a0 in range(0, len(rows), per_tile):
+        a1 = min(a0 + per_tile, len(rows))
+        lo, hi = row_start[a0], row_start[a1]
+        sites = row_site[lo:hi]
+        meets = count[sites]
+        # at: each meeting's place in the column arrays, walking every row
+        # factor's site list from its start.  Meetings come in row order.
+        at = np.arange(meets.sum()) + np.repeat(start[sites] - (np.cumsum(meets) - meets), meets)
+        i, j = np.repeat(row_op[lo:hi], meets), col_op[at]
+        pair = np.repeat(row_fid[lo:hi] * nf, meets) + col_fid[at]
+        if upper:
+            later = j > i
+            i, j, pair = i[later], j[later], pair[later]
+        if not i.size:
+            continue
+        exps = table[pair]
+        unset = exps < 0
+        if unset.any():
+            for p in set(pair[unset].tolist()):
+                table[p] = _factor_exponent(factors[p // nf], factors[p % nf], modulus)
+            exps = table[pair]
+        # Number the tile's columns in order, and bin (row, column) pairs
+        # over as many rows at a time as fit in OVERLAP_BINS.
+        here = np.flatnonzero(np.bincount(j, minlength=len(cols)))
+        width = here.size
+        col_rank[here] = np.arange(width)
+        key = (i - a0) * width + col_rank[j]
+        ends = np.concatenate(([0], np.cumsum(np.bincount(i - a0, minlength=a1 - a0))))
+        part = max(1, OVERLAP_BINS // width)
+        for r0 in range(0, a1 - a0, part):
+            r1 = min(r0 + part, a1 - a0)
+            m0, m1 = ends[r0], ends[r1]
+            if m0 == m1:
+                continue
+            bins = (r1 - r0) * width
+            part_key = key[m0:m1] - r0 * width
+            found = np.flatnonzero(np.bincount(part_key, minlength=bins))
+            sums = np.bincount(part_key, weights=exps[m0:m1], minlength=bins)[found].astype(np.int64)
+            k = np.where(sums >= _NOT_SCALAR, -1, sums % modulus)
+            yield found // width + (a0 + r0), here[found % width], k
+
+
 def flat_action(dims, factors, x):
     """Targets and phase exponents of the basis indices x under placed factors.
 
@@ -350,8 +491,13 @@ def flat_action(dims, factors, x):
     factor's axis is d = x // stride % dim; the factor sends it to perm[d],
     so the target y gains (perm[d] - d) * stride, and it multiplies the
     amplitude by w**phase[d].  Returns y and, in factor order, each
-    factor's phase[d] array.
+    factor's phase[d] array.  Each factor reads the digit of x, not of a
+    partial product, so a repeated axis raises ValueError, as a repeated
+    site does in ProductOperator.
     """
+    axes = [axis for axis, _ in factors]
+    if len(set(axes)) != len(axes):
+        raise ValueError("operator has more than one factor on an axis")
     y = x.copy()
     phases = []
     for axis, mono in factors:

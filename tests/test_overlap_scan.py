@@ -5,28 +5,35 @@ that share a site with the op (or with each other).  On every suite torus
 in both orientations, and on a cylinder with its boundary terms, they must
 give what `scan_oracle` gives by comparing everything; a term broken by
 one wrong phase must give the same violations; a modulus mismatch must
-still raise; and commutation_phase must run exactly once per visited
-overlapping pair.
+still raise; and the batched pass must count every overlapping pair and
+call the site commutator once per distinct pair of factors that meet on
+a site.
 """
 
+import functools
+import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scan_oracle
-from latgauge import excitations, lattice
-from latgauge.excitations import confined_string_operator, confinement_report, dipole_operator, syndrome
+from latgauge import excitations, lattice, operators
+from latgauge.excitations import confined_string_operator, confinement_report, dipole_operator, syndrome, syndromes
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes
 from latgauge.lattice import (
     CodeSpec,
     Lattice2D,
+    StabilizerLabel,
+    StabilizerTerm,
     build_boundary_terms,
     build_bulk_stabilizers,
     check_all_commute,
     first_violation,
     logical_operators,
 )
-from latgauge.operators import ProductOperator, clock_z, shift_x
+from latgauge.operators import MonomialOperator, ProductOperator, clock_z, shift_x
 from latgauge.suite import GROUPS, TORI, _twist_combinations
 
 CYLINDER = (3, 4)  # (n, m); the top boundary row m must be even
@@ -145,6 +152,84 @@ class TestAgainstFullScan:
         assert any(ph is None or not ph.is_one for ph in phases)
 
 
+SPECS = [param.values[0] for param in TORUS_SPECS + CYLINDER_SPECS]
+
+
+@functools.cache
+def _pool(index):
+    """(spec, terms, string ops) of SPECS[index], built once per process."""
+    spec = SPECS[index]
+    return spec, _terms(spec), _string_ops(spec)
+
+
+@st.composite
+def scan_cases(draw):
+    """Terms and ops with a broken phase and a raw non-Weyl factor.
+
+    A random subset of one spec's terms, in random order, with one basis
+    state of one factor shifted by w, and one term and one op that are
+    the basis reversal on a site (not a Weyl operator when |G| > 2), next
+    to up to three of the spec's string ops.
+    """
+    spec, pool, strings = _pool(draw(st.integers(0, len(SPECS) - 1)))
+    order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=len(pool), unique=True))
+    terms = [pool[i] for i in order]
+    k = draw(st.integers(0, len(terms) - 1))
+    factors = list(terms[k].op.factors)
+    if factors:
+        f = draw(st.integers(0, len(factors) - 1))
+        site, mono = factors[f]
+        x = draw(st.integers(0, mono.dim - 1))
+        factors[f] = (site, replace(mono, phase=mono.phase[:x] + (mono.phase[x] + 1,) + mono.phase[x + 1 :]))
+        terms[k] = replace(terms[k], op=ProductOperator(tuple(factors), terms[k].op.modulus))
+    site, mono = draw(st.sampled_from([f for t in pool for f in t.op.factors]))
+    reversal = MonomialOperator(mono.dim, tuple(reversed(range(mono.dim))), (0,) * mono.dim, mono.modulus)
+    raw = ProductOperator(((site, reversal.with_kind(mono.kind)),), spec.group.phase_modulus)
+    terms.insert(draw(st.integers(0, len(terms))), StabilizerTerm(StabilizerLabel((-1, -1), "raw", ()), raw))
+    ops = draw(st.lists(st.sampled_from(strings), max_size=3)) + [raw]
+    return terms, draw(st.permutations(ops))
+
+
+class TestRandomSubsets:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(scan_cases())
+    def test_scans_match_the_full_scan(self, case):
+        terms, ops = case
+        assert check_all_commute(terms) == scan_oracle.check_all_commute(terms)
+        batch = syndromes(None, ops, terms)
+        for op, got in zip(ops, batch):
+            expected = scan_oracle.syndrome_phases(terms, op)
+            assert list(got.phases.items()) == list(expected.items())
+            assert syndrome(None, op, terms).phases == got.phases
+            assert first_violation(terms, op) == scan_oracle.first_violation(terms, op)
+
+
+class TestMemory:
+    """Peak traced memory of the scans on the Z2xZ3 16x16 torus, caches warm.
+
+    tracemalloc sees the Python and numpy allocations.  The first call of a
+    numpy routine in a process also maps its code pages, which tracemalloc
+    cannot see; the benchmark's peak_rss_mb covers that cost.
+    """
+
+    def test_scans_peak_small(self):
+        spec = CodeSpec(Lattice2D(GroupSpec((2, 3)), 16, 16, "periodic"))
+        terms = build_bulk_stabilizers(spec)
+        check_all_commute(terms)
+        logical_operators(spec)
+        tracemalloc.start()
+        try:
+            assert check_all_commute(terms)["passed"]
+            commute_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert all(lo.commutes for lo in logical_operators(spec))
+            logical_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert commute_peak < 2**20
+        assert logical_peak < 1.5 * 2**20
+
+
 class TestModulusMismatch:
     def _terms_and_ops(self):
         spec = CodeSpec(Lattice2D(GroupSpec((2,)), 3, 4, "periodic"))
@@ -154,7 +239,7 @@ class TestModulusMismatch:
 
     def test_disjoint_op_of_another_modulus_raises(self):
         terms, far, _ = self._terms_and_ops()
-        assert not any(t.op.overlaps(far) for t in terms)
+        assert not any(_shares_site(t.op, far) for t in terms)
         with pytest.raises(ValueError):
             scan_oracle.first_violation(terms, far)
         with pytest.raises(ValueError):
@@ -175,7 +260,12 @@ def _shares_site(a, b) -> bool:
 
 
 class TestWorkIsOnePerOverlappingPair:
-    """Twisted Z2xZ2 on a 16x16 torus: commutation_phase runs once per visited overlapping pair."""
+    """Twisted Z2xZ2 on a 16x16 torus: one batched pass, one site commutator per distinct factor pair.
+
+    The pass counts every overlapping pair, calls `_site_commutator` at
+    most once per distinct (factor, factor) pair it meets on a site, and
+    gives the full-scan oracle's witnesses.
+    """
 
     Z22 = GroupSpec((2, 2))
 
@@ -184,55 +274,77 @@ class TestWorkIsOnePerOverlappingPair:
         return CodeSpec(Lattice2D(self.Z22, 16, 16, "periodic"), twist_even=enumerate_cocycle_classes(self.Z22)[1])
 
     @staticmethod
-    def _count(monkeypatch, *modules):
+    def _count(monkeypatch):
+        """Record every call of the site commutator."""
         calls = []
-        for module in modules:
-            original = module.commutation_phase
+        original = operators._site_commutator
 
-            def counting(a, b, original=original):
-                calls.append((a, b))
-                return original(a, b)
+        def counting(ma, mb):
+            calls.append((ma, mb))
+            return original(ma, mb)
 
-            monkeypatch.setattr(module, "commutation_phase", counting)
+        monkeypatch.setattr(operators, "_site_commutator", counting)
         return calls
+
+    @staticmethod
+    def _distinct_factor_pairs(rows, cols, upper):
+        """(row factor, column factor) pairs that meet on a site; with upper, column after row."""
+        on_site: dict = {}
+        for j, b in enumerate(cols):
+            for site, mb in b.factors:
+                on_site.setdefault(site, []).append((j, mb))
+        pairs = set()
+        for i, a in enumerate(rows):
+            for site, ma in a.factors:
+                pairs.update((ma, mb) for j, mb in on_site.get(site, ()) if not upper or j > i)
+        return pairs
 
     def test_check_all_commute(self, spec, monkeypatch):
         terms = build_bulk_stabilizers(spec)
-        calls = self._count(monkeypatch, lattice)
+        calls = self._count(monkeypatch)
         report = check_all_commute(terms)
         assert report["passed"]
-        assert len(calls) == report["pairs_checked"] == len(scan_oracle.candidate_pairs(terms))
+        assert report["pairs_checked"] == len(scan_oracle.candidate_pairs(terms))
+        assert len(calls) == len(set(calls))
+        ops = [t.op for t in terms]
+        assert set(calls) == self._distinct_factor_pairs(ops, ops, upper=True)
 
     def test_logical_operators(self, spec, monkeypatch):
-        calls = self._count(monkeypatch, lattice)
+        calls = self._count(monkeypatch)
         logicals = logical_operators(spec)
+        assert len(calls) == len(set(calls))
         terms = build_bulk_stabilizers(spec)
-        expected = 0
-        for lo in logicals:
-            # first_violation stops at its witness; up to there it visits
-            # every term that shares a site with the string.
-            for t in terms:
-                if _shares_site(t.op, lo.op):
-                    expected += 1
-                    if lo.witness is not None and t.label.as_json() == lo.witness["term"]:
-                        break
         assert any(not lo.commutes for lo in logicals)
-        assert len(calls) == expected
-        assert all(_shares_site(a, b) for a, b in calls)
+        for lo in logicals:
+            assert lo.witness == scan_oracle.first_violation(terms, lo.op)
+        assert set(calls) == self._distinct_factor_pairs([t.op for t in terms], [lo.op for lo in logicals], upper=False)
 
     def test_confinement_report(self, spec, monkeypatch):
-        # syndrome's scan goes through lattice.overlap_phases; the braid
-        # checks call commutation_phase from excitations.
-        calls = self._count(monkeypatch, excitations, lattice)
-        scans = []
-        original_syndrome = excitations.syndrome
+        # Every syndrome runs in one batched pass; the braid checks then
+        # call commutation_phase from excitations, once per character.
+        calls = self._count(monkeypatch)
+        braids = []
+        original_phase = excitations.commutation_phase
 
-        def recording(spec_, op, terms=None):
-            scans.append((op, terms))
-            return original_syndrome(spec_, op, terms)
+        def braid(a, b):
+            braids.append((a, b))
+            return original_phase(a, b)
 
-        monkeypatch.setattr(excitations, "syndrome", recording)
+        monkeypatch.setattr(excitations, "commutation_phase", braid)
+        passes = []
+        original_syndromes = excitations.syndromes
+
+        def recording(spec_, ops, terms=None):
+            out = original_syndromes(spec_, ops, terms)
+            passes.append((ops, terms, len(calls)))
+            return out
+
+        monkeypatch.setattr(excitations, "syndromes", recording)
         report = confinement_report(spec, self.Z22.element((1, 0)))
-        overlapping = sum(_shares_site(t.op, op) for op, terms in scans for t in terms)
-        assert scans and overlapping
-        assert len(calls) == overlapping + len(report["dipole_braiding_phases"])
+        assert len(passes) == 1
+        ops, terms, pass_calls = passes[0]
+        assert len(braids) == len(report["dipole_braiding_phases"])
+        assert len(set(calls[:pass_calls])) == pass_calls
+        assert set(calls[:pass_calls]) == self._distinct_factor_pairs([t.op for t in terms], ops, upper=False)
+        for op, got in zip(ops, original_syndromes(spec, ops, terms)):
+            assert got.phases == scan_oracle.syndrome_phases(terms, op)

@@ -26,7 +26,7 @@ from latgauge.gauging import (
     verify_string_order_mapping,
 )
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes
-from latgauge.operators import MonomialOperator, flatten_product_operator
+from latgauge.operators import MonomialOperator, flat_action, flatten_product_operator, shift_x
 from latgauge.suite import GROUPS
 from latgauge.tensors import (
     block_diamond,
@@ -302,6 +302,21 @@ class TestRandomTensors:
         dense_shifted = oracle.trace(shifted_counts(tensor.counts, tensor.keys[0]), 0, 1)
         assert np.array_equal(shifted_root(tensor).trace(0, 1).counts, dense_shifted)
         assert not oracle.equal(dense_shifted, traced.counts)
+
+
+class TestRepeatedAxis:
+    """Two factors on one axis are refused, as ProductOperator refuses two on one site."""
+
+    def test_flat_action_and_products_refuse_a_repeated_axis(self):
+        z3 = GroupSpec((3,))
+        tensor = build_tensor("T_e", z3)
+        x = shift_x(z3.element((1,)))
+        twice = [(1, x), (1, x)]
+        with pytest.raises(ValueError, match="more than one factor"):
+            flat_action(tensor.shape, twice, tensor.flat_indices)
+        for product in (mono_mul_left, mono_mul_right):
+            with pytest.raises(ValueError, match="more than one factor"):
+                product(tensor, twice)
 
 
 class TestMemory:

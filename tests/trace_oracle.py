@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from latgauge.lattice import CodeSpec, GeometryError, _plaquette_corners, build_bulk_stabilizers
+from latgauge.lattice import CodeSpec, GeometryError, _corner_factors, _plaquette_sites, build_bulk_stabilizers
 from latgauge.operators import CapExceededError, MonomialOperator, StateVector
 
 
@@ -103,9 +103,12 @@ def _plaquette_term_table(spec: CodeSpec):
 
 def _corner_map(spec: CodeSpec, center, label) -> dict:
     """Site -> corner factor of one plaquette term, identity factors kept."""
+    twist = spec.twist_even if center[0] % 2 == 1 else spec.twist_odd
+    factors = _corner_factors(twist, label, spec.orientation)
     corners: dict = {}
-    for site, op in _plaquette_corners(spec, center, label):
-        corners[site] = op.multiply(corners[site]) if site in corners else op
+    for site, positions in _plaquette_sites(spec.lattice, center):
+        for p in positions:
+            corners[site] = factors[p].multiply(corners[site]) if site in corners else factors[p]
     return corners
 
 
