@@ -4,14 +4,20 @@ The open vertical boundary of the 2D code is controlled by the quantum
 phase of the 1D state fed into the first gauging map.  That state lives
 on the first row of the code: a periodic chain of VERTEX_DUAL sites on
 which the symmetry acts by the diagonal clocks.  Phases of a global
-symmetry are labelled by the unbroken subgroup H; the renormalization
-fixed point of each phase is the sitewise Fourier image of an explicit
-product-of-cosets state, and its string order parameters (character shift
-pairs joined by a slant-product clock string) are exactly 0 or 1.
+symmetry are labelled by the unbroken subgroup H.  The renormalization
+fixed point of each phase is built in closed form: uniform over the
+character tuples with every chi_i trivial on H and prod chi_i = 1, the
+sitewise Fourier image of the product-of-cosets state, and exactly zero
+elsewhere.  Its string order parameters (character shift pairs joined by
+a slant-product clock string) are counted on that integer support: each
+is a sum of roots of unity over |S|, exactly 0 or 1 for the untwisted
+strings, and a boundary term survives by an integer count, with no
+tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -23,20 +29,20 @@ from .groups import (
     GroupElement,
     GroupSpec,
     is_subgroup,
+    restricted_characters,
     slant_product,
 )
-from .lattice import CodeSpec, build_boundary_terms, first_violation
+from .lattice import CodeSpec, build_boundary_terms, overlap_phases, witness
 from .operators import (
     ProductOperator,
     SiteKind,
     StateVector,
     clock_z,
+    flat_action,
     projective_x,
     projective_x_tilde,
     shift_x,
 )
-
-SURVIVAL_TOL = 1e-9  # a string order parameter within this of 1 counts as 1
 
 
 @dataclass
@@ -51,31 +57,14 @@ class SymmetricState1D:
         return self.state.site_ids[i % self.n]
 
 
-def fourier_matrix(group: GroupSpec) -> np.ndarray:
-    """Sitewise rotation mapping shifts onto clocks.
-
-    F |g> = |G|**-0.5 sum_chi chi(g) |chi>; conjugation sends the shift
-    representation to the diagonal clock representation.
-    """
-    size = group.size
-    mat = np.zeros((size, size), dtype=complex)
-    for chi in group.characters():
-        for g in group.elements():
-            k = group.pair_exponent(chi.exps, g.exps)
-            mat[group.index_of(chi.exps), group.index_of(g.exps)] = np.exp(
-                2j * np.pi * k / group.phase_modulus
-            )
-    return mat / math.sqrt(size)
-
-
 def build_fixed_point_state(group: GroupSpec, subgroup, n: int) -> SymmetricState1D:
     """Fixed-point representative of the phase with unbroken subgroup H.
 
-    In group labels the state is the normalized sum over cosets of
-    (coset indicator)**n, invariant under the shifts: H = G gives the
-    uniform product state and H = {e} the Greenberger-Horne-Zeilinger
-    style sum over diagonals.  The sitewise Fourier rotation carries it
-    onto the chain, where the symmetry acts by the clocks.
+    The state is uniform over its support S, the character tuples
+    (chi_1, ..., chi_n) with every chi_i trivial on H and prod chi_i = 1,
+    and exactly zero elsewhere: H = G gives the all-identity product state
+    and H = {e} the Greenberger-Horne-Zeilinger style sum over the tuples
+    of trivial total charge.
     """
     subgroup = tuple(h if isinstance(h, GroupElement) else group.element(h) for h in subgroup)
     if not is_subgroup(group, subgroup):
@@ -83,24 +72,16 @@ def build_fixed_point_state(group: GroupSpec, subgroup, n: int) -> SymmetricStat
     if n < 2:
         raise ValueError("need at least two sites")
     size = group.size
+    support = []
+    for head in itertools.product(restricted_characters(group, subgroup), repeat=n - 1):
+        flat = 0
+        for chi in (*head, math.prod(head, start=group.dual_identity()).inverse()):
+            flat = flat * size + group.index_of(chi.exps)
+        support.append(flat)
     amps = np.zeros(size**n, dtype=complex)
-    for g in group.elements():
-        local = np.zeros(size, dtype=complex)
-        for h in subgroup:
-            local[group.index_of((g * h).exps)] = 1.0
-        local /= math.sqrt(len(subgroup))
-        term = np.ones(1, dtype=complex)
-        for _ in range(n):
-            term = np.kron(term, local)
-        amps += term
-    amps /= np.linalg.norm(amps)
-    f = fourier_matrix(group)
-    tensor = amps.reshape((size,) * n)
-    for axis in range(n):
-        tensor = np.tensordot(f, tensor, axes=([1], [axis]))
-        tensor = np.moveaxis(tensor, 0, axis)
+    amps[support] = 1 / math.sqrt(len(support))
     sites = tuple((0, 2 * k) for k in range(n))
-    state = StateVector(sites, (SiteKind.VERTEX_DUAL,) * n, (size,) * n, tensor.reshape(-1))
+    state = StateVector(sites, (SiteKind.VERTEX_DUAL,) * n, (size,) * n, amps)
     return SymmetricState1D(group, n, state)
 
 
@@ -129,26 +110,61 @@ def string_order_operator(
     return ProductOperator.from_factors(factors, group.phase_modulus)
 
 
+def _returned_roots(chain: SymmetricState1D, op: ProductOperator) -> tuple[np.ndarray, int]:
+    """(counts, |S|), counts[k] the entries of the support S that op maps into S times w**k.
+
+    The chain's state must be uniform on S; then <psi|op|psi> is the counts
+    summed against the roots and divided by |S|.
+    """
+    state = chain.state
+    support = np.flatnonzero(state.amps)
+    if not support.size or np.any(state.amps[support] != state.amps[support[0]]):
+        raise ValueError("chain state is not uniform on its support")
+    y, phases = flat_action(state.dims, state._placed(op), support)
+    roots = sum(phases, np.zeros_like(support)) % op.modulus
+    return np.bincount(roots[state.amps[y] != 0], minlength=op.modulus), support.size
+
+
+def _expectation(counts: np.ndarray, support_size: int) -> complex:
+    """sum_k counts[k] w**k / |S|, rounded to complex once.
+
+    The roots on a coset of a subgroup of Z_L of order d > 1 sum to zero,
+    so the least count on each such coset is taken away first: a sum that
+    cancels over cosets becomes exactly 0, and |S| entries on root 0
+    exactly 1.
+    """
+    modulus = counts.size
+    for d in range(2, modulus + 1):
+        if modulus % d == 0:
+            cosets = counts.reshape(d, modulus // d)
+            counts = (cosets - cosets.min(axis=0)).reshape(-1)
+    total = sum(int(c) * np.exp(2j * np.pi * k / modulus) for k, c in enumerate(counts) if c)
+    return complex(total) / support_size
+
+
 def string_order_expectation(
     chain: SymmetricState1D, chi: DualCharacter, beta: Cocycle | None, i: int, ell: int
 ) -> complex:
-    op = string_order_operator(chain, chi, beta, i, ell)
-    return chain.state.inner(chain.state.apply(op))
+    """<psi|O|psi> of the string order operator, from its returned roots."""
+    return _expectation(*_returned_roots(chain, string_order_operator(chain, chi, beta, i, ell)))
 
 
 def surviving_boundary_terms(chain: SymmetricState1D, beta: Cocycle | None = None) -> tuple[set, dict]:
     """Characters whose boundary term stabilizes the gauged state.
 
-    A term survives when the string order parameter equals one for every
-    tested length 1..min(3, n - 1); raw expectation values are returned
-    alongside so non-fixed-point inputs are not silently rounded.
+    A term survives when, for every tested length 1..min(3, n - 1), the
+    string order operator maps every support entry back into the support
+    with root 0, which makes the parameter exactly one.  Raw expectation
+    values are returned alongside.
     """
     raw = {}
     surviving = set()
     for chi in chain.group.characters():
-        values = [string_order_expectation(chain, chi, beta, 0, ell) for ell in range(1, min(4, chain.n))]
-        raw[chi.exps] = values
-        if all(abs(v - 1) < SURVIVAL_TOL for v in values):
+        walks = [
+            _returned_roots(chain, string_order_operator(chain, chi, beta, 0, ell)) for ell in range(1, min(4, chain.n))
+        ]
+        raw[chi.exps] = [_expectation(counts, size) for counts, size in walks]
+        if all(counts[0] == size for counts, size in walks):
             surviving.add(chi)
     return surviving, raw
 
@@ -158,7 +174,8 @@ def condensation_table(spec: CodeSpec, chain: SymmetricState1D) -> dict:
 
     Group-labelled vertical strings condense iff they commute with every
     surviving boundary term; character-labelled strings are checked the
-    same way.  The report carries a witness term for each blocked anyon.
+    same way.  All 2|G| strings go through one overlap_phases pass, and
+    the report carries a witness term for each blocked anyon.
     """
     lat = spec.lattice
     if lat.vertical != "open":
@@ -173,25 +190,17 @@ def condensation_table(spec: CodeSpec, chain: SymmetricState1D) -> dict:
         if any(t.label.exps == chi.exps for chi in surviving)
     ]
     group = spec.group
+    group_column = [(j, 1) for j in range(1, lat.m, 2)]
+    dual_column = [(j, 0) for j in range(0, lat.m + 1, 2)]
+    anyons = [("group_anyons", g, group_column) for g in group.elements()]
+    anyons += [("dual_anyons", chi, dual_column) for chi in group.characters()]
+    strings = [
+        ProductOperator.from_factors(((site, shift_x(label)) for site in column), group.phase_modulus)
+        for _, label, column in anyons
+    ]
     report = {"surviving": sorted(chi.exps for chi in surviving), "raw_expectations": {
-        str(k): [complex(v) for v in vals] for k, vals in raw.items()
+        str(k): vals for k, vals in raw.items()
     }, "group_anyons": {}, "dual_anyons": {}}
-    for g in group.elements():
-        mono = shift_x(g)
-        factors = (((j, 1), mono) for j in range(1, lat.m, 2))
-        string = ProductOperator.from_factors(factors, group.phase_modulus)
-        witness = first_violation(terms, string)
-        report["group_anyons"][str(g.exps)] = {
-            "condenses": witness is None,
-            "witness": witness,
-        }
-    for chi in group.characters():
-        mono = shift_x(chi)
-        factors = (((j, 0), mono) for j in range(0, lat.m + 1, 2))
-        string = ProductOperator.from_factors(factors, group.phase_modulus)
-        witness = first_violation(terms, string)
-        report["dual_anyons"][str(chi.exps)] = {
-            "condenses": witness is None,
-            "witness": witness,
-        }
+    for (kind, label, _), hits in zip(anyons, overlap_phases(terms, strings)):
+        report[kind][str(label.exps)] = {"condenses": not hits, "witness": witness(hits)}
     return report

@@ -60,7 +60,7 @@ def dimension_cap(override: int | None = None) -> int:
     env = os.environ.get("GAUGE_MAX_DIM")
     if not env:
         return DEFAULT_DIM_CAP
-    cap = int(env) if env.strip().isdigit() else 0
+    cap = int(env) if env.strip().isdecimal() else 0
     if cap < 1:
         raise ValueError(f"GAUGE_MAX_DIM must be a positive integer, not {env!r}")
     return cap

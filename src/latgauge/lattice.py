@@ -311,17 +311,12 @@ def overlap_phases(terms, ops) -> list[list[tuple]]:
     return out
 
 
-def _witness(violations) -> dict | None:
+def witness(violations) -> dict | None:
     """The first (term, phase) of one op's overlap_phases as a witness, else None."""
     if not violations:
         return None
     t, ph = violations[0]
     return {"term": t.label.as_json(), "phase": None if ph is None else ph.k}
-
-
-def first_violation(terms, op) -> dict | None:
-    """Witness for the first term that fails to commute with op, else None."""
-    return _witness(overlap_phases(terms, [op])[0])
 
 
 # -- ground space dimension ---------------------------------------------------
@@ -530,4 +525,4 @@ def logical_operators(spec: CodeSpec) -> list[LogicalOperator]:
         named.append((f"Z_row0_g{g.exps}", string([(0, x2) for x2 in lat.row_positions(0)], clock_z(g))))
         named.append((f"X_col1_g{g.exps}", string([(j, 1) for j in lat.rows if j % 2 == 1], shift_x(g))))
     found = overlap_phases(build_bulk_stabilizers(spec), [op for _, op in named])
-    return [LogicalOperator(name, op, not hits, _witness(hits)) for (name, op), hits in zip(named, found)]
+    return [LogicalOperator(name, op, not hits, witness(hits)) for (name, op), hits in zip(named, found)]

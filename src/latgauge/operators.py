@@ -83,7 +83,8 @@ class MonomialOperator:
     kind: SiteKind | None = None
 
     def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(self.dim)):
+        # The length first, so that a bad dim sizes no list.
+        if len(self.perm) != self.dim or sorted(self.perm) != list(range(self.dim)):
             raise ValueError("perm must be a bijection on basis indices")
         if len(self.phase) != self.dim:
             raise ValueError("one phase exponent per basis state required")
@@ -225,19 +226,16 @@ class ProductOperator:
 
     factors holds (site id, MonomialOperator) pairs sorted by site; each
     factor carries the SiteKind it acts on, so state application can
-    reject mismatched placements.  by_site maps each site to its factor;
-    it is built once, on construction, and must not be modified.  A site
-    with two factors raises ValueError (from_factors multiplies them).
+    reject mismatched placements.  A site with two factors raises
+    ValueError (from_factors multiplies them).
     """
 
     factors: tuple[tuple[object, MonomialOperator], ...]
     modulus: int
 
     def __post_init__(self) -> None:
-        by_site = dict(self.factors)
-        if len(by_site) != len(self.factors):
+        if len({site for site, _ in self.factors}) != len(self.factors):
             raise ValueError("operator has more than one factor on a site")
-        object.__setattr__(self, "by_site", by_site)
 
     @classmethod
     def from_factors(cls, pairs, modulus: int) -> "ProductOperator":
@@ -313,34 +311,13 @@ def _phase(k: int, modulus: int) -> PhaseExponent:
 def commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent | None:
     """Scalar c with a.b = c b.a, or None when the commutator is not scalar.
 
-    Computed sitewise by comparing a.b with b.a on each shared site; the
-    result is a global phase exactly when every shared site contributes a
-    scalar.  Only shared sites are visited: the operator with fewer
-    factors is walked, in its factor order, against the other's by_site
-    map, so operators with disjoint supports give phase 0 after the
-    moduli are compared.  The per-site comparison is memoized on the pair
-    of factors, so its cost grows with the number of distinct factor
-    pairs, not with the number of operator pairs compared.  It serves
-    single pairs, such as braiding phases; scans over many pairs use
-    overlap_exponents.
+    One overlap_exponents pass over the single pair: operators with
+    disjoint supports give phase 0 after the moduli are compared.  It
+    serves single pairs, such as braiding phases; scans over many pairs
+    call overlap_exponents directly.
     """
-    if a.modulus != b.modulus:
-        raise ValueError("phase moduli differ")
-    a_walks = len(a.factors) <= len(b.factors)
-    walk, other = (a.factors, b.by_site) if a_walks else (b.factors, a.by_site)
-    total = 0
-    for site, mine in walk:
-        theirs = other.get(site)
-        if theirs is None:
-            continue
-        ma, mb = (mine, theirs) if a_walks else (theirs, mine)
-        k = _site_commutator(ma, mb)
-        if k is None:
-            return None
-        if ma.modulus != a.modulus:
-            raise GroupMismatchError("phases with different moduli")
-        total += k
-    return _phase(total % a.modulus, a.modulus)
+    k = next((int(ks[0]) for _, _, ks in overlap_exponents([a], [b])), 0)
+    return None if k < 0 else _phase(k, a.modulus)
 
 
 OVERLAP_MEETINGS = 2**11  # factor meetings each tile of overlap_exponents lists, at most
@@ -352,7 +329,7 @@ _NOT_SCALAR = 2**32
 
 
 def _factor_exponent(ma: MonomialOperator, mb: MonomialOperator, modulus: int) -> int:
-    """_site_commutator(ma, mb), _NOT_SCALAR for None; errors as in commutation_phase."""
+    """_site_commutator(ma, mb), _NOT_SCALAR for None; GroupMismatchError for a factor of another modulus."""
     k = _site_commutator(ma, mb)
     if k is None:
         return _NOT_SCALAR
@@ -405,10 +382,10 @@ def overlap_exponents(rows, cols=None):
     Yields (i, j, k) integer arrays, one tile at a time, over every pair of
     rows[i] and cols[j] that act on a common site, in (i, j) order; with
     cols None the pairs are those of rows with i < j.  k is the exponent
-    with rows[i] . cols[j] = w**k cols[j] . rows[i], as commutation_phase
-    gives it, or -1 when the commutator is not scalar.  Pairs that share
-    no site commute and are not listed.  All operators must share one
-    modulus; ValueError otherwise.
+    with rows[i] . cols[j] = w**k cols[j] . rows[i], or -1 when the
+    commutator is not scalar.  Pairs that share no site commute and are
+    not listed.  All operators must share one modulus; ValueError
+    otherwise.
 
     Each distinct site factor gets an integer id, and _site_commutator
     runs once per distinct (row factor, column factor) pair that meets on

@@ -1,10 +1,12 @@
 """Fixed-point inputs, string order, and condensation."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fourier_oracle
 from latgauge.boundary import (
     build_fixed_point_state,
     condensation_table,
@@ -21,6 +23,7 @@ from latgauge.operators import ProductOperator, clock_z
 Z2 = GroupSpec((2,))
 Z4 = GroupSpec((4,))
 Z22 = GroupSpec((2, 2))
+ORACLE_GROUPS = [(2,), (3,), (4,), (2, 2), (2, 3), (3, 3), (4, 2)]
 
 
 class TestFixedPointStates:
@@ -29,14 +32,25 @@ class TestFixedPointStates:
         # configuration of even parity.
         chain = build_fixed_point_state(Z2, [(0,)], 3)
         expected = np.array([0.5 if bin(k).count("1") % 2 == 0 else 0.0 for k in range(8)], dtype=complex)
-        assert np.max(np.abs(chain.state.amps - expected)) < 1e-12
+        assert np.array_equal(chain.state.amps, expected)
 
     def test_uniform_for_unbroken(self):
         # The Fourier image of the uniform product state is all-identity.
         chain = build_fixed_point_state(Z2, [(0,), (1,)], 3)
         expected = np.zeros(8, dtype=complex)
         expected[0] = 1.0
-        assert np.max(np.abs(chain.state.amps - expected)) < 1e-12
+        assert np.array_equal(chain.state.amps, expected)
+
+    @pytest.mark.parametrize("orders", ORACLE_GROUPS, ids=str)
+    def test_support_size_and_exact_zeros(self, orders):
+        # |G/H|**(n-1) tuples of characters trivial on H with product 1,
+        # one amplitude on all of them and exact zeros elsewhere.
+        group = GroupSpec(orders)
+        for sub in all_subgroups(group):
+            amps = build_fixed_point_state(group, sub, 3).state.amps
+            support = amps[np.flatnonzero(amps)]
+            assert support.size == (group.size // len(sub)) ** 2
+            assert np.all(support == support[0])
 
     @pytest.mark.parametrize("group", [Z2, Z4, Z22])
     def test_normalized_and_symmetric_everywhere(self, group):
@@ -107,7 +121,17 @@ class TestSurvivingTerms:
             assert surviving == set(restricted_characters(group, sub))
             for vals in raw.values():
                 for v in vals:
-                    assert abs(v) < 1e-9 or abs(v - 1) < 1e-9
+                    assert v in (0, 1)
+
+    def test_chain_not_uniform_on_its_support_refused(self):
+        chain = build_fixed_point_state(Z4, [(0,)], 3)
+        amps = chain.state.amps.copy()
+        amps[np.flatnonzero(amps)[0]] *= -1
+        bent = replace(chain, state=replace(chain.state, amps=amps))
+        with pytest.raises(ValueError, match="not uniform on its support"):
+            surviving_boundary_terms(bent)
+        with pytest.raises(ValueError, match="not uniform on its support"):
+            string_order_expectation(bent, Z4.character((1,)), None, 0, 1)
 
     def test_surviving_set_is_a_subgroup(self):
         for group in (Z4, Z22):
@@ -214,3 +238,42 @@ class TestTwistedBoundary:
                 eff = ProductOperator.from_factors(eff_factors, group.phase_modulus)
                 lhs = mono_mul_left(exact, gmap.exact_factors(term), gmap.exact_dims)
                 assert lhs == mono_mul_right(exact, gmap.exact_factors(eff, columns=True), gmap.exact_dims)
+
+
+class TestFourierOracle:
+    """The closed form and its counted string orders against the float Fourier construction.
+
+    Every subgroup of each group, chains of 2 to 4 sites, every cocycle
+    class and every string of length 1..n-1 from site 0.
+    """
+
+    @pytest.mark.parametrize("orders", ORACLE_GROUPS, ids=str)
+    def test_states_and_string_orders_match(self, orders):
+        group = GroupSpec(orders)
+        for sub in all_subgroups(group):
+            for n in (2, 3, 4):
+                chain = build_fixed_point_state(group, sub, n)
+                oracle = replace(chain.state, amps=fourier_oracle.fixed_point_amps(group, sub, n))
+                assert np.max(np.abs(chain.state.amps - oracle.amps)) < 1e-12
+                for beta in enumerate_cocycle_classes(group):
+                    surviving, raw = surviving_boundary_terms(chain, beta)
+                    for chi in group.characters():
+                        values = [
+                            fourier_oracle.string_order(oracle, string_order_operator(chain, chi, beta, 0, ell))
+                            for ell in range(1, n)
+                        ]
+                        exact = [string_order_expectation(chain, chi, beta, 0, ell) for ell in range(1, n)]
+                        assert np.max(np.abs(np.array(exact) - values)) < 1e-12
+                        assert raw[chi.exps] == exact[:3]
+                        assert (chi in surviving) == all(abs(v - 1) < 1e-9 for v in values[:3])
+
+    def test_cancelling_roots_give_exact_zero(self):
+        # Under the twisted Z3xZ3 cocycle every entry of the fully broken
+        # chain comes back, a third on each cube root of unity: the string
+        # order is exactly 0, not the float residue of the three roots.
+        group = GroupSpec((3, 3))
+        beta = enumerate_cocycle_classes(group)[1]
+        chain = build_fixed_point_state(group, [(0, 0)], 3)
+        for chi in group.characters():
+            if not chi.is_identity:
+                assert [string_order_expectation(chain, chi, beta, 0, ell) for ell in (1, 2)] == [0, 0]

@@ -1,10 +1,10 @@
-"""The memoized sitewise commutator and plaquette corners against the slow path.
+"""The memoized site commutator and plaquette corners against the slow path.
 
-`sitewise_commutation_phase` is `operators.commutation_phase` as it was
-before the per-site comparison was memoized: it multiplies both orders on
-every shared site for every pair.  The memoized path must give the same
-phase, the same None and the same errors, and its work must not grow
-with the lattice.
+`sitewise_commutation_phase` walks the shared sites of a pair and
+multiplies both orders on each, as `operators.commutation_phase` once did.
+The library's `commutation_phase`, one `overlap_exponents` pass over the
+pair, must give the same phase, the same None and the same errors, and
+the memoized site commutator's work must not grow with the lattice.
 """
 
 from dataclasses import replace

@@ -22,8 +22,14 @@ change of construction route must leave both unchanged.
 
 The `boundary` and `confine` files were written while the 1D input still
 had a shift convention and open chains beside the clock chain, and while
-the excitation paths wrapped their sites by hand; the `raw_expectations`
-floats of a `boundary` report pin the Fourier rotation of the chain.
+the excitation paths wrapped their sites by hand.
+
+`boundary_z4_n4_subgroup_0_2.json` was regenerated once when the 1D fixed
+points were built in closed form and their string orders counted on the
+integer support.  Only its `raw_expectations` moved: each entry is now
+exactly {"im": 0.0, "re": 1.0} or {"im": 0.0, "re": 0.0}, where the float
+Fourier rotation left 1.0000000000000002 and residues of 1e-33 to 1e-52.
+The Z2xZ2 `boundary` file already read exactly 1.0 and did not move.
 
 Three files were regenerated when GaugingMap.apply became one broadcast
 multiply by the layer's row kernel: `compose_z3_layers3_n2.json`,

@@ -155,3 +155,37 @@ def test_every_function_is_referenced():
             if all(where == path and line in own for where, line in refs.get(name, [])):
                 unreferenced.append(f"{path.name}:{node.lineno} {name}")
     assert not unreferenced, f"functions named nowhere outside their own definition: {unreferenced}"
+
+
+def _module_constants(tree: ast.Module) -> dict[str, int]:
+    """UPPER_CASE name -> line of every module-level assignment to one."""
+    constants = {}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.isupper():
+                constants[target.id] = node.lineno
+    return constants
+
+
+def _names_loaded(paths) -> set[str]:
+    """Every name loaded as `name` or `x.name` anywhere in the given sources."""
+    loaded = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
+
+
+def test_every_module_constant_is_read():
+    loaded = _names_loaded(p for top in ("src", "tests", "bench") for p in sorted((ROOT / top).rglob("*.py")))
+    unread = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        for name, line in _module_constants(ast.parse(path.read_text(encoding="utf-8"))).items()
+        if name not in loaded
+    ]
+    assert not unread, f"module constants nothing reads: {unread}"

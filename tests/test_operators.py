@@ -1,6 +1,7 @@
 """Monomial operator algebra against dense-matrix oracles."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -237,6 +238,21 @@ class TestMonomialAlgebra:
         assert m.multiply(m.adjoint()).is_identity
         dense = m.to_dense()
         assert np.max(np.abs(dense @ dense.conj().T - np.eye(dim))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "perm,phase", [((0,), (0,)), ((0,), ()), ((0, 0), (0, 0))], ids=["short", "no-phase", "repeat"]
+    )
+    def test_bad_lengths_checked_before_dim_sizes_anything(self, perm, phase):
+        # A factor of an op file may claim any dim; the lengths are checked
+        # before a list of dim entries is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="perm must be a bijection"):
+                MonomialOperator.from_json({"dim": 10**6, "perm": list(perm), "phase": list(phase), "modulus": 2})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     def test_json_roundtrip(self):
         m = clock_z(Z23.character((1, 2)))

@@ -1,6 +1,6 @@
 """Overlap-only commutation scans against the full-scan oracle.
 
-`check_all_commute`, `first_violation` and `syndrome` compare only terms
+`check_all_commute`, `overlap_phases` and `syndrome` compare only terms
 that share a site with the op (or with each other).  On every suite torus
 in both orientations, and on a cylinder with its boundary terms, they must
 give what `scan_oracle` gives by comparing everything; a term broken by
@@ -30,13 +30,19 @@ from latgauge.lattice import (
     build_boundary_terms,
     build_bulk_stabilizers,
     check_all_commute,
-    first_violation,
     logical_operators,
+    overlap_phases,
+    witness,
 )
 from latgauge.operators import MonomialOperator, ProductOperator, clock_z, shift_x
 from latgauge.suite import GROUPS, TORI, _twist_combinations
 
 CYLINDER = (3, 4)  # (n, m); the top boundary row m must be even
+
+
+def first_violation(terms, op) -> dict | None:
+    """The witness of one op's overlap_phases, as condensation_table and logical_operators take it."""
+    return witness(overlap_phases(terms, [op])[0])
 
 
 def _specs(vertical, sizes, orientations):
