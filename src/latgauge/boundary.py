@@ -33,16 +33,7 @@ from .groups import (
     slant_product,
 )
 from .lattice import CodeSpec, build_boundary_terms, overlap_phases, witness
-from .operators import (
-    ProductOperator,
-    SiteKind,
-    StateVector,
-    clock_z,
-    flat_action,
-    projective_x,
-    projective_x_tilde,
-    shift_x,
-)
+from .operators import ProductOperator, SiteKind, StateVector, clock_z, corner_factors, flat_action, shift_x
 
 
 @dataclass
@@ -90,9 +81,9 @@ def string_order_operator(
 ) -> ProductOperator:
     """Endpoint pair joined by the slant-product string, as an operator.
 
-    Conjugate projective character shift at site i, the plain one at site
-    i+ell, and the diagonal clock of the slant product on the ell-1
-    interior sites.
+    Conjugate projective character shift at site i and the plain one at
+    site i+ell, the west and east corner_factors of beta, and the diagonal
+    clock of the slant product on the ell-1 interior sites.
     """
     group = chain.group
     beta = beta if beta is not None else Cocycle.trivial(group)
@@ -105,7 +96,8 @@ def string_order_operator(
     # the element with the same exponents.
     slant = slant_product(beta, GroupElement(group, chi.exps))
     clock = clock_z(GroupElement(group, slant.exps))
-    factors = [(sites[0], projective_x_tilde(beta, chi)), (sites[-1], projective_x(beta, chi))]
+    west, east, _, _ = corner_factors(beta, chi)
+    factors = [(sites[0], west), (sites[-1], east)]
     factors += [(s, clock) for s in sites[1:-1]]
     return ProductOperator.from_factors(factors, group.phase_modulus)
 

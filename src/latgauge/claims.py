@@ -13,8 +13,10 @@ from __future__ import annotations
 from .boundary import condensation_table, surviving_boundary_terms
 from .excitations import confinement_report
 from .gauging import (
+    CapExceededError,
     build_gauging_map,
     compose_gauging,
+    dimension_cap,
     initial_state,
     verify_emergent_symmetry,
     verify_local_symmetry,
@@ -73,7 +75,15 @@ def ground_dimension(spec, dense_cap: int = DENSE_ORACLE_CAP) -> list[dict]:
 
 def stack_symmetries(layers, tol: float, cap: int | None = None):
     """(state, checks): the layers gauge their symmetric input at unit norm into a state
-    that every stack symmetry fixes."""
+    that every stack symmetry fixes.
+
+    The cap of GaugingMap.apply is checked for every layer before the input is built.
+    """
+    size, sites, limit = layers[0].group.size, layers[0].n, dimension_cap(cap)
+    for layer in layers:
+        sites += len(layer.new_positions())
+        if size**sites > limit:
+            raise CapExceededError(f"output would need {size**sites} amplitudes")
     norms: list[float] = []
     state = compose_gauging(layers, initial_state(layers[0].group, layers[0]), cap=cap, norms_out=norms)
     return state, [

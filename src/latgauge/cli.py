@@ -413,6 +413,9 @@ def boundary(group_text, subgroup, n, m, beta, out):
     sub = parse_subgroup(group, subgroup)
     if parse_twist(group, beta) is not None:
         raise ConfigError("a nontrivial --beta needs symmetry-protected fixed points, which are not built yet")
+    check_env_cap()
+    if group.size**n > dimension_cap():
+        raise ConfigError(f"the chain would need {group.size**n} amplitudes")
     with building_config():
         chain = build_fixed_point_state(group, sub, n)
         spec = CodeSpec(Lattice2D(group, n, m, "open"))

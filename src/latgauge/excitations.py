@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 from .groups import GroupElement, PhaseExponent
 from .lattice import CodeSpec, build_bulk_stabilizers, overlap_phases
-from .operators import (
-    ProductOperator,
-    clock_z,
-    commutation_phase,
-    projective_x,
-    projective_x_tilde,
-    shift_x,
-)
+from .operators import ProductOperator, clock_z, commutation_phase, corner_factors, shift_x
 
 MAX_STRING_LENGTH = 3  # longest confined string and tallest dipole in confinement_report
 
@@ -142,22 +135,22 @@ def horizontal_string_path(spec: CodeSpec, row: int, start_x2: int, length: int)
 
 
 def confined_string_operator(spec: CodeSpec, g: GroupElement, row: int, start_x2: int, length: int) -> ProductOperator:
-    """Projective shifts on consecutive edges of one row (twisted code)."""
-    mono = projective_x(spec.twist_even, g)
+    """Projective shifts, the east corner_factors, on consecutive edges of one row (twisted code)."""
+    mono = corner_factors(spec.twist_even, g)[1]
     sites = horizontal_string_path(spec, row, start_x2, length)
     return ProductOperator.from_factors(((site, mono) for site in sites), spec.group.phase_modulus)
 
 
 def dipole_operator(spec: CodeSpec, g: GroupElement, row: int, left_x2: int, height: int = 1) -> ProductOperator:
-    """Bound pair: conjugate shift on an edge, plain projective shift on the
-    next edge to the right, repeated on `height` consecutive edge rows.
+    """Bound pair: the west and east corner_factors, the conjugate shift on
+    an edge and the plain projective shift on the next edge to the right,
+    repeated on `height` consecutive edge rows.
 
     The shared plaquette between the two columns is never excited, so the
     pattern moves vertically without growing its syndrome.
     """
     lat = spec.lattice
-    left_mono = projective_x_tilde(spec.twist_even, g)
-    right_mono = projective_x(spec.twist_even, g)
+    left_mono, right_mono, _, _ = corner_factors(spec.twist_even, g)
     factors = []
     for h in range(height):
         j = row + 2 * h

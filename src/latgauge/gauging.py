@@ -44,9 +44,8 @@ from .operators import (
     SiteKind,
     StateVector,
     clock_z,
+    corner_factors,
     flat_action,
-    projective_x,
-    projective_x_tilde,
     shift_x,
 )
 
@@ -169,27 +168,25 @@ class GaugingMap:
 
     # -- building blocks ---------------------------------------------------
 
-    def local_symmetry_op(self, i: int, label) -> ProductOperator:
-        """The three-body symmetry enforced at matter site i.
+    def _gauss_corners(self, i: int, label) -> list[tuple]:
+        """(site, factor) of the west, south, east and north corners of the Gauss law at matter site i.
 
-        Its factors are the conjugate projective shift on the left new
-        site, the clock on the matter site and the projective shift on
-        the right new site.
+        The plaquette around the new-row face above matter site i, with
+        operators.corner_factors: west and east on the new row, south on the
+        matter site, north on the row the next layer adds.
         """
         layer = self.layer
         x2 = layer.matter_positions()[i]
         row = layer.index
+        lpos, rpos = x2 - 1, x2 + 1
         if layer.boundary == "periodic":
-            lpos = (x2 - 1) % (2 * layer.n)
-            rpos = (x2 + 1) % (2 * layer.n)
-        else:
-            lpos, rpos = x2 - 1, x2 + 1
-        factors = [
-            ((row + 1, lpos), projective_x_tilde(layer.twist, label)),
-            ((row, x2), clock_z(label)),
-            ((row + 1, rpos), projective_x(layer.twist, label)),
-        ]
-        return ProductOperator.from_factors(factors, self.group.phase_modulus)
+            lpos, rpos = lpos % (2 * layer.n), rpos % (2 * layer.n)
+        west, east, north, south = corner_factors(layer.twist, label)
+        return [((row + 1, lpos), west), ((row, x2), south), ((row + 1, rpos), east), ((row + 2, x2), north)]
+
+    def local_symmetry_op(self, i: int, label) -> ProductOperator:
+        """The three-body symmetry enforced at matter site i: the west, south and east corners."""
+        return ProductOperator.from_factors(self._gauss_corners(i, label)[:3], self.group.phase_modulus)
 
     def emergent_symmetry_op(self, label) -> ProductOperator:
         """Global diagonal symmetry on the new row; fixes the map's image.
@@ -214,11 +211,10 @@ class GaugingMap:
         if not 0 <= i < i_prime < self.layer.n:
             raise ValueError("need 0 <= i < i_prime < n")
         layer = self.layer
-        sh = shift_x(label)
         string_mono = clock_z(label)
         row = layer.index
         pos = layer.matter_positions()
-        bare_factors = [((row, pos[i]), sh), ((row, pos[i_prime]), sh.adjoint())]
+        bare_factors = [((row, pos[i]), shift_x(label)), ((row, pos[i_prime]), shift_x(label.inverse()))]
         bare = ProductOperator.from_factors(bare_factors, self.group.phase_modulus)
         string = [
             (site, string_mono) for site, _ in self.new_sites if pos[i] < site[1] < pos[i_prime]
@@ -404,23 +400,20 @@ def verify_string_order_mapping(gmap: GaugingMap) -> dict:
 def stack_local_symmetry_ops(layers) -> list[tuple[str, ProductOperator]]:
     """Every local symmetry of the composed stack, with labels.
 
-    Interior layers contribute four-body diamond operators (the raw
-    three-body symmetry dressed by the next map's diagonal); the last
-    layer contributes its raw three-body symmetries.
+    Interior layers contribute the four-body diamonds of their Gauss laws
+    (the raw three-body symmetry dressed by the next map's clock, north);
+    the last layer contributes its raw three-body symmetries.  Both are
+    plaquettes of operators.corner_factors.
     """
     layers = list(layers)
     ops = []
     for k, layer in enumerate(layers):
         gmap = build_gauging_map(layer)
-        for i in range(layer.n):
-            x2 = layer.matter_positions()[i]
+        corners = 4 if k + 1 < len(layers) else 3
+        for i, x2 in enumerate(layer.matter_positions()):
             for label in layer.labels():
-                op = gmap.local_symmetry_op(i, label)
-                if k + 1 < len(layers):
-                    north = ((layer.index + 2, x2), clock_z(label).adjoint())
-                    op = op.multiply(ProductOperator.from_factors([north], op.modulus))
-                name = f"layer{layer.index}/site{(layer.index, x2)}/label{label.exps}"
-                ops.append((name, op))
+                op = ProductOperator.from_factors(gmap._gauss_corners(i, label)[:corners], layer.group.phase_modulus)
+                ops.append((f"layer{layer.index}/site{(layer.index, x2)}/label{label.exps}", op))
     return ops
 
 

@@ -24,7 +24,6 @@ of basis states on which the terms' phases are consistent.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +35,10 @@ from .operators import (
     ProductOperator,
     SiteKind,
     _phase,
-    canonical,
     clock_z,
+    corner_factors,
     flatten_product_operator,
     overlap_exponents,
-    projective_x,
-    projective_x_tilde,
     shift_x,
 )
 
@@ -162,28 +159,11 @@ class CodeSpec:
         return self.lattice.group
 
 
-@functools.cache
-def _corner_factors(twist: Cocycle, label, orientation: str) -> tuple:
-    """(west, east, north, south) factors of a plaquette for one label.
-
-    The twisted shift pair of every bulk and boundary term comes from
-    here, built once per (twist, label, orientation).
-    """
-    west = projective_x_tilde(twist, label)
-    east = projective_x(twist, label)
-    clock = clock_z(label)
-    north, south = canonical(clock.adjoint()), clock
-    if orientation == "reflected":
-        west, east = east, west
-        north, south = south, north
-    return west, east, north, south
-
-
 def _plaquette_sites(lat: Lattice2D, center: tuple[int, int]) -> list:
     """(site, corner positions) of the plaquette at `center`, in site order.
 
     Positions 0..3 index the (west, east, north, south) corners of
-    _corner_factors.  On a two-row torus north and south wrap onto the
+    corner_factors.  On a two-row torus north and south wrap onto the
     same site, which then holds both positions.
     """
     j, c = center
@@ -197,24 +177,31 @@ def _plaquette_sites(lat: Lattice2D, center: tuple[int, int]) -> list:
 def build_bulk_stabilizers(spec: CodeSpec) -> list[StabilizerTerm]:
     """One term per (plaquette, label), identity labels included.
 
-    Standard orientation: projective-conjugate shift west, projective
-    shift east, adjoint clock north, clock south.  Reflected swaps both
-    pairs; the two conventions generate the same stabilizer group.  The
-    sites and their order are found once per plaquette, and the factors
-    once per (twist, label, orientation).  Two corners on one site (the
-    two-row torus) multiply, south after north, and identity factors drop,
-    as in ProductOperator.from_factors.
+    The standard orientation places the corner_factors as they come;
+    reflected swaps west with east and north with south, and the two
+    conventions generate the same stabilizer group.  The corners are
+    looked up once per label of each family, and the sites and their order
+    once per plaquette.  Two corners on one site (the two-row torus)
+    multiply, south after north, and identity factors drop, as in
+    ProductOperator.from_factors.
     """
-    elements, characters = list(spec.group.elements()), list(spec.group.characters())
+    reflected = spec.orientation == "reflected"
+    by_parity = {}
+    for parity, family, twist, labels in (
+        (1, "group", spec.twist_even, spec.group.elements()),
+        (0, "dual", spec.twist_odd, spec.group.characters()),
+    ):
+        rows = []
+        for label in labels:
+            west, east, north, south = corner_factors(twist, label)
+            rows.append((label, (east, west, south, north) if reflected else (west, east, north, south)))
+        by_parity[parity] = family, rows
     modulus = spec.group.phase_modulus
     terms = []
     for center in spec.lattice.plaquette_centers():
-        group_family = center[0] % 2 == 1
-        family, labels = ("group", elements) if group_family else ("dual", characters)
-        twist = spec.twist_even if group_family else spec.twist_odd
+        family, rows = by_parity[center[0] % 2]
         placed = _plaquette_sites(spec.lattice, center)
-        for label in labels:
-            corners = _corner_factors(twist, label, spec.orientation)
+        for label, corners in rows:
             factors = []
             for site, positions in placed:
                 mono = corners[positions[0]]
@@ -232,11 +219,11 @@ def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
 
     The terms are the boundary-truncated character plaquettes, with the
     shift pair twisted by boundary_beta: west, east and the inner clock
-    are the standard corner factors of _corner_factors, the inner clock
-    being the north one at the bottom and the south one at the top.  When
-    subgroup_bottom H is given the bottom labels are restricted to the
-    characters trivial on H; the top, and a bottom without H, emit all
-    labels (the caller may filter afterwards).
+    are the corner_factors, the inner clock being the north one at the
+    bottom and the south one at the top.  When subgroup_bottom H is given
+    the bottom labels are restricted to the characters trivial on H; the
+    top, and a bottom without H, emit all labels (the caller may filter
+    afterwards).
     """
     lat = spec.lattice
     if lat.vertical != "open":
@@ -255,7 +242,7 @@ def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
     for k in range(lat.n):
         c = 2 * k + 1
         for chi in labels:
-            west, east, north, south = _corner_factors(spec.boundary_beta, chi, "standard")
+            west, east, north, south = corner_factors(spec.boundary_beta, chi)
             clock = north if which == "bottom" else south
             factors = [
                 (lat.wrap(row, c - 1), west), (lat.wrap(row, c + 1), east), ((inner, c), clock)

@@ -144,20 +144,11 @@ class MonomialOperator:
 
 
 # -- clock / shift constructors -------------------------------------------
-
-
-_CANONICAL: dict = {}
-
-
-def canonical(mono: MonomialOperator) -> MonomialOperator:
-    """The first MonomialOperator built equal to mono.
-
-    The constructors below and the plaquette corners return canonical
-    factors, so equal factors are one object and memo lookups on them
-    match by identity instead of calling __eq__.  The table keeps one
-    entry per distinct factor built this way, a few per group and cocycle.
-    """
-    return _CANONICAL.setdefault(mono, mono)
+#
+# _shift, clock_z and projective_x_tilde are memoized: each (label,
+# cocycle) builds its factor once, and later calls return that object, so
+# the dicts keyed on factors (overlap_exponents, _site_commutator) match
+# by identity.  clock_z(label.inverse()) is the adjoint of clock_z(label).
 
 
 def _site_kind(label: GroupElement | DualCharacter, shift: bool) -> SiteKind:
@@ -166,6 +157,7 @@ def _site_kind(label: GroupElement | DualCharacter, shift: bool) -> SiteKind:
     return SiteKind.EDGE_GROUP if on_edge else SiteKind.VERTEX_DUAL
 
 
+@functools.cache
 def _shift(label: GroupElement | DualCharacter, alpha: Cocycle | None = None) -> MonomialOperator:
     spec, exps = label.group, label.exps
     dim = spec.size
@@ -176,8 +168,7 @@ def _shift(label: GroupElement | DualCharacter, alpha: Cocycle | None = None) ->
         perm[idx] = spec.index_of(spec.add_exps(exps, h))
         if alpha is not None:
             phase[idx] = alpha.exponent(exps, h)
-    kind = _site_kind(label, shift=True)
-    return canonical(MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus, kind))
+    return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus, _site_kind(label, shift=True))
 
 
 def shift_x(label: GroupElement | DualCharacter) -> MonomialOperator:
@@ -185,12 +176,13 @@ def shift_x(label: GroupElement | DualCharacter) -> MonomialOperator:
     return _shift(label)
 
 
+@functools.cache
 def clock_z(label: GroupElement | DualCharacter) -> MonomialOperator:
     """Diagonal |h> -> label(h) |h>, with h of the other label type."""
     spec, exps = label.group, label.exps
     phase = tuple(spec.pair_exponent(exps, spec.exps_of(i)) for i in range(spec.size))
     kind = _site_kind(label, shift=False)
-    return canonical(MonomialOperator(spec.size, tuple(range(spec.size)), phase, spec.phase_modulus, kind))
+    return MonomialOperator(spec.size, tuple(range(spec.size)), phase, spec.phase_modulus, kind)
 
 
 def projective_x(alpha: Cocycle, label: GroupElement | DualCharacter) -> MonomialOperator:
@@ -200,6 +192,7 @@ def projective_x(alpha: Cocycle, label: GroupElement | DualCharacter) -> Monomia
     return _shift(label, alpha)
 
 
+@functools.cache
 def projective_x_tilde(alpha: Cocycle, label: GroupElement | DualCharacter) -> MonomialOperator:
     """Commuting right projective shift |h> -> conj(alpha)(h g^-1, g)|h g^-1>."""
     if alpha.group != label.group:
@@ -213,8 +206,19 @@ def projective_x_tilde(alpha: Cocycle, label: GroupElement | DualCharacter) -> M
         target = spec.add_exps(spec.exps_of(idx), neg)
         perm[idx] = spec.index_of(target)
         phase[idx] = -alpha.exponent(target, exps) % spec.phase_modulus
-    kind = _site_kind(label, shift=True)
-    return canonical(MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus, kind))
+    return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus, _site_kind(label, shift=True))
+
+
+def corner_factors(twist: Cocycle, label: GroupElement | DualCharacter) -> tuple:
+    """(west, east, north, south) factors of the plaquette of one label, standard orientation.
+
+    The library's one convention for the twisted shift pair: the conjugate
+    projective shift west, the projective shift east, the adjoint clock
+    north and the clock south.  Every plaquette and boundary term of
+    lattice, every Gauss law of a gauging map, and every dipole, confined
+    string and string order takes its factors from here.
+    """
+    return projective_x_tilde(twist, label), projective_x(twist, label), clock_z(label.inverse()), clock_z(label)
 
 
 # -- products over sites ----------------------------------------------------

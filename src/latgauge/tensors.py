@@ -86,7 +86,7 @@ def pull_through_identities(name: str, group: GroupSpec):
             (
                 "virtual clock pair compensated on the physical leg",
                 labels_clock,
-                lambda lab: [(1, clock_z(lab)), (2, clock_z(lab).adjoint()), (0, clock_z(lab).adjoint())],
+                lambda lab: [(1, clock_z(lab)), (2, clock_z(lab.inverse())), (0, clock_z(lab.inverse()))],
             ),
             (
                 "simultaneous virtual shifts",
@@ -100,7 +100,7 @@ def pull_through_identities(name: str, group: GroupSpec):
         (
             "physical clock conjugation",
             labels_shift,
-            lambda lab: [(2, clock_z(lab)), (3, clock_z(lab).adjoint())],
+            lambda lab: [(2, clock_z(lab)), (3, clock_z(lab.inverse()))],
         ),
         (
             "virtual shifts compensated by the input clock",
@@ -110,7 +110,7 @@ def pull_through_identities(name: str, group: GroupSpec):
         (
             "virtual clock pair",
             labels_clock,
-            lambda lab: [(0, clock_z(lab)), (1, clock_z(lab).adjoint())],
+            lambda lab: [(0, clock_z(lab)), (1, clock_z(lab.inverse()))],
         ),
     ]
 
@@ -137,13 +137,13 @@ def blocked_diamond_identities(m_name: str, group: GroupSpec):
                 (0, shift_x(lab)),
                 (1, shift_x(lab)),
                 (2, clock_z(lab)),
-                (3, clock_z(lab).adjoint()),
+                (3, clock_z(lab.inverse())),
             ],
         ),
         (
             "upper virtual clock pair",
             clock_labels,
-            lambda lab: [(0, clock_z(lab).adjoint()), (1, clock_z(lab))],
+            lambda lab: [(0, clock_z(lab.inverse())), (1, clock_z(lab))],
         ),
         (
             "lower virtual shift pair",

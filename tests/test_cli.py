@@ -1,10 +1,16 @@
 """Command line interface: configs, reports, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import latgauge
 from latgauge.cli import main, parse_group, parse_subgroup, parse_twist, validate_report
 from latgauge.excitations import StringSpec, string_operator, syndrome
 from latgauge.groups import GroupSpec
@@ -18,6 +24,33 @@ Z2_SHIFT = {"dim": 2, "perm": [1, 0], "phase": [0, 0], "modulus": 2}
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+# One command in a child interpreter: [exit code, seconds, tracemalloc peak
+# bytes, output] of the invocation.  The child's address space is capped
+# at 1 GiB, so a command that builds a huge state fails in the child
+# instead of taking the machine's memory.
+PROBE = """
+import json, sys, time, tracemalloc
+from click.testing import CliRunner
+from latgauge.cli import main
+tracemalloc.start()
+start = time.perf_counter()
+result = CliRunner().invoke(main, sys.argv[1:])
+print(json.dumps([result.exit_code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1], result.output]))
+"""
+
+
+def probe(args, timeout=60):
+    src = str(pathlib.Path(latgauge.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "GAUGE_MAX_DIM"}
+    env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *args], capture_output=True, text=True, timeout=timeout, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert proc.stdout, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def report_from(result):
@@ -505,6 +538,22 @@ class TestConfigErrors:
         assert result.exit_code == 2, result.output
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert errors == [f"Error: GAUGE_MAX_DIM must be a positive integer, not {value!r}"], result.output
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["boundary", "--group", "2", "--subgroup", "e", "--n", "40"], f"the chain would need {2**40} amplitudes"),
+            (["compose", "--group", "2", "--n", "40", "--layers", "1"], f"output would need {2**80} amplitudes"),
+        ],
+        ids=["boundary", "compose"],
+    )
+    def test_over_cap_width_refused_before_anything_is_built(self, args, error):
+        # The default cap, 2**24, against a 2**40-amplitude chain or input.
+        code, seconds, peak, output = probe(args)
+        errors = [line for line in output.splitlines() if line.startswith("Error:")]
+        assert (code, errors) == (2, [f"Error: {error}"]), output
+        assert seconds < 5
+        assert peak < 2**20
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_bad_max_dim_is_named(self, runner, value):

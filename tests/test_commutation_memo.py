@@ -1,17 +1,19 @@
-"""The memoized site commutator and plaquette corners against the slow path.
+"""The memoized site commutator and factor constructors against the slow path.
 
 `sitewise_commutation_phase` walks the shared sites of a pair and
 multiplies both orders on each, as `operators.commutation_phase` once did.
-The library's `commutation_phase`, one `overlap_exponents` pass over the
-pair, must give the same phase, the same None and the same errors, and
-the memoized site commutator's work must not grow with the lattice.
+One `overlap_exponents` pass per torus must give its phase for every
+overlapping pair, and the library's `commutation_phase`, one pass over a
+single pair, the same phase, the same None and the same errors.  The
+memoized site commutator's work must not grow with the lattice, and the
+plaquette corners must be built once per label.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from latgauge import lattice, operators
+from latgauge import operators
 from latgauge.groups import GroupMismatchError, GroupSpec, PhaseExponent, enumerate_cocycle_classes
 from latgauge.lattice import CodeSpec, Lattice2D, build_bulk_stabilizers, check_all_commute
 from latgauge.operators import (
@@ -20,6 +22,8 @@ from latgauge.operators import (
     SiteKind,
     clock_z,
     commutation_phase,
+    corner_factors,
+    overlap_exponents,
     shift_x,
 )
 from latgauge.suite import GROUPS, TORI, _twist_combinations
@@ -71,18 +75,25 @@ def _overlapping_pairs(ops):
 
 
 def _clear_caches():
-    operators._site_commutator.cache_clear()
-    lattice._corner_factors.cache_clear()
+    for memo in (operators._site_commutator, operators._shift, operators.clock_z, operators.projective_x_tilde):
+        memo.cache_clear()
 
 
 class TestAgainstSitewiseOracle:
     @pytest.mark.parametrize("spec", _suite_tori())
     def test_every_overlapping_pair(self, spec):
+        # One batched pass over the torus lists exactly the overlapping
+        # pairs a < b, each with the oracle's phase.
         ops = [t.op for t in build_bulk_stabilizers(spec)]
-        pairs = _overlapping_pairs(ops)
-        assert pairs
-        for a, b in pairs:
-            assert commutation_phase(ops[a], ops[b]) == sitewise_commutation_phase(ops[a], ops[b])
+        batched = {}
+        for a, b, k in overlap_exponents(ops):
+            batched.update(zip(zip(a.tolist(), b.tolist()), k.tolist()))
+        assert batched
+        assert sorted(batched) == [(a, b) for a, b in _overlapping_pairs(ops) if a < b]
+        for (a, b), k in batched.items():
+            assert (None if k < 0 else PhaseExponent(k, spec.group.phase_modulus)) == sitewise_commutation_phase(
+                ops[a], ops[b]
+            )
 
     @pytest.mark.parametrize("spec", _suite_tori())
     def test_one_shifted_phase_gives_the_same_violations(self, spec):
@@ -153,18 +164,21 @@ class TestWorkDoesNotGrowWithTheLattice:
 
     @pytest.mark.parametrize("spec", _suite_tori())
     def test_corner_factors_built_twice_per_group_element(self, spec):
+        # Once as an element and once as a character label, and looked up
+        # once per label of each family, not once per plaquette.
         _clear_caches()
-        terms = build_bulk_stabilizers(spec)
-        info = lattice._corner_factors.cache_info()
-        assert info.misses == 2 * spec.group.size
-        assert info.hits + info.misses == len(terms)
+        build_bulk_stabilizers(spec)
+        for memo in (operators.projective_x_tilde, operators._shift):
+            info = memo.cache_info()
+            assert info.misses == 2 * spec.group.size
+            assert info.hits == 0
 
     def test_element_and_character_labels_do_not_collide(self):
         _clear_caches()
         alpha = enumerate_cocycle_classes(Z22)[1]
         g, chi = Z22.element((1, 0)), Z22.character((1, 0))
-        edge = lattice._corner_factors(alpha, g, "standard")
-        vertex = lattice._corner_factors(alpha, chi, "standard")
-        assert lattice._corner_factors.cache_info().misses == 2
+        edge = corner_factors(alpha, g)
+        vertex = corner_factors(alpha, chi)
+        assert operators.projective_x_tilde.cache_info().misses == 2
         assert [f.kind for f in edge] == [SiteKind.EDGE_GROUP] * 2 + [SiteKind.VERTEX_DUAL] * 2
         assert [f.kind for f in vertex] == [SiteKind.VERTEX_DUAL] * 2 + [SiteKind.EDGE_GROUP] * 2

@@ -419,13 +419,19 @@ class TestCrossModule:
     def test_bulk_terms_are_the_stack_symmetries(self, group, even, odd, n, m):
         # Each bulk term of the open lattice is one stack symmetry: a
         # layer's three-body symmetry dressed by the next map's clock.
-        # Only the last layer's raw three-body symmetries are left over.
-        spec = CodeSpec(Lattice2D(group, n, m, "open"), twist_even=even, twist_odd=odd)
+        # Only the last layer's raw three-body symmetries are left over,
+        # and for even m they are the top boundary terms twisted by the
+        # odd-layer cocycle.
+        spec = CodeSpec(Lattice2D(group, n, m, "open"), twist_even=even, twist_odd=odd, boundary_beta=odd)
         names_of = {}
-        for name, op in gauging.stack_local_symmetry_ops(layer_stack(group, n, m, "periodic", even, odd)):
+        stack = gauging.stack_local_symmetry_ops(layer_stack(group, n, m, "periodic", even, odd))
+        for name, op in stack:
             names_of.setdefault(op, []).append(name)
         for term in build_bulk_stabilizers(spec):
             assert names_of.get(term.op), term.label
             names_of[term.op].pop(0)
         left = [name for names in names_of.values() for name in names]
         assert all(name.startswith(f"layer{m - 1}/") for name in left)
+        if m % 2 == 0:
+            last = {op for name, op in stack if name.startswith(f"layer{m - 1}/")}
+            assert last == {t.op for t in build_boundary_terms(spec, "top")}

@@ -189,3 +189,30 @@ def test_every_module_constant_is_read():
         if name not in loaded
     ]
     assert not unread, f"module constants nothing reads: {unread}"
+
+
+PROJECTIVE = {"projective_x", "projective_x_tilde"}
+
+
+def _projective_references(node: ast.AST, owner: str | None = None):
+    """(function, line) of every load of projective_x or projective_x_tilde; function None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _projective_references(child, child.name)
+            continue
+        name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+        if name in PROJECTIVE and isinstance(child.ctx, ast.Load):
+            yield owner, child.lineno
+        yield from _projective_references(child, owner)
+
+
+def test_only_the_corner_table_builds_projective_shifts():
+    # operators.corner_factors keeps the one convention for the twisted
+    # shift pair; every other function takes its pair from there.
+    stray = [
+        f"{path.name}:{line} {owner}"
+        for path in sorted(SRC.glob("*.py"))
+        for owner, line in _projective_references(ast.parse(path.read_text(encoding="utf-8")))
+        if (path.name, owner) != ("operators.py", "corner_factors")
+    ]
+    assert not stray, f"projective shifts built outside operators.corner_factors: {stray}"

@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from latgauge.lattice import CodeSpec, GeometryError, _corner_factors, _plaquette_sites, build_bulk_stabilizers
-from latgauge.operators import CapExceededError, MonomialOperator, StateVector
+from latgauge.lattice import CodeSpec, GeometryError, _plaquette_sites, build_bulk_stabilizers
+from latgauge.operators import CapExceededError, MonomialOperator, StateVector, corner_factors
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,7 +104,10 @@ def _plaquette_term_table(spec: CodeSpec):
 def _corner_map(spec: CodeSpec, center, label) -> dict:
     """Site -> corner factor of one plaquette term, identity factors kept."""
     twist = spec.twist_even if center[0] % 2 == 1 else spec.twist_odd
-    factors = _corner_factors(twist, label, spec.orientation)
+    west, east, north, south = corner_factors(twist, label)
+    if spec.orientation == "reflected":
+        west, east, north, south = east, west, south, north
+    factors = (west, east, north, south)
     corners: dict = {}
     for site, positions in _plaquette_sites(spec.lattice, center):
         for p in positions:
