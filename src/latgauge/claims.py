@@ -4,8 +4,9 @@ A claim takes one configuration and returns that configuration's checks,
 each built by `check`, sometimes after the data its caller reports.  A
 subcommand runs a claim on its one configuration; a suite criterion runs
 it over its configuration list.  The claim decides every skip: a check
-past one of its own size limits comes back `skipped` with the reason.  A
-cap set by the caller (GAUGE_MAX_DIM, --max-dim) raises CapExceededError.
+past one of its own size limits comes back `skipped` with the reason.  The
+amplitude cap, GAUGE_MAX_DIM, raises CapExceededError.  State checks
+compare with gauging.STATE_TOL.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 from .boundary import condensation_table, surviving_boundary_terms
 from .excitations import confinement_report
 from .gauging import (
-    CapExceededError,
+    STATE_TOL,
     build_gauging_map,
+    check_cap,
     compose_gauging,
-    dimension_cap,
     initial_state,
     verify_emergent_symmetry,
     verify_local_symmetry,
@@ -73,25 +74,21 @@ def ground_dimension(spec, dense_cap: int = DENSE_ORACLE_CAP) -> list[dict]:
     return [check(name, claim, dense == dim, normal_form=dim, dense=dense)]
 
 
-def stack_symmetries(layers, tol: float, cap: int | None = None):
+def stack_symmetries(layers):
     """(state, checks): the layers gauge their symmetric input at unit norm into a state
     that every stack symmetry fixes.
 
-    The cap of GaugingMap.apply is checked for every layer before the input is built.
+    The last layer's output, the largest, is checked against the cap before the input is built.
     """
-    size, sites, limit = layers[0].group.size, layers[0].n, dimension_cap(cap)
-    for layer in layers:
-        sites += len(layer.new_positions())
-        if size**sites > limit:
-            raise CapExceededError(f"output would need {size**sites} amplitudes")
+    check_cap(layers[0].group.size ** (layers[0].n + sum(len(x.new_positions()) for x in layers)), "output")
     norms: list[float] = []
-    state = compose_gauging(layers, initial_state(layers[0].group, layers[0]), cap=cap, norms_out=norms)
+    state = compose_gauging(layers, initial_state(layers[0].group, layers[0]), norms_out=norms)
     return state, [
         check(
             "layer_norms_unit", "symmetric inputs stay unit norm through every layer",
-            all(abs(x - 1) < tol for x in norms), norms=norms,
+            all(abs(x - 1) < STATE_TOL for x in norms), norms=norms,
         ),
-        _as_check(verify_local_symmetry(state, layers, tol=tol), "the composed state satisfies every stack symmetry"),
+        _as_check(verify_local_symmetry(state, layers), "the composed state satisfies every stack symmetry"),
     ]
 
 

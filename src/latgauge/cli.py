@@ -14,9 +14,10 @@ limits (see claims.py); the summary prints it as SKIP.  The report's
 `passed` is true when no check failed.  Exit codes: 0 no check failed, 1
 at least one check failed, 2 bad configuration.  Reports contain no
 timings or other nondeterministic fields, so identical configurations
-produce byte-identical output.  The amplitude cap (default 2**24) can be
-overridden with GAUGE_MAX_DIM or --max-dim; a value that is not a
-positive integer, or a cap too small for the requested checks, exits 2.
+produce byte-identical output.  GAUGE_MAX_DIM sets the amplitude cap
+(default 2**24); a value that is not a positive integer, or a cap too
+small for the requested checks, exits 2.  State checks compare with
+gauging.STATE_TOL, which `compose` reports as its `tol`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import claims
 from .boundary import build_fixed_point_state
 from .claims import SCHEMA_VERSION, check, envelope
 from .excitations import StringSpec, string_operator, syndrome
-from .gauging import CapExceededError, dimension_cap, layer_stack
+from .gauging import STATE_TOL, CapExceededError, check_cap, dimension_cap, layer_stack
 from .groups import Cocycle, GroupSpec, is_subgroup
 from .lattice import CodeSpec, Lattice2D, build_boundary_terms, build_bulk_stabilizers, logical_operators
 from .operators import ProductOperator
@@ -180,26 +181,19 @@ def main() -> None:
 @click.option("--bc", type=click.Choice(["periodic", "open"]), default="periodic", show_default=True)
 @click.option("--twist-even", default=None, help="cocycle for even layers, p12=1 or row-major")
 @click.option("--twist-odd", default=None, help="cocycle for odd layers")
-@click.option("--max-dim", type=click.IntRange(min=1), default=None, help="amplitude cap override")
-@click.option(
-    "--tol", type=click.FloatRange(min=0, min_open=True), default=1e-10, show_default=True,
-    help="state check tolerance",
-)
 @click.option("--out", default=None, help="report path (stdout when omitted)")
-def compose(group_text, num_layers, n, bc, twist_even, twist_odd, max_dim, tol, out):
+def compose(group_text, num_layers, n, bc, twist_even, twist_odd, out):
     """Compose gauging layers and verify all emergent identities."""
     group = parse_group(group_text)
     te = parse_twist(group, twist_even)
     to = parse_twist(group, twist_odd)
     if num_layers < 1:
         raise ConfigError("need at least one layer")
-    if not np.isfinite(tol):
-        raise ConfigError(f"--tol must be finite, got {tol}")
     check_env_cap()
     with building_config():
         layers = layer_stack(group, n, num_layers, bc, twist_even=te, twist_odd=to)
     try:
-        state, checks = claims.stack_symmetries(layers, tol, cap=max_dim)
+        state, checks = claims.stack_symmetries(layers)
         for layer in layers:
             checks += claims.emergent_symmetry(layer)
     except CapExceededError as exc:
@@ -211,7 +205,7 @@ def compose(group_text, num_layers, n, bc, twist_even, twist_odd, max_dim, tol, 
         "bc": bc,
         "twist_even": twist_even,
         "twist_odd": twist_odd,
-        "tol": tol,
+        "tol": STATE_TOL,
     }
     dimensions = {"amplitudes": int(state.amps.size), "sites": len(state.site_ids)}
     finish(envelope("compose", config, checks, dimensions=dimensions), out)
@@ -414,8 +408,10 @@ def boundary(group_text, subgroup, n, m, beta, out):
     if parse_twist(group, beta) is not None:
         raise ConfigError("a nontrivial --beta needs symmetry-protected fixed points, which are not built yet")
     check_env_cap()
-    if group.size**n > dimension_cap():
-        raise ConfigError(f"the chain would need {group.size**n} amplitudes")
+    try:
+        check_cap(group.size**n, "the chain")
+    except CapExceededError as exc:
+        raise ConfigError(str(exc))
     with building_config():
         chain = build_fixed_point_state(group, sub, n)
         spec = CodeSpec(Lattice2D(group, n, m, "open"))

@@ -50,12 +50,11 @@ from .operators import (
 )
 
 DEFAULT_DIM_CAP = 2**24
+STATE_TOL = 1e-10  # largest deviation from 1 a state check accepts in a norm or an overlap
 ZERO_DIM_TOL = 1e-12  # largest amplitude change a symmetric zero_dim_gauge input may show
 
 
-def dimension_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
+def dimension_cap() -> int:
     env = os.environ.get("GAUGE_MAX_DIM")
     if not env:
         return DEFAULT_DIM_CAP
@@ -63,6 +62,16 @@ def dimension_cap(override: int | None = None) -> int:
     if cap < 1:
         raise ValueError(f"GAUGE_MAX_DIM must be a positive integer, not {env!r}")
     return cap
+
+
+def check_cap(amplitudes: int, what: str) -> None:
+    """Raise CapExceededError when `what` would need more amplitudes than dimension_cap()."""
+    if amplitudes > dimension_cap():
+        try:
+            count = str(amplitudes)
+        except ValueError:  # past Python's int-to-str digit limit
+            count = f"at least 2**{amplitudes.bit_length() - 1}"
+        raise CapExceededError(f"{what} would need {count} amplitudes")
 
 
 @dataclass(frozen=True)
@@ -269,12 +278,10 @@ class GaugingMap:
         kernel *= float(self.group.size) ** (self.scale_power - self.layer.n)
         return kernel.reshape(self.in_dim, -1)
 
-    def apply(self, state: StateVector, cap: int | None = None) -> StateVector:
-        """The gauged state: one broadcast multiply of the state by the row kernel."""
+    def apply(self, state: StateVector) -> StateVector:
+        """The gauged state: one broadcast multiply of the state by the row kernel, within check_cap."""
         site_ids, kinds, dims = gauged_layout(state, self.layer)
-        new_dim = state.amps.size * (self.group.size ** len(self.new_sites))
-        if new_dim > dimension_cap(cap):
-            raise CapExceededError(f"output would need {new_dim} amplitudes")
+        check_cap(state.amps.size * self.group.size ** len(self.new_sites), "output")
         out = state.amps.reshape(-1, self.in_dim, 1) * self.row_kernel()
         return StateVector(site_ids, kinds, dims, out.reshape(-1))
 
@@ -348,17 +355,15 @@ def initial_state(group: GroupSpec, layer: LayerSpec) -> StateVector:
     return StateVector.product_state(layer.matter_sites(), [local] * layer.n)
 
 
-def compose_gauging(
-    layers, input_state: StateVector, cap: int | None = None, norms_out: list | None = None
-) -> StateVector:
-    """Apply the maps in order; input supported on the first layer's matter row."""
+def compose_gauging(layers, input_state: StateVector, norms_out: list | None = None) -> StateVector:
+    """Apply the maps in order to an input on the first matter row; norms_out collects the norms."""
     layers = list(layers)
     for prev, nxt in zip(layers, layers[1:]):
         if nxt.index != prev.index + 1:
             raise ValueError("layer indices must increase by one")
     state = input_state
     for layer in layers:
-        state = build_gauging_map(layer).apply(state, cap=cap)
+        state = build_gauging_map(layer).apply(state)
         if norms_out is not None:
             norms_out.append(state.norm())
     return state
@@ -417,27 +422,31 @@ def stack_local_symmetry_ops(layers) -> list[tuple[str, ProductOperator]]:
     return ops
 
 
-def verify_local_symmetry(state: StateVector, layers, tol: float = 1e-10) -> dict:
-    """Check the composed state is fixed by every stack symmetry.
+def overlaps(state: StateVector, ops) -> list[complex]:
+    """<psi|O|psi> / <psi|psi> of each operator in the list ops.
 
-    The overlap itself must be 1 (eigenvalue +1), not just its modulus,
-    so states excited into other eigenvalue sectors are caught.  The
-    overlaps <psi|O|psi> of all non-empty operators come from one
-    StateVector.expectations call, which sums over the state's support
-    only and allocates no full-size array; each is divided by the squared
-    norm, taken once, so no normalized copy of the state is made.
+    One StateVector.expectations call sums over the state's support only;
+    dividing by the squared norm makes no normalized copy.  The empty
+    operator's overlap is exactly 1, and no sum is taken for it.
     """
     norm_sq = float(np.vdot(state.amps, state.amps).real)
     if norm_sq == 0:
         raise ZeroDivisionError("cannot normalize the zero vector")
+    values = iter(state.expectations([op for op in ops if op.factors]))
+    return [next(values) / norm_sq if op.factors else 1 + 0j for op in ops]
+
+
+def verify_local_symmetry(state: StateVector, layers, tol: float = STATE_TOL) -> dict:
+    """Check the composed state is fixed by every stack symmetry, by overlaps().
+
+    The overlap itself must be 1 (eigenvalue +1), not just its modulus,
+    so states excited into other eigenvalue sectors are caught.
+    """
     named = stack_local_symmetry_ops(layers)
-    # The empty operator fixes every state, so its overlap is exactly 1
-    # and no sum is taken for it.
-    values = iter(state.expectations([op for _, op in named if op.factors]))
-    checks = []
-    for name, op in named:
-        overlap = next(values) / norm_sq if op.factors else 1 + 0j
-        checks.append({"op": name, "overlap": overlap, "passed": bool(abs(overlap - 1) < tol)})
+    checks = [
+        {"op": name, "overlap": overlap, "passed": bool(abs(overlap - 1) < tol)}
+        for (name, _), overlap in zip(named, overlaps(state, [op for _, op in named]))
+    ]
     return {
         "name": "local_symmetry",
         "passed": all(c["passed"] for c in checks),

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from latgauge import claims, suite
 from latgauge.cli import main, validate_report
+from latgauge.operators import StateVector
 
 
 def run(args):
@@ -108,3 +109,20 @@ def test_suite_counts_and_prints_its_skips():
     per_criterion = [len(c.get("skipped_over_cap", ())) for c in report["checks"]]
     assert report["skipped"] == sum(per_criterion) == result.output.count("[SKIP] ")
     assert per_criterion[2] == 2 and per_criterion[10] == 4
+
+
+def test_frustration_free_reads_every_overlap_on_the_support(monkeypatch):
+    # Criterion 4's bulk-term overlaps come from StateVector.expectations, as
+    # the stack symmetries' do: no dense apply, inner product or normalized copy.
+    calls = []
+    for method in ("apply", "inner", "normalized"):
+        original = getattr(StateVector, method)
+
+        def counted(self, *args, _name=method, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(StateVector, method, counted)
+    rep = suite.criterion_frustration_free()
+    assert calls == []
+    assert rep["passed"] and rep["checked"] == 237

@@ -170,7 +170,8 @@ class TestComposeCommand:
     def test_cap_is_config_error(self, runner):
         result = runner.invoke(
             main,
-            ["compose", "--group", "3", "--layers", "4", "--n", "3", "--max-dim", "1000"],
+            ["compose", "--group", "3", "--layers", "4", "--n", "3"],
+            env={"GAUGE_MAX_DIM": "1000"},
         )
         assert result.exit_code == 2
 
@@ -483,10 +484,6 @@ class TestConfigErrors:
             ["tn", "--group", "2", "--n", "1", "--mpo-layers"],
             ["tn", "--group", "2", "--n", "0"],
             ["tn", "--group", "2", "--n", "8", "--mpo-layers"],
-            ["compose", "--group", "2", "--tol", "-1"],
-            ["compose", "--group", "2", "--tol", "0"],
-            ["compose", "--group", "2", "--tol", "nan"],
-            ["compose", "--group", "2", "--tol", "inf"],
             ["confine", "--group", "2,2", "--twist-even", "p12=1", "--n", "1"],
             ["boundary", "--group", "2,2", "--subgroup", "all", "--n", "4", "--beta", "p12=1"],
             ["code", "--group", "2,2", "--beta", "p12=1"],
@@ -502,10 +499,6 @@ class TestConfigErrors:
             "tn-one-site",
             "tn-zero-sites-without-mpo",
             "tn-mpo-too-large",
-            "compose-negative-tol",
-            "compose-zero-tol",
-            "compose-nan-tol",
-            "compose-infinite-tol",
             "confine-one-site",
             "boundary-nontrivial-beta",
             "code-torus-beta",
@@ -527,11 +520,10 @@ class TestConfigErrors:
         "args",
         [
             ["compose", "--group", "2", "--layers", "2", "--n", "2"],
-            ["compose", "--group", "2", "--layers", "2", "--n", "2", "--max-dim", "4096"],
             ["suite"],
             ["tn", "--group", "2", "--mpo-layers"],
         ],
-        ids=["compose", "compose-max-dim", "suite", "tn"],
+        ids=["compose", "suite", "tn"],
     )
     def test_bad_env_cap_is_named(self, runner, args, value):
         result = runner.invoke(main, args, env={"GAUGE_MAX_DIM": value})
@@ -544,23 +536,33 @@ class TestConfigErrors:
         [
             (["boundary", "--group", "2", "--subgroup", "e", "--n", "40"], f"the chain would need {2**40} amplitudes"),
             (["compose", "--group", "2", "--n", "40", "--layers", "1"], f"output would need {2**80} amplitudes"),
+            # Counts past Python's 4300-digit int-to-str limit.
+            (
+                ["compose", "--group", "2", "--n", "10000", "--layers", "1"],
+                "output would need at least 2**20000 amplitudes",
+            ),
+            (
+                ["boundary", "--group", "2", "--subgroup", "e", "--n", "20000"],
+                "the chain would need at least 2**20000 amplitudes",
+            ),
         ],
-        ids=["boundary", "compose"],
+        ids=["boundary", "compose", "compose-past-str-limit", "boundary-past-str-limit"],
     )
     def test_over_cap_width_refused_before_anything_is_built(self, args, error):
-        # The default cap, 2**24, against a 2**40-amplitude chain or input.
+        # The default cap, 2**24, against a chain or input of 2**40 amplitudes or more.
         code, seconds, peak, output = probe(args)
         errors = [line for line in output.splitlines() if line.startswith("Error:")]
         assert (code, errors) == (2, [f"Error: {error}"]), output
         assert seconds < 5
         assert peak < 2**20
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_bad_max_dim_is_named(self, runner, value):
-        result = runner.invoke(main, ["compose", "--group", "2", "--max-dim", value])
+    @pytest.mark.parametrize("option, value", [("--tol", "1e-3"), ("--max-dim", "64")])
+    def test_removed_compose_options_are_unknown(self, runner, option, value):
+        # GAUGE_MAX_DIM is the only cap setting and gauging.STATE_TOL the only tolerance.
+        result = runner.invoke(main, ["compose", "--group", "2", option, value])
         assert result.exit_code == 2, result.output
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-        assert len(errors) == 1 and "--max-dim" in errors[0], result.output
+        assert len(errors) == 1 and errors[0].startswith("Error: No such option") and option in errors[0], result.output
 
     @pytest.mark.parametrize(
         "args, cap",

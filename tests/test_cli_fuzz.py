@@ -31,9 +31,9 @@ def opt(flag, values):
     return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
 
 
-def command(name, *parts):
-    """(args, files) with the parts' argument lists concatenated after the name."""
-    return st.tuples(*parts).map(lambda lists: ([name] + sum(lists, []), {}))
+def command(name, *parts, env=st.just({})):
+    """(args, files, env) with the parts' argument lists concatenated after the name."""
+    return st.tuples(env, *parts).map(lambda drawn: ([name] + sum(drawn[1:], []), {}, drawn[0]))
 
 
 COMPOSE = command(
@@ -44,9 +44,8 @@ COMPOSE = command(
     opt("--bc", st.sampled_from(["periodic", "open"])),
     opt("--twist-even", TWIST),
     opt("--twist-odd", TWIST),
-    opt("--tol", st.sampled_from([1e-10, 1e-3, 0.0, -1.0, math.nan, math.inf])),
     # A small amplitude cap keeps every stack cheap; larger ones exit 2.
-    st.sampled_from([65536, 64, 0]).map(lambda cap: ["--max-dim", str(cap)]),
+    env=st.sampled_from([65536, 64, 0]).map(lambda cap: {"GAUGE_MAX_DIM": str(cap)}),
 )
 CODE = command(
     "code",
@@ -88,7 +87,7 @@ SPEC = st.fixed_dictionaries(
     },
     optional={"twist_even": st.sampled_from(["p12=1", [1], [2]])},
 )
-CONFINE_SPEC = SPEC.map(lambda spec: (["confine", "--spec", "spec.json"], {"spec.json": spec}))
+CONFINE_SPEC = SPEC.map(lambda spec: (["confine", "--spec", "spec.json"], {"spec.json": spec}, {}))
 
 
 @st.composite
@@ -118,32 +117,33 @@ def anyons(draw):
     spec = draw(SPEC)
     factors = draw(st.lists(raw_factor(spec), min_size=1, max_size=2))
     files = {"spec.json": spec, "ops.json": [{"name": "raw", "factors": factors}]}
-    return ["anyons", "--spec", "spec.json", "--op-file", "ops.json"], files
+    return ["anyons", "--spec", "spec.json", "--op-file", "ops.json"], files, {}
 
 
 Z3_SPEC = {"group": [3], "n": 2, "m": 2}
 EDGE_SHIFT_Z2 = {"dim": 2, "perm": [1, 0], "phase": [0, 0], "modulus": 2}
 
 
-def run(args, files):
+def run(args, files, env):
     runner = CliRunner()
     with runner.isolated_filesystem():
         for name, content in files.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump(content, fh)
-        return runner.invoke(main, args)
+        return runner.invoke(main, args, env=env)
 
 
 @given(case=st.one_of(COMPOSE, CODE, BOUNDARY, TN, CONFINE_FLAGS, CONFINE_SPEC, anyons()))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@example(case=(["tn", "--group", "2", "--n", "8", "--mpo-layers"], {}))
+@example(case=(["tn", "--group", "2", "--n", "8", "--mpo-layers"], {}, {}))
 @example(
     case=(
         ["confine", "--spec", "spec.json"],
         {"spec.json": {"group": [2, 2], "n": 4, "m": 8, "bc": "tours", "twist_even": [1]}},
+        {},
     )
 )
-@example(case=(["compose", "--group", "2", "--tol", "-1"], {}))
+@example(case=(["compose", "--group", "2", "--tol", "-1"], {}, {}))
 @example(
     case=(
         ["anyons", "--spec", "spec.json", "--op-file", "ops.json"],
@@ -151,11 +151,12 @@ def run(args, files):
             "spec.json": Z3_SPEC,
             "ops.json": [{"factors": [{"site": [1, 1], "kind": "edge_group", "op": EDGE_SHIFT_Z2}]}],
         },
+        {},
     )
 )
 def test_cli_exit_codes(case):
-    args, files = case
-    result = run(args, files)
+    args, files, env = case
+    result = run(args, files, env)
     assert result.exit_code in (0, 1, 2), (args, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exception)
     assert "Traceback" not in result.output

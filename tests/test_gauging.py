@@ -94,10 +94,11 @@ class TestSingleMap:
         )
         assert np.array_equal(plain.amps, dressed.amps)
 
-    def test_dimension_cap_guard(self):
+    def test_dimension_cap_guard(self, monkeypatch):
         layer = LayerSpec(Z3, 0, 3, "periodic")
+        monkeypatch.setenv("GAUGE_MAX_DIM", "100")
         with pytest.raises(CapExceededError):
-            build_gauging_map(layer).apply(initial_state(Z3, layer), cap=100)
+            build_gauging_map(layer).apply(initial_state(Z3, layer))
 
 
 class TestInputsAreNotWritten:

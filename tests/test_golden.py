@@ -59,6 +59,14 @@ Five floats moved and nothing else, each norm toward 1: `norms[1]` and
 `compose_z3_layers3_n2_open.json` (0.9999999999999996 ->
 0.9999999999999999), and the `frustration_free` `worst_deviation` of the
 suite (6.259111737608056e-16 -> 6.277434907432094e-16).
+
+`suite.json` was regenerated once more when criterion 4 took its
+bulk-term overlaps from one StateVector.expectations sum over the state's
+support, divided by the squared norm, instead of an inner product with a
+dense apply on a normalized copy.  Only the `frustration_free`
+`worst_deviation` moved, from 6.277434907432094e-16 to
+3.149981718843476e-16; the other fourteen files, the compose reports'
+`"tol": 1e-10` (now read from gauging.STATE_TOL) among them, did not.
 """
 
 from pathlib import Path

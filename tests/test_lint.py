@@ -216,3 +216,32 @@ def test_only_the_corner_table_builds_projective_shifts():
         if (path.name, owner) != ("operators.py", "corner_factors")
     ]
     assert not stray, f"projective shifts built outside operators.corner_factors: {stray}"
+
+
+def _sources():
+    """(path, tree) of every module of the library, __init__.py included."""
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
+
+
+def test_state_tolerance_is_written_once():
+    # gauging.STATE_TOL is the one state tolerance; every state check reads it.
+    places = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-10
+    ]
+    assert len(places) == 1, f"the literal 1e-10 should occur once, found at {places}"
+
+
+def test_no_function_takes_a_cap():
+    # GAUGE_MAX_DIM, read by gauging.dimension_cap, is the one way to set the amplitude cap.
+    found = [
+        f"{path.name}:{node.lineno} {node.name}({arg.arg})"
+        for path, tree in _sources()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg in ("cap", "override", "max_dim")
+    ]
+    assert not found, f"cap parameters: {found}"
