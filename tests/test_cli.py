@@ -484,6 +484,11 @@ class TestConfigErrors:
             ["tn", "--group", "2", "--n", "1", "--mpo-layers"],
             ["tn", "--group", "2", "--n", "0"],
             ["tn", "--group", "2", "--n", "8", "--mpo-layers"],
+            # --tol is gone: any value is an unknown option.
+            ["compose", "--group", "2", "--tol", "-1"],
+            ["compose", "--group", "2", "--tol", "0"],
+            ["compose", "--group", "2", "--tol", "nan"],
+            ["compose", "--group", "2", "--tol", "inf"],
             ["confine", "--group", "2,2", "--twist-even", "p12=1", "--n", "1"],
             ["boundary", "--group", "2,2", "--subgroup", "all", "--n", "4", "--beta", "p12=1"],
             ["code", "--group", "2,2", "--beta", "p12=1"],
@@ -499,6 +504,10 @@ class TestConfigErrors:
             "tn-one-site",
             "tn-zero-sites-without-mpo",
             "tn-mpo-too-large",
+            "compose-negative-tol",
+            "compose-zero-tol",
+            "compose-nan-tol",
+            "compose-infinite-tol",
             "confine-one-site",
             "boundary-nontrivial-beta",
             "code-torus-beta",
@@ -520,10 +529,11 @@ class TestConfigErrors:
         "args",
         [
             ["compose", "--group", "2", "--layers", "2", "--n", "2"],
+            ["boundary", "--group", "2", "--subgroup", "e", "--n", "4"],
             ["suite"],
             ["tn", "--group", "2", "--mpo-layers"],
         ],
-        ids=["compose", "suite", "tn"],
+        ids=["compose", "boundary", "suite", "tn"],
     )
     def test_bad_env_cap_is_named(self, runner, args, value):
         result = runner.invoke(main, args, env={"GAUGE_MAX_DIM": value})
@@ -555,6 +565,14 @@ class TestConfigErrors:
         assert (code, errors) == (2, [f"Error: {error}"]), output
         assert seconds < 5
         assert peak < 2**20
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_max_dim_is_named(self, runner, value):
+        # The maximum dimension is set by GAUGE_MAX_DIM alone.
+        result = runner.invoke(main, ["compose", "--group", "2"], env={"GAUGE_MAX_DIM": value})
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "GAUGE_MAX_DIM" in errors[0], result.output
 
     @pytest.mark.parametrize("option, value", [("--tol", "1e-3"), ("--max-dim", "64")])
     def test_removed_compose_options_are_unknown(self, runner, option, value):
