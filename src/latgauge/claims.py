@@ -4,9 +4,9 @@ A claim takes one configuration and returns that configuration's checks,
 each built by `check`, sometimes after the data its caller reports.  A
 subcommand runs a claim on its one configuration; a suite criterion runs
 it over its configuration list.  The claim decides every skip: a check
-past one of its own size limits comes back `skipped` with the reason.  The
-amplitude cap, GAUGE_MAX_DIM, raises CapExceededError.  State checks
-compare with gauging.STATE_TOL.
+past the dense oracle's cap, or on an exact map past exact_skip, comes back
+`skipped` with the reason.  GAUGE_MAX_DIM is compared by gauging.check_cap
+alone, which raises CapExceededError.  State checks use gauging.STATE_TOL.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from __future__ import annotations
 from .boundary import condensation_table, surviving_boundary_terms
 from .excitations import confinement_report
 from .gauging import (
+    DEFAULT_DIM_CAP,
     STATE_TOL,
+    CapExceededError,
     build_gauging_map,
     check_cap,
     compose_gauging,
@@ -27,7 +29,6 @@ from .lattice import DENSE_ORACLE_CAP, check_all_commute, ground_space_dimension
 from .tensors import mpo_matches_map, pull_through_check
 
 SCHEMA_VERSION = 2
-EMERGENT_CAP = 2**22  # exact map cells up to which the emergent symmetry is checked
 
 
 def check(name: str, claim: str, outcome: bool | None, **detail) -> dict:
@@ -64,13 +65,13 @@ def commutation(terms, boundary_terms=()) -> list[dict]:
 
 
 def ground_dimension(spec, dense_cap: int = DENSE_ORACLE_CAP) -> list[dict]:
-    """The torus ground dimension by normal form (`normal_form`), against the dense oracle."""
+    """The torus ground dimension by normal form (`normal_form`), against the dense oracle up to dense_cap."""
     dim = ground_space_dimension(spec)
     name, claim = "ground_dimension_matches_dense", "normal form and dense oracle agree"
-    if spec.lattice.total_dim > dense_cap:
-        reason = f"{spec.lattice.total_dim} amplitudes exceed the dense oracle's {dense_cap}"
-        return [check(name, claim, None, normal_form=dim, dense=None, reason=reason)]
-    dense = ground_space_dimension_dense(spec, dim_cap=dense_cap)
+    try:
+        dense = ground_space_dimension_dense(spec, dim_cap=dense_cap)
+    except CapExceededError as exc:
+        return [check(name, claim, None, normal_form=dim, dense=None, reason=str(exc))]
     return [check(name, claim, dense == dim, normal_form=dim, dense=dense)]
 
 
@@ -78,9 +79,9 @@ def stack_symmetries(layers):
     """(state, checks): the layers gauge their symmetric input at unit norm into a state
     that every stack symmetry fixes.
 
-    The last layer's output, the largest, is checked against the cap before the input is built.
+    The last layer's output, the largest, is checked against the cap by site count before the input is built.
     """
-    check_cap(layers[0].group.size ** (layers[0].n + sum(len(x.new_positions()) for x in layers)), "output")
+    check_cap("output", layers[0].group.size, layers[0].n + sum(len(x.new_positions()) for x in layers))
     norms: list[float] = []
     state = compose_gauging(layers, initial_state(layers[0].group, layers[0]), norms_out=norms)
     return state, [
@@ -92,11 +93,17 @@ def stack_symmetries(layers):
     ]
 
 
+def exact_skip(layer) -> str | None:
+    """Why a claim skips the layer's exact map, over DEFAULT_DIM_CAP cells whatever GAUGE_MAX_DIM says; else None."""
+    if layer.exact_cells > DEFAULT_DIM_CAP:
+        return f"the exact map has {layer.exact_cells} cells, over {DEFAULT_DIM_CAP}"
+
+
 def emergent_symmetry(layer) -> list[dict]:
     """The dual symmetry on the layer's new row fixes its exact map."""
     name, claim = f"emergent_symmetry_layer{layer.index}", "the dual symmetry on the new row fixes the map"
-    if layer.exact_cells > EMERGENT_CAP:
-        return [check(name, claim, None, reason=f"the exact map has {layer.exact_cells} cells, over {EMERGENT_CAP}")]
+    if reason := exact_skip(layer):
+        return [check(name, claim, None, reason=reason)]
     return [_as_check(verify_emergent_symmetry(build_gauging_map(layer)), claim, name)]
 
 
@@ -152,6 +159,6 @@ def tensor_identities(group, layers=()) -> list[dict]:
     if layers:
         # A list, not a generator: every layer is checked, so a cap is
         # reported even after a failing layer.
-        ok = all([mpo_matches_map(build_gauging_map(layer)) for layer in layers])
+        ok = all([mpo_matches_map(layer) for layer in layers])
         checks.append(check("mpo_equals_dense", "MPO contraction equals the dense map up to a positive scalar", ok))
     return checks

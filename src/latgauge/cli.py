@@ -15,9 +15,9 @@ limits (see claims.py); the summary prints it as SKIP.  The report's
 at least one check failed, 2 bad configuration.  Reports contain no
 timings or other nondeterministic fields, so identical configurations
 produce byte-identical output.  GAUGE_MAX_DIM sets the amplitude cap
-(default 2**24); a value that is not a positive integer, or a cap too
-small for the requested checks, exits 2.  State checks compare with
-gauging.STATE_TOL, which `compose` reports as its `tol`.
+(default 2**24), which gauging.check_cap alone compares, in sites, before
+anything is built; a value that is not a positive integer, or a cap too
+small for the checks, exits 2.  `compose` reports STATE_TOL as `tol`.
 """
 
 from __future__ import annotations
@@ -351,7 +351,7 @@ def anyons(spec_path, op_path, out):
             op = _op_from_json(spec, data)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad operator entry {k}: {exc}")
-        syn = syndrome(spec, op, terms)
+        syn = syndrome(terms, op)
         tables.append({"name": data.get("name", f"op{k}"), **syn.as_json()})
     checks = [check("syndromes_computed", "every operator has a syndrome table", True, count=len(tables))]
     finish(envelope("anyons", {"spec": spec_path, "op_file": op_path}, checks, syndromes=tables), out)
@@ -409,7 +409,7 @@ def boundary(group_text, subgroup, n, m, beta, out):
         raise ConfigError("a nontrivial --beta needs symmetry-protected fixed points, which are not built yet")
     check_env_cap()
     try:
-        check_cap(group.size**n, "the chain")
+        check_cap("the chain", group.size, n)
     except CapExceededError as exc:
         raise ConfigError(str(exc))
     with building_config():

@@ -35,9 +35,6 @@ class SyndromeMap:
     def violated_centers(self) -> set:
         return {lab.center for lab in self.violated_terms()}
 
-    def all_clear(self) -> bool:
-        return not self.violated_terms()
-
     def as_json(self) -> dict:
         return {
             "violated_centers": sorted(self.violated_centers()),
@@ -49,15 +46,13 @@ class SyndromeMap:
         }
 
 
-def syndromes(spec: CodeSpec, ops, terms=None) -> list[SyndromeMap]:
-    """SyndromeMap of each op over the terms (the bulk terms by default), in term order.
+def syndromes(terms, ops) -> list[SyndromeMap]:
+    """SyndromeMap of each op over the terms, in term order.
 
     Every term starts at exponent 0; the terms that fail to commute with an
     op then take their phase from lattice.overlap_phases, one pass for all
     ops, which also checks the moduli.
     """
-    if terms is None:
-        terms = build_bulk_stabilizers(spec)
     ops = list(ops)
     maps = []
     for op, hits in zip(ops, overlap_phases(terms, ops)):
@@ -67,9 +62,9 @@ def syndromes(spec: CodeSpec, ops, terms=None) -> list[SyndromeMap]:
     return maps
 
 
-def syndrome(spec: CodeSpec, op: ProductOperator, terms=None) -> SyndromeMap:
-    """Phase of every term (the bulk terms by default) on op, in term order."""
-    return syndromes(spec, [op], terms)[0]
+def syndrome(terms, op: ProductOperator) -> SyndromeMap:
+    """Phase of every term on op, in term order."""
+    return syndromes(terms, [op])[0]
 
 
 @dataclass(frozen=True)
@@ -191,7 +186,7 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None) -> dict:
     # the syndrome relocates multiplicatively (exact homomorphism).
     bend_site = lat.wrap(row + 1, start + 1)
     bend = ProductOperator.from_factors([(bend_site, clock_z(g))], group.phase_modulus)
-    syns = syndromes(spec, strings + dipoles + [bend, dipoles[0].multiply(bend)], terms)
+    syns = syndromes(terms, strings + dipoles + [bend, dipoles[0].multiply(bend)])
     counts = [len(syn.violated_centers()) for syn in syns]
     string_counts = dict(zip(lengths, counts[: len(lengths)]))
     dipole_counts = dict(zip(lengths, counts[len(lengths) : 2 * len(lengths)]))

@@ -28,6 +28,7 @@ the new row, and K the row kernel, the map on the all-ones matter row.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -64,14 +65,20 @@ def dimension_cap() -> int:
     return cap
 
 
-def check_cap(amplitudes: int, what: str) -> None:
-    """Raise CapExceededError when `what` would need more amplitudes than dimension_cap()."""
-    if amplitudes > dimension_cap():
-        try:
-            count = str(amplitudes)
-        except ValueError:  # past Python's int-to-str digit limit
-            count = f"at least 2**{amplitudes.bit_length() - 1}"
-        raise CapExceededError(f"{what} would need {count} amplitudes")
+def check_cap(what: str, size: int, sites: int, times: int = 1) -> None:
+    """Raise CapExceededError when `what`, size**sites * times amplitudes, would pass dimension_cap().
+
+    A count whose lower bound 2**low has 2**16 bits or more passes any cap int() parses, so it is never formed.
+    """
+    low = sites * (size.bit_length() - 1) + times.bit_length() - 1  # 2**low <= size**sites * times
+    text = f"at least 2**{low}"
+    if low < 2**16:
+        count = size**sites * times
+        if count <= dimension_cap():
+            return
+        with contextlib.suppress(ValueError):  # past Python's int-to-str digit limit
+            text = str(count)
+    raise CapExceededError(f"{what} would need {text} amplitudes")
 
 
 @dataclass(frozen=True)
@@ -114,17 +121,17 @@ class LayerSpec:
     def new_kind(self) -> SiteKind:
         return SiteKind.EDGE_GROUP if self.parity == "even" else SiteKind.VERTEX_DUAL
 
-    def matter_positions(self) -> list[int]:
+    def matter_positions(self) -> range:
         # Periodic rows sit at the fixed residue class matching the row
         # parity; open rows shift left by one position per layer.
         base = (self.index % 2) if self.boundary == "periodic" else self.offset
-        return [base + 2 * k for k in range(self.n)]
+        return range(base, base + 2 * self.n, 2)
 
-    def new_positions(self) -> list[int]:
+    def new_positions(self) -> range:
         if self.boundary == "periodic":
             base = (self.index + 1) % 2
-            return [base + 2 * k for k in range(self.n)]
-        return [self.offset - 1 + 2 * k for k in range(self.n + 1)]
+            return range(base, base + 2 * self.n, 2)
+        return range(self.offset - 1, self.offset + 1 + 2 * self.n, 2)
 
     @property
     def scale_power(self) -> float:
@@ -132,9 +139,19 @@ class LayerSpec:
         return (self.n - 1) / 2 if self.boundary == "periodic" else self.n / 2
 
     @property
+    def exact_sites(self) -> int:
+        """Sites of the exact map's (out, in) index: the out sites, then the matter sites again."""
+        return 2 * self.n + len(self.new_positions())
+
+    @property
     def exact_cells(self) -> int:
-        """Dense (out, in) cells of the exact map times the phase modulus, the size its caps bound."""
-        return self.group.size ** (2 * self.n + len(self.new_positions())) * self.group.phase_modulus
+        """Dense (out, in) cells of the exact map times the phase modulus; only claims.exact_skip forms it."""
+        return self.group.size**self.exact_sites * self.group.phase_modulus
+
+    def check_exact_cap(self) -> None:
+        """check_cap on the exact tensor, one amplitude per cell and root of unity, by its exact_sites."""
+        what = f"the exact tensor of layer {self.index} ({self.boundary})"
+        check_cap(what, self.group.size, self.exact_sites, self.group.phase_modulus)
 
     def matter_sites(self) -> list[tuple]:
         return [((self.index, x2), self.matter_kind) for x2 in self.matter_positions()]
@@ -166,13 +183,9 @@ class GaugingMap:
         self.new_sites = layer.new_sites()
         self.out_sites = self.matter_sites + self.new_sites
         size = self.group.size
-        n = layer.n
-        self.scale_power = layer.scale_power
-        self.in_dim = size**n
+        self.in_dim = size**layer.n
         self.out_dim = size ** len(self.out_sites)
-        # exact_matrix's (out, in) index, split into one axis per out site
-        # and then one per matter site again for the columns.
-        self.exact_dims = (size,) * (len(self.out_sites) + n)
+        self.exact_dims = (size,) * layer.exact_sites  # exact_matrix's (out, in) index, one axis per site
         self._axis = {site: k for k, (site, _) in enumerate(self.out_sites)}
 
     # -- building blocks ---------------------------------------------------
@@ -275,13 +288,13 @@ class GaugingMap:
         kernel = np.empty(self.out_dim, dtype=complex)
         kernel.real = np.bincount(flat, weights=w.real[root], minlength=self.out_dim)
         kernel.imag = np.bincount(flat, weights=w.imag[root], minlength=self.out_dim)
-        kernel *= float(self.group.size) ** (self.scale_power - self.layer.n)
+        kernel *= float(self.group.size) ** (self.layer.scale_power - self.layer.n)
         return kernel.reshape(self.in_dim, -1)
 
     def apply(self, state: StateVector) -> StateVector:
         """The gauged state: one broadcast multiply of the state by the row kernel, within check_cap."""
         site_ids, kinds, dims = gauged_layout(state, self.layer)
-        check_cap(state.amps.size * self.group.size ** len(self.new_sites), "output")
+        check_cap("output", self.group.size, len(self.new_sites), state.amps.size)
         out = state.amps.reshape(-1, self.in_dim, 1) * self.row_kernel()
         return StateVector(site_ids, kinds, dims, out.reshape(-1))
 
@@ -293,8 +306,7 @@ class GaugingMap:
         positive normalization is not included, so identities should be
         checked projectively or on both sides.
         """
-        if self.layer.exact_cells > dimension_cap():
-            raise CapExceededError(f"exact tensor of layer {self.layer.index} ({self.layer.boundary}) is too large")
+        self.layer.check_exact_cap()
         flat, root = self._row_entries()
         column = flat // self.group.size ** len(self.new_sites)
         shape = (self.out_dim, self.in_dim)

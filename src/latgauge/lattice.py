@@ -468,7 +468,7 @@ def ground_space_dimension_dense(spec: CodeSpec, dim_cap: int = DENSE_ORACLE_CAP
     """Independent oracle: orbit count over the bulk terms, for any boundary."""
     lat = spec.lattice
     if lat.total_dim > dim_cap:
-        raise CapExceededError("dense oracle dimension cap exceeded")
+        raise CapExceededError(f"{lat.total_dim} amplitudes exceed the dense oracle's {dim_cap}")
     ops = [t.op for t in build_bulk_stabilizers(spec)]
     return orbit_eigenspace_dimension(ops, [s for s, _ in lat.sites()], spec.group)
 

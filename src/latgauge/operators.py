@@ -549,17 +549,6 @@ class StateVector:
             amps = np.kron(amps, np.asarray(v, dtype=complex))
         return cls(ids, kinds, dims, amps)
 
-    @classmethod
-    def basis_state(cls, sites, dims, index_tuple) -> "StateVector":
-        ids = tuple(s for s, _ in sites)
-        kinds = tuple(k for _, k in sites)
-        amps = np.zeros(int(np.prod(dims)), dtype=complex)
-        flat = 0
-        for i, d in zip(index_tuple, dims):
-            flat = flat * d + i
-        amps[flat] = 1.0
-        return cls(ids, kinds, tuple(dims), amps)
-
     def axis_of(self, site_id) -> int:
         return self.site_ids.index(site_id)
 

@@ -36,9 +36,9 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import PhaseTensor, contract, mono_mul_left
-from .gauging import GaugingMap, LayerSpec, dimension_cap, gauged_layout
+from .gauging import GaugingMap, LayerSpec, gauged_layout
 from .groups import GroupSpec
-from .operators import CapExceededError, StateVector, clock_z, shift_x
+from .operators import StateVector, clock_z, shift_x
 
 M_NAMES = ("M_tilde", "M_e", "M_o")
 T_NAMES = ("T_e", "T_o")
@@ -197,10 +197,8 @@ def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
     group = layer.group
     size, L, n = group.size, group.phase_modulus, layer.n
     open_bc = layer.boundary == "open"
+    layer.check_exact_cap()
     new_pos = layer.new_positions()
-    out_dim, in_dim = size ** (n + len(new_pos)), size**n
-    if layer.exact_cells > dimension_cap():
-        raise CapExceededError(f"exact MPO contraction of layer {layer.index} ({layer.boundary}) is too large")
     even = layer.parity == "even"
     m_tensor = build_tensor("M_e" if even else "M_o", group)  # (left, right, out, in)
     t_tensor = build_tensor("T_e" if even else "T_o", group).transpose((1, 2, 0))  # (left, right, out)
@@ -224,9 +222,8 @@ def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
         legs = axes + legs
     chain = contract(edge, chain, (0, 0)) if open_bc else chain.trace(0, len(chain.shape) - 1)
     chain = chain.transpose(np.argsort(legs))
-    return PhaseTensor.from_entries(
-        (out_dim, in_dim), L, chain.flat_indices, chain.roots, chain.mults, chain.scale
-    )
+    shape = (size ** (n + len(new_pos)), size**n)
+    return PhaseTensor.from_entries(shape, L, chain.flat_indices, chain.roots, chain.mults, chain.scale)
 
 
 def mpo_layers(group: GroupSpec, n: int) -> list[LayerSpec]:
@@ -241,9 +238,9 @@ def mpo_layers(group: GroupSpec, n: int) -> list[LayerSpec]:
     ]
 
 
-def mpo_matches_map(gmap: GaugingMap) -> bool:
-    """True when the layer's contracted MPO equals gmap.exact_matrix() up to a positive scalar."""
-    ratio = contract_mpo_layer(gmap.layer).proportional(gmap.exact_matrix())
+def mpo_matches_map(layer: LayerSpec) -> bool:
+    """True when the layer's contracted MPO, cap-checked first, equals its exact map up to a positive scalar."""
+    ratio = contract_mpo_layer(layer).proportional(GaugingMap(layer).exact_matrix())
     return ratio is not None and ratio > 0
 
 

@@ -14,7 +14,7 @@ import latgauge
 from latgauge.cli import main, parse_group, parse_subgroup, parse_twist, validate_report
 from latgauge.excitations import StringSpec, string_operator, syndrome
 from latgauge.groups import GroupSpec
-from latgauge.lattice import CodeSpec, Lattice2D
+from latgauge.lattice import CodeSpec, Lattice2D, build_bulk_stabilizers
 
 
 Z3_SHIFT = {"dim": 3, "perm": [1, 2, 0], "phase": [0, 0, 0], "modulus": 3}
@@ -268,7 +268,7 @@ class TestAnyonsCommand:
                 orientation=orientation,
             )
             op = string_operator(spec, StringSpec(((1, 1),), group.character((1,)), "Z"))
-            expected = json.loads(json.dumps(syndrome(spec, op).as_json()))
+            expected = json.loads(json.dumps(syndrome(build_bulk_stabilizers(spec), op).as_json()))
             assert table["violations"] == expected["violations"]
             at_center = {
                 v["phase"]
@@ -555,11 +555,33 @@ class TestConfigErrors:
                 ["boundary", "--group", "2", "--subgroup", "e", "--n", "20000"],
                 "the chain would need at least 2**20000 amplitudes",
             ),
+            # Widths whose counts are never formed: each is refused by its site count.
+            (
+                ["compose", "--group", "2", "--n", "100000000", "--layers", "1"],
+                "output would need at least 2**200000000 amplitudes",
+            ),
+            # 6**50000000 >= 4**50000000 = 2**100000000.
+            (
+                ["compose", "--group", "6", "--n", "10000000", "--layers", "4"],
+                "output would need at least 2**100000000 amplitudes",
+            ),
+            (
+                ["boundary", "--group", "6", "--subgroup", "e", "--n", "10000000"],
+                "the chain would need at least 2**20000000 amplitudes",
+            ),
+            # The exact tensor of a periodic layer: 2n + n sites times the phase modulus 6.
+            (
+                ["tn", "--group", "6", "--n", "3000000", "--mpo-layers"],
+                "the exact tensor of layer 0 (periodic) would need at least 2**18000002 amplitudes",
+            ),
         ],
-        ids=["boundary", "compose", "compose-past-str-limit", "boundary-past-str-limit"],
+        ids=[
+            "boundary", "compose", "compose-past-str-limit", "boundary-past-str-limit",
+            "compose-hundred-million-sites", "compose-z6-four-layers", "boundary-z6", "tn-z6-mpo-layers",
+        ],
     )
     def test_over_cap_width_refused_before_anything_is_built(self, args, error):
-        # The default cap, 2**24, against a chain or input of 2**40 amplitudes or more.
+        # The default cap, 2**24, against a chain, input or exact tensor of 2**40 amplitudes or more.
         code, seconds, peak, output = probe(args)
         errors = [line for line in output.splitlines() if line.startswith("Error:")]
         assert (code, errors) == (2, [f"Error: {error}"]), output
@@ -602,7 +624,8 @@ class TestConfigErrors:
         assert result.exit_code == 2, result.output
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert errors == [
-            "Error: exact tensor of layer 0 (periodic) is too large; the suite needs a larger GAUGE_MAX_DIM"
+            "Error: the exact tensor of layer 0 (periodic) would need 1048576 amplitudes;"
+            " the suite needs a larger GAUGE_MAX_DIM"
         ], result.output
 
 

@@ -124,7 +124,7 @@ class TestInputsAreNotWritten:
                 for term in terms[1:]:
                     acc = acc + term
                 ref = StateVector(ref.site_ids, ref.kinds, ref.dims, acc / group.size)
-            return ref.amps * group.size**gmap.scale_power
+            return ref.amps * group.size**gmap.layer.scale_power
 
         new_row = StateVector.product_state(gmap.new_sites, [np.eye(group.size)[0]] * len(gmap.new_sites))
         # The kernel sums each cell's roots directly, not through n
@@ -344,7 +344,7 @@ class TestCompose:
                 stacked = StateVector(stacked.site_ids, stacked.kinds, stacked.dims, acc / group.size)
             stacked = StateVector(
                 stacked.site_ids, stacked.kinds, stacked.dims,
-                stacked.amps * group.size**gmap.scale_power,
+                stacked.amps * group.size**gmap.layer.scale_power,
             )
         reordered = stacked.reordered(composed.site_ids)
         assert np.max(np.abs(reordered.amps - composed.amps)) < 1e-10

@@ -194,16 +194,16 @@ def test_every_module_constant_is_read():
 PROJECTIVE = {"projective_x", "projective_x_tilde"}
 
 
-def _projective_references(node: ast.AST, owner: str | None = None):
-    """(function, line) of every load of projective_x or projective_x_tilde; function None at module level."""
+def _references(node: ast.AST, names: set, owner: str | None = None):
+    """(function, line) of every load of one of `names`, by the innermost function around it; None at module level."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _projective_references(child, child.name)
+            yield from _references(child, names, child.name)
             continue
         name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
-        if name in PROJECTIVE and isinstance(child.ctx, ast.Load):
+        if name in names and isinstance(child.ctx, ast.Load):
             yield owner, child.lineno
-        yield from _projective_references(child, owner)
+        yield from _references(child, names, owner)
 
 
 def test_only_the_corner_table_builds_projective_shifts():
@@ -212,7 +212,7 @@ def test_only_the_corner_table_builds_projective_shifts():
     stray = [
         f"{path.name}:{line} {owner}"
         for path in sorted(SRC.glob("*.py"))
-        for owner, line in _projective_references(ast.parse(path.read_text(encoding="utf-8")))
+        for owner, line in _references(ast.parse(path.read_text(encoding="utf-8")), PROJECTIVE)
         if (path.name, owner) != ("operators.py", "corner_factors")
     ]
     assert not stray, f"projective shifts built outside operators.corner_factors: {stray}"
@@ -245,3 +245,14 @@ def test_no_function_takes_a_cap():
         if arg.arg in ("cap", "override", "max_dim")
     ]
     assert not found, f"cap parameters: {found}"
+
+
+def test_only_check_cap_reads_the_cap():
+    # gauging.check_cap is the one size guard; cli.check_env_cap only validates GAUGE_MAX_DIM.
+    stray = [
+        f"{path.name}:{line} {owner}"
+        for path, tree in _sources()
+        for owner, line in _references(tree, {"dimension_cap"})
+        if (path.name, owner) not in (("gauging.py", "check_cap"), ("cli.py", "check_env_cap"))
+    ]
+    assert not stray, f"dimension_cap read outside gauging.check_cap and cli.check_env_cap: {stray}"

@@ -385,7 +385,7 @@ class TestApply:
 
     def test_shift_moves_basis_state(self):
         sites = self.SITES[:1]
-        stv = StateVector.basis_state(sites, (3,), (0,))
+        stv = StateVector.product_state(sites, [np.eye(3)[0]])
         op = ProductOperator.from_factors([(("a", 0), shift_x(Z3.element((2,))))], 3)
         out = stv.apply(op)
         assert abs(out.amps[2] - 1) < 1e-15

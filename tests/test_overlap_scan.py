@@ -105,7 +105,7 @@ def _assert_scans_match(terms, ops):
     violating = 0
     for op in ops:
         expected = scan_oracle.syndrome_phases(terms, op)
-        got = syndrome(None, op, terms).phases
+        got = syndrome(terms, op).phases
         assert list(got) == list(expected)
         assert list(got.values()) == list(expected.values())
         assert first_violation(terms, op) == scan_oracle.first_violation(terms, op)
@@ -154,7 +154,7 @@ class TestAgainstFullScan:
             for _, mono in terms[k].op.factors[:1]
         ]
         _assert_scans_match(terms, ops)
-        phases = [syndrome(None, op, terms).phases[terms[k].label] for op in ops]
+        phases = [syndrome(terms, op).phases[terms[k].label] for op in ops]
         assert any(ph is None or not ph.is_one for ph in phases)
 
 
@@ -202,11 +202,11 @@ class TestRandomSubsets:
     def test_scans_match_the_full_scan(self, case):
         terms, ops = case
         assert check_all_commute(terms) == scan_oracle.check_all_commute(terms)
-        batch = syndromes(None, ops, terms)
+        batch = syndromes(terms, ops)
         for op, got in zip(ops, batch):
             expected = scan_oracle.syndrome_phases(terms, op)
             assert list(got.phases.items()) == list(expected.items())
-            assert syndrome(None, op, terms).phases == got.phases
+            assert syndrome(terms, op).phases == got.phases
             assert first_violation(terms, op) == scan_oracle.first_violation(terms, op)
 
 
@@ -251,14 +251,14 @@ class TestModulusMismatch:
         with pytest.raises(ValueError):
             first_violation(terms, far)
         with pytest.raises(ValueError):
-            syndrome(None, far, terms)
+            syndrome(terms, far)
 
     def test_overlapping_op_of_another_modulus_raises(self):
         terms, _, near = self._terms_and_ops()
         with pytest.raises(ValueError):
             first_violation(terms, near)
         with pytest.raises(ValueError):
-            syndrome(None, near, terms)
+            syndrome(terms, near)
 
 
 def _shares_site(a, b) -> bool:
@@ -340,8 +340,8 @@ class TestWorkIsOnePerOverlappingPair:
         passes = []
         original_syndromes = excitations.syndromes
 
-        def recording(spec_, ops, terms=None):
-            out = original_syndromes(spec_, ops, terms)
+        def recording(terms, ops):
+            out = original_syndromes(terms, ops)
             passes.append((ops, terms, len(calls)))
             return out
 
@@ -352,5 +352,5 @@ class TestWorkIsOnePerOverlappingPair:
         assert len(braids) == len(report["dipole_braiding_phases"])
         assert len(set(calls[:pass_calls])) == pass_calls
         assert set(calls[:pass_calls]) == self._distinct_factor_pairs([t.op for t in terms], ops, upper=False)
-        for op, got in zip(ops, original_syndromes(spec, ops, terms)):
+        for op, got in zip(ops, original_syndromes(terms, ops)):
             assert got.phases == scan_oracle.syndrome_phases(terms, op)
