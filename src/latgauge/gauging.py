@@ -52,7 +52,6 @@ from .operators import (
 
 DEFAULT_DIM_CAP = 2**24
 STATE_TOL = 1e-10  # largest deviation from 1 a state check accepts in a norm or an overlap
-ZERO_DIM_TOL = 1e-12  # largest amplitude change a symmetric zero_dim_gauge input may show
 
 
 def dimension_cap() -> int:
@@ -361,10 +360,11 @@ def layer_stack(
 
 
 def initial_state(group: GroupSpec, layer: LayerSpec) -> StateVector:
-    """Product input on the layer's matter row, every site at the identity label."""
-    local = np.zeros(group.size, dtype=complex)
-    local[0] = 1.0
-    return StateVector.product_state(layer.matter_sites(), [local] * layer.n)
+    """Product input on the layer's matter row, every site at the identity label: amplitude 1 at index 0."""
+    sites = layer.matter_sites()
+    amps = np.zeros(group.size**layer.n, dtype=complex)
+    amps[0] = 1.0
+    return StateVector(tuple(s for s, _ in sites), tuple(k for _, k in sites), (group.size,) * layer.n, amps)
 
 
 def compose_gauging(layers, input_state: StateVector, norms_out: list | None = None) -> StateVector:
@@ -471,11 +471,14 @@ def verify_local_symmetry(state: StateVector, layers, tol: float = STATE_TOL) ->
 
 
 def zero_dim_gauge(group: GroupSpec, psi: StateVector, n_pairs: int) -> StateVector:
-    """Iterated gauging of a single symmetric site.
+    """Iterated gauging of a single symmetric site, in closed form.
 
     Each round decouples a maximally entangled pair of group-labelled
-    sites around the matter site, giving n_pairs nested pairs
-    (1/sqrt(|G|)) sum_g |g^-1>|g>.  The input must be invariant under its
+    sites around the matter site, (1/sqrt(|G|)) sum_g |g^-1>|g>: round k
+    wraps the state as (left_k, earlier rounds, right_k) by one broadcast
+    of the |G|x|G| pair matrix.  The sites run left_n .. left_1, the
+    matter site, right_1 .. right_n, and the amplitudes are a fresh array
+    even for n_pairs = 0.  The input must be left exactly unchanged by its
     site symmetry: the diagonal representation on a vertex site, the
     shift representation on an edge site.
     """
@@ -489,26 +492,17 @@ def zero_dim_gauge(group: GroupSpec, psi: StateVector, n_pairs: int) -> StateVec
     for g in group.elements():
         mono = clock_z(g) if kind == SiteKind.VERTEX_DUAL else shift_x(g)
         op = ProductOperator.from_factors([(psi.site_ids[0], mono)], group.phase_modulus)
-        moved = psi.apply(op)
-        if np.max(np.abs(moved.amps - psi.amps)) > ZERO_DIM_TOL:
+        if not np.array_equal(psi.apply(op).amps, psi.amps):
             raise ValueError("input state is not symmetric under the site representation")
-    if n_pairs == 0:
-        return psi.copy()
     size = group.size
     pair = np.zeros((size, size), dtype=complex)
     for g in group.elements():
         pair[group.index_of(g.inverse().exps), group.index_of(g.exps)] = 1.0
-    pair = pair.reshape(-1) / math.sqrt(size)
-    state = psi.copy()
-    for k in range(1, n_pairs + 1):
-        pair_state = StateVector(
-            (("pair", k, "left"), ("pair", k, "right")),
-            (SiteKind.EDGE_GROUP, SiteKind.EDGE_GROUP),
-            (size, size),
-            pair.copy(),
-        )
-        state = state.tensor(pair_state)
-    order = [("pair", k, "left") for k in range(n_pairs, 0, -1)]
-    order.append(psi.site_ids[0])
-    order.extend(("pair", k, "right") for k in range(1, n_pairs + 1))
-    return state.reordered(order)
+    pair = pair / math.sqrt(size)
+    amps = psi.amps.copy()
+    for _ in range(n_pairs):
+        amps = (amps[None, :, None] * pair[:, None, :]).reshape(-1)
+    lefts = tuple(("pair", k, "left") for k in range(n_pairs, 0, -1))
+    rights = tuple(("pair", k, "right") for k in range(1, n_pairs + 1))
+    edges = (SiteKind.EDGE_GROUP,) * n_pairs
+    return StateVector(lefts + psi.site_ids + rights, edges + psi.kinds + edges, (size,) * (2 * n_pairs + 1), amps)

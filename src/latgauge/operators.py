@@ -35,8 +35,9 @@ factors of different kinds is refused, and so is applying a factor to a
 site of another kind.  ProductOperator tensors
 site-local monomials over named sites and is the workhorse for
 stabilizers, strings and logicals.  StateVector holds dense
-complex amplitudes; operator-level checks are exact, state-level checks
-use floating point with the tolerances fixed by the callers.
+complex amplitudes and applies product operators to them.  Operator-level
+checks are exact; state-level checks compare norms and overlaps within
+gauging.STATE_TOL.
 """
 
 from __future__ import annotations
@@ -140,7 +141,11 @@ class MonomialOperator:
 
     @classmethod
     def from_json(cls, data: dict) -> "MonomialOperator":
-        return cls(data["dim"], tuple(data["perm"]), tuple(data["phase"]), data["modulus"])
+        """The factor of a to_json dict; dim, modulus and each perm and phase entry must be ints, not bools."""
+        dim, perm, phase, modulus = data["dim"], tuple(data["perm"]), tuple(data["phase"]), data["modulus"]
+        if not all(type(v) is int for v in (dim, modulus, *perm, *phase)):
+            raise ValueError("dim, modulus, perm and phase entries must be integers")
+        return cls(dim, perm, phase, modulus)
 
 
 # -- clock / shift constructors -------------------------------------------
@@ -534,26 +539,8 @@ class StateVector:
         if self.amps.shape != (expected,):
             raise ValueError("amplitude array does not match site dimensions")
 
-    @classmethod
-    def product_state(cls, sites, locals_) -> "StateVector":
-        """Tensor product of per-site local vectors.
-
-        sites is a sequence of (site_id, kind); locals_ a matching sequence
-        of 1d complex arrays.
-        """
-        ids = tuple(s for s, _ in sites)
-        kinds = tuple(k for _, k in sites)
-        dims = tuple(len(v) for v in locals_)
-        amps = np.ones(1, dtype=complex)
-        for v in locals_:
-            amps = np.kron(amps, np.asarray(v, dtype=complex))
-        return cls(ids, kinds, dims, amps)
-
     def axis_of(self, site_id) -> int:
         return self.site_ids.index(site_id)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.site_ids, self.kinds, self.dims, self.amps.copy())
 
     def apply(self, op: ProductOperator) -> "StateVector":
         """Apply a product operator; permutation plus phase per site.
@@ -614,51 +601,8 @@ class StateVector:
                 totals[k] += complex(np.vdot(self.amps[y], roots[sum(phases) % roots.size] * psi))
         return totals
 
-    def tensor(self, other: "StateVector") -> "StateVector":
-        return StateVector(
-            self.site_ids + other.site_ids,
-            self.kinds + other.kinds,
-            self.dims + other.dims,
-            np.kron(self.amps, other.amps),
-        )
-
-    def reordered(self, new_site_order) -> "StateVector":
-        """Same state with sites permuted into the given id order."""
-        order = [self.axis_of(s) for s in new_site_order]
-        if sorted(order) != list(range(len(self.site_ids))):
-            raise ValueError("new order must mention every site exactly once")
-        amps = self.amps.reshape(self.dims).transpose(order).reshape(-1)
-        return StateVector(
-            tuple(self.site_ids[a] for a in order),
-            tuple(self.kinds[a] for a in order),
-            tuple(self.dims[a] for a in order),
-            np.ascontiguousarray(amps),
-        )
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("cannot normalize the zero vector")
-        return StateVector(self.site_ids, self.kinds, self.dims, self.amps / n)
-
-    def inner(self, other: "StateVector") -> complex:
-        if self.site_ids != other.site_ids:
-            raise ValueError("states live on different site lists")
-        return complex(np.vdot(self.amps, other.amps))
-
-    def entanglement_entropy(self, cut: int) -> float:
-        """Von Neumann entropy (natural log) across sites[:cut] | sites[cut:]."""
-        left = int(np.prod(self.dims[:cut])) if cut else 1
-        right = int(np.prod(self.dims[cut:])) if cut < len(self.dims) else 1
-        mat = self.amps.reshape(left, right)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        p = sv ** 2
-        p = p[p > 1e-15]
-        p = p / p.sum()
-        return float(-(p * np.log(p)).sum())
 
 
 # -- fusion of diagonal flux operators (general finite groups) --------------

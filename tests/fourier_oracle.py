@@ -52,4 +52,4 @@ def fixed_point_amps(group, subgroup, n: int) -> np.ndarray:
 
 def string_order(state, op) -> complex:
     """<psi|O psi> of a dense float state."""
-    return state.inner(state.apply(op))
+    return complex(np.vdot(state.amps, state.apply(op).amps))

@@ -286,8 +286,14 @@ class TestAnyonsCommand:
             ({"site": [9, 9], "kind": "edge_group", "op": Z3_SHIFT}, 2),
             ({"site": [1, 1], "kind": "vertex_dual", "op": Z3_SHIFT}, 2),
             ({"site": 7, "kind": "edge_group", "op": Z3_SHIFT}, 2),
+            ({"site": [1, 1], "kind": "edge_group", "op": {**Z3_SHIFT, "perm": [1.0, 2.0, 0.0]}}, 2),
+            ({"site": [1, 1], "kind": "edge_group", "op": {**Z3_SHIFT, "phase": [0.5, 0, 0]}}, 2),
+            ({"site": [1, 1], "kind": "edge_group", "op": {**Z3_SHIFT, "modulus": 3.0}}, 2),
         ],
-        ids=["valid", "dim", "modulus", "off-lattice", "wrong-kind", "not-a-site"],
+        ids=[
+            "valid", "dim", "modulus", "off-lattice", "wrong-kind", "not-a-site",
+            "float-perm", "fractional-phase", "float-modulus",
+        ],
     )
     def test_raw_factors_are_checked_against_the_spec(self, runner, tmp_path, factor, exit_code):
         spec_path = tmp_path / "code.json"
@@ -299,6 +305,8 @@ class TestAnyonsCommand:
         )
         assert result.exit_code == exit_code, result.output
         assert "Traceback" not in result.output
+        if exit_code == 2:
+            assert result.output.count("Error:") == 1 and "Error: bad operator entry 0:" in result.output
 
     @pytest.mark.parametrize(
         "family, exit_code", [(None, 0), ("group", 0), ("dual", 0), ("bogus", 2), (1, 2)]

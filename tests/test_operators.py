@@ -254,6 +254,16 @@ class TestMonomialAlgebra:
             tracemalloc.stop()
         assert peak < 2**16
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", 2.0), ("modulus", True), ("perm", [1.0, 0]), ("perm", [True, False]), ("phase", [0, 0.5])],
+        ids=["float-dim", "bool-modulus", "float-perm", "bool-perm", "fractional-phase"],
+    )
+    def test_from_json_takes_integers_only(self, field, value):
+        data = {"dim": 2, "perm": [1, 0], "phase": [0, 1], "modulus": 2, field: value}
+        with pytest.raises(ValueError, match="must be integers"):
+            MonomialOperator.from_json(data)
+
     def test_json_roundtrip(self):
         m = clock_z(Z23.character((1, 2)))
         back = MonomialOperator.from_json(m.to_json())
@@ -384,8 +394,7 @@ class TestApply:
         assert np.array_equal(out.amps, st_.amps)
 
     def test_shift_moves_basis_state(self):
-        sites = self.SITES[:1]
-        stv = StateVector.product_state(sites, [np.eye(3)[0]])
+        stv = StateVector((("a", 0),), (SiteKind.EDGE_GROUP,), (3,), np.eye(3)[0])
         op = ProductOperator.from_factors([(("a", 0), shift_x(Z3.element((2,))))], 3)
         out = stv.apply(op)
         assert abs(out.amps[2] - 1) < 1e-15
@@ -528,7 +537,8 @@ def sparse_state(sites, dims, seed):
     """A normalized random state with about two thirds of its amplitudes zero."""
     stv = random_state(sites, dims, seed)
     stv.amps[np.random.default_rng(seed + 1).random(stv.amps.size) < 2 / 3] = 0
-    return stv.normalized()
+    stv.amps /= np.linalg.norm(stv.amps)
+    return stv
 
 
 def apply_cases():
@@ -539,7 +549,9 @@ def apply_cases():
     ]
     cases += [(random_state(TWISTED_SITES, (4, 4, 4), 20 + k), op) for k, op in enumerate(twisted_ops())]
     cases.append((random_state(MIXED_SITES, MIXED_DIMS, 30), ProductOperator.identity_op(6)))
-    cases.append((random_state(TILED_SITES, TILED_DIMS, 40).normalized(), mixed_op(MIXED_CHOICES[0])))
+    tiled = random_state(TILED_SITES, TILED_DIMS, 40)
+    tiled.amps /= np.linalg.norm(tiled.amps)
+    cases.append((tiled, mixed_op(MIXED_CHOICES[0])))
     cases.append((sparse_state(MIXED_SITES, MIXED_DIMS, 42), mixed_op(MIXED_CHOICES[6])))
     return cases
 
@@ -555,7 +567,7 @@ class TestSliceWiseApply:
         # Mixed dimensions, reversal perms and twisted shifts, on dense states.
         stv, op = apply_cases()[case]
         (value,) = stv.expectations([op])
-        assert abs(value - stv.inner(stv.apply(op))) < 1e-12
+        assert abs(value - np.vdot(stv.amps, stv.apply(op).amps)) < 1e-12
 
     @pytest.mark.parametrize("case", range(len(apply_cases())))
     def test_flatten_matches_the_dense_product(self, case):
