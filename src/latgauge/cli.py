@@ -15,9 +15,9 @@ limits (see claims.py); the summary prints it as SKIP.  The report's
 at least one check failed, 2 bad configuration.  Reports contain no
 timings or other nondeterministic fields, so identical configurations
 produce byte-identical output.  GAUGE_MAX_DIM sets the amplitude cap
-(default 2**24), which gauging.check_cap alone compares, in sites, before
-anything is built; a value that is not a positive integer, or a cap too
-small for the checks, exits 2.  `compose` reports STATE_TOL as `tol`.
+(default 2**24), which gauging.check_cap alone compares, in sites or term
+factors, before anything is built; a value that is not a positive integer,
+or a cap too small for the checks, exits 2.  STATE_TOL is `compose`'s `tol`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class ConfigError(click.ClickException):
 
 @contextlib.contextmanager
 def building_config():
-    """Report a ValueError raised while building specs or inputs as a bad configuration.
+    """Report a ValueError or CapExceededError raised while building specs or inputs as a bad configuration.
 
     Wrap only construction, never the checks: a check that raises must
     not be mistaken for a bad configuration.  GeometryError is a
@@ -56,7 +56,7 @@ def building_config():
     """
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, CapExceededError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -276,11 +276,18 @@ def _code_spec(group, n, m, bc, twist_even, twist_odd, beta, subgroup, orientati
         raise ValueError("beta and subgroup set the cylinder's bottom boundary; a torus has none")
     twists = [parse_twist(group, text) for text in (twist_even, twist_odd, beta)]
     sub = parse_subgroup(group, subgroup)
-    lattice = Lattice2D(group, n, m, "periodic" if bc == "torus" else "open")
+    lattice = _lattice(group, n, m, "periodic" if bc == "torus" else "open")
     return CodeSpec(lattice, *twists, subgroup_bottom=sub, orientation=orientation)
 
 
+def _lattice(group, n, m, vertical) -> Lattice2D:
+    """Lattice2D once check_cap allows its terms' factors: n*m plaquettes, |G| labels, up to 4 factors each."""
+    check_cap("the stabilizer terms, one amplitude per factor,", group.size, 1, 4 * n * m)
+    return Lattice2D(group, n, m, vertical)
+
+
 def _load_code_spec(path: str) -> CodeSpec:
+    check_env_cap()
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -301,7 +308,7 @@ def _load_code_spec(path: str) -> CodeSpec:
             text_of("twist_even"), text_of("twist_odd"), text_of("beta"), subgroup,
             data.get("orientation", "standard"),
         )
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, CapExceededError) as exc:
         raise ConfigError(f"bad code spec {path!r}: {exc}")
 
 
@@ -309,12 +316,14 @@ def _op_from_json(spec: CodeSpec, data: dict) -> ProductOperator:
     group = spec.group
     if "string" in data:
         s = data["string"]
-        label_exps = tuple(int(x) for x in s["label"])
+        label_exps, path = tuple(s["label"]), tuple(tuple(p) for p in s["path"])
+        if not all(type(v) is int for v in (*label_exps, *(x for p in path for x in p))):
+            raise ValueError("label and path entries must be integers")
         family = s.get("family", "group")
         if family not in ("group", "dual"):
             raise ValueError(f"string family must be 'group' or 'dual', not {family!r}")
         label = group.element(label_exps) if family == "group" else group.character(label_exps)
-        sspec = StringSpec(tuple(tuple(p) for p in s["path"]), label, s["flavor"])
+        sspec = StringSpec(path, label, s["flavor"])
         return string_operator(spec, sspec)
     pairs = [ProductOperator.factor_from_json(item) for item in data["factors"]]
     sites = dict(spec.lattice.sites())
@@ -376,7 +385,7 @@ def confine(group_text, twist_even, spec_path, n, m, element, out):
         if alpha is None:
             raise ConfigError("confinement needs a nontrivial even-layer twist")
         with building_config():
-            spec = CodeSpec(Lattice2D(group, n, m, "periodic"), twist_even=alpha)
+            spec = CodeSpec(_lattice(group, n, m, "periodic"), twist_even=alpha)
     g = None
     if element is not None:
         try:
@@ -405,14 +414,10 @@ def boundary(group_text, subgroup, n, m, beta, out):
     sub = parse_subgroup(group, subgroup)
     if parse_twist(group, beta) is not None:
         raise ConfigError("a nontrivial --beta needs symmetry-protected fixed points, which are not built yet")
-    check_env_cap()
-    try:
-        check_cap("the chain", group.size, n)
-    except CapExceededError as exc:
-        raise ConfigError(str(exc))
     with building_config():
+        check_cap("the chain", group.size, n)
         chain = build_fixed_point_state(group, sub, n)
-        spec = CodeSpec(Lattice2D(group, n, m, "open"))
+        spec = CodeSpec(_lattice(group, n, m, "open"))
     table, checks = claims.boundary_condensation(spec, chain, sub)
     report = envelope(
         "boundary",

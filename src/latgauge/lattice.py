@@ -434,32 +434,40 @@ def orbit_eigenspace_dimension(ops, sites, group: GroupSpec) -> int:
     to scale on each orbit of the perms: give the orbit's least state the
     exponent theta = 0 and follow forward edges (every perm has finite
     order), and the orbit holds one when every edge of every op agrees,
-    theta[perm[x]] = theta[x] + phase[x] mod L.  It never forms the group
-    the ops generate, so it checks joint_eigenspace_dimension independently.
+    theta[perm[x]] = theta[x] + phase[x] mod L.  Only ops that move states
+    make orbits and edges; a diagonal op breaks each orbit where its phase
+    is nonzero mod L.  It never forms the group the ops generate, so it
+    checks joint_eigenspace_dimension independently.
     """
     L = group.phase_modulus
-    flat = [flatten_product_operator(sites, (group.size,) * len(sites), op) for op in ops]
-    root = np.arange(group.size ** len(sites))
+    total = group.size ** len(sites)
+    root = index = np.arange(total, dtype=np.min_scalar_type(total - 1))
+    moving, broken = [], np.zeros(total, dtype=bool)
+    for op in ops:
+        perm, phase = flatten_product_operator(sites, (group.size,) * len(sites), op)
+        if np.array_equal(perm, index):
+            broken |= phase % L != 0
+        else:
+            moving.append((perm, phase))
     while True:
         new = root
-        for perm, _ in flat:
+        for perm, _ in moving:
             new = np.minimum(new, new[perm])
         new = new[new]
         if np.array_equal(new, root):
             break
         root = new
-    is_root = root == np.arange(root.size)
-    theta = np.where(is_root, 0, -1)
+    is_root = root == index
+    theta = np.where(is_root, 0, -1).astype(np.min_scalar_type(-L))
     frontier = np.flatnonzero(is_root)
     while frontier.size:
-        reached = np.zeros(root.size, dtype=bool)
-        for perm, phase in flat:
+        reached = np.zeros(total, dtype=bool)
+        for perm, phase in moving:
             src = frontier[theta[perm[frontier]] < 0]
             theta[perm[src]] = (theta[src] + phase[src]) % L
             reached[perm[src]] = True
         frontier = np.flatnonzero(reached)
-    broken = np.zeros(root.size, dtype=bool)
-    for perm, phase in flat:
+    for perm, phase in moving:
         broken |= theta[perm] != (theta + phase) % L
     return int(np.count_nonzero(is_root)) - np.unique(root[broken]).size
 

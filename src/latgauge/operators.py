@@ -498,20 +498,22 @@ def flatten_product_operator(site_ids, dims, op: ProductOperator):
     """(perm, phase) arrays with op|x> = w**phase[x] |perm[x]> on the full space.
 
     Basis states x are numbered row major in site order, as in StateVector.
-    flat_action runs on tiles of SUPPORT_TILE indices, each walked from a
-    fresh int64 arange, so the only full-size arrays are the two returned:
-    perm takes the smallest unsigned dtype that holds the last index, and
-    phase the smallest that holds op.modulus - 1.
+    No index is split into digits: from the last axis to the first, the
+    axis's tables perm[d] * (suffix size) and phase[d] mod op.modulus are
+    broadcast onto the suffix built so far, which perm indexes without
+    wrapping.  perm takes the smallest unsigned dtype that holds the last
+    index; phase is summed in one that holds (factors + 1) * op.modulus,
+    then reduced into the smallest that holds op.modulus - 1.
     """
-    factors = [(site_ids.index(site), mono) for site, mono in op.factors]
-    total = int(np.prod(dims))
-    perm = np.empty(total, dtype=np.min_scalar_type(total - 1))
-    phase = np.empty(total, dtype=np.min_scalar_type(op.modulus - 1))
-    for start in range(0, total, SUPPORT_TILE):
-        x = np.arange(start, min(start + SUPPORT_TILE, total), dtype=np.int64)
-        perm[x], phases = flat_action(dims, factors, x)
-        phase[x] = sum(phases) % op.modulus
-    return perm, phase
+    placed = {site_ids.index(site): mono for site, mono in op.factors}
+    perm = np.zeros(1, dtype=np.min_scalar_type(math.prod(dims) - 1))
+    phase = np.zeros(1, dtype=np.min_scalar_type((len(placed) + 1) * op.modulus))
+    for axis in reversed(range(len(dims))):
+        mono = placed.get(axis)
+        digits, shift = (mono.perm, mono.phase) if mono else (range(dims[axis]), [0] * dims[axis])
+        perm = ((np.array(digits) * perm.size).astype(perm.dtype)[:, None] + perm).ravel()
+        phase = ((np.array(shift) % op.modulus).astype(phase.dtype)[:, None] + phase).ravel()
+    return perm, (phase % op.modulus).astype(np.min_scalar_type(op.modulus - 1), copy=False)
 
 
 # -- dense states ------------------------------------------------------------

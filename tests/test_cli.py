@@ -328,6 +328,38 @@ class TestAnyonsCommand:
         assert result.exit_code == exit_code, result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "label, path, exit_code",
+        [
+            ([1], [[1, 1]], 0),
+            ([1.5], [[1, 1]], 2),
+            ([1.0], [[1, 1]], 2),
+            (["1"], [[1, 1]], 2),
+            ([True], [[1, 1]], 2),
+            ([1], [[1.0, 1]], 2),
+            ([1], [[1, True]], 2),
+            ([1], [["1", 1]], 2),
+        ],
+        ids=[
+            "valid", "fractional-label", "float-label", "string-label", "bool-label",
+            "float-path", "bool-path", "string-path",
+        ],
+    )
+    def test_string_label_and_path_take_integers_only(self, runner, tmp_path, label, path, exit_code):
+        # As for raw factors: a label or path entry that is not an int is
+        # refused, not rounded or read as the integer it spells.
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(json.dumps({"group": [3], "n": 3, "m": 4}))
+        ops_path = tmp_path / "ops.json"
+        ops_path.write_text(json.dumps([{"name": "s", "string": {"path": path, "label": label, "flavor": "X"}}]))
+        result = runner.invoke(
+            main, ["anyons", "--spec", str(spec_path), "--op-file", str(ops_path)]
+        )
+        assert result.exit_code == exit_code, result.output
+        if exit_code == 2:
+            errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+            assert len(errors) == 1 and errors[0].startswith("Error: bad operator entry 0:"), result.output
+
     @pytest.mark.parametrize("bc, exit_code", [("torus", 0), ("cylinder", 0), ("tours", 2)])
     def test_spec_bc_is_torus_or_cylinder(self, runner, tmp_path, bc, exit_code):
         spec_path = tmp_path / "code.json"
@@ -582,14 +614,34 @@ class TestConfigErrors:
                 ["tn", "--group", "6", "--n", "3000000", "--mpo-layers"],
                 "the exact tensor of layer 0 (periodic) would need at least 2**18000002 amplitudes",
             ),
+            # The symbolic commands count the factors their terms would store: 4 per plaquette and label.
+            (
+                ["code", "--group", "2", "--n", "100000000", "--m", "2"],
+                "the stabilizer terms, one amplitude per factor, would need 1600000000 amplitudes",
+            ),
+            (
+                ["confine", "--group", "2,2", "--twist-even", "1", "--n", "100000000", "--m", "8"],
+                "the stabilizer terms, one amplitude per factor, would need 12800000000 amplitudes",
+            ),
+            (
+                ["anyons", "--spec", "wide.json", "--op-file", "ops.json"],
+                "bad code spec 'wide.json': the stabilizer terms, one amplitude per factor,"
+                " would need 1600000000 amplitudes",
+            ),
         ],
         ids=[
             "boundary", "compose", "compose-past-str-limit", "boundary-past-str-limit",
             "compose-hundred-million-sites", "compose-z6-four-layers", "boundary-z6", "tn-z6-mpo-layers",
+            "code-hundred-million-wide", "confine-hundred-million-wide", "anyons-hundred-million-wide",
         ],
     )
-    def test_over_cap_width_refused_before_anything_is_built(self, args, error):
-        # The default cap, 2**24, against a chain, input or exact tensor of 2**40 amplitudes or more.
+    def test_over_cap_width_refused_before_anything_is_built(self, args, error, tmp_path, monkeypatch):
+        # The default cap, 2**24, against a chain, input or exact tensor of 2**40 amplitudes or more,
+        # or against stabilizer terms of 2**30 factors or more.  anyons reads its files from the
+        # working directory, which the child inherits.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "wide.json").write_text(json.dumps({"group": [2], "n": 100000000, "m": 2}))
+        (tmp_path / "ops.json").write_text("[]")
         code, seconds, peak, output = probe(args)
         errors = [line for line in output.splitlines() if line.startswith("Error:")]
         assert (code, errors) == (2, [f"Error: {error}"]), output

@@ -287,3 +287,18 @@ def test_no_float_tolerance_but_the_state_tolerance():
             if small or loose:
                 stray.append(f"{path.name}:{node.lineno} {owner}")
     assert not stray, f"float tolerances besides STATE_TOL: {stray}"
+
+
+def test_dense_oracle_is_independent_of_the_normal_form():
+    # The orbit count checks joint_eigenspace_dimension, so neither of its
+    # kernels may read the Weyl forms or the batched commutation phases.
+    kernels = {("lattice.py", "orbit_eigenspace_dimension"), ("operators.py", "flatten_product_operator")}
+    found, stray = set(), []
+    for path, tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in kernels:
+                found.add((path.name, node.name))
+                normal_form = {"_weyl_form", "joint_eigenspace_dimension", "overlap_exponents"}
+                stray += [f"{path.name}:{line} {owner}" for owner, line in _references(node, normal_form, node.name)]
+    assert found == kernels
+    assert not stray, f"the dense oracle reads the normal form: {stray}"

@@ -1,14 +1,16 @@
 """Monomial operator algebra against dense-matrix oracles."""
 
 import itertools
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flatten_oracle
 from latgauge.gauging import compose_gauging, initial_state, layer_stack, stack_local_symmetry_ops
 from latgauge.groups import Cocycle, GroupSpec, enumerate_cocycle_classes, pair, slant_product
 from latgauge.operators import (
@@ -649,6 +651,46 @@ class TestSliceWiseApply:
             assert not np.shares_memory(out.amps, stv.amps)
         else:
             assert out.amps is stv.amps
+
+
+@st.composite
+def flatten_cases(draw):
+    """(site_ids, dims, op): mixed dims, sites and factors in drawn orders, up to 2**18 amplitudes.
+
+    Binary spectator sites push some totals past 2**16, where perm leaves
+    uint16; moduli past 256 move phase to uint16.
+    """
+    dims = draw(st.lists(st.integers(2, 6), max_size=5))
+    spare = 18 - sum(math.ceil(math.log2(d)) for d in dims)
+    for _ in range(draw(st.integers(0, spare))):
+        dims.insert(draw(st.integers(0, len(dims))), 2)
+    names = draw(st.permutations(range(len(dims))))
+    modulus = draw(st.sampled_from([1, 2, 3, 4, 6, 12, 256, 257, 1000]))
+    factors = []
+    for site, d in zip(names, dims):
+        if draw(st.booleans()):
+            perm = tuple(draw(st.permutations(range(d))))
+            phase = tuple(draw(st.lists(st.integers(0, 3 * modulus), min_size=d, max_size=d)))
+            factors.append((site, MonomialOperator(d, perm, phase, draw(st.sampled_from([modulus, 2 * modulus])))))
+    order = draw(st.permutations(range(len(dims))))
+    site_ids = [names[k] for k in order]
+    return site_ids, tuple(dims[k] for k in order), ProductOperator(tuple(draw(st.permutations(factors))), modulus)
+
+
+class TestFlatten:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(flatten_cases())
+    @example(([], (), ProductOperator.identity_op(3)))
+    @example((list(range(16)), (2,) * 16, ProductOperator(((3, mixed_factor("shift", 2, None)),), 6)))
+    @example((list(range(17)), (2,) * 17, ProductOperator(((16, mixed_factor("raw", 2, None)),), 6)))
+    @example(([0, 1], (6, 2), ProductOperator.identity_op(257)))
+    def test_equals_the_tiled_oracle_bit_for_bit(self, case):
+        site_ids, dims, op = case
+        got = flatten_product_operator(site_ids, dims, op)
+        expected = flatten_oracle.flatten_product_operator(site_ids, dims, op)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 class TestFluxOperators:
