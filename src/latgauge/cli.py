@@ -15,9 +15,10 @@ limits (see claims.py); the summary prints it as SKIP.  The report's
 at least one check failed, 2 bad configuration.  Reports contain no
 timings or other nondeterministic fields, so identical configurations
 produce byte-identical output.  GAUGE_MAX_DIM sets the amplitude cap
-(default 2**24), which gauging.check_cap alone compares, in sites or term
-factors, before anything is built; a value that is not a positive integer,
-or a cap too small for the checks, exits 2.  STATE_TOL is `compose`'s `tol`.
+(default 2**24), which gauging.check_cap alone compares, in sites, term
+factors or normal-form cells, before anything is built; a value that is
+not a positive integer, or a cap too small for the checks, exits 2.
+STATE_TOL is `compose`'s `tol`.
 """
 
 from __future__ import annotations
@@ -228,6 +229,10 @@ def code(group_text, n, m, bc, twist_even, twist_odd, beta, subgroup, orientatio
         boundary_terms = []
         if bc == "cylinder":
             boundary_terms = build_boundary_terms(spec, "bottom") + build_boundary_terms(spec, "top")
+        else:
+            # lattice.joint_eigenspace_dimension's int64 matrix: a row per term and a spare, 2k columns per site.
+            rows, columns = n * m * group.size + 1, 2 * len(group.orders) * n * m
+            check_cap("the ground-space normal form, one amplitude per cell,", rows, 1, columns)
     terms = build_bulk_stabilizers(spec)
     checks = claims.commutation(terms, boundary_terms)
     ground = None
@@ -280,9 +285,17 @@ def _code_spec(group, n, m, bc, twist_even, twist_odd, beta, subgroup, orientati
     return CodeSpec(lattice, *twists, subgroup_bottom=sub, orientation=orientation)
 
 
+# Building the terms traces 137-143 bytes per stored factor (on the Z2 100x100,
+# Z2xZ2 50x50 and Z3xZ3 30x30 tori), about nine 16-byte amplitudes.
+TERM_FACTOR_AMPLITUDES = 9
+
+
 def _lattice(group, n, m, vertical) -> Lattice2D:
     """Lattice2D once check_cap allows its terms' factors: n*m plaquettes, |G| labels, up to 4 factors each."""
-    check_cap("the stabilizer terms, one amplitude per factor,", group.size, 1, 4 * n * m)
+    check_cap(
+        f"the stabilizer terms, {TERM_FACTOR_AMPLITUDES} amplitudes per factor,",
+        group.size, 1, TERM_FACTOR_AMPLITUDES * 4 * n * m,
+    )
     return Lattice2D(group, n, m, vertical)
 
 

@@ -12,7 +12,8 @@ lattice module.
 Site ids are (row, x2) with x2 twice the horizontal position, so vertex
 sites sit at even x2 and edge sites at odd x2.  With periodic horizontal
 boundary a row has n sites; with open boundary each new row gains one
-site and the stack grows into a trapezoid (row j spans x2 = -j .. 2(n0-1)+j).
+site and the stack grows into a trapezoid (row j spans x2 = -j .. 2(n0-1)+j),
+so a LayerSpec places both of its rows from its index and width alone.
 
 Each map is normalized so that inputs invariant under the row symmetry
 are sent to unit-norm outputs; the projector average itself would shrink
@@ -94,7 +95,6 @@ class LayerSpec:
     n: int
     boundary: str = "periodic"
     twist: Cocycle = None
-    offset: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -105,8 +105,6 @@ class LayerSpec:
             object.__setattr__(self, "twist", Cocycle.trivial(self.group))
         elif self.twist.group != self.group:
             raise ValueError("twist cocycle defined on a different group")
-        if self.boundary == "periodic" and self.offset != 0:
-            raise ValueError("periodic layers have no offset")
 
     @property
     def parity(self) -> str:
@@ -122,15 +120,15 @@ class LayerSpec:
 
     def matter_positions(self) -> range:
         # Periodic rows sit at the fixed residue class matching the row
-        # parity; open rows shift left by one position per layer.
-        base = (self.index % 2) if self.boundary == "periodic" else self.offset
+        # parity; open row j starts at x2 = -j, one position left per layer.
+        base = (self.index % 2) if self.boundary == "periodic" else -self.index
         return range(base, base + 2 * self.n, 2)
 
     def new_positions(self) -> range:
         if self.boundary == "periodic":
             base = (self.index + 1) % 2
             return range(base, base + 2 * self.n, 2)
-        return range(self.offset - 1, self.offset + 1 + 2 * self.n, 2)
+        return range(-self.index - 1, -self.index + 1 + 2 * self.n, 2)
 
     @property
     def scale_power(self) -> float:
@@ -347,16 +345,10 @@ def layer_stack(
     twist_odd: Cocycle | None = None,
 ) -> list[LayerSpec]:
     """Alternating layer specs starting from an even (vertex) matter row."""
-    layers = []
-    count = n
-    offset = 0
-    for j in range(num_layers):
-        twist = twist_even if j % 2 == 0 else twist_odd
-        layers.append(LayerSpec(group, j, count, boundary, twist, offset))
-        if boundary == "open":
-            count += 1
-            offset -= 1
-    return layers
+    return [
+        LayerSpec(group, j, n + j if boundary == "open" else n, boundary, twist_odd if j % 2 else twist_even)
+        for j in range(num_layers)
+    ]
 
 
 def initial_state(group: GroupSpec, layer: LayerSpec) -> StateVector:

@@ -35,9 +35,12 @@ factors of different kinds is refused, and so is applying a factor to a
 site of another kind.  ProductOperator tensors
 site-local monomials over named sites and is the workhorse for
 stabilizers, strings and logicals.  StateVector holds dense
-complex amplitudes and applies product operators to them.  Operator-level
-checks are exact; state-level checks compare norms and overlaps within
-gauging.STATE_TOL.
+complex amplitudes and applies product operators to them.  A flux
+operator of a finite group, abelian or not, is the integer diagonal
+chi(g_1 ... g_n) read off an integer multiplication table and an integer
+character, and fusion_coefficients divides the orthogonality sums by |G|
+exactly.  Operator-level checks are exact; state-level checks compare
+norms and overlaps within gauging.STATE_TOL.
 """
 
 from __future__ import annotations
@@ -610,79 +613,56 @@ class StateVector:
 # -- fusion of diagonal flux operators (general finite groups) --------------
 
 
-@dataclass(frozen=True)
-class FiniteGroupTable:
-    """A finite group given by its multiplication table.
-
-    mult[i][j] is the index of g_i g_j.  The identity index is located by
-    scanning for a left and right unit; associativity is assumed.
-    """
-
-    mult: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.mult)
-
-    @property
-    def identity_index(self) -> int:
-        n = self.size
-        for e in range(n):
-            if all(self.mult[e][j] == j and self.mult[j][e] == j for j in range(n)):
-                return e
-        raise ValueError("multiplication table has no identity")
-
-    def inverse_index(self, i: int) -> int:
-        e = self.identity_index
-        for j in range(self.size):
-            if self.mult[i][j] == e:
-                return j
-        raise ValueError("element has no inverse; not a group table")
-
-    def is_class_function(self, values) -> bool:
-        n = self.size
-        for g in range(n):
-            ginv = self.inverse_index(g)
-            for h in range(n):
-                conj = self.mult[self.mult[g][h]][ginv]
-                if not np.isclose(values[conj], values[h]):
-                    return False
-        return True
+def _integers(values, what: str) -> np.ndarray:
+    """values as an int64 array, or ValueError when they are not integers (bools included)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, not {arr.dtype}")
+    return arr.astype(np.int64)
 
 
-def irrep_flux_operator(table: FiniteGroupTable, character, n_sites: int) -> np.ndarray:
-    """Diagonal of the operator weighting each configuration by chi(g_1 ... g_n).
+def irrep_flux_operator(mult, character, n_sites: int) -> np.ndarray:
+    """Integer diagonal of the operator weighting each configuration by chi(g_1 ... g_n).
 
-    character is a length |G| vector of character values per element and
-    must be a class function.  For one-dimensional characters the result
+    mult is the group's multiplication table, mult[i][j] the index of
+    g_i g_j; associativity is assumed, and a table with no two-sided
+    identity or an element with no inverse raises ValueError.  character
+    holds one integer per element and must equal itself on every
+    conjugate g h g^-1.  For one-dimensional characters the result
     factorizes into a product of site-local clocks; in general it does not.
     """
-    values = np.asarray(character, dtype=complex)
-    if values.shape != (table.size,):
-        raise ValueError("character must assign one value per group element")
-    if not table.is_class_function(values):
+    table = _integers(mult, "a multiplication table")
+    values = _integers(character, "character values")
+    size = len(table)
+    if table.shape != (size, size) or not ((0 <= table) & (table < size)).all() or values.shape != (size,):
+        raise ValueError("need a square table of element indices and one character value per element")
+    labels = np.arange(size)
+    units = np.flatnonzero((table == labels).all(axis=1) & (table.T == labels).all(axis=1))
+    if units.size == 0:
+        raise ValueError("multiplication table has no identity")
+    right = table == units[0]
+    if not right.any(axis=1).all():
+        raise ValueError("element has no inverse; not a group table")
+    conjugates = table[table, right.argmax(axis=1)[:, None]]  # [g, h] -> g h g^-1
+    if (values[conjugates] != values).any():
         raise ValueError("character values are not a class function")
-    n = table.size
-    prod_index = np.zeros(1, dtype=np.int64) + table.identity_index
+    product = units[:1]
     for _ in range(n_sites):
-        # prod_index[c] holds the index of the ordered product over the
-        # configuration c; extend one site at a time.
-        prod_index = np.array(
-            [table.mult[p][g] for p in prod_index for g in range(n)], dtype=np.int64
-        )
-    return values[prod_index]
+        # product[c] is the index of the ordered product over configuration c.
+        product = table[product].reshape(-1)
+    return values[product]
 
 
 def fusion_coefficients(characters) -> np.ndarray:
     """Multiplicities N[s, r, t] from character orthogonality.
 
-    characters is a matrix (n_irreps, |G|) of per-element values;
-    N[s, r, t] = (1/|G|) sum_g chi_s(g) chi_r(g) conj(chi_t(g)).
+    characters is an integer matrix (n_irreps, |G|) of per-element values,
+    real and so their own conjugates:
+    N[s, r, t] = (1/|G|) sum_g chi_s(g) chi_r(g) chi_t(g), an exact
+    division whose remainder raises ArithmeticError.
     """
-    chars = np.asarray(characters, dtype=complex)
-    size = chars.shape[1]
-    n = np.einsum("sg,rg,tg->srt", chars, chars, chars.conj()) / size
-    rounded = np.rint(n.real).astype(int)
-    if not np.allclose(n, rounded, atol=1e-9):
+    chars = _integers(characters, "character values")
+    n, rem = np.divmod(np.einsum("sg,rg,tg->srt", chars, chars, chars), chars.shape[1])
+    if rem.any():
         raise ArithmeticError("fusion multiplicities are not integers")
-    return rounded
+    return n

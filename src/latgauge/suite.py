@@ -10,6 +10,7 @@ under five minutes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -40,7 +41,6 @@ from .gauging import (
 from .groups import GroupSpec, all_subgroups, enumerate_cocycle_classes, pair, slant_product
 from .lattice import CodeSpec, Lattice2D, build_bulk_stabilizers, ground_space_dimension
 from .operators import (
-    FiniteGroupTable,
     ProductOperator,
     SiteKind,
     StateVector,
@@ -331,85 +331,45 @@ def criterion_tensor_network() -> dict:
     )
 
 
-def _s3_table() -> tuple[FiniteGroupTable, np.ndarray]:
-    """The symmetric group on three letters with its character table.
+def _s3_table() -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric group on three letters: its multiplication table and character table.
 
     Elements ordered: identity, the three transpositions, the two
     3-cycles.  Characters per element: trivial, sign, two-dimensional.
     """
-    perms = [
-        (0, 1, 2),
-        (1, 0, 2),
-        (0, 2, 1),
-        (2, 1, 0),
-        (1, 2, 0),
-        (2, 0, 1),
-    ]
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
     index = {p: i for i, p in enumerate(perms)}
-    mult = tuple(
-        tuple(index[tuple(p[q[k]] for k in range(3))] for q in perms) for p in perms
-    )
-    chars = np.array(
-        [
-            [1, 1, 1, 1, 1, 1],
-            [1, -1, -1, -1, 1, 1],
-            [2, 0, 0, 0, -1, -1],
-        ],
-        dtype=complex,
-    )
-    return FiniteGroupTable(mult), chars
+    mult = np.array([[index[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms])
+    return mult, np.array([[1, 1, 1, 1, 1, 1], [1, -1, -1, -1, 1, 1], [2, 0, 0, 0, -1, -1]])
 
 
-def _exact_unit_root(k: int, modulus: int) -> complex:
-    """Exact complex value of w**k whenever it is a fourth root of unity."""
-    num = 4 * (k % modulus)
-    if num % modulus == 0:
-        return (1, 1j, -1, -1j)[(num // modulus) % 4]
-    return complex(np.exp(2j * np.pi * k / modulus))
+def _fusion_checks(ops: np.ndarray, coeffs: np.ndarray) -> list[bool]:
+    """ops[s] * ops[r] == sum_t coeffs[s, r, t] ops[t], exactly, for every ordered pair (s, r)."""
+    fused = np.einsum("srt,tx->srx", coeffs, ops)
+    return [np.array_equal(ops[s] * ops[r], fused[s, r]) for s, r in itertools.product(range(len(ops)), repeat=2)]
 
 
 def criterion_flux_fusion() -> dict:
     checks = []
     # Abelian: one-dimensional characters fuse by multiplication and factorize.
+    # The phase modulus of Z2xZ2 is 2, so chi(g) = w**k is (-1)**k.
     group = GroupSpec((2, 2))
-    chars = np.array(
-        [
-            [_exact_unit_root(pair(chi, g).k, group.phase_modulus) for g in group.elements()]
-            for chi in group.characters()
-        ]
-    )
-    table = FiniteGroupTable(
-        tuple(
-            tuple(group.index_of((a * b).exps) for b in group.elements())
-            for a in group.elements()
-        )
-    )
+    elements = list(group.elements())
+    chars = np.array([[(-1) ** pair(chi, g).k for g in elements] for chi in group.characters()])
+    table = np.array([[group.index_of((a * b).exps) for b in elements] for a in elements])
     coeffs = fusion_coefficients(chars)
     for n_sites in (2, 3):
-        ops = [irrep_flux_operator(table, chars[k], n_sites) for k in range(len(chars))]
-        for s, r in itertools.product(range(len(chars)), repeat=2):
-            lhs = ops[s] * ops[r]
-            rhs = sum(coeffs[s, r, t] * ops[t] for t in range(len(chars)))
-            checks.append(float(np.max(np.abs(lhs - rhs))) == 0.0)
+        ops = np.array([irrep_flux_operator(table, chi, n_sites) for chi in chars])
+        checks += _fusion_checks(ops, coeffs)
         # factorization into site-local clocks
-        for k, chi in enumerate(group.characters()):
-            local = chars[k]
-            factor = np.ones(1, dtype=complex)
-            for _ in range(n_sites):
-                factor = np.kron(factor, local)
-            checks.append(float(np.max(np.abs(ops[k] - factor))) == 0.0)
+        checks += [np.array_equal(op, functools.reduce(np.kron, [chi] * n_sites)) for chi, op in zip(chars, ops)]
     s3, s3_chars = _s3_table()
     s3_coeffs = fusion_coefficients(s3_chars)
     for n_sites in (2, 3):
-        ops = [irrep_flux_operator(s3, s3_chars[k], n_sites) for k in range(3)]
-        for s, r in itertools.product(range(3), repeat=2):
-            lhs = ops[s] * ops[r]
-            rhs = sum(s3_coeffs[s, r, t] * ops[t] for t in range(3))
-            checks.append(float(np.max(np.abs(lhs - rhs))) == 0.0)
-    two_dim_square = s3_coeffs[2, 2].tolist()
+        checks += _fusion_checks(np.array([irrep_flux_operator(s3, chi, n_sites) for chi in s3_chars]), s3_coeffs)
     return check(
         "flux_fusion", "diagonal flux operators fuse with the character multiplicities",
-        all(checks), instances=len(checks), two_dim_irrep_square=two_dim_square,
+        all(checks), instances=len(checks), two_dim_irrep_square=s3_coeffs[2, 2].tolist(),
     )
 
 

@@ -227,15 +227,8 @@ def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
 
 
 def mpo_layers(group: GroupSpec, n: int) -> list[LayerSpec]:
-    """The four untwisted layers whose MPOs are checked: layers 0 and 1, periodic and open.
-
-    An open layer j starts at offset -j, as in gauging.layer_stack.
-    """
-    return [
-        LayerSpec(group, index, n, bc, offset=-index if bc == "open" else 0)
-        for index in (0, 1)
-        for bc in ("periodic", "open")
-    ]
+    """The four untwisted layers whose MPOs are checked: layers 0 and 1, periodic and open."""
+    return [LayerSpec(group, index, n, bc) for index in (0, 1) for bc in ("periodic", "open")]
 
 
 def mpo_matches_map(layer: LayerSpec) -> bool:

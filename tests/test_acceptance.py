@@ -138,6 +138,22 @@ def test_criterion_12_flux_fusion():
     record(12, "flux operator fusion (including the two-dimensional irrep)", ok)
 
 
+@pytest.mark.parametrize("shift", [1, 2])
+@pytest.mark.parametrize("row", [0, 1, 2], ids=["trivial", "sign", "two-dim"])
+@pytest.mark.parametrize("cls", [[0], [1, 2, 3], [4, 5]], ids=["identity", "transpositions", "three-cycles"])
+def test_flux_fusion_catches_one_wrong_class_value(monkeypatch, shift, row, cls):
+    # One S3 character wrong on one class: criterion 12 fails (a shift by 2 on
+    # the transpositions keeps the multiplicities integral) or raises.
+    mult, chars = suite._s3_table()
+    chars[row, cls] += shift
+    monkeypatch.setattr(suite, "_s3_table", lambda: (mult, chars))
+    try:
+        passed = suite.criterion_flux_fusion()["passed"]
+    except ArithmeticError:
+        passed = False
+    assert not passed
+
+
 def test_criterion_13_rainbow_pairs():
     rep = suite.criterion_rainbow()
     record(13, f"nested pair gauging ({rep['instances']} checks)", rep["passed"])

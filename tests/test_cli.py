@@ -614,31 +614,43 @@ class TestConfigErrors:
                 ["tn", "--group", "6", "--n", "3000000", "--mpo-layers"],
                 "the exact tensor of layer 0 (periodic) would need at least 2**18000002 amplitudes",
             ),
-            # The symbolic commands count the factors their terms would store: 4 per plaquette and label.
+            # The symbolic commands count the factors their terms would store, 4 per plaquette
+            # and label, at nine amplitudes each.
             (
                 ["code", "--group", "2", "--n", "100000000", "--m", "2"],
-                "the stabilizer terms, one amplitude per factor, would need 1600000000 amplitudes",
+                "the stabilizer terms, 9 amplitudes per factor, would need 14400000000 amplitudes",
             ),
             (
                 ["confine", "--group", "2,2", "--twist-even", "1", "--n", "100000000", "--m", "8"],
-                "the stabilizer terms, one amplitude per factor, would need 12800000000 amplitudes",
+                "the stabilizer terms, 9 amplitudes per factor, would need 115200000000 amplitudes",
             ),
             (
                 ["anyons", "--spec", "wide.json", "--op-file", "ops.json"],
-                "bad code spec 'wide.json': the stabilizer terms, one amplitude per factor,"
-                " would need 1600000000 amplitudes",
+                "bad code spec 'wide.json': the stabilizer terms, 9 amplitudes per factor,"
+                " would need 14400000000 amplitudes",
+            ),
+            # 8,000,000 factors: under the cap one by one, but about 1.1 GB to build.
+            (
+                ["code", "--group", "2", "--bc", "cylinder", "--n", "1000", "--m", "1000"],
+                "the stabilizer terms, 9 amplitudes per factor, would need 72000000 amplitudes",
+            ),
+            # The torus's normal form: 20001 x 20000 int64 cells, about 3.2 GB.
+            (
+                ["code", "--group", "2", "--n", "100", "--m", "100"],
+                "the ground-space normal form, one amplitude per cell, would need 400020000 amplitudes",
             ),
         ],
         ids=[
             "boundary", "compose", "compose-past-str-limit", "boundary-past-str-limit",
             "compose-hundred-million-sites", "compose-z6-four-layers", "boundary-z6", "tn-z6-mpo-layers",
             "code-hundred-million-wide", "confine-hundred-million-wide", "anyons-hundred-million-wide",
+            "code-cylinder-thousand-square", "code-torus-normal-form",
         ],
     )
     def test_over_cap_width_refused_before_anything_is_built(self, args, error, tmp_path, monkeypatch):
         # The default cap, 2**24, against a chain, input or exact tensor of 2**40 amplitudes or more,
-        # or against stabilizer terms of 2**30 factors or more.  anyons reads its files from the
-        # working directory, which the child inherits.
+        # or against stabilizer terms or a normal form of 2**26 amplitudes or more.  anyons reads its
+        # files from the working directory, which the child inherits.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "wide.json").write_text(json.dumps({"group": [2], "n": 100000000, "m": 2}))
         (tmp_path / "ops.json").write_text("[]")

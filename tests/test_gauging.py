@@ -166,7 +166,7 @@ class TestRowKernel:
     @staticmethod
     def layer(group, bc, index, twisted):
         twist = enumerate_cocycle_classes(group)[1] if twisted else None
-        return LayerSpec(group, index, 2, bc, twist, -index if bc == "open" else 0)
+        return LayerSpec(group, index, 2, bc, twist)
 
     @staticmethod
     def random_input(layer, leading, seed):
@@ -231,7 +231,7 @@ def _oracle_layers():
             for bc in ("periodic", "open"):
                 for n in (2, 3, 4):
                     for index in range(4):
-                        layer = LayerSpec(group, index, n, bc, twist, -index if bc == "open" else 0)
+                        layer = LayerSpec(group, index, n, bc, twist)
                         if layer.exact_cells <= dimension_cap():
                             yield layer
 
@@ -269,7 +269,7 @@ class TestEmergentSymmetry:
     def test_open_boundary_twisted(self):
         alpha = enumerate_cocycle_classes(Z22)[1]
         for index in (0, 1):
-            layer = LayerSpec(Z22, index, 2, "open", alpha, offset=-index)
+            layer = LayerSpec(Z22, index, 2, "open", alpha)
             assert verify_emergent_symmetry(build_gauging_map(layer))["passed"]
 
 
@@ -407,6 +407,8 @@ class TestCompose:
         for sid in out.site_ids:
             rows.setdefault(sid[0], []).append(sid[1])
         assert {j: len(v) for j, v in rows.items()} == {0: 2, 1: 3, 2: 4, 3: 5}
+        # Open row j spans x2 = -j .. 2 + j, placed from the layer index alone.
+        assert rows == {j: list(range(-j, 3 + j, 2)) for j in range(4)}
         assert verify_local_symmetry(out, layers)["passed"]
 
 

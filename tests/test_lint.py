@@ -258,9 +258,6 @@ def test_only_check_cap_reads_the_cap():
     assert not stray, f"dimension_cap read outside gauging.check_cap and cli.check_env_cap: {stray}"
 
 
-FLOAT_TABLE_CHECKS = {("operators.py", "fusion_coefficients"), ("operators.py", "is_class_function")}
-
-
 def _owned_nodes(node: ast.AST, owner: str | None = None):
     """(innermost function around it, node) for every node under `node`; None at module level."""
     for child in ast.iter_child_nodes(node):
@@ -270,9 +267,8 @@ def _owned_nodes(node: ast.AST, owner: str | None = None):
 
 
 def test_no_float_tolerance_but_the_state_tolerance():
-    # Operator claims are exact and state checks read gauging.STATE_TOL. Only
-    # the two validators of float character tables a caller passes in
-    # compare floats loosely, with isclose or allclose and a tolerance of their own.
+    # Operator claims are exact and state checks read gauging.STATE_TOL, so no
+    # code compares floats loosely with isclose or allclose.
     stray = []
     for path, tree in _sources():
         state_tol = [
@@ -280,7 +276,7 @@ def test_no_float_tolerance_but_the_state_tolerance():
             if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["STATE_TOL"]
         ]
         for owner, node in _owned_nodes(tree):
-            if (path.name, owner) in FLOAT_TABLE_CHECKS or any(node is value for value in state_tol):
+            if any(node is value for value in state_tol):
                 continue
             small = isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value < 1
             loose = getattr(node, "id", getattr(node, "attr", None)) in ("isclose", "allclose")

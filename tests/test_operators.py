@@ -11,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flatten_oracle
+import flux_float_oracle
 from latgauge.gauging import compose_gauging, initial_state, layer_stack, stack_local_symmetry_ops
 from latgauge.groups import Cocycle, GroupSpec, enumerate_cocycle_classes, pair, slant_product
 from latgauge.operators import (
-    FiniteGroupTable,
     MonomialOperator,
     ProductOperator,
     SiteKind,
@@ -693,52 +693,100 @@ class TestFlatten:
             assert np.array_equal(a, b)
 
 
+S3_PERMS = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+
+
+def s3_table():
+    """S3 by permutation composition: identity, the three transpositions, the two 3-cycles."""
+    index = {p: i for i, p in enumerate(S3_PERMS)}
+    return np.array([[index[tuple(p[q[k]] for k in range(3))] for q in S3_PERMS] for p in S3_PERMS])
+
+
+S3_CHARS = np.array([[1, 1, 1, 1, 1, 1], [1, -1, -1, -1, 1, 1], [2, 0, 0, 0, -1, -1]])
+
+
+def z22_table():
+    elems = list(Z22.elements())
+    return np.array([[Z22.index_of((a * b).exps) for b in elems] for a in elems])
+
+
+def z22_char_matrix():
+    return np.array([[(-1) ** pair(chi, g).k for g in Z22.elements()] for chi in Z22.characters()])
+
+
 class TestFluxOperators:
-    def z22_char_matrix(self):
-        vals = {0: 1, 1: -1}
-        return np.array(
-            [
-                [vals[pair(chi, g).k] for g in Z22.elements()]
-                for chi in Z22.characters()
-            ],
-            dtype=complex,
-        )
-
-    def z22_table(self):
-        elems = list(Z22.elements())
-        return FiniteGroupTable(
-            tuple(tuple(Z22.index_of((a * b).exps) for b in elems) for a in elems)
-        )
-
     def test_abelian_flux_factorizes(self):
-        table = self.z22_table()
-        chars = self.z22_char_matrix()
+        table = z22_table()
+        chars = z22_char_matrix()
         for k, chi in enumerate(Z22.characters()):
             diag = irrep_flux_operator(table, chars[k], 2)
             local = chars[k]
+            assert diag.dtype.kind == "i"
             assert np.array_equal(diag, np.kron(local, local))
 
     def test_trivial_character_gives_identity(self):
-        table = self.z22_table()
-        diag = irrep_flux_operator(table, np.ones(4), 3)
-        assert np.array_equal(diag, np.ones(64))
+        diag = irrep_flux_operator(z22_table(), np.ones(4, dtype=int), 3)
+        assert np.array_equal(diag, np.ones(64, dtype=int))
 
     def test_fusion_coefficients_are_deltas_for_abelian(self):
-        n = fusion_coefficients(self.z22_char_matrix())
+        n = fusion_coefficients(z22_char_matrix())
         for s, chi_s in enumerate(Z22.characters()):
             for r, chi_r in enumerate(Z22.characters()):
                 prod = chi_s * chi_r
                 for t, chi_t in enumerate(Z22.characters()):
                     assert n[s, r, t] == (1 if chi_t == prod else 0)
 
+    def test_s3_two_dim_irrep_squares_to_all_three(self):
+        n = fusion_coefficients(S3_CHARS)
+        assert n.dtype.kind == "i" and n[2, 2].tolist() == [1, 1, 1]
+
     def test_non_class_function_rejected(self):
-        # S3-style table via permutation composition.
-        perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
-        index = {p: i for i, p in enumerate(perms)}
-        mult = tuple(
-            tuple(index[tuple(p[q[k]] for k in range(3))] for q in perms) for p in perms
-        )
-        table = FiniteGroupTable(mult)
-        bad = np.array([1, 1, -1, 1, 1, 1], dtype=complex)  # not constant on the 2-cycles
-        with pytest.raises(ValueError):
-            irrep_flux_operator(table, bad, 2)
+        bad = np.array([1, 1, -1, 1, 1, 1])  # not constant on the 2-cycles
+        with pytest.raises(ValueError, match="class function"):
+            irrep_flux_operator(s3_table(), bad, 2)
+
+    @pytest.mark.parametrize(
+        "character",
+        [S3_CHARS[2].astype(float), S3_CHARS[2].astype(complex), S3_CHARS[2] == 2, [2, 0, 0, 0, -1, "-1"]],
+        ids=["float", "complex", "bool", "string"],
+    )
+    def test_character_that_is_not_integer_rejected(self, character):
+        with pytest.raises(ValueError, match="integers"):
+            irrep_flux_operator(s3_table(), character, 2)
+        with pytest.raises(ValueError, match="integers"):
+            fusion_coefficients([character])
+
+    def test_table_with_no_identity_rejected(self):
+        # Every product shifted by one label: no row and column are both the identity map.
+        table = (z22_table() + 1) % 4
+        with pytest.raises(ValueError, match="no identity"):
+            irrep_flux_operator(table, np.ones(4, dtype=int), 1)
+
+    def test_table_with_no_inverse_rejected(self):
+        # The identity stays at 0, but 3 times anything is 3: 3 has no inverse.
+        table = z22_table()
+        table[3, :] = 3
+        table[:, 3] = 3
+        with pytest.raises(ValueError, match="no inverse"):
+            irrep_flux_operator(table, np.ones(4, dtype=int), 1)
+
+    @pytest.mark.parametrize("table", [[[0, 1], [1, 2]], [[0, 1], [1, -1]], [[0, 1, 0], [1, 0, 1]]])
+    def test_table_that_is_not_square_of_indices_rejected(self, table):
+        with pytest.raises(ValueError, match="square table"):
+            irrep_flux_operator(table, [1, 1], 1)
+
+    def test_orthogonality_sum_with_a_remainder_raises(self):
+        # A class function that is not a character: sum_g chi(g)**2 = 3 is not a multiple of |S3| = 6.
+        with pytest.raises(ArithmeticError):
+            fusion_coefficients([[1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 1, 1]])
+
+    @pytest.mark.parametrize("name", ["Z2xZ2", "S3"])
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+    def test_equals_the_float_oracle(self, name, n_sites):
+        table, chars = (z22_table(), z22_char_matrix()) if name == "Z2xZ2" else (s3_table(), S3_CHARS)
+        oracle_table = flux_float_oracle.FiniteGroupTable(tuple(tuple(int(x) for x in row) for row in table))
+        for chi in chars:
+            got = irrep_flux_operator(table, chi, n_sites)
+            expected = flux_float_oracle.irrep_flux_operator(oracle_table, chi.astype(complex), n_sites)
+            assert got.dtype.kind == "i" and np.array_equal(got, expected)
+        assert np.array_equal(fusion_coefficients(chars), flux_float_oracle.fusion_coefficients(chars.astype(complex)))

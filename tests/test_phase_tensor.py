@@ -87,7 +87,7 @@ def mpo_layers():
         for index in (0, 1):
             for bc in ("periodic", "open"):
                 for n in (2, 3):
-                    layer = LayerSpec(group, index, n, bc, None, offset=-index if bc == "open" else 0)
+                    layer = LayerSpec(group, index, n, bc)
                     gmap = build_gauging_map(layer)
                     if gmap.out_dim * gmap.in_dim * group.phase_modulus <= 2**24:
                         yield layer

@@ -155,7 +155,7 @@ class TestMpoEquivalence:
     @pytest.mark.parametrize("bc", ["periodic", "open"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_einsum_network(self, group, index, bc, n):
-        layer = LayerSpec(group, index, n, bc, None, offset=-index if bc == "open" else 0)
+        layer = LayerSpec(group, index, n, bc)
         got = contract_mpo_layer(layer).to_complex()
         expected = einsum_mpo(layer)
         assert got.shape == expected.shape
@@ -166,7 +166,7 @@ class TestMpoEquivalence:
     @pytest.mark.parametrize("bc", ["periodic", "open"])
     def test_matches_dense_map_projectively(self, group, index, bc):
         for n in (2, 3):
-            layer = LayerSpec(group, index, n, bc, None, offset=-index if bc == "open" else 0)
+            layer = LayerSpec(group, index, n, bc)
             gmap = build_gauging_map(layer)
             if gmap.out_dim * gmap.in_dim * group.phase_modulus > 2**24:
                 continue

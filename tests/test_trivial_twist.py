@@ -64,9 +64,8 @@ def test_none_is_the_trivial_cocycle(group, vertical):
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: "x".join(map(str, g.orders)))
 @pytest.mark.parametrize("index, boundary", [(0, "periodic"), (1, "periodic"), (0, "open"), (1, "open")])
 def test_layer_twist_none_gives_the_trivial_map(group, index, boundary):
-    offset = -index if boundary == "open" else 0
-    plain = LayerSpec(group, index, 2, boundary, None, offset)
-    trivial = LayerSpec(group, index, 2, boundary, Cocycle.trivial(group), offset)
+    plain = LayerSpec(group, index, 2, boundary, None)
+    trivial = LayerSpec(group, index, 2, boundary, Cocycle.trivial(group))
     assert plain == trivial and plain.twist == Cocycle.trivial(group)
     gmap = build_gauging_map(plain)
     assert gmap.exact_matrix() == build_gauging_map(trivial).exact_matrix()
