@@ -285,8 +285,9 @@ def _code_spec(group, n, m, bc, twist_even, twist_odd, beta, subgroup, orientati
     return CodeSpec(lattice, *twists, subgroup_bottom=sub, orientation=orientation)
 
 
-# Building the terms traces 137-143 bytes per stored factor (on the Z2 100x100,
-# Z2xZ2 50x50 and Z3xZ3 30x30 tori), about nine 16-byte amplitudes.
+# Building the terms one object at a time traced 137-143 bytes per stored
+# factor (on the Z2 100x100, Z2xZ2 50x50 and Z3xZ3 30x30 tori), about nine
+# 16-byte amplitudes; placed as arrays, 106, 58 and 40 bytes.
 TERM_FACTOR_AMPLITUDES = 9
 
 

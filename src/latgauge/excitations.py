@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import GroupElement, PhaseExponent
-from .lattice import CodeSpec, build_bulk_stabilizers, overlap_phases
+from .lattice import CodeSpec, build_bulk_stabilizers, overlap_phases, term_labels
 from .operators import ProductOperator, clock_z, commutation_phase, corner_factors, shift_x
 
 MAX_STRING_LENGTH = 3  # longest confined string and tallest dipole in confinement_report
@@ -51,12 +51,17 @@ def syndromes(terms, ops) -> list[SyndromeMap]:
 
     Every term starts at exponent 0; the terms that fail to commute with an
     op then take their phase from lattice.overlap_phases, one pass for all
-    ops, which also checks the moduli.
+    ops, which also checks the moduli.  The labels are read once per call,
+    and placed terms build only the terms an op violates.
     """
     ops = list(ops)
+    found = overlap_phases(terms, ops)
+    if not ops:
+        return []
+    clear = dict.fromkeys(term_labels(terms), PhaseExponent.one(ops[0].modulus))
     maps = []
-    for op, hits in zip(ops, overlap_phases(terms, ops)):
-        phases = dict.fromkeys((t.label for t in terms), PhaseExponent.one(op.modulus))
+    for hits in found:
+        phases = dict(clear)
         phases.update((t.label, ph) for t, ph in hits)
         maps.append(SyndromeMap(phases))
     return maps

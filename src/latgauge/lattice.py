@@ -24,6 +24,8 @@ of basis states on which the terms' phases are consistent.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ from .groups import Cocycle, GroupSpec, is_subgroup, restricted_characters
 from .operators import (
     CapExceededError,
     MonomialOperator,
+    Placement,
     ProductOperator,
     SiteKind,
     _phase,
@@ -39,10 +42,12 @@ from .operators import (
     corner_factors,
     flatten_product_operator,
     overlap_exponents,
+    place,
     shift_x,
 )
 
 DENSE_ORACLE_CAP = 2**14  # amplitudes up to which reports run the dense oracle
+READABLE_DIGITS = 16  # a longer amplitude count in the dense oracle's refusal prints as |G|**sites
 
 
 class GeometryError(ValueError):
@@ -104,8 +109,12 @@ class Lattice2D:
         return centers
 
     @property
+    def num_sites(self) -> int:
+        return self.n * len(self.rows)
+
+    @property
     def total_dim(self) -> int:
-        return self.group.size ** len(self.sites())
+        return self.group.size**self.num_sites
 
 
 @dataclass(frozen=True)
@@ -159,59 +168,101 @@ class CodeSpec:
         return self.lattice.group
 
 
-def _plaquette_sites(lat: Lattice2D, center: tuple[int, int]) -> list:
-    """(site, corner positions) of the plaquette at `center`, in site order.
+@dataclass(frozen=True, eq=False)
+class PlacedTerms(Sequence):
+    """The terms of a code as integer arrays; read-only.
 
-    Positions 0..3 index the (west, east, north, south) corners of
-    corner_factors.  On a two-row torus north and south wrap onto the
-    same site, which then holds both positions.
+    placement holds the ops; term i has the center centers[i] and the
+    (family, exps) label_table[label_id[i]].  A StabilizerTerm is built
+    only when indexed or iterated, and a slice is PlacedTerms again.
     """
-    j, c = center
-    corners = (lat.wrap(j, c - 1), lat.wrap(j, c + 1), lat.wrap(j + 1, c), lat.wrap(j - 1, c))
-    on: dict = {}
-    for pos, site in enumerate(corners):
-        on.setdefault(site, []).append(pos)
-    return sorted(on.items())
+
+    placement: Placement
+    centers: np.ndarray
+    label_id: np.ndarray
+    label_table: tuple
+
+    def __len__(self) -> int:
+        return len(self.label_id)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            index = np.arange(len(self))[i]
+            return PlacedTerms(self.placement.take(index), self.centers[index], self.label_id[index], self.label_table)
+        i = range(len(self))[i]
+        return StabilizerTerm(self.label(i), self.placement.op(i))
+
+    def __iter__(self):
+        return map(StabilizerTerm, self.labels, map(self.placement.op, range(len(self))))
+
+    def __eq__(self, other) -> bool:
+        """Term for term, against placed terms or a list of terms."""
+        if not isinstance(other, (PlacedTerms, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def label(self, i: int) -> StabilizerLabel:
+        j, c = self.centers[i].tolist()
+        return StabilizerLabel((j, c), *self.label_table[self.label_id[i]])
+
+    @functools.cached_property
+    def labels(self) -> list[StabilizerLabel]:
+        """Every term's label, in order, built without building a term."""
+        table = self.label_table
+        return [
+            StabilizerLabel((j, c), *table[k]) for (j, c), k in zip(self.centers.tolist(), self.label_id.tolist())
+        ]
 
 
-def build_bulk_stabilizers(spec: CodeSpec) -> list[StabilizerTerm]:
-    """One term per (plaquette, label), identity labels included.
+def build_bulk_stabilizers(spec: CodeSpec) -> PlacedTerms:
+    """One term per (plaquette, label), identity labels included, placed by index arithmetic.
 
-    The standard orientation places the corner_factors as they come;
-    reflected swaps west with east and north with south, and the two
-    conventions generate the same stabilizer group.  The corners are
-    looked up once per label of each family, and the sites and their order
-    once per plaquette.  Two corners on one site (the two-row torus)
-    multiply, south after north, and identity factors drop, as in
-    ProductOperator.from_factors.
+    Terms come center by center in plaquette_centers order, and within a
+    center in label order: elements on odd rows, characters on even rows.
+    The corner_factors are looked up once per label of each family, and
+    each distinct factor gets an id.  The standard orientation places them
+    as they come; reflected swaps west with east and north with south, and
+    the two conventions generate the same stabilizer group.  The (west,
+    east, north, south) corners of every center are site numbers row * n +
+    x2 // 2 in lattice.sites() order, so each term's factors are sorted by
+    site by one argsort per center.  On a two-row torus north and south
+    are one site, whose factor is south after north; identity factors
+    drop, as in ProductOperator.from_factors.
     """
-    reflected = spec.orientation == "reflected"
-    by_parity = {}
-    for parity, family, twist, labels in (
-        (1, "group", spec.twist_even, spec.group.elements()),
-        (0, "dual", spec.twist_odd, spec.group.characters()),
+    lat, group = spec.lattice, spec.group
+    size = group.size
+    folded = lat.vertical == "periodic" and lat.m == 2
+    factors: dict = {}
+    label_table, fids = [], []
+    # Row parity 0 carries the character labels, parity 1 the element labels.
+    for family, twist, labels in (
+        ("dual", spec.twist_odd, group.characters()),
+        ("group", spec.twist_even, group.elements()),
     ):
-        rows = []
+        ids = []
         for label in labels:
             west, east, north, south = corner_factors(twist, label)
-            rows.append((label, (east, west, south, north) if reflected else (west, east, north, south)))
-        by_parity[parity] = family, rows
-    modulus = spec.group.phase_modulus
-    terms = []
-    for center in spec.lattice.plaquette_centers():
-        family, rows = by_parity[center[0] % 2]
-        placed = _plaquette_sites(spec.lattice, center)
-        for label, corners in rows:
-            factors = []
-            for site, positions in placed:
-                mono = corners[positions[0]]
-                for pos in positions[1:]:
-                    mono = corners[pos].multiply(mono)
-                if not mono.is_identity:
-                    factors.append((site, mono))
-            op = ProductOperator(tuple(factors), modulus)
-            terms.append(StabilizerTerm(StabilizerLabel(center, family, label.exps), op))
-    return terms
+            corners = [east, west, south, north] if spec.orientation == "reflected" else [west, east, north, south]
+            if folded:
+                # North and south are one site: south after north there, the identity at south.
+                corners[2:] = [corners[3].multiply(corners[2]), MonomialOperator.identity(size, group.phase_modulus)]
+            ids.append([-1 if mono.is_identity else factors.setdefault(mono, len(factors)) for mono in corners])
+            label_table.append((family, label.exps))
+        fids.append(ids)
+    centers = np.array(lat.plaquette_centers(), dtype=np.int64).reshape(-1, 2)
+    j, c = centers.T
+    rows = np.stack([j, j, j + 1, j - 1], axis=1) % len(lat.rows)
+    x2 = np.stack([c - 1, c + 1, c, c], axis=1) % (2 * lat.n)
+    sites = rows * lat.n + x2 // 2
+    order = np.argsort(sites, axis=1, kind="stable")
+    sites = np.take_along_axis(sites, order, axis=1)
+    fid = np.take_along_axis(np.array(fids, dtype=np.int64)[j % 2], order[:, None, :], axis=2)
+    kept = fid >= 0
+    start = np.concatenate(([0], np.cumsum(kept.sum(axis=2).ravel())))
+    site = np.broadcast_to(sites[:, None, :], fid.shape)[kept]
+    placement = Placement(start, site, fid[kept], [s for s, _ in lat.sites()], list(factors), group.phase_modulus)
+    label_id = ((j % 2)[:, None] * size + np.arange(size)).ravel()
+    return PlacedTerms(placement, np.repeat(centers, size, axis=0), label_id, tuple(label_table))
 
 
 def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
@@ -252,6 +303,16 @@ def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
     return terms
 
 
+def _placement(terms) -> Placement:
+    """The ops of terms as arrays: placed terms' own, other terms' through operators.place."""
+    return terms.placement if isinstance(terms, PlacedTerms) else place([t.op for t in terms])
+
+
+def term_labels(terms) -> list[StabilizerLabel]:
+    """The labels of terms, in order; placed terms build them without building a term."""
+    return terms.labels if isinstance(terms, PlacedTerms) else [t.label for t in terms]
+
+
 def check_all_commute(terms) -> dict:
     """Exact pairwise commutation report over the pairs of terms that share a site.
 
@@ -260,11 +321,12 @@ def check_all_commute(terms) -> dict:
     pairs_checked counts exactly the overlapping pairs and violations come
     in (a, b) order, with phase None for a commutator that is not scalar.
     Disjoint pairs commute and are not visited.  The terms must share one
-    phase modulus.
+    phase modulus.  Placed terms give their arrays, and only the terms of a
+    violation are built.
     """
     violations = []
     pairs_checked = 0
-    for a, b, k in overlap_exponents([t.op for t in terms]):
+    for a, b, k in overlap_exponents(_placement(terms)):
         pairs_checked += k.size
         bad = np.flatnonzero(k)
         for ia, ib, kk in zip(a[bad].tolist(), b[bad].tolist(), k[bad].tolist()):
@@ -287,11 +349,12 @@ def overlap_phases(terms, ops) -> list[list[tuple]]:
     listed commutes with the op.  All ops go through one
     operators.overlap_exponents pass, which compares only terms that share
     a site with an op.  The moduli are checked first, so a mismatch raises
-    ValueError even when an op shares no site with any term.
+    ValueError even when an op shares no site with any term.  Only the
+    listed terms are built.
     """
     ops = list(ops)
     out = [[] for _ in ops]
-    for a, b, k in overlap_exponents([t.op for t in terms], ops):
+    for a, b, k in overlap_exponents(_placement(terms), ops):
         bad = np.flatnonzero(k)
         for ia, ib, kk in zip(a[bad].tolist(), b[bad].tolist(), k[bad].tolist()):
             out[ib].append((terms[ia], None if kk < 0 else _phase(kk, ops[ib].modulus)))
@@ -339,11 +402,13 @@ def _weyl_form(mono: MonomialOperator, group: GroupSpec) -> tuple[tuple, tuple, 
 def joint_eigenspace_dimension(ops, sites, group: GroupSpec) -> int:
     """Exact dimension of the joint +1 eigenspace of commuting Weyl operators.
 
-    ops are ProductOperators on `sites`, each a |G|-dimensional space.
-    Every site factor is a Weyl operator (a, chi, c), so each op is a
-    phase w**c times an integer vector with columns a_i and chi_i mod n_i
-    per site, and the ops generate an Abelian group S.  The dimension is
-    |G|**sites / |S|, or 0 when S holds a scalar other than 1.
+    ops, a Placement or ProductOperators, act on `sites`, each a
+    |G|-dimensional space.  Every site factor is a Weyl operator (a, chi,
+    c), so each op is a phase w**c times an integer vector with columns a_i
+    and chi_i mod n_i per site, and the ops generate an Abelian group S.
+    The dimension is |G|**sites / |S|, or 0 when S holds a scalar other
+    than 1.  _weyl_form runs once per distinct factor, and one fancy-index
+    write fills the vectors from the placed arrays.
 
     S is brought to echelon form column by column.  Euclid over the rows
     and the modulus element n_j e_j (the identity, phase 0) leaves one
@@ -362,18 +427,15 @@ def joint_eigenspace_dimension(ops, sites, group: GroupSpec) -> int:
     weights = L // moduli[a_cols]
     # One spare row beyond the ops holds the modulus element of the column
     # in hand; a dropped pivot's row becomes the next spare.
-    vec = np.zeros((len(ops) + 1, len(moduli)), dtype=np.int64)
-    phase = np.zeros(len(ops) + 1, dtype=np.int64)
-    forms: dict = {}
-    for r, op in enumerate(ops):
-        for site, mono in op.factors:
-            if mono not in forms:
-                forms[mono] = _weyl_form(mono, group)
-            a, chi, c = forms[mono]
-            base = 2 * k * site_index[site]
-            vec[r, base : base + k] = a
-            vec[r, base + k : base + 2 * k] = chi
-            phase[r] += c
+    placed = place(ops)
+    vec = np.zeros((len(placed) + 1, len(moduli)), dtype=np.int64)
+    phase = np.zeros(len(placed) + 1, dtype=np.int64)
+    forms = [_weyl_form(mono, group) for mono in placed.factors]
+    weyl = np.array([a + chi for a, chi, _ in forms], dtype=np.int64).reshape(-1, 2 * k)
+    row = np.repeat(np.arange(len(placed)), np.diff(placed.start))
+    base = np.array([site_index[s] for s in placed.sites], dtype=np.int64)[placed.site] * 2 * k
+    vec[row[:, None], base[:, None] + np.arange(2 * k)] = weyl[placed.fid]
+    np.add.at(phase, row, np.array([c for *_, c in forms], dtype=np.int64)[placed.fid])
     phase %= L
 
     def absorb(rows, p, q):
@@ -387,7 +449,7 @@ def joint_eigenspace_dimension(ops, sites, group: GroupSpec) -> int:
         block = vec[np.ix_(rows, supp)] + q[:, None] * vec[p, supp]
         vec[np.ix_(rows, supp)] = block % moduli[supp]
 
-    spare = len(ops)
+    spare = len(placed)
     d_product = 1
     for j, n in enumerate(moduli.tolist()):
         rows = np.flatnonzero(vec[:, j])
@@ -418,13 +480,14 @@ def ground_space_dimension(spec: CodeSpec) -> int:
 
     Counts by integer normal form over every bulk term, identity labels
     included, so a label map that failed to be a representation would
-    show up as a scalar relation instead of being assumed away.
+    show up as a scalar relation instead of being assumed away.  The terms'
+    placed arrays fill the normal form; no term is built.
     """
     lat = spec.lattice
     if lat.vertical != "periodic":
         raise GeometryError("the ground space is counted on the torus")
-    ops = [t.op for t in build_bulk_stabilizers(spec)]
-    return joint_eigenspace_dimension(ops, [s for s, _ in lat.sites()], spec.group)
+    placed = build_bulk_stabilizers(spec).placement
+    return joint_eigenspace_dimension(placed, placed.sites, spec.group)
 
 
 def orbit_eigenspace_dimension(ops, sites, group: GroupSpec) -> int:
@@ -476,7 +539,10 @@ def ground_space_dimension_dense(spec: CodeSpec, dim_cap: int = DENSE_ORACLE_CAP
     """Independent oracle: orbit count over the bulk terms, for any boundary."""
     lat = spec.lattice
     if lat.total_dim > dim_cap:
-        raise CapExceededError(f"{lat.total_dim} amplitudes exceed the dense oracle's {dim_cap}")
+        count = str(lat.total_dim)
+        if len(count) > READABLE_DIGITS:
+            count = f"{spec.group.size}**{lat.num_sites}"
+        raise CapExceededError(f"{count} amplitudes exceed the dense oracle's {dim_cap}")
     ops = [t.op for t in build_bulk_stabilizers(spec)]
     return orbit_eigenspace_dimension(ops, [s for s, _ in lat.sites()], spec.group)
 

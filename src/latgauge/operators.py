@@ -34,7 +34,9 @@ until its caller stamps one with with_kind; multiplying
 factors of different kinds is refused, and so is applying a factor to a
 site of another kind.  ProductOperator tensors
 site-local monomials over named sites and is the workhorse for
-stabilizers, strings and logicals.  StateVector holds dense
+stabilizers, strings and logicals; a Placement holds many of them as
+integer arrays of site numbers and factor ids, which the batched
+commutation pass overlap_exponents reads.  StateVector holds dense
 complex amplitudes and applies product operators to them.  A flux
 operator of a finite group, abelian or not, is the integer diagonal
 chi(g_1 ... g_n) read off an integer multiplication table and an integer
@@ -350,82 +352,116 @@ def _factor_exponent(ma: MonomialOperator, mb: MonomialOperator, modulus: int) -
     return k
 
 
-def _column_meetings(cols, fids: dict):
-    """The factors of cols grouped by site, as int arrays.
+@dataclass(frozen=True, eq=False)
+class Placement:
+    """Product operators as integer arrays.
 
-    Returns {site: site id}, and per site id the start and count of its
-    entries in col_op and col_fid, which hold each entry's operator index
-    (ascending within a site) and factor id.  fids numbers new factors.
+    Operator i's factors are entries start[i]:start[i + 1] of site and fid:
+    site[e] indexes sites, the site ids, and fid[e] indexes factors, which
+    are distinct.  modulus is the operators' one phase modulus, None for
+    no operators.
     """
-    by_site: dict = {}
-    for j, op in enumerate(cols):
-        for site, mono in op.factors:
-            by_site.setdefault(site, []).append((j, fids.setdefault(mono, len(fids))))
-    count = np.array([len(meets) for meets in by_site.values()], dtype=np.int64)
-    meetings = [m for meets in by_site.values() for m in meets]
-    col_op = np.array([j for j, _ in meetings], dtype=np.int64)
-    col_fid = np.array([f for _, f in meetings], dtype=np.int64)
-    return {site: s for s, site in enumerate(by_site)}, np.cumsum(count) - count, count, col_op, col_fid
+
+    start: np.ndarray
+    site: np.ndarray
+    fid: np.ndarray
+    sites: list
+    factors: list
+    modulus: int | None
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    def op(self, i: int) -> "ProductOperator":
+        """Operator i, built from its entries."""
+        lo, hi = self.start[i], self.start[i + 1]
+        pairs = zip(self.site[lo:hi].tolist(), self.fid[lo:hi].tolist())
+        return ProductOperator(tuple((self.sites[s], self.factors[f]) for s, f in pairs), self.modulus)
+
+    def take(self, index: np.ndarray) -> "Placement":
+        """The operators at index, in that order, on the same sites and factors."""
+        count = self.start[index + 1] - self.start[index]
+        start = np.concatenate(([0], np.cumsum(count)))
+        entries = np.arange(start[-1]) + np.repeat(self.start[index] - start[:-1], count)
+        return Placement(start, self.site[entries], self.fid[entries], self.sites, self.factors, self.modulus)
 
 
-def _row_factors(rows, site_ids: dict, fids: dict):
-    """The factors of rows on the sites of site_ids, in row order, as int arrays.
+def place(ops) -> Placement:
+    """ops as a Placement: a Placement as it is, ProductOperators by one pass over their factors.
 
-    Returns row_start, with row i's entries at row_start[i]:row_start[i + 1],
-    and each entry's row index, site id and factor id.
+    Sites and factors are numbered in order of first appearance.  Operators
+    of different moduli raise ValueError.
     """
-    row_count, row_site, row_fid = [], [], []
-    for op in rows:
-        before = len(row_site)
-        for site, mono in op.factors:
-            s = site_ids.get(site)
-            if s is not None:
-                row_site.append(s)
-                row_fid.append(fids.setdefault(mono, len(fids)))
-        row_count.append(len(row_site) - before)
-    row_start = np.concatenate(([0], np.cumsum(row_count)))
-    row_op = np.repeat(np.arange(len(rows)), row_count)
-    return row_start, row_op, np.array(row_site, dtype=np.int64), np.array(row_fid, dtype=np.int64)
+    if isinstance(ops, Placement):
+        return ops
+    ops = list(ops)
+    moduli = {op.modulus for op in ops}
+    if len(moduli) > 1:
+        raise ValueError("phase moduli differ")
+    entries = [entry for op in ops for entry in op.factors]
+    sites: dict = {}
+    fids: dict = {}
+    site = np.array([sites.setdefault(s, len(sites)) for s, _ in entries], dtype=np.int64)
+    fid = np.array([fids.setdefault(mono, len(fids)) for _, mono in entries], dtype=np.int64)
+    start = np.concatenate(([0], np.cumsum([len(op.factors) for op in ops], dtype=np.int64)))
+    return Placement(start, site, fid, list(sites), list(fids), moduli.pop() if moduli else None)
+
+
+def _site_numbers(cols: Placement, rows: Placement) -> np.ndarray:
+    """Each entry of cols as the number of its site among rows' sites, -1 for a site rows lack."""
+    if cols.sites is rows.sites:
+        return cols.site
+    number = {s: i for i, s in enumerate(rows.sites)}
+    return np.array([number.get(s, -1) for s in cols.sites], dtype=np.int64)[cols.site]
 
 
 def overlap_exponents(rows, cols=None):
-    """Commutation exponents of the pairs of ProductOperators that share a site.
+    """Commutation exponents of the pairs of product operators that share a site.
 
-    Yields (i, j, k) integer arrays, one tile at a time, over every pair of
-    rows[i] and cols[j] that act on a common site, in (i, j) order; with
-    cols None the pairs are those of rows with i < j.  k is the exponent
-    with rows[i] . cols[j] = w**k cols[j] . rows[i], or -1 when the
-    commutator is not scalar.  Pairs that share no site commute and are
-    not listed.  All operators must share one modulus; ValueError
-    otherwise.
+    rows and cols are Placements or sequences of ProductOperators, which
+    operators.place puts into arrays in one pass.  Yields (i, j, k)
+    integer arrays, one tile at a time, over every pair of rows[i] and
+    cols[j] that act on a common site, in (i, j) order; with cols None the
+    pairs are those of rows with i < j.  k is the exponent with
+    rows[i] . cols[j] = w**k cols[j] . rows[i], or -1 when the commutator
+    is not scalar.  Pairs that share no site commute and are not listed.
+    All operators must share one modulus; ValueError otherwise.
 
-    Each distinct site factor gets an integer id, and _site_commutator
-    runs once per distinct (row factor, column factor) pair that meets on
-    a site, filling a small table.  A tile takes as many rows as keep its
-    meetings within OVERLAP_MEETINGS: np.repeat and fancy indexing list
-    every meeting of a row factor with a column factor on a site.  Its
-    columns are numbered in order, and np.bincount counts the meetings and
-    sums their exponents per (row, column) bin, over as many rows at a time
-    as fit in OVERLAP_BINS bins.  Bins are numbered in (i, j) order, so
-    nothing is sorted.
+    The column entries are grouped by site with a stable argsort, and the
+    row entries on sites no column uses are dropped by one lookup.
+    _site_commutator runs once per distinct (row factor, column factor)
+    pair that meets on a site, filling a small table.  A tile takes as
+    many rows as keep its meetings within OVERLAP_MEETINGS: np.repeat and
+    fancy indexing list every meeting of a row factor with a column factor
+    on a site.  Its columns are numbered in order, and np.bincount counts
+    the meetings and sums their exponents per (row, column) bin, over as
+    many rows at a time as fit in OVERLAP_BINS bins.  Bins are numbered in
+    (i, j) order, so nothing is sorted.
     """
     upper = cols is None
-    if upper:
-        cols = rows
-    moduli = {op.modulus for op in rows} | {op.modulus for op in cols}
+    rows = place(rows)
+    cols = rows if upper else place(cols)
+    moduli = {rows.modulus, cols.modulus} - {None}
     if len(moduli) > 1:
         raise ValueError("phase moduli differ")
-    if not rows or not cols:
+    if not len(rows) or not len(cols):
         return
     (modulus,) = moduli
-    fids: dict = {}
-    site_ids, start, count, col_op, col_fid = _column_meetings(cols, fids)
-    row_start, row_op, row_site, row_fid = _row_factors(rows, site_ids, fids)
+    col_site = _site_numbers(cols, rows)
+    on = np.flatnonzero(col_site >= 0)
+    by_site = on[np.argsort(col_site[on], kind="stable")]
+    col_op = np.repeat(np.arange(len(cols)), np.diff(cols.start))[by_site]
+    col_fid = cols.fid[by_site]
+    count = np.bincount(col_site[on], minlength=len(rows.sites))
+    start = np.cumsum(count) - count
+    row_op = np.repeat(np.arange(len(rows)), np.diff(rows.start))
+    met = count[rows.site] > 0
+    row_op, row_site, row_fid = row_op[met], rows.site[met], rows.fid[met]
     if not row_site.size:
         return
-    factors = list(fids)
-    nf = len(factors)
-    table = np.full(nf * nf, -1, dtype=np.int64)
+    row_start = np.concatenate(([0], np.cumsum(np.bincount(row_op, minlength=len(rows)))))
+    nf = len(cols.factors)
+    table = np.full(len(rows.factors) * nf, -1, dtype=np.int64)
     # A tile of rows lists at most OVERLAP_MEETINGS meetings (or one row's).
     row_meets = np.bincount(row_op, weights=count[row_site], minlength=len(rows))
     per_tile = max(1, OVERLAP_MEETINGS // int(row_meets.max()))
@@ -449,7 +485,7 @@ def overlap_exponents(rows, cols=None):
         unset = exps < 0
         if unset.any():
             for p in set(pair[unset].tolist()):
-                table[p] = _factor_exponent(factors[p // nf], factors[p % nf], modulus)
+                table[p] = _factor_exponent(rows.factors[p // nf], cols.factors[p % nf], modulus)
             exps = table[pair]
         # Number the tile's columns in order, and bin (row, column) pairs
         # over as many rows at a time as fit in OVERLAP_BINS.

@@ -199,7 +199,7 @@ def criterion_twisted_plaquette_product() -> dict:
         for alpha in enumerate_cocycle_classes(group):
             for n, m in [(2, 2), (3, 2)]:
                 spec = CodeSpec(Lattice2D(group, n, m, "periodic"), twist_even=alpha)
-                terms = build_bulk_stabilizers(spec)
+                terms = list(build_bulk_stabilizers(spec))  # built once, read once per element
                 for g in group.elements():
                     total = ProductOperator.identity_op(group.phase_modulus)
                     for t in terms:

@@ -112,6 +112,16 @@ class TestCodeCommand:
         assert rep["ground_dimension"] == 16
         assert not any("skipped" in c for c in rep["checks"])
 
+    def test_dense_skip_prints_a_long_count_as_a_power(self, runner):
+        # 2**1600 amplitudes: the skip line names the count as |G|**sites,
+        # not in 482 decimal digits.
+        result = runner.invoke(main, ["code", "--group", "2", "--n", "40", "--m", "40"])
+        assert result.exit_code == 0, result.output
+        skip = next(line for line in result.output.splitlines() if line.startswith("[SKIP]"))
+        assert skip == "[SKIP] ground_dimension_matches_dense: 2**1600 amplitudes exceed the dense oracle's 16384"
+        (dense,) = [c for c in report_from(result)["checks"] if c["name"] == "ground_dimension_matches_dense"]
+        assert dense["reason"] == "2**1600 amplitudes exceed the dense oracle's 16384"
+
     def test_cap_bits_option_is_gone(self, runner):
         args = ["code", "--group", "2", "--n", "2", "--m", "2", "--cap-bits", "10"]
         assert runner.invoke(main, args).exit_code == 2

@@ -102,7 +102,7 @@ class TestAgainstSitewiseOracle:
         # the sitewise full scan finds.
         import scan_oracle  # it imports this module, so not at the top
 
-        terms = build_bulk_stabilizers(spec)
+        terms = list(build_bulk_stabilizers(spec))
         k = next(i for i, t in enumerate(terms) if t.op.factors)
         (site, mono), *rest = terms[k].op.factors
         shifted = replace(mono, phase=(mono.phase[0] + 1,) + mono.phase[1:])

@@ -331,6 +331,27 @@ class TestGroundSpace:
         with pytest.raises(gauging.CapExceededError):
             ground_space_dimension_dense(spec, dim_cap=8)
 
+    @pytest.mark.parametrize(
+        "n,m,count",
+        [(10, 4, "1099511627776"), (8, 6, "281474976710656"), (14, 4, "2**56"), (40, 40, "2**1600")],
+    )
+    def test_dense_refusal_names_a_long_count_as_a_power(self, n, m, count):
+        # Up to READABLE_DIGITS digits the count is decimal, as the suite
+        # report's 13-digit count; past it, |G|**sites.
+        spec = CodeSpec(Lattice2D(Z2, n, m, "periodic"))
+        with pytest.raises(gauging.CapExceededError) as err:
+            ground_space_dimension_dense(spec)
+        assert str(err.value) == f"{count} amplitudes exceed the dense oracle's {DENSE_ORACLE_CAP}"
+
+    def test_total_dim_counts_sites_without_listing_them(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("sites() listed")
+
+        monkeypatch.setattr(Lattice2D, "sites", refuse)
+        assert Lattice2D(Z3, 5, 4, "periodic").total_dim == 3**20
+        assert Lattice2D(Z3, 5, 4, "open").total_dim == 3**25
+        assert Lattice2D(Z22, 1000, 1000, "periodic").total_dim == 4**1000000
+
     def test_dense_oracle_on_cylinder(self):
         # Open vertical boundary with no boundary terms kept: the bulk
         # projector alone leaves a larger space than the torus.
@@ -394,7 +415,7 @@ class TestBoundaryTerms:
         terms = build_bulk_stabilizers(spec)
         bottom = build_boundary_terms(spec, "bottom")
         top = build_boundary_terms(spec, "top")
-        assert check_all_commute(terms + bottom + top)["passed"]
+        assert check_all_commute([*terms, *bottom, *top])["passed"]
         assert len(bottom) == 2 * Z3.size
 
     def test_restricted_by_subgroup(self):
@@ -418,7 +439,7 @@ class TestBoundaryTerms:
     def test_beta_twisted_terms_still_commute(self):
         beta = enumerate_cocycle_classes(Z22)[1]
         spec = CodeSpec(Lattice2D(Z22, 2, 4, "open"), boundary_beta=beta)
-        terms = build_bulk_stabilizers(spec) + build_boundary_terms(spec, "bottom")
+        terms = [*build_bulk_stabilizers(spec), *build_boundary_terms(spec, "bottom")]
         assert check_all_commute(terms)["passed"]
 
 

@@ -67,7 +67,7 @@ CYLINDER_SPECS = _specs("open", [CYLINDER], ("standard",))
 def _terms(spec):
     terms = build_bulk_stabilizers(spec)
     if spec.lattice.vertical == "open":
-        terms += build_boundary_terms(spec, "bottom") + build_boundary_terms(spec, "top")
+        terms = [*terms, *build_boundary_terms(spec, "bottom"), *build_boundary_terms(spec, "top")]
     return terms
 
 
@@ -100,21 +100,26 @@ def _string_ops(spec):
 
 
 def _assert_scans_match(terms, ops):
-    """Every scan equals the oracle; returns the number of violating (term, op) pairs."""
-    assert check_all_commute(terms) == scan_oracle.check_all_commute(terms)
+    """Every scan equals the oracle; returns the number of violating (term, op) pairs.
+
+    The library scans the terms as given, placed or listed; the oracle
+    walks them built once, as a list.
+    """
+    listed = list(terms)
+    assert check_all_commute(terms) == scan_oracle.check_all_commute(listed)
     violating = 0
     for op in ops:
-        expected = scan_oracle.syndrome_phases(terms, op)
+        expected = scan_oracle.syndrome_phases(listed, op)
         got = syndrome(terms, op).phases
         assert list(got) == list(expected)
         assert list(got.values()) == list(expected.values())
-        assert first_violation(terms, op) == scan_oracle.first_violation(terms, op)
+        assert first_violation(terms, op) == scan_oracle.first_violation(listed, op)
         # From each violating term on, that term must be the witness.
-        for i, t in enumerate(terms):
+        for i, t in enumerate(listed):
             ph = expected[t.label]
             if ph is None or not ph.is_one:
                 violating += 1
-                assert first_violation(terms[i:], op) == scan_oracle.first_violation(terms[i:], op)
+                assert first_violation(terms[i:], op) == scan_oracle.first_violation(listed[i:], op)
     return violating
 
 
@@ -196,6 +201,31 @@ def scan_cases(draw):
     return terms, draw(st.permutations(ops))
 
 
+@st.composite
+def placed_cases(draw):
+    """A slice of one spec's placed bulk terms, and ops that mix raw factors with term ops.
+
+    The slice keeps the placed arrays, so check_all_commute and the term
+    side of syndromes read them directly; the ops are ProductOperators
+    that operators.place puts into arrays one by one: up to three string
+    ops, the ops of up to three of the spec's terms, and a raw op of one
+    basis state of one factor shifted by w.
+    """
+    spec, _, strings = _pool(draw(st.integers(0, len(SPECS) - 1)))
+    placed = build_bulk_stabilizers(spec)
+    size = len(placed)
+    part = slice(
+        draw(st.integers(-size, size)), draw(st.integers(-size, size)), draw(st.sampled_from([1, 1, 2, 3, -1, -4]))
+    )
+    ops = draw(st.lists(st.sampled_from(strings), max_size=3))
+    ops += [placed[i].op for i in draw(st.lists(st.integers(0, size - 1), max_size=3))]
+    site, mono = draw(st.sampled_from([f for t in placed for f in t.op.factors]))
+    x = draw(st.integers(0, mono.dim - 1))
+    shifted = replace(mono, phase=mono.phase[:x] + (mono.phase[x] + 1,) + mono.phase[x + 1 :])
+    ops.append(ProductOperator(((site, shifted),), spec.group.phase_modulus))
+    return placed[part], draw(st.permutations(ops))
+
+
 class TestRandomSubsets:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(scan_cases())
@@ -208,6 +238,17 @@ class TestRandomSubsets:
             assert list(got.phases.items()) == list(expected.items())
             assert syndrome(terms, op).phases == got.phases
             assert first_violation(terms, op) == scan_oracle.first_violation(terms, op)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(placed_cases())
+    def test_placed_slices_match_the_full_scan(self, case):
+        terms, ops = case
+        listed = list(terms)
+        assert check_all_commute(terms) == check_all_commute(listed) == scan_oracle.check_all_commute(listed)
+        for op, got in zip(ops, syndromes(terms, ops)):
+            expected = scan_oracle.syndrome_phases(listed, op)
+            assert list(got.phases.items()) == list(expected.items())
+            assert first_violation(terms, op) == scan_oracle.first_violation(listed, op)
 
 
 class TestMemory:

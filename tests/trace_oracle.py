@@ -22,8 +22,9 @@ import math
 
 import numpy as np
 
-from latgauge.lattice import CodeSpec, GeometryError, _plaquette_sites, build_bulk_stabilizers
+from latgauge.lattice import CodeSpec, GeometryError, build_bulk_stabilizers
 from latgauge.operators import CapExceededError, MonomialOperator, StateVector, corner_factors
+from term_oracle import _plaquette_sites
 
 
 @functools.lru_cache(maxsize=None)
