@@ -33,7 +33,16 @@ from .groups import (
     slant_product,
 )
 from .lattice import CodeSpec, build_boundary_terms, overlap_phases, witness
-from .operators import ProductOperator, SiteKind, StateVector, clock_z, corner_factors, flat_action, shift_x
+from .operators import (
+    ProductOperator,
+    SiteKind,
+    StateVector,
+    clock_z,
+    corner_factors,
+    flat_action,
+    placed_factors,
+    shift_x,
+)
 
 
 @dataclass
@@ -112,7 +121,7 @@ def _returned_roots(chain: SymmetricState1D, op: ProductOperator) -> tuple[np.nd
     support = np.flatnonzero(state.amps)
     if not support.size or np.any(state.amps[support] != state.amps[support[0]]):
         raise ValueError("chain state is not uniform on its support")
-    y, phases = flat_action(state.dims, state._placed(op), support)
+    y, phases = flat_action(state.dims, placed_factors(state, op), support)
     roots = sum(phases, np.zeros_like(support)) % op.modulus
     return np.bincount(roots[state.amps[y] != 0], minlength=op.modulus), support.size
 

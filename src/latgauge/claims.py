@@ -6,7 +6,9 @@ subcommand runs a claim on its one configuration; a suite criterion runs
 it over its configuration list.  The claim decides every skip: a check
 past the dense oracle's cap, or on an exact map past exact_skip, comes back
 `skipped` with the reason.  GAUGE_MAX_DIM is compared by gauging.check_cap
-alone, which raises CapExceededError.  State checks use gauging.STATE_TOL.
+alone, which raises CapExceededError.  Composed states are exact
+operators.SupportState objects, so their norms and symmetries are compared
+exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from .boundary import condensation_table, surviving_boundary_terms
 from .excitations import confinement_report
 from .gauging import (
     DEFAULT_DIM_CAP,
-    STATE_TOL,
     CapExceededError,
     build_gauging_map,
     check_cap,
@@ -76,8 +77,8 @@ def ground_dimension(spec, dense_cap: int = DENSE_ORACLE_CAP) -> list[dict]:
 
 
 def stack_symmetries(layers):
-    """(state, checks): the layers gauge their symmetric input at unit norm into a state
-    that every stack symmetry fixes.
+    """(state, checks): the layers gauge their symmetric input at norm exactly 1.0 into a state
+    that every stack symmetry fixes exactly.
 
     The last layer's output, the largest, is checked against the cap by site count before the input is built.
     """
@@ -87,7 +88,7 @@ def stack_symmetries(layers):
     return state, [
         check(
             "layer_norms_unit", "symmetric inputs stay unit norm through every layer",
-            all(abs(x - 1) < STATE_TOL for x in norms), norms=norms,
+            all(x == 1 for x in norms), norms=norms,
         ),
         _as_check(verify_local_symmetry(state, layers), "the composed state satisfies every stack symmetry"),
     ]

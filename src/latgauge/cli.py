@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import re
 import sys
 
@@ -206,7 +207,7 @@ def compose(group_text, num_layers, n, bc, twist_even, twist_odd, out):
         "twist_odd": twist_odd,
         "tol": STATE_TOL,
     }
-    dimensions = {"amplitudes": int(state.amps.size), "sites": len(state.site_ids)}
+    dimensions = {"amplitudes": math.prod(state.dims), "sites": len(state.site_ids)}
     finish(envelope("compose", config, checks, dimensions=dimensions), out)
 
 
@@ -285,10 +286,10 @@ def _code_spec(group, n, m, bc, twist_even, twist_odd, beta, subgroup, orientati
     return CodeSpec(lattice, *twists, subgroup_bottom=sub, orientation=orientation)
 
 
-# Building the terms one object at a time traced 137-143 bytes per stored
-# factor (on the Z2 100x100, Z2xZ2 50x50 and Z3xZ3 30x30 tori), about nine
-# 16-byte amplitudes; placed as arrays, 106, 58 and 40 bytes.
-TERM_FACTOR_AMPLITUDES = 9
+# Placed as arrays, the terms trace a peak of 106, 58 and 40 bytes per stored
+# factor while they are built (on the Z2 100x100, Z2xZ2 50x50 and Z3xZ3 30x30
+# tori, constructors warm): at most seven 16-byte amplitudes.
+TERM_FACTOR_AMPLITUDES = 7
 
 
 def _lattice(group, n, m, vertical) -> Lattice2D:

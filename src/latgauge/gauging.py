@@ -24,7 +24,14 @@ of one three-body local symmetry.  It acts on the matter row as the
 trailing sites of a stacked state and appends the new row behind it.
 The projectors are diagonal on the matter row, so the output factorises
 as psi[a, m] * K[m, e]: `a` the earlier rows, `m` the matter row, `e`
-the new row, and K the row kernel, the map on the all-ones matter row.
+the new row, and K the map on the all-ones matter row.  On a matter
+configuration of trivial total charge every nonzero cell of K is one
+root of unity times a common multiplicity; on a charged one the cells
+cancel.  So a symmetric input with one magnitude and root phases gauges
+to another such state, and compose_gauging carries it as an exact
+operators.SupportState: sorted basis keys, integer roots and one
+rational squared magnitude, with no dense array.  Its norms and every
+stack-symmetry check are exact.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,6 +53,7 @@ from .operators import (
     ProductOperator,
     SiteKind,
     StateVector,
+    SupportState,
     clock_z,
     corner_factors,
     flat_action,
@@ -52,7 +61,7 @@ from .operators import (
 )
 
 DEFAULT_DIM_CAP = 2**24
-STATE_TOL = 1e-10  # largest deviation from 1 a state check accepts in a norm or an overlap
+STATE_TOL = 1e-10  # largest deviation from 1 a float state check accepts in a norm or a fidelity
 
 
 def dimension_cap() -> int:
@@ -167,10 +176,11 @@ class GaugingMap:
     """Concrete gauging map for one layer.
 
     apply() and exact_matrix() read the same terms of the projector
-    product (_row_entries).  apply() sums them into the dense row kernel
-    and multiplies the state by it in one broadcast; exact_matrix() keeps
-    them as a sparse exact tensor of root-of-unity counts, at desk scale,
-    for zero-tolerance operator identities.
+    product (_row_entries).  apply() canonicalises them per cell and
+    extends each stored key of a SupportState by the single-root cells of
+    its matter row; exact_matrix() keeps them as a sparse exact tensor of
+    root-of-unity counts, at desk scale, for zero-tolerance operator
+    identities.
     """
 
     def __init__(self, layer: LayerSpec):
@@ -274,26 +284,45 @@ class GaugingMap:
             flat, root = moved_flat, moved_root
         return flat, root
 
-    def row_kernel(self) -> np.ndarray:
-        """K[m, e], matter by new-row configurations: the map on the all-ones matter row.
+    def apply(self, state: SupportState) -> SupportState:
+        """The gauged state, built on its support within check_cap.
 
-        np.bincount sums each cell's term roots, scaled by |G|**(scale_power - n).
+        The map's terms (_row_entries), in PhaseTensor canonical form, give
+        each cell of the (matter, new row) space its roots and counts.  A
+        stored key x on matter row m becomes x * E + e, E the new-row
+        dimension, for every cell (m, e) of one root r, with root
+        roots[x] + r; the keys stay sorted.  The squared magnitude gains
+        mult**2 * |G|**(2 scale_power - 2n).  An input that reaches a row
+        holding a cell of several roots (one that cancels, on a charged
+        matter configuration) raises ValueError, and so do rows whose
+        multiplicities differ.
         """
-        L = self.group.phase_modulus
-        flat, root = self._row_entries()
-        w = np.exp(2j * np.pi * np.arange(L) / L)
-        kernel = np.empty(self.out_dim, dtype=complex)
-        kernel.real = np.bincount(flat, weights=w.real[root], minlength=self.out_dim)
-        kernel.imag = np.bincount(flat, weights=w.imag[root], minlength=self.out_dim)
-        kernel *= float(self.group.size) ** (self.layer.scale_power - self.layer.n)
-        return kernel.reshape(self.in_dim, -1)
-
-    def apply(self, state: StateVector) -> StateVector:
-        """The gauged state: one broadcast multiply of the state by the row kernel, within check_cap."""
         site_ids, kinds, dims = gauged_layout(state, self.layer)
-        check_cap("output", self.group.size, len(self.new_sites), state.amps.size)
-        out = state.amps.reshape(-1, self.in_dim, 1) * self.row_kernel()
-        return StateVector(site_ids, kinds, dims, out.reshape(-1))
+        size, L = self.group.size, self.group.phase_modulus
+        check_cap("output", size, len(self.new_sites), math.prod(state.dims))
+        new_dim = self.out_dim // self.in_dim
+        cells = PhaseTensor.from_entries((self.out_dim,), L, *self._row_entries())
+        flat, cell_roots, mults = cells.flat_indices, cells.roots, cells.mults
+        row = flat // new_dim
+        cancelling = np.zeros(self.in_dim, dtype=bool)
+        cancelling[row[1:][flat[1:] == flat[:-1]]] = True
+        matter = state.keys % self.in_dim
+        if cancelling[matter].any():
+            raise ValueError("the input reaches a matter configuration whose cells cancel: its support is charged")
+        reached = np.zeros(self.in_dim, dtype=bool)
+        reached[matter] = True
+        mult = mults[reached[row]]
+        if mult.size and (mult != mult[0]).any():
+            raise ValueError("the map's cell multiplicities differ on the rows the input reaches")
+        start = np.searchsorted(row, np.arange(self.in_dim + 1))
+        count = start[matter + 1] - start[matter]
+        source = np.repeat(np.arange(matter.size), count)
+        cell = np.arange(source.size) + np.repeat(start[matter] - (np.cumsum(count) - count), count)
+        keys = state.keys[source] * new_dim + flat[cell] % new_dim
+        roots = (state.roots[source] + cell_roots[cell]) % L
+        scale = Fraction(size) ** (round(2 * self.layer.scale_power) - 2 * self.layer.n)
+        mag_sq = state.mag_sq * int(mult[0] if mult.size else 0) ** 2 * scale
+        return SupportState(site_ids, kinds, dims, L, keys, roots, mag_sq)
 
     def exact_matrix(self) -> PhaseTensor:
         """Exact sparse (out, in) PhaseTensor of the raw term sum.
@@ -310,7 +339,7 @@ class GaugingMap:
         return PhaseTensor.from_entries(shape, self.group.phase_modulus, flat * self.in_dim + column, root)
 
 
-def gauged_layout(state: StateVector, layer: LayerSpec) -> tuple[tuple, tuple, tuple]:
+def gauged_layout(state: StateVector | SupportState, layer: LayerSpec) -> tuple[tuple, tuple, tuple]:
     """Site ids, kinds and dims of `state` with the layer's new row appended.
 
     Every route that gauges a stacked state acts on the layer's matter row
@@ -351,16 +380,19 @@ def layer_stack(
     ]
 
 
-def initial_state(group: GroupSpec, layer: LayerSpec) -> StateVector:
-    """Product input on the layer's matter row, every site at the identity label: amplitude 1 at index 0."""
+def initial_state(group: GroupSpec, layer: LayerSpec) -> SupportState:
+    """Product input on the layer's matter row, every site at the identity label: the one key 0, root 0."""
     sites = layer.matter_sites()
-    amps = np.zeros(group.size**layer.n, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(tuple(s for s, _ in sites), tuple(k for _, k in sites), (group.size,) * layer.n, amps)
+    ids, kinds, dims = tuple(s for s, _ in sites), tuple(k for _, k in sites), (group.size,) * layer.n
+    return SupportState(ids, kinds, dims, group.phase_modulus, np.zeros(1, np.int64), np.zeros(1, np.int64))
 
 
-def compose_gauging(layers, input_state: StateVector, norms_out: list | None = None) -> StateVector:
-    """Apply the maps in order to an input on the first matter row; norms_out collects the norms."""
+def compose_gauging(layers, input_state: SupportState, norms_out: list | None = None) -> SupportState:
+    """Apply the maps in order to an input on the first matter row; norms_out collects the norms.
+
+    Each norm is SupportState.norm, read off the support size and the
+    exact squared magnitude, so a unit norm is exactly 1.0.
+    """
     layers = list(layers)
     for prev, nxt in zip(layers, layers[1:]):
         if nxt.index != prev.index + 1:
@@ -426,30 +458,23 @@ def stack_local_symmetry_ops(layers) -> list[tuple[str, ProductOperator]]:
     return ops
 
 
-def overlaps(state: StateVector, ops) -> list[complex]:
-    """<psi|O|psi> / <psi|psi> of each operator in the list ops.
+def verify_local_symmetry(state: SupportState, layers, tol: float = STATE_TOL) -> dict:
+    """Check the composed state is fixed exactly by every stack symmetry (SupportState.fixed_by).
 
-    One StateVector.expectations call sums over the state's support only;
-    dividing by the squared norm makes no normalized copy.  The empty
-    operator's overlap is exactly 1, and no sum is taken for it.
+    Fixed means eigenvalue +1, not just a phase, so states excited into
+    other eigenvalue sectors are caught.  The check is exact: tol, kept for
+    callers that pass one, must be a non-negative number and decides
+    nothing.  A state with no support raises ZeroDivisionError, as
+    normalizing it would.
     """
-    norm_sq = float(np.vdot(state.amps, state.amps).real)
-    if norm_sq == 0:
+    if not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, not {tol!r}")
+    if not (state.keys.size and state.mag_sq):
         raise ZeroDivisionError("cannot normalize the zero vector")
-    values = iter(state.expectations([op for op in ops if op.factors]))
-    return [next(values) / norm_sq if op.factors else 1 + 0j for op in ops]
-
-
-def verify_local_symmetry(state: StateVector, layers, tol: float = STATE_TOL) -> dict:
-    """Check the composed state is fixed by every stack symmetry, by overlaps().
-
-    The overlap itself must be 1 (eigenvalue +1), not just its modulus,
-    so states excited into other eigenvalue sectors are caught.
-    """
     named = stack_local_symmetry_ops(layers)
     checks = [
-        {"op": name, "overlap": overlap, "passed": bool(abs(overlap - 1) < tol)}
-        for (name, _), overlap in zip(named, overlaps(state, [op for _, op in named]))
+        {"op": name, "passed": fixed}
+        for (name, _), fixed in zip(named, state.fixed_by([op for _, op in named]))
     ]
     return {
         "name": "local_symmetry",

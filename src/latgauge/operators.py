@@ -37,12 +37,16 @@ site-local monomials over named sites and is the workhorse for
 stabilizers, strings and logicals; a Placement holds many of them as
 integer arrays of site numbers and factor ids, which the batched
 commutation pass overlap_exponents reads.  StateVector holds dense
-complex amplitudes and applies product operators to them.  A flux
+complex amplitudes and applies product operators to them; SupportState
+holds a state of one magnitude on its support, as sorted basis keys with
+integer root exponents and a rational squared magnitude, and checks
+exactly which product operators fix it.  A flux
 operator of a finite group, abelian or not, is the integer diagonal
 chi(g_1 ... g_n) read off an integer multiplication table and an integer
 character, and fusion_coefficients divides the orthogonality sums by |G|
-exactly.  Operator-level checks are exact; state-level checks compare
-norms and overlaps within gauging.STATE_TOL.
+exactly.  Operator-level checks are exact, and so are the checks on
+support states; the few dense state checks left compare norms and
+fidelities within gauging.STATE_TOL.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -555,7 +560,20 @@ def flatten_product_operator(site_ids, dims, op: ProductOperator):
     return perm, (phase % op.modulus).astype(np.min_scalar_type(op.modulus - 1), copy=False)
 
 
-# -- dense states ------------------------------------------------------------
+# -- states ------------------------------------------------------------------
+
+
+def placed_factors(state, op: ProductOperator) -> list[tuple[int, MonomialOperator]]:
+    """(axis, factor) pairs of op on the state's sites, each checked against its site's kind and dimension."""
+    factors = []
+    for site, mono in op.factors:
+        axis = state.site_ids.index(site)
+        if mono.kind != state.kinds[axis]:
+            raise ValueError(f"site kind mismatch at {site!r}")
+        if mono.dim != state.dims[axis]:
+            raise ValueError(f"operator dimension mismatch at {site!r}")
+        factors.append((axis, mono))
+    return factors
 
 
 @dataclass
@@ -565,8 +583,8 @@ class StateVector:
     The flat index is row major in site order: the first site is the most
     significant digit of the mixed-radix configuration label.  Amplitudes
     are stored as complex; complex input is kept without a copy.  apply
-    and expectations walk the nonzero amplitudes only, in tiles of
-    SUPPORT_TILE indices, reading each target and phase from flat_action.
+    walks the nonzero amplitudes only, in tiles of SUPPORT_TILE indices,
+    reading each target and phase from flat_action.
     """
 
     site_ids: tuple
@@ -591,7 +609,7 @@ class StateVector:
         op.factors order.  Every factor is checked before anything is
         written.  self.amps is never written; the empty operator returns it.
         """
-        factors = self._placed(op)
+        factors = placed_factors(self, op)
         if not factors:
             return StateVector(self.site_ids, self.kinds, self.dims, self.amps)
         w = np.exp(2j * np.pi / op.modulus)
@@ -608,42 +626,65 @@ class StateVector:
             out[y] = values
         return StateVector(self.site_ids, self.kinds, self.dims, out)
 
-    def _placed(self, op: ProductOperator) -> list[tuple[int, MonomialOperator]]:
-        """(axis, factor) pairs of op, each checked against its site's kind and dimension."""
-        factors = []
-        for site, mono in op.factors:
-            axis = self.axis_of(site)
-            if mono.kind != self.kinds[axis]:
-                raise ValueError(f"site kind mismatch at {site!r}")
-            if mono.dim != self.dims[axis]:
-                raise ValueError(f"operator dimension mismatch at {site!r}")
-            factors.append((axis, mono))
-        return factors
-
-    def expectations(self, ops) -> list[complex]:
-        """Unnormalized <psi|O|psi> of each product operator in ops.
-
-        O|x> = w**phase(x) |y(x)>, so <psi|O|psi> is the sum over x of
-        conj(psi[y(x)]) w**phase(x) psi[x], and a term with psi[x] == 0 is
-        exactly zero.  The sum therefore runs over the support of self.amps
-        only, which for a composed gauged state (a stabilizer state) is a
-        small fraction of the amplitudes, and the working memory beyond the
-        support indices is O(SUPPORT_TILE).  Every op is checked as apply
-        checks it before any sum.
-        """
-        placed = [(np.exp(2j * np.pi / op.modulus) ** np.arange(op.modulus), self._placed(op)) for op in ops]
-        totals = [0j] * len(placed)
-        support = np.flatnonzero(self.amps)
-        for start in range(0, support.size, SUPPORT_TILE):
-            x = support[start : start + SUPPORT_TILE]
-            psi = self.amps[x]
-            for k, (roots, factors) in enumerate(placed):
-                y, phases = flat_action(self.dims, factors, x)
-                totals[k] += complex(np.vdot(self.amps[y], roots[sum(phases) % roots.size] * psi))
-        return totals
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
+
+
+@dataclass(frozen=True, eq=False)
+class SupportState:
+    """A state of one magnitude on its support, with root-of-unity phases, held exactly.
+
+    keys are the sorted unique basis indices of the support, numbered as
+    in StateVector; the amplitude at keys[j] is sqrt(mag_sq) * w**roots[j],
+    w = exp(2 pi i / modulus), and every other amplitude is exactly zero.
+    Stabilizer states have this form (Dehaene and De Moor, PRA 2003), and
+    so does every gauged stack, so no dense array is formed and no check
+    on such a state needs a tolerance.
+    """
+
+    site_ids: tuple
+    kinds: tuple
+    dims: tuple
+    modulus: int
+    keys: np.ndarray
+    roots: np.ndarray
+    mag_sq: Fraction = Fraction(1)
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The complex amplitudes on the stored support, in key order."""
+        roots = np.exp(2j * np.pi * np.arange(self.modulus) / self.modulus)
+        return math.sqrt(self.mag_sq) * roots[self.roots]
+
+    def norm(self) -> float:
+        """sqrt(support size * mag_sq): exactly 1.0 when that product is exactly 1."""
+        return math.sqrt(self.keys.size * self.mag_sq)
+
+    def fixed_by(self, ops) -> list[bool]:
+        """Whether each product operator in ops maps the state exactly to itself.
+
+        O|x> = w**phase(x) |y(x)> permutes the basis, so O psi = psi exactly
+        when every stored key x has its target y(x) stored too, with root
+        roots[x] + phase(x) mod L: np.searchsorted finds each target among
+        the sorted keys.  Every op is checked as StateVector.apply checks
+        it, and must share the state's modulus.
+        """
+        fixed = []
+        for op in ops:
+            factors = placed_factors(self, op)
+            if op.modulus != self.modulus:
+                raise ValueError(f"operator modulus {op.modulus} is not the state's {self.modulus}")
+            y, phases = flat_action(self.dims, factors, self.keys)
+            at = np.minimum(np.searchsorted(self.keys, y), self.keys.size - 1)
+            moved = (self.roots + sum(phases, np.zeros_like(self.roots))) % self.modulus
+            fixed.append(bool(np.array_equal(self.keys[at], y) and np.array_equal(self.roots[at], moved)))
+        return fixed
+
+    def dense(self) -> StateVector:
+        """A dense copy, for routes that take StateVector."""
+        amps = np.zeros(math.prod(self.dims), dtype=complex)
+        amps[self.keys] = self.amps
+        return StateVector(self.site_ids, self.kinds, self.dims, amps)
 
 
 # -- fusion of diagonal flux operators (general finite groups) --------------

@@ -2,8 +2,9 @@
 
 Each test prints a single PASS/FAIL line (visible with pytest -s or in the
 captured output) and asserts the criterion at its stated tolerance:
-exact integer or operator identities where promised, 1e-10 for state
-overlaps, wall-clock bounds where stated.
+exact integer or operator identities where promised, exact support-state
+checks for the composed states, 1e-10 for the dense state fidelity and
+norm left, wall-clock bounds where stated.
 """
 
 import time
@@ -67,7 +68,7 @@ def test_criterion_03_ground_degeneracy_twisted():
 
 def test_criterion_04_frustration_freeness():
     rep = suite.criterion_frustration_free()
-    ok = rep["passed"] and rep["worst_deviation"] < 1e-10
+    ok = rep["passed"] and rep["worst_deviation"] == 0.0
     record(4, f"gauged states frustration free (worst dev {rep['worst_deviation']:.2e})", ok)
 
 

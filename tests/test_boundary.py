@@ -2,10 +2,12 @@
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import dense_compose_oracle
 import fourier_oracle
 from latgauge.boundary import (
     build_fixed_point_state,
@@ -18,7 +20,7 @@ from latgauge.cyclotomic import mono_mul_left, mono_mul_right
 from latgauge.gauging import LayerSpec, build_gauging_map, compose_gauging, layer_stack
 from latgauge.groups import GroupSpec, all_subgroups, enumerate_cocycle_classes, restricted_characters
 from latgauge.lattice import CodeSpec, Lattice2D, build_boundary_terms
-from latgauge.operators import ProductOperator, clock_z
+from latgauge.operators import ProductOperator, SupportState, clock_z
 
 Z2 = GroupSpec((2,))
 Z4 = GroupSpec((4,))
@@ -173,12 +175,20 @@ class TestCondensation:
         for sub in all_subgroups(group):
             chain = build_fixed_point_state(group, sub, 2)
             layers = layer_stack(group, 2, 4, "periodic")
-            state = compose_gauging(layers, chain.state)
+            # The chain is uniform on its support, so it is an exact state too.
+            keys = np.flatnonzero(chain.state.amps)
+            sites = (chain.state.site_ids, chain.state.kinds, chain.state.dims)
+            exact = SupportState(*sites, group.phase_modulus, keys, np.zeros_like(keys), Fraction(1, keys.size))
+            assert np.max(np.abs(exact.dense().amps - chain.state.amps)) < 1e-15
+            exact = compose_gauging(layers, exact)
+            state = dense_compose_oracle.compose(layers, chain.state)
             norm_sq = state.norm() ** 2
             spec = CodeSpec(Lattice2D(group, 2, 4, "open"))
             surviving, _ = surviving_boundary_terms(chain)
             surviving_exps = {chi.exps for chi in surviving}
-            for term in build_boundary_terms(spec, "bottom"):
+            terms = build_boundary_terms(spec, "bottom")
+            assert exact.fixed_by([term.op for term in terms]) == [t.label.exps in surviving_exps for t in terms]
+            for term in terms:
                 overlap = np.vdot(state.amps, state.apply(term.op).amps) / norm_sq
                 if term.label.exps in surviving_exps:
                     assert abs(overlap - 1) < 1e-10

@@ -112,8 +112,8 @@ def test_suite_counts_and_prints_its_skips():
 
 
 def test_frustration_free_reads_every_overlap_on_the_support(monkeypatch):
-    # Criterion 4's bulk-term overlaps come from StateVector.expectations, as
-    # the stack symmetries' do: no dense apply.
+    # Criterion 4's bulk terms are checked on the exact support state, as
+    # the stack symmetries are: no dense apply.
     calls = []
     original = StateVector.apply
 

@@ -625,24 +625,25 @@ class TestConfigErrors:
                 "the exact tensor of layer 0 (periodic) would need at least 2**18000002 amplitudes",
             ),
             # The symbolic commands count the factors their terms would store, 4 per plaquette
-            # and label, at nine amplitudes each.
+            # and label, at seven amplitudes each.
             (
                 ["code", "--group", "2", "--n", "100000000", "--m", "2"],
-                "the stabilizer terms, 9 amplitudes per factor, would need 14400000000 amplitudes",
+                "the stabilizer terms, 7 amplitudes per factor, would need 11200000000 amplitudes",
             ),
             (
                 ["confine", "--group", "2,2", "--twist-even", "1", "--n", "100000000", "--m", "8"],
-                "the stabilizer terms, 9 amplitudes per factor, would need 115200000000 amplitudes",
+                "the stabilizer terms, 7 amplitudes per factor, would need 89600000000 amplitudes",
             ),
             (
                 ["anyons", "--spec", "wide.json", "--op-file", "ops.json"],
-                "bad code spec 'wide.json': the stabilizer terms, 9 amplitudes per factor,"
-                " would need 14400000000 amplitudes",
+                "bad code spec 'wide.json': the stabilizer terms, 7 amplitudes per factor,"
+                " would need 11200000000 amplitudes",
             ),
-            # 8,000,000 factors: under the cap one by one, but about 1.1 GB to build.
+            # 8,000,000 factors: under the cap one by one, but about 0.4 GB to build
+            # (about 4,000,000 stored, at 106 traced bytes each).
             (
                 ["code", "--group", "2", "--bc", "cylinder", "--n", "1000", "--m", "1000"],
-                "the stabilizer terms, 9 amplitudes per factor, would need 72000000 amplitudes",
+                "the stabilizer terms, 7 amplitudes per factor, would need 56000000 amplitudes",
             ),
             # The torus's normal form: 20001 x 20000 int64 cells, about 3.2 GB.
             (

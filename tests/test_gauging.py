@@ -1,14 +1,22 @@
-"""Gauging maps: normalization, emergent identities, composition, pairs."""
+"""Gauging maps: normalization, emergent identities, composition, pairs.
+
+Composed states are exact SupportStates; the float route they replaced,
+tests/dense_compose_oracle.py, gauges random dense inputs and must agree
+with them on the states both can build.
+"""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from latgauge import suite
+from latgauge.cli import parse_twist
 from latgauge.gauging import (
     CapExceededError,
+    GaugingMap,
     LayerSpec,
     build_gauging_map,
     compose_gauging,
@@ -27,11 +35,15 @@ from latgauge.operators import (
     ProductOperator,
     SiteKind,
     StateVector,
+    SupportState,
     clock_z,
     commutation_phase,
+    flat_action,
+    placed_factors,
     shift_x,
 )
 from latgauge.tensors import contract_pepes
+import dense_compose_oracle
 import exact_map_oracle
 
 Z2 = GroupSpec((2,))
@@ -45,7 +57,7 @@ Z24 = GroupSpec((2, 4))
 
 
 def symmetric_random_state(group, layer, seed):
-    """Project a random input onto the diagonal-symmetry sector."""
+    """Project a random dense input onto the diagonal-symmetry sector."""
     rng = np.random.default_rng(seed)
     size = group.size
     dim = size**layer.n
@@ -72,6 +84,23 @@ def with_identity_row(state, sites, size):
     )
 
 
+def kicked(state, op):
+    """op applied to an exact state: every key moved by flat_action, its root advanced by the phases."""
+    y, phases = flat_action(state.dims, placed_factors(state, op), state.keys)
+    roots = (state.roots + sum(phases, np.zeros_like(state.roots))) % state.modulus
+    order = np.argsort(y)
+    return SupportState(state.site_ids, state.kinds, state.dims, state.modulus, y[order], roots[order], state.mag_sq)
+
+
+def same_state(a, b):
+    """Exact equality of two SupportStates: layout, modulus, keys, roots and squared magnitude."""
+    return (
+        (a.site_ids, a.kinds, a.dims, a.modulus, a.mag_sq) == (b.site_ids, b.kinds, b.dims, b.modulus, b.mag_sq)
+        and np.array_equal(a.keys, b.keys)
+        and np.array_equal(a.roots, b.roots)
+    )
+
+
 class TestSingleMap:
     @pytest.mark.parametrize(
         "group,n,bc",
@@ -81,31 +110,34 @@ class TestSingleMap:
     def test_symmetric_inputs_map_to_unit_norm(self, group, n, bc):
         layer = LayerSpec(group, 0, n, bc)
         gmap = build_gauging_map(layer)
-        assert abs(gmap.apply(initial_state(group, layer)).norm() - 1) < 1e-12
+        out = gmap.apply(initial_state(group, layer))
+        assert out.keys.size * out.mag_sq == 1 and out.norm() == 1.0
         sym = symmetric_random_state(group, layer, 11)
-        assert abs(gmap.apply(sym).norm() - 1) < 1e-10
+        assert abs(dense_compose_oracle.apply(gmap, sym).norm() - 1) < 1e-10
 
     def test_local_symmetry_fixes_single_map_output(self):
         layer = LayerSpec(Z2, 0, 2, "periodic")
         gmap = build_gauging_map(layer)
-        out = gmap.apply(symmetric_random_state(Z2, layer, 2))
+        out = dense_compose_oracle.apply(gmap, symmetric_random_state(Z2, layer, 2))
+        exact = gmap.apply(initial_state(Z2, layer))
         for i in range(layer.n):
             for g in Z2.elements():
                 moved = out.apply(gmap.local_symmetry_op(i, g))
                 assert np.max(np.abs(moved.amps - out.amps)) < 1e-12
+                assert exact.fixed_by([gmap.local_symmetry_op(i, g)]) == [True]
 
     def test_twist_trivial_equals_untwisted(self):
         trivial = Cocycle.trivial(Z22)
         a = build_gauging_map(LayerSpec(Z22, 0, 2, "periodic", None)).exact_matrix()
         b = build_gauging_map(LayerSpec(Z22, 0, 2, "periodic", trivial)).exact_matrix()
         assert a == b
-        # and the state path produces byte-identical amplitudes
+        # and the state path produces the same exact state
         plain = compose_gauging(layer_stack(Z22, 2, 2), initial_state(Z22, LayerSpec(Z22, 0, 2)))
         dressed = compose_gauging(
             layer_stack(Z22, 2, 2, twist_even=trivial, twist_odd=trivial),
             initial_state(Z22, LayerSpec(Z22, 0, 2)),
         )
-        assert np.array_equal(plain.amps, dressed.amps)
+        assert same_state(plain, dressed)
 
     def test_dimension_cap_guard(self, monkeypatch):
         layer = LayerSpec(Z3, 0, 3, "periodic")
@@ -122,11 +154,15 @@ class TestInputsAreNotWritten:
         # The identity label's symmetry is the empty operator, whose
         # application returns the input array itself.
         assert gmap.local_symmetry_op(0, group.identity()).factors == ()
+        exact = initial_state(group, layers[0])
+        exact_before = exact.keys.tobytes() + exact.roots.tobytes()
+        compose_gauging(layers, exact)
+        assert exact.keys.tobytes() + exact.roots.tobytes() == exact_before
         stv = symmetric_random_state(group, layers[0], 3)
         before = stv.amps.tobytes()
-        out = gmap.apply(stv)
+        out = dense_compose_oracle.apply(gmap, stv)
         assert stv.amps.tobytes() == before
-        compose_gauging(layers, stv)
+        dense_compose_oracle.compose(layers, stv)
         assert stv.amps.tobytes() == before
 
         def projector_sum(ref):
@@ -143,7 +179,8 @@ class TestInputsAreNotWritten:
         # projector steps, so it matches the loop within rounding only.
         ones = StateVector(stv.site_ids, stv.kinds, stv.dims, np.ones_like(stv.amps))
         ones = with_identity_row(ones, gmap.new_sites, group.size)
-        assert np.max(np.abs(gmap.row_kernel().reshape(-1) - projector_sum(ones))) < 1e-15
+        kernel = dense_compose_oracle.row_kernel(gmap)
+        assert np.max(np.abs(kernel.reshape(-1) - projector_sum(ones))) < 1e-15
         stacked = projector_sum(with_identity_row(stv, gmap.new_sites, group.size))
         assert np.max(np.abs(out.amps - stacked)) < 1e-14
 
@@ -161,7 +198,7 @@ def _row_kernel_cases():
 
 
 class TestRowKernel:
-    """apply() against the exact tensor and the contracted MPO network."""
+    """The oracle's dense apply against the exact tensor and the contracted MPO network, on random inputs."""
 
     @staticmethod
     def layer(group, bc, index, twisted):
@@ -187,7 +224,7 @@ class TestRowKernel:
         layer = self.layer(group, bc, index, twisted)
         gmap = build_gauging_map(layer)
         state = self.random_input(layer, leading, seed=7 + index)
-        out = gmap.apply(state)
+        out = dense_compose_oracle.apply(gmap, state)
         assert out.site_ids == state.site_ids + tuple(s for s, _ in gmap.new_sites)
         assert out.kinds == state.kinds + tuple(k for _, k in gmap.new_sites)
         # exact_matrix is the raw sum of the |G|**n projector terms.
@@ -198,6 +235,12 @@ class TestRowKernel:
             via_mpo = contract_pepes([layer], state)
             assert via_mpo.site_ids == out.site_ids and via_mpo.kinds == out.kinds
             assert np.max(np.abs(out.amps - via_mpo.amps)) < 1e-12
+
+    @staticmethod
+    def support_input(state):
+        """The exact state on the sites of a dense one: its first basis state, root 0."""
+        one = np.zeros(1, dtype=np.int64)
+        return SupportState(state.site_ids, state.kinds, state.dims, 1, one, one.copy())
 
     @pytest.mark.parametrize("bc", ["periodic", "open"])
     def test_matter_row_not_trailing_is_refused(self, bc):
@@ -210,18 +253,28 @@ class TestRowKernel:
             state.dims[n:] + state.dims[:n],
             state.amps.reshape(half, half).T.reshape(-1),
         )
-        for route in (build_gauging_map(layer).apply, lambda st: contract_pepes([layer], st)):
+        gmap = build_gauging_map(layer)
+        for route, st in (
+            (gmap.apply, self.support_input(swapped)),
+            (lambda st_: dense_compose_oracle.apply(gmap, st_), swapped),
+            (lambda st_: contract_pepes([layer], st_), swapped),
+        ):
             with pytest.raises(ValueError, match="trailing sites"):
-                route(swapped)
+                route(st)
 
     @pytest.mark.parametrize("bc", ["periodic", "open"])
     def test_matter_row_of_the_wrong_kind_is_refused(self, bc):
         layer = self.layer(Z3, bc, 0, False)
         state = self.random_input(layer, False, seed=1)
         wrong = StateVector(state.site_ids, (layer.new_kind,) * layer.n, state.dims, state.amps)
-        for route in (build_gauging_map(layer).apply, lambda st: contract_pepes([layer], st)):
+        gmap = build_gauging_map(layer)
+        for route, st in (
+            (gmap.apply, self.support_input(wrong)),
+            (lambda st_: dense_compose_oracle.apply(gmap, st_), wrong),
+            (lambda st_: contract_pepes([layer], st_), wrong),
+        ):
             with pytest.raises(ValueError, match="wrong site kind"):
-                route(wrong)
+                route(st)
 
 
 def _oracle_layers():
@@ -322,9 +375,7 @@ class TestCompose:
     def test_single_layer_reduces_to_map(self):
         layer = LayerSpec(Z2, 0, 2, "periodic")
         st = initial_state(Z2, layer)
-        a = compose_gauging([layer], st)
-        b = build_gauging_map(layer).apply(st)
-        assert np.max(np.abs(a.amps - b.amps)) < 1e-14
+        assert same_state(compose_gauging([layer], st), build_gauging_map(layer).apply(st))
 
     @pytest.mark.parametrize("group,twist_idx", [(Z2, 0), (Z22, 1)])
     def test_stack_symmetries_hold(self, group, twist_idx):
@@ -336,28 +387,38 @@ class TestCompose:
 
     def test_equals_ordered_projector_action_on_stacked_product(self):
         # Independent construction: lay out the full product state first,
-        # then apply every local projector in layer order.
+        # then apply every local projector in layer order.  The oracle's
+        # dense route takes the random symmetric input; the exact route
+        # takes the product input, checked the same way below.
         group = Z2
         layers = layer_stack(group, 2, 2, "periodic")
-        st = symmetric_random_state(group, layers[0], 9)
-        composed = compose_gauging(layers, st)
 
-        stacked = st
-        for layer in layers:
-            stacked = with_identity_row(stacked, layer.new_sites(), group.size)
-        for layer in layers:
-            gmap = build_gauging_map(layer)
-            for i in range(layer.n):
-                acc = np.zeros_like(stacked.amps)
-                for label in layer.labels():
-                    acc += stacked.apply(gmap.local_symmetry_op(i, label)).amps
-                stacked = StateVector(stacked.site_ids, stacked.kinds, stacked.dims, acc / group.size)
-            stacked = StateVector(
-                stacked.site_ids, stacked.kinds, stacked.dims,
-                stacked.amps * group.size**gmap.layer.scale_power,
-            )
+        def projected(st):
+            stacked = st
+            for layer in layers:
+                stacked = with_identity_row(stacked, layer.new_sites(), group.size)
+            for layer in layers:
+                gmap = build_gauging_map(layer)
+                for i in range(layer.n):
+                    acc = np.zeros_like(stacked.amps)
+                    for label in layer.labels():
+                        acc += stacked.apply(gmap.local_symmetry_op(i, label)).amps
+                    stacked = StateVector(stacked.site_ids, stacked.kinds, stacked.dims, acc / group.size)
+                stacked = StateVector(
+                    stacked.site_ids, stacked.kinds, stacked.dims,
+                    stacked.amps * group.size**gmap.layer.scale_power,
+                )
+            return stacked
+
+        st = symmetric_random_state(group, layers[0], 9)
+        composed = dense_compose_oracle.compose(layers, st)
+        stacked = projected(st)
         assert stacked.site_ids == composed.site_ids
         assert np.max(np.abs(stacked.amps - composed.amps)) < 1e-10
+        exact = compose_gauging(layers, initial_state(group, layers[0]))
+        stacked = projected(initial_state(group, layers[0]).dense())
+        assert stacked.site_ids == exact.site_ids
+        assert np.max(np.abs(stacked.amps - exact.dense().amps)) < 1e-10
 
     def test_corrupted_state_fails_exactly_adjacent_symmetries(self):
         group = Z2
@@ -365,15 +426,14 @@ class TestCompose:
         out = compose_gauging(layers, initial_state(group, layers[0]))
         corrupt_site = (1, 1)
         op = ProductOperator.from_factors([(corrupt_site, shift_x(group.element((1,))))], group.phase_modulus)
-        corrupted = out.apply(op)
+        corrupted = kicked(out, op)
+        assert np.array_equal(corrupted.dense().amps, out.dense().apply(op).amps)
         rep = verify_local_symmetry(corrupted, layers)
         failing = {c["op"] for c in rep["violations"]}
         # Syndrome oracle: symmetries whose operator fails to commute with
         # the corruption are exactly the ones that must break.
         expected = set()
         for name, sym_op in stack_local_symmetry_ops(layers):
-            from latgauge.operators import commutation_phase
-
             ph = commutation_phase(sym_op, op)
             if ph is None or not ph.is_one:
                 expected.add(name)
@@ -381,13 +441,14 @@ class TestCompose:
         assert expected  # the corruption is detectable
 
     def test_gauged_expectation_preservation(self):
-        # <psi|O|psi> = <G psi|dressed O|G psi> for symmetric two-point O.
+        # <psi|O|psi> = <G psi|dressed O|G psi> for symmetric two-point O,
+        # on random inputs through the oracle's dense route.
         group = Z3
         layer = LayerSpec(group, 0, 3, "periodic")
         gmap = build_gauging_map(layer)
         for seed in (1, 2, 3):
             psi = symmetric_random_state(group, layer, seed)
-            gauged = gmap.apply(psi)
+            gauged = dense_compose_oracle.apply(gmap, psi)
             for chi in group.characters():
                 bare, dressed = gmap.charged_pair_ops(0, 2, chi)
                 lhs = np.vdot(psi.amps, psi.apply(bare).amps)
@@ -398,7 +459,7 @@ class TestCompose:
         layers = layer_stack(Z2, 2, 3, "periodic")
         norms = []
         compose_gauging(layers, initial_state(Z2, layers[0]), norms_out=norms)
-        assert len(norms) == 3 and all(abs(x - 1) < 1e-10 for x in norms)
+        assert norms == [1.0, 1.0, 1.0]
 
     def test_open_boundary_trapezoid_rows(self):
         layers = layer_stack(Z2, 2, 3, "open")
@@ -412,73 +473,21 @@ class TestCompose:
         assert verify_local_symmetry(out, layers)["passed"]
 
 
-def traced_peak(fn):
-    """(result, peak bytes) of fn() under tracemalloc, which sees numpy's buffers."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
-class TestDenseBuffers:
-    def test_map_keeps_three_full_size_buffers(self):
-        # The last of five Z2 layers: at most the state, an accumulator and
-        # one term buffer.  Fresh per-term arrays peaked at 4x the output.
-        layers = layer_stack(Z2, 3, 5)
-        state = compose_gauging(layers[:4], initial_state(Z2, layers[0]))
-        gmap = build_gauging_map(layers[4])
-        out, peak = traced_peak(lambda: gmap.apply(state))
-        assert peak < 3.5 * out.amps.nbytes
-
-    def test_first_layer_keeps_under_three_outputs(self):
-        # On the first layer the row kernel is as large as the output.  Its
-        # terms, (int64 flat, uint8 root) per cell, and one bincount
-        # temporary sit beside it; the projector loop peaked at 4x.
-        layer = layer_stack(Z2, 9, 1)[0]
-        gmap = build_gauging_map(layer)
-        state = initial_state(Z2, layer)
-        out, peak = traced_peak(lambda: gmap.apply(state))
-        assert out.amps.size == 2**18
-        assert peak < 3 * out.amps.nbytes
-
-    def test_map_writes_only_its_output(self):
-        # The row kernel lives on the 2**6 row space; the broadcast multiply
-        # writes the output and makes no other full-size array.
-        layers = layer_stack(Z2, 3, 5)
-        state = compose_gauging(layers[:4], initial_state(Z2, layers[0]))
-        gmap = build_gauging_map(layers[4])
-        out, peak = traced_peak(lambda: gmap.apply(state))
-        assert peak < 1.5 * out.amps.nbytes
-
-    def test_local_symmetry_check_keeps_one_extra_buffer(self):
-        # No normalized copy: each overlap is divided by the squared norm.
-        # With a normalized copy the peak was 2x the state, with a fresh
-        # array per symmetry 3x.  The support-only sum below tightens this.
-        layers = layer_stack(Z2, 3, 5)
-        state = compose_gauging(layers, initial_state(Z2, layers[0]))
-        rep, peak = traced_peak(lambda: verify_local_symmetry(state, layers))
-        assert rep["passed"]
-        assert peak < 1.5 * state.amps.nbytes
-
-    def test_local_symmetry_check_allocates_no_full_size_array(self):
-        # The overlaps are summed over the support, a small fraction of the
-        # amplitudes; the only full-size temporary is the support mask of
-        # np.flatnonzero, one byte per amplitude.
-        layers = layer_stack(Z2, 3, 5)
-        state = compose_gauging(layers, initial_state(Z2, layers[0]))
-        rep, peak = traced_peak(lambda: verify_local_symmetry(state, layers))
-        assert rep["passed"]
-        assert peak < 0.25 * state.amps.nbytes
-
-    def test_local_symmetry_check_of_the_zero_state_raises(self):
-        layers = layer_stack(Z2, 2, 2)
-        state = compose_gauging(layers, initial_state(Z2, layers[0]))
-        zero = StateVector(state.site_ids, state.kinds, state.dims, np.zeros_like(state.amps))
-        with pytest.raises(ZeroDivisionError):
-            verify_local_symmetry(zero, layers)
+def _compose_golden_stacks():
+    """The layer stacks of the `gauge compose` golden reports (tests/test_golden.py)."""
+    configs = [
+        ("2", 3, 3, "periodic", None, None),
+        ("2,2", 3, 2, "periodic", "p12=1", None),
+        ("2", 3, 3, "open", None, None),
+        ("3", 3, 2, "periodic", None, None),
+        ("2,3", 2, 2, "periodic", None, None),
+        ("2,2", 4, 2, "periodic", "p12=1", "p12=1"),
+        ("3", 3, 2, "open", None, None),
+    ]
+    for text, num_layers, n, bc, even, odd in configs:
+        group = GroupSpec(tuple(int(k) for k in text.split(",")))
+        layers = layer_stack(group, n, num_layers, bc, parse_twist(group, even), parse_twist(group, odd))
+        yield pytest.param(layers, id=f"compose-{text}-x{num_layers}-n{n}-{bc}-{even}-{odd}")
 
 
 def _expectation_cases():
@@ -491,12 +500,142 @@ def _expectation_cases():
                 yield pytest.param(group, bc, num_layers, twist, id=f"{group.orders}-{bc}-x{num_layers}-{twist}")
 
 
-def expectation_stack(group, bc, num_layers, twist):
+def expectation_layers(group, bc, num_layers, twist):
     alpha = enumerate_cocycle_classes(group)[1] if twist != "trivial" else None
     even = alpha if twist in ("even", "both") else None
     odd = alpha if twist in ("odd", "both") else None
-    layers = layer_stack(group, 2, num_layers, bc, twist_even=even, twist_odd=odd)
+    return layer_stack(group, 2, num_layers, bc, twist_even=even, twist_odd=odd)
+
+
+def expectation_stack(group, bc, num_layers, twist):
+    layers = expectation_layers(group, bc, num_layers, twist)
     return layers, compose_gauging(layers, initial_state(group, layers[0]))
+
+
+def _agreement_stacks():
+    yield from _compose_golden_stacks()
+    for case in _expectation_cases():
+        yield pytest.param(expectation_layers(*case.values), id=case.id)
+
+
+class TestOracleAgreement:
+    """The exact composed state against the oracle's dense route from the same product input."""
+
+    @pytest.mark.parametrize("layers", list(_agreement_stacks()))
+    def test_support_amplitudes_and_norms(self, layers):
+        norms, dense_norms = [], []
+        start = initial_state(layers[0].group, layers[0])
+        state = compose_gauging(layers, start, norms_out=norms)
+        dense = dense_compose_oracle.compose(layers, start.dense(), norms_out=dense_norms)
+        assert (dense.site_ids, dense.kinds, dense.dims) == (state.site_ids, state.kinds, state.dims)
+        assert np.array_equal(np.flatnonzero(np.abs(dense.amps) > 1e-12), state.keys)
+        assert np.max(np.abs(dense.amps[state.keys] - state.amps)) < 1e-12
+        assert norms == [1.0] * len(layers)
+        assert max(abs(a - b) for a, b in zip(norms, dense_norms)) < 1e-12
+        assert len(dense_norms) == len(layers)
+
+
+def traced_peak(fn):
+    """(result, peak bytes) of fn() under tracemalloc, which sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestSupportBuffers:
+    def test_compose_and_check_stay_far_below_one_dense_array(self):
+        # Z2, n = 4, five layers: 2**24 amplitudes, so one dense complex
+        # array of the stack is 256 MiB; its support holds 8**5 keys.
+        layers = layer_stack(Z2, 4, 5)
+
+        def run():
+            state = compose_gauging(layers, initial_state(Z2, layers[0]))
+            return state, verify_local_symmetry(state, layers)
+
+        (state, rep), peak = traced_peak(run)
+        assert math.prod(state.dims) == 2**24 and state.keys.size == 8**5
+        assert rep["passed"] and rep["num_checked"] == 40
+        assert peak < 16 * 2**20
+
+    def test_map_peak_follows_the_support(self):
+        # The last layer writes 2**15 keys and roots (512 KiB); its working
+        # arrays, 2.6 times that, scale with the support, not with the 2**24
+        # amplitudes.
+        layers = layer_stack(Z2, 4, 5)
+        state = compose_gauging(layers[:4], initial_state(Z2, layers[0]))
+        gmap = build_gauging_map(layers[4])
+        out, peak = traced_peak(lambda: gmap.apply(state))
+        assert peak < 4 * (out.keys.nbytes + out.roots.nbytes)
+
+
+class TestExpectations:
+    """The oracle's support-only expectations against one StateVector.apply and np.vdot per operator."""
+
+    @staticmethod
+    def assert_matches_apply(state, ops):
+        values = dense_compose_oracle.expectations(state, ops)
+        assert len(values) == len(ops)
+        for value, op in zip(values, ops):
+            assert abs(value - np.vdot(state.amps, state.apply(op).amps)) < 1e-12
+
+    @pytest.mark.parametrize("group,bc,num_layers,twist", list(_expectation_cases()))
+    def test_every_stack_symmetry(self, group, bc, num_layers, twist):
+        layers, state = expectation_stack(group, bc, num_layers, twist)
+        self.assert_matches_apply(state.dense(), [op for _, op in stack_local_symmetry_ops(layers)])
+
+    @pytest.mark.parametrize("group,bc,num_layers,twist", list(_expectation_cases()))
+    def test_state_kicked_by_one_shift(self, group, bc, num_layers, twist):
+        layers, state = expectation_stack(group, bc, num_layers, twist)
+        # A dual shift on a matter vertex of the first layer breaks the
+        # symmetries whose clock sits on that vertex, in every stack.
+        shift = shift_x(group.character((1,) * len(group.orders)))
+        kick = ProductOperator.from_factors([((0, 0), shift)], group.phase_modulus)
+        exact = kicked(state, kick)
+        dense = state.dense().apply(kick)
+        assert np.max(np.abs(exact.dense().amps - dense.amps)) < 1e-15
+        ops = stack_local_symmetry_ops(layers)
+        self.assert_matches_apply(dense, [op for _, op in ops])
+        listed = [c["op"] for c in verify_local_symmetry(exact, layers)["violations"]]
+        assert listed == dense_violations(dense, layers)
+        # Exactly the symmetries that do not commute with the kick.
+        assert listed == [name for name, op in ops if not commutation_phase(op, kick).is_one]
+        assert listed
+
+    def test_dense_state_spanning_several_tiles(self):
+        layers = layer_stack(Z23, 2, 2)
+        stack = compose_gauging(layers, initial_state(Z23, layers[0]))
+        size = math.prod(stack.dims)
+        assert size > SUPPORT_TILE
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        state = StateVector(stack.site_ids, stack.kinds, stack.dims, amps / np.linalg.norm(amps))
+        self.assert_matches_apply(state, [op for _, op in stack_local_symmetry_ops(layers)])
+
+    def test_zero_state_gives_zeros(self):
+        layers, state = expectation_stack(Z3, "periodic", 2, "trivial")
+        zero = StateVector(state.site_ids, state.kinds, state.dims, np.zeros(math.prod(state.dims), complex))
+        ops = [op for _, op in stack_local_symmetry_ops(layers)]
+        assert dense_compose_oracle.expectations(zero, ops) == [0j] * len(ops)
+
+    def test_mismatched_factor_raises_the_apply_message(self):
+        layers, state = expectation_stack(Z3, "periodic", 2, "trivial")
+        good = [op for _, op in stack_local_symmetry_ops(layers) if op.factors][0]
+        site = (1, 1)
+        wrong_kind = ProductOperator.from_factors([(site, clock_z(Z3.element((1,))))], Z3.phase_modulus)
+        wrong_dim = ProductOperator.from_factors([(site, shift_x(Z2.element((1,))))], Z3.phase_modulus)
+        dense = state.dense()
+        for bad, message in ((wrong_kind, "site kind mismatch"), (wrong_dim, "operator dimension mismatch")):
+            with pytest.raises(ValueError, match=message) as via_apply:
+                dense.apply(bad)
+            with pytest.raises(ValueError, match=message) as via_expectations:
+                dense_compose_oracle.expectations(dense, [good, bad])
+            with pytest.raises(ValueError, match=message) as via_fixed_by:
+                state.fixed_by([good, bad])
+            assert str(via_expectations.value) == str(via_apply.value) == str(via_fixed_by.value)
 
 
 def dense_violations(state, layers, tol=1e-10):
@@ -508,103 +647,107 @@ def dense_violations(state, layers, tol=1e-10):
     ]
 
 
-class TestExpectations:
-    """StateVector.expectations against one StateVector.apply and np.vdot per operator."""
-
-    @staticmethod
-    def assert_matches_apply(state, ops):
-        values = state.expectations(ops)
-        assert len(values) == len(ops)
-        for value, op in zip(values, ops):
-            assert abs(value - np.vdot(state.amps, state.apply(op).amps)) < 1e-12
-
-    @pytest.mark.parametrize("group,bc,num_layers,twist", list(_expectation_cases()))
-    def test_every_stack_symmetry(self, group, bc, num_layers, twist):
-        layers, state = expectation_stack(group, bc, num_layers, twist)
-        self.assert_matches_apply(state, [op for _, op in stack_local_symmetry_ops(layers)])
-
-    @pytest.mark.parametrize("group,bc,num_layers,twist", list(_expectation_cases()))
-    def test_state_kicked_by_one_shift(self, group, bc, num_layers, twist):
-        layers, state = expectation_stack(group, bc, num_layers, twist)
-        # A dual shift on a matter vertex of the first layer breaks the
-        # symmetries whose clock sits on that vertex, in every stack.
-        shift = shift_x(group.character((1,) * len(group.orders)))
-        kick = ProductOperator.from_factors([((0, 0), shift)], group.phase_modulus)
-        kicked = state.apply(kick)
-        self.assert_matches_apply(kicked, [op for _, op in stack_local_symmetry_ops(layers)])
-        listed = [c["op"] for c in verify_local_symmetry(kicked, layers)["violations"]]
-        assert listed == dense_violations(kicked, layers)
-        assert listed
-
-    def test_dense_state_spanning_several_tiles(self):
-        layers = layer_stack(Z23, 2, 2)
-        stack = compose_gauging(layers, initial_state(Z23, layers[0]))
-        assert stack.amps.size > SUPPORT_TILE
-        rng = np.random.default_rng(3)
-        amps = rng.normal(size=stack.amps.size) + 1j * rng.normal(size=stack.amps.size)
-        state = StateVector(stack.site_ids, stack.kinds, stack.dims, amps / np.linalg.norm(amps))
-        self.assert_matches_apply(state, [op for _, op in stack_local_symmetry_ops(layers)])
-
-    def test_zero_state_gives_zeros(self):
-        layers, state = expectation_stack(Z3, "periodic", 2, "trivial")
-        zero = StateVector(state.site_ids, state.kinds, state.dims, np.zeros_like(state.amps))
-        ops = [op for _, op in stack_local_symmetry_ops(layers)]
-        assert zero.expectations(ops) == [0j] * len(ops)
-
-    def test_mismatched_factor_raises_the_apply_message(self):
-        layers, state = expectation_stack(Z3, "periodic", 2, "trivial")
-        good = [op for _, op in stack_local_symmetry_ops(layers) if op.factors][0]
-        site = (1, 1)
-        wrong_kind = ProductOperator.from_factors([(site, clock_z(Z3.element((1,))))], Z3.phase_modulus)
-        wrong_dim = ProductOperator.from_factors([(site, shift_x(Z2.element((1,))))], Z3.phase_modulus)
-        for bad, message in ((wrong_kind, "site kind mismatch"), (wrong_dim, "operator dimension mismatch")):
-            with pytest.raises(ValueError, match=message) as via_apply:
-                state.apply(bad)
-            with pytest.raises(ValueError, match=message) as via_expectations:
-                state.expectations([good, bad])
-            assert str(via_expectations.value) == str(via_apply.value)
-
-
 class TestIdentityEntries:
     def stack(self):
         layers = layer_stack(Z3, 2, 3)
         return layers, compose_gauging(layers, initial_state(Z3, layers[0]))
 
-    def test_empty_operators_are_counted_and_pass_without_an_overlap(self, monkeypatch):
+    def test_empty_operators_are_counted_and_pass(self):
+        # The identity label's symmetries are empty operators: they fix
+        # every state, an excited one too, and each is counted.
         layers, state = self.stack()
         ops = stack_local_symmetry_ops(layers)
         empty = [name for name, op in ops if not op.factors]
         assert empty and len(empty) < len(ops)
-        passed = []
-        expectations = StateVector.expectations
-        monkeypatch.setattr(StateVector, "expectations", lambda st_, ops_: passed.extend(ops_) or expectations(st_, ops_))
-        rep = verify_local_symmetry(state, layers)
-        assert rep["passed"] and rep["num_checked"] == len(ops)
-        assert len(passed) == len(ops) - len(empty)
-        assert all(op.factors for op in passed)
-
-    def test_empty_operators_record_overlap_exactly_one(self):
-        # With a zero tolerance every entry is listed, so each recorded
-        # overlap can be read.
-        layers, state = self.stack()
-        ops = dict(stack_local_symmetry_ops(layers))
-        rep = verify_local_symmetry(state, layers, tol=0.0)
-        assert [c["op"] for c in rep["violations"]] == list(ops)
-        for check in rep["violations"]:
-            if not ops[check["op"]].factors:
-                assert check["overlap"] == 1
+        kick = ProductOperator.from_factors([((1, 1), shift_x(Z3.element((1,))))], Z3.phase_modulus)
+        for st in (state, kicked(state, kick)):
+            rep = verify_local_symmetry(st, layers)
+            assert rep["num_checked"] == len(ops)
+            assert not set(empty) & {c["op"] for c in rep["violations"]}
+        assert verify_local_symmetry(state, layers)["passed"]
 
     def test_excitation_at_one_site_lists_its_non_empty_violations(self):
         layers, state = self.stack()
         site = (1, 1)
         kick = ProductOperator.from_factors([(site, shift_x(Z3.element((1,))))], Z3.phase_modulus)
-        rep = verify_local_symmetry(state.apply(kick), layers)
+        rep = verify_local_symmetry(kicked(state, kick), layers)
         ops = dict(stack_local_symmetry_ops(layers))
         listed = [c["op"] for c in rep["violations"]]
         expected = [name for name, op in ops.items() if not commutation_phase(op, kick).is_one]
         assert listed == expected
         assert listed and all(site in ops[name].support for name in listed)
         assert rep["num_checked"] == len(ops)
+
+
+def _mutated_row_entries(layer_index, mutate):
+    """GaugingMap._row_entries with mutate(flat, root) applied on the layer of that index only."""
+    original = GaugingMap._row_entries
+
+    def entries(gmap):
+        flat, root = original(gmap)
+        if gmap.layer.index == layer_index:
+            flat, root = mutate(flat, root.astype(np.int64), gmap.group.phase_modulus)
+        return flat, root
+
+    return entries
+
+
+class TestExactness:
+    def test_one_wrong_root_in_one_cell_fails_local_symmetry(self, monkeypatch):
+        # Every term of one cell of the identity configuration's row gets the
+        # next root, so the cell keeps one root and the map still applies;
+        # only the stack symmetries can see it.
+        def wrong_root(flat, root, L):
+            cell = flat == flat[0]
+            root[cell] = (root[cell] + 1) % L
+            return flat, root
+
+        for group in (Z2, Z3, Z22):
+            layers = layer_stack(group, 2, 3)
+            assert verify_local_symmetry(compose_gauging(layers, initial_state(group, layers[0])), layers)["passed"]
+            with monkeypatch.context() as patch:
+                patch.setattr(GaugingMap, "_row_entries", _mutated_row_entries(1, wrong_root))
+                state = compose_gauging(layers, initial_state(group, layers[0]))
+            rep = verify_local_symmetry(state, layers)
+            assert not rep["passed"] and rep["violations"]
+
+    @pytest.mark.parametrize("group", [Z2, Z3, Z22])
+    def test_input_on_a_charged_configuration_is_refused(self, group):
+        # On a periodic row the cells of a charged configuration cancel.  An
+        # open row has free ends, so its map carries the charge to them.
+        layers = {bc: LayerSpec(group, 0, 2, bc) for bc in ("periodic", "open")}
+        base = initial_state(group, layers["periodic"])
+        # The first site at a nontrivial character, the second at the identity.
+        charged = group.index_of(group.character((1,) * len(group.orders)).exps) * group.size
+        for keys in ([charged], [0, charged]):
+            keys = np.array(keys, dtype=np.int64)
+            state = SupportState(base.site_ids, base.kinds, base.dims, base.modulus, keys, np.zeros_like(keys))
+            with pytest.raises(ValueError, match="charged"):
+                build_gauging_map(layers["periodic"]).apply(state)
+            assert build_gauging_map(layers["open"]).apply(state).norm() == math.sqrt(keys.size)
+
+    def test_uneven_multiplicities_are_refused(self, monkeypatch):
+        def one_more_copy(flat, root, L):
+            return np.append(flat, flat[0]), np.append(root, root[0])
+
+        layers = layer_stack(Z3, 2, 2)
+        monkeypatch.setattr(GaugingMap, "_row_entries", _mutated_row_entries(1, one_more_copy))
+        with pytest.raises(ValueError, match="multiplicities"):
+            compose_gauging(layers, initial_state(Z3, layers[0]))
+
+    def test_local_symmetry_check_of_the_empty_state_raises(self):
+        layers = layer_stack(Z2, 2, 2)
+        state = compose_gauging(layers, initial_state(Z2, layers[0]))
+        none = np.zeros(0, dtype=np.int64)
+        empty = SupportState(state.site_ids, state.kinds, state.dims, state.modulus, none, none.copy(), state.mag_sq)
+        with pytest.raises(ZeroDivisionError):
+            verify_local_symmetry(empty, layers)
+
+    def test_squared_magnitude_is_an_exact_fraction(self):
+        layers = layer_stack(Z3, 2, 3, "open")
+        state = compose_gauging(layers, initial_state(Z3, layers[0]))
+        assert isinstance(state.mag_sq, Fraction) and state.mag_sq == Fraction(1, state.keys.size)
+        assert np.all(np.diff(state.keys) > 0)
 
 
 def nested_pairs_oracle(group, psi, n_pairs):

@@ -75,6 +75,18 @@ gauging.DEFAULT_DIM_CAP (2**24).  Only `emergent_symmetry_layer2` moved:
 its exact map has 4782969 cells, between the two, so the check went
 from skipped to passed and gained its three label checks.  No layer of
 the suite lies between the two limits, and `suite.json` did not move.
+
+Three files were regenerated once when compose_gauging began to build
+exact support states (sorted basis keys, integer roots and one rational
+squared magnitude) and to check them exactly, with no dense array.  The
+norms of `compose_z3_layers3_n2.json` (0.9999999999999999 -> 1.0) and
+of `compose_z3_layers3_n2_open.json` (0.9999999999999999 and
+1.0000000000000089 -> 1.0 and 1.0) became exactly 1.0, and the
+`frustration_free` `worst_deviation` of `suite.json` went from
+3.149981718843476e-16 to 0.0.  Nothing else moved: the other twelve
+files are byte-identical, and each compose report's
+`dimensions.amplitudes` is still the dense count, the product of the
+site dimensions.
 """
 
 from pathlib import Path

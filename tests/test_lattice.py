@@ -462,10 +462,13 @@ class TestCrossModule:
         alpha = enumerate_cocycle_classes(group)[1] if twisted else None
         layers = layer_stack(group, 2, 2, "periodic", twist_even=alpha)
         state = compose_gauging(layers, initial_state(group, layers[0]))
-        norm_sq = state.norm() ** 2
+        dense = state.dense()
+        norm_sq = dense.norm() ** 2
         spec = CodeSpec(Lattice2D(group, 2, 2, "open"), twist_even=alpha)
-        for term in build_bulk_stabilizers(spec):
-            overlap = np.vdot(state.amps, state.apply(term.op).amps) / norm_sq
+        terms = build_bulk_stabilizers(spec)
+        assert state.fixed_by([term.op for term in terms]) == [True] * len(terms)
+        for term in terms:
+            overlap = np.vdot(dense.amps, dense.apply(term.op).amps) / norm_sq
             assert abs(overlap - 1) < 1e-10
 
     @pytest.mark.parametrize("group,even,odd,n,m", _stack_configs())
