@@ -143,13 +143,6 @@ def _expectation(counts: np.ndarray, support_size: int) -> complex:
     return complex(total) / support_size
 
 
-def string_order_expectation(
-    chain: SymmetricState1D, chi: DualCharacter, beta: Cocycle | None, i: int, ell: int
-) -> complex:
-    """<psi|O|psi> of the string order operator, from its returned roots."""
-    return _expectation(*_returned_roots(chain, string_order_operator(chain, chi, beta, i, ell)))
-
-
 def surviving_boundary_terms(chain: SymmetricState1D, beta: Cocycle | None = None) -> tuple[set, dict]:
     """Characters whose boundary term stabilizes the gauged state.
 

@@ -37,6 +37,7 @@ stack-symmetry check are exact.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -61,6 +62,9 @@ from .operators import (
 )
 
 DEFAULT_DIM_CAP = 2**24
+# Layers whose map terms stay cached: a six-layer stack is gauged, then
+# each layer's exact map reads the same terms again.
+ROW_ENTRY_LAYERS = 8
 STATE_TOL = 1e-10  # largest deviation from 1 a float state check accepts in a norm or a fidelity
 
 
@@ -268,21 +272,10 @@ class GaugingMap:
         From each matter configuration with the new row at the identity
         label, site i replaces every entry by |G| copies, one per label,
         each moved by local_symmetry_op(i, label) on the out_sites space.
+        Built once per LayerSpec (_layer_row_entries); both arrays are
+        read-only.
         """
-        size, L = self.group.size, self.group.phase_modulus
-        dims = self.exact_dims[: len(self.out_sites)]
-        flat = np.arange(self.in_dim, dtype=np.int64) * size ** len(self.new_sites)
-        root = np.zeros(flat.size, dtype=np.min_scalar_type(L - 1))
-        for i in range(self.layer.n):
-            moved_flat = np.empty(flat.size * size, dtype=np.int64)
-            moved_root = np.empty(moved_flat.size, dtype=root.dtype)
-            for k, label in enumerate(self.layer.labels()):
-                factors = self.exact_factors(self.local_symmetry_op(i, label))
-                part = slice(k * flat.size, (k + 1) * flat.size)
-                moved_flat[part], phases = flat_action(dims, factors, flat)
-                moved_root[part] = (root + sum(phases)) % L
-            flat, root = moved_flat, moved_root
-        return flat, root
+        return _layer_row_entries(self.layer)
 
     def apply(self, state: SupportState) -> SupportState:
         """The gauged state, built on its support within check_cap.
@@ -295,11 +288,15 @@ class GaugingMap:
         mult**2 * |G|**(2 scale_power - 2n).  An input that reaches a row
         holding a cell of several roots (one that cancels, on a charged
         matter configuration) raises ValueError, and so do rows whose
-        multiplicities differ.
+        multiplicities differ.  An output past check_cap, or whose dense
+        index space has more than 2**63 indices, so that its int64 keys
+        would wrap, raises CapExceededError before any term is built.
         """
         site_ids, kinds, dims = gauged_layout(state, self.layer)
         size, L = self.group.size, self.group.phase_modulus
         check_cap("output", size, len(self.new_sites), math.prod(state.dims))
+        if math.prod(dims) > 2**63:
+            raise CapExceededError(f"the output's {len(dims)} sites index more basis states than int64 keys hold")
         new_dim = self.out_dim // self.in_dim
         cells = PhaseTensor.from_entries((self.out_dim,), L, *self._row_entries())
         flat, cell_roots, mults = cells.flat_indices, cells.roots, cells.mults
@@ -337,6 +334,27 @@ class GaugingMap:
         column = flat // self.group.size ** len(self.new_sites)
         shape = (self.out_dim, self.in_dim)
         return PhaseTensor.from_entries(shape, self.group.phase_modulus, flat * self.in_dim + column, root)
+
+
+@functools.lru_cache(maxsize=ROW_ENTRY_LAYERS)
+def _layer_row_entries(layer: LayerSpec) -> tuple[np.ndarray, np.ndarray]:
+    """GaugingMap._row_entries of the layer, built on the first call and kept read-only."""
+    gmap = GaugingMap(layer)
+    size, L = gmap.group.size, gmap.group.phase_modulus
+    dims = gmap.exact_dims[: len(gmap.out_sites)]
+    flat = np.arange(gmap.in_dim, dtype=np.int64) * size ** len(gmap.new_sites)
+    root = np.zeros(flat.size, dtype=np.min_scalar_type(L - 1))
+    for i in range(layer.n):
+        moved_flat = np.empty(flat.size * size, dtype=np.int64)
+        moved_root = np.empty(moved_flat.size, dtype=root.dtype)
+        for k, label in enumerate(layer.labels()):
+            factors = gmap.exact_factors(gmap.local_symmetry_op(i, label))
+            part = slice(k * flat.size, (k + 1) * flat.size)
+            moved_flat[part], phases = flat_action(dims, factors, flat)
+            moved_root[part] = (root + sum(phases)) % L
+        flat, root = moved_flat, moved_root
+    flat.flags.writeable = root.flags.writeable = False
+    return flat, root
 
 
 def gauged_layout(state: StateVector | SupportState, layer: LayerSpec) -> tuple[tuple, tuple, tuple]:

@@ -239,9 +239,6 @@ class Cocycle:
                     k += (L // d) * p * a_exps[j] * b_exps[i]
         return k % L
 
-    def evaluate(self, a, b) -> PhaseExponent:
-        return PhaseExponent(self.exponent(a.exps, b.exps), self.group.phase_modulus)
-
     def conjugate(self) -> "Cocycle":
         orders = self.group.orders
         rows = []
@@ -303,22 +300,6 @@ def enumerate_cocycle_classes(group: GroupSpec) -> list[Cocycle]:
             rows[i][j] = v
         reps.append(Cocycle(group, tuple(tuple(r) for r in rows)))
     return reps
-
-
-def verify_cocycle_condition(alpha: Cocycle) -> bool:
-    """Exhaustive alpha(g,h) alpha(gh,k) = alpha(h,k) alpha(g,hk)."""
-    spec = alpha.group
-    L = spec.phase_modulus
-    for g in spec.elements():
-        for h in spec.elements():
-            gh = spec.add_exps(g.exps, h.exps)
-            for f in spec.elements():
-                hf = spec.add_exps(h.exps, f.exps)
-                lhs = (alpha.exponent(g.exps, h.exps) + alpha.exponent(gh, f.exps)) % L
-                rhs = (alpha.exponent(h.exps, f.exps) + alpha.exponent(g.exps, hf)) % L
-                if lhs != rhs:
-                    return False
-    return True
 
 
 # -- subgroups and restriction -------------------------------------------

@@ -134,13 +134,6 @@ class MonomialOperator:
         phase = tuple(-self.phase[inv[j]] for j in range(self.dim))
         return MonomialOperator(self.dim, tuple(inv), phase, self.modulus, self.kind)
 
-    def to_dense(self) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        w = np.exp(2j * np.pi / self.modulus)
-        for i in range(self.dim):
-            mat[self.perm[i], i] = w ** self.phase[i]
-        return mat
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -598,9 +591,6 @@ class StateVector:
         if self.amps.shape != (expected,):
             raise ValueError("amplitude array does not match site dimensions")
 
-    def axis_of(self, site_id) -> int:
-        return self.site_ids.index(site_id)
-
     def apply(self, op: ProductOperator) -> "StateVector":
         """Apply a product operator; permutation plus phase per site.
 
@@ -668,16 +658,41 @@ class SupportState:
         roots[x] + phase(x) mod L: np.searchsorted finds each target among
         the sorted keys.  Every op is checked as StateVector.apply checks
         it, and must share the state's modulus.
+
+        The keys are split into digits once per call, on the axes some op
+        touches, each axis in the smallest unsigned dtype that holds its
+        digits; every factor then reads its tables at those digits.  A
+        factor that moves no digit leaves the keys as they are, and an op
+        whose factors all do so (a diagonal or empty op) needs no search:
+        each key is its own target.
         """
+        digits = {}  # axis -> (every key's digit there, the axis's stride)
         fixed = []
         for op in ops:
             factors = placed_factors(self, op)
             if op.modulus != self.modulus:
                 raise ValueError(f"operator modulus {op.modulus} is not the state's {self.modulus}")
-            y, phases = flat_action(self.dims, factors, self.keys)
-            at = np.minimum(np.searchsorted(self.keys, y), self.keys.size - 1)
-            moved = (self.roots + sum(phases, np.zeros_like(self.roots))) % self.modulus
-            fixed.append(bool(np.array_equal(self.keys[at], y) and np.array_equal(self.roots[at], moved)))
+            if len({axis for axis, _ in factors}) != len(factors):
+                raise ValueError("operator has more than one factor on an axis")
+            y, moved = self.keys, self.roots
+            for axis, mono in factors:
+                if axis not in digits:
+                    stride, dim = math.prod(self.dims[axis + 1 :]), self.dims[axis]
+                    digits[axis] = (self.keys // stride % dim).astype(np.min_scalar_type(dim - 1)), stride
+                digit, stride = digits[axis]
+                perm, phase = np.array((mono.perm, mono.phase))
+                move = (perm - np.arange(mono.dim)) * stride
+                if move.any():
+                    y = y + move.take(digit)
+                if phase.any():
+                    moved = moved + phase.take(digit)
+            moved = moved % self.modulus
+            if y is self.keys:
+                targets = self.roots
+            else:
+                at = np.minimum(np.searchsorted(self.keys, y), self.keys.size - 1)
+                targets = self.roots[at] if np.array_equal(self.keys[at], y) else None
+            fixed.append(targets is not None and bool(np.array_equal(targets, moved)))
         return fixed
 
     def dense(self) -> StateVector:

@@ -14,8 +14,9 @@ import pytest
 from click.testing import CliRunner
 
 from latgauge import suite
-from latgauge.cli import main, validate_report
+from latgauge.cli import main
 from latgauge.groups import GroupSpec, pair
+from report_schema import validate_report
 
 RESULTS = {}
 

@@ -10,9 +10,10 @@ import pytest
 import dense_compose_oracle
 import fourier_oracle
 from latgauge.boundary import (
+    _expectation,
+    _returned_roots,
     build_fixed_point_state,
     condensation_table,
-    string_order_expectation,
     string_order_operator,
     surviving_boundary_terms,
 )
@@ -26,6 +27,11 @@ Z2 = GroupSpec((2,))
 Z4 = GroupSpec((4,))
 Z22 = GroupSpec((2, 2))
 ORACLE_GROUPS = [(2,), (3,), (4,), (2, 2), (2, 3), (3, 3), (4, 2)]
+
+
+def string_order_expectation(chain, chi, beta, i, ell) -> complex:
+    """<psi|O|psi> of the string order operator, from its returned roots."""
+    return _expectation(*_returned_roots(chain, string_order_operator(chain, chi, beta, i, ell)))
 
 
 class TestFixedPointStates:

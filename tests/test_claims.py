@@ -12,8 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 from latgauge import claims, suite
-from latgauge.cli import main, validate_report
+from latgauge.cli import main
 from latgauge.operators import StateVector
+from report_schema import validate_report
 
 
 def run(args):

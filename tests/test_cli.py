@@ -11,10 +11,12 @@ import pytest
 from click.testing import CliRunner
 
 import latgauge
-from latgauge.cli import main, parse_group, parse_subgroup, parse_twist, validate_report
+from latgauge.cli import main, parse_group, parse_subgroup, parse_twist
 from latgauge.excitations import StringSpec, string_operator, syndrome
+from latgauge.gauging import GaugingMap
 from latgauge.groups import GroupSpec
 from latgauge.lattice import CodeSpec, Lattice2D, build_bulk_stabilizers
+from report_schema import validate_report
 
 
 Z3_SHIFT = {"dim": 3, "perm": [1, 2, 0], "phase": [0, 0, 0], "modulus": 3}
@@ -184,6 +186,19 @@ class TestComposeCommand:
             env={"GAUGE_MAX_DIM": "1000"},
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 8.00 GiB for an array with shape (1073741824,)", ""])
+    def test_memory_error_is_config_error(self, runner, monkeypatch, message):
+        # What a raised GAUGE_MAX_DIM lets through to numpy, without allocating it.
+        def out_of_memory(gmap, state):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(GaugingMap, "apply", out_of_memory)
+        result = runner.invoke(main, ["compose", "--group", "2", "--layers", "2", "--n", "2"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: the stack does not fit in memory: {message or 'MemoryError'}"], result.output
 
     def test_env_cap_override(self, runner):
         result = runner.invoke(

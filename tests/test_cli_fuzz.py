@@ -17,7 +17,8 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from latgauge.cli import main, validate_report
+from latgauge.cli import main
+from report_schema import validate_report
 
 ORDERS = st.lists(st.sampled_from([2, 2, 3, 3, 1]), min_size=1, max_size=2)
 GROUP = ORDERS.map(lambda o: ",".join(map(str, o)))

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latgauge import suite
+from latgauge import gauging, suite
 from latgauge.cli import parse_twist
 from latgauge.gauging import (
     CapExceededError,
@@ -45,6 +45,7 @@ from latgauge.operators import (
 from latgauge.tensors import contract_pepes
 import dense_compose_oracle
 import exact_map_oracle
+import fixed_by_oracle
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -144,6 +145,29 @@ class TestSingleMap:
         monkeypatch.setenv("GAUGE_MAX_DIM", "100")
         with pytest.raises(CapExceededError):
             build_gauging_map(layer).apply(initial_state(Z3, layer))
+
+    @staticmethod
+    def behind_leading_sites(layer, count):
+        """The layer's product input behind `count` Z2 sites, the one key 0."""
+        base = initial_state(Z2, layer)
+        lead = tuple(("lead", k) for k in range(count))
+        kinds = (SiteKind.EDGE_GROUP,) * count + base.kinds
+        return SupportState(lead + base.site_ids, kinds, (2,) * count + base.dims, base.modulus, base.keys, base.roots)
+
+    def test_output_past_int64_keys_is_refused_before_any_term(self, monkeypatch):
+        # 62 leading sites and a two-site matter row: the output's 66 sites
+        # number 2**66 basis states, past what int64 keys hold.
+        layer = LayerSpec(Z2, 0, 2, "periodic")
+        monkeypatch.setenv("GAUGE_MAX_DIM", str(2**80))
+        monkeypatch.setattr(GaugingMap, "_row_entries", lambda gmap: pytest.fail("the map's terms were built"))
+        with pytest.raises(CapExceededError, match="int64"):
+            build_gauging_map(layer).apply(self.behind_leading_sites(layer, 62))
+
+    def test_output_of_exactly_2_63_indices_is_gauged(self, monkeypatch):
+        layer = LayerSpec(Z2, 0, 2, "periodic")
+        monkeypatch.setenv("GAUGE_MAX_DIM", str(2**80))
+        out = build_gauging_map(layer).apply(self.behind_leading_sites(layer, 59))
+        assert math.prod(out.dims) == 2**63 and out.keys.tolist() == [0, 3] and out.norm() == 1.0
 
 
 class TestInputsAreNotWritten:
@@ -571,6 +595,42 @@ class TestSupportBuffers:
         out, peak = traced_peak(lambda: gmap.apply(state))
         assert peak < 4 * (out.keys.nbytes + out.roots.nbytes)
 
+    @staticmethod
+    def digit_store_growth(state, few, many) -> int:
+        """Traced peak of fixed_by(many) less that of fixed_by(few); every op of `few` is also in `many`.
+
+        From the second op on, each op's working arrays are the same
+        (the previous op's live until the next replaces them), so with at
+        least two ops in `few` the difference is the digits of the sites
+        only `many` touches.
+        """
+        state.fixed_by(many)  # the factor constructors' caches, outside the trace
+        return traced_peak(lambda: state.fixed_by(many))[1] - traced_peak(lambda: state.fixed_by(few))[1]
+
+    @pytest.mark.parametrize("orders,sites", [((2,), 16), ((6,), 6), ((256,), 4)])
+    def test_digit_store_holds_one_byte_per_key_and_touched_site(self, orders, sites):
+        group = GroupSpec(orders)
+        rng = np.random.default_rng(5)
+        keys = np.unique(rng.integers(0, group.size**sites, size=20000, dtype=np.int64))
+        kind = SiteKind.EDGE_GROUP
+        state = SupportState(tuple(range(sites)), (kind,) * sites, (group.size,) * sites, group.phase_modulus, keys, np.zeros_like(keys))
+        clocks = [
+            ProductOperator.from_factors([(site, clock_z(group.character((1,))))], group.phase_modulus)
+            for site in range(sites)
+        ]
+        growth = self.digit_store_growth(state, clocks[:2], clocks)
+        assert keys.size > 16000 and growth <= (sites - 2) * keys.size + 4096
+
+    def test_digit_store_of_a_stack_check(self):
+        # Every stack symmetry of the Z2 n = 4 five-layer stack against the
+        # first two: the 32768 keys' digits on the sites they do not touch.
+        layers = layer_stack(Z2, 4, 5)
+        state = compose_gauging(layers, initial_state(Z2, layers[0]))
+        ops = [op for _, op in stack_local_symmetry_ops(layers) if op.factors]
+        touched = {site for op in ops for site in op.support}
+        growth = self.digit_store_growth(state, ops[:2], ops)
+        assert growth <= len(touched - set(ops[0].support + ops[1].support)) * state.keys.size + 4096
+
 
 class TestExpectations:
     """The oracle's support-only expectations against one StateVector.apply and np.vdot per operator."""
@@ -637,6 +697,109 @@ class TestExpectations:
                 state.fixed_by([good, bad])
             assert str(via_expectations.value) == str(via_apply.value) == str(via_fixed_by.value)
 
+
+
+# The `compose` workload's six stacks: (group orders, n, layers, boundary, twisted).
+COMPOSE_STACKS = (
+    ((2,), 4, 4, "periodic", False),
+    ((2,), 3, 6, "periodic", False),
+    ((3,), 3, 3, "periodic", False),
+    ((2, 2), 2, 4, "periodic", True),
+    ((2,), 2, 4, "open", False),
+    ((2, 3), 2, 3, "periodic", False),
+)
+
+
+def _fixed_by_stacks():
+    for case in _expectation_cases():
+        yield pytest.param(expectation_layers(*case.values), id=case.id)
+    for orders, n, num_layers, bc, twisted in COMPOSE_STACKS:
+        group = GroupSpec(orders)
+        for alpha in enumerate_cocycle_classes(group)[: 2 if twisted else 1]:
+            twist = None if alpha.is_trivial else alpha
+            layers = layer_stack(group, n, num_layers, bc, twist_even=twist, twist_odd=twist)
+            yield pytest.param(layers, id=f"compose-{orders}-n{n}-x{num_layers}-{bc}-{alpha.pmatrix}")
+
+
+def wrong_root(state, j):
+    """state with roots[j] advanced by one."""
+    roots = state.roots.copy()
+    roots[j] = (roots[j] + 1) % state.modulus
+    return SupportState(state.site_ids, state.kinds, state.dims, state.modulus, state.keys, roots, state.mag_sq)
+
+
+def moved_key(state, j):
+    """state with keys[j] moved, root and all, to the smallest basis index the support does not hold."""
+    free = np.setdiff1d(np.arange(state.keys.size + 1), state.keys)[0]
+    keys = np.append(np.delete(state.keys, j), free)
+    roots = np.append(np.delete(state.roots, j), state.roots[j])
+    order = np.argsort(keys)
+    return SupportState(state.site_ids, state.kinds, state.dims, state.modulus, keys[order], roots[order], state.mag_sq)
+
+
+class TestFixedBy:
+    """SupportState.fixed_by, digits split once per call, against the per-operator route of fixed_by_oracle."""
+
+    @pytest.mark.parametrize("layers", list(_fixed_by_stacks()))
+    def test_matches_the_per_operator_route(self, layers):
+        state = compose_gauging(layers, initial_state(layers[0].group, layers[0]))
+        ops = [op for _, op in stack_local_symmetry_ops(layers)]
+        assert state.fixed_by(ops) == fixed_by_oracle.fixed_by(state, ops) == [True] * len(ops)
+        # Diagonal ops move no key: each layer's emergent clocks on its new row.
+        ops += [build_gauging_map(layer).emergent_symmetry_op(label) for layer in layers for label in layer.labels()]
+        middle = state.keys.size // 2
+        unreduced = SupportState(state.site_ids, state.kinds, state.dims, state.modulus, state.keys, state.roots + state.modulus, state.mag_sq)
+        for bad in (wrong_root(state, middle), moved_key(state, middle), unreduced):
+            # The kicked state first, then the stack state again: nothing of
+            # one call's digits may reach the next.
+            for st in (bad, state, bad):
+                assert st.fixed_by(ops) == fixed_by_oracle.fixed_by(st, ops)
+            assert not all(bad.fixed_by(ops))
+
+    def test_two_states_of_one_layout_in_sequence(self):
+        layers, state = expectation_stack(Z22, "periodic", 3, "both")
+        ops = [op for _, op in stack_local_symmetry_ops(layers)]
+        kick = ProductOperator.from_factors([((0, 0), shift_x(Z22.character((1, 0))))], Z22.phase_modulus)
+        other = kicked(state, kick)
+        expected = fixed_by_oracle.fixed_by(other, ops)
+        assert not all(expected) and any(expected)
+        assert [state.fixed_by(ops), other.fixed_by(ops), state.fixed_by(ops)] == [[True] * len(ops), expected, [True] * len(ops)]
+
+    def test_refusals_match_the_per_operator_route(self):
+        layers, state = expectation_stack(Z3, "periodic", 2, "trivial")
+        good = [op for _, op in stack_local_symmetry_ops(layers) if op.factors][0]
+        site = (1, 1)
+        bads = [
+            ProductOperator.from_factors([(site, clock_z(Z3.element((1,))))], Z3.phase_modulus),
+            ProductOperator.from_factors([(site, shift_x(Z2.element((1,))))], Z3.phase_modulus),
+            ProductOperator(good.factors, 2 * Z3.phase_modulus),
+            ProductOperator.from_factors([(("absent",), shift_x(Z3.element((1,))))], Z3.phase_modulus),
+        ]
+        for bad in bads:
+            with pytest.raises(ValueError) as via_oracle:
+                fixed_by_oracle.fixed_by(state, [good, bad])
+            with pytest.raises(ValueError) as via_fixed_by:
+                state.fixed_by([good, bad])
+            assert str(via_fixed_by.value) == str(via_oracle.value)
+
+    def test_repeated_axis_is_refused(self):
+        # A site id equal to every site puts two factors on its axis.
+        class Everywhere:
+            def __eq__(self, other):
+                return True
+
+            __hash__ = object.__hash__
+
+        mono = shift_x(Z2.element((1,)))
+        kinds, dims = (mono.kind,) * 2, (2, 2)
+        keys = np.arange(4, dtype=np.int64)
+        state = SupportState((Everywhere(), "b"), kinds, dims, 2, keys, np.zeros_like(keys))
+        op = ProductOperator.from_factors([(0, mono), (1, mono)], 2)
+        with pytest.raises(ValueError) as via_oracle:
+            fixed_by_oracle.fixed_by(state, [op])
+        with pytest.raises(ValueError, match="more than one factor on an axis") as via_fixed_by:
+            state.fixed_by([op])
+        assert str(via_fixed_by.value) == str(via_oracle.value)
 
 def dense_violations(state, layers, tol=1e-10):
     """Names verify_local_symmetry must list, from one StateVector.apply per symmetry."""
@@ -748,6 +911,40 @@ class TestExactness:
         state = compose_gauging(layers, initial_state(Z3, layers[0]))
         assert isinstance(state.mag_sq, Fraction) and state.mag_sq == Fraction(1, state.keys.size)
         assert np.all(np.diff(state.keys) > 0)
+
+
+
+class TestRowEntryCache:
+    def test_terms_are_built_once_per_layer_spec(self):
+        layer = LayerSpec(Z3, 1, 2, "open")
+        first = build_gauging_map(layer)._row_entries()
+        again = build_gauging_map(LayerSpec(Z3, 1, 2, "open"))._row_entries()
+        assert all(a is b for a, b in zip(first, again))
+        other = build_gauging_map(LayerSpec(Z3, 1, 2, "periodic"))._row_entries()
+        assert first[0] is not other[0]
+
+    def test_cached_terms_are_read_only(self):
+        flat, root = build_gauging_map(LayerSpec(Z22, 0, 2, "periodic", enumerate_cocycle_classes(Z22)[1]))._row_entries()
+        for array in (flat, root):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1
+
+    def test_compose_and_emergent_check_build_each_layer_once(self, monkeypatch):
+        # flat_action moves the terms while they are built, and nothing
+        # else of these calls reaches it.
+        layers = layer_stack(Z4, 2, 3)
+        gauging._layer_row_entries.cache_clear()
+        moved = []
+        monkeypatch.setattr(gauging, "flat_action", lambda *args: moved.append(1) or flat_action(*args))
+        state = compose_gauging(layers, initial_state(Z4, layers[0]))
+        built = len(moved)
+        assert built == sum(layer.n * Z4.size for layer in layers)
+        assert verify_local_symmetry(state, layers)["passed"]
+        for layer in layers:
+            assert verify_emergent_symmetry(build_gauging_map(layer))["passed"]
+        assert len(moved) == built
 
 
 def nested_pairs_oracle(group, psi, n_pairs):

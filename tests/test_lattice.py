@@ -33,6 +33,7 @@ from latgauge.operators import (
     shift_x,
 )
 from latgauge.suite import GROUPS, TORI
+from algebra_reference import to_dense
 from test_gauging import traced_peak
 from trace_oracle import random_projection_dimension, trace_ground_dimension
 
@@ -312,7 +313,7 @@ class TestGroundSpace:
         assert all(commutation_phase(p, q).is_one for p in ops for q in ops)
         assert joint_eigenspace_dimension(ops, sites, Z2) == 0
         assert orbit_eigenspace_dimension(ops, sites, Z2) == 0
-        dense = [np.kron(*(dict(op.factors)[s].to_dense() for s in sites)) for op in ops]
+        dense = [np.kron(*(to_dense(dict(op.factors)[s]) for s in sites)) for op in ops]
         assert np.allclose(dense[0] @ dense[1] @ dense[2], -np.eye(4))
         proj = np.eye(4)
         for mat in dense:

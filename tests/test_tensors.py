@@ -8,6 +8,7 @@ import pytest
 from latgauge.gauging import LayerSpec, build_gauging_map, compose_gauging, initial_state, layer_stack
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes
 from latgauge.cyclotomic import mono_mul_left
+from algebra_reference import to_dense
 from latgauge.tensors import (
     block_diamond,
     build_tensor,
@@ -93,7 +94,7 @@ class TestPullThrough:
         t = build_tensor("M_o", Z22)
         for leg in range(4):
             dressed = mono_mul_left(t, [(leg, mono)]).to_complex()
-            expected = np.moveaxis(np.tensordot(mono.to_dense(), t.to_complex(), axes=(1, leg)), 0, leg)
+            expected = np.moveaxis(np.tensordot(to_dense(mono), t.to_complex(), axes=(1, leg)), 0, leg)
             assert np.max(np.abs(dressed - expected)) < 1e-12
 
     @pytest.mark.parametrize("group", GROUPS)
