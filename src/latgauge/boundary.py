@@ -5,14 +5,14 @@ phase of the 1D state fed into the first gauging map.  That state lives
 on the first row of the code: a periodic chain of VERTEX_DUAL sites on
 which the symmetry acts by the diagonal clocks.  Phases of a global
 symmetry are labelled by the unbroken subgroup H.  The renormalization
-fixed point of each phase is built in closed form: uniform over the
-character tuples with every chi_i trivial on H and prod chi_i = 1, the
-sitewise Fourier image of the product-of-cosets state, and exactly zero
-elsewhere.  Its string order parameters (character shift pairs joined by
-a slant-product clock string) are counted on that integer support: each
-is a sum of roots of unity over |S|, exactly 0 or 1 for the untwisted
-strings, and a boundary term survives by an integer count, with no
-tolerance.
+fixed point of each phase is built in closed form as an exact
+operators.SupportState: uniform over the character tuples with every
+chi_i trivial on H and prod chi_i = 1, the sitewise Fourier image of the
+product-of-cosets state, all at root 0.  Its string order parameters
+(character shift pairs joined by a slant-product clock string) are
+counted on that support by SupportState.root_counts: each is a sum of
+roots of unity over |S|, exactly 0 or 1 for the untwisted strings, and a
+boundary term survives by an integer count, with no tolerance.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,11 +37,9 @@ from .lattice import CodeSpec, build_boundary_terms, overlap_phases, witness
 from .operators import (
     ProductOperator,
     SiteKind,
-    StateVector,
+    SupportState,
     clock_z,
     corner_factors,
-    flat_action,
-    placed_factors,
     shift_x,
 )
 
@@ -51,7 +50,7 @@ class SymmetricState1D:
 
     group: GroupSpec
     n: int
-    state: StateVector
+    state: SupportState
 
     def site_at(self, i: int):
         return self.state.site_ids[i % self.n]
@@ -61,10 +60,10 @@ def build_fixed_point_state(group: GroupSpec, subgroup, n: int) -> SymmetricStat
     """Fixed-point representative of the phase with unbroken subgroup H.
 
     The state is uniform over its support S, the character tuples
-    (chi_1, ..., chi_n) with every chi_i trivial on H and prod chi_i = 1,
-    and exactly zero elsewhere: H = G gives the all-identity product state
-    and H = {e} the Greenberger-Horne-Zeilinger style sum over the tuples
-    of trivial total charge.
+    (chi_1, ..., chi_n) with every chi_i trivial on H and prod chi_i = 1:
+    sorted keys, every root 0 and mag_sq = 1/|S|.  H = G gives the
+    all-identity product state and H = {e} the Greenberger-Horne-Zeilinger
+    style sum over the tuples of trivial total charge.
     """
     subgroup = tuple(h if isinstance(h, GroupElement) else group.element(h) for h in subgroup)
     if not is_subgroup(group, subgroup):
@@ -78,10 +77,9 @@ def build_fixed_point_state(group: GroupSpec, subgroup, n: int) -> SymmetricStat
         for chi in (*head, math.prod(head, start=group.dual_identity()).inverse()):
             flat = flat * size + group.index_of(chi.exps)
         support.append(flat)
-    amps = np.zeros(size**n, dtype=complex)
-    amps[support] = 1 / math.sqrt(len(support))
-    sites = tuple((0, 2 * k) for k in range(n))
-    state = StateVector(sites, (SiteKind.VERTEX_DUAL,) * n, (size,) * n, amps)
+    keys = np.sort(np.array(support, dtype=np.int64))
+    layout = (tuple((0, 2 * k) for k in range(n)), (SiteKind.VERTEX_DUAL,) * n, (size,) * n)
+    state = SupportState(*layout, group.phase_modulus, keys, np.zeros_like(keys), Fraction(1, keys.size))
     return SymmetricState1D(group, n, state)
 
 
@@ -111,21 +109,6 @@ def string_order_operator(
     return ProductOperator.from_factors(factors, group.phase_modulus)
 
 
-def _returned_roots(chain: SymmetricState1D, op: ProductOperator) -> tuple[np.ndarray, int]:
-    """(counts, |S|), counts[k] the entries of the support S that op maps into S times w**k.
-
-    The chain's state must be uniform on S; then <psi|op|psi> is the counts
-    summed against the roots and divided by |S|.
-    """
-    state = chain.state
-    support = np.flatnonzero(state.amps)
-    if not support.size or np.any(state.amps[support] != state.amps[support[0]]):
-        raise ValueError("chain state is not uniform on its support")
-    y, phases = flat_action(state.dims, placed_factors(state, op), support)
-    roots = sum(phases, np.zeros_like(support)) % op.modulus
-    return np.bincount(roots[state.amps[y] != 0], minlength=op.modulus), support.size
-
-
 def _expectation(counts: np.ndarray, support_size: int) -> complex:
     """sum_k counts[k] w**k / |S|, rounded to complex once.
 
@@ -148,17 +131,16 @@ def surviving_boundary_terms(chain: SymmetricState1D, beta: Cocycle | None = Non
 
     A term survives when, for every tested length 1..min(3, n - 1), the
     string order operator maps every support entry back into the support
-    with root 0, which makes the parameter exactly one.  Raw expectation
-    values are returned alongside.
+    with its own root (SupportState.root_counts), which makes the
+    parameter exactly one.  Raw expectation values are returned alongside.
     """
+    state, size = chain.state, chain.state.keys.size
     raw = {}
     surviving = set()
     for chi in chain.group.characters():
-        walks = [
-            _returned_roots(chain, string_order_operator(chain, chi, beta, 0, ell)) for ell in range(1, min(4, chain.n))
-        ]
-        raw[chi.exps] = [_expectation(counts, size) for counts, size in walks]
-        if all(counts[0] == size for counts, size in walks):
+        walks = state.root_counts(string_order_operator(chain, chi, beta, 0, ell) for ell in range(1, min(4, chain.n)))
+        raw[chi.exps] = [_expectation(counts, size) for counts in walks]
+        if all(counts[0] == size for counts in walks):
             surviving.add(chi)
     return surviving, raw
 

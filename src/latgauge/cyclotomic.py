@@ -114,17 +114,6 @@ class PhaseTensor:
             return None
         return self.scale / other.scale
 
-    def to_complex(self) -> np.ndarray:
-        """Dense complex array of the entries, scale included."""
-        roots = np.exp(2j * np.pi * np.arange(self.modulus) / self.modulus)
-        values = self.mults * roots[self.roots]
-        size = math.prod(self.shape)
-        flat = self.flat_indices
-        dense = np.bincount(flat, weights=values.real, minlength=size) + 1j * np.bincount(
-            flat, weights=values.imag, minlength=size
-        )
-        return float(self.scale) * dense.reshape(self.shape)
-
     def transpose(self, axes) -> "PhaseTensor":
         """The same tensor with its indices reordered as numpy.transpose(axes)."""
         index = np.unravel_index(self.flat_indices, self.shape)

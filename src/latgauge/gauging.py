@@ -53,7 +53,6 @@ from .operators import (
     MonomialOperator,
     ProductOperator,
     SiteKind,
-    StateVector,
     SupportState,
     clock_z,
     corner_factors,
@@ -65,7 +64,7 @@ DEFAULT_DIM_CAP = 2**24
 # Layers whose map terms stay cached: a six-layer stack is gauged, then
 # each layer's exact map reads the same terms again.
 ROW_ENTRY_LAYERS = 8
-STATE_TOL = 1e-10  # largest deviation from 1 a float state check accepts in a norm or a fidelity
+STATE_TOL = 1e-10  # gauge compose's reported tol and verify_local_symmetry's default; no check reads it
 
 
 def dimension_cap() -> int:
@@ -357,7 +356,7 @@ def _layer_row_entries(layer: LayerSpec) -> tuple[np.ndarray, np.ndarray]:
     return flat, root
 
 
-def gauged_layout(state: StateVector | SupportState, layer: LayerSpec) -> tuple[tuple, tuple, tuple]:
+def gauged_layout(state: SupportState, layer: LayerSpec) -> tuple[tuple, tuple, tuple]:
     """Site ids, kinds and dims of `state` with the layer's new row appended.
 
     Every route that gauges a stacked state acts on the layer's matter row
@@ -505,17 +504,16 @@ def verify_local_symmetry(state: SupportState, layers, tol: float = STATE_TOL) -
 # -- zero dimensional gauging -------------------------------------------------
 
 
-def zero_dim_gauge(group: GroupSpec, psi: StateVector, n_pairs: int) -> StateVector:
+def zero_dim_gauge(group: GroupSpec, psi: SupportState, n_pairs: int) -> SupportState:
     """Iterated gauging of a single symmetric site, in closed form.
 
     Each round decouples a maximally entangled pair of group-labelled
-    sites around the matter site, (1/sqrt(|G|)) sum_g |g^-1>|g>: round k
-    wraps the state as (left_k, earlier rounds, right_k) by one broadcast
-    of the |G|x|G| pair matrix.  The sites run left_n .. left_1, the
-    matter site, right_1 .. right_n, and the amplitudes are a fresh array
-    even for n_pairs = 0.  The input must be left exactly unchanged by its
-    site symmetry: the diagonal representation on a vertex site, the
-    shift representation on an edge site.
+    sites around the matter site, (1/sqrt(|G|)) sum_g |g^-1>|g>: it wraps
+    every key x as (j, x, j^-1) for each label j, so the keys stay sorted,
+    keep their roots, and mag_sq gains 1/|G|.  The sites run left_n ..
+    left_1, the matter site, right_1 .. right_n.  SupportState.fixed_by
+    must find the input fixed by its site symmetry: the diagonal
+    representation on a vertex site, the shift one on an edge site.
     """
     if len(psi.site_ids) != 1:
         raise ValueError("zero_dim_gauge takes a single-site state")
@@ -524,20 +522,18 @@ def zero_dim_gauge(group: GroupSpec, psi: StateVector, n_pairs: int) -> StateVec
     if n_pairs < 0:
         raise ValueError("n_pairs must be nonnegative")
     kind = psi.kinds[0]
-    for g in group.elements():
-        mono = clock_z(g) if kind == SiteKind.VERTEX_DUAL else shift_x(g)
-        op = ProductOperator.from_factors([(psi.site_ids[0], mono)], group.phase_modulus)
-        if not np.array_equal(psi.apply(op).amps, psi.amps):
-            raise ValueError("input state is not symmetric under the site representation")
+    mono = clock_z if kind == SiteKind.VERTEX_DUAL else shift_x
+    symmetry = [ProductOperator.from_factors([(psi.site_ids[0], mono(g))], psi.modulus) for g in group.elements()]
+    if not all(psi.fixed_by(symmetry)):
+        raise ValueError("input state is not symmetric under the site representation")
     size = group.size
-    pair = np.zeros((size, size), dtype=complex)
-    for g in group.elements():
-        pair[group.index_of(g.inverse().exps), group.index_of(g.exps)] = 1.0
-    pair = pair / math.sqrt(size)
-    amps = psi.amps.copy()
-    for _ in range(n_pairs):
-        amps = (amps[None, :, None] * pair[:, None, :]).reshape(-1)
+    labels = np.arange(size)
+    inverse = np.array([group.index_of(group.neg_exps(group.exps_of(j))) for j in labels])
+    keys = psi.keys
+    for k in range(n_pairs):
+        keys = ((labels[:, None] * size ** (2 * k + 1) + keys) * size + inverse[:, None]).reshape(-1)
     lefts = tuple(("pair", k, "left") for k in range(n_pairs, 0, -1))
     rights = tuple(("pair", k, "right") for k in range(1, n_pairs + 1))
     edges = (SiteKind.EDGE_GROUP,) * n_pairs
-    return StateVector(lefts + psi.site_ids + rights, edges + psi.kinds + edges, (size,) * (2 * n_pairs + 1), amps)
+    layout = (lefts + psi.site_ids + rights, edges + psi.kinds + edges, (size,) * (2 * n_pairs + 1))
+    return SupportState(*layout, psi.modulus, keys, np.tile(psi.roots, size**n_pairs), psi.mag_sq / size**n_pairs)

@@ -36,17 +36,18 @@ site of another kind.  ProductOperator tensors
 site-local monomials over named sites and is the workhorse for
 stabilizers, strings and logicals; a Placement holds many of them as
 integer arrays of site numbers and factor ids, which the batched
-commutation pass overlap_exponents reads.  StateVector holds dense
-complex amplitudes and applies product operators to them; SupportState
-holds a state of one magnitude on its support, as sorted basis keys with
-integer root exponents and a rational squared magnitude, and checks
-exactly which product operators fix it.  A flux
-operator of a finite group, abelian or not, is the integer diagonal
-chi(g_1 ... g_n) read off an integer multiplication table and an integer
-character, and fusion_coefficients divides the orthogonality sums by |G|
-exactly.  Operator-level checks are exact, and so are the checks on
-support states; the few dense state checks left compare norms and
-fidelities within gauging.STATE_TOL.
+commutation pass overlap_exponents reads.  Every state the library
+builds is a SupportState: sorted basis keys with integer root exponents
+and a rational squared magnitude.  From one walk over the keys' digits
+it checks exactly which product operators fix it (fixed_by) and counts
+the roots each one returns onto the support (root_counts).  StateVector
+holds dense complex amplitudes; nothing in the library builds one, but
+bench/spans.py times StateVector.apply by name, which
+tests/test_bench_contract.py checks, so it stays.  A flux operator of a
+finite group, abelian or not, is the integer diagonal chi(g_1 ... g_n)
+read off an integer multiplication table and an integer character, and
+fusion_coefficients divides the orthogonality sums by |G| exactly.  Every
+check on operators and on states is exact.
 """
 
 from __future__ import annotations
@@ -629,7 +630,8 @@ class SupportState:
     w = exp(2 pi i / modulus), and every other amplitude is exactly zero.
     Stabilizer states have this form (Dehaene and De Moor, PRA 2003), and
     so does every gauged stack, so no dense array is formed and no check
-    on such a state needs a tolerance.
+    on such a state needs a tolerance.  Keys not strictly increasing (for
+    np.searchsorted) or roots outside 0..L-1 (for fixed_by) raise ValueError.
     """
 
     site_ids: tuple
@@ -639,6 +641,14 @@ class SupportState:
     keys: np.ndarray
     roots: np.ndarray
     mag_sq: Fraction = Fraction(1)
+
+    def __post_init__(self) -> None:
+        if self.keys.ndim != 1 or self.roots.shape != self.keys.shape:
+            raise ValueError("need one root per key")
+        if (self.keys[1:] <= self.keys[:-1]).any():
+            raise ValueError("keys must be strictly increasing")
+        if ((self.roots < 0) | (self.roots >= self.modulus)).any():
+            raise ValueError(f"roots must be reduced mod {self.modulus}")
 
     @property
     def amps(self) -> np.ndarray:
@@ -650,24 +660,18 @@ class SupportState:
         """sqrt(support size * mag_sq): exactly 1.0 when that product is exactly 1."""
         return math.sqrt(self.keys.size * self.mag_sq)
 
-    def fixed_by(self, ops) -> list[bool]:
-        """Whether each product operator in ops maps the state exactly to itself.
+    def _walk(self, ops, judge) -> list:
+        """judge(y, moved) per op in ops: each key's target under O|x> = w**phase(x) |y(x)>, and roots + phase mod L.
 
-        O|x> = w**phase(x) |y(x)> permutes the basis, so O psi = psi exactly
-        when every stored key x has its target y(x) stored too, with root
-        roots[x] + phase(x) mod L: np.searchsorted finds each target among
-        the sorted keys.  Every op is checked as StateVector.apply checks
-        it, and must share the state's modulus.
-
-        The keys are split into digits once per call, on the axes some op
-        touches, each axis in the smallest unsigned dtype that holds its
-        digits; every factor then reads its tables at those digits.  A
-        factor that moves no digit leaves the keys as they are, and an op
-        whose factors all do so (a diagonal or empty op) needs no search:
-        each key is its own target.
+        Every op is checked as StateVector.apply checks it, and must share
+        the state's modulus.  The keys are split into digits once per call,
+        on the axes some op touches, each axis in the smallest unsigned
+        dtype that holds its digits.  y is self.keys itself when no factor
+        moves a digit (a diagonal or empty op).  judge runs inside the loop,
+        so one op's arrays are dropped before the next op's are built.
         """
         digits = {}  # axis -> (every key's digit there, the axis's stride)
-        fixed = []
+        judged = []
         for op in ops:
             factors = placed_factors(self, op)
             if op.modulus != self.modulus:
@@ -687,19 +691,34 @@ class SupportState:
                 if phase.any():
                     moved = moved + phase.take(digit)
             moved = moved % self.modulus
-            if y is self.keys:
-                targets = self.roots
-            else:
-                at = np.minimum(np.searchsorted(self.keys, y), self.keys.size - 1)
-                targets = self.roots[at] if np.array_equal(self.keys[at], y) else None
-            fixed.append(targets is not None and bool(np.array_equal(targets, moved)))
-        return fixed
+            judged.append(judge(y, moved))
+        return judged
 
-    def dense(self) -> StateVector:
-        """A dense copy, for routes that take StateVector."""
-        amps = np.zeros(math.prod(self.dims), dtype=complex)
-        amps[self.keys] = self.amps
-        return StateVector(self.site_ids, self.kinds, self.dims, amps)
+    def fixed_by(self, ops) -> list[bool]:
+        """Whether each product operator in ops maps the state exactly to itself.
+
+        It does when every key's target is stored, at the key's moved root.
+        An op that moves no key needs no search, and one that moves a key
+        off the support no root comparison.
+        """
+        def fixes(y, moved) -> bool:
+            if y is self.keys:
+                return bool(np.array_equal(self.roots, moved))
+            at = np.minimum(np.searchsorted(self.keys, y), self.keys.size - 1)
+            return bool(np.array_equal(self.keys[at], y) and np.array_equal(self.roots[at], moved))
+        return self._walk(ops, fixes)
+
+    def root_counts(self, ops) -> list[np.ndarray]:
+        """counts[k] per op in ops: the keys x it maps onto a stored key y, at roots[x] + phase(x) - roots[y] = k mod L.
+
+        <psi|O|psi> / <psi|psi> is the sum of counts[k] w**k over the key
+        count, and O fixes the state exactly when counts[0] is that count.
+        """
+        def counts(y, moved) -> np.ndarray:
+            at = np.minimum(np.searchsorted(self.keys, y), self.keys.size - 1)
+            relative = (moved.astype(np.int64) - self.roots[at])[self.keys[at] == y] % self.modulus
+            return np.bincount(relative, minlength=self.modulus)
+        return self._walk(ops, counts)
 
 
 # -- fusion of diagonal flux operators (general finite groups) --------------

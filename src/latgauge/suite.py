@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .excitations import (
     vertical_string_path,
 )
 from .gauging import (
-    STATE_TOL,
     LayerSpec,
     build_gauging_map,
     compose_gauging,
@@ -42,7 +41,7 @@ from .lattice import CodeSpec, Lattice2D, build_bulk_stabilizers, ground_space_d
 from .operators import (
     ProductOperator,
     SiteKind,
-    StateVector,
+    SupportState,
     clock_z,
     commutation_phase,
     fusion_coefficients,
@@ -293,7 +292,21 @@ def criterion_condensation() -> dict:
     )
 
 
+def _network_matches_composition(group: GroupSpec) -> bool:
+    """True when the network of two periodic layers at n = 2 is compose_gauging's state exactly."""
+    layers = layer_stack(group, 2, 2, "periodic")
+    st = initial_state(group, layers[0])
+    direct = compose_gauging(layers, st)
+    try:
+        via_tn = contract_pepes(layers, st)
+    except ValueError:
+        return False
+    same_entries = np.array_equal(direct.keys, via_tn.keys) and np.array_equal(direct.roots, via_tn.roots)
+    return direct.site_ids == via_tn.site_ids and same_entries and direct.mag_sq == via_tn.mag_sq
+
+
 def criterion_tensor_network() -> dict:
+    """Tensor identities and MPO layers as exact PhaseTensor equalities; the network as compose_gauging's state."""
     pull_ok = mpo_ok = True
     mpo_checked = 0
     skipped = []
@@ -309,16 +322,7 @@ def criterion_tensor_network() -> dict:
         pull, mpo = claims.tensor_identities(group, layers)
         pull_ok, mpo_ok = pull_ok and pull["passed"], mpo_ok and mpo["passed"]
         mpo_checked += len(layers)
-    pepes_ok = True
-    for orders in [(2,), (3,)]:
-        group = GroupSpec(orders)
-        layers = layer_stack(group, 2, 2, "periodic")
-        st = initial_state(group, layers[0])
-        direct = compose_gauging(layers, st)
-        via_tn = contract_pepes(layers, st.dense())  # both lay out their sites by gauged_layout
-        fidelity = abs(np.vdot(direct.amps, via_tn.amps[direct.keys])) / (direct.norm() * via_tn.norm())
-        if direct.site_ids != via_tn.site_ids or abs(fidelity - 1) > STATE_TOL:
-            pepes_ok = False
+    pepes_ok = all([_network_matches_composition(GroupSpec(orders)) for orders in [(2,), (3,)]])
     layers = layer_stack(GroupSpec((2,)), 2, 3, "open")
     trapezoid = [layers[0].n] + [len(layer.new_positions()) for layer in layers]
     return check(
@@ -374,35 +378,32 @@ def criterion_flux_fusion() -> dict:
     )
 
 
+def _trivial_site(group: GroupSpec) -> SupportState:
+    """One vertex site on the trivial character: the key 0 at root 0."""
+    zero = np.zeros(1, dtype=np.int64)
+    return SupportState((("m", 0),), (SiteKind.VERTEX_DUAL,), (group.size,), group.phase_modulus, zero, zero)
+
+
 def criterion_rainbow() -> dict:
     """Nested pairs, judged exactly across the cut after the n left pair sites.
 
-    Each left configuration meets exactly one nonzero amplitude, no right
-    configuration meets two, and all those amplitudes are equal: a flat
-    Schmidt spectrum of rank |G|**n, so the entropy is n log|G|.  Only the
-    norm is compared within STATE_TOL.
+    Each left configuration holds exactly one key, no right configuration
+    two, and every key the input's root 0: a flat Schmidt spectrum of rank
+    |G|**n, so the entropy is n log|G|.  The norm must be exactly 1.0.
     """
     checks = []
     for orders in [(2,), (3,), (2, 2)]:
         group = GroupSpec(orders)
         size = group.size
-        local = np.zeros(size, dtype=complex)
-        local[0] = 1.0
-        psi = StateVector((("m", 0),), (SiteKind.VERTEX_DUAL,), (size,), local)
         for n_pairs in (0, 1, 2, 3):
-            out = zero_dim_gauge(group, psi, n_pairs)
-            cut = out.amps.reshape(size**n_pairs, -1)
-            rows, cols = np.nonzero(cut)  # row major, so rows come sorted
-            values = cut[rows, cols]
-            one_each = np.array_equal(rows, np.arange(len(cut))) and np.unique(cols).size == cols.size
-            checks.append(one_each and np.all(values == values[0]))
-            checks.append(abs(out.norm() - 1) < STATE_TOL)
-    # the two-site pair for the order-two group is the uniform diagonal pair
-    group = GroupSpec((2,))
-    psi = StateVector((("m", 0),), (SiteKind.VERTEX_DUAL,), (2,), np.array([1.0, 0.0], complex))
-    out = zero_dim_gauge(group, psi, 1)
-    pair_amps = out.amps.reshape(2, 2, 2)[:, 0, :].reshape(-1)
-    checks.append(np.array_equal(pair_amps, np.array([1, 0, 0, 1]) / math.sqrt(2)))
+            out = zero_dim_gauge(group, _trivial_site(group), n_pairs)
+            left, right = np.divmod(out.keys, size ** (n_pairs + 1))  # keys are sorted, so left is too
+            one_each = np.array_equal(left, np.arange(size**n_pairs)) and np.unique(right).size == right.size
+            checks.append(one_each and not out.roots.any())
+            checks.append(out.norm() == 1.0)
+    # the two-site pair for the order-two group is the uniform diagonal pair |000> + |101>
+    out = zero_dim_gauge(GroupSpec((2,)), _trivial_site(GroupSpec((2,))), 1)
+    checks.append(out.keys.tolist() == [0, 5] and out.roots.tolist() == [0, 0] and out.mag_sq == Fraction(1, 2))
     return check(
         "rainbow_pairs", "iterated zero-dimensional gauging yields nested maximally entangled pairs",
         all(checks), instances=len(checks),

@@ -11,9 +11,10 @@ monomial operators, all placed by one cyclotomic.mono_mul_left call, and
 is checked by exact equality.  The layer MPO is contracted from the same M
 and T tensors by cyclotomic.contract, one virtual leg at a time, and
 shares no code with GaugingMap.exact_matrix, which it is checked against
-(mpo_matches_map).  The stacked network is contract_pepes: it applies
-each layer's contracted MPO to the trailing row of a state and appends
-the new row, which gives the composed state by a route independent of
+(mpo_matches_map).  The stacked network is contract_pepes: it joins
+each layer's contracted MPO with the trailing row of an exact
+operators.SupportState and appends the new row, which gives the composed
+state, key for key and root for root, by a route independent of
 gauging.compose_gauging.
 
 Index order conventions (row major in serialization):
@@ -31,6 +32,7 @@ which with the diagonal matter representation used throughout equals M_e.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +40,7 @@ import numpy as np
 from .cyclotomic import PhaseTensor, contract, mono_mul_left
 from .gauging import GaugingMap, LayerSpec, gauged_layout
 from .groups import GroupSpec
-from .operators import StateVector, clock_z, shift_x
+from .operators import SupportState, clock_z, shift_x
 
 M_NAMES = ("M_tilde", "M_e", "M_o")
 T_NAMES = ("T_e", "T_o")
@@ -240,21 +242,28 @@ def mpo_matches_map(layer: LayerSpec) -> bool:
 # -- stacked networks ---------------------------------------------------------
 
 
-def contract_pepes(layers, input_state: StateVector) -> StateVector:
-    """Contract the stacked layer MPOs against an input row state.
+def contract_pepes(layers, input_state: SupportState) -> SupportState:
+    """Contract the stacked layer MPOs against an input row state, exactly.
 
-    Each layer's matter row must be the trailing sites of the state, as
-    gauging.gauged_layout checks.  Its contracted MPO acts there, and the
-    layer's new row is appended.  The contraction carries one 1/|G| per T
-    tensor, so the MPO is rescaled by |G|**(n_t + scale_power - n) to the
-    unit-isometry normalization of GaugingMap.apply.
+    Each layer joins the state, as a PhaseTensor of shape (earlier rows,
+    matter row), with its contracted MPO on the matter row, which must be
+    the state's trailing sites (gauging.gauged_layout).  The MPO carries
+    one 1/|G| per T tensor, so the squared magnitude also gains the
+    integer power |G|**(2 (n_t + scale_power - n)) of GaugingMap.apply's
+    normalization.  An output with two roots on a key, or keys of
+    different multiplicities, is no support state: ValueError.
     """
     state = input_state
     for layer in layers:
-        n, size = layer.n, layer.group.size
         layout = gauged_layout(state, layer)
-        n_t = len(layer.new_positions())
-        op = contract_mpo_layer(layer).to_complex() * float(size ** (n_t + layer.scale_power - n))
-        out = np.einsum("om,bm->bo", op, state.amps.reshape(-1, size**n)).reshape(-1)
-        state = StateVector(*layout, out)
+        n, size = layer.n, layer.group.size
+        rows = (math.prod(state.dims) // size**n, size**n)
+        psi = PhaseTensor.from_entries(rows, state.modulus, state.keys, state.roots)
+        out = contract(psi, contract_mpo_layer(layer), (1, 1))
+        flat, mults = out.flat_indices, out.mults
+        if (flat[1:] == flat[:-1]).any() or (mults != mults[:1]).any():
+            raise ValueError("the contracted layer is not one root of one multiplicity per key")
+        power = round(2 * (len(layer.new_positions()) + layer.scale_power - n))
+        mag_sq = state.mag_sq * (int(mults[0]) * out.scale if mults.size else 0) ** 2 * Fraction(size) ** power
+        state = SupportState(*layout, state.modulus, flat, out.roots, mag_sq)
     return state

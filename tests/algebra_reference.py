@@ -1,14 +1,18 @@
 """Small reference forms of library objects that only the tests read.
 
 A cocycle's value as a PhaseExponent, the exhaustive cocycle condition,
-and a monomial's dense complex matrix: each restates the library's
-integer data in the form a textbook check compares against.
+a monomial's dense complex matrix and a PhaseTensor's dense complex
+array: each restates the library's integer data in the form a textbook
+check compares against.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from latgauge.cyclotomic import PhaseTensor
 from latgauge.groups import Cocycle, PhaseExponent
 from latgauge.operators import MonomialOperator
 
@@ -41,3 +45,14 @@ def to_dense(mono: MonomialOperator) -> np.ndarray:
     for i in range(mono.dim):
         mat[mono.perm[i], i] = w ** mono.phase[i]
     return mat
+
+
+def to_complex(tensor: PhaseTensor) -> np.ndarray:
+    """Dense complex array of the tensor's entries, scale included."""
+    roots = np.exp(2j * np.pi * np.arange(tensor.modulus) / tensor.modulus)
+    values = tensor.mults * roots[tensor.roots]
+    size = math.prod(tensor.shape)
+    dense = np.bincount(tensor.flat_indices, weights=values.real, minlength=size) + 1j * np.bincount(
+        tensor.flat_indices, weights=values.imag, minlength=size
+    )
+    return float(tensor.scale) * dense.reshape(tensor.shape)

@@ -7,15 +7,25 @@ by |G|**(scale_power - n); a layer multiplies the dense state psi[a, m]
 by it in one broadcast; and an expectation value sums conj(psi[y(x)])
 w**phase(x) psi[x] over the nonzero amplitudes only.  It takes any dense
 StateVector, symmetric or not, so the tests run it on random inputs and
-require the exact states to agree with it.
+require the exact states to agree with it; dense copies an exact
+SupportState into a StateVector for it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from latgauge.gauging import build_gauging_map, check_cap, gauged_layout
-from latgauge.operators import SUPPORT_TILE, StateVector, flat_action, placed_factors
+from latgauge.operators import SUPPORT_TILE, StateVector, SupportState, flat_action, placed_factors
+
+
+def dense(state: SupportState) -> StateVector:
+    """A dense copy of an exact state: its amplitudes at its keys, exact zeros elsewhere."""
+    amps = np.zeros(math.prod(state.dims), dtype=complex)
+    amps[state.keys] = state.amps
+    return StateVector(state.site_ids, state.kinds, state.dims, amps)
 
 
 def row_kernel(gmap) -> np.ndarray:

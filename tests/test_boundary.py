@@ -11,7 +11,6 @@ import dense_compose_oracle
 import fourier_oracle
 from latgauge.boundary import (
     _expectation,
-    _returned_roots,
     build_fixed_point_state,
     condensation_table,
     string_order_operator,
@@ -21,7 +20,7 @@ from latgauge.cyclotomic import mono_mul_left, mono_mul_right
 from latgauge.gauging import LayerSpec, build_gauging_map, compose_gauging, layer_stack
 from latgauge.groups import GroupSpec, all_subgroups, enumerate_cocycle_classes, restricted_characters
 from latgauge.lattice import CodeSpec, Lattice2D, build_boundary_terms
-from latgauge.operators import ProductOperator, SupportState, clock_z
+from latgauge.operators import ProductOperator, clock_z
 
 Z2 = GroupSpec((2,))
 Z4 = GroupSpec((4,))
@@ -30,8 +29,9 @@ ORACLE_GROUPS = [(2,), (3,), (4,), (2, 2), (2, 3), (3, 3), (4, 2)]
 
 
 def string_order_expectation(chain, chi, beta, i, ell) -> complex:
-    """<psi|O|psi> of the string order operator, from its returned roots."""
-    return _expectation(*_returned_roots(chain, string_order_operator(chain, chi, beta, i, ell)))
+    """<psi|O|psi> of the string order operator, from its root counts."""
+    (counts,) = chain.state.root_counts([string_order_operator(chain, chi, beta, i, ell)])
+    return _expectation(counts, chain.state.keys.size)
 
 
 class TestFixedPointStates:
@@ -40,35 +40,35 @@ class TestFixedPointStates:
         # configuration of even parity.
         chain = build_fixed_point_state(Z2, [(0,)], 3)
         expected = np.array([0.5 if bin(k).count("1") % 2 == 0 else 0.0 for k in range(8)], dtype=complex)
-        assert np.array_equal(chain.state.amps, expected)
+        assert np.array_equal(dense_compose_oracle.dense(chain.state).amps, expected)
+        assert chain.state.keys.tolist() == [0, 3, 5, 6] and chain.state.mag_sq == Fraction(1, 4)
 
     def test_uniform_for_unbroken(self):
         # The Fourier image of the uniform product state is all-identity.
         chain = build_fixed_point_state(Z2, [(0,), (1,)], 3)
-        expected = np.zeros(8, dtype=complex)
-        expected[0] = 1.0
-        assert np.array_equal(chain.state.amps, expected)
+        assert chain.state.keys.tolist() == [0] and chain.state.roots.tolist() == [0]
+        assert chain.state.mag_sq == 1
 
     @pytest.mark.parametrize("orders", ORACLE_GROUPS, ids=str)
     def test_support_size_and_exact_zeros(self, orders):
         # |G/H|**(n-1) tuples of characters trivial on H with product 1,
-        # one amplitude on all of them and exact zeros elsewhere.
+        # each at root 0 with squared magnitude one over their number.
         group = GroupSpec(orders)
         for sub in all_subgroups(group):
-            amps = build_fixed_point_state(group, sub, 3).state.amps
-            support = amps[np.flatnonzero(amps)]
-            assert support.size == (group.size // len(sub)) ** 2
-            assert np.all(support == support[0])
+            state = build_fixed_point_state(group, sub, 3).state
+            assert state.keys.size == (group.size // len(sub)) ** 2
+            assert not state.roots.any() and state.mag_sq == Fraction(1, state.keys.size)
 
     @pytest.mark.parametrize("group", [Z2, Z4, Z22])
     def test_normalized_and_symmetric_everywhere(self, group):
         for sub in all_subgroups(group):
             chain = build_fixed_point_state(group, sub, 3)
-            assert abs(chain.state.norm() - 1) < 1e-12
-            for g in group.elements():
-                factors = ((s, clock_z(g)) for s in chain.state.site_ids)
-                moved = chain.state.apply(ProductOperator.from_factors(factors, group.phase_modulus))
-                assert np.max(np.abs(moved.amps - chain.state.amps)) < 1e-12
+            assert chain.state.norm() == 1.0
+            ops = [
+                ProductOperator.from_factors(((s, clock_z(g)) for s in chain.state.site_ids), group.phase_modulus)
+                for g in group.elements()
+            ]
+            assert chain.state.fixed_by(ops) == [True] * len(ops)
 
     def test_open_subgroup_rejected(self):
         with pytest.raises(ValueError):
@@ -131,15 +131,19 @@ class TestSurvivingTerms:
                 for v in vals:
                     assert v in (0, 1)
 
-    def test_chain_not_uniform_on_its_support_refused(self):
-        chain = build_fixed_point_state(Z4, [(0,)], 3)
-        amps = chain.state.amps.copy()
-        amps[np.flatnonzero(amps)[0]] *= -1
-        bent = replace(chain, state=replace(chain.state, amps=amps))
-        with pytest.raises(ValueError, match="not uniform on its support"):
-            surviving_boundary_terms(bent)
-        with pytest.raises(ValueError, match="not uniform on its support"):
-            string_order_expectation(bent, Z4.character((1,)), None, 0, 1)
+    @pytest.mark.parametrize("group", [Z4, Z22])
+    def test_one_changed_root_changes_the_surviving_terms(self, group):
+        # Every character survives on the fully broken chain; one key moved
+        # to root 1 makes each nonzero character's shifts return it at
+        # another root, so only the identity character is left.
+        chain = build_fixed_point_state(group, [(0,) * len(group.orders)], 3)
+        roots = chain.state.roots.copy()
+        roots[1] = 1
+        bent = replace(chain, state=replace(chain.state, roots=roots))
+        assert surviving_boundary_terms(chain)[0] == set(group.characters())
+        assert surviving_boundary_terms(bent)[0] == {group.dual_identity()}
+        chi = next(c for c in group.characters() if not c.is_identity)
+        assert string_order_expectation(bent, chi, None, 0, 1) != 1
 
     def test_surviving_set_is_a_subgroup(self):
         for group in (Z4, Z22):
@@ -181,13 +185,8 @@ class TestCondensation:
         for sub in all_subgroups(group):
             chain = build_fixed_point_state(group, sub, 2)
             layers = layer_stack(group, 2, 4, "periodic")
-            # The chain is uniform on its support, so it is an exact state too.
-            keys = np.flatnonzero(chain.state.amps)
-            sites = (chain.state.site_ids, chain.state.kinds, chain.state.dims)
-            exact = SupportState(*sites, group.phase_modulus, keys, np.zeros_like(keys), Fraction(1, keys.size))
-            assert np.max(np.abs(exact.dense().amps - chain.state.amps)) < 1e-15
-            exact = compose_gauging(layers, exact)
-            state = dense_compose_oracle.compose(layers, chain.state)
+            exact = compose_gauging(layers, chain.state)
+            state = dense_compose_oracle.compose(layers, dense_compose_oracle.dense(chain.state))
             norm_sq = state.norm() ** 2
             spec = CodeSpec(Lattice2D(group, 2, 4, "open"))
             surviving, _ = surviving_boundary_terms(chain)
@@ -232,7 +231,7 @@ class TestTwistedBoundary:
                 op = string_order_operator(chain, chi, cls_beta, 0, 3)
                 for site, mono in op.factors:
                     assert mono.kind == kinds[site]
-                chain.state.apply(op)
+                chain.state.root_counts([op])
 
     def test_beta_twisted_identity_through_the_map(self):
         # Exact operator identity: the three-body boundary term applied on
@@ -270,8 +269,9 @@ class TestFourierOracle:
         for sub in all_subgroups(group):
             for n in (2, 3, 4):
                 chain = build_fixed_point_state(group, sub, n)
-                oracle = replace(chain.state, amps=fourier_oracle.fixed_point_amps(group, sub, n))
-                assert np.max(np.abs(chain.state.amps - oracle.amps)) < 1e-12
+                dense = dense_compose_oracle.dense(chain.state)
+                oracle = replace(dense, amps=fourier_oracle.fixed_point_amps(group, sub, n))
+                assert np.max(np.abs(dense.amps - oracle.amps)) < 1e-12
                 for beta in enumerate_cocycle_classes(group):
                     surviving, raw = surviving_boundary_terms(chain, beta)
                     for chi in group.characters():

@@ -44,8 +44,10 @@ from latgauge.operators import (
 )
 from latgauge.tensors import contract_pepes
 import dense_compose_oracle
+from algebra_reference import to_complex
 import exact_map_oracle
 import fixed_by_oracle
+from test_tensors import _unit_layer_matrix
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -252,13 +254,12 @@ class TestRowKernel:
         assert out.site_ids == state.site_ids + tuple(s for s, _ in gmap.new_sites)
         assert out.kinds == state.kinds + tuple(k for _, k in gmap.new_sites)
         # exact_matrix is the raw sum of the |G|**n projector terms.
-        exact = gmap.exact_matrix().to_complex() * float(group.size ** (layer.scale_power - layer.n))
+        exact = to_complex(gmap.exact_matrix()) * float(group.size ** (layer.scale_power - layer.n))
         via_exact = (state.amps.reshape(-1, gmap.in_dim) @ exact.T).reshape(-1)
         assert np.max(np.abs(out.amps - via_exact)) < 1e-12
         if not twisted:
-            via_mpo = contract_pepes([layer], state)
-            assert via_mpo.site_ids == out.site_ids and via_mpo.kinds == out.kinds
-            assert np.max(np.abs(out.amps - via_mpo.amps)) < 1e-12
+            via_mpo = (state.amps.reshape(-1, gmap.in_dim) @ _unit_layer_matrix(layer).T).reshape(-1)
+            assert np.max(np.abs(out.amps - via_mpo)) < 1e-12
 
     @staticmethod
     def support_input(state):
@@ -281,7 +282,7 @@ class TestRowKernel:
         for route, st in (
             (gmap.apply, self.support_input(swapped)),
             (lambda st_: dense_compose_oracle.apply(gmap, st_), swapped),
-            (lambda st_: contract_pepes([layer], st_), swapped),
+            (lambda st_: contract_pepes([layer], st_), self.support_input(swapped)),
         ):
             with pytest.raises(ValueError, match="trailing sites"):
                 route(st)
@@ -295,7 +296,7 @@ class TestRowKernel:
         for route, st in (
             (gmap.apply, self.support_input(wrong)),
             (lambda st_: dense_compose_oracle.apply(gmap, st_), wrong),
-            (lambda st_: contract_pepes([layer], st_), wrong),
+            (lambda st_: contract_pepes([layer], st_), self.support_input(wrong)),
         ):
             with pytest.raises(ValueError, match="wrong site kind"):
                 route(st)
@@ -440,9 +441,9 @@ class TestCompose:
         assert stacked.site_ids == composed.site_ids
         assert np.max(np.abs(stacked.amps - composed.amps)) < 1e-10
         exact = compose_gauging(layers, initial_state(group, layers[0]))
-        stacked = projected(initial_state(group, layers[0]).dense())
+        stacked = projected(dense_compose_oracle.dense(initial_state(group, layers[0])))
         assert stacked.site_ids == exact.site_ids
-        assert np.max(np.abs(stacked.amps - exact.dense().amps)) < 1e-10
+        assert np.max(np.abs(stacked.amps - dense_compose_oracle.dense(exact).amps)) < 1e-10
 
     def test_corrupted_state_fails_exactly_adjacent_symmetries(self):
         group = Z2
@@ -451,7 +452,7 @@ class TestCompose:
         corrupt_site = (1, 1)
         op = ProductOperator.from_factors([(corrupt_site, shift_x(group.element((1,))))], group.phase_modulus)
         corrupted = kicked(out, op)
-        assert np.array_equal(corrupted.dense().amps, out.dense().apply(op).amps)
+        assert np.array_equal(dense_compose_oracle.dense(corrupted).amps, dense_compose_oracle.dense(out).apply(op).amps)
         rep = verify_local_symmetry(corrupted, layers)
         failing = {c["op"] for c in rep["violations"]}
         # Syndrome oracle: symmetries whose operator fails to commute with
@@ -550,7 +551,7 @@ class TestOracleAgreement:
         norms, dense_norms = [], []
         start = initial_state(layers[0].group, layers[0])
         state = compose_gauging(layers, start, norms_out=norms)
-        dense = dense_compose_oracle.compose(layers, start.dense(), norms_out=dense_norms)
+        dense = dense_compose_oracle.compose(layers, dense_compose_oracle.dense(start), norms_out=dense_norms)
         assert (dense.site_ids, dense.kinds, dense.dims) == (state.site_ids, state.kinds, state.dims)
         assert np.array_equal(np.flatnonzero(np.abs(dense.amps) > 1e-12), state.keys)
         assert np.max(np.abs(dense.amps[state.keys] - state.amps)) < 1e-12
@@ -645,7 +646,7 @@ class TestExpectations:
     @pytest.mark.parametrize("group,bc,num_layers,twist", list(_expectation_cases()))
     def test_every_stack_symmetry(self, group, bc, num_layers, twist):
         layers, state = expectation_stack(group, bc, num_layers, twist)
-        self.assert_matches_apply(state.dense(), [op for _, op in stack_local_symmetry_ops(layers)])
+        self.assert_matches_apply(dense_compose_oracle.dense(state), [op for _, op in stack_local_symmetry_ops(layers)])
 
     @pytest.mark.parametrize("group,bc,num_layers,twist", list(_expectation_cases()))
     def test_state_kicked_by_one_shift(self, group, bc, num_layers, twist):
@@ -655,8 +656,8 @@ class TestExpectations:
         shift = shift_x(group.character((1,) * len(group.orders)))
         kick = ProductOperator.from_factors([((0, 0), shift)], group.phase_modulus)
         exact = kicked(state, kick)
-        dense = state.dense().apply(kick)
-        assert np.max(np.abs(exact.dense().amps - dense.amps)) < 1e-15
+        dense = dense_compose_oracle.dense(state).apply(kick)
+        assert np.max(np.abs(dense_compose_oracle.dense(exact).amps - dense.amps)) < 1e-15
         ops = stack_local_symmetry_ops(layers)
         self.assert_matches_apply(dense, [op for _, op in ops])
         listed = [c["op"] for c in verify_local_symmetry(exact, layers)["violations"]]
@@ -687,7 +688,7 @@ class TestExpectations:
         site = (1, 1)
         wrong_kind = ProductOperator.from_factors([(site, clock_z(Z3.element((1,))))], Z3.phase_modulus)
         wrong_dim = ProductOperator.from_factors([(site, shift_x(Z2.element((1,))))], Z3.phase_modulus)
-        dense = state.dense()
+        dense = dense_compose_oracle.dense(state)
         for bad, message in ((wrong_kind, "site kind mismatch"), (wrong_dim, "operator dimension mismatch")):
             with pytest.raises(ValueError, match=message) as via_apply:
                 dense.apply(bad)
@@ -748,13 +749,37 @@ class TestFixedBy:
         # Diagonal ops move no key: each layer's emergent clocks on its new row.
         ops += [build_gauging_map(layer).emergent_symmetry_op(label) for layer in layers for label in layer.labels()]
         middle = state.keys.size // 2
-        unreduced = SupportState(state.site_ids, state.kinds, state.dims, state.modulus, state.keys, state.roots + state.modulus, state.mag_sq)
-        for bad in (wrong_root(state, middle), moved_key(state, middle), unreduced):
+        for bad in (wrong_root(state, middle), moved_key(state, middle)):
             # The kicked state first, then the stack state again: nothing of
             # one call's digits may reach the next.
             for st in (bad, state, bad):
                 assert st.fixed_by(ops) == fixed_by_oracle.fixed_by(st, ops)
             assert not all(bad.fixed_by(ops))
+
+    @pytest.mark.parametrize("layers", [case.values[0] for case in _fixed_by_stacks() if "compose" not in case.id])
+    def test_root_counts_match_a_lookup_per_key(self, layers):
+        state = compose_gauging(layers, initial_state(layers[0].group, layers[0]))
+        ops = [op for _, op in stack_local_symmetry_ops(layers)]
+        group = layers[0].group
+        kick = ProductOperator.from_factors([((0, 0), shift_x(group.character((1,) * len(group.orders))))], state.modulus)
+        middle = state.keys.size // 2
+        for st in (state, wrong_root(state, middle), moved_key(state, middle), kicked(state, kick)):
+            counts = st.root_counts(ops)
+            assert [c.tolist() for c in counts] == [c.tolist() for c in fixed_by_oracle.root_counts(st, ops)]
+            assert [c[0] == st.keys.size for c in counts] == st.fixed_by(ops)
+
+    def test_unsorted_keys_and_unmatched_roots_are_refused(self):
+        sites, kinds, dims = ("a", "b"), (SiteKind.EDGE_GROUP,) * 2, (3, 3)
+        for keys in ([5, 0], [2, 2]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                SupportState(sites, kinds, dims, 3, np.array(keys), np.zeros(2, np.int64))
+        with pytest.raises(ValueError, match="one root per key"):
+            SupportState(sites, kinds, dims, 3, np.array([0, 5]), np.zeros(1, np.int64))
+        # An unreduced root is the same amplitude, but fixed_by would call
+        # the state unfixed even by the empty operator.
+        for roots in ([0, 3], [-1, 0]):
+            with pytest.raises(ValueError, match="reduced mod 3"):
+                SupportState(sites, kinds, dims, 3, np.array([0, 5]), np.array(roots))
 
     def test_two_states_of_one_layout_in_sequence(self):
         layers, state = expectation_stack(Z22, "periodic", 3, "both")
@@ -971,49 +996,46 @@ def nested_pairs_oracle(group, psi, n_pairs):
 
 
 def symmetric_sites(group):
-    """A vertex site on the trivial character and an edge site uniform over G, each with a complex amplitude."""
-    size = group.size
-    vertex = np.zeros(size, dtype=complex)
-    vertex[0] = np.exp(0.3j)
-    edge = np.full(size, np.exp(-0.7j) / math.sqrt(size))
+    """A vertex site on the trivial character and an edge site uniform over G, each at a nonzero root."""
+    size, L = group.size, group.phase_modulus
+    vertex, edge = np.zeros(1, dtype=np.int64), np.arange(size, dtype=np.int64)
     return [
-        StateVector((("m", 0),), (SiteKind.VERTEX_DUAL,), (size,), vertex),
-        StateVector((("m", 1),), (SiteKind.EDGE_GROUP,), (size,), edge),
+        SupportState((("m", 0),), (SiteKind.VERTEX_DUAL,), (size,), L, vertex, (vertex + 1) % L),
+        SupportState((("m", 1),), (SiteKind.EDGE_GROUP,), (size,), L, edge, np.full(size, L - 1), Fraction(1, size)),
     ]
+
+
+def one_site(group):
+    """One vertex site on the trivial character: the key 0 at root 0."""
+    zero = np.zeros(1, dtype=np.int64)
+    return SupportState((("m", 0),), (SiteKind.VERTEX_DUAL,), (group.size,), group.phase_modulus, zero, zero)
 
 
 class TestZeroDimGauge:
     @pytest.mark.parametrize("group", [Z2, Z3, Z4, Z22, Z23], ids=lambda g: "x".join(map(str, g.orders)))
     @pytest.mark.parametrize("n_pairs", [0, 1, 2, 3])
-    def test_closed_form_matches_the_stacked_oracle_bit_for_bit(self, group, n_pairs):
+    def test_closed_form_matches_the_stacked_oracle(self, group, n_pairs):
         for psi in symmetric_sites(group):
-            before = psi.amps.tobytes()
+            before = (psi.keys.tobytes(), psi.roots.tobytes())
             out = zero_dim_gauge(group, psi, n_pairs)
-            site_ids, kinds, dims, amps = nested_pairs_oracle(group, psi, n_pairs)
+            site_ids, kinds, dims, amps = nested_pairs_oracle(group, dense_compose_oracle.dense(psi), n_pairs)
             assert (out.site_ids, out.kinds, out.dims) == (site_ids, kinds, dims)
-            assert out.amps.tobytes() == amps.tobytes()
-            assert out.amps is not psi.amps and psi.amps.tobytes() == before
-
-    def one_site(self, group):
-        size = group.size
-        local = np.zeros(size, dtype=complex)
-        local[0] = 1.0
-        return StateVector((("m", 0),), (SiteKind.VERTEX_DUAL,), (size,), local)
+            assert np.array_equal(out.keys, np.flatnonzero(amps))
+            assert np.max(np.abs(dense_compose_oracle.dense(out).amps - amps)) < 1e-12
+            assert out.norm() == 1.0 and (psi.keys.tobytes(), psi.roots.tobytes()) == before
 
     def test_bell_pair_for_order_two(self):
-        out = zero_dim_gauge(Z2, self.one_site(Z2), 1)
-        # pair sites around the matter site; matter amplitude is |identity>
-        amps = out.amps.reshape(2, 2, 2)
-        pair_block = amps[:, 0, :].reshape(-1)
-        assert np.allclose(pair_block, np.array([1, 0, 0, 1]) / math.sqrt(2), atol=1e-12)
-        assert np.allclose(amps[:, 1, :], 0)
+        # (|0 0 0> + |1 0 1>) / sqrt(2): the pair sites around the matter site at the identity.
+        out = zero_dim_gauge(Z2, one_site(Z2), 1)
+        assert out.keys.tolist() == [0b000, 0b101] and out.roots.tolist() == [0, 0]
+        assert out.mag_sq == Fraction(1, 2)
 
     @pytest.mark.parametrize("group", [Z2, Z3, Z22])
     def test_midpoint_entropy(self, group):
         # Float oracle of criterion 13's exact flat spectrum: the von Neumann
         # entropy across the cut after the left pair sites, from an SVD.
         for n_pairs in range(4):
-            out = zero_dim_gauge(group, self.one_site(group), n_pairs)
+            out = dense_compose_oracle.dense(zero_dim_gauge(group, one_site(group), n_pairs))
             p = np.linalg.svd(out.amps.reshape(group.size**n_pairs, -1), compute_uv=False) ** 2
             p = p[p > 1e-15]
             p = p / p.sum()
@@ -1021,31 +1043,33 @@ class TestZeroDimGauge:
             assert abs(ent - n_pairs * math.log(group.size)) < 1e-10
 
     def test_inverse_labels_in_the_pair(self):
-        out = zero_dim_gauge(Z3, self.one_site(Z3), 1)
-        amps = out.amps.reshape(3, 3, 3)
-        for g in Z3.elements():
-            left = Z3.index_of(g.inverse().exps)
-            right = Z3.index_of(g.exps)
-            assert abs(amps[left, 0, right] - 1 / math.sqrt(3)) < 1e-12
+        out = zero_dim_gauge(Z3, one_site(Z3), 1)
+        expected = sorted(Z3.index_of(g.inverse().exps) * 9 + Z3.index_of(g.exps) for g in Z3.elements())
+        assert out.keys.tolist() == expected and out.mag_sq == Fraction(1, 3)
 
     def test_zero_rounds_is_identity(self):
-        psi = self.one_site(Z3)
+        psi = symmetric_sites(Z3)[1]
         out = zero_dim_gauge(Z3, psi, 0)
-        assert np.array_equal(out.amps, psi.amps)
+        assert (out.site_ids, out.kinds, out.dims, out.mag_sq) == (psi.site_ids, psi.kinds, psi.dims, psi.mag_sq)
+        assert np.array_equal(out.keys, psi.keys) and np.array_equal(out.roots, psi.roots)
 
-    def test_one_ulp_off_one_pair_amplitude_fails_criterion_13(self, monkeypatch):
-        # Criterion 13 compares the pair amplitudes exactly; an entropy within
-        # a tolerance would absorb this change.
-        def nudged(group, psi, n_pairs):
-            out = zero_dim_gauge(group, psi, n_pairs)
-            k = np.flatnonzero(out.amps)[-1]
-            out.amps[k] = complex(np.nextafter(out.amps[k].real, np.inf), out.amps[k].imag)
-            return out
+    @pytest.mark.parametrize("n_pairs", [0, 3])
+    def test_one_changed_root_fails_criterion_13(self, monkeypatch, n_pairs):
+        # Criterion 13 compares the roots exactly, so one changed root on one
+        # key of one output fails it.
+        def bent(group, psi, pairs):
+            out = zero_dim_gauge(group, psi, pairs)
+            if group.orders != (3,) or pairs != n_pairs:
+                return out
+            roots = out.roots.copy()
+            roots[-1] = (roots[-1] + 1) % out.modulus
+            return SupportState(out.site_ids, out.kinds, out.dims, out.modulus, out.keys, roots, out.mag_sq)
 
-        monkeypatch.setattr(suite, "zero_dim_gauge", nudged)
+        assert suite.criterion_rainbow()["passed"]
+        monkeypatch.setattr(suite, "zero_dim_gauge", bent)
         assert not suite.criterion_rainbow()["passed"]
 
     def test_asymmetric_input_rejected(self):
-        bad = StateVector((("m", 0),), (SiteKind.VERTEX_DUAL,), (2,), np.array([0, 1], complex))
-        with pytest.raises(ValueError):
+        bad = SupportState((("m", 0),), (SiteKind.VERTEX_DUAL,), (2,), 2, np.ones(1, np.int64), np.zeros(1, np.int64))
+        with pytest.raises(ValueError, match="not symmetric"):
             zero_dim_gauge(Z2, bad, 1)

@@ -33,6 +33,7 @@ from latgauge.operators import (
     shift_x,
 )
 from latgauge.suite import GROUPS, TORI
+import dense_compose_oracle
 from algebra_reference import to_dense
 from test_gauging import traced_peak
 from trace_oracle import random_projection_dimension, trace_ground_dimension
@@ -463,7 +464,7 @@ class TestCrossModule:
         alpha = enumerate_cocycle_classes(group)[1] if twisted else None
         layers = layer_stack(group, 2, 2, "periodic", twist_even=alpha)
         state = compose_gauging(layers, initial_state(group, layers[0]))
-        dense = state.dense()
+        dense = dense_compose_oracle.dense(state)
         norm_sq = dense.norm() ** 2
         spec = CodeSpec(Lattice2D(group, 2, 2, "open"), twist_even=alpha)
         terms = build_bulk_stabilizers(spec)

@@ -224,7 +224,7 @@ def _sources():
 
 
 def test_state_tolerance_is_written_once():
-    # gauging.STATE_TOL is the one state tolerance; every state check reads it.
+    # gauging.STATE_TOL is the one state tolerance, and no state check reads it.
     places = [
         f"{path.name}:{node.lineno}"
         for path, tree in _sources()
@@ -232,6 +232,41 @@ def test_state_tolerance_is_written_once():
         if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-10
     ]
     assert len(places) == 1, f"the literal 1e-10 should occur once, found at {places}"
+
+
+def test_state_tolerance_is_read_only_by_compose_and_a_default():
+    # Every state check is exact: STATE_TOL is only the `tol` that `gauge
+    # compose` reports and the default of verify_local_symmetry's unused tol.
+    stray = [
+        f"{path.name}:{line} {owner}"
+        for path, tree in _sources()
+        for owner, line in _references(tree, {"STATE_TOL"})
+        if (path.name, owner) not in (("cli.py", "compose"), ("gauging.py", "verify_local_symmetry"))
+    ]
+    assert not stray, f"STATE_TOL read outside cli.compose and verify_local_symmetry's default: {stray}"
+    (verify,) = [
+        node for path, tree in _sources() if path.name == "gauging.py"
+        for node in ast.walk(tree) if getattr(node, "name", None) == "verify_local_symmetry"
+    ]
+    assert not list(_references(ast.Module(body=verify.body, type_ignores=[]), {"STATE_TOL"}))
+
+
+def test_no_state_overlap_in_floats():
+    # States are compared key for key, so no float inner product is taken.
+    found = [f"{path.name}:{line} {owner}" for path, tree in _sources() for owner, line in _references(tree, {"vdot"})]
+    assert not found, f"np.vdot in the library: {found}"
+
+
+def test_only_state_vector_builds_itself():
+    # Every state the library builds is an exact SupportState; StateVector
+    # stays only for the benchmark's span on StateVector.apply.
+    stray = [
+        f"{path.name}:{line} {owner}"
+        for path, tree in _sources()
+        for owner, line in _references(tree, {"StateVector"})
+        if (path.name, owner) != ("operators.py", "apply")
+    ]
+    assert not stray, f"StateVector named outside its own methods: {stray}"
 
 
 def test_no_function_takes_a_cap():
@@ -267,8 +302,8 @@ def _owned_nodes(node: ast.AST, owner: str | None = None):
 
 
 def test_no_float_tolerance_but_the_state_tolerance():
-    # Operator claims are exact and state checks read gauging.STATE_TOL, so no
-    # code compares floats loosely with isclose or allclose.
+    # Operator claims and state checks are exact, so no code compares
+    # floats loosely with isclose or allclose.
     stray = []
     for path, tree in _sources():
         state_tol = [

@@ -610,7 +610,7 @@ class TestSliceWiseApply:
     def test_apply_on_a_gauged_stack(self):
         # Interior symmetries are four-body: diagonal, two shifts, diagonal.
         layers = layer_stack(Z3, 3, 3)
-        stv = compose_gauging(layers, initial_state(Z3, layers[0])).dense()
+        stv = dense_compose_oracle.dense(compose_gauging(layers, initial_state(Z3, layers[0])))
         for _, op in stack_local_symmetry_ops(layers):
             assert np.array_equal(stv.apply(op).amps, scatter_apply(stv, op))
 

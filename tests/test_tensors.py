@@ -5,10 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dense_compose_oracle
+from latgauge import suite, tensors
 from latgauge.gauging import LayerSpec, build_gauging_map, compose_gauging, initial_state, layer_stack
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes
-from latgauge.cyclotomic import mono_mul_left
-from algebra_reference import to_dense
+from latgauge.cyclotomic import PhaseTensor, mono_mul_left
+from latgauge.operators import SupportState
+from algebra_reference import to_complex, to_dense
 from latgauge.tensors import (
     block_diamond,
     build_tensor,
@@ -27,7 +30,7 @@ GROUPS = [Z2, Z3, GroupSpec((4,)), Z22, Z23]
 class TestEntries:
     def test_m_tensor_is_diagonal_selector(self):
         t = build_tensor("M_e", Z2)
-        dense = t.to_complex()
+        dense = to_complex(t)
         # virtual-diagonal, physical clock: entry (v, v, p, p) = (-1)**(p v)
         for v in range(2):
             for p in range(2):
@@ -40,7 +43,7 @@ class TestEntries:
 
     def test_t_tensor_difference_delta(self):
         t = build_tensor("T_e", Z3)
-        dense = t.to_complex()
+        dense = to_complex(t)
         for l in range(3):
             for r in range(3):
                 p = (l - r) % 3
@@ -50,7 +53,7 @@ class TestEntries:
         # Both virtual legs against the identity label: the physical output
         # is proportional to the identity-label ket.
         for group in (Z2, Z3, Z22):
-            t = build_tensor("T_o", group).to_complex()
+            t = to_complex(build_tensor("T_o", group))
             vec = t[:, 0, 0]
             expected = np.zeros(group.size)
             expected[0] = 1 / group.size
@@ -61,7 +64,7 @@ class TestEntries:
         for group in GROUPS:
             t = build_tensor(name, group)
             assert np.count_nonzero(t.counts) == group.size**2
-            dense = t.to_complex()
+            dense = to_complex(t)
             mods = np.abs(dense[t.counts.any(axis=-1)])
             assert np.allclose(mods, mods[0])
 
@@ -93,17 +96,17 @@ class TestPullThrough:
         mono = projective_x(alpha, Z22.element((1, 1)))
         t = build_tensor("M_o", Z22)
         for leg in range(4):
-            dressed = mono_mul_left(t, [(leg, mono)]).to_complex()
-            expected = np.moveaxis(np.tensordot(to_dense(mono), t.to_complex(), axes=(1, leg)), 0, leg)
+            dressed = to_complex(mono_mul_left(t, [(leg, mono)]))
+            expected = np.moveaxis(np.tensordot(to_dense(mono), to_complex(t), axes=(1, leg)), 0, leg)
             assert np.max(np.abs(dressed - expected)) < 1e-12
 
     @pytest.mark.parametrize("group", GROUPS)
     def test_blocked_diamond_is_the_dense_contraction(self, group):
         for m_name, t_name in [("M_e", "T_o"), ("M_o", "T_e")]:
-            m = build_tensor(m_name, group).to_complex()
-            t = build_tensor(t_name, group).to_complex()
+            m = to_complex(build_tensor(m_name, group))
+            t = to_complex(build_tensor(t_name, group))
             expected = np.moveaxis(np.tensordot(m, t, axes=(3, 0)), 2, 4)
-            got = block_diamond(m_name, t_name, group).to_complex()
+            got = to_complex(block_diamond(m_name, t_name, group))
             assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_blocked_diamond_shapes(self):
@@ -124,8 +127,8 @@ def einsum_mpo(layer):
     """
     group, n = layer.group, layer.n
     even = layer.index % 2 == 0
-    m = build_tensor("M_e" if even else "M_o", group).to_complex()
-    t = build_tensor("T_e" if even else "T_o", group).to_complex()
+    m = to_complex(build_tensor("M_e" if even else "M_o", group))
+    t = to_complex(build_tensor("T_e" if even else "T_o", group))
     open_bc = layer.boundary == "open"
     n_new = n + 1 if open_bc else n
     out = list(range(n))
@@ -157,7 +160,7 @@ class TestMpoEquivalence:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_einsum_network(self, group, index, bc, n):
         layer = LayerSpec(group, index, n, bc)
-        got = contract_mpo_layer(layer).to_complex()
+        got = to_complex(contract_mpo_layer(layer))
         expected = einsum_mpo(layer)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) < 1e-12
@@ -186,20 +189,17 @@ def _unit_layer_matrix(layer):
     """The layer's contracted MPO at the unit-isometry scale of GaugingMap.apply."""
     n_t = len(layer.new_positions())
     scale = layer.group.size ** (n_t + layer.scale_power - layer.n)
-    return contract_mpo_layer(layer).to_complex() * float(scale)
+    return to_complex(contract_mpo_layer(layer)) * float(scale)
+
+
+def assert_same_state(a, b):
+    """Two SupportStates are the same exact state: layout, keys, roots and squared magnitude."""
+    assert (a.site_ids, a.kinds, a.dims, a.modulus) == (b.site_ids, b.kinds, b.dims, b.modulus)
+    assert np.array_equal(a.keys, b.keys) and np.array_equal(a.roots, b.roots)
+    assert a.mag_sq == b.mag_sq
 
 
 class TestPepes:
-    @pytest.mark.parametrize("group", [Z2, Z3])
-    def test_contraction_matches_composition(self, group):
-        layers = layer_stack(group, 2, 2, "periodic")
-        st = initial_state(group, layers[0])
-        direct = compose_gauging(layers, st).dense()
-        via_tn = contract_pepes(layers, st.dense())
-        assert via_tn.site_ids == direct.site_ids
-        fidelity = abs(np.vdot(direct.amps, via_tn.amps)) / (direct.norm() * via_tn.norm())
-        assert abs(fidelity - 1) < 1e-10
-
     @pytest.mark.parametrize(
         "group, n, num_layers, bc",
         [
@@ -209,31 +209,55 @@ class TestPepes:
             (Z23, 2, 2, "periodic"),
             (Z2, 2, 3, "open"),
             (Z2, 3, 2, "open"),
+            (Z2, 3, 3, "periodic"),
+            (Z3, 3, 2, "periodic"),
         ],
-        ids=["Z2", "Z3", "Z2xZ2", "Z2xZ3", "Z2-open-n2", "Z2-open-n3"],
+        ids=["Z2", "Z3", "Z2xZ2", "Z2xZ3", "Z2-open-n2", "Z2-open-n3", "Z2-n3-x3", "Z3-n3"],
     )
-    def test_amplitudes_match_composition(self, group, n, num_layers, bc):
-        # Same sites, same order, same amplitudes: no normalization and no
-        # phase freedom between the two routes.
+    def test_network_is_the_composed_state_exactly(self, group, n, num_layers, bc):
+        # Same sites, keys, roots and squared magnitude: no normalization
+        # and no phase freedom between the two routes.
         layers = layer_stack(group, n, num_layers, bc)
         st = initial_state(group, layers[0])
-        direct = compose_gauging(layers, st).dense()
-        via_tn = contract_pepes(layers, st.dense())
-        assert via_tn.site_ids == direct.site_ids
-        assert via_tn.kinds == direct.kinds
-        assert np.max(np.abs(via_tn.amps - direct.amps)) < 1e-12
+        assert_same_state(contract_pepes(layers, st), compose_gauging(layers, st))
 
     def test_matter_row_must_trail_the_state(self):
         layers = layer_stack(Z2, 2, 2, "periodic")
         with pytest.raises(ValueError, match="trailing sites"):
-            contract_pepes(layers[1:], initial_state(Z2, layers[0]).dense())
+            contract_pepes(layers[1:], initial_state(Z2, layers[0]))
 
-    def test_single_layer_reduces_to_mpo(self):
+    def test_single_layer_reduces_to_the_map(self):
         layer = LayerSpec(Z2, 0, 2, "periodic")
         st = initial_state(Z2, layer)
-        out = contract_pepes([layer], st.dense())
-        expected = build_gauging_map(layer).apply(st).dense()
-        assert np.max(np.abs(out.amps - expected.amps)) < 1e-12
+        assert_same_state(contract_pepes([layer], st), build_gauging_map(layer).apply(st))
+
+    def test_charged_input_is_no_support_state(self):
+        # One charge on the matter row: each cell holds two cancelling roots.
+        layer = LayerSpec(Z2, 0, 2, "periodic")
+        st = initial_state(Z2, layer)
+        charged = SupportState(st.site_ids, st.kinds, st.dims, st.modulus, np.ones(1, np.int64), st.roots)
+        with pytest.raises(ValueError, match="one root of one multiplicity"):
+            contract_pepes([layer], charged)
+
+    def test_one_wrong_t_root_fails_the_network_check(self, monkeypatch):
+        # The stacked-network check of criterion 11 catches one changed root
+        # in the T tensor that every layer MPO is contracted from.
+        built = tensors.build_tensor
+
+        def bent(name, group):
+            tensor = built(name, group)
+            if name not in tensors.T_NAMES:
+                return tensor
+            roots = tensor.roots.copy()
+            roots[-1] += 1
+            flat, mults = tensor.flat_indices, tensor.mults
+            return PhaseTensor.from_entries(tensor.shape, tensor.modulus, flat, roots, mults, tensor.scale)
+
+        assert suite.criterion_tensor_network()["pepes_fidelity_ok"]
+        monkeypatch.setattr(tensors, "build_tensor", bent)
+        assert not suite._network_matches_composition(Z2)
+        rep = suite.criterion_tensor_network()
+        assert not rep["passed"] and not rep["pepes_fidelity_ok"]
 
     def test_trapezoid_row_sizes(self):
         layers = layer_stack(Z2, 2, 3, "open")
@@ -241,20 +265,11 @@ class TestPepes:
         layers2 = layer_stack(Z3, 3, 2, "open")
         assert [layers2[0].n] + [len(layer.new_positions()) for layer in layers2] == [3, 4, 5]
 
-    def test_open_boundary_contraction_matches_composition(self):
-        layers = layer_stack(Z2, 2, 3, "open")
-        st = initial_state(Z2, layers[0])
-        direct = compose_gauging(layers, st).dense()
-        via_tn = contract_pepes(layers, st.dense())
-        assert via_tn.site_ids == direct.site_ids
-        fidelity = abs(np.vdot(direct.amps, via_tn.amps)) / (direct.norm() * via_tn.norm())
-        assert abs(fidelity - 1) < 1e-10
-
     def test_adjoint_square_is_partial_isometry(self):
         # W^dagger W for the two-layer open stack W, which acts on the
         # input row: layer 1 acts on the trailing new row of layer 0.
         layers = layer_stack(Z2, 2, 2, "open")
-        st = initial_state(Z2, layers[0]).dense()
+        st = dense_compose_oracle.dense(initial_state(Z2, layers[0]))
         first, second = (_unit_layer_matrix(layer) for layer in layers)
         forward = np.kron(np.eye(Z2.size ** layers[0].n), second) @ first
         square = forward.conj().T @ forward
@@ -282,5 +297,5 @@ class TestPepes:
         for factors in remnants:
             op = ProductOperator.from_factors(factors, 2)
             assert state.fixed_by([op]) == [False]
-            dense = state.dense()
+            dense = dense_compose_oracle.dense(state)
             assert abs(np.vdot(dense.amps, dense.apply(op).amps) / dense.norm() ** 2 - 1) > 0.5
