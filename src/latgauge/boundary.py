@@ -17,8 +17,6 @@ boundary term survives by an integer count, with no tolerance.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -71,13 +69,22 @@ def build_fixed_point_state(group: GroupSpec, subgroup, n: int) -> SymmetricStat
     if n < 2:
         raise ValueError("need at least two sites")
     size = group.size
-    support = []
-    for head in itertools.product(restricted_characters(group, subgroup), repeat=n - 1):
-        flat = 0
-        for chi in (*head, math.prod(head, start=group.dual_identity()).inverse()):
-            flat = flat * size + group.index_of(chi.exps)
-        support.append(flat)
-    keys = np.sort(np.array(support, dtype=np.int64))
+    if size**n > 2**63:
+        raise ValueError(f"a chain of {n} sites indexes more basis states than int64 keys hold")
+    allowed = [group.index_of(chi.exps) for chi in restricted_characters(group, subgroup)]
+    # times[a, j]: the index of character a times allowed character j; inverse[a]: of a's inverse.
+    times = np.array(
+        [[group.index_of(group.add_exps(group.exps_of(a), group.exps_of(b))) for b in allowed] for a in range(size)],
+        dtype=np.min_scalar_type(size - 1),
+    )
+    inverse = np.array([group.index_of(group.neg_exps(group.exps_of(a))) for a in range(size)])
+    # Sites 0..n-2 take every allowed character as mixed-radix digits, tracking
+    # their product; the last site takes its inverse.
+    keys, product = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=times.dtype)
+    for _ in range(n - 1):
+        keys = (keys[:, None] * size + allowed).ravel()
+        product = times[product].ravel()
+    keys = np.sort(keys * size + inverse[product])
     layout = (tuple((0, 2 * k) for k in range(n)), (SiteKind.VERTEX_DUAL,) * n, (size,) * n)
     state = SupportState(*layout, group.phase_modulus, keys, np.zeros_like(keys), Fraction(1, keys.size))
     return SymmetricState1D(group, n, state)

@@ -16,9 +16,12 @@ at least one check failed, 2 bad configuration.  Reports contain no
 timings or other nondeterministic fields, so identical configurations
 produce byte-identical output.  GAUGE_MAX_DIM sets the amplitude cap
 (default 2**24), which gauging.check_cap alone compares, in sites, term
-factors or normal-form cells, before anything is built; a value that is
-not a positive integer, or a cap too small for the checks, exits 2.
-STATE_TOL is `compose`'s `tol`.
+factors or normal-form cells, before anything is built.  A value that is
+not a positive integer, a cap too small for the checks, and a MemoryError
+in any subcommand (a raised cap can admit more than the machine holds)
+each exit 2 with one `Error:` line.  A code spec file's `group` is a JSON
+list of integers, and its `n` and `m` are JSON integers.  STATE_TOL is
+`compose`'s `tol`.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class ConfigError(click.ClickException):
 
 @contextlib.contextmanager
 def building_config():
-    """Report a ValueError or CapExceededError raised while building specs or inputs as a bad configuration.
+    """Report a ValueError raised while building specs or inputs as a bad configuration.
 
     Wrap only construction, never the checks: a check that raises must
     not be mistaken for a bad configuration.  GeometryError is a
@@ -58,14 +61,22 @@ def building_config():
     """
     try:
         yield
-    except (ValueError, CapExceededError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def check_env_cap() -> None:
-    """Exit 2 on a GAUGE_MAX_DIM that is not a positive integer, before any work."""
-    with building_config():
-        dimension_cap()
+class _CheckedCommand(click.Command):
+    """Exit 2 on a bad GAUGE_MAX_DIM once the arguments are parsed (so --help works), and on a cap or memory overrun."""
+
+    def invoke(self, ctx):
+        with building_config():
+            dimension_cap()
+        try:
+            return super().invoke(ctx)
+        except CapExceededError as exc:
+            raise ConfigError(str(exc)) from exc
+        except MemoryError as exc:  # a raised GAUGE_MAX_DIM can admit a configuration past the machine's memory
+            raise ConfigError(f"the {ctx.info_name} checks do not fit in memory: {str(exc) or 'MemoryError'}") from exc
 
 
 def parse_group(text: str) -> GroupSpec:
@@ -156,6 +167,9 @@ def main() -> None:
     """Exact checks for iteratively gauged 2D codes."""
 
 
+main.command_class = _CheckedCommand
+
+
 @main.command()
 @click.option("--group", "group_text", required=True, help="cyclic orders, e.g. 2,2")
 @click.option("--layers", "num_layers", type=int, default=2, show_default=True)
@@ -171,17 +185,11 @@ def compose(group_text, num_layers, n, bc, twist_even, twist_odd, out):
     to = parse_twist(group, twist_odd)
     if num_layers < 1:
         raise ConfigError("need at least one layer")
-    check_env_cap()
     with building_config():
         layers = layer_stack(group, n, num_layers, bc, twist_even=te, twist_odd=to)
-    try:
-        state, checks = claims.stack_symmetries(layers)
-        for layer in layers:
-            checks += claims.emergent_symmetry(layer)
-    except CapExceededError as exc:
-        raise ConfigError(str(exc))
-    except MemoryError as exc:  # a raised GAUGE_MAX_DIM can admit a stack past the machine's memory
-        raise ConfigError(f"the stack does not fit in memory: {str(exc) or 'MemoryError'}") from exc
+    state, checks = claims.stack_symmetries(layers)
+    for layer in layers:
+        checks += claims.emergent_symmetry(layer)
     config = {
         "group": list(group.orders),
         "layers": num_layers,
@@ -286,7 +294,6 @@ def _lattice(group, n, m, vertical) -> Lattice2D:
 
 
 def _load_code_spec(path: str) -> CodeSpec:
-    check_env_cap()
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -302,8 +309,11 @@ def _load_code_spec(path: str) -> CodeSpec:
         subgroup = data.get("subgroup")
         if subgroup is not None and not isinstance(subgroup, str):
             raise ValueError("subgroup must be a string such as 'e' or '0,0;1,1'")
+        orders, n, m = data["group"], data["n"], data["m"]
+        if not isinstance(orders, list) or not all(type(v) is int for v in (*orders, n, m)):
+            raise ValueError("group must be a JSON list of integers, and n and m JSON integers")
         return _code_spec(
-            GroupSpec(tuple(data["group"])), int(data["n"]), int(data["m"]), data.get("bc", "torus"),
+            GroupSpec(tuple(orders)), n, m, data.get("bc", "torus"),
             text_of("twist_even"), text_of("twist_odd"), text_of("beta"), subgroup,
             data.get("orientation", "standard"),
         )
@@ -440,12 +450,7 @@ def boundary(group_text, subgroup, n, m, beta, out):
 def tn(group_text, check_mpo, n, out):
     """Tensor identities and MPO equivalence."""
     group = parse_group(group_text)
-    if check_mpo:
-        check_env_cap()
-    try:
-        checks = claims.tensor_identities(group, mpo_layers(group, n) if check_mpo else ())
-    except CapExceededError as exc:
-        raise ConfigError(str(exc))
+    checks = claims.tensor_identities(group, mpo_layers(group, n) if check_mpo else ())
     finish(envelope("tn", {"group": list(group.orders), "n": n, "mpo_layers": bool(check_mpo)}, checks), out)
 
 
@@ -453,7 +458,6 @@ def tn(group_text, check_mpo, n, out):
 @click.option("--out", default=None)
 def suite(out):
     """Run the complete verification battery."""
-    check_env_cap()
     try:
         report = run_suite(echo=click.echo)
     except CapExceededError as exc:

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-import numpy as np
-
 
 class GroupMismatchError(ValueError):
     """Operands belong to different group specifications."""
@@ -160,16 +158,9 @@ class PhaseExponent:
             raise GroupMismatchError("phases with different moduli")
         return PhaseExponent(self.k + other.k, self.modulus)
 
-    def inverse(self) -> "PhaseExponent":
-        return PhaseExponent(-self.k, self.modulus)
-
     @property
     def is_one(self) -> bool:
         return self.k == 0
-
-    @property
-    def value(self) -> complex:
-        return complex(np.exp(2j * np.pi * self.k / self.modulus))
 
     @classmethod
     def one(cls, modulus: int) -> "PhaseExponent":
@@ -238,17 +229,6 @@ class Cocycle:
                     d = math.gcd(orders[i], orders[j])
                     k += (L // d) * p * a_exps[j] * b_exps[i]
         return k % L
-
-    def conjugate(self) -> "Cocycle":
-        orders = self.group.orders
-        rows = []
-        for i, row in enumerate(self.pmatrix):
-            new = list(row)
-            for j in range(i + 1, len(orders)):
-                d = math.gcd(orders[i], orders[j])
-                new[j] = (-row[j]) % d
-            rows.append(tuple(new))
-        return Cocycle(self.group, tuple(rows))
 
 
 def slant_product(alpha: Cocycle, g: GroupElement) -> DualCharacter:

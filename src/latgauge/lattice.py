@@ -25,6 +25,7 @@ of basis states on which the terms' phases are consistent.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -174,7 +175,7 @@ class PlacedTerms(Sequence):
 
     placement holds the ops; term i has the center centers[i] and the
     (family, exps) label_table[label_id[i]].  A StabilizerTerm is built
-    only when indexed or iterated, and a slice is PlacedTerms again.
+    only when indexed or iterated; a slice raises TypeError.
     """
 
     placement: Placement
@@ -186,20 +187,11 @@ class PlacedTerms(Sequence):
         return len(self.label_id)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            index = np.arange(len(self))[i]
-            return PlacedTerms(self.placement.take(index), self.centers[index], self.label_id[index], self.label_table)
-        i = range(len(self))[i]
+        i = range(len(self))[operator.index(i)]
         return StabilizerTerm(self.label(i), self.placement.op(i))
 
     def __iter__(self):
         return map(StabilizerTerm, self.labels, map(self.placement.op, range(len(self))))
-
-    def __eq__(self, other) -> bool:
-        """Term for term, against placed terms or a list of terms."""
-        if not isinstance(other, (PlacedTerms, list)):
-            return NotImplemented
-        return list(self) == list(other)
 
     def label(self, i: int) -> StabilizerLabel:
         j, c = self.centers[i].tolist()

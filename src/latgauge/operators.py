@@ -135,17 +135,9 @@ class MonomialOperator:
         phase = tuple(-self.phase[inv[j]] for j in range(self.dim))
         return MonomialOperator(self.dim, tuple(inv), phase, self.modulus, self.kind)
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "perm": list(self.perm),
-            "phase": list(self.phase),
-            "modulus": self.modulus,
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "MonomialOperator":
-        """The factor of a to_json dict; dim, modulus and each perm and phase entry must be ints, not bools."""
+        """The factor of an op file's "op" entry; dim, modulus and each perm and phase entry must be ints, not bools."""
         dim, perm, phase, modulus = data["dim"], tuple(data["perm"]), tuple(data["phase"]), data["modulus"]
         if not all(type(v) is int for v in (dim, modulus, *perm, *phase)):
             raise ValueError("dim, modulus, perm and phase entries must be integers")
@@ -264,10 +256,6 @@ class ProductOperator:
     def identity_op(cls, modulus: int) -> "ProductOperator":
         return cls((), modulus)
 
-    @property
-    def support(self) -> tuple:
-        return tuple(site for site, _ in self.factors)
-
     def multiply(self, other: "ProductOperator") -> "ProductOperator":
         """self . other with sitewise exact composition."""
         if self.modulus != other.modulus:
@@ -276,31 +264,11 @@ class ProductOperator:
 
     __matmul__ = multiply
 
-    def adjoint(self) -> "ProductOperator":
-        return ProductOperator.from_factors(
-            ((site, op.adjoint()) for site, op in self.factors), self.modulus
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "factors": [
-                {"site": list(site) if isinstance(site, tuple) else site,
-                 "kind": op.kind.value,
-                 "op": op.to_json()}
-                for site, op in self.factors
-            ],
-        }
-
     @staticmethod
     def factor_from_json(item: dict) -> tuple:
         """(site, factor) of one JSON factor entry; a list site becomes a tuple."""
         site = tuple(item["site"]) if isinstance(item["site"], list) else item["site"]
         return site, MonomialOperator.from_json(item["op"]).with_kind(SiteKind(item["kind"]))
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ProductOperator":
-        return cls.from_factors(map(cls.factor_from_json, data["factors"]), data["modulus"])
 
 
 @functools.cache
@@ -376,13 +344,6 @@ class Placement:
         lo, hi = self.start[i], self.start[i + 1]
         pairs = zip(self.site[lo:hi].tolist(), self.fid[lo:hi].tolist())
         return ProductOperator(tuple((self.sites[s], self.factors[f]) for s, f in pairs), self.modulus)
-
-    def take(self, index: np.ndarray) -> "Placement":
-        """The operators at index, in that order, on the same sites and factors."""
-        count = self.start[index + 1] - self.start[index]
-        start = np.concatenate(([0], np.cumsum(count)))
-        entries = np.arange(start[-1]) + np.repeat(self.start[index] - start[:-1], count)
-        return Placement(start, self.site[entries], self.fid[entries], self.sites, self.factors, self.modulus)
 
 
 def place(ops) -> Placement:

@@ -1,9 +1,9 @@
 """Small reference forms of library objects that only the tests read.
 
-A cocycle's value as a PhaseExponent, the exhaustive cocycle condition,
-a monomial's dense complex matrix and a PhaseTensor's dense complex
-array: each restates the library's integer data in the form a textbook
-check compares against.
+A cocycle's value as a PhaseExponent, a PhaseExponent's complex value,
+the exhaustive cocycle condition, a monomial's dense complex matrix and a
+PhaseTensor's dense complex array: each restates the library's integer
+data in the form a textbook check compares against.
 """
 
 from __future__ import annotations
@@ -20,6 +20,11 @@ from latgauge.operators import MonomialOperator
 def evaluate(alpha: Cocycle, a, b) -> PhaseExponent:
     """alpha(a, b) as a PhaseExponent of the group's modulus."""
     return PhaseExponent(alpha.exponent(a.exps, b.exps), alpha.group.phase_modulus)
+
+
+def phase_value(p: PhaseExponent) -> complex:
+    """w**k as a complex number, w = exp(2 pi i / modulus)."""
+    return complex(np.exp(2j * np.pi * p.k / p.modulus))
 
 
 def verify_cocycle_condition(alpha: Cocycle) -> bool:

@@ -20,7 +20,7 @@ def candidate_pairs(terms) -> list[tuple[int, int]]:
     """(a, b) with a < b for every two terms on a common site, sorted."""
     by_site: dict = {}
     for idx, term in enumerate(terms):
-        for site in term.op.support:
+        for site, _ in term.op.factors:
             by_site.setdefault(site, []).append(idx)
     candidates = set()
     for idxs in by_site.values():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import chain_oracle
 import dense_compose_oracle
 import fourier_oracle
 from latgauge.boundary import (
@@ -58,6 +59,24 @@ class TestFixedPointStates:
             state = build_fixed_point_state(group, sub, 3).state
             assert state.keys.size == (group.size // len(sub)) ** 2
             assert not state.roots.any() and state.mag_sq == Fraction(1, state.keys.size)
+
+    @pytest.mark.parametrize("orders", ORACLE_GROUPS, ids=str)
+    def test_keys_match_the_per_tuple_loop(self, orders):
+        # Every subgroup, n = 2..5: the numpy digits give the loop's keys.
+        group = GroupSpec(orders)
+        for sub in all_subgroups(group):
+            for n in range(2, 6):
+                keys = build_fixed_point_state(group, sub, n).state.keys
+                expected = chain_oracle.fixed_point_keys(group, sub, n)
+                assert keys.dtype == expected.dtype and np.array_equal(keys, expected)
+
+    def test_chain_past_int64_keys_refused(self):
+        # 16**16 = 2**64 basis states; the 2**15 keys would wrap.
+        group = GroupSpec((4, 4))
+        sub = tuple(g for g in group.elements() if g.exps[0] % 2 == 0)
+        with pytest.raises(ValueError, match="int64"):
+            build_fixed_point_state(group, sub, 16)
+        assert build_fixed_point_state(group, sub, 15).state.keys.size == 2**14
 
     @pytest.mark.parametrize("group", [Z2, Z4, Z22])
     def test_normalized_and_symmetric_everywhere(self, group):

@@ -198,7 +198,7 @@ class TestComposeCommand:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-        assert errors == [f"Error: the stack does not fit in memory: {message or 'MemoryError'}"], result.output
+        assert errors == [f"Error: the compose checks do not fit in memory: {message or 'MemoryError'}"], result.output
 
     def test_env_cap_override(self, runner):
         result = runner.invoke(
@@ -436,6 +436,25 @@ class TestAnyonsCommand:
         assert isinstance(result.exception, SystemExit)
         assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
 
+    @pytest.mark.parametrize("command", ["anyons", "confine"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 2.7), ("n", 4.9), ("n", "3"), ("m", True), ("m", 8.0), ("group", [2.9]), ("group", "22"), ("group", [True, 2])],
+        ids=["n-float", "n-float-4.9", "n-string", "m-bool", "m-integral-float", "group-float", "group-string", "group-bool"],
+    )
+    def test_spec_group_n_and_m_take_json_integers_only(self, runner, tmp_path, command, field, value):
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(json.dumps({"group": [2, 2], "n": 4, "m": 8, "twist_even": "p12=1", field: value}))
+        ops_path = tmp_path / "ops.json"
+        ops_path.write_text("[]")
+        args = [command, "--spec", str(spec_path)] + (["--op-file", str(ops_path)] if command == "anyons" else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        message = "group must be a JSON list of integers, and n and m JSON integers"
+        assert errors == [f"Error: bad code spec {str(spec_path)!r}: {message}"], result.output
+
     @pytest.mark.parametrize("ops", [5, {"factors": []}, "ops"], ids=["number", "object", "string"])
     def test_op_file_must_hold_a_list(self, runner, tmp_path, ops):
         spec_path = tmp_path / "code.json"
@@ -588,6 +607,34 @@ class TestConfigErrors:
         assert "Traceback" not in result.output
         assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
 
+    @pytest.mark.parametrize(
+        "args, target",
+        [
+            (["compose", "--group", "2", "--layers", "2", "--n", "2"], "claims.stack_symmetries"),
+            (["code", "--group", "2"], "claims.commutation"),
+            (["anyons", "--spec", "code.json", "--op-file", "ops.json"], "cli.syndrome"),
+            (["confine", "--group", "2,2", "--twist-even", "p12=1"], "claims.confinement"),
+            (["boundary", "--group", "2", "--subgroup", "e"], "claims.boundary_condensation"),
+            (["tn", "--group", "2"], "claims.tensor_identities"),
+            (["suite"], "cli.run_suite"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_memory_error_in_the_checks_is_config_error(self, runner, tmp_path, monkeypatch, args, target):
+        # What a raised GAUGE_MAX_DIM can let through to numpy, in every subcommand, without allocating it.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.22 GiB")
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "code.json").write_text(json.dumps({"group": [2], "n": 2, "m": 2}))
+        (tmp_path / "ops.json").write_text(json.dumps([{"factors": [{"site": [1, 1], "kind": "edge_group", "op": Z2_SHIFT}]}]))
+        monkeypatch.setattr(f"latgauge.{target}", out_of_memory)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: the {args[0]} checks do not fit in memory: Unable to allocate 1.22 GiB"], result.output
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", "\u00b2"])
     @pytest.mark.parametrize(
@@ -597,8 +644,12 @@ class TestConfigErrors:
             ["boundary", "--group", "2", "--subgroup", "e", "--n", "4"],
             ["suite"],
             ["tn", "--group", "2", "--mpo-layers"],
+            ["tn", "--group", "2"],
+            ["code", "--group", "2"],
+            ["anyons", "--spec", "code.json", "--op-file", "ops.json"],
+            ["confine", "--group", "2,2", "--twist-even", "p12=1"],
         ],
-        ids=["compose", "boundary", "suite", "tn"],
+        ids=["compose", "boundary", "suite", "tn", "tn-no-mpo-layers", "code", "anyons", "confine"],
     )
     def test_bad_env_cap_is_named(self, runner, args, value):
         result = runner.invoke(main, args, env={"GAUGE_MAX_DIM": value})

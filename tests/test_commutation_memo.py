@@ -69,7 +69,7 @@ def _overlapping_pairs(ops):
     """Ordered pairs of distinct operators that share a site."""
     by_site: dict = {}
     for idx, op in enumerate(ops):
-        for site in op.support:
+        for site, _ in op.factors:
             by_site.setdefault(site, set()).add(idx)
     return sorted({(a, b) for idxs in by_site.values() for a in idxs for b in idxs if a != b})
 

@@ -628,9 +628,9 @@ class TestSupportBuffers:
         layers = layer_stack(Z2, 4, 5)
         state = compose_gauging(layers, initial_state(Z2, layers[0]))
         ops = [op for _, op in stack_local_symmetry_ops(layers) if op.factors]
-        touched = {site for op in ops for site in op.support}
+        touched = {site for op in ops for site, _ in op.factors}
         growth = self.digit_store_growth(state, ops[:2], ops)
-        assert growth <= len(touched - set(ops[0].support + ops[1].support)) * state.keys.size + 4096
+        assert growth <= len(touched - {site for op in ops[:2] for site, _ in op.factors}) * state.keys.size + 4096
 
 
 class TestExpectations:
@@ -863,7 +863,7 @@ class TestIdentityEntries:
         listed = [c["op"] for c in rep["violations"]]
         expected = [name for name, op in ops.items() if not commutation_phase(op, kick).is_one]
         assert listed == expected
-        assert listed and all(site in ops[name].support for name in listed)
+        assert listed and all(site in dict(ops[name].factors) for name in listed)
         assert rep["num_checked"] == len(ops)
 
 

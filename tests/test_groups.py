@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebra_reference import evaluate, verify_cocycle_condition
+from algebra_reference import evaluate, phase_value, verify_cocycle_condition
 from latgauge.groups import (
     Cocycle,
     GroupMismatchError,
@@ -88,7 +88,7 @@ class TestPair:
         assert abs(scalar - np.exp(4j * np.pi / 3)) < 1e-12
         got = pair(chi, g)
         assert got.k == 2 and got.modulus == 3
-        assert abs(got.value - scalar) < 1e-12
+        assert abs(phase_value(got) - scalar) < 1e-12
 
     def test_identity_character(self):
         for spec in SMALL_GROUPS:
@@ -120,12 +120,7 @@ class TestPhaseExponent:
     def test_multiplication_adds_exponents(self, a, b, modulus):
         pa, pb = PhaseExponent(a, modulus), PhaseExponent(b, modulus)
         assert (pa * pb).k == (a + b) % modulus
-        assert (pa * pa.inverse()).is_one
-
-    @given(st.integers(0, 23), st.integers(1, 24))
-    def test_value_on_unit_circle(self, k, modulus):
-        p = PhaseExponent(k, modulus)
-        assert abs(abs(p.value) - 1) < 1e-12
+        assert (pa * PhaseExponent(-a, modulus)).is_one
 
     def test_moduli_must_match(self):
         with pytest.raises(GroupMismatchError):
@@ -165,13 +160,6 @@ class TestCocycles:
                 for b in elems
             ):
                 pytest.fail("nontrivial representative turned out to be a coboundary")
-
-    def test_conjugate_negates_exponent(self):
-        alpha = enumerate_cocycle_classes(Z22)[1]
-        bar = alpha.conjugate()
-        for a in Z22.elements():
-            for b in Z22.elements():
-                assert (evaluate(alpha, a, b) * evaluate(bar, a, b)).is_one
 
     def test_pmatrix_must_be_upper_triangular(self):
         with pytest.raises(ValueError):

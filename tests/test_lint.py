@@ -283,14 +283,25 @@ def test_no_function_takes_a_cap():
 
 
 def test_only_check_cap_reads_the_cap():
-    # gauging.check_cap is the one size guard; cli.check_env_cap only validates GAUGE_MAX_DIM.
+    # gauging.check_cap is the one size guard; the CLI's command hook, _CheckedCommand.invoke, only validates GAUGE_MAX_DIM.
     stray = [
         f"{path.name}:{line} {owner}"
         for path, tree in _sources()
         for owner, line in _references(tree, {"dimension_cap"})
-        if (path.name, owner) not in (("gauging.py", "check_cap"), ("cli.py", "check_env_cap"))
+        if (path.name, owner) not in (("gauging.py", "check_cap"), ("cli.py", "invoke"))
     ]
-    assert not stray, f"dimension_cap read outside gauging.check_cap and cli.check_env_cap: {stray}"
+    assert not stray, f"dimension_cap read outside gauging.check_cap and the CLI's command hook: {stray}"
+
+
+def test_one_place_catches_memory_error():
+    # Every subcommand reports a MemoryError through the CLI's command hook, and nothing else catches one.
+    catchers = [
+        f"{path.name} {owner}"
+        for path, tree in _sources()
+        for owner, node in _owned_nodes(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None and "MemoryError" in ast.unparse(node.type)
+    ]
+    assert catchers == ["cli.py invoke"], f"MemoryError caught outside the CLI's command hook: {catchers}"
 
 
 def _owned_nodes(node: ast.AST, owner: str | None = None):

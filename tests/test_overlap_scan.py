@@ -14,6 +14,7 @@ import functools
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from latgauge.groups import GroupSpec, enumerate_cocycle_classes
 from latgauge.lattice import (
     CodeSpec,
     Lattice2D,
+    PlacedTerms,
     StabilizerLabel,
     StabilizerTerm,
     build_boundary_terms,
@@ -34,7 +36,7 @@ from latgauge.lattice import (
     overlap_phases,
     witness,
 )
-from latgauge.operators import MonomialOperator, ProductOperator, clock_z, shift_x
+from latgauge.operators import MonomialOperator, ProductOperator, clock_z, place, shift_x
 from latgauge.suite import GROUPS, TORI, _twist_combinations
 
 CYLINDER = (3, 4)  # (n, m); the top boundary row m must be even
@@ -119,7 +121,7 @@ def _assert_scans_match(terms, ops):
             ph = expected[t.label]
             if ph is None or not ph.is_one:
                 violating += 1
-                assert first_violation(terms[i:], op) == scan_oracle.first_violation(listed[i:], op)
+                assert first_violation(listed[i:], op) == scan_oracle.first_violation(listed[i:], op)
     return violating
 
 
@@ -203,13 +205,14 @@ def scan_cases(draw):
 
 @st.composite
 def placed_cases(draw):
-    """A slice of one spec's placed bulk terms, and ops that mix raw factors with term ops.
+    """A slice of one spec's bulk terms, placed again, and ops that mix raw factors with term ops.
 
-    The slice keeps the placed arrays, so check_all_commute and the term
-    side of syndromes read them directly; the ops are ProductOperators
-    that operators.place puts into arrays one by one: up to three string
-    ops, the ops of up to three of the spec's terms, and a raw op of one
-    basis state of one factor shifted by w.
+    operators.place puts the slice's ops into arrays, kept as PlacedTerms,
+    so check_all_commute and the term side of syndromes read them
+    directly; the ops are ProductOperators that operators.place puts into
+    arrays one by one: up to three string ops, the ops of up to three of
+    the spec's terms, and a raw op of one basis state of one factor
+    shifted by w.
     """
     spec, _, strings = _pool(draw(st.integers(0, len(SPECS) - 1)))
     placed = build_bulk_stabilizers(spec)
@@ -223,7 +226,10 @@ def placed_cases(draw):
     x = draw(st.integers(0, mono.dim - 1))
     shifted = replace(mono, phase=mono.phase[:x] + (mono.phase[x] + 1,) + mono.phase[x + 1 :])
     ops.append(ProductOperator(((site, shifted),), spec.group.phase_modulus))
-    return placed[part], draw(st.permutations(ops))
+    index = np.arange(size)[part]
+    ops_at = place([placed[i].op for i in index])
+    sliced = PlacedTerms(ops_at, placed.centers[index], placed.label_id[index], placed.label_table)
+    return sliced, draw(st.permutations(ops))
 
 
 class TestRandomSubsets:
@@ -303,7 +309,7 @@ class TestModulusMismatch:
 
 
 def _shares_site(a, b) -> bool:
-    return bool(set(a.support) & set(b.support))
+    return bool(dict(a.factors).keys() & dict(b.factors).keys())
 
 
 class TestWorkIsOnePerOverlappingPair:
