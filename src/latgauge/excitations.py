@@ -10,6 +10,8 @@ violated plaquettes (all couplings one).
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .groups import GroupElement, PhaseExponent
@@ -21,27 +23,37 @@ MAX_STRING_LENGTH = 3  # longest confined string and tallest dipole in confineme
 
 @dataclass
 class SyndromeMap:
-    """Eigenvalue of every stabilizer term on op|ground state|."""
+    """Eigenvalue of every stabilizer term on op|ground state>, stored sparsely.
 
-    phases: dict  # StabilizerLabel -> PhaseExponent | None
+    violations holds (term, phase) of each term the op violates, in term
+    order, as lattice.overlap_phases lists them: phase is a PhaseExponent
+    other than one, or None for a commutator that is not scalar.  Every
+    other term of terms has eigenvalue one, so phases, the label -> phase
+    dict over all terms, is built only when it is read.
+    """
+
+    terms: Sequence
+    violations: list
+    modulus: int
+
+    @functools.cached_property
+    def phases(self) -> dict:
+        """StabilizerLabel -> PhaseExponent | None for every term, in term order."""
+        phases = dict.fromkeys(term_labels(self.terms), PhaseExponent.one(self.modulus))
+        phases.update((t.label, ph) for t, ph in self.violations)
+        return phases
 
     def violated_terms(self) -> list:
-        return [
-            lab
-            for lab, ph in self.phases.items()
-            if ph is None or not ph.is_one
-        ]
+        return [t.label for t, _ in self.violations]
 
     def violated_centers(self) -> set:
-        return {lab.center for lab in self.violated_terms()}
+        return {t.label.center for t, _ in self.violations}
 
     def as_json(self) -> dict:
         return {
             "violated_centers": sorted(self.violated_centers()),
             "violations": [
-                {"label": lab.as_json(), "phase": None if ph is None else ph.k}
-                for lab, ph in self.phases.items()
-                if ph is None or not ph.is_one
+                {"label": t.label.as_json(), "phase": None if ph is None else ph.k} for t, ph in self.violations
             ],
         }
 
@@ -49,22 +61,12 @@ class SyndromeMap:
 def syndromes(terms, ops) -> list[SyndromeMap]:
     """SyndromeMap of each op over the terms, in term order.
 
-    Every term starts at exponent 0; the terms that fail to commute with an
-    op then take their phase from lattice.overlap_phases, one pass for all
-    ops, which also checks the moduli.  The labels are read once per call,
-    and placed terms build only the terms an op violates.
+    One lattice.overlap_phases pass for all ops lists the terms each op
+    violates and checks the moduli.  Only those terms are built: no label
+    or phase is stored for a term an op does not violate.
     """
     ops = list(ops)
-    found = overlap_phases(terms, ops)
-    if not ops:
-        return []
-    clear = dict.fromkeys(term_labels(terms), PhaseExponent.one(ops[0].modulus))
-    maps = []
-    for hits in found:
-        phases = dict(clear)
-        phases.update((t.label, ph) for t, ph in hits)
-        maps.append(SyndromeMap(phases))
-    return maps
+    return [SyndromeMap(terms, hits, op.modulus) for op, hits in zip(ops, overlap_phases(terms, ops))]
 
 
 def syndrome(terms, op: ProductOperator) -> SyndromeMap:
@@ -196,9 +198,10 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None) -> dict:
     string_counts = dict(zip(lengths, counts[: len(lengths)]))
     dipole_counts = dict(zip(lengths, counts[len(lengths) : 2 * len(lengths)]))
     syn_d, syn_b, syn_db = syns[len(lengths)], syns[-2], syns[-1]
-    homomorphic = all(
-        syn_db.phases[lab] == syn_d.phases[lab] * syn_b.phases[lab] for lab in syn_db.phases
-    )
+    # Every term outside the three violation sets is one times one.
+    d, b, db = ({t.label: ph for t, ph in syn.violations} for syn in (syn_d, syn_b, syn_db))
+    one = PhaseExponent.one(group.phase_modulus)
+    homomorphic = all(db.get(lab, one) == d.get(lab, one) * b.get(lab, one) for lab in d.keys() | b.keys() | db.keys())
     bend_relocates = syn_db.violated_centers() != syn_d.violated_centers()
 
     braid = {}

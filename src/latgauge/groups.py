@@ -70,9 +70,6 @@ class GroupSpec:
     def identity(self) -> "GroupElement":
         return GroupElement(self, (0,) * len(self.orders))
 
-    def dual_identity(self) -> "DualCharacter":
-        return DualCharacter(self, (0,) * len(self.orders))
-
     def index_of(self, exps: tuple[int, ...]) -> int:
         idx = 0
         for e, n in zip(exps, self.orders):
@@ -129,11 +126,6 @@ class GroupElement:
 class DualCharacter:
     group: GroupSpec
     exps: tuple[int, ...]
-
-    def __mul__(self, other: "DualCharacter") -> "DualCharacter":
-        if self.group != other.group:
-            raise GroupMismatchError("characters from different groups")
-        return DualCharacter(self.group, self.group.add_exps(self.exps, other.exps))
 
     def inverse(self) -> "DualCharacter":
         return DualCharacter(self.group, self.group.neg_exps(self.exps))

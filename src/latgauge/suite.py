@@ -51,6 +51,7 @@ from .tensors import contract_pepes, mpo_layers
 
 GROUPS = [(2,), (3,), (4,), (2, 2), (2, 3)]
 TORI = [(2, 2), (3, 2), (4, 2), (2, 4), (3, 4), (4, 4)]  # (n, m)
+PEPES_GROUPS = [(2,), (3,)]  # groups whose stacked network criterion 11 contracts
 
 
 def _twist_combinations(group: GroupSpec):
@@ -307,7 +308,7 @@ def _network_matches_composition(group: GroupSpec) -> bool:
 
 def criterion_tensor_network() -> dict:
     """Tensor identities and MPO layers as exact PhaseTensor equalities; the network as compose_gauging's state."""
-    pull_ok = mpo_ok = True
+    pull_ok = mpo_ok = pepes_ok = True
     mpo_checked = 0
     skipped = []
     for orders in GROUPS:
@@ -322,7 +323,10 @@ def criterion_tensor_network() -> dict:
         pull, mpo = claims.tensor_identities(group, layers)
         pull_ok, mpo_ok = pull_ok and pull["passed"], mpo_ok and mpo["passed"]
         mpo_checked += len(layers)
-    pepes_ok = all([_network_matches_composition(GroupSpec(orders)) for orders in [(2,), (3,)]])
+        if orders in PEPES_GROUPS:
+            # Right after the group's MPO layers, whose periodic n = 2 pair
+            # it contracts again from tensors._layer_mpo.
+            pepes_ok = _network_matches_composition(group) and pepes_ok
     layers = layer_stack(GroupSpec((2,)), 2, 3, "open")
     trapezoid = [layers[0].n] + [len(layer.new_positions()) for layer in layers]
     return check(

@@ -32,6 +32,7 @@ which with the diagonal matter representation used throughout equals M_e.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -44,6 +45,9 @@ from .operators import SupportState, clock_z, shift_x
 
 M_NAMES = ("M_tilde", "M_e", "M_o")
 T_NAMES = ("T_e", "T_o")
+# Contracted MPOs kept: the eight layers mpo_layers gives a group at n = 2
+# and 3, so the stacked network that follows them finds its two.
+MPO_LAYERS = 8
 
 
 def build_tensor(name: str, group: GroupSpec) -> PhaseTensor:
@@ -193,13 +197,21 @@ def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
     Output rows are ordered (matter config, new config) as in
     GaugingMap.exact_matrix, so the two construction routes can be
     compared entrywise (the MPO carries the T prefactors in its scale).
+    The cap is checked on every call; the chain is contracted once per
+    LayerSpec (_layer_mpo) and its arrays are read-only.
     """
     if not layer.twist.is_trivial:
         raise ValueError("the MPO tensors describe untwisted layers only")
+    layer.check_exact_cap()
+    return _layer_mpo(layer)
+
+
+@functools.lru_cache(maxsize=MPO_LAYERS)
+def _layer_mpo(layer: LayerSpec) -> PhaseTensor:
+    """contract_mpo_layer of the layer, contracted on the first call and kept read-only."""
     group = layer.group
     size, L, n = group.size, group.phase_modulus, layer.n
     open_bc = layer.boundary == "open"
-    layer.check_exact_cap()
     new_pos = layer.new_positions()
     even = layer.parity == "even"
     m_tensor = build_tensor("M_e" if even else "M_o", group)  # (left, right, out, in)
@@ -225,7 +237,9 @@ def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
     chain = contract(edge, chain, (0, 0)) if open_bc else chain.trace(0, len(chain.shape) - 1)
     chain = chain.transpose(np.argsort(legs))
     shape = (size ** (n + len(new_pos)), size**n)
-    return PhaseTensor.from_entries(shape, L, chain.flat_indices, chain.roots, chain.mults, chain.scale)
+    mpo = PhaseTensor.from_entries(shape, L, chain.flat_indices, chain.roots, chain.mults, chain.scale)
+    mpo.keys.flags.writeable = mpo.mults.flags.writeable = False
+    return mpo
 
 
 def mpo_layers(group: GroupSpec, n: int) -> list[LayerSpec]:

@@ -1,9 +1,10 @@
 """Small reference forms of library objects that only the tests read.
 
 A cocycle's value as a PhaseExponent, a PhaseExponent's complex value,
-the exhaustive cocycle condition, a monomial's dense complex matrix and a
-PhaseTensor's dense complex array: each restates the library's integer
-data in the form a textbook check compares against.
+the exhaustive cocycle condition, a monomial's dense complex matrix, a
+PhaseTensor's dense complex array, the trivial character and the product
+of two characters: each restates the library's integer data in the form
+a textbook check compares against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from latgauge.cyclotomic import PhaseTensor
-from latgauge.groups import Cocycle, PhaseExponent
+from latgauge.groups import Cocycle, DualCharacter, GroupMismatchError, GroupSpec, PhaseExponent
 from latgauge.operators import MonomialOperator
 
 
@@ -61,3 +62,15 @@ def to_complex(tensor: PhaseTensor) -> np.ndarray:
         tensor.flat_indices, weights=values.imag, minlength=size
     )
     return float(tensor.scale) * dense.reshape(tensor.shape)
+
+
+def dual_identity(group: GroupSpec) -> DualCharacter:
+    """The trivial character of group: every exponent 0."""
+    return group.character((0,) * len(group.orders))
+
+
+def character_product(chi: DualCharacter, psi: DualCharacter) -> DualCharacter:
+    """The pointwise product chi psi; characters of different groups raise GroupMismatchError."""
+    if chi.group != psi.group:
+        raise GroupMismatchError("characters from different groups")
+    return chi.group.character(chi.group.add_exps(chi.exps, psi.exps))

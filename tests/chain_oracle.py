@@ -8,11 +8,12 @@ one basis index.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 
 import numpy as np
 
+from algebra_reference import character_product, dual_identity
 from latgauge.groups import GroupSpec, restricted_characters
 
 
@@ -21,7 +22,7 @@ def fixed_point_keys(group: GroupSpec, subgroup, n: int) -> np.ndarray:
     support = []
     for head in itertools.product(restricted_characters(group, subgroup), repeat=n - 1):
         flat = 0
-        for chi in (*head, math.prod(head, start=group.dual_identity()).inverse()):
+        for chi in (*head, functools.reduce(character_product, head, dual_identity(group)).inverse()):
             flat = flat * group.size + group.index_of(chi.exps)
         support.append(flat)
     return np.sort(np.array(support, dtype=np.int64))

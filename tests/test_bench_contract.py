@@ -5,20 +5,24 @@ deletion or rename in src/ would otherwise first show up as a failed
 benchmark run.  The benchmark harness is loaded by path and only read:
 every target of TARGETS and of _criterion_targets() must resolve, and the
 traced run (`bench/run.py --trace 1`) must record the criteria that reach
-the gauging maps and the exact tensors without an error.
+the gauging maps and the exact tensors without an error.  Every check of
+the compose and algebra workload cases must pass, so a change that makes
+the benchmark's outputs incorrect fails here first; the suite workload is
+`gauge suite`, which test_golden.py covers.
 """
 
+import contextlib
 import importlib.util
 import pathlib
 import sys
 
 import pytest
 
-SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("_bench_spans", SPANS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while the class body runs.
     sys.modules[spec.name] = module
@@ -26,7 +30,7 @@ def _load_spans():
     return module
 
 
-spans = _load_spans()
+spans = _load("spans")
 TARGETS = spans.TARGETS + spans._criterion_targets()
 
 
@@ -77,3 +81,13 @@ def test_traced_criteria_close_every_span_and_restore_every_slot():
     metrics = tracer.layer_metrics()
     assert metrics["cyclotomic.mono_mul.calls"] > 0
     assert metrics["gauging.GaugingMap.exact_matrix.entries"] > 0
+
+
+def test_workload_cases_pass(tmp_path):
+    workloads = _load("workloads")
+    for name in ("compose", "algebra"):
+        cases = workloads.WORKLOADS[name](11, tmp_path, lambda _: contextlib.nullcontext())
+        assert cases
+        for case in cases:
+            checks = case.run().checks
+            assert checks and [n for n, passed in checks if not passed] == [], f"{name}/{case.name}"

@@ -6,12 +6,18 @@ One `overlap_exponents` pass per torus must give its phase for every
 overlapping pair, and the library's `commutation_phase`, one pass over a
 single pair, the same phase, the same None and the same errors.  The
 memoized site commutator's work must not grow with the lattice, and the
-plaquette corners must be built once per label.
+plaquette corners must be built once per label.  The memoized site
+commutator reads its exponent off the perm and phase tables; on random
+monomials it must give what the two products give, and refuse what
+multiply refuses, with the same message.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latgauge import operators
 from latgauge.groups import GroupMismatchError, GroupSpec, PhaseExponent, enumerate_cocycle_classes
@@ -182,3 +188,70 @@ class TestWorkDoesNotGrowWithTheLattice:
         assert operators.projective_x_tilde.cache_info().misses == 2
         assert [f.kind for f in edge] == [SiteKind.EDGE_GROUP] * 2 + [SiteKind.VERTEX_DUAL] * 2
         assert [f.kind for f in vertex] == [SiteKind.VERTEX_DUAL] * 2 + [SiteKind.EDGE_GROUP] * 2
+
+
+DIMS = st.integers(2, 8)
+MODULI = st.sampled_from((2, 3, 4, 6, 8, 12))
+KINDS = st.sampled_from((None, SiteKind.EDGE_GROUP, SiteKind.VERTEX_DUAL))
+
+
+@st.composite
+def monomials(draw, dims=DIMS, moduli=MODULI, kinds=KINDS):
+    """A random monomial: any perm (mostly not a Weyl one) or a cyclic shift; random phases or a character."""
+    dim, modulus, kind = draw(dims), draw(moduli), draw(kinds)
+    step = draw(st.integers(0, dim - 1))
+    perm = draw(st.one_of(st.permutations(range(dim)), st.just([(i + step) % dim for i in range(dim)])))
+    # A character of Z_dim, so that cyclic shifts and these clocks commute up to a scalar.
+    c, a = draw(st.integers(0, modulus - 1)), draw(st.integers(0, modulus - 1)) * (modulus // math.gcd(modulus, dim))
+    linear = [c + a * i for i in range(dim)]
+    noise = st.lists(st.integers(-2 * modulus, 2 * modulus), min_size=dim, max_size=dim)
+    phase = draw(st.one_of(noise, st.just(linear)))
+    return MonomialOperator(dim, tuple(perm), tuple(phase), modulus, kind)
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two monomials that mostly share dim, modulus and kind; each is redrawn one time in eight."""
+    ma = draw(monomials())
+    own = (ma.dim, ma.modulus, ma.kind)
+    kept = [st.just(value) if draw(st.integers(0, 7)) else fresh for value, fresh in zip(own, (DIMS, MODULI, KINDS))]
+    return ma, draw(monomials(*kept))
+
+
+def _outcome(path, ma, mb):
+    """path's exponent for the pair, or the type and message of the error it raises."""
+    try:
+        return path(ma, mb)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _product_route(ma, mb):
+    """The exponent as sitewise_commutation_phase finds it, from ma.mb and mb.ma on one site."""
+    a = ProductOperator((("s", ma),), ma.modulus)
+    b = ProductOperator((("s", mb),), ma.modulus)
+    phase = sitewise_commutation_phase(a, b)
+    return None if phase is None else phase.k
+
+
+class TestObjectFreeCommutator:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(monomial_pairs())
+    def test_tables_give_the_product_route(self, pair):
+        ma, mb = pair
+        assert _outcome(operators._site_commutator, ma, mb) == _outcome(_product_route, ma, mb)
+        assert _outcome(operators._site_commutator, mb, ma) == _outcome(_product_route, mb, ma)
+
+    def test_refusals_come_in_multiply_order(self):
+        # Dimension or modulus before kind, with multiply's own messages.
+        a = MonomialOperator(2, (1, 0), (0, 1), 2, SiteKind.EDGE_GROUP)
+        for b in (
+            MonomialOperator(3, (0, 1, 2), (0, 0, 0), 2, SiteKind.VERTEX_DUAL),
+            MonomialOperator(2, (0, 1), (0, 0), 4, SiteKind.VERTEX_DUAL),
+            MonomialOperator(2, (0, 1), (0, 1), 2, SiteKind.VERTEX_DUAL),
+        ):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ValueError) as raised:
+                    x.multiply(y)
+                with pytest.raises(ValueError, match=f"^{raised.value}$"):
+                    operators._site_commutator(x, y)

@@ -44,7 +44,7 @@ from latgauge.operators import (
 )
 from latgauge.tensors import contract_pepes
 import dense_compose_oracle
-from algebra_reference import to_complex
+from algebra_reference import dual_identity, to_complex
 import exact_map_oracle
 import fixed_by_oracle
 from test_tensors import _unit_layer_matrix
@@ -393,7 +393,7 @@ class TestStringOrderMapping:
         layer = LayerSpec(Z2, 0, 3, "periodic")
         gmap = build_gauging_map(layer)
         with pytest.raises(ValueError):
-            gmap.charged_pair_ops(2, 1, Z2.dual_identity())
+            gmap.charged_pair_ops(2, 1, dual_identity(Z2))
 
 
 class TestCompose:

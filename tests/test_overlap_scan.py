@@ -257,6 +257,46 @@ class TestRandomSubsets:
             assert first_violation(terms, op) == scan_oracle.first_violation(listed, op)
 
 
+def _dense_json(terms, op) -> dict:
+    """SyndromeMap.as_json as the full label -> phase dict of the scan oracle gives it."""
+    hits = [(lab, ph) for lab, ph in scan_oracle.syndrome_phases(terms, op).items() if ph is None or not ph.is_one]
+    return {
+        "violated_centers": sorted({lab.center for lab, _ in hits}),
+        "violations": [{"label": lab.as_json(), "phase": None if ph is None else ph.k} for lab, ph in hits],
+    }
+
+
+class TestSyndromesStaySparse:
+    """A SyndromeMap stores the violated terms only; the label of every term is read only through phases."""
+
+    def test_confinement_report_reads_no_label_table(self, monkeypatch):
+        calls = []
+        labels = PlacedTerms.labels
+
+        def counted(self):
+            calls.append(len(self))
+            return labels.func(self)
+
+        monkeypatch.setattr(PlacedTerms, "labels", property(counted))
+        z22 = GroupSpec((2, 2))
+        spec = CodeSpec(Lattice2D(z22, 16, 16, "periodic"), twist_even=enumerate_cocycle_classes(z22)[1])
+        report = confinement_report(spec)
+        assert report["single_violations"] == 3 and report["bend_homomorphic"] and report["dipole_constant"]
+        assert calls == []
+        # The count is live: reading one map's phases builds the labels once.
+        terms = build_bulk_stabilizers(spec)
+        (syn,) = syndromes(terms, [dipole_operator(spec, z22.element((1, 0)), 1, 1)])
+        assert calls == [] and len(syn.phases) == len(terms)
+        assert calls == [len(terms)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(scan_cases())
+    def test_json_is_the_dense_violations(self, case):
+        terms, ops = case
+        for op, got in zip(ops, syndromes(terms, ops)):
+            assert got.as_json() == _dense_json(terms, op)
+
+
 class TestMemory:
     """Peak traced memory of the scans on the Z2xZ3 16x16 torus, caches warm.
 

@@ -10,8 +10,8 @@ from latgauge import suite, tensors
 from latgauge.gauging import LayerSpec, build_gauging_map, compose_gauging, initial_state, layer_stack
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes
 from latgauge.cyclotomic import PhaseTensor, mono_mul_left
-from latgauge.operators import SupportState
-from algebra_reference import to_complex, to_dense
+from latgauge.operators import CapExceededError, SupportState
+from algebra_reference import dual_identity, to_complex, to_dense
 from latgauge.tensors import (
     block_diamond,
     build_tensor,
@@ -85,7 +85,7 @@ class TestPullThrough:
         t = build_tensor("T_e", Z3)
         from latgauge.operators import clock_z, shift_x
 
-        x, z = shift_x(Z3.identity()), clock_z(Z3.dual_identity())
+        x, z = shift_x(Z3.identity()), clock_z(dual_identity(Z3))
         dressed = mono_mul_left(t, [(1, x), (0, z)])
         assert dressed == t
 
@@ -183,6 +183,23 @@ class TestMpoEquivalence:
         alpha = enumerate_cocycle_classes(Z22)[1]
         with pytest.raises(ValueError):
             contract_mpo_layer(LayerSpec(Z22, 0, 2, "periodic", alpha))
+
+    def test_criterion_11_contracts_each_layer_once(self):
+        # The stacked networks reuse their group's periodic n = 2 layers.
+        tensors._layer_mpo.cache_clear()
+        report = suite.criterion_tensor_network()
+        info = tensors._layer_mpo.cache_info()
+        assert report["passed"]
+        assert (info.misses, info.hits) == (report["mpo_layers_checked"], 2 * len(suite.PEPES_GROUPS))
+
+    def test_cached_layer_is_read_only_and_still_capped(self, monkeypatch):
+        layer = LayerSpec(Z2, 0, 3, "open")
+        mpo = contract_mpo_layer(layer)
+        assert contract_mpo_layer(layer) is mpo
+        assert not mpo.keys.flags.writeable and not mpo.mults.flags.writeable
+        monkeypatch.setenv("GAUGE_MAX_DIM", "16")
+        with pytest.raises(CapExceededError):
+            contract_mpo_layer(layer)
 
 
 def _unit_layer_matrix(layer):
