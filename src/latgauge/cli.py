@@ -19,7 +19,8 @@ produce byte-identical output.  GAUGE_MAX_DIM sets the amplitude cap
 factors or normal-form cells, before anything is built.  A value that is
 not a positive integer, a cap too small for the checks, and a MemoryError
 in any subcommand (a raised cap can admit more than the machine holds)
-each exit 2 with one `Error:` line.  A code spec file's `group` is a JSON
+each exit 2 with one `Error:` line, and so does a `suite` worker process
+that dies.  A code spec file's `group` is a JSON
 list of integers, and its `n` and `m` are JSON integers.  STATE_TOL is
 `compose`'s `tol`.
 """
@@ -43,7 +44,7 @@ from .gauging import STATE_TOL, CapExceededError, check_cap, dimension_cap, laye
 from .groups import Cocycle, GroupSpec, is_subgroup
 from .lattice import CodeSpec, Lattice2D, build_boundary_terms, build_bulk_stabilizers, logical_operators
 from .operators import ProductOperator
-from .suite import run_suite
+from .suite import WorkerDiedError, run_suite
 from .tensors import mpo_layers
 
 
@@ -66,14 +67,15 @@ def building_config():
 
 
 class _CheckedCommand(click.Command):
-    """Exit 2 on a bad GAUGE_MAX_DIM once the arguments are parsed (so --help works), and on a cap or memory overrun."""
+    """Exit 2 on a bad GAUGE_MAX_DIM once the arguments are parsed (so --help works), on a cap or memory
+    overrun, and when a suite worker process dies."""
 
     def invoke(self, ctx):
         with building_config():
             dimension_cap()
         try:
             return super().invoke(ctx)
-        except CapExceededError as exc:
+        except (CapExceededError, WorkerDiedError) as exc:
             raise ConfigError(str(exc)) from exc
         except MemoryError as exc:  # a raised GAUGE_MAX_DIM can admit a configuration past the machine's memory
             raise ConfigError(f"the {ctx.info_name} checks do not fit in memory: {str(exc) or 'MemoryError'}") from exc

@@ -10,12 +10,10 @@ violated plaquettes (all couplings one).
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .groups import GroupElement, PhaseExponent
-from .lattice import CodeSpec, build_bulk_stabilizers, overlap_phases, term_labels
+from .lattice import CodeSpec, build_bulk_stabilizers, overlap_phases
 from .operators import ProductOperator, clock_z, commutation_phase, corner_factors, shift_x
 
 MAX_STRING_LENGTH = 3  # longest confined string and tallest dipole in confinement_report
@@ -28,23 +26,10 @@ class SyndromeMap:
     violations holds (term, phase) of each term the op violates, in term
     order, as lattice.overlap_phases lists them: phase is a PhaseExponent
     other than one, or None for a commutator that is not scalar.  Every
-    other term of terms has eigenvalue one, so phases, the label -> phase
-    dict over all terms, is built only when it is read.
+    other term has eigenvalue one, so no label or phase is stored for it.
     """
 
-    terms: Sequence
     violations: list
-    modulus: int
-
-    @functools.cached_property
-    def phases(self) -> dict:
-        """StabilizerLabel -> PhaseExponent | None for every term, in term order."""
-        phases = dict.fromkeys(term_labels(self.terms), PhaseExponent.one(self.modulus))
-        phases.update((t.label, ph) for t, ph in self.violations)
-        return phases
-
-    def violated_terms(self) -> list:
-        return [t.label for t, _ in self.violations]
 
     def violated_centers(self) -> set:
         return {t.label.center for t, _ in self.violations}
@@ -65,12 +50,11 @@ def syndromes(terms, ops) -> list[SyndromeMap]:
     violates and checks the moduli.  Only those terms are built: no label
     or phase is stored for a term an op does not violate.
     """
-    ops = list(ops)
-    return [SyndromeMap(terms, hits, op.modulus) for op, hits in zip(ops, overlap_phases(terms, ops))]
+    return [SyndromeMap(hits) for hits in overlap_phases(terms, ops)]
 
 
 def syndrome(terms, op: ProductOperator) -> SyndromeMap:
-    """Phase of every term on op, in term order."""
+    """The SyndromeMap of one op over the terms."""
     return syndromes(terms, [op])[0]
 
 

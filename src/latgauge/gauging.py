@@ -162,6 +162,15 @@ class LayerSpec:
         what = f"the exact tensor of layer {self.index} ({self.boundary})"
         check_cap(what, self.group.size, self.exact_sites, self.group.phase_modulus)
 
+    @functools.cached_property
+    def gauss_corners(self) -> dict:
+        """label -> operators.corner_factors(twist, label) for every label the layer gauges, built once per spec.
+
+        Every Gauss law of the layer, at any matter site, is a plaquette of
+        these factors; the map's terms and the stack symmetries read them.
+        """
+        return {label: corner_factors(self.twist, label) for label in self.labels()}
+
     def matter_sites(self) -> list[tuple]:
         return [((self.index, x2), self.matter_kind) for x2 in self.matter_positions()]
 
@@ -203,9 +212,10 @@ class GaugingMap:
     def _gauss_corners(self, i: int, label) -> list[tuple]:
         """(site, factor) of the west, south, east and north corners of the Gauss law at matter site i.
 
-        The plaquette around the new-row face above matter site i, with
-        operators.corner_factors: west and east on the new row, south on the
-        matter site, north on the row the next layer adds.
+        The plaquette around the new-row face above matter site i, with the
+        layer's gauss_corners of `label`, one of the labels it gauges: west
+        and east on the new row, south on the matter site, north on the row
+        the next layer adds.
         """
         layer = self.layer
         x2 = layer.matter_positions()[i]
@@ -213,7 +223,7 @@ class GaugingMap:
         lpos, rpos = x2 - 1, x2 + 1
         if layer.boundary == "periodic":
             lpos, rpos = lpos % (2 * layer.n), rpos % (2 * layer.n)
-        west, east, north, south = corner_factors(layer.twist, label)
+        west, east, north, south = layer.gauss_corners[label]
         return [((row + 1, lpos), west), ((row, x2), south), ((row + 1, rpos), east), ((row + 2, x2), north)]
 
     def local_symmetry_op(self, i: int, label) -> ProductOperator:

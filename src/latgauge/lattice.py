@@ -300,11 +300,6 @@ def _placement(terms) -> Placement:
     return terms.placement if isinstance(terms, PlacedTerms) else place([t.op for t in terms])
 
 
-def term_labels(terms) -> list[StabilizerLabel]:
-    """The labels of terms, in order; placed terms build them without building a term."""
-    return terms.labels if isinstance(terms, PlacedTerms) else [t.label for t in terms]
-
-
 def check_all_commute(terms) -> dict:
     """Exact pairwise commutation report over the pairs of terms that share a site.
 
@@ -524,7 +519,9 @@ def orbit_eigenspace_dimension(ops, sites, group: GroupSpec) -> int:
         frontier = np.flatnonzero(reached)
     for perm, phase in moving:
         broken |= theta[perm] != (theta + phase) % L
-    return int(np.count_nonzero(is_root)) - np.unique(root[broken]).size
+    broken_roots = np.zeros(total, dtype=bool)
+    broken_roots[root[broken]] = True
+    return int(np.count_nonzero(is_root)) - int(np.count_nonzero(broken_roots))
 
 
 def ground_space_dimension_dense(spec: CodeSpec, dim_cap: int = DENSE_ORACLE_CAP) -> int:

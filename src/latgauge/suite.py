@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import time
 from fractions import Fraction
 
@@ -402,7 +403,7 @@ def criterion_rainbow() -> dict:
         for n_pairs in (0, 1, 2, 3):
             out = zero_dim_gauge(group, _trivial_site(group), n_pairs)
             left, right = np.divmod(out.keys, size ** (n_pairs + 1))  # keys are sorted, so left is too
-            one_each = np.array_equal(left, np.arange(size**n_pairs)) and np.unique(right).size == right.size
+            one_each = np.array_equal(left, np.arange(size**n_pairs)) and np.bincount(right).max() == 1
             checks.append(one_each and not out.roots.any())
             checks.append(out.norm() == 1.0)
     # the two-site pair for the order-two group is the uniform diagonal pair |000> + |101>
@@ -431,21 +432,79 @@ CRITERIA = [
 ]
 
 
+# Submitted to the pool first, longest first, so the short criteria fill the
+# other CPUs around them instead of leaving one of these to run alone at the end.
+HEAVIEST = (criterion_tensor_network, criterion_ground_untwisted, criterion_ground_twisted)
+
+
+class WorkerDiedError(RuntimeError):
+    """A worker process of the suite ended before it returned its criterion's report."""
+
+
+def submission_order() -> list[int]:
+    """Indices into CRITERIA: those of HEAVIEST in its order, then the rest in CRITERIA order."""
+    rank = {fn: k for k, fn in enumerate(HEAVIEST)}
+    return sorted(range(len(CRITERIA)), key=lambda i: rank.get(CRITERIA[i], len(HEAVIEST)))
+
+
+def _timed(index: int) -> tuple[dict, float]:
+    """The report of CRITERIA[index] and the seconds it took."""
+    t0 = time.time()
+    return CRITERIA[index](), time.time() - t0
+
+
 def run_suite(echo=None) -> dict:
     """Run every criterion and return the report, which counts the skipped checks.
+
+    The criteria share no state, so they run in forked worker processes,
+    one per usable CPU (the affinity mask) and at most one per criterion,
+    HEAVIEST first.  On one usable CPU, or on a platform without an
+    affinity mask or os.fork, they run in this process instead.  Either way the reports come back in
+    CRITERIA order, and echo prints each with the time its own process
+    measured.  As in a serial run, the exception of the lowest-index
+    criterion that raised is raised, with its type and message; the
+    criteria not yet started are cancelled, and a worker that dies raises
+    WorkerDiedError.  No worker outlives the call.
 
     Reports are fully deterministic: timings are echoed for humans but
     kept out of the returned dict, so identical configurations serialize
     byte-identically.
     """
     results = []
-    for fn in CRITERIA:
-        t0 = time.time()
-        rep = fn()
+
+    def record(rep: dict, seconds: float) -> None:
         results.append(rep)
         if echo is not None:
-            echo(f"[{rep['status'][:4].upper()}] {rep['name']} ({time.time() - t0:.2f}s)")
+            echo(f"[{rep['status'][:4].upper()}] {rep['name']} ({seconds:.2f}s)")
             for skip in rep.get("skipped_over_cap", ()):
                 config = " ".join(f"{k}={v}" for k, v in skip["config"].items())
                 echo(f"[SKIP] {rep['name']}: {skip['check']} at {config}: {skip['reason']}")
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(CRITERIA))
+    if workers < 2 or not hasattr(os, "fork"):
+        for index in range(len(CRITERIA)):
+            record(*_timed(index))
+    else:
+        # Imported here: the pool takes about 20 ms to import, which a
+        # one-CPU run, every other command and every set-up never pay.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        # fork, not spawn: a spawned worker imports numpy and the library
+        # again, about 0.2 s, most of a whole run.  The workers are forked
+        # before the pool starts its own threads.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = {index: pool.submit(_timed, index) for index in submission_order()}
+            for index in range(len(CRITERIA)):
+                record(*futures[index].result())
+        except BrokenProcessPool as exc:
+            raise WorkerDiedError(
+                "a suite worker process ended before it returned its report (it exited or was killed,"
+                " for instance by the out-of-memory killer)"
+            ) from exc
+        finally:
+            pool.shutdown(cancel_futures=True)
     return envelope("suite", {}, results, skipped=sum(len(r.get("skipped_over_cap", ())) for r in results))

@@ -2,9 +2,10 @@
 
 A cocycle's value as a PhaseExponent, a PhaseExponent's complex value,
 the exhaustive cocycle condition, a monomial's dense complex matrix, a
-PhaseTensor's dense complex array, the trivial character and the product
-of two characters: each restates the library's integer data in the form
-a textbook check compares against.
+PhaseTensor's dense complex array, the trivial character, the product
+of two characters, the labels of a list of terms and a syndrome's full
+label -> phase table: each restates the library's integer data in the
+form a textbook check compares against.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import math
 import numpy as np
 
 from latgauge.cyclotomic import PhaseTensor
+from latgauge.excitations import SyndromeMap, syndrome
 from latgauge.groups import Cocycle, DualCharacter, GroupMismatchError, GroupSpec, PhaseExponent
-from latgauge.operators import MonomialOperator
+from latgauge.lattice import PlacedTerms, StabilizerLabel
+from latgauge.operators import MonomialOperator, ProductOperator
 
 
 def evaluate(alpha: Cocycle, a, b) -> PhaseExponent:
@@ -74,3 +77,25 @@ def character_product(chi: DualCharacter, psi: DualCharacter) -> DualCharacter:
     if chi.group != psi.group:
         raise GroupMismatchError("characters from different groups")
     return chi.group.character(chi.group.add_exps(chi.exps, psi.exps))
+
+
+def term_labels(terms) -> list[StabilizerLabel]:
+    """The labels of terms, in order; placed terms build them without building a term."""
+    return terms.labels if isinstance(terms, PlacedTerms) else [t.label for t in terms]
+
+
+def phase_table(terms, op: ProductOperator, syn: SyndromeMap | None = None) -> dict:
+    """StabilizerLabel -> PhaseExponent | None for every term, in term order, on op.
+
+    syn, syndrome(terms, op) when not given, lists the violated terms; every
+    other term has phase one.
+    """
+    syn = syndrome(terms, op) if syn is None else syn
+    phases = dict.fromkeys(term_labels(terms), PhaseExponent.one(op.modulus))
+    phases.update((t.label, ph) for t, ph in syn.violations)
+    return phases
+
+
+def violated_labels(syn: SyndromeMap) -> list[StabilizerLabel]:
+    """The labels of the terms syn lists as violated, in term order."""
+    return [t.label for t, _ in syn.violations]

@@ -972,6 +972,29 @@ class TestRowEntryCache:
         assert len(moved) == built
 
 
+class TestGaussCornersOncePerLayer:
+    @pytest.mark.parametrize(
+        "group, n, num_layers, boundary, twisted",
+        [(Z2, 4, 4, "periodic", False), (Z3, 3, 3, "periodic", False), (Z22, 2, 4, "periodic", True), (Z2, 2, 4, "open", False)],
+        ids=["z2", "z3", "z22-twisted", "z2-open"],
+    )
+    def test_map_terms_and_stack_symmetries_share_the_corners(self, monkeypatch, group, n, num_layers, boundary, twisted):
+        # One operators.corner_factors call per layer and label, shared by
+        # the map's terms and the stack symmetries, not one per matter site.
+        alpha = enumerate_cocycle_classes(group)[1] if twisted else None
+        layers = layer_stack(group, n, num_layers, boundary, twist_even=alpha, twist_odd=alpha)
+        gauging._layer_row_entries.cache_clear()
+        calls = []
+        original = gauging.corner_factors
+        monkeypatch.setattr(gauging, "corner_factors", lambda twist, label: calls.append(label) or original(twist, label))
+        state = compose_gauging(layers, initial_state(group, layers[0]))
+        local = verify_local_symmetry(state, layers)
+        assert local["passed"] and local["num_checked"] == sum(layer.n * group.size for layer in layers)
+        assert len(calls) == sum(len(layer.labels()) for layer in layers)
+        for layer in layers:
+            assert layer.gauss_corners == {label: original(layer.twist, label) for label in layer.labels()}
+
+
 def nested_pairs_oracle(group, psi, n_pairs):
     """zero_dim_gauge the long way: one pair stacked behind the state per round, then the sites reordered.
 

