@@ -48,6 +48,10 @@ from .operators import (
 )
 
 DENSE_ORACLE_CAP = 2**14  # amplitudes up to which reports run the dense oracle
+# Translates (n m / 2) of a torus code from which check_all_commute reads one
+# unit cell of terms.  The two passes break even near 16 on Z2xZ2 (warm, 4x8
+# torus); the crossover falls with |G|, from beyond 32 on Z2 to under 8 on Z2xZ3.
+TEMPLATE_TRANSLATES = 16
 READABLE_DIGITS = 16  # a longer amplitude count in the dense oracle's refusal prints as |G|**sites
 
 
@@ -81,33 +85,16 @@ class Lattice2D:
         return SiteKind.VERTEX_DUAL if j % 2 == 0 else SiteKind.EDGE_GROUP
 
     def sites(self) -> list[tuple]:
-        out = []
-        for j in self.rows:
-            kind = self.site_kind(j)
-            for x2 in self.row_positions(j):
-                out.append(((j, x2), kind))
-        return out
+        return [(s, self.site_kind(s[0])) for s in _site_table(self.n, len(self.rows))]
 
     def wrap(self, j: int, x2: int) -> tuple[int, int]:
         if self.vertical == "periodic":
             j %= self.m
         return (j, x2 % (2 * self.n))
 
-    def has_row(self, j: int) -> bool:
-        if self.vertical == "periodic":
-            return True
-        return 0 <= j <= self.m
-
     def plaquette_centers(self) -> list[tuple[int, int]]:
         """Face centers (j, c); the label family follows the parity of j."""
-        centers = []
-        for j in self.rows:
-            if self.vertical == "open" and not (self.has_row(j - 1) and self.has_row(j + 1)):
-                continue
-            c_parity = (j + 1) % 2
-            for x2 in [(c_parity + 2 * k) for k in range(self.n)]:
-                centers.append((j, x2))
-        return centers
+        return [(j, c) for j, c in _centers(self).tolist()]
 
     @property
     def num_sites(self) -> int:
@@ -174,7 +161,8 @@ class PlacedTerms(Sequence):
     """The terms of a code as integer arrays; read-only.
 
     placement holds the ops; term i has the center centers[i] and the
-    (family, exps) label_table[label_id[i]].  A StabilizerTerm is built
+    (family, exps) label_table[label_id[i]].  lattice is the lattice the
+    terms were built on, None when unknown.  A StabilizerTerm is built
     only when indexed or iterated; a slice raises TypeError.
     """
 
@@ -182,6 +170,7 @@ class PlacedTerms(Sequence):
     centers: np.ndarray
     label_id: np.ndarray
     label_table: tuple
+    lattice: Lattice2D | None = None
 
     def __len__(self) -> int:
         return len(self.label_id)
@@ -241,7 +230,7 @@ def build_bulk_stabilizers(spec: CodeSpec) -> PlacedTerms:
             ids.append([-1 if mono.is_identity else factors.setdefault(mono, len(factors)) for mono in corners])
             label_table.append((family, label.exps))
         fids.append(ids)
-    centers = np.array(lat.plaquette_centers(), dtype=np.int64).reshape(-1, 2)
+    centers = _centers(lat)
     j, c = centers.T
     rows = np.stack([j, j, j + 1, j - 1], axis=1) % len(lat.rows)
     x2 = np.stack([c - 1, c + 1, c, c], axis=1) % (2 * lat.n)
@@ -252,9 +241,22 @@ def build_bulk_stabilizers(spec: CodeSpec) -> PlacedTerms:
     kept = fid >= 0
     start = np.concatenate(([0], np.cumsum(kept.sum(axis=2).ravel())))
     site = np.broadcast_to(sites[:, None, :], fid.shape)[kept]
-    placement = Placement(start, site, fid[kept], [s for s, _ in lat.sites()], list(factors), group.phase_modulus)
+    table = _site_table(lat.n, len(lat.rows))
+    placement = Placement(start, site, fid[kept], table, list(factors), group.phase_modulus)
     label_id = ((j % 2)[:, None] * size + np.arange(size)).ravel()
-    return PlacedTerms(placement, np.repeat(centers, size, axis=0), label_id, tuple(label_table))
+    return PlacedTerms(placement, np.repeat(centers, size, axis=0), label_id, tuple(label_table), lat)
+
+
+def _centers(lat: Lattice2D) -> np.ndarray:
+    """The face centers (j, c), one array row each: n per lattice row, rows 1..m-1 on a cylinder."""
+    j = np.repeat(np.arange(lat.m) if lat.vertical == "periodic" else np.arange(1, lat.m), lat.n)
+    return np.stack([j, (j + 1) % 2 + 2 * (np.arange(j.size) % lat.n)], axis=1)
+
+
+@functools.lru_cache(maxsize=8)
+def _site_table(n: int, rows: int) -> tuple:
+    """The site ids (j, x2), site number row * n + x2 // 2; shared by every lattice of one shape."""
+    return tuple((j, j % 2 + 2 * k) for j in range(rows) for k in range(n))
 
 
 def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
@@ -303,14 +305,34 @@ def _placement(terms) -> Placement:
 def check_all_commute(terms) -> dict:
     """Exact pairwise commutation report over the pairs of terms that share a site.
 
-    One operators.overlap_exponents pass gives the commutation exponent of
-    every pair (a, b), a < b, that shares a site, in (a, b) order, so
-    pairs_checked counts exactly the overlapping pairs and violations come
-    in (a, b) order, with phase None for a commutator that is not scalar.
-    Disjoint pairs commute and are not visited.  The terms must share one
-    phase modulus.  Placed terms give their arrays, and only the terms of a
-    violation are built.
+    pairs_checked counts the pairs (a, b), a < b, that share a site;
+    violations lists those whose commutator is not 1, in (a, b) order, with
+    phase None for a commutator that is not scalar.  The terms must share
+    one phase modulus.  The placed terms of a torus with at least
+    TEMPLATE_TRANSLATES translates take the template pass (_by_template);
+    term lists, cylinders and smaller tori, and every torus the template
+    pass cannot vouch for, take the direct pass (_directly), which alone
+    lists violations.  Both give the same report.
     """
+    lat = terms.lattice if isinstance(terms, PlacedTerms) else None
+    if lat is not None and lat.n * lat.m // 2 >= TEMPLATE_TRANSLATES:
+        report = _by_template(terms)
+        if report is not None:
+            return report
+    return _directly(terms)
+
+
+def _commute_report(pairs_checked: int, violations: list) -> dict:
+    return {
+        "name": "all_commute",
+        "passed": not violations,
+        "pairs_checked": pairs_checked,
+        "violations": violations,
+    }
+
+
+def _directly(terms) -> dict:
+    """check_all_commute by one overlap_exponents pass over the terms; only violating terms are built."""
     violations = []
     pairs_checked = 0
     for a, b, k in overlap_exponents(_placement(terms)):
@@ -320,12 +342,56 @@ def check_all_commute(terms) -> dict:
             violations.append(
                 {"a": terms[ia].label.as_json(), "b": terms[ib].label.as_json(), "phase": None if kk < 0 else kk}
             )
-    return {
-        "name": "all_commute",
-        "passed": not violations,
-        "pairs_checked": pairs_checked,
-        "violations": violations,
-    }
+    return _commute_report(pairs_checked, violations)
+
+
+def _by_template(terms) -> dict | None:
+    """check_all_commute of torus terms from one unit cell, or None when it cannot vouch for them.
+
+    The bulk terms of an n x m torus repeat under a shift by one column and
+    two rows: n m / 2 translates of a unit cell, the |G| terms of the first
+    center of each row parity.  Every term must be its cell term
+    translated: the same factor ids at the same site offsets from the
+    center, mod the torus.  Labels are not compared, as they name only
+    violations, which the direct pass lists.  One overlap_exponents pass of
+    the cell against every term then gives every overlapping pair's
+    commutator up to a translation, wrap-around included; when all are 1,
+    pairs_checked is the cell's partners times n m / 2, halved.
+    """
+    lat = terms.lattice if isinstance(terms, PlacedTerms) else None
+    if lat is None:
+        return None
+    placed, n, m, size = terms.placement, lat.n, lat.m, lat.group.size
+    # A cylinder's site table has m + 1 rows, so only the terms of a torus pass.
+    if tuple(placed.sites) != _site_table(n, m) or not np.array_equal(
+        terms.centers, np.repeat(_centers(lat), size, axis=0)
+    ):
+        return None
+    index = np.arange(len(terms))
+    cell_term = (index // (n * size) % 2) * (n * size) + index % size
+    count = np.diff(placed.start)
+    term = np.repeat(index, count)
+    j, c = terms.centers[term].T
+    row, col = np.divmod(placed.site, n)
+    offset = (row - j) % m * (2 * n) + (2 * col + row % 2 - c) % (2 * n)
+    keys = np.full((len(terms), count.max()), -1, dtype=np.int64)
+    keys[term, np.arange(term.size) - placed.start[term]] = offset * len(placed.factors) + placed.fid
+    keys.sort(axis=1)
+    if not np.array_equal(keys, keys[cell_term]):
+        return None
+    in_cell = cell_term == index
+    cell = np.flatnonzero(in_cell)
+    on = in_cell[term]
+    unit = Placement(
+        np.concatenate(([0], np.cumsum(count[cell]))), placed.site[on], placed.fid[on],
+        placed.sites, placed.factors, placed.modulus,
+    )
+    partners = 0
+    for a, b, k in overlap_exponents(unit, placed):
+        if k.any():
+            return None
+        partners += int(np.count_nonzero(b != cell[a]))
+    return _commute_report(partners * (n * m // 2) // 2, [])
 
 
 def overlap_phases(terms, ops) -> list[list[tuple]]:

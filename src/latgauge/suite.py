@@ -432,9 +432,26 @@ CRITERIA = [
 ]
 
 
-# Submitted to the pool first, longest first, so the short criteria fill the
-# other CPUs around them instead of leaving one of these to run alone at the end.
-HEAVIEST = (criterion_tensor_network, criterion_ground_untwisted, criterion_ground_twisted)
+# Every criterion, longest first, as timed one after another in one process
+# (best of three, ms, on a shared 2-CPU host): 97, 82, 63, 24, 22, 20, 16, 14,
+# 9, 8, then 2 or less.  The pool is handed them in this order, so the run
+# ends on the short ones, not on one long criterion left to run alone while
+# the other CPUs idle.
+LONGEST_FIRST = (
+    criterion_tensor_network,
+    criterion_ground_untwisted,
+    criterion_ground_twisted,
+    criterion_commutation,
+    criterion_frustration_free,
+    criterion_condensation,
+    criterion_emergent_symmetry,
+    criterion_string_order_mapping,
+    criterion_twisted_plaquette_product,
+    criterion_braiding,
+    criterion_confinement,
+    criterion_rainbow,
+    criterion_flux_fusion,
+)
 
 
 class WorkerDiedError(RuntimeError):
@@ -442,9 +459,9 @@ class WorkerDiedError(RuntimeError):
 
 
 def submission_order() -> list[int]:
-    """Indices into CRITERIA: those of HEAVIEST in its order, then the rest in CRITERIA order."""
-    rank = {fn: k for k, fn in enumerate(HEAVIEST)}
-    return sorted(range(len(CRITERIA)), key=lambda i: rank.get(CRITERIA[i], len(HEAVIEST)))
+    """Indices into CRITERIA in LONGEST_FIRST order; a criterion not listed there comes last, in CRITERIA order."""
+    rank = {fn: k for k, fn in enumerate(LONGEST_FIRST)}
+    return sorted(range(len(CRITERIA)), key=lambda i: rank.get(CRITERIA[i], len(LONGEST_FIRST)))
 
 
 def _timed(index: int) -> tuple[dict, float]:
@@ -458,7 +475,7 @@ def run_suite(echo=None) -> dict:
 
     The criteria share no state, so they run in forked worker processes,
     one per usable CPU (the affinity mask) and at most one per criterion,
-    HEAVIEST first.  On one usable CPU, or on a platform without an
+    handed out in LONGEST_FIRST order.  On one usable CPU, or on a platform without an
     affinity mask or os.fork, they run in this process instead.  Either way the reports come back in
     CRITERIA order, and echo prints each with the time its own process
     measured.  As in a serial run, the exception of the lowest-index

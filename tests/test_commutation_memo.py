@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latgauge import operators
+from latgauge import lattice, operators
 from latgauge.groups import GroupMismatchError, GroupSpec, PhaseExponent, enumerate_cocycle_classes
 from latgauge.lattice import CodeSpec, Lattice2D, build_bulk_stabilizers, check_all_commute
 from latgauge.operators import (
@@ -160,12 +160,32 @@ class TestWorkDoesNotGrowWithTheLattice:
         ],
     )
     def test_site_commutator_misses_do_not_depend_on_size(self, orders, twisted, sizes, misses):
+        # The direct pass, which check_all_commute takes on small tori.
         group = GroupSpec(orders)
         alpha = enumerate_cocycle_classes(group)[1] if twisted else None
         for size in sizes:
             _clear_caches()
             spec = CodeSpec(Lattice2D(group, size, size, "periodic"), twist_even=alpha)
-            assert check_all_commute(build_bulk_stabilizers(spec))["passed"]
+            assert lattice._directly(build_bulk_stabilizers(spec))["passed"]
+            assert operators._site_commutator.cache_info().misses == misses
+
+    @pytest.mark.parametrize(
+        "orders,twisted,sizes,misses",
+        [
+            ((2, 2), False, (4, 8, 16), 72),
+            ((2, 2), True, (4, 8, 16), 117),
+            ((4, 2), False, (4, 8, 12), 392),
+        ],
+    )
+    def test_template_misses_do_not_depend_on_size(self, orders, twisted, sizes, misses):
+        # The unit cell meets every term in both orders, so a twisted code
+        # looks up some factor pairs the direct pass meets in one order only.
+        group = GroupSpec(orders)
+        alpha = enumerate_cocycle_classes(group)[1] if twisted else None
+        for size in sizes:
+            _clear_caches()
+            spec = CodeSpec(Lattice2D(group, size, size, "periodic"), twist_even=alpha)
+            assert lattice._by_template(build_bulk_stabilizers(spec))["passed"]
             assert operators._site_commutator.cache_info().misses == misses
 
     @pytest.mark.parametrize("spec", _suite_tori())

@@ -7,10 +7,15 @@ give what `scan_oracle` gives by comparing everything; a term broken by
 one wrong phase must give the same violations; a modulus mismatch must
 still raise; and the batched pass must count every overlapping pair and
 call the site commutator once per distinct pair of factors that meet on
-a site.
+a site.  The algebra path (check_all_commute, logical_operators and
+confinement_report on a large twisted torus) must not import numpy.ma.
 """
 
 import functools
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -19,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latgauge
 import scan_oracle
 from algebra_reference import phase_table
 from latgauge import excitations, lattice, operators
@@ -395,9 +401,11 @@ class TestWorkIsOnePerOverlappingPair:
         return pairs
 
     def test_check_all_commute(self, spec, monkeypatch):
+        # The direct pass; a torus this large takes the template pass, which
+        # tests/test_routes.py compares with it.
         terms = build_bulk_stabilizers(spec)
         calls = self._count(monkeypatch)
-        report = check_all_commute(terms)
+        report = lattice._directly(terms)
         assert report["passed"]
         assert report["pairs_checked"] == len(scan_oracle.candidate_pairs(terms))
         assert len(calls) == len(set(calls))
@@ -443,3 +451,24 @@ class TestWorkIsOnePerOverlappingPair:
         assert set(calls[:pass_calls]) == self._distinct_factor_pairs([t.op for t in terms], ops, upper=False)
         for op, got in zip(ops, original_syndromes(terms, ops)):
             assert phase_table(terms, op, got) == scan_oracle.syndrome_phases(terms, op)
+
+
+def test_algebra_path_never_imports_numpy_ma():
+    # np.unique reaches numpy.ma through np.ma.is_masked, about 1 MB of
+    # resident memory; the template pass and the scans count without it.
+    src = str(pathlib.Path(latgauge.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from latgauge import excitations, lattice\n"
+        "from latgauge.groups import GroupSpec, enumerate_cocycle_classes\n"
+        "group = GroupSpec((2, 2))\n"
+        "spec = lattice.CodeSpec(lattice.Lattice2D(group, 16, 16), twist_even=enumerate_cocycle_classes(group)[1])\n"
+        "assert lattice.check_all_commute(lattice.build_bulk_stabilizers(spec))['passed']\n"
+        "assert any(not lo.commutes for lo in lattice.logical_operators(spec))\n"
+        "assert excitations.confinement_report(spec, group.element((1, 0)))['single_violations'] == 3\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

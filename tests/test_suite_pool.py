@@ -63,15 +63,35 @@ def _without_times(output: str) -> list[str]:
     return [line.rsplit(" (", 1)[0] if line.startswith("[PASS]") else line for line in output.splitlines()]
 
 
-def test_submission_order_is_a_permutation_heaviest_first():
+def test_submission_order_is_longest_first():
     order = suite.submission_order()
     assert sorted(order) == list(range(len(suite.CRITERIA)))
-    heavy = len(suite.HEAVIEST)
-    assert [suite.CRITERIA[i] for i in order[:heavy]] == list(suite.HEAVIEST)
-    assert order[heavy:] == sorted(order[heavy:])
+    assert sorted(suite.LONGEST_FIRST, key=suite.CRITERIA.index) == suite.CRITERIA
+    assert [suite.CRITERIA[i].__name__.removeprefix("criterion_") for i in order] == [
+        "tensor_network",
+        "ground_untwisted",
+        "ground_twisted",
+        "commutation",
+        "frustration_free",
+        "condensation",
+        "emergent_symmetry",
+        "string_order_mapping",
+        "twisted_plaquette_product",
+        "braiding",
+        "confinement",
+        "rainbow",
+        "flux_fusion",
+    ]
 
 
-def test_pool_is_handed_the_heaviest_first(monkeypatch):
+def test_unlisted_criteria_come_last_in_criteria_order(monkeypatch):
+    _stubs(monkeypatch)
+    assert suite.submission_order() == list(range(len(suite.CRITERIA)))
+    monkeypatch.setattr(suite, "CRITERIA", [*suite.CRITERIA[:2], suite.criterion_braiding, suite.CRITERIA[3]])
+    assert suite.submission_order() == [2, 0, 1, 3]
+
+
+def test_pool_is_handed_the_longest_first(monkeypatch):
     from concurrent.futures import ProcessPoolExecutor
 
     submitted = []
@@ -85,7 +105,7 @@ def test_pool_is_handed_the_heaviest_first(monkeypatch):
     monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
     assert suite.run_suite()["passed"]
     assert submitted == suite.submission_order()
-    assert [suite.CRITERIA[i] for i in submitted[:3]] == list(suite.HEAVIEST)
+    assert [suite.CRITERIA[i] for i in submitted] == list(suite.LONGEST_FIRST)
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS], ids=["one-cpu", "two-cpus"])
