@@ -72,19 +72,15 @@ def build_fixed_point_state(group: GroupSpec, subgroup, n: int) -> SymmetricStat
     if size**n > 2**63:
         raise ValueError(f"a chain of {n} sites indexes more basis states than int64 keys hold")
     allowed = [group.index_of(chi.exps) for chi in restricted_characters(group, subgroup)]
-    # times[a, j]: the index of character a times allowed character j; inverse[a]: of a's inverse.
-    times = np.array(
-        [[group.index_of(group.add_exps(group.exps_of(a), group.exps_of(b))) for b in allowed] for a in range(size)],
-        dtype=np.min_scalar_type(size - 1),
-    )
-    inverse = np.array([group.index_of(group.neg_exps(group.exps_of(a))) for a in range(size)])
+    # times[a, j]: the index of character a times allowed character j.
+    times = group.add[:, allowed].astype(np.min_scalar_type(size - 1))
     # Sites 0..n-2 take every allowed character as mixed-radix digits, tracking
     # their product; the last site takes its inverse.
     keys, product = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=times.dtype)
     for _ in range(n - 1):
         keys = (keys[:, None] * size + allowed).ravel()
         product = times[product].ravel()
-    keys = np.sort(keys * size + inverse[product])
+    keys = np.sort(keys * size + group.neg[product])
     layout = (tuple((0, 2 * k) for k in range(n)), (SiteKind.VERTEX_DUAL,) * n, (size,) * n)
     state = SupportState(*layout, group.phase_modulus, keys, np.zeros_like(keys), Fraction(1, keys.size))
     return SymmetricState1D(group, n, state)

@@ -538,10 +538,9 @@ def zero_dim_gauge(group: GroupSpec, psi: SupportState, n_pairs: int) -> Support
         raise ValueError("input state is not symmetric under the site representation")
     size = group.size
     labels = np.arange(size)
-    inverse = np.array([group.index_of(group.neg_exps(group.exps_of(j))) for j in labels])
     keys = psi.keys
     for k in range(n_pairs):
-        keys = ((labels[:, None] * size ** (2 * k + 1) + keys) * size + inverse[:, None]).reshape(-1)
+        keys = ((labels[:, None] * size ** (2 * k + 1) + keys) * size + group.neg[:, None]).reshape(-1)
     lefts = tuple(("pair", k, "left") for k in range(n_pairs, 0, -1))
     rights = tuple(("pair", k, "right") for k in range(1, n_pairs + 1))
     edges = (SiteKind.EDGE_GROUP,) * n_pairs

@@ -16,14 +16,21 @@ cocycles
     alpha(a, b) = prod_{i<j} exp(2 pi i p[i][j] a[j] b[i] / gcd(n_i, n_j)),
 
 one representative per class, with p strictly upper triangular.
+
+Routines over every element read the law off read-only int64 tables on
+index_of's numbering, built once per group (add, neg, pair) and once per
+cocycle class (table); the scalar helpers combine one pair of elements.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import reduce
+
+import numpy as np
 
 
 class GroupMismatchError(ValueError):
@@ -35,11 +42,16 @@ class GroupSpec:
     orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
+        try:  # int() would turn 2.7 or "3" into another group; operator.index refuses them
+            object.__setattr__(self, "orders", tuple(operator.index(n) for n in self.orders))
+        except TypeError:
+            raise ValueError(f"cyclic factor orders must be integers, not {self.orders!r}") from None
         if not self.orders:
             raise ValueError("at least one cyclic factor is required")
         if any(n < 2 for n in self.orders):
             raise ValueError("cyclic factor orders must be >= 2")
+        # strides[i]: the index of factor i's unit element, so index_of(exps) = exps . strides.
+        object.__setattr__(self, "strides", tuple(math.prod(self.orders[i + 1 :]) for i in range(len(self.orders))))
 
     @property
     def size(self) -> int:
@@ -52,7 +64,7 @@ class GroupSpec:
         lcm of the factor orders; every gcd(n_i, n_j) divides it, so the
         bilinear cocycle phases land in the same Z_L.
         """
-        return reduce(math.lcm, self.orders)
+        return functools.reduce(math.lcm, self.orders)
 
     # -- element and character encodings ---------------------------------
 
@@ -71,17 +83,10 @@ class GroupSpec:
         return GroupElement(self, (0,) * len(self.orders))
 
     def index_of(self, exps: tuple[int, ...]) -> int:
-        idx = 0
-        for e, n in zip(exps, self.orders):
-            idx = idx * n + e
-        return idx
+        return sum(map(operator.mul, exps, self.strides))
 
     def exps_of(self, index: int) -> tuple[int, ...]:
-        exps = []
-        for n in reversed(self.orders):
-            exps.append(index % n)
-            index //= n
-        return tuple(reversed(exps))
+        return tuple(int(e) for e in np.unravel_index(index, self.orders))
 
     def elements(self):
         for exps in itertools.product(*(range(n) for n in self.orders)):
@@ -104,6 +109,50 @@ class GroupSpec:
         for c, g, n in zip(chi_exps, g_exps, self.orders):
             k += (L // n) * c * g
         return k % L
+
+    # -- the group law as tables, one row per element index --------------------
+
+    @property
+    @functools.cache
+    def digits(self) -> np.ndarray:
+        """digits[a] = exps_of(a), shape (size, k)."""
+        return _read_only(np.indices(self.orders).reshape(len(self.orders), -1).T)
+
+    @property
+    @functools.cache
+    def add(self) -> np.ndarray:
+        """add[a, b]: the index of a + b."""
+        return _read_only((self.digits[:, None] + self.digits) % self.orders @ self.strides)
+
+    @property
+    @functools.cache
+    def neg(self) -> np.ndarray:
+        """neg[a]: the index of -a."""
+        return _read_only(-self.digits % self.orders @ self.strides)
+
+    @property
+    @functools.cache
+    def pair(self) -> np.ndarray:
+        """pair[chi, g]: the exponent k mod L with chi(g) = w**k."""
+        weights = self.phase_modulus // np.array(self.orders)
+        return _read_only(self.digits * weights @ self.digits.T % self.phase_modulus)
+
+    def character_of(self, values) -> "DualCharacter":
+        """The chi with chi(g) = w**values[g] mod L on every element index g: read at the
+        unit elements, then checked on every element, so other values raise ArithmeticError."""
+        L = self.phase_modulus
+        values = np.asarray(values) % L
+        exps = tuple(int(values[u]) // (L // n) for u, n in zip(self.strides, self.orders))
+        if not np.array_equal(self.pair[self.index_of(exps)], values):
+            raise ArithmeticError("values are not a character")
+        return DualCharacter(self, exps)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """table as int64, with writes refused: the cached tables are shared."""
+    table = table.astype(np.int64)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -187,6 +236,8 @@ class Cocycle:
 
     def __post_init__(self) -> None:
         k = len(self.group.orders)
+        if len(self.pmatrix) > k:
+            raise ValueError(f"pmatrix has {len(self.pmatrix)} rows for {k} cyclic factors")
         rows = []
         for i in range(k):
             row = list(self.pmatrix[i]) if i < len(self.pmatrix) else [0] * k
@@ -222,33 +273,26 @@ class Cocycle:
                     k += (L // d) * p * a_exps[j] * b_exps[i]
         return k % L
 
+    @property
+    @functools.cache
+    def table(self) -> np.ndarray:
+        """table[a, b]: exponent(exps_of(a), exps_of(b)) for every pair of element indices."""
+        orders, L, digits = self.group.orders, self.group.phase_modulus, self.group.digits
+        weights = np.zeros((len(orders),) * 2, dtype=np.int64)
+        for i, j in itertools.combinations(range(len(orders)), 2):
+            weights[j, i] = L // math.gcd(orders[i], orders[j]) * self.pmatrix[i][j]
+        return _read_only(digits @ weights @ digits.T % L)
+
 
 def slant_product(alpha: Cocycle, g: GroupElement) -> DualCharacter:
-    """The character h -> alpha(g, h) / alpha(h, g).
+    """The character h -> alpha(g, h) / alpha(h, g), read off the cocycle's table.
 
-    Closed form for the bilinear representatives; the result is checked
-    against the defining ratio on every element before being returned.
+    character_of raises ArithmeticError if the ratio is not a character.
     """
     if alpha.group != g.group:
         raise GroupMismatchError("cocycle and element from different groups")
-    spec = alpha.group
-    orders = spec.orders
-    chi = []
-    for k in range(len(orders)):
-        acc = 0
-        for j in range(k + 1, len(orders)):
-            d = math.gcd(orders[k], orders[j])
-            acc += (orders[k] // d) * alpha.pmatrix[k][j] * g.exps[j]
-        for i in range(k):
-            d = math.gcd(orders[i], orders[k])
-            acc -= (orders[k] // d) * alpha.pmatrix[i][k] * g.exps[i]
-        chi.append(acc % orders[k])
-    result = DualCharacter(spec, tuple(chi))
-    for h in spec.elements():
-        lhs = (alpha.exponent(g.exps, h.exps) - alpha.exponent(h.exps, g.exps)) % spec.phase_modulus
-        if lhs != spec.pair_exponent(result.exps, h.exps):
-            raise ArithmeticError("slant product is not a character; bad cocycle representative")
-    return result
+    i = alpha.group.index_of(g.exps)
+    return alpha.group.character_of(alpha.table[i] - alpha.table[:, i])
 
 
 def enumerate_cocycle_classes(group: GroupSpec) -> list[Cocycle]:
@@ -315,9 +359,6 @@ def all_subgroups(group: GroupSpec) -> list[tuple[GroupElement, ...]]:
 
 def restricted_characters(group: GroupSpec, subgroup) -> tuple[DualCharacter, ...]:
     """Characters trivial on the given subgroup (a subgroup of the dual)."""
-    subgroup = tuple(h if isinstance(h, GroupElement) else group.element(h) for h in subgroup)
-    out = []
-    for chi in group.characters():
-        if all(pair(chi, h).is_one for h in subgroup):
-            out.append(chi)
-    return tuple(out)
+    subgroup = [h if isinstance(h, GroupElement) else group.element(h) for h in subgroup]
+    trivial = (group.pair[:, [group.index_of(h.exps) for h in subgroup]] == 0).all(axis=1)
+    return tuple(chi for chi, keep in zip(group.characters(), trivial) if keep)

@@ -39,6 +39,7 @@ from .operators import (
     ProductOperator,
     SiteKind,
     _phase,
+    _weyl_form,
     clock_z,
     corner_factors,
     flatten_product_operator,
@@ -425,33 +426,6 @@ def witness(violations) -> dict | None:
 # -- ground space dimension ---------------------------------------------------
 
 
-def _weyl_form(mono: MonomialOperator, group: GroupSpec) -> tuple[tuple, tuple, int]:
-    """(a, chi, c) with mono|h> = w**(c + chi(h)) |h + a>, or ArithmeticError.
-
-    a and c are read at h = 0 and chi at the unit elements; every basis
-    state is then checked, so a factor of any other shape is refused
-    rather than rounded to the nearest Weyl operator.
-    """
-    L = group.phase_modulus
-    a = group.exps_of(mono.perm[0])
-    c = mono.phase[0]
-    chi = []
-    for i, n in enumerate(group.orders):
-        unit = tuple(int(k == i) for k in range(len(group.orders)))
-        k, rem = divmod((mono.phase[group.index_of(unit)] - c) % L, L // n)
-        if rem:
-            raise ArithmeticError("site factor is not a Weyl operator")
-        chi.append(k)
-    for idx in range(group.size):
-        h = group.exps_of(idx)
-        if (
-            mono.perm[idx] != group.index_of(group.add_exps(h, a))
-            or mono.phase[idx] != (c + group.pair_exponent(chi, h)) % L
-        ):
-            raise ArithmeticError("site factor is not a Weyl operator")
-    return a, tuple(chi), c
-
-
 def joint_eigenspace_dimension(ops, sites, group: GroupSpec) -> int:
     """Exact dimension of the joint +1 eigenspace of commuting Weyl operators.
 
@@ -460,8 +434,8 @@ def joint_eigenspace_dimension(ops, sites, group: GroupSpec) -> int:
     c), so each op is a phase w**c times an integer vector with columns a_i
     and chi_i mod n_i per site, and the ops generate an Abelian group S.
     The dimension is |G|**sites / |S|, or 0 when S holds a scalar other
-    than 1.  _weyl_form runs once per distinct factor, and one fancy-index
-    write fills the vectors from the placed arrays.
+    than 1.  operators._weyl_form reads each distinct factor once, and one
+    fancy-index write fills the vectors from the placed arrays.
 
     S is brought to echelon form column by column.  Euclid over the rows
     and the modulus element n_j e_j (the identity, phase 0) leaves one

@@ -65,6 +65,7 @@ from .groups import (
     DualCharacter,
     GroupElement,
     GroupMismatchError,
+    GroupSpec,
     PhaseExponent,
 )
 
@@ -126,8 +127,6 @@ class MonomialOperator:
         phase = tuple(other.phase[i] + self.phase[other.perm[i]] for i in range(self.dim))
         return MonomialOperator(self.dim, perm, phase, self.modulus, self.kind)
 
-    __matmul__ = multiply
-
     def adjoint(self) -> "MonomialOperator":
         inv = [0] * self.dim
         for i, p in enumerate(self.perm):
@@ -146,10 +145,10 @@ class MonomialOperator:
 
 # -- clock / shift constructors -------------------------------------------
 #
-# _shift, clock_z and projective_x_tilde are memoized: each (label,
-# cocycle) builds its factor once, and later calls return that object, so
-# the dicts keyed on factors (overlap_exponents, _site_commutator) match
-# by identity.  clock_z(label.inverse()) is the adjoint of clock_z(label).
+# _shift, clock_z and projective_x_tilde are memoized, each built once per
+# (label, cocycle) from a row of the group's tables, so the dicts keyed on
+# factors (overlap_exponents, _site_commutator) match by identity.
+# clock_z(label.inverse()) is the adjoint of clock_z(label).
 
 
 def _site_kind(label: GroupElement | DualCharacter, shift: bool) -> SiteKind:
@@ -160,16 +159,11 @@ def _site_kind(label: GroupElement | DualCharacter, shift: bool) -> SiteKind:
 
 @functools.cache
 def _shift(label: GroupElement | DualCharacter, alpha: Cocycle | None = None) -> MonomialOperator:
-    spec, exps = label.group, label.exps
-    dim = spec.size
-    perm = [0] * dim
-    phase = [0] * dim
-    for idx in range(dim):
-        h = spec.exps_of(idx)
-        perm[idx] = spec.index_of(spec.add_exps(exps, h))
-        if alpha is not None:
-            phase[idx] = alpha.exponent(exps, h)
-    return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus, _site_kind(label, shift=True))
+    spec = label.group
+    g = spec.index_of(label.exps)
+    perm = tuple(spec.add[g].tolist())
+    phase = (0,) * spec.size if alpha is None else tuple(alpha.table[g].tolist())
+    return MonomialOperator(spec.size, perm, phase, spec.phase_modulus, _site_kind(label, shift=True))
 
 
 def shift_x(label: GroupElement | DualCharacter) -> MonomialOperator:
@@ -180,8 +174,8 @@ def shift_x(label: GroupElement | DualCharacter) -> MonomialOperator:
 @functools.cache
 def clock_z(label: GroupElement | DualCharacter) -> MonomialOperator:
     """Diagonal |h> -> label(h) |h>, with h of the other label type."""
-    spec, exps = label.group, label.exps
-    phase = tuple(spec.pair_exponent(exps, spec.exps_of(i)) for i in range(spec.size))
+    spec = label.group
+    phase = tuple(spec.pair[spec.index_of(label.exps)].tolist())
     kind = _site_kind(label, shift=False)
     return MonomialOperator(spec.size, tuple(range(spec.size)), phase, spec.phase_modulus, kind)
 
@@ -198,16 +192,20 @@ def projective_x_tilde(alpha: Cocycle, label: GroupElement | DualCharacter) -> M
     """Commuting right projective shift |h> -> conj(alpha)(h g^-1, g)|h g^-1>."""
     if alpha.group != label.group:
         raise GroupMismatchError("cocycle and label from different groups")
-    spec, exps = label.group, label.exps
-    dim = spec.size
-    neg = spec.neg_exps(exps)
-    perm = [0] * dim
-    phase = [0] * dim
-    for idx in range(dim):
-        target = spec.add_exps(spec.exps_of(idx), neg)
-        perm[idx] = spec.index_of(target)
-        phase[idx] = -alpha.exponent(target, exps) % spec.phase_modulus
-    return MonomialOperator(dim, tuple(perm), tuple(phase), spec.phase_modulus, _site_kind(label, shift=True))
+    spec = label.group
+    g = spec.index_of(label.exps)
+    perm = spec.add[spec.neg[g]]
+    phase = tuple((-alpha.table[perm, g]).tolist())
+    return MonomialOperator(spec.size, tuple(perm.tolist()), phase, spec.phase_modulus, _site_kind(label, shift=True))
+
+
+@functools.cache
+def _weyl_form(mono: MonomialOperator, group: GroupSpec) -> tuple[tuple, tuple, int]:
+    """(a, chi, c) with mono|h> = w**(c + chi(h)) |h + a>, read at h = 0 and checked on every h, or ArithmeticError."""
+    a, c = mono.perm[0], mono.phase[0]
+    if mono.perm != tuple(group.add[a].tolist()):
+        raise ArithmeticError("site factor is not a Weyl operator")
+    return group.exps_of(a), group.character_of(np.subtract(mono.phase, c)).exps, c
 
 
 def corner_factors(twist: Cocycle, label: GroupElement | DualCharacter) -> tuple:
@@ -261,8 +259,6 @@ class ProductOperator:
         if self.modulus != other.modulus:
             raise ValueError("phase moduli differ")
         return ProductOperator.from_factors(other.factors + self.factors, self.modulus)
-
-    __matmul__ = multiply
 
     @staticmethod
     def factor_from_json(item: dict) -> tuple:

@@ -364,9 +364,7 @@ def criterion_flux_fusion() -> dict:
     # Abelian: one-dimensional characters fuse by multiplication and factorize.
     # The phase modulus of Z2xZ2 is 2, so chi(g) = w**k is (-1)**k.
     group = GroupSpec((2, 2))
-    elements = list(group.elements())
-    chars = np.array([[(-1) ** pair(chi, g).k for g in elements] for chi in group.characters()])
-    table = np.array([[group.index_of((a * b).exps) for b in elements] for a in elements])
+    chars, table = (-1) ** group.pair, group.add
     coeffs = fusion_coefficients(chars)
     for n_sites in (2, 3):
         ops = np.array([irrep_flux_operator(table, chi, n_sites) for chi in chars])

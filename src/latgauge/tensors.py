@@ -54,20 +54,14 @@ def build_tensor(name: str, group: GroupSpec) -> PhaseTensor:
     """Exact entries of the named MPO tensor."""
     size = group.size
     L = group.phase_modulus
-    flat, roots = [], []
+    first, second = np.divmod(np.arange(size * size), size)
     if name in M_NAMES:
-        for v in range(size):
-            for p in range(size):
-                flat.append(np.ravel_multi_index((v, v, p, p), (size,) * 4))
-                roots.append(group.pair_exponent(group.exps_of(p), group.exps_of(v)))
-        return PhaseTensor.from_entries((size,) * 4, L, flat, roots)
+        # Entry (v, v, p, p) holds p(v), and the pair table is symmetric.
+        flat = np.ravel_multi_index((first, first, second, second), (size,) * 4)
+        return PhaseTensor.from_entries((size,) * 4, L, flat, group.pair.ravel())
     if name in T_NAMES:
-        for l in range(size):
-            for r in range(size):
-                p = group.index_of(group.add_exps(group.exps_of(l), group.neg_exps(group.exps_of(r))))
-                flat.append(np.ravel_multi_index((p, l, r), (size,) * 3))
-                roots.append(0)
-        return PhaseTensor.from_entries((size,) * 3, L, flat, roots, scale=Fraction(1, size))
+        flat = np.ravel_multi_index((group.add[first, group.neg[second]], first, second), (size,) * 3)
+        return PhaseTensor.from_entries((size,) * 3, L, flat, np.zeros_like(flat), scale=Fraction(1, size))
     raise ValueError(f"unknown tensor name {name!r}")
 
 

@@ -1,11 +1,12 @@
 """Small reference forms of library objects that only the tests read.
 
 A cocycle's value as a PhaseExponent, a PhaseExponent's complex value,
-the exhaustive cocycle condition, a monomial's dense complex matrix, a
-PhaseTensor's dense complex array, the trivial character, the product
-of two characters, the labels of a list of terms and a syndrome's full
-label -> phase table: each restates the library's integer data in the
-form a textbook check compares against.
+the exhaustive cocycle condition, the slant product's closed form, a
+monomial's dense complex matrix, a PhaseTensor's dense complex array,
+the trivial character, the product of two characters, the labels of a
+list of terms and a syndrome's full label -> phase table: each restates
+the library's integer data in the form a textbook check compares
+against.
 """
 
 from __future__ import annotations
@@ -45,6 +46,21 @@ def verify_cocycle_condition(alpha: Cocycle) -> bool:
                 if lhs != rhs:
                     return False
     return True
+
+
+def slant_closed_form(alpha: Cocycle, g) -> DualCharacter:
+    """alpha(g, .) / alpha(., g) from the bilinear representative's p matrix, factor by factor.
+
+    Entry k gains p[k][j] g[j] n_k / gcd(n_k, n_j) for each j > k and loses
+    p[i][k] g[i] n_k / gcd(n_i, n_k) for each i < k, mod n_k.
+    """
+    orders = alpha.group.orders
+    chi = []
+    for k, n in enumerate(orders):
+        acc = sum(n // math.gcd(n, orders[j]) * alpha.pmatrix[k][j] * g.exps[j] for j in range(k + 1, len(orders)))
+        acc -= sum(n // math.gcd(orders[i], n) * alpha.pmatrix[i][k] * g.exps[i] for i in range(k))
+        chi.append(acc % n)
+    return alpha.group.character(chi)
 
 
 def to_dense(mono: MonomialOperator) -> np.ndarray:

@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebra_reference import character_product, dual_identity, evaluate, phase_value, verify_cocycle_condition
+from latgauge.cli import main
 from latgauge.groups import (
     Cocycle,
     GroupMismatchError,
@@ -237,3 +239,30 @@ def test_phase_modulus_covers_all_orders(orders):
     spec = GroupSpec(tuple(orders))
     for n in spec.orders:
         assert spec.phase_modulus % n == 0
+
+
+class TestNoSilentCoercion:
+    # The tables are keyed on orders, so a coerced order would build another group's tables.
+    @pytest.mark.parametrize("orders", [(2.7, 3), ("3",), (2, 2.0)], ids=["float", "string", "integral-float"])
+    def test_orders_must_be_integers(self, orders):
+        with pytest.raises(ValueError, match="must be integers"):
+            GroupSpec(orders)
+
+    def test_numpy_integer_orders_are_taken(self):
+        spec = GroupSpec((np.int64(2), np.int32(3)))
+        assert spec.orders == (2, 3) and all(type(n) is int for n in spec.orders)
+        assert spec == Z23
+
+    def test_cocycle_refuses_more_rows_than_factors(self):
+        with pytest.raises(ValueError, match="3 rows for 2 cyclic factors"):
+            Cocycle(Z22, ((0, 1), (0, 0), (1, 1)))
+
+    def test_cocycle_pads_a_short_matrix(self):
+        assert Cocycle(Z22, ((0, 1),)).pmatrix == ((0, 1), (0, 0))
+        assert Cocycle(Z22, ()).is_trivial
+
+    def test_cli_float_group_keeps_its_error_line(self):
+        result = CliRunner().invoke(main, ["code", "--group", "2.5", "--n", "2", "--m", "2"])
+        assert result.exit_code == 2
+        expected = "Error: bad group '2.5': expected comma separated orders >= 2 "
+        assert result.output == expected + "(invalid literal for int() with base 10: '2.5')\n"

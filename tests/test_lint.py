@@ -349,6 +349,19 @@ def test_dense_oracle_is_independent_of_the_normal_form():
     assert not stray, f"the dense oracle reads the normal form: {stray}"
 
 
+def test_group_law_is_read_from_the_tables():
+    # Routines over every element read groups' add, neg and pair tables; the
+    # scalar helpers combine one pair of elements, inside groups.py alone.
+    scalar = {"add_exps", "neg_exps", "pair_exponent"}
+    stray = [
+        f"{path.name}:{line} {owner}"
+        for path, tree in _sources()
+        if path.name != "groups.py"
+        for owner, line in _references(tree, scalar)
+    ]
+    assert not stray, f"the group law rebuilt from exponent tuples outside groups.py: {stray}"
+
+
 POOL_NAMES = {"concurrent", "multiprocessing", "ProcessPoolExecutor", "BrokenProcessPool", "get_context"}
 
 
