@@ -43,7 +43,7 @@ from .excitations import StringSpec, string_operator, syndrome
 from .gauging import STATE_TOL, CapExceededError, check_cap, dimension_cap, layer_stack
 from .groups import Cocycle, GroupSpec, is_subgroup
 from .lattice import CodeSpec, Lattice2D, build_boundary_terms, build_bulk_stabilizers, logical_operators
-from .operators import ProductOperator
+from .operators import MonomialOperator, ProductOperator, SiteKind
 from .suite import WorkerDiedError, run_suite
 from .tensors import mpo_layers
 
@@ -336,16 +336,41 @@ def _op_from_json(spec: CodeSpec, data: dict) -> ProductOperator:
         label = group.element(label_exps) if family == "group" else group.character(label_exps)
         sspec = StringSpec(path, label, s["flavor"])
         return string_operator(spec, sspec)
-    pairs = [ProductOperator.factor_from_json(item) for item in data["factors"]]
+    pairs = [_factor_from_json(group, item) for item in data["factors"]]
     sites = dict(spec.lattice.sites())
     for site, mono in pairs:
-        if (mono.dim, mono.modulus) != (group.size, group.phase_modulus):
-            raise ValueError(
-                f"factor at {site!r} needs dim {group.size} and modulus {group.phase_modulus}"
-            )
         if sites.get(site) != mono.kind:
             raise ValueError(f"site {site!r} is not a {mono.kind.value} site of the lattice")
     return ProductOperator.from_factors(pairs, group.phase_modulus)
+
+
+def _factor_from_json(group: GroupSpec, item: dict) -> tuple:
+    """(site, factor) of one op-file factor entry, its perm and phase read as a Weyl operator of group.
+
+    Entries must be ints, not bools, and the lengths are checked before
+    dim sizes anything.  |0> goes to w**c |a>, so a is perm[0], c is
+    phase[0] and chi the character phase - c; anything else raises
+    ValueError.  A list site becomes a tuple.
+    """
+    site = tuple(item["site"]) if isinstance(item["site"], list) else item["site"]
+    data = item["op"]
+    dim, perm, phase, modulus = data["dim"], tuple(data["perm"]), tuple(data["phase"]), data["modulus"]
+    if not all(type(v) is int for v in (dim, modulus, *perm, *phase)):
+        raise ValueError("dim, modulus, perm and phase entries must be integers")
+    if len(perm) != dim or sorted(perm) != list(range(dim)):
+        raise ValueError("perm must be a bijection on basis indices")
+    if len(phase) != dim:
+        raise ValueError("one phase exponent per basis state required")
+    if (dim, modulus) != (group.size, group.phase_modulus):
+        raise ValueError(f"factor at {site!r} needs dim {group.size} and modulus {group.phase_modulus}")
+    a, c = perm[0], phase[0] % modulus
+    try:
+        if perm != tuple(group.add[a].tolist()):
+            raise ArithmeticError
+        chi = group.character_of([(p - c) % modulus for p in phase])
+    except ArithmeticError:
+        raise ValueError(f"factor at {site!r} is not a Weyl operator of the group") from None
+    return site, MonomialOperator(group, a, group.index_of(chi.exps), c, SiteKind(item["kind"]))
 
 
 @main.command()

@@ -9,10 +9,10 @@ are equal when their shapes, moduli, scales and both arrays are equal;
 that compares the count vectors exactly, without reducing them by
 cyclotomic relations.
 
-Monomial operators act as (axis, MonomialOperator) pairs on the axes of
-the tensor, or of a finer split of its flat index such as one axis per
-site.  operators.flat_action, the basis-digit walk that states use too,
-moves every stored entry's flat index and adds the factors' phases to its
+Weyl operators act as (axis, MonomialOperator) pairs on the axes of the
+tensor, or of a finer split of its flat index such as one axis per site.
+operators.flat_action, the basis-digit walk that states use too, moves
+every stored entry's flat index and adds the factors' phases to its
 root.  Two tensors contract by a join on the contracted index in which
 root exponents add mod L and multiplicities multiply.  A trace keeps the
 entries whose two traced coordinates agree, which closes a ring of
@@ -161,9 +161,10 @@ def mono_mul_left(tensor: PhaseTensor, factors, dims=None) -> PhaseTensor:
 def mono_mul_right(tensor: PhaseTensor, factors, dims=None) -> PhaseTensor:
     """Exact product T . M, with M the (axis, MonomialOperator) pairs on the axes of dims.
 
-    (T.M)[o, i] = w**phase[i] T[o, perm[i]], so an entry at perm[i] moves
-    to i, which is where the adjoint of M sends it, and gains phase[i],
-    the negated phase of that adjoint.  A repeated axis raises ValueError.
+    With (target, phase) M's action, (T.M)[o, i] = w**phase[i] T[o,
+    target[i]], so an entry at target[i] moves to i, which is where the
+    adjoint of M sends it, and gains phase[i], the negated phase of that
+    adjoint.  A repeated axis raises ValueError.
     """
     adjoints = [(axis, mono.adjoint()) for axis, mono in factors]
     flat, phases = flat_action(tensor.shape if dims is None else dims, adjoints, tensor.flat_indices)

@@ -1,11 +1,11 @@
 """Syndromes, anyon strings, confinement, and braiding.
 
 A syndrome is the pattern of stabilizer eigenvalues an operator creates on
-the ground space.  Because stabilizers and string operators are all
-monomial, the eigenvalue of stabilizer S on op|gs> is the exact scalar c
-with S.op = c op.S, so syndromes are computed operator-algebraically and
-never require preparing the excited state.  Energy means the number of
-violated plaquettes (all couplings one).
+the ground space.  Because stabilizers and string operators are products
+of Weyl operators, the eigenvalue of stabilizer S on op|gs> is the exact
+scalar c with S.op = c op.S, so syndromes are computed
+operator-algebraically and never require preparing the excited state.
+Energy means the number of violated plaquettes (all couplings one).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class SyndromeMap:
 
     violations holds (term, phase) of each term the op violates, in term
     order, as lattice.overlap_phases lists them: phase is a PhaseExponent
-    other than one, or None for a commutator that is not scalar.  Every
-    other term has eigenvalue one, so no label or phase is stored for it.
+    other than one.  Every other term has eigenvalue one, so no label or
+    phase is stored for it.
     """
 
     violations: list
@@ -38,7 +38,7 @@ class SyndromeMap:
         return {
             "violated_centers": sorted(self.violated_centers()),
             "violations": [
-                {"label": t.label.as_json(), "phase": None if ph is None else ph.k} for t, ph in self.violations
+                {"label": t.label.as_json(), "phase": ph.k} for t, ph in self.violations
             ],
         }
 
@@ -144,7 +144,7 @@ def dipole_operator(spec: CodeSpec, g: GroupElement, row: int, left_x2: int, hei
     return ProductOperator.from_factors(factors, spec.group.phase_modulus)
 
 
-def braiding_phase(spec: CodeSpec, s1: StringSpec, s2: StringSpec) -> PhaseExponent | None:
+def braiding_phase(spec: CodeSpec, s1: StringSpec, s2: StringSpec) -> PhaseExponent:
     """Scalar commutation phase of the two string operators."""
     return commutation_phase(string_operator(spec, s1), string_operator(spec, s2))
 
@@ -193,8 +193,7 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None) -> dict:
         loop = ProductOperator.from_factors(
             (((row, x2), clock_z(chi)) for x2 in lat.row_positions(row)), group.phase_modulus
         )
-        ph = commutation_phase(loop, dipole_operator(spec, g, row, start, 2))
-        braid[str(chi.exps)] = None if ph is None else ph.k
+        braid[str(chi.exps)] = commutation_phase(loop, dipole_operator(spec, g, row, start, 2)).k
 
     return {
         "element": g.exps,

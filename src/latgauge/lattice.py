@@ -39,7 +39,6 @@ from .operators import (
     ProductOperator,
     SiteKind,
     _phase,
-    _weyl_form,
     clock_z,
     corner_factors,
     flatten_product_operator,
@@ -227,7 +226,7 @@ def build_bulk_stabilizers(spec: CodeSpec) -> PlacedTerms:
             corners = [east, west, south, north] if spec.orientation == "reflected" else [west, east, north, south]
             if folded:
                 # North and south are one site: south after north there, the identity at south.
-                corners[2:] = [corners[3].multiply(corners[2]), MonomialOperator.identity(size, group.phase_modulus)]
+                corners[2:] = [corners[3].multiply(corners[2]), MonomialOperator.identity(group, corners[2].kind)]
             ids.append([-1 if mono.is_identity else factors.setdefault(mono, len(factors)) for mono in corners])
             label_table.append((family, label.exps))
         fids.append(ids)
@@ -308,12 +307,12 @@ def check_all_commute(terms) -> dict:
 
     pairs_checked counts the pairs (a, b), a < b, that share a site;
     violations lists those whose commutator is not 1, in (a, b) order, with
-    phase None for a commutator that is not scalar.  The terms must share
-    one phase modulus.  The placed terms of a torus with at least
-    TEMPLATE_TRANSLATES translates take the template pass (_by_template);
-    term lists, cylinders and smaller tori, and every torus the template
-    pass cannot vouch for, take the direct pass (_directly), which alone
-    lists violations.  Both give the same report.
+    its phase exponent.  The terms must share one phase modulus.  The
+    placed terms of a torus with at least TEMPLATE_TRANSLATES translates
+    take the template pass (_by_template); term lists, cylinders and
+    smaller tori, and every torus the template pass cannot vouch for, take
+    the direct pass (_directly), which alone lists violations.  Both give
+    the same report.
     """
     lat = terms.lattice if isinstance(terms, PlacedTerms) else None
     if lat is not None and lat.n * lat.m // 2 >= TEMPLATE_TRANSLATES:
@@ -341,7 +340,7 @@ def _directly(terms) -> dict:
         bad = np.flatnonzero(k)
         for ia, ib, kk in zip(a[bad].tolist(), b[bad].tolist(), k[bad].tolist()):
             violations.append(
-                {"a": terms[ia].label.as_json(), "b": terms[ib].label.as_json(), "phase": None if kk < 0 else kk}
+                {"a": terms[ia].label.as_json(), "b": terms[ib].label.as_json(), "phase": kk}
             )
     return _commute_report(pairs_checked, violations)
 
@@ -399,19 +398,18 @@ def overlap_phases(terms, ops) -> list[list[tuple]]:
     """For each op, (term, phase) of every term that fails to commute with it, in term order.
 
     phase is the PhaseExponent c other than 1 with term.op . op = c
-    op . term.op, or None when the commutator is not scalar; every term not
-    listed commutes with the op.  All ops go through one
-    operators.overlap_exponents pass, which compares only terms that share
-    a site with an op.  The moduli are checked first, so a mismatch raises
-    ValueError even when an op shares no site with any term.  Only the
-    listed terms are built.
+    op . term.op; every term not listed commutes with the op.  All ops go
+    through one operators.overlap_exponents pass, which compares only
+    terms that share a site with an op.  The moduli are checked first, so
+    a mismatch raises ValueError even when an op shares no site with any
+    term.  Only the listed terms are built.
     """
     ops = list(ops)
     out = [[] for _ in ops]
     for a, b, k in overlap_exponents(_placement(terms), ops):
         bad = np.flatnonzero(k)
         for ia, ib, kk in zip(a[bad].tolist(), b[bad].tolist(), k[bad].tolist()):
-            out[ib].append((terms[ia], None if kk < 0 else _phase(kk, ops[ib].modulus)))
+            out[ib].append((terms[ia], _phase(kk, ops[ib].modulus)))
     return out
 
 
@@ -420,7 +418,7 @@ def witness(violations) -> dict | None:
     if not violations:
         return None
     t, ph = violations[0]
-    return {"term": t.label.as_json(), "phase": None if ph is None else ph.k}
+    return {"term": t.label.as_json(), "phase": ph.k}
 
 
 # -- ground space dimension ---------------------------------------------------
@@ -434,8 +432,8 @@ def joint_eigenspace_dimension(ops, sites, group: GroupSpec) -> int:
     c), so each op is a phase w**c times an integer vector with columns a_i
     and chi_i mod n_i per site, and the ops generate an Abelian group S.
     The dimension is |G|**sites / |S|, or 0 when S holds a scalar other
-    than 1.  operators._weyl_form reads each distinct factor once, and one
-    fancy-index write fills the vectors from the placed arrays.
+    than 1.  One fancy-index write fills the vectors from the placement's
+    Weyl rows, the digits of a and chi per factor.
 
     S is brought to echelon form column by column.  Euclid over the rows
     and the modulus element n_j e_j (the identity, phase 0) leaves one
@@ -457,12 +455,12 @@ def joint_eigenspace_dimension(ops, sites, group: GroupSpec) -> int:
     placed = place(ops)
     vec = np.zeros((len(placed) + 1, len(moduli)), dtype=np.int64)
     phase = np.zeros(len(placed) + 1, dtype=np.int64)
-    forms = [_weyl_form(mono, group) for mono in placed.factors]
-    weyl = np.array([a + chi for a, chi, _ in forms], dtype=np.int64).reshape(-1, 2 * k)
+    a, chi, c, _ = placed.weyl
+    weyl = np.concatenate((group.digits[a], group.digits[chi]), axis=1)
     row = np.repeat(np.arange(len(placed)), np.diff(placed.start))
     base = np.array([site_index[s] for s in placed.sites], dtype=np.int64)[placed.site] * 2 * k
     vec[row[:, None], base[:, None] + np.arange(2 * k)] = weyl[placed.fid]
-    np.add.at(phase, row, np.array([c for *_, c in forms], dtype=np.int64)[placed.fid])
+    np.add.at(phase, row, c[placed.fid])
     phase %= L
 
     def absorb(rows, p, q):

@@ -1,18 +1,23 @@
-"""Exact monomial-operator algebra on group-labelled local spaces.
+"""Exact Weyl-operator algebra on group-labelled local spaces.
 
 Two kinds of local space occur, both of dimension |G|:
 
   EDGE_GROUP   basis |h> labelled by group elements h,
   VERTEX_DUAL  basis |chi> labelled by characters chi.
 
-A MonomialOperator is a permutation of the basis combined with a phase per
-basis state, M|i> = w**phase[i] |perm[i]|, so products, inverses and
-commutators stay exact: phases are integers mod L.  The character group
-is isomorphic to G, so one constructor serves both site kinds, and the
-label type (GroupElement or DualCharacter) names the site kind: shifts
-act on the site whose basis has the label's type, clocks on the other
-kind.  Each constructor records that kind on the monomial.  On EDGE_GROUP
-sites the generalized clock and shift act as
+Every site factor is a Weyl operator of the group,
+
+  M|h> = w**(c + chi(h)) |h + a>,
+
+held as the integers (a, chi, c): a and chi are indices on the group's
+index_of numbering, c an exponent mod L.  Products, adjoints and
+commutators are integer laws read off the group's add and pair tables,
+so they stay exact.  The character group is isomorphic to G, so one
+constructor serves both site kinds, and the label type (GroupElement or
+DualCharacter) names the site kind: shifts act on the site whose basis
+has the label's type, clocks on the other kind.  Each constructor records
+that kind on the factor.  On EDGE_GROUP sites the generalized clock and
+shift act as
 
   shift_x(g)   |h>   -> |g h>
   clock_z(chi) |h>   -> chi(h) |h>
@@ -29,25 +34,26 @@ same site kind as shift_x:
   projective_x_tilde(alpha, g) |h> -> conj(alpha)(h g^-1, g) |h g^-1>
 
 which form commuting left and right projective regular representations.
-A monomial built without a label (a raw JSON factor) has kind None
-until its caller stamps one with with_kind; multiplying
-factors of different kinds is refused, and so is applying a factor to a
-site of another kind.  ProductOperator tensors
-site-local monomials over named sites and is the workhorse for
+Multiplying factors of different groups or kinds is refused, and so is
+applying a factor to a site of another kind.  ProductOperator tensors
+site-local factors over named sites and is the workhorse for
 stabilizers, strings and logicals; a Placement holds many of them as
-integer arrays of site numbers and factor ids, which the batched
-commutation pass overlap_exponents reads.  Every state the library
-builds is a SupportState: sorted basis keys with integer root exponents
-and a rational squared magnitude.  From one walk over the keys' digits
-it checks exactly which product operators fix it (fixed_by) and counts
-the roots each one returns onto the support (root_counts).  StateVector
-holds dense complex amplitudes; nothing in the library builds one, but
-bench/spans.py times StateVector.apply by name, which
-tests/test_bench_contract.py checks, so it stays.  A flux operator of a
-finite group, abelian or not, is the integer diagonal chi(g_1 ... g_n)
-read off an integer multiplication table and an integer character, and
-fusion_coefficients divides the orthogonality sums by |G| exactly.  Every
-check on operators and on states is exact.
+integer arrays of site numbers and factor ids, with the factors' Weyl
+rows a, chi, c and kind, which the batched commutation pass
+overlap_exponents reads.  Every dense route (flat_action,
+flatten_product_operator, SupportState and StateVector) reads each
+factor's target and phase per basis state from MonomialOperator.action.
+Every state the library builds is a SupportState: sorted basis keys with
+integer root exponents and a rational squared magnitude.  From one walk
+over the keys' digits it checks exactly which product operators fix it
+(fixed_by) and counts the roots each one returns onto the support
+(root_counts).  StateVector holds dense complex amplitudes; nothing in
+the library builds one, but bench/spans.py times StateVector.apply by
+name, which tests/test_bench_contract.py checks, so it stays.  A flux
+operator of a finite group, abelian or not, is the integer diagonal
+chi(g_1 ... g_n) read off an integer multiplication table and an integer
+character, and fusion_coefficients divides the orthogonality sums by |G|
+exactly.  Every check on operators and on states is exact.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -84,70 +90,63 @@ class SiteKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MonomialOperator:
-    """M|i> = w**phase[i] |perm[i]> on one site of dimension dim, w = exp(2 pi i / modulus).
+    """The Weyl operator M|h> = w**(c + chi(h)) |h + a> on one site, w = exp(2 pi i / modulus).
 
-    Frozen; its hash and is_identity are computed once, on construction.
+    a and chi index the group's elements and characters, c is reduced
+    mod the group's phase modulus on construction.
     """
 
-    dim: int
-    perm: tuple[int, ...]
-    phase: tuple[int, ...]
-    modulus: int
-    kind: SiteKind | None = None
+    group: GroupSpec
+    a: int
+    chi: int
+    c: int
+    kind: SiteKind
 
     def __post_init__(self) -> None:
-        # The length first, so that a bad dim sizes no list.
-        if len(self.perm) != self.dim or sorted(self.perm) != list(range(self.dim)):
-            raise ValueError("perm must be a bijection on basis indices")
-        if len(self.phase) != self.dim:
-            raise ValueError("one phase exponent per basis state required")
-        object.__setattr__(self, "phase", tuple(p % self.modulus for p in self.phase))
-        # Hashed and tested once: overlap_exponents numbers factors through a
-        # dict, and every product drops its identity factors.
-        object.__setattr__(self, "_hash", hash((self.dim, self.perm, self.phase, self.modulus, self.kind)))
-        object.__setattr__(self, "is_identity", self.perm == tuple(range(self.dim)) and not any(self.phase))
+        object.__setattr__(self, "c", self.c % self.group.phase_modulus)
 
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def dim(self) -> int:
+        return self.group.size
+
+    @property
+    def modulus(self) -> int:
+        return self.group.phase_modulus
+
+    @property
+    def is_identity(self) -> bool:
+        return not (self.a or self.chi or self.c)
 
     @classmethod
-    def identity(cls, dim: int, modulus: int) -> "MonomialOperator":
-        return cls(dim, tuple(range(dim)), (0,) * dim, modulus)
-
-    def with_kind(self, kind: SiteKind) -> "MonomialOperator":
-        return replace(self, kind=kind)
+    def identity(cls, group: GroupSpec, kind: SiteKind) -> "MonomialOperator":
+        return cls(group, 0, 0, 0, kind)
 
     def multiply(self, other: "MonomialOperator") -> "MonomialOperator":
-        """Exact composition self . other (self applied second)."""
-        if self.dim != other.dim or self.modulus != other.modulus:
+        """Exact composition self . other (self applied second): (a1 + a2, chi1 + chi2, c1 + c2 + chi1(a2))."""
+        if self.group != other.group:
             raise ValueError("operator dimensions or moduli differ")
         if self.kind != other.kind:
             raise ValueError("factors act on different site kinds")
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.dim))
-        phase = tuple(other.phase[i] + self.phase[other.perm[i]] for i in range(self.dim))
-        return MonomialOperator(self.dim, perm, phase, self.modulus, self.kind)
+        g = self.group
+        c = self.c + other.c + int(g.pair[self.chi, other.a])
+        return MonomialOperator(g, int(g.add[self.a, other.a]), int(g.add[self.chi, other.chi]), c, self.kind)
 
     def adjoint(self) -> "MonomialOperator":
-        inv = [0] * self.dim
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        phase = tuple(-self.phase[inv[j]] for j in range(self.dim))
-        return MonomialOperator(self.dim, tuple(inv), phase, self.modulus, self.kind)
+        """(-a, -chi, chi(a) - c)."""
+        g = self.group
+        c = int(g.pair[self.chi, self.a]) - self.c
+        return MonomialOperator(g, int(g.neg[self.a]), int(g.neg[self.chi]), c, self.kind)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "MonomialOperator":
-        """The factor of an op file's "op" entry; dim, modulus and each perm and phase entry must be ints, not bools."""
-        dim, perm, phase, modulus = data["dim"], tuple(data["perm"]), tuple(data["phase"]), data["modulus"]
-        if not all(type(v) is int for v in (dim, modulus, *perm, *phase)):
-            raise ValueError("dim, modulus, perm and phase entries must be integers")
-        return cls(dim, perm, phase, modulus)
+    def action(self) -> tuple[np.ndarray, np.ndarray]:
+        """(target, phase) with M|h> = w**phase[h] |target[h]> on every element index h, phase mod L."""
+        g = self.group
+        return g.add[self.a], (g.pair[self.chi] + self.c) % g.phase_modulus
 
 
 # -- clock / shift constructors -------------------------------------------
 #
 # _shift, clock_z and projective_x_tilde are memoized, each built once per
-# (label, cocycle) from a row of the group's tables, so the dicts keyed on
-# factors (overlap_exponents, _site_commutator) match by identity.
+# (label, cocycle) from the label's index and a row of the cocycle's table.
 # clock_z(label.inverse()) is the adjoint of clock_z(label).
 
 
@@ -159,11 +158,11 @@ def _site_kind(label: GroupElement | DualCharacter, shift: bool) -> SiteKind:
 
 @functools.cache
 def _shift(label: GroupElement | DualCharacter, alpha: Cocycle | None = None) -> MonomialOperator:
+    """|h> -> alpha(g, h) |g + h>: chi is the row alpha(g, .) of the cocycle's table."""
     spec = label.group
     g = spec.index_of(label.exps)
-    perm = tuple(spec.add[g].tolist())
-    phase = (0,) * spec.size if alpha is None else tuple(alpha.table[g].tolist())
-    return MonomialOperator(spec.size, perm, phase, spec.phase_modulus, _site_kind(label, shift=True))
+    chi = 0 if alpha is None else spec.index_of(spec.character_of(alpha.table[g]).exps)
+    return MonomialOperator(spec, g, chi, 0, _site_kind(label, shift=True))
 
 
 def shift_x(label: GroupElement | DualCharacter) -> MonomialOperator:
@@ -175,9 +174,7 @@ def shift_x(label: GroupElement | DualCharacter) -> MonomialOperator:
 def clock_z(label: GroupElement | DualCharacter) -> MonomialOperator:
     """Diagonal |h> -> label(h) |h>, with h of the other label type."""
     spec = label.group
-    phase = tuple(spec.pair[spec.index_of(label.exps)].tolist())
-    kind = _site_kind(label, shift=False)
-    return MonomialOperator(spec.size, tuple(range(spec.size)), phase, spec.phase_modulus, kind)
+    return MonomialOperator(spec, 0, spec.index_of(label.exps), 0, _site_kind(label, shift=False))
 
 
 def projective_x(alpha: Cocycle, label: GroupElement | DualCharacter) -> MonomialOperator:
@@ -189,23 +186,17 @@ def projective_x(alpha: Cocycle, label: GroupElement | DualCharacter) -> Monomia
 
 @functools.cache
 def projective_x_tilde(alpha: Cocycle, label: GroupElement | DualCharacter) -> MonomialOperator:
-    """Commuting right projective shift |h> -> conj(alpha)(h g^-1, g)|h g^-1>."""
+    """Commuting right projective shift |h> -> conj(alpha)(h g^-1, g)|h g^-1>.
+
+    The cocycle is bilinear, so the phase is alpha(g, g) / alpha(h, g):
+    c is alpha(g, g) and chi the inverse of the column alpha(., g).
+    """
     if alpha.group != label.group:
         raise GroupMismatchError("cocycle and label from different groups")
     spec = label.group
     g = spec.index_of(label.exps)
-    perm = spec.add[spec.neg[g]]
-    phase = tuple((-alpha.table[perm, g]).tolist())
-    return MonomialOperator(spec.size, tuple(perm.tolist()), phase, spec.phase_modulus, _site_kind(label, shift=True))
-
-
-@functools.cache
-def _weyl_form(mono: MonomialOperator, group: GroupSpec) -> tuple[tuple, tuple, int]:
-    """(a, chi, c) with mono|h> = w**(c + chi(h)) |h + a>, read at h = 0 and checked on every h, or ArithmeticError."""
-    a, c = mono.perm[0], mono.phase[0]
-    if mono.perm != tuple(group.add[a].tolist()):
-        raise ArithmeticError("site factor is not a Weyl operator")
-    return group.exps_of(a), group.character_of(np.subtract(mono.phase, c)).exps, c
+    chi = spec.index_of(spec.character_of(-alpha.table[:, g]).exps)
+    return MonomialOperator(spec, int(spec.neg[g]), chi, int(alpha.table[g, g]), _site_kind(label, shift=True))
 
 
 def corner_factors(twist: Cocycle, label: GroupElement | DualCharacter) -> tuple:
@@ -260,37 +251,6 @@ class ProductOperator:
             raise ValueError("phase moduli differ")
         return ProductOperator.from_factors(other.factors + self.factors, self.modulus)
 
-    @staticmethod
-    def factor_from_json(item: dict) -> tuple:
-        """(site, factor) of one JSON factor entry; a list site becomes a tuple."""
-        site = tuple(item["site"]) if isinstance(item["site"], list) else item["site"]
-        return site, MonomialOperator.from_json(item["op"]).with_kind(SiteKind(item["kind"]))
-
-
-@functools.cache
-def _site_commutator(ma: MonomialOperator, mb: MonomialOperator) -> int | None:
-    """Exponent k with ma.mb = w**k mb.ma on one site, or None if not scalar.
-
-    Read off the two perm and phase tables, with no product built:
-    ma.mb sends |i> to w**(pb[i] + pa[perm_b[i]]) |perm_a[perm_b[i]]> and
-    mb.ma to w**(pa[i] + pb[perm_a[i]]) |perm_b[perm_a[i]]>, so the
-    commutator is the scalar w**k when the two targets agree for every i
-    and the phase difference is k for every i.  Refused as multiply
-    refuses: dimensions or moduli first, then site kinds.
-    """
-    if ma.dim != mb.dim or ma.modulus != mb.modulus:
-        raise ValueError("operator dimensions or moduli differ")
-    if ma.kind != mb.kind:
-        raise ValueError("factors act on different site kinds")
-    perm_a, perm_b, pa, pb, L = ma.perm, mb.perm, ma.phase, mb.phase, ma.modulus
-    # One entry per basis state: its phase difference, or None where the
-    # targets differ; a single entry that is not None is the exponent.
-    diffs = {
-        (pb[i] + pa[j] - pa[i] - pb[k]) % L if perm_a[j] == perm_b[k] else None
-        for i, (j, k) in enumerate(zip(perm_b, perm_a))
-    }
-    return diffs.pop() if len(diffs) == 1 else None
-
 
 @functools.cache
 def _phase(k: int, modulus: int) -> PhaseExponent:
@@ -298,8 +258,8 @@ def _phase(k: int, modulus: int) -> PhaseExponent:
     return PhaseExponent(k, modulus)
 
 
-def commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent | None:
-    """Scalar c with a.b = c b.a, or None when the commutator is not scalar.
+def commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent:
+    """The scalar c with a.b = c b.a.
 
     One overlap_exponents pass over the single pair: operators with
     disjoint supports give phase 0 after the moduli are compared.  It
@@ -307,25 +267,11 @@ def commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent |
     call overlap_exponents directly.
     """
     k = next((int(ks[0]) for _, _, ks in overlap_exponents([a], [b])), 0)
-    return None if k < 0 else _phase(k, a.modulus)
+    return _phase(k, a.modulus)
 
 
 OVERLAP_MEETINGS = 2**13  # factor meetings each tile of overlap_exponents lists, at most
 OVERLAP_BINS = 2**15  # (row, column) bins each part of a tile counts into, at most
-# Table entry of a factor pair whose commutator is not scalar.  A pair's sum
-# reaches it only through such an entry: scalar entries are below the
-# modulus, and no pair shares 2**32 / modulus sites.
-_NOT_SCALAR = 2**32
-
-
-def _factor_exponent(ma: MonomialOperator, mb: MonomialOperator, modulus: int) -> int:
-    """_site_commutator(ma, mb), _NOT_SCALAR for None; GroupMismatchError for a factor of another modulus."""
-    k = _site_commutator(ma, mb)
-    if k is None:
-        return _NOT_SCALAR
-    if ma.modulus != modulus:
-        raise GroupMismatchError("phases with different moduli")
-    return k
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +281,7 @@ class Placement:
     Operator i's factors are entries start[i]:start[i + 1] of site and fid:
     site[e] indexes sites, the site ids, and fid[e] indexes factors, which
     are distinct.  modulus is the operators' one phase modulus, None for
-    no operators.
+    no operators.  weyl holds the factors' Weyl rows, read on first use.
     """
 
     start: np.ndarray
@@ -353,6 +299,12 @@ class Placement:
         lo, hi = self.start[i], self.start[i + 1]
         pairs = zip(self.site[lo:hi].tolist(), self.fid[lo:hi].tolist())
         return ProductOperator(tuple((self.sites[s], self.factors[f]) for s, f in pairs), self.modulus)
+
+    @functools.cached_property
+    def weyl(self) -> tuple[np.ndarray, ...]:
+        """Int arrays (a, chi, c, kind), one entry per factor; kind is 1 for a VERTEX_DUAL factor."""
+        rows = [(f.a, f.chi, f.c, f.kind is SiteKind.VERTEX_DUAL) for f in self.factors]
+        return tuple(np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
 
 def place(ops) -> Placement:
@@ -392,19 +344,20 @@ def overlap_exponents(rows, cols=None):
     integer arrays, one tile at a time, over every pair of rows[i] and
     cols[j] that act on a common site, in (i, j) order; with cols None the
     pairs are those of rows with i < j.  k is the exponent with
-    rows[i] . cols[j] = w**k cols[j] . rows[i], or -1 when the commutator
-    is not scalar.  Pairs that share no site commute and are not listed.
-    All operators must share one modulus; ValueError otherwise.
+    rows[i] . cols[j] = w**k cols[j] . rows[i].  Pairs that share no site
+    commute and are not listed.  All operators must share one modulus;
+    ValueError otherwise.  Once some pair shares a site, the factors must
+    share one group of that modulus (ValueError for two groups,
+    GroupMismatchError for another modulus), and the two factors of each
+    meeting one site kind (ValueError).
 
     The column entries are grouped by site with a stable argsort, and the
-    row entries on sites no column uses are dropped by one lookup.
-    _site_commutator runs once per distinct (row factor, column factor)
-    pair that meets on a site, filling a small table; it reads the
-    exponent off the two factors' perm and phase tables and builds no
-    product, and its memo carries the table over to later passes.  A
-    tile takes as many rows as keep its meetings within OVERLAP_MEETINGS:
-    np.repeat and fancy indexing list every meeting of a row factor with a
-    column factor on a site.  Its columns are numbered in order, and
+    row entries on sites no column uses are dropped by one lookup.  Each
+    meeting of a row factor r with a column factor q contributes
+    chi_r(a_q) - chi_q(a_r), two reads of the group's pair table on the
+    placements' Weyl rows.  A tile takes as many rows as keep its meetings
+    within OVERLAP_MEETINGS: np.repeat and fancy indexing list every
+    meeting of a row factor with a column factor on a site.  Its columns are numbered in order, and
     np.bincount counts the meetings and sums their exponents per (row,
     column) bin, over as many rows at a time as fit in OVERLAP_BINS bins.
     Bins are numbered in (i, j) order, so nothing is sorted.  The two
@@ -434,8 +387,14 @@ def overlap_exponents(rows, cols=None):
     if not row_site.size:
         return
     row_start = np.concatenate(([0], np.cumsum(np.bincount(row_op, minlength=len(rows)))))
-    nf = len(cols.factors)
-    table = np.full(len(rows.factors) * nf, -1, dtype=np.int64)
+    groups = {f.group for f in (*rows.factors, *cols.factors)}
+    if len(groups) > 1:
+        raise ValueError("operator dimensions or moduli differ")
+    group = groups.pop()
+    if group.phase_modulus != modulus:
+        raise GroupMismatchError("phases with different moduli")
+    row_a, row_chi, _, row_kind = (w[row_fid] for w in rows.weyl)
+    col_a, col_chi, _, col_kind = (w[col_fid] for w in cols.weyl)
     # A tile of rows lists at most OVERLAP_MEETINGS meetings (or one row's).
     row_meets = np.bincount(row_op, weights=count[row_site], minlength=len(rows))
     per_tile = max(1, OVERLAP_MEETINGS // int(row_meets.max()))
@@ -448,19 +407,16 @@ def overlap_exponents(rows, cols=None):
         # at: each meeting's place in the column arrays, walking every row
         # factor's site list from its start.  Meetings come in row order.
         at = np.arange(meets.sum()) + np.repeat(start[sites] - (np.cumsum(meets) - meets), meets)
-        i, j = np.repeat(row_op[lo:hi], meets), col_op[at]
-        pair = np.repeat(row_fid[lo:hi] * nf, meets) + col_fid[at]
+        r = np.repeat(np.arange(lo, hi), meets)
+        i, j = row_op[r], col_op[at]
         if upper:
             later = j > i
-            i, j, pair = i[later], j[later], pair[later]
+            r, i, j, at = r[later], i[later], j[later], at[later]
         if not i.size:
             continue
-        exps = table[pair]
-        unset = exps < 0
-        if unset.any():
-            for p in set(pair[unset].tolist()):
-                table[p] = _factor_exponent(rows.factors[p // nf], cols.factors[p % nf], modulus)
-            exps = table[pair]
+        if (row_kind[r] != col_kind[at]).any():
+            raise ValueError("factors act on different site kinds")
+        exps = group.pair[row_chi[r], col_a[at]] - group.pair[col_chi[at], row_a[r]]
         # Number the tile's columns in order, and bin (row, column) pairs
         # over as many rows at a time as fit in OVERLAP_BINS.
         here = np.flatnonzero(np.bincount(j, minlength=len(cols)))
@@ -478,8 +434,7 @@ def overlap_exponents(rows, cols=None):
             part_key = key[m0:m1] - r0 * width
             found = np.flatnonzero(np.bincount(part_key, minlength=bins))
             sums = np.bincount(part_key, weights=exps[m0:m1], minlength=bins)[found].astype(np.int64)
-            k = np.where(sums >= _NOT_SCALAR, -1, sums % modulus)
-            yield found // width + (a0 + r0), here[found % width], k
+            yield found // width + (a0 + r0), here[found % width], sums % modulus
 
 
 def flat_action(dims, factors, x):
@@ -487,9 +442,10 @@ def flat_action(dims, factors, x):
 
     factors holds (axis, MonomialOperator) pairs on distinct axes of the
     row-major space with local dimensions dims.  The digit of x on a
-    factor's axis is d = x // stride % dim; the factor sends it to perm[d],
-    so the target y gains (perm[d] - d) * stride, and it multiplies the
-    amplitude by w**phase[d].  Returns y and, in factor order, each
+    factor's axis is d = x // stride % dim; with (target, phase) the
+    factor's action, it sends d to target[d], so the target y gains
+    (target[d] - d) * stride, and it multiplies the amplitude by
+    w**phase[d].  Returns y and, in factor order, each
     factor's phase[d] array.  Each factor reads the digit of x, not of a
     partial product, so a repeated axis raises ValueError, as a repeated
     site does in ProductOperator.
@@ -502,8 +458,9 @@ def flat_action(dims, factors, x):
     for axis, mono in factors:
         stride = math.prod(dims[axis + 1 :])
         d = x // stride % dims[axis]
-        y += ((np.array(mono.perm) - np.arange(mono.dim)) * stride)[d]
-        phases.append(np.array(mono.phase)[d])
+        target, phase = mono.action()
+        y += ((target - np.arange(mono.dim)) * stride)[d]
+        phases.append(phase[d])
     return y, phases
 
 
@@ -512,7 +469,7 @@ def flatten_product_operator(site_ids, dims, op: ProductOperator):
 
     Basis states x are numbered row major in site order, as in StateVector.
     No index is split into digits: from the last axis to the first, the
-    axis's tables perm[d] * (suffix size) and phase[d] mod op.modulus are
+    axis's action target[d] * (suffix size) and phase[d] mod op.modulus are
     broadcast onto the suffix built so far, which perm indexes without
     wrapping.  perm takes the smallest unsigned dtype that holds the last
     index; phase is summed in one that holds (factors + 1) * op.modulus,
@@ -523,9 +480,9 @@ def flatten_product_operator(site_ids, dims, op: ProductOperator):
     phase = np.zeros(1, dtype=np.min_scalar_type((len(placed) + 1) * op.modulus))
     for axis in reversed(range(len(dims))):
         mono = placed.get(axis)
-        digits, shift = (mono.perm, mono.phase) if mono else (range(dims[axis]), [0] * dims[axis])
-        perm = ((np.array(digits) * perm.size).astype(perm.dtype)[:, None] + perm).ravel()
-        phase = ((np.array(shift) % op.modulus).astype(phase.dtype)[:, None] + phase).ravel()
+        target, shift = mono.action() if mono else (np.arange(dims[axis]), np.zeros(dims[axis], dtype=np.int64))
+        perm = ((target * perm.size).astype(perm.dtype)[:, None] + perm).ravel()
+        phase = ((shift % op.modulus).astype(phase.dtype)[:, None] + phase).ravel()
     return perm, (phase % op.modulus).astype(np.min_scalar_type(op.modulus - 1), copy=False)
 
 
@@ -533,7 +490,7 @@ def flatten_product_operator(site_ids, dims, op: ProductOperator):
 
 
 def placed_factors(state, op: ProductOperator) -> list[tuple[int, MonomialOperator]]:
-    """(axis, factor) pairs of op on the state's sites, each checked against its site's kind and dimension."""
+    """(axis, factor) pairs of op on the state's sites, each checked against its site's kind and dimension, and op's modulus."""
     factors = []
     for site, mono in op.factors:
         axis = state.site_ids.index(site)
@@ -541,6 +498,8 @@ def placed_factors(state, op: ProductOperator) -> list[tuple[int, MonomialOperat
             raise ValueError(f"site kind mismatch at {site!r}")
         if mono.dim != state.dims[axis]:
             raise ValueError(f"operator dimension mismatch at {site!r}")
+        if mono.modulus != op.modulus:
+            raise ValueError(f"operator modulus mismatch at {site!r}")
         factors.append((axis, mono))
     return factors
 
@@ -568,7 +527,7 @@ class StateVector:
             raise ValueError("amplitude array does not match site dimensions")
 
     def apply(self, op: ProductOperator) -> "StateVector":
-        """Apply a product operator; permutation plus phase per site.
+        """Apply a product operator; a Weyl factor's target and phase per site.
 
         Each nonzero amplitude is scattered into a zeroed array, out[y] =
         amps[x] * w**phase_1[d_1] * w**phase_2[d_2] ..., multiplied in
@@ -659,10 +618,9 @@ class SupportState:
                     stride, dim = math.prod(self.dims[axis + 1 :]), self.dims[axis]
                     digits[axis] = (self.keys // stride % dim).astype(np.min_scalar_type(dim - 1)), stride
                 digit, stride = digits[axis]
-                perm, phase = np.array((mono.perm, mono.phase))
-                move = (perm - np.arange(mono.dim)) * stride
-                if move.any():
-                    y = y + move.take(digit)
+                target, phase = mono.action()
+                if mono.a:
+                    y = y + ((target - np.arange(mono.dim)) * stride).take(digit)
                 if phase.any():
                     moved = moved + phase.take(digit)
             moved = moved % self.modulus

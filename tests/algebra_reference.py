@@ -2,11 +2,13 @@
 
 A cocycle's value as a PhaseExponent, a PhaseExponent's complex value,
 the exhaustive cocycle condition, the slant product's closed form, a
-monomial's dense complex matrix, a PhaseTensor's dense complex array,
-the trivial character, the product of two characters, the labels of a
-list of terms and a syndrome's full label -> phase table: each restates
-the library's integer data in the form a textbook check compares
-against.
+Weyl factor's action and dense complex matrix, each constructor's matrix
+from its definition, a PhaseTensor's dense complex array, the trivial
+character, the product of two characters, the labels of a list of terms
+and a syndrome's full label -> phase table: each restates the library's
+integer data in the form a textbook check compares against.  The factor
+forms are built from the scalar helpers (add_exps, pair_exponent,
+Cocycle.exponent), never from the group's tables.
 """
 
 from __future__ import annotations
@@ -63,13 +65,51 @@ def slant_closed_form(alpha: Cocycle, g) -> DualCharacter:
     return alpha.group.character(chi)
 
 
-def to_dense(mono: MonomialOperator) -> np.ndarray:
-    """The dim x dim complex matrix of mono: column i holds w**phase[i] in row perm[i]."""
-    mat = np.zeros((mono.dim, mono.dim), dtype=complex)
-    w = np.exp(2j * np.pi / mono.modulus)
-    for i in range(mono.dim):
-        mat[mono.perm[i], i] = w ** mono.phase[i]
+def dense_action(mono: MonomialOperator) -> tuple[list[int], list[int]]:
+    """(perm, phase) with mono|i> = w**phase[i] |perm[i]>: perm[h] = h + a and phase[h] = c + chi(h) mod L."""
+    group = mono.group
+    a, chi = group.exps_of(mono.a), group.exps_of(mono.chi)
+    perm, phase = [], []
+    for i in range(group.size):
+        h = group.exps_of(i)
+        perm.append(group.index_of(group.add_exps(h, a)))
+        phase.append((mono.c + group.pair_exponent(chi, h)) % group.phase_modulus)
+    return perm, phase
+
+
+def dense_from(perm, phase, modulus: int) -> np.ndarray:
+    """The complex matrix whose column i holds w**phase[i] in row perm[i]."""
+    mat = np.zeros((len(perm), len(perm)), dtype=complex)
+    mat[list(perm), range(len(perm))] = np.exp(2j * np.pi * np.asarray(phase) / modulus)
     return mat
+
+
+def to_dense(mono: MonomialOperator) -> np.ndarray:
+    """The dim x dim complex matrix of mono, from dense_action."""
+    return dense_from(*dense_action(mono), mono.modulus)
+
+
+def constructor_dense(name: str, label, alpha: Cocycle | None = None) -> np.ndarray:
+    """The matrix of operators.<name>(...) from the constructor's definition on the label's group.
+
+    shift_x: |h> -> |g + h>; clock_z: |h> -> label(h) |h>; projective_x:
+    |h> -> alpha(g, h) |g + h>; projective_x_tilde: |h> -> alpha(h - g, g)^-1 |h - g>.
+    """
+    group, g = label.group, label.exps
+    perm, phase = [], []
+    for i in range(group.size):
+        h = group.exps_of(i)
+        if name == "clock_z":
+            target, k = h, group.pair_exponent(g, h)
+        elif name == "projective_x_tilde":
+            target = group.add_exps(h, group.neg_exps(g))
+            k = -alpha.exponent(target, g)
+        else:
+            target = group.add_exps(g, h)
+            k = alpha.exponent(g, h) if name == "projective_x" else 0
+        perm.append(group.index_of(target))
+        phase.append(k)
+    return dense_from(perm, phase, group.phase_modulus)
 
 
 def to_complex(tensor: PhaseTensor) -> np.ndarray:

@@ -16,6 +16,7 @@ import itertools
 
 import numpy as np
 
+from algebra_reference import dense_action
 from latgauge.cyclotomic import PhaseTensor
 from latgauge.operators import clock_z
 
@@ -32,7 +33,7 @@ def exact_matrix(gmap) -> PhaseTensor:
     # Per matter site, the phase of the matter clock as a (basis state,
     # label) table.
     all_labels = [lab.exps for lab in gmap.layer.labels()]
-    pair_table = np.array([clock_z(lab).phase for lab in gmap.layer.labels()], dtype=np.int64).T
+    pair_table = np.array([dense_action(clock_z(lab))[1] for lab in gmap.layer.labels()], dtype=np.int64).T
     m_configs = np.array(list(itertools.product(range(size), repeat=n)), dtype=np.int64)
     m_flat = np.zeros(len(m_configs), dtype=np.int64)
     for col in range(n):

@@ -1,8 +1,8 @@
 """Full-scan oracles for the commutation scans of lattice and excitations.
 
 The library compares only operators that share a site.  These oracles
-compare everything, through `sitewise_commutation_phase` (the unmemoized
-per-site commutator): every term against the op, and for
+compare everything, through `sitewise_commutation_phase` (the per-site
+commutator of the two products): every term against the op, and for
 `check_all_commute` every candidate pair of the set-then-sort
 enumeration, each term pair on a common site collected into one global
 set and sorted.  Tests require the library to give the same dicts, the
@@ -34,22 +34,16 @@ def check_all_commute(terms) -> dict:
     violations = []
     for a, b in pairs:
         phase = sitewise_commutation_phase(terms[a].op, terms[b].op)
-        if phase is None or not phase.is_one:
-            violations.append(
-                {
-                    "a": terms[a].label.as_json(),
-                    "b": terms[b].label.as_json(),
-                    "phase": None if phase is None else phase.k,
-                }
-            )
+        if not phase.is_one:
+            violations.append({"a": terms[a].label.as_json(), "b": terms[b].label.as_json(), "phase": phase.k})
     return {"name": "all_commute", "passed": not violations, "pairs_checked": len(pairs), "violations": violations}
 
 
 def first_violation(terms, op) -> dict | None:
     for t in terms:
         ph = sitewise_commutation_phase(t.op, op)
-        if ph is None or not ph.is_one:
-            return {"term": t.label.as_json(), "phase": None if ph is None else ph.k}
+        if not ph.is_one:
+            return {"term": t.label.as_json(), "phase": ph.k}
     return None
 
 

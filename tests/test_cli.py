@@ -6,6 +6,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -14,8 +15,9 @@ import latgauge
 from latgauge.cli import main, parse_group, parse_subgroup, parse_twist
 from latgauge.excitations import StringSpec, string_operator, syndrome
 from latgauge.gauging import GaugingMap
-from latgauge.groups import GroupSpec
+from latgauge.groups import Cocycle, GroupSpec
 from latgauge.lattice import CodeSpec, Lattice2D, build_bulk_stabilizers
+from latgauge.operators import ProductOperator, clock_z, shift_x
 from report_schema import validate_report
 
 
@@ -332,6 +334,47 @@ class TestAnyonsCommand:
         assert "Traceback" not in result.output
         if exit_code == 2:
             assert result.output.count("Error:") == 1 and "Error: bad operator entry 0:" in result.output
+
+    @pytest.mark.parametrize(
+        "orders, op",
+        [
+            ([4], {"dim": 4, "perm": [0, 3, 2, 1], "phase": [0, 0, 0, 0], "modulus": 4}),
+            ([3], {"dim": 3, "perm": [0, 1, 2], "phase": [0, 0, 1], "modulus": 3}),
+        ],
+        ids=["Z4-reflection", "Z3-partial-clock"],
+    )
+    def test_a_factor_that_is_not_a_weyl_operator_exits_2(self, runner, tmp_path, orders, op):
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(json.dumps({"group": orders, "n": 2, "m": 2}))
+        ops_path = tmp_path / "ops.json"
+        ops_path.write_text(json.dumps([{"name": "raw", "factors": [{"site": [1, 1], "kind": "edge_group", "op": op}]}]))
+        result = runner.invoke(main, ["anyons", "--spec", str(spec_path), "--op-file", str(ops_path)])
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == ["Error: bad operator entry 0: factor at (1, 1) is not a Weyl operator of the group"]
+
+    def test_raw_factors_give_the_tables_of_their_weyl_operators(self, runner, tmp_path):
+        # A Z2xZ2 translation with a character and a phase, on an edge and
+        # a vertex site, and the library's own factors for the same rows.
+        group = GroupSpec((2, 2))
+        spec = CodeSpec(Lattice2D(group, 4, 8, "periodic"), twist_even=Cocycle(group, ((0, 1), (0, 0))))
+        spec_path = tmp_path / "code.json"
+        spec_path.write_text(json.dumps({"group": [2, 2], "n": 4, "m": 8, "twist_even": [1]}))
+        raw = [
+            ([1, 1], "edge_group", {"dim": 4, "perm": [1, 0, 3, 2], "phase": [1, 0, 0, 1], "modulus": 2}),
+            ([0, 0], "vertex_dual", {"dim": 4, "perm": [3, 2, 1, 0], "phase": [0, 1, 1, 0], "modulus": 2}),
+        ]
+        ops_path = tmp_path / "ops.json"
+        factors = [{"site": site, "kind": kind, "op": op} for site, kind, op in raw]
+        ops_path.write_text(json.dumps([{"name": "raw", "factors": factors}]))
+        result = runner.invoke(main, ["anyons", "--spec", str(spec_path), "--op-file", str(ops_path)])
+        assert result.exit_code == 0, result.output
+        edge = replace(shift_x(group.element((0, 1))).multiply(clock_z(group.character((1, 1)))), c=1)
+        vertex = shift_x(group.character((1, 1))).multiply(clock_z(group.element((1, 1))))
+        op = ProductOperator.from_factors([((1, 1), edge), ((0, 0), vertex)], 2)
+        expected = json.loads(json.dumps(syndrome(build_bulk_stabilizers(spec), op).as_json()))
+        table = report_from(result)["syndromes"][0]
+        assert table["violations"] == expected["violations"] and table["violations"]
 
     @pytest.mark.parametrize(
         "family, exit_code", [(None, 0), ("group", 0), ("dual", 0), ("bogus", 2), (1, 2)]

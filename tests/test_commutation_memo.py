@@ -1,25 +1,22 @@
-"""The memoized site commutator and factor constructors against the slow path.
+"""The batched commutation pass and the memoized constructors against the slow path.
 
 `sitewise_commutation_phase` walks the shared sites of a pair and
 multiplies both orders on each, as `operators.commutation_phase` once did.
 One `overlap_exponents` pass per torus must give its phase for every
 overlapping pair, and the library's `commutation_phase`, one pass over a
-single pair, the same phase, the same None and the same errors.  The
-memoized site commutator's work must not grow with the lattice, and the
-plaquette corners must be built once per label.  The memoized site
-commutator reads its exponent off the perm and phase tables; on random
-monomials it must give what the two products give, and refuse what
-multiply refuses, with the same message.
+single pair, the same phase and the same errors.  The plaquette corners
+must be built once per label.  On drawn Weyl operators the pass must give
+what the two products give, and refuse what multiply refuses, with the
+same message.
 """
 
-import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latgauge import lattice, operators
+from latgauge import operators
 from latgauge.groups import GroupMismatchError, GroupSpec, PhaseExponent, enumerate_cocycle_classes
 from latgauge.lattice import CodeSpec, Lattice2D, build_bulk_stabilizers, check_all_commute
 from latgauge.operators import (
@@ -38,8 +35,8 @@ Z4 = GroupSpec((4,))
 Z22 = GroupSpec((2, 2))
 
 
-def sitewise_commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent | None:
-    """Scalar c with a.b = c b.a, or None; recomputed on every shared site."""
+def sitewise_commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseExponent:
+    """Scalar c with a.b = c b.a, recomputed on every shared site from the two products."""
     if a.modulus != b.modulus:
         raise ValueError("phase moduli differ")
     fb = dict(b.factors)
@@ -49,12 +46,8 @@ def sitewise_commutation_phase(a: ProductOperator, b: ProductOperator) -> PhaseE
         if mb is None:
             continue
         ab, ba = ma.multiply(mb), mb.multiply(ma)
-        if ab.perm != ba.perm:
-            return None
-        diffs = {(x - y) % ab.modulus for x, y in zip(ab.phase, ba.phase)}
-        if len(diffs) != 1:
-            return None
-        total = total * PhaseExponent(diffs.pop(), ab.modulus)
+        assert (ab.a, ab.chi) == (ba.a, ba.chi)  # Weyl operators commute up to a scalar
+        total = total * PhaseExponent(ab.c - ba.c, ab.modulus)
     return total
 
 
@@ -81,7 +74,7 @@ def _overlapping_pairs(ops):
 
 
 def _clear_caches():
-    for memo in (operators._site_commutator, operators._shift, operators.clock_z, operators.projective_x_tilde):
+    for memo in (operators._shift, operators.clock_z, operators.projective_x_tilde):
         memo.cache_clear()
 
 
@@ -97,43 +90,40 @@ class TestAgainstSitewiseOracle:
         assert batched
         assert sorted(batched) == [(a, b) for a, b in _overlapping_pairs(ops) if a < b]
         for (a, b), k in batched.items():
-            assert (None if k < 0 else PhaseExponent(k, spec.group.phase_modulus)) == sitewise_commutation_phase(
-                ops[a], ops[b]
-            )
+            assert PhaseExponent(k, spec.group.phase_modulus) == sitewise_commutation_phase(ops[a], ops[b])
 
     @pytest.mark.parametrize("spec", _suite_tori())
-    def test_one_shifted_phase_gives_the_same_violations(self, spec):
-        # w on one basis state of one factor: the term stops being a Weyl
-        # operator, and the batched pass must find the broken pairs that
-        # the sitewise full scan finds.
+    def test_one_extra_clock_gives_the_same_violations(self, spec):
+        # One factor times a clock: the term stops commuting with the
+        # shifts on that site, and the batched pass must find the broken
+        # pairs that the sitewise full scan finds.
         import scan_oracle  # it imports this module, so not at the top
 
         terms = list(build_bulk_stabilizers(spec))
         k = next(i for i, t in enumerate(terms) if t.op.factors)
         (site, mono), *rest = terms[k].op.factors
-        shifted = replace(mono, phase=(mono.phase[0] + 1,) + mono.phase[1:])
+        shifted = replace(mono, chi=int(mono.group.add[mono.chi, 1]))
         terms[k] = replace(terms[k], op=ProductOperator(((site, shifted), *rest), terms[k].op.modulus))
         fast = check_all_commute(terms)
         assert fast == scan_oracle.check_all_commute(terms)
         assert not fast["passed"]
 
-    def test_raw_non_weyl_factor_gives_none(self):
-        reversal = MonomialOperator(4, (3, 2, 1, 0), (0,) * 4, 4).with_kind(SiteKind.EDGE_GROUP)
-        shift = shift_x(Z4.element((1,)))
-        a = ProductOperator.from_factors([("s", reversal)], 4)
-        b = ProductOperator.from_factors([("s", shift)], 4)
-        for _ in range(2):
-            assert sitewise_commutation_phase(a, b) is None
-            assert commutation_phase(a, b) is None
-            assert commutation_phase(b, a) is None
+    def test_factors_of_two_groups_of_one_modulus_raise(self):
+        # Z4 and Z4xZ2 share the modulus 4, so only the groups differ.
+        a = ProductOperator.from_factors([("s", shift_x(Z4.element((1,))))], 4)
+        b = ProductOperator.from_factors([("s", shift_x(GroupSpec((4, 2)).element((1, 0))))], 4)
+        for path in (sitewise_commutation_phase, commutation_phase):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="^operator dimensions or moduli differ$"):
+                    path(x, y)
 
-    def test_mixed_kinds_raise_after_a_cached_call(self):
+    def test_mixed_kinds_raise_after_a_passing_call(self):
         shift = shift_x(Z22.element((1, 0)))
         clock = clock_z(Z22.character((1, 1)))
         a = ProductOperator.from_factors([("s", shift)], 2)
         b = ProductOperator.from_factors([("s", clock)], 2)
         assert commutation_phase(a, b) == sitewise_commutation_phase(a, b) == PhaseExponent(1, 2)
-        wrong = ProductOperator.from_factors([("s", clock.with_kind(SiteKind.VERTEX_DUAL))], 2)
+        wrong = ProductOperator.from_factors([("s", replace(clock, kind=SiteKind.VERTEX_DUAL))], 2)
         for _ in range(2):
             with pytest.raises(ValueError):
                 commutation_phase(a, wrong)
@@ -150,44 +140,7 @@ class TestAgainstSitewiseOracle:
                 path(a, b)
 
 
-class TestWorkDoesNotGrowWithTheLattice:
-    @pytest.mark.parametrize(
-        "orders,twisted,sizes,misses",
-        [
-            ((2, 2), False, (4, 16), 72),
-            ((2, 2), True, (4, 16), 105),
-            ((4, 2), False, (4, 8), 392),
-        ],
-    )
-    def test_site_commutator_misses_do_not_depend_on_size(self, orders, twisted, sizes, misses):
-        # The direct pass, which check_all_commute takes on small tori.
-        group = GroupSpec(orders)
-        alpha = enumerate_cocycle_classes(group)[1] if twisted else None
-        for size in sizes:
-            _clear_caches()
-            spec = CodeSpec(Lattice2D(group, size, size, "periodic"), twist_even=alpha)
-            assert lattice._directly(build_bulk_stabilizers(spec))["passed"]
-            assert operators._site_commutator.cache_info().misses == misses
-
-    @pytest.mark.parametrize(
-        "orders,twisted,sizes,misses",
-        [
-            ((2, 2), False, (4, 8, 16), 72),
-            ((2, 2), True, (4, 8, 16), 117),
-            ((4, 2), False, (4, 8, 12), 392),
-        ],
-    )
-    def test_template_misses_do_not_depend_on_size(self, orders, twisted, sizes, misses):
-        # The unit cell meets every term in both orders, so a twisted code
-        # looks up some factor pairs the direct pass meets in one order only.
-        group = GroupSpec(orders)
-        alpha = enumerate_cocycle_classes(group)[1] if twisted else None
-        for size in sizes:
-            _clear_caches()
-            spec = CodeSpec(Lattice2D(group, size, size, "periodic"), twist_even=alpha)
-            assert lattice._by_template(build_bulk_stabilizers(spec))["passed"]
-            assert operators._site_commutator.cache_info().misses == misses
-
+class TestConstructorsAreMemoized:
     @pytest.mark.parametrize("spec", _suite_tori())
     def test_corner_factors_built_twice_per_group_element(self, spec):
         # Once as an element and once as a character label, and looked up
@@ -210,32 +163,41 @@ class TestWorkDoesNotGrowWithTheLattice:
         assert [f.kind for f in vertex] == [SiteKind.VERTEX_DUAL] * 2 + [SiteKind.EDGE_GROUP] * 2
 
 
-DIMS = st.integers(2, 8)
-MODULI = st.sampled_from((2, 3, 4, 6, 8, 12))
-KINDS = st.sampled_from((None, SiteKind.EDGE_GROUP, SiteKind.VERTEX_DUAL))
+WEYL_GROUPS = [GroupSpec(orders) for orders in ((2,), (3,), (4,), (2, 2), (2, 3), (4, 2), (4, 4))]
+KINDS = st.sampled_from(tuple(SiteKind))
 
 
 @st.composite
-def monomials(draw, dims=DIMS, moduli=MODULI, kinds=KINDS):
-    """A random monomial: any perm (mostly not a Weyl one) or a cyclic shift; random phases or a character."""
-    dim, modulus, kind = draw(dims), draw(moduli), draw(kinds)
-    step = draw(st.integers(0, dim - 1))
-    perm = draw(st.one_of(st.permutations(range(dim)), st.just([(i + step) % dim for i in range(dim)])))
-    # A character of Z_dim, so that cyclic shifts and these clocks commute up to a scalar.
-    c, a = draw(st.integers(0, modulus - 1)), draw(st.integers(0, modulus - 1)) * (modulus // math.gcd(modulus, dim))
-    linear = [c + a * i for i in range(dim)]
-    noise = st.lists(st.integers(-2 * modulus, 2 * modulus), min_size=dim, max_size=dim)
-    phase = draw(st.one_of(noise, st.just(linear)))
-    return MonomialOperator(dim, tuple(perm), tuple(phase), modulus, kind)
+def weyl_factors(draw, groups=st.sampled_from(WEYL_GROUPS), kinds=KINDS):
+    """A drawn Weyl operator (a, chi, c) of a drawn group and site kind."""
+    group = draw(groups)
+    index, c = st.integers(0, group.size - 1), st.integers(-group.phase_modulus, 2 * group.phase_modulus)
+    return MonomialOperator(group, draw(index), draw(index), draw(c), draw(kinds))
 
 
 @st.composite
-def monomial_pairs(draw):
-    """Two monomials that mostly share dim, modulus and kind; each is redrawn one time in eight."""
-    ma = draw(monomials())
-    own = (ma.dim, ma.modulus, ma.kind)
-    kept = [st.just(value) if draw(st.integers(0, 7)) else fresh for value, fresh in zip(own, (DIMS, MODULI, KINDS))]
-    return ma, draw(monomials(*kept))
+def factor_pairs(draw):
+    """Two factors that mostly share group and kind; each is redrawn one time in eight."""
+    ma = draw(weyl_factors())
+    own = ((ma.group, st.sampled_from(WEYL_GROUPS)), (ma.kind, KINDS))
+    kept = [st.just(value) if draw(st.integers(0, 7)) else fresh for value, fresh in own]
+    return ma, draw(weyl_factors(*kept))
+
+
+@st.composite
+def placed_lists(draw):
+    """Two lists of product operators of one group on up to five sites of fixed kinds, drawn factor by factor."""
+    group = draw(st.sampled_from(WEYL_GROUPS))
+    kinds = draw(st.lists(KINDS, min_size=1, max_size=5))
+    lists = []
+    for _ in range(2):
+        ops = []
+        for _ in range(draw(st.integers(1, 6))):
+            sites = draw(st.lists(st.integers(0, len(kinds) - 1), unique=True, max_size=len(kinds)))
+            factors = [(s, draw(weyl_factors(st.just(group), st.just(kinds[s])))) for s in sites]
+            ops.append(ProductOperator.from_factors(factors, group.phase_modulus))
+        lists.append(ops)
+    return lists
 
 
 def _outcome(path, ma, mb):
@@ -246,32 +208,58 @@ def _outcome(path, ma, mb):
         return type(exc), str(exc)
 
 
+def _on_one_site(ma, mb):
+    """ma and mb as product operators of ma's modulus on one site."""
+    return ProductOperator((("s", ma),), ma.modulus), ProductOperator((("s", mb),), ma.modulus)
+
+
 def _product_route(ma, mb):
     """The exponent as sitewise_commutation_phase finds it, from ma.mb and mb.ma on one site."""
-    a = ProductOperator((("s", ma),), ma.modulus)
-    b = ProductOperator((("s", mb),), ma.modulus)
-    phase = sitewise_commutation_phase(a, b)
-    return None if phase is None else phase.k
+    return sitewise_commutation_phase(*_on_one_site(ma, mb)).k
 
 
-class TestObjectFreeCommutator:
+def _pass_route(ma, mb):
+    """The exponent as one overlap_exponents pass finds it."""
+    return commutation_phase(*_on_one_site(ma, mb)).k
+
+
+class TestWeylCommutator:
     @settings(max_examples=250, deadline=None, derandomize=True)
-    @given(monomial_pairs())
-    def test_tables_give_the_product_route(self, pair):
+    @given(factor_pairs())
+    def test_pass_gives_the_product_route(self, pair):
         ma, mb = pair
-        assert _outcome(operators._site_commutator, ma, mb) == _outcome(_product_route, ma, mb)
-        assert _outcome(operators._site_commutator, mb, ma) == _outcome(_product_route, mb, ma)
+        assert _outcome(_pass_route, ma, mb) == _outcome(_product_route, ma, mb)
+        assert _outcome(_pass_route, mb, ma) == _outcome(_product_route, mb, ma)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(placed_lists())
+    def test_overlap_exponents_against_the_sitewise_oracle(self, lists):
+        # The pairs i < j of one list, and every pair of the two lists.
+        rows, cols = lists
+        for others, upper in ((rows, True), (cols, False)):
+            listed = {}
+            for i, j, k in overlap_exponents(rows, None if upper else cols):
+                listed.update(zip(zip(i.tolist(), j.tolist()), k.tolist()))
+            shared = {
+                (i, j)
+                for i, a in enumerate(rows)
+                for j, b in enumerate(others)
+                if (i < j or not upper) and {s for s, _ in a.factors} & {s for s, _ in b.factors}
+            }
+            assert set(listed) == shared
+            for (i, j), k in listed.items():
+                assert k == sitewise_commutation_phase(rows[i], others[j]).k
 
     def test_refusals_come_in_multiply_order(self):
-        # Dimension or modulus before kind, with multiply's own messages.
-        a = MonomialOperator(2, (1, 0), (0, 1), 2, SiteKind.EDGE_GROUP)
+        # Group before kind, with multiply's own messages.
+        a = shift_x(GroupSpec((2,)).element((1,)))
         for b in (
-            MonomialOperator(3, (0, 1, 2), (0, 0, 0), 2, SiteKind.VERTEX_DUAL),
-            MonomialOperator(2, (0, 1), (0, 0), 4, SiteKind.VERTEX_DUAL),
-            MonomialOperator(2, (0, 1), (0, 1), 2, SiteKind.VERTEX_DUAL),
+            clock_z(GroupSpec((3,)).element((1,))),
+            clock_z(GroupSpec((2,)).element((1,))),
+            replace(clock_z(GroupSpec((2,)).character((1,))), kind=SiteKind.VERTEX_DUAL),
         ):
             for x, y in ((a, b), (b, a)):
                 with pytest.raises(ValueError) as raised:
                     x.multiply(y)
                 with pytest.raises(ValueError, match=f"^{raised.value}$"):
-                    operators._site_commutator(x, y)
+                    _pass_route(x, y)

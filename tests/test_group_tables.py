@@ -3,9 +3,11 @@
 GroupSpec's add, neg and pair tables and a Cocycle's table are checked
 entry by entry against add_exps, neg_exps, pair_exponent and
 Cocycle.exponent; character_of against the pair rows and against rows
-that are not characters; operators._weyl_form against the (a, chi, c)
-that each constructor's definition gives; and slant_product against its
-closed form in algebra_reference.
+that are not characters; each constructor's Weyl row (a, chi, c) against
+its definition's p-matrix form, and its products, adjoints and identity
+against dense matrices built from the scalar helpers; the op-file reader
+against factors that are not Weyl operators; and slant_product against
+its closed form in algebra_reference.
 """
 
 import itertools
@@ -14,11 +16,12 @@ import math
 import numpy as np
 import pytest
 
-from algebra_reference import slant_closed_form
+from algebra_reference import constructor_dense, slant_closed_form, to_dense
+from latgauge.cli import _factor_from_json
 from latgauge.groups import Cocycle, GroupSpec, enumerate_cocycle_classes, slant_product
 from latgauge.operators import (
     MonomialOperator,
-    _weyl_form,
+    SiteKind,
     clock_z,
     projective_x,
     projective_x_tilde,
@@ -111,19 +114,59 @@ def _expected_weyl_form(constructor, alpha, label):
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=IDS)
-def test_weyl_form_of_every_constructor(group):
+def test_weyl_rows_of_every_constructor(group):
     for alpha in enumerate_cocycle_classes(group):
         for label in [*group.elements(), *group.characters()]:
-            for constructor in (shift_x, clock_z, projective_x, projective_x_tilde):
-                twisted = constructor in (projective_x, projective_x_tilde)
-                mono = constructor(alpha, label) if twisted else constructor(label)
-                a, chi, c = _weyl_form(mono, group)
-                assert (a, chi, c) == _expected_weyl_form(constructor, alpha, label), (constructor.__name__, label)
-                assert type(c) is int and all(type(x) is int for x in a + chi)
+            for constructor in CONSTRUCTORS:
+                mono = _build(constructor, alpha, label)
+                a, chi, c = _expected_weyl_form(constructor, alpha, label)
+                assert (mono.a, mono.chi, mono.c) == (group.index_of(a), group.index_of(chi), c), (
+                    constructor.__name__, label,
+                )
+                assert all(type(x) is int for x in (mono.a, mono.chi, mono.c))
+
+
+CONSTRUCTORS = (shift_x, clock_z, projective_x, projective_x_tilde)
+LAW_ORDERS = [(2,), (3,), (4,), (2, 2), (2, 3), (4, 2)]
+
+
+def _build(constructor, alpha, label):
+    return constructor(alpha, label) if constructor in (projective_x, projective_x_tilde) else constructor(label)
+
+
+@pytest.mark.parametrize("orders", LAW_ORDERS, ids=["x".join(map(str, o)) for o in LAW_ORDERS])
+def test_product_adjoint_and_identity_against_the_definitions(orders):
+    # Every constructor's factor is its definition's matrix, built from the
+    # scalar helpers; products, adjoints and the identity of each site kind
+    # are the matrix products, conjugate transposes and the unit matrix.
+    group = GroupSpec(orders)
+    for alpha in enumerate_cocycle_classes(group):
+        by_kind = {}
+        for label in [*group.elements(), *group.characters()]:
+            for constructor in CONSTRUCTORS:
+                mono = _build(constructor, alpha, label)
+                dense = constructor_dense(constructor.__name__, label, alpha)
+                assert np.allclose(to_dense(mono), dense), (constructor.__name__, label)
+                by_kind.setdefault(mono.kind, []).append((mono, dense))
+        assert set(by_kind) == set(SiteKind)
+        for kind, factors in by_kind.items():
+            identity = MonomialOperator.identity(group, kind)
+            assert identity.is_identity and np.array_equal(to_dense(identity), np.eye(group.size))
+            for m, dm in factors:
+                assert np.allclose(to_dense(m.adjoint()), dm.conj().T)
+                assert m.multiply(m.adjoint()).is_identity and m.multiply(identity) == m == identity.multiply(m)
+                for n, dn in factors:
+                    assert np.allclose(to_dense(m.multiply(n)), dm @ dn)
+
+
+def _raw_factor(group, perm, phase):
+    """An op-file factor entry on an edge site."""
+    op = {"dim": group.size, "perm": list(perm), "phase": list(phase), "modulus": group.phase_modulus}
+    return {"site": [1, 1], "kind": "edge_group", "op": op}
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=IDS)
-def test_weyl_form_refuses_a_partial_clock(group):
+def test_op_file_reader_refuses_a_partial_clock(group):
     # A clock right on the unit elements and wrong on one other element.
     L = group.phase_modulus
     for chi in group.characters():
@@ -132,8 +175,8 @@ def test_weyl_form_refuses_a_partial_clock(group):
             if g in group.strides or g == 0:
                 continue
             phase[g] = (phase[g] + 1) % L
-            with pytest.raises(ArithmeticError):
-                _weyl_form(MonomialOperator(group.size, tuple(range(group.size)), tuple(phase.tolist()), L), group)
+            with pytest.raises(ValueError, match="not a Weyl operator"):
+                _factor_from_json(group, _raw_factor(group, range(group.size), phase.tolist()))
             phase[g] = (phase[g] - 1) % L
 
 
@@ -148,17 +191,18 @@ def test_weyl_form_refuses_a_partial_clock(group):
     ],
     ids=["Z3-inversion", "Z4-a-Z2xZ2-shift", "Z2xZ2-a-Z4-shift", "Z2xZ3-transposition", "Z4xZ4-transposition"],
 )
-def test_weyl_form_refuses_a_permutation_that_is_not_a_translation(orders, perm):
+def test_op_file_reader_refuses_a_permutation_that_is_not_a_translation(orders, perm):
     group = GroupSpec(orders)
-    mono = MonomialOperator(group.size, perm, (0,) * group.size, group.phase_modulus)
-    with pytest.raises(ArithmeticError):
-        _weyl_form(mono, group)
+    with pytest.raises(ValueError, match="not a Weyl operator"):
+        _factor_from_json(group, _raw_factor(group, perm, (0,) * group.size))
 
 
 def test_a_translation_of_another_group_of_the_same_size_is_read_in_that_group():
     # (1, 0, 3, 2) translates Z2xZ2 by (0, 1) and no element of Z4.
-    mono = MonomialOperator(4, (1, 0, 3, 2), (0, 1, 0, 1), 2)
-    assert _weyl_form(mono, GroupSpec((2, 2))) == ((0, 1), (0, 1), 0)
+    group = GroupSpec((2, 2))
+    site, mono = _factor_from_json(group, _raw_factor(group, (1, 0, 3, 2), (0, 1, 0, 1)))
+    assert site == (1, 1) and mono.kind == SiteKind.EDGE_GROUP
+    assert (mono.a, mono.chi, mono.c) == (group.index_of((0, 1)), group.index_of((0, 1)), 0)
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=IDS)

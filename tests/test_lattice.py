@@ -233,7 +233,7 @@ class TestGroundSpace:
         ops = [t.op for t in build_bulk_stabilizers(spec)]
         k = next(i for i, op in enumerate(ops) if op.factors)
         (site, mono), *rest = ops[k].factors
-        shifted = replace(mono, phase=tuple(p + 1 for p in mono.phase))
+        shifted = replace(mono, c=mono.c + 1)
         ops[k] = ProductOperator(((site, shifted), *rest), ops[k].modulus)
         sites = [s for s, _ in spec.lattice.sites()]
         assert orbit_eigenspace_dimension(ops, sites, spec.group) == joint_eigenspace_dimension(
@@ -256,13 +256,12 @@ class TestGroundSpace:
         kinds = dict(spec.lattice.sites())
         if case == "shifted-identity-term":
             site = next(iter(kinds))
-            identity = MonomialOperator.identity(spec.group.size, L)
-            w = replace(identity, phase=(1,) * spec.group.size, kind=kinds[site])
+            w = MonomialOperator(spec.group, 0, 0, 1, kinds[site])
             ops[next(i for i, op in enumerate(ops) if not op.factors)] = ProductOperator(((site, w),), L)
         else:
             z = clock_z(next(chi for chi in spec.group.characters() if not chi.is_identity))
             head, *rest = [(1, x2) for x2 in spec.lattice.row_positions(1)]
-            first = replace(z, phase=tuple(p + 1 for p in z.phase)) if case == "shifted-clock-string" else z
+            first = replace(z, c=z.c + 1) if case == "shifted-clock-string" else z
             ops.append(ProductOperator.from_factors([(head, first)] + [(s, z) for s in rest], L))
         sites = list(kinds)
         assert orbit_eigenspace_dimension(ops, sites, spec.group) == joint_eigenspace_dimension(
@@ -305,7 +304,7 @@ class TestGroundSpace:
         z = clock_z(Z2.character((1,)))
         x = shift_x(Z2.element((1,)))
         xz = x.multiply(z)
-        minus_xz = MonomialOperator(2, xz.perm, tuple(p + 1 for p in xz.phase), 2, xz.kind)
+        minus_xz = replace(xz, c=xz.c + 1)
         sites = ["a", "b"]
         ops = [
             ProductOperator.from_factors([("a", a), ("b", b)], 2)
@@ -320,12 +319,6 @@ class TestGroundSpace:
         for mat in dense:
             proj = proj @ (np.eye(4) + mat) / 2
         assert np.allclose(proj, 0)
-
-    def test_non_weyl_factor_is_refused(self):
-        inversion = MonomialOperator(3, (0, 2, 1), (0, 0, 0), 3)
-        op = ProductOperator.from_factors([("a", inversion)], 3)
-        with pytest.raises(ArithmeticError):
-            joint_eigenspace_dimension([op], ["a"], Z3)
 
     def test_one_cap_error_class(self):
         assert lattice.CapExceededError is gauging.CapExceededError

@@ -336,14 +336,15 @@ def test_no_float_tolerance_but_the_state_tolerance():
 
 def test_dense_oracle_is_independent_of_the_normal_form():
     # The orbit count checks joint_eigenspace_dimension, so neither of its
-    # kernels may read the Weyl forms or the batched commutation phases.
+    # kernels may read the placements' Weyl rows, the normal form or the
+    # batched commutation phases.
     kernels = {("lattice.py", "orbit_eigenspace_dimension"), ("operators.py", "flatten_product_operator")}
     found, stray = set(), []
     for path, tree in _sources():
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and (path.name, node.name) in kernels:
                 found.add((path.name, node.name))
-                normal_form = {"_weyl_form", "joint_eigenspace_dimension", "overlap_exponents"}
+                normal_form = {"weyl", "joint_eigenspace_dimension", "overlap_exponents"}
                 stray += [f"{path.name}:{line} {owner}" for owner, line in _references(node, normal_form, node.name)]
     assert found == kernels
     assert not stray, f"the dense oracle reads the normal form: {stray}"
@@ -360,6 +361,26 @@ def test_group_law_is_read_from_the_tables():
         for owner, line in _references(tree, scalar)
     ]
     assert not stray, f"the group law rebuilt from exponent tuples outside groups.py: {stray}"
+
+
+def test_site_factors_are_weyl_rows():
+    # A factor is (group, a, chi, c, kind); the perm and phase tables, their
+    # readers and the unkinded factor are gone.
+    operators = ast.parse((SRC / "operators.py").read_text(encoding="utf-8"))
+    fields = [field for cls, field in _dataclass_fields(operators) if cls == "MonomialOperator"]
+    assert fields == ["group", "a", "chi", "c", "kind"]
+    gone = {"_weyl_form", "_site_commutator", "_factor_exponent", "_NOT_SCALAR", "with_kind"}
+    defined = [
+        f"{path.name}:{node.lineno} {name}"
+        for path, tree in _sources()
+        for node in ast.walk(tree)
+        for name in (
+            [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            else [t.id for t in getattr(node, "targets", [getattr(node, "target", None)]) if isinstance(t, ast.Name)]
+        )
+        if name in gone
+    ]
+    assert not defined, f"deleted names defined again: {defined}"
 
 
 POOL_NAMES = {"concurrent", "multiprocessing", "ProcessPoolExecutor", "BrokenProcessPool", "get_context"}

@@ -1,9 +1,10 @@
-"""Monomial operator algebra against dense-matrix oracles."""
+"""Weyl operator algebra against dense-matrix oracles."""
 
 import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_compose_oracle
-from algebra_reference import character_product, dual_identity, evaluate, phase_value, to_dense
+from algebra_reference import character_product, dense_action, dual_identity, evaluate, phase_value, to_dense
 import flatten_oracle
 import flux_float_oracle
+from latgauge.cli import _factor_from_json
 from latgauge.gauging import compose_gauging, initial_state, layer_stack, stack_local_symmetry_ops
 from latgauge.groups import Cocycle, GroupSpec, enumerate_cocycle_classes, pair, slant_product
 from latgauge.operators import (
@@ -83,15 +85,7 @@ class TestClockShift:
                 for g in spec.elements():
                     lhs = clock_z(chi).multiply(shift_x(g))
                     rhs = shift_x(g).multiply(clock_z(chi))
-                    scalar = pair(chi, g)
-                    dressed = MonomialOperator(
-                        rhs.dim,
-                        rhs.perm,
-                        tuple(p + scalar.k for p in rhs.phase),
-                        rhs.modulus,
-                        rhs.kind,
-                    )
-                    assert lhs == dressed
+                    assert lhs == replace(rhs, c=rhs.c + pair(chi, g).k)
 
 
 class TestProjective:
@@ -108,11 +102,7 @@ class TestProjective:
                 for g, h in itertools.product(spec.elements(), repeat=2):
                     lhs = projective_x(alpha, g).multiply(projective_x(alpha, h))
                     rhs = projective_x(alpha, g * h)
-                    k = evaluate(alpha, g, h).k
-                    dressed = MonomialOperator(
-                        rhs.dim, rhs.perm, tuple(p + k for p in rhs.phase), rhs.modulus, rhs.kind
-                    )
-                    assert lhs == dressed
+                    assert lhs == replace(rhs, c=rhs.c + evaluate(alpha, g, h).k)
 
     def test_left_and_right_representations_commute(self):
         for alpha in enumerate_cocycle_classes(Z22):
@@ -145,14 +135,10 @@ class TestProjective:
                     for g in spec.elements():
                         lhs = clock_z(chi).multiply(projective_x(alpha, g))
                         rhs = projective_x(alpha, g).multiply(clock_z(chi))
-                        k = pair(chi, g).k
-                        dressed = MonomialOperator(
-                            rhs.dim, rhs.perm, tuple(p + k for p in rhs.phase), rhs.modulus, rhs.kind
-                        )
-                        assert lhs == dressed
+                        assert lhs == replace(rhs, c=rhs.c + pair(chi, g).k)
 
     def test_character_and_element_with_same_exponents_agree(self):
-        # Same perm and phase, different site kind.
+        # Same Weyl row, different site kind.
         beta = enumerate_cocycle_classes(Z22)[1]
         for chi in Z22.characters():
             g = Z22.element(chi.exps)
@@ -163,7 +149,7 @@ class TestProjective:
                 clock_z,
             ):
                 a, b = build(chi), build(g)
-                assert (a.perm, a.phase) == (b.perm, b.phase)
+                assert (a.a, a.chi, a.c) == (b.a, b.chi, b.c)
                 assert {a.kind, b.kind} == {SiteKind.EDGE_GROUP, SiteKind.VERTEX_DUAL}
 
 
@@ -184,15 +170,15 @@ class TestSiteKind:
                 assert clock_z(lab).kind == other
                 assert clock_z(lab).adjoint().kind == other
 
-    def test_unlabelled_monomial_has_no_kind(self):
-        m = MonomialOperator(2, (1, 0), (0, 0), 2)
-        assert m.kind is None
-        assert m.with_kind(SiteKind.EDGE_GROUP) == shift_x(Z2.element((1,)))
+    def test_a_weyl_row_equals_its_constructor(self):
+        assert MonomialOperator(Z2, 1, 0, 0, SiteKind.EDGE_GROUP) == shift_x(Z2.element((1,)))
+        assert MonomialOperator(Z2, 1, 0, 0, SiteKind.VERTEX_DUAL) == shift_x(Z2.character((1,)))
+        assert MonomialOperator(Z3, 0, 2, 3, SiteKind.EDGE_GROUP) == clock_z(Z3.character((2,)))
 
     def test_mixed_kind_product_rejected(self):
         x = shift_x(Z3.element((1,)))
         z = clock_z(Z3.element((1,)))  # a vertex-site clock
-        for a, b in ((x, z), (z, x), (x, MonomialOperator(3, x.perm, x.phase, 3))):
+        for a, b in ((x, z), (z, x), (x, replace(x, kind=SiteKind.VERTEX_DUAL))):
             with pytest.raises(ValueError, match="site kinds"):
                 a.multiply(b)
         with pytest.raises(ValueError, match="site kinds"):
@@ -231,17 +217,15 @@ class TestMonomialAlgebra:
         with pytest.raises(ValueError):
             shift_x(Z2.element((1,))).multiply(shift_x(Z3.element((1,))))
 
-    @given(st.integers(2, 6), st.integers(0, 10_000))
+    @given(st.sampled_from(SMALL_GROUPS + [GroupSpec((6,)), GroupSpec((4, 2))]), st.integers(0, 10_000))
     @settings(max_examples=40)
-    def test_random_monomials_unitary(self, dim, seed):
+    def test_random_monomials_unitary(self, group, seed):
         rng = np.random.default_rng(seed)
-        perm = tuple(int(x) for x in rng.permutation(dim))
-        modulus = int(rng.integers(1, 12))
-        phase = tuple(int(x) for x in rng.integers(0, modulus, size=dim))
-        m = MonomialOperator(dim, perm, phase, modulus)
+        a, chi = (int(x) for x in rng.integers(0, group.size, size=2))
+        m = MonomialOperator(group, a, chi, int(rng.integers(-20, 20)), SiteKind.EDGE_GROUP)
         assert m.multiply(m.adjoint()).is_identity
         dense = to_dense(m)
-        assert np.max(np.abs(dense @ dense.conj().T - np.eye(dim))) < 1e-12
+        assert np.max(np.abs(dense @ dense.conj().T - np.eye(group.size))) < 1e-12
 
     @pytest.mark.parametrize(
         "perm,phase", [((0,), (0,)), ((0,), ()), ((0, 0), (0, 0))], ids=["short", "no-phase", "repeat"]
@@ -249,10 +233,11 @@ class TestMonomialAlgebra:
     def test_bad_lengths_checked_before_dim_sizes_anything(self, perm, phase):
         # A factor of an op file may claim any dim; the lengths are checked
         # before a list of dim entries is built.
+        op = {"dim": 10**6, "perm": list(perm), "phase": list(phase), "modulus": 2}
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="perm must be a bijection"):
-                MonomialOperator.from_json({"dim": 10**6, "perm": list(perm), "phase": list(phase), "modulus": 2})
+                _factor_from_json(Z2, {"site": [1, 1], "kind": "edge_group", "op": op})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -264,9 +249,9 @@ class TestMonomialAlgebra:
         ids=["float-dim", "bool-modulus", "float-perm", "bool-perm", "fractional-phase"],
     )
     def test_from_json_takes_integers_only(self, field, value):
-        data = {"dim": 2, "perm": [1, 0], "phase": [0, 1], "modulus": 2, field: value}
+        op = {"dim": 2, "perm": [1, 0], "phase": [0, 1], "modulus": 2, field: value}
         with pytest.raises(ValueError, match="must be integers"):
-            MonomialOperator.from_json(data)
+            _factor_from_json(Z2, {"site": [1, 1], "kind": "edge_group", "op": op})
 
 
 class TestProductOperator:
@@ -285,23 +270,15 @@ class TestProductOperator:
         b = ProductOperator.from_factors([(1, z)], 3)
         assert commutation_phase(a, b).is_one
 
-    def test_not_scalar_returns_none(self):
-        # A commutator that is diagonal but not constant is not a scalar.
-        alpha = enumerate_cocycle_classes(Z22)[1]
-        a = ProductOperator.from_factors([(0, projective_x(alpha, Z22.element((1, 0))))], 2)
-        b = ProductOperator.from_factors([(0, projective_x(alpha, Z22.element((0, 1))))], 2)
-        ph = commutation_phase(a, b)
-        # X_alpha pairs commute up to the slant phase, which is scalar here;
-        # build a genuinely non-scalar case from a shift and a partial clock.
-        mixed = MonomialOperator(4, (0, 1, 2, 3), (0, 1, 0, 0), 2, SiteKind.EDGE_GROUP)
-        c = ProductOperator.from_factors([(0, mixed)], 2)
-        d = ProductOperator.from_factors([(0, shift_x(Z22.element((1, 0))))], 2)
-        assert commutation_phase(c, d) is None
-        # Non-commuting permutations: a.b and b.a differ in their perm.
-        swaps = [MonomialOperator(3, p, (0, 0, 0), 3, SiteKind.EDGE_GROUP) for p in ((1, 0, 2), (0, 2, 1))]
-        e, f = (ProductOperator.from_factors([(0, m)], 3) for m in swaps)
-        assert commutation_phase(e, f) is None
-        assert ph is not None
+    def test_projective_shifts_commute_up_to_the_slant_phase(self):
+        # X(g) X(h) = alpha(g, h) X(g h) and X(h) X(g) = alpha(h, g) X(g h),
+        # so the commutator is the slant character of g at h.
+        for spec in (Z22, GroupSpec((4, 2))):
+            for alpha in enumerate_cocycle_classes(spec):
+                for g, h in itertools.product(spec.elements(), repeat=2):
+                    a = ProductOperator.from_factors([(0, projective_x(alpha, g))], spec.phase_modulus)
+                    b = ProductOperator.from_factors([(0, projective_x(alpha, h))], spec.phase_modulus)
+                    assert commutation_phase(a, b) == pair(slant_product(alpha, g), h)
 
     def test_multiply_merges_sites(self):
         a = ProductOperator.from_factors([(0, shift_x(Z2.element((1,))))], 2)
@@ -342,11 +319,7 @@ class TestProductOperator:
             da = dense_product(a, (0, 1), (4, 4))
             db = dense_product(b, (0, 1), (4, 4))
             ph = commutation_phase(a, b)
-            if ph is None:
-                comm = da @ db @ np.linalg.inv(da) @ np.linalg.inv(db)
-                assert not np.allclose(comm, comm[0, 0] * np.eye(16))
-            else:
-                assert np.max(np.abs(da @ db - phase_value(ph) * (db @ da))) < 1e-12
+            assert np.max(np.abs(da @ db - phase_value(ph) * (db @ da))) < 1e-12
 
 
 def random_state(sites, dims, seed):
@@ -414,16 +387,22 @@ class TestApply:
         assert np.max(np.abs(seq.amps - merged.amps)) < 1e-12
 
     def test_kind_mismatch_rejected(self):
-        # The kind is read from the factor: a vertex-site clock, a raw
-        # monomial stamped as a vertex factor, or an unstamped one cannot
-        # act on an edge site.
+        # The kind is read from the factor: a vertex-site clock or a shift
+        # made for a vertex site cannot act on an edge site.
         stv = random_state(self.SITES, (3, 3, 3), 6)
-        raw = MonomialOperator(3, (1, 2, 0), (0, 0, 0), 3)
-        for mono in (clock_z(Z3.element((1,))), raw.with_kind(SiteKind.VERTEX_DUAL), raw):
+        raw = MonomialOperator(Z3, 1, 0, 0, SiteKind.EDGE_GROUP)
+        for mono in (clock_z(Z3.element((1,))), replace(raw, kind=SiteKind.VERTEX_DUAL)):
             op = ProductOperator.from_factors([(("a", 0), mono)], 3)
             with pytest.raises(ValueError, match="site kind mismatch"):
                 stv.apply(op)
-        stv.apply(ProductOperator.from_factors([(("a", 0), raw.with_kind(SiteKind.EDGE_GROUP))], 3))
+        stv.apply(ProductOperator.from_factors([(("a", 0), raw)], 3))
+
+    def test_modulus_mismatch_rejected(self):
+        # A Z3 factor's phases are cube roots; an operator of modulus 6 would read them as sixth roots.
+        stv = random_state(self.SITES, (3, 3, 3), 7)
+        op = ProductOperator.from_factors([(("a", 0), shift_x(Z3.element((1,))))], 6)
+        with pytest.raises(ValueError, match="operator modulus mismatch"):
+            stv.apply(op)
 
 
 def scatter_apply(state, op):
@@ -439,54 +418,55 @@ def scatter_apply(state, op):
         post = int(np.prod(state.dims[axis + 1:])) if axis + 1 < len(state.dims) else 1
         cur = out.reshape(pre, d, post)
         nxt = np.empty_like(cur)
-        phases = w ** np.array(mono.phase)
-        nxt[:, np.array(mono.perm), :] = cur * phases[None, :, None]
+        perm, phase = dense_action(mono)
+        nxt[:, np.array(perm), :] = cur * (w ** np.array(phase))[None, :, None]
         out = nxt.reshape(-1)
     return out
 
 
-# Mixed local dimensions with one phase modulus (6), so Z2 and Z3 phases
-# are multiples of 3 and 2.
+# Sites of three groups of one phase modulus (6), of dimensions 6 and 12.
+Z6 = GroupSpec((6,))
+Z26 = GroupSpec((2, 6))
 MIXED_SITES = [
     (("m", 0), SiteKind.EDGE_GROUP),
     (("m", 1), SiteKind.VERTEX_DUAL),
     (("m", 2), SiteKind.EDGE_GROUP),
     (("m", 3), SiteKind.VERTEX_DUAL),
 ]
-MIXED_DIMS = (2, 3, 6, 2)
+MIXED_GROUPS = (Z6, Z23, Z26, Z6)
+MIXED_DIMS = tuple(group.size for group in MIXED_GROUPS)
 
 
-def mixed_factor(choice, d, kind):
-    """A modulus-6 monomial on a site of dimension d.
+def mixed_factor(choice, group, kind):
+    """A Weyl factor of a modulus-6 group.
 
-    clock: identity perm, nonzero phases; shift: cyclic shift with phases;
-    raw: the reversal j -> d-1-j (not a Weyl permutation for d > 2).
+    clock: a character; shift: a translation with a character and a
+    phase; twisted: the right projective shift of the last cohomology
+    class (nontrivial on Z2xZ6).
     """
-    step = 6 // d
     if choice == "clock":
-        return MonomialOperator(d, tuple(range(d)), tuple(step * j for j in range(d)), 6, kind)
+        return MonomialOperator(group, 0, 1, 0, kind)
     if choice == "shift":
-        perm = tuple((j + 1) % d for j in range(d))
-        return MonomialOperator(d, perm, tuple(j * j for j in range(d)), 6, kind)
-    perm = tuple(d - 1 - j for j in range(d))
-    return MonomialOperator(d, perm, tuple((5 * j + 1) % 6 for j in range(d)), 6).with_kind(kind)
+        return MonomialOperator(group, 1, group.size - 1, 1, kind)
+    label = group.element((1,) * len(group.orders)) if kind == SiteKind.EDGE_GROUP else group.character((1,) * len(group.orders))
+    return projective_x_tilde(enumerate_cocycle_classes(group)[-1], label)
 
 
 MIXED_CHOICES = [
-    ("clock", "shift", "raw", "shift"),
-    ("shift", "clock", "clock", "raw"),
-    ("raw", "shift", "shift", "shift"),
+    ("clock", "shift", "twisted", "shift"),
+    ("shift", "clock", "clock", "twisted"),
+    ("twisted", "shift", "shift", "shift"),
     ("clock", None, "clock", None),
-    (None, "raw", None, None),
+    (None, "twisted", None, None),
     (None, None, "shift", "clock"),
-    ("raw", "clock", "raw", "shift"),
+    ("twisted", "clock", "twisted", "shift"),
 ]
 
 
 def mixed_op(choices):
     pairs = [
-        (site, mixed_factor(c, d, kind))
-        for (site, kind), d, c in zip(MIXED_SITES, MIXED_DIMS, choices)
+        (site, mixed_factor(c, group, kind))
+        for (site, kind), group, c in zip(MIXED_SITES, MIXED_GROUPS, choices)
         if c is not None
     ]
     return ProductOperator.from_factors(pairs, 6)
@@ -512,9 +492,9 @@ def twisted_ops():
 TWISTED_SITES = [(("a", k), SiteKind.EDGE_GROUP) for k in range(3)]
 
 
-# Ten spectator qubits after the mixed sites: 73728 amplitudes, three tiles.
-TILED_SITES = MIXED_SITES + [(("t", k), SiteKind.EDGE_GROUP) for k in range(10)]
-TILED_DIMS = MIXED_DIMS + (2,) * 10
+# Five spectator qubits after the mixed sites: 82944 amplitudes, three tiles.
+TILED_SITES = MIXED_SITES + [(("t", k), SiteKind.EDGE_GROUP) for k in range(5)]
+TILED_DIMS = MIXED_DIMS + (2,) * 5
 
 
 def sparse_state(sites, dims, seed):
@@ -548,7 +528,7 @@ class TestSliceWiseApply:
 
     @pytest.mark.parametrize("case", range(len(apply_cases())))
     def test_expectation_equals_the_inner_product_of_apply(self, case):
-        # Mixed dimensions, reversal perms and twisted shifts, on dense states.
+        # Mixed dimensions and twisted shifts, on dense states.
         stv, op = apply_cases()[case]
         (value,) = dense_compose_oracle.expectations(stv, [op])
         assert abs(value - np.vdot(stv.amps, stv.apply(op).amps)) < 1e-12
@@ -556,7 +536,7 @@ class TestSliceWiseApply:
     @pytest.mark.parametrize("case", range(len(apply_cases())))
     def test_flatten_matches_the_dense_product(self, case):
         # On the sites up to the last factor, so the tiled state's operator
-        # is compared as a 72 x 72 matrix.
+        # is compared as a 2592 x 2592 matrix.
         stv, op = apply_cases()[case]
         n = max((stv.site_ids.index(site) + 1 for site, _ in op.factors), default=0)
         ids, dims = stv.site_ids[:n], stv.dims[:n]
@@ -597,10 +577,10 @@ class TestSliceWiseApply:
     def test_mismatch_after_a_valid_factor_is_refused(self):
         stv = random_state(MIXED_SITES, MIXED_DIMS, 50)
         before = stv.amps.copy()
-        good = (("m", 0), mixed_factor("shift", 2, SiteKind.EDGE_GROUP))
+        good = (("m", 0), mixed_factor("shift", Z6, SiteKind.EDGE_GROUP))
         bad = [
-            ((("m", 1), mixed_factor("shift", 2, SiteKind.VERTEX_DUAL)), "operator dimension mismatch"),
-            ((("m", 2), mixed_factor("raw", 6, SiteKind.VERTEX_DUAL)), "site kind mismatch"),
+            ((("m", 1), mixed_factor("shift", Z26, SiteKind.VERTEX_DUAL)), "operator dimension mismatch"),
+            ((("m", 2), mixed_factor("twisted", Z26, SiteKind.VERTEX_DUAL)), "site kind mismatch"),
         ]
         for pair_, message in bad:
             op = ProductOperator.from_factors([good, pair_], 6)
@@ -609,7 +589,7 @@ class TestSliceWiseApply:
         assert stv.amps.tobytes() == before.tobytes()
 
     def test_repeated_site_is_refused(self):
-        shift = mixed_factor("shift", 2, SiteKind.EDGE_GROUP)
+        shift = mixed_factor("shift", Z6, SiteKind.EDGE_GROUP)
         with pytest.raises(ValueError, match="more than one factor"):
             ProductOperator(((("m", 0), shift), (("m", 0), shift)), 6)
 
@@ -618,7 +598,7 @@ class TestSliceWiseApply:
         # fourteen axes and takes fourteen phase products in factor order.
         sites = [(("c", k), SiteKind.EDGE_GROUP) for k in range(14)]
         stv = random_state(sites, (2,) * 14, 60)
-        flip = MonomialOperator(2, (1, 0), (0, 1), 2, SiteKind.EDGE_GROUP)
+        flip = MonomialOperator(Z2, 1, 1, 0, SiteKind.EDGE_GROUP)
         op = ProductOperator.from_factors([(s, flip) for s, _ in sites], 2)
         assert np.array_equal(stv.apply(op).amps, scatter_apply(stv, op))
 
@@ -635,36 +615,39 @@ class TestSliceWiseApply:
             assert out.amps is stv.amps
 
 
+FLATTEN_GROUPS = [GroupSpec(orders) for orders in ((2,), (3,), (4,), (2, 2), (6,), (2, 3), (256,), (257,), (1000,))]
+
+
 @st.composite
 def flatten_cases(draw):
-    """(site_ids, dims, op): mixed dims, sites and factors in drawn orders, up to 2**18 amplitudes.
+    """(site_ids, dims, op): sites of one group, some with a drawn Weyl factor, in drawn orders, up to 2**18 amplitudes.
 
     Binary spectator sites push some totals past 2**16, where perm leaves
     uint16; moduli past 256 move phase to uint16.
     """
-    dims = draw(st.lists(st.integers(2, 6), max_size=5))
-    spare = 18 - sum(math.ceil(math.log2(d)) for d in dims)
-    for _ in range(draw(st.integers(0, spare))):
+    group = draw(st.sampled_from(FLATTEN_GROUPS))
+    bits = math.ceil(math.log2(group.size))
+    dims = [group.size] * draw(st.integers(0, min(5, 18 // bits)))
+    for _ in range(draw(st.integers(0, 18 - bits * len(dims)))):
         dims.insert(draw(st.integers(0, len(dims))), 2)
     names = draw(st.permutations(range(len(dims))))
-    modulus = draw(st.sampled_from([1, 2, 3, 4, 6, 12, 256, 257, 1000]))
+    index = st.integers(0, group.size - 1)
     factors = []
     for site, d in zip(names, dims):
-        if draw(st.booleans()):
-            perm = tuple(draw(st.permutations(range(d))))
-            phase = tuple(draw(st.lists(st.integers(0, 3 * modulus), min_size=d, max_size=d)))
-            factors.append((site, MonomialOperator(d, perm, phase, draw(st.sampled_from([modulus, 2 * modulus])))))
+        if d == group.size and draw(st.booleans()):
+            c = draw(st.integers(0, 3 * group.phase_modulus))
+            factors.append((site, MonomialOperator(group, draw(index), draw(index), c, SiteKind.EDGE_GROUP)))
     order = draw(st.permutations(range(len(dims))))
     site_ids = [names[k] for k in order]
-    return site_ids, tuple(dims[k] for k in order), ProductOperator(tuple(draw(st.permutations(factors))), modulus)
+    return site_ids, tuple(dims[k] for k in order), ProductOperator(tuple(draw(st.permutations(factors))), group.phase_modulus)
 
 
 class TestFlatten:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(flatten_cases())
     @example(([], (), ProductOperator.identity_op(3)))
-    @example((list(range(16)), (2,) * 16, ProductOperator(((3, mixed_factor("shift", 2, None)),), 6)))
-    @example((list(range(17)), (2,) * 17, ProductOperator(((16, mixed_factor("raw", 2, None)),), 6)))
+    @example((list(range(16)), (2,) * 16, ProductOperator(((3, MonomialOperator(Z2, 1, 1, 0, SiteKind.EDGE_GROUP)),), 2)))
+    @example((list(range(17)), (2,) * 17, ProductOperator(((16, MonomialOperator(Z2, 1, 0, 1, SiteKind.EDGE_GROUP)),), 2)))
     @example(([0, 1], (6, 2), ProductOperator.identity_op(257)))
     def test_equals_the_tiled_oracle_bit_for_bit(self, case):
         site_ids, dims, op = case

@@ -4,10 +4,9 @@
 that share a site with the op (or with each other).  On every suite torus
 in both orientations, and on a cylinder with its boundary terms, they must
 give what `scan_oracle` gives by comparing everything; a term broken by
-one wrong phase must give the same violations; a modulus mismatch must
-still raise; and the batched pass must count every overlapping pair and
-call the site commutator once per distinct pair of factors that meet on
-a site.  The algebra path (check_all_commute, logical_operators and
+one extra clock must give the same violations; a modulus mismatch must
+still raise; and one batched pass must count every overlapping pair and
+give the oracle's witnesses.  The algebra path (check_all_commute, logical_operators and
 confinement_report on a large twisted torus) must not import numpy.ma.
 """
 
@@ -27,7 +26,7 @@ from hypothesis import strategies as st
 import latgauge
 import scan_oracle
 from algebra_reference import phase_table
-from latgauge import excitations, lattice, operators
+from latgauge import excitations, lattice
 from latgauge.excitations import confined_string_operator, confinement_report, dipole_operator, syndrome, syndromes
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes
 from latgauge.lattice import (
@@ -126,17 +125,22 @@ def _assert_scans_match(terms, ops):
         # From each violating term on, that term must be the witness.
         for i, t in enumerate(listed):
             ph = expected[t.label]
-            if ph is None or not ph.is_one:
+            if not ph.is_one:
                 violating += 1
                 assert first_violation(listed[i:], op) == scan_oracle.first_violation(listed[i:], op)
     return violating
 
 
-def _break_one_phase(terms):
-    """Copy of terms with one basis-state phase of one factor shifted by 1; (copy, index)."""
+def _extra_clock(mono, x: int = 1):
+    """mono times the clock of character index x, on the same site."""
+    return replace(mono, chi=int(mono.group.add[mono.chi, x]))
+
+
+def _break_one_factor(terms):
+    """Copy of terms with one factor times a clock; (copy, index)."""
     k = next(i for i, t in enumerate(terms) if t.op.factors)
     (site, mono), *rest = terms[k].op.factors
-    shifted = replace(mono, phase=(mono.phase[0] + 1,) + mono.phase[1:])
+    shifted = _extra_clock(mono)
     broken = list(terms)
     broken[k] = replace(terms[k], op=ProductOperator(((site, shifted), *rest), terms[k].op.modulus))
     return broken, k
@@ -157,8 +161,8 @@ class TestAgainstFullScan:
         assert _assert_scans_match(_terms(spec), _string_ops(spec)) > 0
 
     @pytest.mark.parametrize("spec", _specs("periodic", TORI, ("standard",)) + CYLINDER_SPECS)
-    def test_one_wrong_phase_gives_the_oracle_violations(self, spec):
-        terms, k = _break_one_phase(_terms(spec))
+    def test_one_extra_clock_gives_the_oracle_violations(self, spec):
+        terms, k = _break_one_factor(_terms(spec))
         report = check_all_commute(terms)
         assert report == scan_oracle.check_all_commute(terms)
         assert not report["passed"]
@@ -169,7 +173,7 @@ class TestAgainstFullScan:
         ]
         _assert_scans_match(terms, ops)
         phases = [phase_table(terms, op)[terms[k].label] for op in ops]
-        assert any(ph is None or not ph.is_one for ph in phases)
+        assert any(not ph.is_one for ph in phases)
 
 
 SPECS = [param.values[0] for param in TORUS_SPECS + CYLINDER_SPECS]
@@ -184,12 +188,12 @@ def _pool(index):
 
 @st.composite
 def scan_cases(draw):
-    """Terms and ops with a broken phase and a raw non-Weyl factor.
+    """Terms and ops with a broken factor and a raw Weyl factor.
 
-    A random subset of one spec's terms, in random order, with one basis
-    state of one factor shifted by w, and one term and one op that are
-    the basis reversal on a site (not a Weyl operator when |G| > 2), next
-    to up to three of the spec's string ops.
+    A random subset of one spec's terms, in random order, with one factor
+    times a drawn clock, and one term and one op that are a drawn Weyl
+    operator (a, chi, c) on a site, next to up to three of the spec's
+    string ops.
     """
     spec, pool, strings = _pool(draw(st.integers(0, len(SPECS) - 1)))
     order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=len(pool), unique=True))
@@ -199,12 +203,12 @@ def scan_cases(draw):
     if factors:
         f = draw(st.integers(0, len(factors) - 1))
         site, mono = factors[f]
-        x = draw(st.integers(0, mono.dim - 1))
-        factors[f] = (site, replace(mono, phase=mono.phase[:x] + (mono.phase[x] + 1,) + mono.phase[x + 1 :]))
+        factors[f] = (site, _extra_clock(mono, draw(st.integers(0, mono.dim - 1))))
         terms[k] = replace(terms[k], op=ProductOperator(tuple(factors), terms[k].op.modulus))
     site, mono = draw(st.sampled_from([f for t in pool for f in t.op.factors]))
-    reversal = MonomialOperator(mono.dim, tuple(reversed(range(mono.dim))), (0,) * mono.dim, mono.modulus)
-    raw = ProductOperator(((site, reversal.with_kind(mono.kind)),), spec.group.phase_modulus)
+    index, c = st.integers(0, mono.dim - 1), st.integers(0, mono.modulus - 1)
+    weyl = MonomialOperator(mono.group, draw(index), draw(index), draw(c), mono.kind)
+    raw = ProductOperator(((site, weyl),), spec.group.phase_modulus)
     terms.insert(draw(st.integers(0, len(terms))), StabilizerTerm(StabilizerLabel((-1, -1), "raw", ()), raw))
     ops = draw(st.lists(st.sampled_from(strings), max_size=3)) + [raw]
     return terms, draw(st.permutations(ops))
@@ -218,8 +222,7 @@ def placed_cases(draw):
     so check_all_commute and the term side of syndromes read them
     directly; the ops are ProductOperators that operators.place puts into
     arrays one by one: up to three string ops, the ops of up to three of
-    the spec's terms, and a raw op of one basis state of one factor
-    shifted by w.
+    the spec's terms, and a raw op of one factor times a drawn clock.
     """
     spec, _, strings = _pool(draw(st.integers(0, len(SPECS) - 1)))
     placed = build_bulk_stabilizers(spec)
@@ -230,8 +233,7 @@ def placed_cases(draw):
     ops = draw(st.lists(st.sampled_from(strings), max_size=3))
     ops += [placed[i].op for i in draw(st.lists(st.integers(0, size - 1), max_size=3))]
     site, mono = draw(st.sampled_from([f for t in placed for f in t.op.factors]))
-    x = draw(st.integers(0, mono.dim - 1))
-    shifted = replace(mono, phase=mono.phase[:x] + (mono.phase[x] + 1,) + mono.phase[x + 1 :])
+    shifted = _extra_clock(mono, draw(st.integers(0, mono.dim - 1)))
     ops.append(ProductOperator(((site, shifted),), spec.group.phase_modulus))
     index = np.arange(size)[part]
     ops_at = place([placed[i].op for i in index])
@@ -266,10 +268,10 @@ class TestRandomSubsets:
 
 def _dense_json(terms, op) -> dict:
     """SyndromeMap.as_json as the full label -> phase dict of the scan oracle gives it."""
-    hits = [(lab, ph) for lab, ph in scan_oracle.syndrome_phases(terms, op).items() if ph is None or not ph.is_one]
+    hits = [(lab, ph) for lab, ph in scan_oracle.syndrome_phases(terms, op).items() if not ph.is_one]
     return {
         "violated_centers": sorted({lab.center for lab, _ in hits}),
-        "violations": [{"label": lab.as_json(), "phase": None if ph is None else ph.k} for lab, ph in hits],
+        "violations": [{"label": lab.as_json(), "phase": ph.k} for lab, ph in hits],
     }
 
 
@@ -361,11 +363,10 @@ def _shares_site(a, b) -> bool:
 
 
 class TestWorkIsOnePerOverlappingPair:
-    """Twisted Z2xZ2 on a 16x16 torus: one batched pass, one site commutator per distinct factor pair.
+    """Twisted Z2xZ2 on a 16x16 torus: one batched pass per scan.
 
-    The pass counts every overlapping pair, calls `_site_commutator` at
-    most once per distinct (factor, factor) pair it meets on a site, and
-    gives the full-scan oracle's witnesses.
+    The pass counts every overlapping pair and gives the full-scan
+    oracle's witnesses.
     """
 
     Z22 = GroupSpec((2, 2))
@@ -374,58 +375,24 @@ class TestWorkIsOnePerOverlappingPair:
     def spec(self):
         return CodeSpec(Lattice2D(self.Z22, 16, 16, "periodic"), twist_even=enumerate_cocycle_classes(self.Z22)[1])
 
-    @staticmethod
-    def _count(monkeypatch):
-        """Record every call of the site commutator."""
-        calls = []
-        original = operators._site_commutator
-
-        def counting(ma, mb):
-            calls.append((ma, mb))
-            return original(ma, mb)
-
-        monkeypatch.setattr(operators, "_site_commutator", counting)
-        return calls
-
-    @staticmethod
-    def _distinct_factor_pairs(rows, cols, upper):
-        """(row factor, column factor) pairs that meet on a site; with upper, column after row."""
-        on_site: dict = {}
-        for j, b in enumerate(cols):
-            for site, mb in b.factors:
-                on_site.setdefault(site, []).append((j, mb))
-        pairs = set()
-        for i, a in enumerate(rows):
-            for site, ma in a.factors:
-                pairs.update((ma, mb) for j, mb in on_site.get(site, ()) if not upper or j > i)
-        return pairs
-
-    def test_check_all_commute(self, spec, monkeypatch):
+    def test_check_all_commute(self, spec):
         # The direct pass; a torus this large takes the template pass, which
         # tests/test_routes.py compares with it.
         terms = build_bulk_stabilizers(spec)
-        calls = self._count(monkeypatch)
         report = lattice._directly(terms)
         assert report["passed"]
         assert report["pairs_checked"] == len(scan_oracle.candidate_pairs(terms))
-        assert len(calls) == len(set(calls))
-        ops = [t.op for t in terms]
-        assert set(calls) == self._distinct_factor_pairs(ops, ops, upper=True)
 
-    def test_logical_operators(self, spec, monkeypatch):
-        calls = self._count(monkeypatch)
+    def test_logical_operators(self, spec):
         logicals = logical_operators(spec)
-        assert len(calls) == len(set(calls))
         terms = build_bulk_stabilizers(spec)
         assert any(not lo.commutes for lo in logicals)
         for lo in logicals:
             assert lo.witness == scan_oracle.first_violation(terms, lo.op)
-        assert set(calls) == self._distinct_factor_pairs([t.op for t in terms], [lo.op for lo in logicals], upper=False)
 
     def test_confinement_report(self, spec, monkeypatch):
         # Every syndrome runs in one batched pass; the braid checks then
         # call commutation_phase from excitations, once per character.
-        calls = self._count(monkeypatch)
         braids = []
         original_phase = excitations.commutation_phase
 
@@ -439,16 +406,14 @@ class TestWorkIsOnePerOverlappingPair:
 
         def recording(terms, ops):
             out = original_syndromes(terms, ops)
-            passes.append((ops, terms, len(calls)))
+            passes.append((ops, terms))
             return out
 
         monkeypatch.setattr(excitations, "syndromes", recording)
         report = confinement_report(spec, self.Z22.element((1, 0)))
         assert len(passes) == 1
-        ops, terms, pass_calls = passes[0]
+        ops, terms = passes[0]
         assert len(braids) == len(report["dipole_braiding_phases"])
-        assert len(set(calls[:pass_calls])) == pass_calls
-        assert set(calls[:pass_calls]) == self._distinct_factor_pairs([t.op for t in terms], ops, upper=False)
         for op, got in zip(ops, original_syndromes(terms, ops)):
             assert phase_table(terms, op, got) == scan_oracle.syndrome_phases(terms, op)
 

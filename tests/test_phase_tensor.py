@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_phase_oracle as oracle
+from algebra_reference import dense_action
 from latgauge.cyclotomic import PhaseTensor, contract, mono_mul_left, mono_mul_right
 from latgauge.gauging import (
     LayerSpec,
@@ -26,7 +27,7 @@ from latgauge.gauging import (
     verify_string_order_mapping,
 )
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes
-from latgauge.operators import MonomialOperator, flat_action, flatten_product_operator, shift_x
+from latgauge.operators import MonomialOperator, SiteKind, flat_action, flatten_product_operator, shift_x
 from latgauge.suite import GROUPS
 from latgauge.tensors import (
     block_diamond,
@@ -202,7 +203,7 @@ class TestAgainstDenseOracle:
                     dressed, dense = tensor, tensor.counts
                     for leg, mono in recipe(lab):
                         dressed = mono_mul_left(dressed, [(leg, mono)])
-                        dense = oracle.mono_mul_left(dense, mono.perm, mono.phase, axis=leg)
+                        dense = oracle.mono_mul_left(dense, *dense_action(mono), axis=leg)
                         assert np.array_equal(dressed.counts, dense)
                     assert dressed == tensor and oracle.equal(dense, tensor.counts)
                     assert mono_mul_left(tensor, recipe(lab)) == dressed
@@ -221,17 +222,18 @@ def random_tensor(draw, shape, modulus):
 
 @st.composite
 def tensor_and_monomials(draw):
-    """A random tensor and random monomials on distinct axes of it."""
-    modulus = draw(st.integers(1, 5))
-    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
-    tensor = random_tensor(draw, shape, modulus)
-    axes = draw(st.lists(st.integers(0, len(shape) - 1), min_size=1, max_size=len(shape), unique=True))
+    """A random tensor of a group's modulus and drawn Weyl operators (a, chi, c) on distinct axes of dimension |G|."""
+    group = draw(st.sampled_from([GroupSpec(orders) for orders in ((2,), (3,), (4,), (2, 2), (5,))]))
+    shape = draw(st.lists(st.sampled_from([1, 2, 3, group.size]), min_size=1, max_size=3))
+    shape[draw(st.integers(0, len(shape) - 1))] = group.size
+    tensor = random_tensor(draw, tuple(shape), group.phase_modulus)
+    full = [axis for axis, dim in enumerate(shape) if dim == group.size]
+    axes = draw(st.lists(st.sampled_from(full), min_size=1, max_size=len(full), unique=True))
+    index, kind = st.integers(0, group.size - 1), st.sampled_from(tuple(SiteKind))
     factors = []
     for axis in axes:
-        dim = shape[axis]
-        perm = draw(st.permutations(range(dim)))
-        phase = draw(st.lists(st.integers(0, modulus - 1), min_size=dim, max_size=dim))
-        factors.append((axis, MonomialOperator(dim, tuple(perm), tuple(phase), modulus)))
+        c = draw(st.integers(0, group.phase_modulus - 1))
+        factors.append((axis, MonomialOperator(group, draw(index), draw(index), c, draw(kind))))
     return tensor, factors
 
 
@@ -267,14 +269,14 @@ class TestRandomTensors:
         got = mono_mul_left(tensor, factors)
         dense = tensor.counts
         for axis, mono in factors:
-            dense = oracle.mono_mul_left(dense, mono.perm, mono.phase, axis=axis)
+            dense = oracle.mono_mul_left(dense, *dense_action(mono), axis=axis)
         assert np.array_equal(got.counts, dense)
         assert got.scale == tensor.scale
         if len(tensor.shape) == 2:
             for axis, mono in factors:
                 if axis == 1:
                     got = mono_mul_right(tensor, [(1, mono)])
-                    assert np.array_equal(got.counts, oracle.mono_mul_right(tensor.counts, mono.perm, mono.phase))
+                    assert np.array_equal(got.counts, oracle.mono_mul_right(tensor.counts, *dense_action(mono)))
 
     @settings(max_examples=150, deadline=None)
     @given(contractible_pair())

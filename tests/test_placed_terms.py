@@ -11,6 +11,7 @@ must build no `ProductOperator`.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ class TestAgainstTheOracle:
 
 
 class TestWrongCornerFactor:
-    """One label's east factor shifted by w on one basis state, through both builders."""
+    """One label's east factor times a clock, through both builders."""
 
     @pytest.mark.parametrize(
         "orders,n,m,vertical",
@@ -115,9 +116,7 @@ class TestWrongCornerFactor:
         def corners(twist, label):
             west, east, north, south = original(twist, label)
             if label == wrong_label:
-                east = operators.MonomialOperator(
-                    east.dim, east.perm, (east.phase[0] + 1, *east.phase[1:]), east.modulus, east.kind
-                )
+                east = replace(east, chi=int(east.group.add[east.chi, 1]))
             return west, east, north, south
 
         monkeypatch.setattr(lattice, "corner_factors", corners)

@@ -61,8 +61,8 @@ def _with_factor(terms, entry: int, mono):
 
 
 def _wrong_phase(mono):
-    """mono with its phase on basis state 0 one step off: no longer a Weyl operator."""
-    return replace(mono, phase=(mono.phase[0] + 1,) + mono.phase[1:])
+    """mono times the clock of character index 1: its phase is off on every basis state that clock moves."""
+    return replace(mono, chi=int(mono.group.add[mono.chi, 1]))
 
 
 def _term_entries(terms, t: int) -> range:

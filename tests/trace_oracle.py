@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from algebra_reference import dense_action
 from latgauge.lattice import CodeSpec, GeometryError, build_bulk_stabilizers
 from latgauge.operators import CapExceededError, MonomialOperator, StateVector, corner_factors
 from term_oracle import _plaquette_sites
@@ -83,9 +84,9 @@ def phase_counts_as_integer(counts: np.ndarray) -> int:
 def trace_counts(op: MonomialOperator) -> np.ndarray:
     """Exact trace of a monomial as a count vector over phase exponents."""
     counts = np.zeros(op.modulus, dtype=np.int64)
-    for i, p in enumerate(op.perm):
+    for i, (p, k) in enumerate(zip(*dense_action(op))):
         if p == i:
-            counts[op.phase[i]] += 1
+            counts[k] += 1
     return counts
 
 
@@ -145,7 +146,6 @@ def trace_ground_dimension(spec: CodeSpec, cap_bits: float = 20.0) -> int:
     for p, (center, _) in enumerate(per_plaquette):
         for site in _corner_map(spec, center, _first_label(spec, center)):
             touching[site_index[site]].append(p)
-    ident = MonomialOperator.identity(size, L)
     # Local trace tables: per site, over joint labels of its plaquettes.
     dead_tables = []
     phase_tables = []
@@ -155,7 +155,7 @@ def trace_ground_dimension(spec: CodeSpec, cap_bits: float = 20.0) -> int:
         dead = np.zeros(shape, dtype=bool)
         phases = np.zeros(shape, dtype=np.int64)
         for local in itertools.product(range(size), repeat=len(plqs)):
-            op = ident.with_kind(kinds[site])
+            op = MonomialOperator.identity(spec.group, kinds[site])
             for p, lab_idx in zip(plqs, local):
                 corner = per_plaquette[p][1][lab_idx].get(site)
                 op = corner.multiply(op)
