@@ -31,7 +31,7 @@ from .groups import (
     restricted_characters,
     slant_product,
 )
-from .lattice import CodeSpec, build_boundary_terms, overlap_phases, witness
+from .lattice import CodeSpec, build_boundary_terms, witnesses
 from .operators import (
     ProductOperator,
     SiteKind,
@@ -153,8 +153,8 @@ def condensation_table(spec: CodeSpec, chain: SymmetricState1D) -> dict:
 
     Group-labelled vertical strings condense iff they commute with every
     surviving boundary term; character-labelled strings are checked the
-    same way.  All 2|G| strings go through one overlap_phases pass, and
-    the report carries a witness term for each blocked anyon.
+    same way.  All 2|G| strings go through one lattice.witnesses pass,
+    and the report carries a witness term for each blocked anyon.
     """
     lat = spec.lattice
     if lat.vertical != "open":
@@ -180,6 +180,6 @@ def condensation_table(spec: CodeSpec, chain: SymmetricState1D) -> dict:
     report = {"surviving": sorted(chi.exps for chi in surviving), "raw_expectations": {
         str(k): vals for k, vals in raw.items()
     }, "group_anyons": {}, "dual_anyons": {}}
-    for (kind, label, _), hits in zip(anyons, overlap_phases(terms, strings)):
-        report[kind][str(label.exps)] = {"condenses": not hits, "witness": witness(hits)}
+    for (kind, label, _), hit in zip(anyons, witnesses(terms, strings)):
+        report[kind][str(label.exps)] = {"condenses": hit is None, "witness": hit}
     return report

@@ -16,7 +16,8 @@ at least one check failed, 2 bad configuration.  Reports contain no
 timings or other nondeterministic fields, so identical configurations
 produce byte-identical output.  GAUGE_MAX_DIM sets the amplitude cap
 (default 2**24), which gauging.check_cap alone compares, in sites, term
-factors or normal-form cells, before anything is built.  A value that is
+factors, group-table entries, overlapping term pairs or normal-form cells,
+before anything is built.  A value that is
 not a positive integer, a cap too small for the checks, and a MemoryError
 in any subcommand (a raised cap can admit more than the machine holds)
 each exit 2 with one `Error:` line, and so does a `suite` worker process
@@ -274,9 +275,9 @@ def _code_spec(group, n, m, bc, twist_even, twist_odd, beta, subgroup, orientati
         raise ValueError(f"bc must be 'torus' or 'cylinder', not {bc!r}")
     if bc == "torus" and (beta is not None or subgroup is not None):
         raise ValueError("beta and subgroup set the cylinder's bottom boundary; a torus has none")
+    lattice = _lattice(group, n, m, "periodic" if bc == "torus" else "open")  # before a subgroup's |H|**2 closure check
     twists = [parse_twist(group, text) for text in (twist_even, twist_odd, beta)]
     sub = parse_subgroup(group, subgroup)
-    lattice = _lattice(group, n, m, "periodic" if bc == "torus" else "open")
     return CodeSpec(lattice, *twists, subgroup_bottom=sub, orientation=orientation)
 
 
@@ -284,14 +285,24 @@ def _code_spec(group, n, m, bc, twist_even, twist_odd, beta, subgroup, orientati
 # factor while they are built (on the Z2 100x100, Z2xZ2 50x50 and Z3xZ3 30x30
 # tori, constructors warm): at most seven 16-byte amplitudes.
 TERM_FACTOR_AMPLITUDES = 7
+# Term pairs that share a site, per plaquette and per |G|**2: check_all_commute
+# counts under 4.5 (n m (|G| - 1)**2 pairs on Z7, Z11 and Z17 tori up to 6x6).
+PAIRS_PER_PLAQUETTE = 5
 
 
 def _lattice(group, n, m, vertical) -> Lattice2D:
-    """Lattice2D once check_cap allows its terms' factors: n*m plaquettes, |G| labels, up to 4 factors each."""
+    """Lattice2D once check_cap allows what its code reads, before any of it is built.
+
+    Its terms' factors (n*m plaquettes, |G| labels, up to 4 factors each),
+    the group's add and pair tables (|G|**2 entries each), and the term
+    pairs that share a site, which check_all_commute compares.
+    """
     check_cap(
         f"the stabilizer terms, {TERM_FACTOR_AMPLITUDES} amplitudes per factor,",
         group.size, 1, TERM_FACTOR_AMPLITUDES * 4 * n * m,
     )
+    check_cap("the group's add and pair tables, one amplitude per entry,", group.size, 2, 2)
+    check_cap("the overlapping term pairs, one amplitude per pair,", group.size, 2, PAIRS_PER_PLAQUETTE * n * m)
     return Lattice2D(group, n, m, vertical)
 
 
@@ -447,13 +458,16 @@ def confine(group_text, twist_even, spec_path, n, m, element, out):
 def boundary(group_text, subgroup, n, m, beta, out):
     """Surviving boundary terms and anyon condensation for a 1D input phase."""
     group = parse_group(group_text)
+    with building_config():
+        check_cap("the chain", group.size, n)
+        lattice = _lattice(group, n, m, "open")
+    # After the caps: checking a subgroup's closure takes |H|**2 products.
     sub = parse_subgroup(group, subgroup)
     if parse_twist(group, beta) is not None:
         raise ConfigError("a nontrivial --beta needs symmetry-protected fixed points, which are not built yet")
     with building_config():
-        check_cap("the chain", group.size, n)
         chain = build_fixed_point_state(group, sub, n)
-        spec = CodeSpec(_lattice(group, n, m, "open"))
+        spec = CodeSpec(lattice)
     table, checks = claims.boundary_condensation(spec, chain, sub)
     report = envelope(
         "boundary",

@@ -23,22 +23,22 @@ MAX_STRING_LENGTH = 3  # longest confined string and tallest dipole in confineme
 class SyndromeMap:
     """Eigenvalue of every stabilizer term on op|ground state>, stored sparsely.
 
-    violations holds (term, phase) of each term the op violates, in term
-    order, as lattice.overlap_phases lists them: phase is a PhaseExponent
-    other than one.  Every other term has eigenvalue one, so no label or
-    phase is stored for it.
+    violations holds (label, phase) of each term the op violates, in term
+    order, as lattice.overlap_phases lists them: label is the term's
+    StabilizerLabel and phase a PhaseExponent other than one.  Every other
+    term has eigenvalue one, so no label or phase is stored for it.
     """
 
     violations: list
 
     def violated_centers(self) -> set:
-        return {t.label.center for t, _ in self.violations}
+        return {label.center for label, _ in self.violations}
 
     def as_json(self) -> dict:
         return {
             "violated_centers": sorted(self.violated_centers()),
             "violations": [
-                {"label": t.label.as_json(), "phase": ph.k} for t, ph in self.violations
+                {"label": label.as_json(), "phase": ph.k} for label, ph in self.violations
             ],
         }
 
@@ -47,8 +47,8 @@ def syndromes(terms, ops) -> list[SyndromeMap]:
     """SyndromeMap of each op over the terms, in term order.
 
     One lattice.overlap_phases pass for all ops lists the terms each op
-    violates and checks the moduli.  Only those terms are built: no label
-    or phase is stored for a term an op does not violate.
+    violates and checks the moduli.  No term is built, and no label or
+    phase is stored for a term an op does not violate.
     """
     return [SyndromeMap(hits) for hits in overlap_phases(terms, ops)]
 
@@ -183,7 +183,7 @@ def confinement_report(spec: CodeSpec, g: GroupElement | None = None) -> dict:
     dipole_counts = dict(zip(lengths, counts[len(lengths) : 2 * len(lengths)]))
     syn_d, syn_b, syn_db = syns[len(lengths)], syns[-2], syns[-1]
     # Every term outside the three violation sets is one times one.
-    d, b, db = ({t.label: ph for t, ph in syn.violations} for syn in (syn_d, syn_b, syn_db))
+    d, b, db = (dict(syn.violations) for syn in (syn_d, syn_b, syn_db))
     one = PhaseExponent.one(group.phase_modulus)
     homomorphic = all(db.get(lab, one) == d.get(lab, one) * b.get(lab, one) for lab in d.keys() | b.keys() | db.keys())
     bend_relocates = syn_db.violated_centers() != syn_d.violated_centers()

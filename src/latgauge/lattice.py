@@ -155,10 +155,15 @@ class CodeSpec:
     def group(self) -> GroupSpec:
         return self.lattice.group
 
+    @functools.cached_property
+    def _bulk_terms(self) -> PlacedTerms:
+        """The bulk terms, built on first use and held by this spec object alone."""
+        return _build_bulk_stabilizers(self)
+
 
 @dataclass(frozen=True, eq=False)
 class PlacedTerms(Sequence):
-    """The terms of a code as integer arrays; read-only.
+    """The terms of a code as integer arrays; read-only, arrays included.
 
     placement holds the ops; term i has the center centers[i] and the
     (family, exps) label_table[label_id[i]].  lattice is the lattice the
@@ -171,6 +176,9 @@ class PlacedTerms(Sequence):
     label_id: np.ndarray
     label_table: tuple
     lattice: Lattice2D | None = None
+
+    def __post_init__(self) -> None:
+        self.centers.flags.writeable = self.label_id.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.label_id)
@@ -196,6 +204,16 @@ class PlacedTerms(Sequence):
 
 
 def build_bulk_stabilizers(spec: CodeSpec) -> PlacedTerms:
+    """The bulk terms of spec, built once per spec object and shared by every caller.
+
+    The terms are held on the spec itself, so an equal spec built anew
+    builds its own, and they go when the spec goes.  Being shared, they
+    are read-only: the arrays refuse writes and the factors are a tuple.
+    """
+    return spec._bulk_terms
+
+
+def _build_bulk_stabilizers(spec: CodeSpec) -> PlacedTerms:
     """One term per (plaquette, label), identity labels included, placed by index arithmetic.
 
     Terms come center by center in plaquette_centers order, and within a
@@ -242,7 +260,7 @@ def build_bulk_stabilizers(spec: CodeSpec) -> PlacedTerms:
     start = np.concatenate(([0], np.cumsum(kept.sum(axis=2).ravel())))
     site = np.broadcast_to(sites[:, None, :], fid.shape)[kept]
     table = _site_table(lat.n, len(lat.rows))
-    placement = Placement(start, site, fid[kept], table, list(factors), group.phase_modulus)
+    placement = Placement(start, site, fid[kept], table, tuple(factors), group.phase_modulus)
     label_id = ((j % 2)[:, None] * size + np.arange(size)).ravel()
     return PlacedTerms(placement, np.repeat(centers, size, axis=0), label_id, tuple(label_table), lat)
 
@@ -302,6 +320,11 @@ def _placement(terms) -> Placement:
     return terms.placement if isinstance(terms, PlacedTerms) else place([t.op for t in terms])
 
 
+def _label(terms, i: int) -> StabilizerLabel:
+    """The label of term i; placed terms read it off their arrays without building the term."""
+    return terms.label(i) if isinstance(terms, PlacedTerms) else terms[i].label
+
+
 def check_all_commute(terms) -> dict:
     """Exact pairwise commutation report over the pairs of terms that share a site.
 
@@ -332,16 +355,14 @@ def _commute_report(pairs_checked: int, violations: list) -> dict:
 
 
 def _directly(terms) -> dict:
-    """check_all_commute by one overlap_exponents pass over the terms; only violating terms are built."""
+    """check_all_commute by one overlap_exponents pass over the terms; only violating terms' labels are read."""
     violations = []
     pairs_checked = 0
     for a, b, k in overlap_exponents(_placement(terms)):
         pairs_checked += k.size
         bad = np.flatnonzero(k)
         for ia, ib, kk in zip(a[bad].tolist(), b[bad].tolist(), k[bad].tolist()):
-            violations.append(
-                {"a": terms[ia].label.as_json(), "b": terms[ib].label.as_json(), "phase": kk}
-            )
+            violations.append({"a": _label(terms, ia).as_json(), "b": _label(terms, ib).as_json(), "phase": kk})
     return _commute_report(pairs_checked, violations)
 
 
@@ -395,30 +416,47 @@ def _by_template(terms) -> dict | None:
 
 
 def overlap_phases(terms, ops) -> list[list[tuple]]:
-    """For each op, (term, phase) of every term that fails to commute with it, in term order.
+    """For each op, (label, phase) of every term that fails to commute with it, in term order.
 
     phase is the PhaseExponent c other than 1 with term.op . op = c
     op . term.op; every term not listed commutes with the op.  All ops go
     through one operators.overlap_exponents pass, which compares only
     terms that share a site with an op.  The moduli are checked first, so
     a mismatch raises ValueError even when an op shares no site with any
-    term.  Only the listed terms are built.
+    term.  Only the listed terms' labels are read; no term is built.
     """
     ops = list(ops)
     out = [[] for _ in ops]
     for a, b, k in overlap_exponents(_placement(terms), ops):
         bad = np.flatnonzero(k)
         for ia, ib, kk in zip(a[bad].tolist(), b[bad].tolist(), k[bad].tolist()):
-            out[ib].append((terms[ia], _phase(kk, ops[ib].modulus)))
+            out[ib].append((_label(terms, ia), _phase(kk, ops[ib].modulus)))
     return out
 
 
-def witness(violations) -> dict | None:
-    """The first (term, phase) of one op's overlap_phases as a witness, else None."""
-    if not violations:
-        return None
-    t, ph = violations[0]
-    return {"term": t.label.as_json(), "phase": ph.k}
+def witnesses(terms, ops) -> list[dict | None]:
+    """For each op, its first violated term in term order as {"term": label json, "phase": k}, else None.
+
+    One operators.overlap_exponents pass, as in overlap_phases.  Its
+    tiles come in term order, so an op's first nonzero exponent names its
+    witness; later violations of that op are skipped unread, and one label
+    is read per witness.
+    """
+    ops = list(ops)
+    out = [None] * len(ops)
+    found = np.zeros(len(ops), dtype=bool)
+    for a, b, k in overlap_exponents(_placement(terms), ops):
+        bad = np.flatnonzero(k)
+        bad = bad[~found[b[bad]]]
+        if not bad.size:
+            continue
+        # The first entry of each op among bad, which runs in (term, op) order.
+        bad = bad[np.argsort(b[bad], kind="stable")]
+        first = bad[np.concatenate(([True], b[bad[1:]] != b[bad[:-1]]))]
+        for ia, ib, kk in zip(a[first].tolist(), b[first].tolist(), k[first].tolist()):
+            out[ib] = {"term": _label(terms, ia).as_json(), "phase": kk}
+        found[b[first]] = True
+    return out
 
 
 # -- ground space dimension ---------------------------------------------------
@@ -590,9 +628,9 @@ def logical_operators(spec: CodeSpec) -> list[LogicalOperator]:
 
     Horizontal diagonal strings along one row of each parity and vertical
     shift strings along one column of each parity.  Each candidate is
-    checked exactly against every stabilizer, all in one overlap_phases
-    pass; candidates that fail (the vertical group-shift strings of a
-    twisted code) are returned flagged with the first violating term.
+    checked exactly against every stabilizer, all in one witnesses pass;
+    candidates that fail (the vertical group-shift strings of a twisted
+    code) are returned flagged with the first violating term.
     """
     lat = spec.lattice
     if lat.vertical != "periodic":
@@ -612,5 +650,5 @@ def logical_operators(spec: CodeSpec) -> list[LogicalOperator]:
             continue
         named.append((f"Z_row0_g{g.exps}", string([(0, x2) for x2 in lat.row_positions(0)], clock_z(g))))
         named.append((f"X_col1_g{g.exps}", string([(j, 1) for j in lat.rows if j % 2 == 1], shift_x(g))))
-    found = overlap_phases(build_bulk_stabilizers(spec), [op for _, op in named])
-    return [LogicalOperator(name, op, not hits, witness(hits)) for (name, op), hits in zip(named, found)]
+    found = witnesses(build_bulk_stabilizers(spec), [op for _, op in named])
+    return [LogicalOperator(name, op, hit is None, hit) for (name, op), hit in zip(named, found)]

@@ -282,14 +282,18 @@ class Placement:
     site[e] indexes sites, the site ids, and fid[e] indexes factors, which
     are distinct.  modulus is the operators' one phase modulus, None for
     no operators.  weyl holds the factors' Weyl rows, read on first use.
+    A placement may be shared, so its arrays refuse writes.
     """
 
     start: np.ndarray
     site: np.ndarray
     fid: np.ndarray
     sites: list
-    factors: list
+    factors: tuple
     modulus: int | None
+
+    def __post_init__(self) -> None:
+        self.start.flags.writeable = self.site.flags.writeable = self.fid.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.start) - 1
@@ -303,8 +307,9 @@ class Placement:
     @functools.cached_property
     def weyl(self) -> tuple[np.ndarray, ...]:
         """Int arrays (a, chi, c, kind), one entry per factor; kind is 1 for a VERTEX_DUAL factor."""
-        rows = [(f.a, f.chi, f.c, f.kind is SiteKind.VERTEX_DUAL) for f in self.factors]
-        return tuple(np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+        rows = np.array([(f.a, f.chi, f.c, f.kind is SiteKind.VERTEX_DUAL) for f in self.factors], dtype=np.int64)
+        rows.flags.writeable = False
+        return tuple(rows.reshape(-1, 4).T)
 
 
 def place(ops) -> Placement:
@@ -325,7 +330,7 @@ def place(ops) -> Placement:
     site = np.array([sites.setdefault(s, len(sites)) for s, _ in entries], dtype=np.int64)
     fid = np.array([fids.setdefault(mono, len(fids)) for _, mono in entries], dtype=np.int64)
     start = np.concatenate(([0], np.cumsum([len(op.factors) for op in ops], dtype=np.int64)))
-    return Placement(start, site, fid, list(sites), list(fids), moduli.pop() if moduli else None)
+    return Placement(start, site, fid, list(sites), tuple(fids), moduli.pop() if moduli else None)
 
 
 def _site_numbers(cols: Placement, rows: Placement) -> np.ndarray:

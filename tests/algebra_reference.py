@@ -148,10 +148,10 @@ def phase_table(terms, op: ProductOperator, syn: SyndromeMap | None = None) -> d
     """
     syn = syndrome(terms, op) if syn is None else syn
     phases = dict.fromkeys(term_labels(terms), PhaseExponent.one(op.modulus))
-    phases.update((t.label, ph) for t, ph in syn.violations)
+    phases.update(syn.violations)
     return phases
 
 
 def violated_labels(syn: SyndromeMap) -> list[StabilizerLabel]:
     """The labels of the terms syn lists as violated, in term order."""
-    return [t.label for t, _ in syn.violations]
+    return [label for label, _ in syn.violations]

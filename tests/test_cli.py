@@ -759,12 +759,33 @@ class TestConfigErrors:
                 ["code", "--group", "2", "--n", "100", "--m", "100"],
                 "the ground-space normal form, one amplitude per cell, would need 400020000 amplitudes",
             ),
+            # One large group: 16 * 150000 factors, just over the cap.
+            (
+                ["code", "--group", "150000", "--n", "2", "--m", "2"],
+                "the stabilizer terms, 7 amplitudes per factor, would need 16800000 amplitudes",
+            ),
+            # Its factors fit, but the group's add and pair tables hold 140000**2 int64 entries each, 157 GB apiece.
+            (
+                ["code", "--group", "140000", "--n", "2", "--m", "2"],
+                "the group's add and pair tables, one amplitude per entry, would need 39200000000 amplitudes",
+            ),
+            # Factors and tables fit, but check_all_commute would meet about 4 * 2000**2 term pairs.
+            (
+                ["code", "--group", "2000", "--n", "2", "--m", "2"],
+                "the overlapping term pairs, one amplitude per pair, would need 80000000 amplitudes",
+            ),
+            # Refused before the subgroup's closure check, 2000**2 products.
+            (
+                ["boundary", "--group", "2000", "--subgroup", "all", "--n", "2"],
+                "the overlapping term pairs, one amplitude per pair, would need 160000000 amplitudes",
+            ),
         ],
         ids=[
             "boundary", "compose", "compose-past-str-limit", "boundary-past-str-limit",
             "compose-hundred-million-sites", "compose-z6-four-layers", "boundary-z6", "tn-z6-mpo-layers",
             "code-hundred-million-wide", "confine-hundred-million-wide", "anyons-hundred-million-wide",
-            "code-cylinder-thousand-square", "code-torus-normal-form",
+            "code-cylinder-thousand-square", "code-torus-normal-form", "code-z150000", "code-z140000-tables",
+            "code-z2000-pairs", "boundary-z2000-all",
         ],
     )
     def test_over_cap_width_refused_before_anything_is_built(self, args, error, tmp_path, monkeypatch):
@@ -779,6 +800,12 @@ class TestConfigErrors:
         assert (code, errors) == (2, [f"Error: {error}"]), output
         assert seconds < 5
         assert peak < 2**20
+
+    def test_one_large_group_under_the_cap_runs(self):
+        # Z400 at n = m = 2: 160000-entry tables and about 4 * 400**2 overlapping pairs fit the default cap.
+        code, _, _, output = probe(["code", "--group", "400", "--n", "2", "--m", "2"])
+        assert code == 0, output
+        assert "[PASS] all_commute" in output
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_bad_max_dim_is_named(self, runner, value):

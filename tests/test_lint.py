@@ -383,6 +383,23 @@ def test_site_factors_are_weyl_rows():
     assert not defined, f"deleted names defined again: {defined}"
 
 
+def test_terms_are_held_by_their_spec_and_witness_is_gone():
+    # Bulk terms live on their CodeSpec object, so no module-level cache
+    # holds them after the spec is gone; witnesses come from
+    # lattice.witnesses alone (LogicalOperator.witness is a field).
+    from latgauge import lattice
+
+    for builder in (lattice.build_bulk_stabilizers, lattice._build_bulk_stabilizers):
+        assert not hasattr(builder, "cache_info"), builder.__name__
+    defined = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "witness"
+    ]
+    assert not defined, f"the per-op witness function defined again: {defined}"
+
+
 POOL_NAMES = {"concurrent", "multiprocessing", "ProcessPoolExecutor", "BrokenProcessPool", "get_context"}
 
 

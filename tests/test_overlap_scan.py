@@ -1,12 +1,13 @@
 """Overlap-only commutation scans against the full-scan oracle.
 
-`check_all_commute`, `overlap_phases` and `syndrome` compare only terms
-that share a site with the op (or with each other).  On every suite torus
+`check_all_commute`, `overlap_phases`, `witnesses` and `syndrome` compare
+only terms that share a site with the op (or with each other).  On every suite torus
 in both orientations, and on a cylinder with its boundary terms, they must
 give what `scan_oracle` gives by comparing everything; a term broken by
 one extra clock must give the same violations; a modulus mismatch must
 still raise; and one batched pass must count every overlapping pair and
-give the oracle's witnesses.  The algebra path (check_all_commute, logical_operators and
+give the oracle's witnesses, and so must `logical_operators` on drawn
+tori and `condensation_table` on the suite's cylinders.  The algebra path (check_all_commute, logical_operators and
 confinement_report on a large twisted torus) must not import numpy.ma.
 """
 
@@ -27,8 +28,9 @@ import latgauge
 import scan_oracle
 from algebra_reference import phase_table
 from latgauge import excitations, lattice
+from latgauge.boundary import build_fixed_point_state, condensation_table
 from latgauge.excitations import confined_string_operator, confinement_report, dipole_operator, syndrome, syndromes
-from latgauge.groups import GroupSpec, enumerate_cocycle_classes
+from latgauge.groups import GroupSpec, all_subgroups, enumerate_cocycle_classes
 from latgauge.lattice import (
     CodeSpec,
     Lattice2D,
@@ -39,18 +41,18 @@ from latgauge.lattice import (
     build_bulk_stabilizers,
     check_all_commute,
     logical_operators,
-    overlap_phases,
-    witness,
+    witnesses,
 )
 from latgauge.operators import MonomialOperator, ProductOperator, clock_z, place, shift_x
 from latgauge.suite import GROUPS, TORI, _twist_combinations
+from test_routes import tori
 
 CYLINDER = (3, 4)  # (n, m); the top boundary row m must be even
 
 
 def first_violation(terms, op) -> dict | None:
-    """The witness of one op's overlap_phases, as condensation_table and logical_operators take it."""
-    return witness(overlap_phases(terms, [op])[0])
+    """The witness of one op, as condensation_table and logical_operators take it from lattice.witnesses."""
+    return witnesses(terms, [op])[0]
 
 
 def _specs(vertical, sizes, orientations):
@@ -356,6 +358,49 @@ class TestModulusMismatch:
             first_violation(terms, near)
         with pytest.raises(ValueError):
             syndrome(terms, near)
+
+
+def _condensation_cylinders():
+    """The 2x4 cylinders of suite.criterion_condensation: one per group and subgroup H of its fixed-point chain."""
+    params = []
+    for orders in [(2,), (4,), (2, 2)]:
+        group = GroupSpec(orders)
+        for sub in all_subgroups(group):
+            name = f"{'x'.join(map(str, orders))}-H{'_'.join(''.join(map(str, h.exps)) for h in sub)}"
+            params.append(pytest.param(group, sub, id=name))
+    return params
+
+
+class TestWitnesses:
+    """Every witness lattice.witnesses gives is the full-scan oracle's first violation."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tori())
+    def test_logical_witnesses(self, spec):
+        listed = list(build_bulk_stabilizers(spec))
+        for lo in logical_operators(spec):
+            assert lo.witness == scan_oracle.first_violation(listed, lo.op)
+            assert lo.commutes == (lo.witness is None)
+
+    @pytest.mark.parametrize("group, sub", _condensation_cylinders())
+    def test_condensation_witnesses(self, group, sub):
+        spec = CodeSpec(Lattice2D(group, 2, 4, "open"))
+        table = condensation_table(spec, build_fixed_point_state(group, sub, 2))
+        surviving = set(table["surviving"])
+        terms = [t for t in build_boundary_terms(spec, "bottom") if t.label.exps in surviving]
+        lat, L = spec.lattice, group.phase_modulus
+        anyons = {
+            "group_anyons": ([(j, 1) for j in range(1, lat.m, 2)], group.elements()),
+            "dual_anyons": ([(j, 0) for j in range(0, lat.m + 1, 2)], group.characters()),
+        }
+        for kind, (column, labels) in anyons.items():
+            for label in labels:
+                string = ProductOperator.from_factors(((site, shift_x(label)) for site in column), L)
+                entry = table[kind][str(label.exps)]
+                assert entry["witness"] == scan_oracle.first_violation(terms, string)
+                assert entry["condenses"] == (entry["witness"] is None)
+        # Anyons outside H are blocked, so a proper subgroup gives witnesses to compare.
+        assert any(e["witness"] for e in table["group_anyons"].values()) == (len(sub) < group.size)
 
 
 def _shares_site(a, b) -> bool:

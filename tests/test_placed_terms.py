@@ -7,20 +7,29 @@ On every suite torus and cylinder, both orientations, and every twist
 pair of Z2xZ2, Z3xZ3 and Z4xZ2, the two must give the same terms, term
 for term; a wrong corner factor must break commutation through the placed
 arrays and through the terms alike; and building and commuting a torus
-must build no `ProductOperator`.
+must build no `ProductOperator`.  The terms are built once per `CodeSpec`
+object, held read-only on it, and go when it goes.
 """
 
+import contextlib
+import gc
+import importlib.util
 import itertools
+import pathlib
+import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import scan_oracle
 import term_oracle
 from algebra_reference import term_labels, violated_labels
 from latgauge import lattice, operators
-from latgauge.excitations import syndromes
+from latgauge.cli import main
+from latgauge.excitations import confinement_report, syndromes
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes
 from latgauge.lattice import (
     CodeSpec,
@@ -28,8 +37,11 @@ from latgauge.lattice import (
     PlacedTerms,
     build_bulk_stabilizers,
     check_all_commute,
+    ground_space_dimension,
+    ground_space_dimension_dense,
+    logical_operators,
 )
-from latgauge.operators import ProductOperator, clock_z, overlap_exponents
+from latgauge.operators import ProductOperator, clock_z, overlap_exponents, place
 from latgauge.suite import GROUPS, TORI, _twist_combinations
 
 CYLINDERS = [(3, 4), (2, 2), (3, 3)]  # (n, m) of open lattices
@@ -149,13 +161,13 @@ class TestNoOperatorObjects:
         assert report["passed"] and report["pairs_checked"] > 0
         assert len(terms) == 12 * 12 * group.size
         assert built == []
-        # Syndromes read the labels without building a term, and build
-        # only the terms the op violates.
+        # Syndromes read the labels of the terms the op violates without
+        # building any term.
         chi = next(c for c in group.characters() if not c.is_identity)
         clock = ProductOperator((((1, 1), clock_z(chi)),), group.phase_modulus)
         built.clear()
         (syn,) = syndromes(terms, [clock])
-        assert len(built) == len(violated_labels(syn)) > 0
+        assert violated_labels(syn) and built == []
 
 
 class TestBothProducers:
@@ -175,3 +187,100 @@ class TestBothProducers:
         assert np.array_equal(scan(placed.placement, half), scan(ops, half))
         assert np.array_equal(scan(half, placed.placement), scan(half, ops))
         assert np.array_equal(scan(placed.placement, placed.placement), scan(ops, ops))
+
+
+def _arrays(terms) -> list:
+    """Every array of placed terms: their own, their placement's and its Weyl rows."""
+    placed = terms.placement
+    return [terms.centers, terms.label_id, placed.start, placed.site, placed.fid, *placed.weyl]
+
+
+def _twisted_z22(n, m) -> CodeSpec:
+    group = GroupSpec((2, 2))
+    return CodeSpec(Lattice2D(group, n, m, "periodic"), twist_even=enumerate_cocycle_classes(group)[1])
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The specs the inner builder is called with, in order, from here on."""
+    calls = []
+    inner = lattice._build_bulk_stabilizers
+
+    def counting(spec):
+        calls.append(spec)
+        return inner(spec)
+
+    monkeypatch.setattr(lattice, "_build_bulk_stabilizers", counting)
+    return calls
+
+
+class TestOneBuildPerSpec:
+    """build_bulk_stabilizers builds a spec's terms once and holds them, read-only, on that spec object."""
+
+    def test_the_same_spec_gets_the_same_terms(self, builds):
+        spec = _twisted_z22(4, 8)
+        assert build_bulk_stabilizers(spec) is build_bulk_stabilizers(spec)
+        assert builds == [spec]
+
+    def test_an_equal_spec_builds_equal_arrays(self, builds):
+        spec, again = _twisted_z22(4, 8), _twisted_z22(4, 8)
+        assert spec == again and spec is not again
+        terms, other = build_bulk_stabilizers(spec), build_bulk_stabilizers(again)
+        assert terms is not other and len(builds) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(_arrays(terms), _arrays(other), strict=True))
+        assert terms.label_table == other.label_table and terms.placement.factors == other.placement.factors
+
+    @pytest.mark.parametrize("source", ["built", "placed"])
+    def test_every_array_refuses_writes(self, source):
+        terms = build_bulk_stabilizers(_twisted_z22(4, 8))
+        if source == "placed":
+            placed = place([t.op for t in terms])
+            arrays = [placed.start, placed.site, placed.fid, *placed.weyl]
+        else:
+            placed, arrays = terms.placement, _arrays(terms)
+        assert isinstance(placed.factors, tuple)
+        assert len(arrays) == (9 if source == "built" else 7)
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+    def test_the_readers_build_nothing_more(self, builds):
+        spec = _twisted_z22(4, 8)
+        build_bulk_stabilizers(spec)
+        logical_operators(spec)
+        confinement_report(spec)
+        ground_space_dimension(spec)
+        small = _twisted_z22(2, 2)
+        ground_space_dimension(small)
+        ground_space_dimension_dense(small)
+        assert builds == [spec, small]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["code", "--group", "2,2", "--twist-even", "1"], ["confine", "--group", "2,2", "--twist-even", "1"]],
+        ids=["code", "confine"],
+    )
+    def test_a_command_builds_its_code_once(self, builds, args):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert len(builds) == 1
+
+    def test_the_terms_go_with_their_spec(self):
+        spec = _twisted_z22(4, 8)
+        terms = weakref.ref(build_bulk_stabilizers(spec))
+        assert terms() is not None
+        del spec
+        gc.collect()
+        assert terms() is None
+
+    def test_an_algebra_pass_builds_each_torus_once(self, builds):
+        # The benchmark's algebra workload: 7 tori, each read by
+        # check_all_commute, logical_operators and, twisted, confinement_report.
+        path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        cases = workloads.prepare_algebra(11, None, lambda name: contextlib.nullcontext())
+        checks = [check for case in cases for check in case.run().checks]
+        assert checks and all(passed for _, passed in checks)
+        assert len(builds) == len(cases) == len(workloads.TORI) == 7
