@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import pickle
 import time
 from fractions import Fraction
 
@@ -430,7 +431,7 @@ CRITERIA = [
 
 # Every criterion, longest first, as timed one after another in one process
 # (best of three, ms, on a shared 2-CPU host): 97, 82, 63, 24, 22, 20, 16, 14,
-# 9, 8, then 2 or less.  The pool is handed them in this order, so the run
+# 9, 8, then 2 or less.  The workers take them in this order, so the run
 # ends on the short ones, not on one long criterion left to run alone while
 # the other CPUs idle.
 LONGEST_FIRST = (
@@ -462,8 +463,143 @@ def submission_order() -> list[int]:
 
 def _timed(index: int) -> tuple[dict, float]:
     """The report of CRITERIA[index] and the seconds it took."""
-    t0 = time.time()
-    return CRITERIA[index](), time.time() - t0
+    t0 = time.perf_counter()
+    return CRITERIA[index](), time.perf_counter() - t0
+
+
+# A task is one criterion index in this many bytes, far below PIPE_BUF, so
+# each read of one record from the task pipe is atomic; a result frame is a
+# pickle behind its length in _SIZE_BYTES bytes.
+_INDEX_BYTES = 2
+_SIZE_BYTES = 8
+
+
+def _frame(index: int, ok: bool, value) -> bytes:
+    """(index, ok, report or exception) as a length-prefixed pickle.
+
+    An exception that does not survive the trip, because it cannot be
+    pickled or rebuilt, goes as a RuntimeError naming its type and message.
+    """
+    try:
+        data = pickle.dumps((index, ok, value))
+        if not ok:
+            pickle.loads(data)
+    except Exception:
+        if ok:
+            raise
+        data = pickle.dumps((index, False, RuntimeError(f"a suite criterion raised {type(value).__name__}: {value}")))
+    return len(data).to_bytes(_SIZE_BYTES, "little") + data
+
+
+def _serve(tasks: int, out: int, inherited: list[int]) -> None:
+    """A forked worker: run each index read from `tasks`, one record at a time, and send its frame to `out`.
+
+    An exception carries the worker's traceback as a note, which Python
+    prints under the one raised again in the parent.  The worker closes the
+    parent's pipes it inherited and leaves only through os._exit, so it
+    never flushes the parent's stdio buffers or runs its atexit hooks; it
+    exits 0 once the task pipe is empty.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while record := os.read(tasks, _INDEX_BYTES):
+            index = int.from_bytes(record, "little")
+            try:
+                ok, value = True, _timed(index)
+            except Exception as exc:
+                import traceback  # only a failing worker pays for the import
+
+                ok, value = False, exc
+                exc.__notes__ = [*getattr(exc, "__notes__", ()), "".join(traceback.format_exception(exc))]
+            view = memoryview(_frame(index, ok, value))
+            while view:
+                view = view[os.write(out, view) :]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(ready: list[int], live: dict, inbox: dict, results: dict) -> None:
+    """Read each ready pipe and put every whole frame that came in into results, index -> (ok, value).
+
+    A worker whose pipe ends is reaped.  If it failed, or no worker is
+    left, every criterion still without a result gets WorkerDiedError.
+    """
+    for reader in ready:
+        if chunk := os.read(reader, 1 << 16):
+            buf = inbox[reader]
+            buf += chunk
+            while len(buf) >= _SIZE_BYTES:
+                end = _SIZE_BYTES + int.from_bytes(buf[:_SIZE_BYTES], "little")
+                if len(buf) < end:
+                    break
+                index, ok, value = pickle.loads(buf[_SIZE_BYTES:end])
+                results[index] = ok, value
+                del buf[:end]
+            continue
+        status = os.waitpid(live.pop(reader), 0)[1]
+        del inbox[reader]
+        os.close(reader)
+        if status or not live:
+            died = WorkerDiedError(
+                "a suite worker process ended before it returned its report (it exited or was killed,"
+                " for instance by the out-of-memory killer)"
+            )
+            for index in range(len(CRITERIA)):
+                results.setdefault(index, (False, died))
+
+
+def _run_workers(workers: int, record) -> None:
+    """Run every criterion in `workers` forked processes and record the reports in CRITERIA order.
+
+    The indices go in submission order into one task pipe, which each
+    worker reads one record at a time, so the longest criteria start first
+    and a free worker takes the next.  Each worker sends its frames on its
+    own pipe, and select reads whichever pipe has data, so no worker blocks
+    on a full pipe while this process waits on another.  On any exception,
+    an error report or one from `record` alike, the workers still running
+    are killed, which cancels the criteria not yet started; every worker
+    is reaped before this returns.  Forked, not spawned: a spawned worker
+    would import numpy and the library again, about 0.2 s, most of a run.
+    """
+    # Imported here, as only a run that forks needs them: set-up, a one-CPU
+    # run and every other command never pay their 0.8 ms.
+    import select
+    import signal
+
+    tasks, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in submission_order()))
+    os.close(feed)
+    live, inbox, results = {}, {}, {}  # result pipe -> worker pid; -> bytes not yet framed; index -> (ok, value)
+    try:
+        for _ in range(workers):
+            reader, writer = os.pipe()
+            inbox[reader] = bytearray()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(tasks, writer, list(inbox))
+            finally:
+                os.close(writer)
+            live[reader] = pid
+        for index in range(len(CRITERIA)):
+            while index not in results:
+                _receive(select.select(list(live), [], [])[0], live, inbox, results)
+            ok, value = results[index]
+            if not ok:
+                raise value
+            record(*value)
+    except BaseException:
+        for pid in live.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in live.values():
+            os.waitpid(pid, 0)
+        for fd in [tasks, *inbox]:
+            os.close(fd)
 
 
 def run_suite(echo=None) -> dict:
@@ -471,13 +607,14 @@ def run_suite(echo=None) -> dict:
 
     The criteria share no state, so they run in forked worker processes,
     one per usable CPU (the affinity mask) and at most one per criterion,
-    handed out in LONGEST_FIRST order.  On one usable CPU, or on a platform without an
-    affinity mask or os.fork, they run in this process instead.  Either way the reports come back in
-    CRITERIA order, and echo prints each with the time its own process
-    measured.  As in a serial run, the exception of the lowest-index
-    criterion that raised is raised, with its type and message; the
-    criteria not yet started are cancelled, and a worker that dies raises
-    WorkerDiedError.  No worker outlives the call.
+    handed out one at a time in LONGEST_FIRST order.  On one usable CPU,
+    or on a platform without an affinity mask or os.fork, they run in this
+    process instead.  Either way the reports come back in CRITERIA order,
+    and echo prints each with the time its own process measured.  As in a
+    serial run, the exception of the lowest-index criterion that raised is
+    raised, with its type and message; the criteria not yet started are
+    cancelled, and a worker that dies raises WorkerDiedError.  No worker
+    outlives the call.
 
     Reports are fully deterministic: timings are echoed for humans but
     kept out of the returned dict, so identical configurations serialize
@@ -499,25 +636,5 @@ def run_suite(echo=None) -> dict:
         for index in range(len(CRITERIA)):
             record(*_timed(index))
     else:
-        # Imported here: the pool takes about 20 ms to import, which a
-        # one-CPU run, every other command and every set-up never pay.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # fork, not spawn: a spawned worker imports numpy and the library
-        # again, about 0.2 s, most of a whole run.  The workers are forked
-        # before the pool starts its own threads.
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            futures = {index: pool.submit(_timed, index) for index in submission_order()}
-            for index in range(len(CRITERIA)):
-                record(*futures[index].result())
-        except BrokenProcessPool as exc:
-            raise WorkerDiedError(
-                "a suite worker process ended before it returned its report (it exited or was killed,"
-                " for instance by the out-of-memory killer)"
-            ) from exc
-        finally:
-            pool.shutdown(cancel_futures=True)
+        _run_workers(workers, record)
     return envelope("suite", {}, results, skipped=sum(len(r.get("skipped_over_cap", ())) for r in results))

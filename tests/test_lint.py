@@ -404,32 +404,48 @@ POOL_NAMES = {"concurrent", "multiprocessing", "ProcessPoolExecutor", "BrokenPro
 
 
 def _pool_use(node: ast.AST) -> bool:
-    """True for an import of concurrent or multiprocessing, a pool name, or os.fork by attribute or by name."""
+    """True for an import of concurrent or multiprocessing, or a pool name by attribute or by name."""
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] in POOL_NAMES for alias in node.names)
     if isinstance(node, ast.ImportFrom):
         return (node.module or "").split(".")[0] in POOL_NAMES
     if isinstance(node, ast.Name):
         return node.id in POOL_NAMES
-    if isinstance(node, ast.Attribute):
-        return node.attr in POOL_NAMES | {"fork"}
-    return isinstance(node, ast.Constant) and node.value == "fork"
+    return isinstance(node, ast.Attribute) and node.attr in POOL_NAMES
 
 
 def test_only_run_suite_starts_processes():
-    # suite.run_suite alone imports the pool and forks, so nothing else pays for the import or starts a process.
-    users = {f"{path.name} {owner}" for path, tree in _sources() for owner, node in _owned_nodes(tree) if _pool_use(node)}
-    assert users == {"suite.py run_suite"}, f"process pools or fork outside suite.run_suite: {users}"
+    # The suite's runner alone forks, and no module imports a process pool, so
+    # nothing else pays for a pool's import or starts a process.
+    owners = [(path.name, owner, node) for path, tree in _sources() for owner, node in _owned_nodes(tree)]
+    pools = {f"{name}:{node.lineno} {owner}" for name, owner, node in owners if _pool_use(node)}
+    assert not pools, f"process pools in the library: {pools}"
+    forks = {
+        f"{name} {owner}" for name, owner, node in owners if isinstance(node, ast.Attribute) and node.attr == "fork"
+    }
+    assert forks == {"suite.py _run_workers"}, f"fork outside suite._run_workers: {forks}"
+    callers = {
+        f"{name} {owner}" for name, owner, node in owners if isinstance(node, ast.Name) and node.id == "_run_workers"
+    }
+    assert callers == {"suite.py run_suite"}, f"suite._run_workers called outside run_suite: {callers}"
 
 
 def test_importing_the_cli_loads_no_pool():
+    # Nor does a two-CPU suite run: its workers are forked directly, so no
+    # pool, and none of the logging a pool brings, is ever loaded.
     src = str(SRC.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import sys\n"
+        "import os, sys\n"
+        "def pools():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing', 'logging'))\n"
         "import latgauge.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        "print(pools())\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from latgauge import suite\n"
+        "assert suite.run_suite()['passed']\n"
+        "print(pools())\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]

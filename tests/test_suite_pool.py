@@ -1,4 +1,4 @@
-"""suite.run_suite on a pool of forked workers and in one process.
+"""suite.run_suite on forked workers and in one process.
 
 The report must be the same bytes on one CPU and on two; one CPU must
 start no process; an error must be the one a serial run would raise,
@@ -6,8 +6,9 @@ with the same `Error:` line; a worker that dies must exit 2; and no
 worker may outlive the run.
 """
 
+import contextlib
+import fcntl
 import json
-import multiprocessing
 import os
 import pathlib
 import signal
@@ -30,8 +31,10 @@ ONE_CPU, TWO_CPUS = {0}, {0, 1}
 
 @pytest.fixture(autouse=True)
 def no_worker_left():
+    # No child at all, running or unreaped: waitpid finds none to wait for.
     yield
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _cpus(monkeypatch, cpus):
@@ -91,21 +94,37 @@ def test_unlisted_criteria_come_last_in_criteria_order(monkeypatch):
     assert suite.submission_order() == [2, 0, 1, 3]
 
 
-def test_pool_is_handed_the_longest_first(monkeypatch):
-    from concurrent.futures import ProcessPoolExecutor
+def test_workers_take_the_longest_first(monkeypatch, tmp_path):
+    # Each worker holds a lock from before it reads a task until it has
+    # logged it, so the log holds the order in which the tasks were taken.
+    log, lock = tmp_path / "taken", tmp_path / "lock"
+    fork, timed = os.fork, suite._timed
+    held = {}
 
-    submitted = []
-    original = ProcessPoolExecutor.submit
+    def locked_fork():
+        pid = fork()
+        if pid == 0:
+            held["fd"] = os.open(lock, os.O_CREAT | os.O_RDWR)
+            fcntl.flock(held["fd"], fcntl.LOCK_EX)
+        return pid
 
-    def recorded(self, fn, *args, **kwargs):
-        submitted.append(args[0])
-        return original(self, fn, *args, **kwargs)
+    def logged(index):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {index}\n")
+        fcntl.flock(held["fd"], fcntl.LOCK_UN)
+        try:
+            return timed(index)
+        finally:
+            fcntl.flock(held["fd"], fcntl.LOCK_EX)
 
     _cpus(monkeypatch, TWO_CPUS)
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
+    monkeypatch.setattr(os, "fork", locked_fork)
+    monkeypatch.setattr(suite, "_timed", logged)
     assert suite.run_suite()["passed"]
-    assert submitted == suite.submission_order()
-    assert [suite.CRITERIA[i] for i in submitted] == list(suite.LONGEST_FIRST)
+    pids, taken = zip(*(map(int, line.split()) for line in log.read_text().splitlines()))
+    assert list(taken) == suite.submission_order()
+    assert [suite.CRITERIA[i] for i in taken] == list(suite.LONGEST_FIRST)
+    assert len(set(pids)) == 2  # both workers took criteria
 
 
 @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS], ids=["one-cpu", "two-cpus"])
@@ -138,7 +157,7 @@ def test_one_cpu_starts_no_process(monkeypatch):
     _cpus(monkeypatch, ONE_CPU)
     monkeypatch.setattr(os, "fork", no_fork)
     assert suite.run_suite()["passed"]
-    # The patch is live: on two CPUs the pool forks, and the run stops.
+    # The patch is live: on two CPUs the runner forks, and the run stops.
     _cpus(monkeypatch, TWO_CPUS)
     with pytest.raises(AssertionError, match="a process was started"):
         suite.run_suite()
@@ -225,9 +244,18 @@ def test_error_keeps_its_type_and_message(monkeypatch, cpus):
     assert str(info.value) == "the exact tensor of layer 0 (periodic) would need 1048576 amplitudes"
 
 
+def test_worker_traceback_comes_back_as_a_note(monkeypatch):
+    _cpus(monkeypatch, TWO_CPUS)
+    _stubs(monkeypatch, at3=_cap_error)
+    with pytest.raises(CapExceededError) as info:
+        suite.run_suite()
+    (note,) = info.value.__notes__
+    assert note.startswith("Traceback") and "in _cap_error" in note
+
+
 def test_criteria_not_started_are_cancelled(monkeypatch, tmp_path):
-    # Criterion 0 raises at once while every other one takes 0.2 s: the pool
-    # runs at most the ones already handed to a worker.
+    # Criterion 0 raises at once while every other one takes 0.2 s: the
+    # workers are killed with at most the ones they already took started.
     _cpus(monkeypatch, TWO_CPUS)
 
     def mark(i):
@@ -261,6 +289,99 @@ def test_dead_worker_exits_two_with_one_error_line(monkeypatch, death):
         "Error: a suite worker process ended before it returned its report (it exited or was killed,"
         " for instance by the out-of-memory killer)"
     ], result.output
+
+
+class _Deadline(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise _Deadline in this process once the block has run `seconds`; forked workers inherit no timer."""
+
+    def expire(signum, frame):
+        raise _Deadline(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_large_reports_come_back_whole(monkeypatch):
+    # Four reports of about 1 MB each, far past a pipe's capacity, from both workers at once.
+    def large(i):
+        return lambda: check(f"large{i}", "a stand-in criterion", True, detail=[f"{i}:{k}" for k in range(2**17)])
+
+    monkeypatch.setattr(suite, "CRITERIA", [large(i) for i in range(4)])
+    reports = []
+    for cpus in (ONE_CPU, TWO_CPUS):
+        _cpus(monkeypatch, cpus)
+        with _deadline(30):
+            reports.append(suite.run_suite())
+    assert reports[1] == reports[0]
+    assert [c["detail"][-1] for c in reports[1]["checks"]] == [f"{i}:{2**17 - 1}" for i in range(4)]
+
+
+class _Unpicklable(Exception):
+    """An exception that holds a lambda, which pickle refuses."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+class _Unbuildable(Exception):
+    """An exception that pickles but cannot be rebuilt: its args hold one value, its constructor wants two."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what} {why}")
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (lambda: _Unpicklable("the disk is on fire"), "_Unpicklable: the disk is on fire"),
+        (lambda: _Unbuildable("the disk", "is on fire"), "_Unbuildable: the disk is on fire"),
+    ],
+    ids=["unpicklable", "unbuildable"],
+)
+def test_error_that_cannot_be_sent_is_named(monkeypatch, error, message):
+    def raise_it():
+        raise error()
+
+    _cpus(monkeypatch, TWO_CPUS)
+    _stubs(monkeypatch, at3=raise_it)
+    with _deadline(30), pytest.raises(RuntimeError, match=message):
+        suite.run_suite()
+
+
+def _sleepy(seconds):
+    """Stubs 1 on sleep `seconds` each, so both workers are busy for a while."""
+    return {f"at{i}": lambda: time.sleep(seconds) for i in range(1, len(suite.CRITERIA))}
+
+
+def test_echo_that_raises_leaves_no_worker(monkeypatch):
+    def echo(line):
+        raise BrokenPipeError("the reader of the report went away")
+
+    _cpus(monkeypatch, TWO_CPUS)
+    _stubs(monkeypatch, **_sleepy(0.2))
+    with _deadline(30), pytest.raises(BrokenPipeError):
+        suite.run_suite(echo=echo)
+
+
+def test_interrupt_while_waiting_leaves_no_worker(monkeypatch):
+    # A signal handler that raises while run_suite waits, as Ctrl-C raises KeyboardInterrupt.
+    _cpus(monkeypatch, TWO_CPUS)
+    _stubs(monkeypatch, **_sleepy(5))
+    start = time.perf_counter()
+    with pytest.raises(_Deadline), _deadline(0.3):
+        suite.run_suite()
+    assert time.perf_counter() - start < 3
 
 
 def test_suite_never_imports_numpy_ma():
