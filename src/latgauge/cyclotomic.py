@@ -38,7 +38,8 @@ class PhaseTensor:
 
     entry(i) = scale * sum of mults[j] * w**(keys[j] % L) over the j with
     keys[j] // L == i, for i the row-major flat index into `shape`.  Build
-    one with from_entries, which puts the entries in canonical form.
+    one with from_entries, which puts the entries in canonical form.  A
+    tensor may be shared, so its arrays refuse writes.
     """
 
     shape: tuple[int, ...]
@@ -46,6 +47,9 @@ class PhaseTensor:
     keys: np.ndarray
     mults: np.ndarray
     scale: Fraction = Fraction(1)
+
+    def __post_init__(self) -> None:
+        self.keys.flags.writeable = self.mults.flags.writeable = False
 
     @classmethod
     def from_entries(
@@ -55,9 +59,18 @@ class PhaseTensor:
 
         Sorts the keys, merges duplicates by summing their multiplicities
         and drops zeros.  mults defaults to one per triple; roots are taken
-        mod L.
+        mod L.  A flat index outside [0, prod(shape)), or a key
+        flat * L + root past the int64 range, raises ValueError.
         """
-        keys = np.asarray(flat, dtype=np.int64) * modulus + np.asarray(roots, dtype=np.int64) % modulus
+        flat, roots = np.asarray(flat, dtype=np.int64), np.asarray(roots, dtype=np.int64) % modulus
+        size = math.prod(shape)
+        if flat.size and (flat.min() < 0 or flat.max() >= size):
+            raise ValueError(f"flat indices must lie in [0, {size})")
+        if flat.size and size * modulus > 2**63:  # else every key of an index in range is below size * L
+            top = int(flat.max())
+            if top * modulus + int(roots.max(initial=0, where=flat == top)) > 2**63 - 1:
+                raise ValueError("a key flat * modulus + root would pass the int64 range")
+        keys = flat * modulus + roots
         if mults is None:
             mults = np.ones(keys.size, dtype=np.int64)
         mults = np.asarray(mults, dtype=np.int64)

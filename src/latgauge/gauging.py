@@ -61,9 +61,6 @@ from .operators import (
 )
 
 DEFAULT_DIM_CAP = 2**24
-# Layers whose map terms stay cached: a six-layer stack is gauged, then
-# each layer's exact map reads the same terms again.
-ROW_ENTRY_LAYERS = 8
 STATE_TOL = 1e-10  # gauge compose's reported tol and verify_local_symmetry's default; no check reads it
 
 
@@ -171,6 +168,19 @@ class LayerSpec:
         """
         return {label: corner_factors(self.twist, label) for label in self.labels()}
 
+    @functools.cached_property
+    def exact_map(self) -> PhaseTensor:
+        """The map's terms (_map_terms) as one canonical (out, in) PhaseTensor, built once per spec, read-only.
+
+        Rows are (matter config, new config), matter sites first; a term's
+        column is its matter config, so keys sort as the out index does.
+        GaugingMap.exact_matrix returns it and GaugingMap.apply reads it.
+        """
+        in_dim, new_dim = self.group.size**self.n, self.group.size ** len(self.new_positions())
+        flat, root = _map_terms(self)
+        shape = (in_dim * new_dim, in_dim)
+        return PhaseTensor.from_entries(shape, self.group.phase_modulus, flat * in_dim + flat // new_dim, root)
+
     def matter_sites(self) -> list[tuple]:
         return [((self.index, x2), self.matter_kind) for x2 in self.matter_positions()]
 
@@ -187,12 +197,11 @@ class LayerSpec:
 class GaugingMap:
     """Concrete gauging map for one layer.
 
-    apply() and exact_matrix() read the same terms of the projector
-    product (_row_entries).  apply() canonicalises them per cell and
-    extends each stored key of a SupportState by the single-root cells of
-    its matter row; exact_matrix() keeps them as a sparse exact tensor of
-    root-of-unity counts, at desk scale, for zero-tolerance operator
-    identities.
+    apply() and exact_matrix() read one canonical tensor of the projector
+    product's terms, LayerSpec.exact_map.  apply() extends each stored key
+    of a SupportState by the single-root cells of its matter row;
+    exact_matrix() returns the tensor itself, sparse exact root-of-unity
+    counts at desk scale, for zero-tolerance operator identities.
     """
 
     def __init__(self, layer: LayerSpec):
@@ -275,31 +284,20 @@ class GaugingMap:
         shift = len(self.out_sites) if columns else 0
         return [(self._axis[site] + shift, mono) for site, mono in op.factors]
 
-    def _row_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The |G|**(2n) terms w**root |flat> of the map on the all-ones matter row.
-
-        From each matter configuration with the new row at the identity
-        label, site i replaces every entry by |G| copies, one per label,
-        each moved by local_symmetry_op(i, label) on the out_sites space.
-        Built once per LayerSpec (_layer_row_entries); both arrays are
-        read-only.
-        """
-        return _layer_row_entries(self.layer)
-
     def apply(self, state: SupportState) -> SupportState:
         """The gauged state, built on its support within check_cap.
 
-        The map's terms (_row_entries), in PhaseTensor canonical form, give
-        each cell of the (matter, new row) space its roots and counts.  A
-        stored key x on matter row m becomes x * E + e, E the new-row
-        dimension, for every cell (m, e) of one root r, with root
-        roots[x] + r; the keys stay sorted.  The squared magnitude gains
-        mult**2 * |G|**(2 scale_power - 2n).  An input that reaches a row
-        holding a cell of several roots (one that cancels, on a charged
-        matter configuration) raises ValueError, and so do rows whose
-        multiplicities differ.  An output past check_cap, or whose dense
-        index space has more than 2**63 indices, so that its int64 keys
-        would wrap, raises CapExceededError before any term is built.
+        Each cell (m, e) of LayerSpec.exact_map, m the matter row and e
+        the new row, holds its roots and counts.  A stored key x on m
+        becomes x * E + e, E the new-row dimension, for every cell (m, e)
+        of one root r, with root roots[x] + r; the keys stay sorted.  The
+        squared magnitude gains mult**2 * |G|**(2 scale_power - 2n).  An
+        input that reaches a row holding a cell of several roots (one that
+        cancels, on a charged matter configuration) raises ValueError, and
+        so do rows whose multiplicities differ.  An output past check_cap,
+        or whose dense index space has more than 2**63 indices, so that its
+        int64 keys would wrap, raises CapExceededError before any term is
+        built.
         """
         site_ids, kinds, dims = gauged_layout(state, self.layer)
         size, L = self.group.size, self.group.phase_modulus
@@ -307,9 +305,8 @@ class GaugingMap:
         if math.prod(dims) > 2**63:
             raise CapExceededError(f"the output's {len(dims)} sites index more basis states than int64 keys hold")
         new_dim = self.out_dim // self.in_dim
-        cells = PhaseTensor.from_entries((self.out_dim,), L, *self._row_entries())
-        flat, cell_roots, mults = cells.flat_indices, cells.roots, cells.mults
-        row = flat // new_dim
+        cells = self.layer.exact_map
+        flat, row = np.divmod(cells.flat_indices, self.in_dim)  # the out index and its matter row
         cancelling = np.zeros(self.in_dim, dtype=bool)
         cancelling[row[1:][flat[1:] == flat[:-1]]] = True
         matter = state.keys % self.in_dim
@@ -317,7 +314,7 @@ class GaugingMap:
             raise ValueError("the input reaches a matter configuration whose cells cancel: its support is charged")
         reached = np.zeros(self.in_dim, dtype=bool)
         reached[matter] = True
-        mult = mults[reached[row]]
+        mult = cells.mults[reached[row]]
         if mult.size and (mult != mult[0]).any():
             raise ValueError("the map's cell multiplicities differ on the rows the input reaches")
         start = np.searchsorted(row, np.arange(self.in_dim + 1))
@@ -325,29 +322,25 @@ class GaugingMap:
         source = np.repeat(np.arange(matter.size), count)
         cell = np.arange(source.size) + np.repeat(start[matter] - (np.cumsum(count) - count), count)
         keys = state.keys[source] * new_dim + flat[cell] % new_dim
-        roots = (state.roots[source] + cell_roots[cell]) % L
+        roots = (state.roots[source] + cells.roots[cell]) % L
         scale = Fraction(size) ** (round(2 * self.layer.scale_power) - 2 * self.layer.n)
         mag_sq = state.mag_sq * int(mult[0] if mult.size else 0) ** 2 * scale
         return SupportState(site_ids, kinds, dims, L, keys, roots, mag_sq)
 
     def exact_matrix(self) -> PhaseTensor:
-        """Exact sparse (out, in) PhaseTensor of the raw term sum.
-
-        Rows are indexed by (matter config, new config) with matter sites
-        first, and a term's column is its matter config; the overall
-        positive normalization is not included, so identities should be
-        checked projectively or on both sides.
-        """
+        """The layer's exact_map, after check_exact_cap; unnormalized, so compare projectively or on both sides."""
         self.layer.check_exact_cap()
-        flat, root = self._row_entries()
-        column = flat // self.group.size ** len(self.new_sites)
-        shape = (self.out_dim, self.in_dim)
-        return PhaseTensor.from_entries(shape, self.group.phase_modulus, flat * self.in_dim + column, root)
+        return self.layer.exact_map
 
 
-@functools.lru_cache(maxsize=ROW_ENTRY_LAYERS)
-def _layer_row_entries(layer: LayerSpec) -> tuple[np.ndarray, np.ndarray]:
-    """GaugingMap._row_entries of the layer, built on the first call and kept read-only."""
+def _map_terms(layer: LayerSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The |G|**(2n) terms w**root |flat> of the map on the all-ones matter row, on the out_sites space.
+
+    From each matter configuration with the new row at the identity
+    label, site i replaces every term by |G| copies, one per label, each
+    moved by local_symmetry_op(i, label).  Built anew on every call; only
+    LayerSpec.exact_map calls it.
+    """
     gmap = GaugingMap(layer)
     size, L = gmap.group.size, gmap.group.phase_modulus
     dims = gmap.exact_dims[: len(gmap.out_sites)]
@@ -362,7 +355,6 @@ def _layer_row_entries(layer: LayerSpec) -> tuple[np.ndarray, np.ndarray]:
             moved_flat[part], phases = flat_action(dims, factors, flat)
             moved_root[part] = (root + sum(phases)) % L
         flat, root = moved_flat, moved_root
-    flat.flags.writeable = root.flags.writeable = False
     return flat, root
 
 

@@ -84,8 +84,13 @@ class Lattice2D:
     def site_kind(self, j: int) -> SiteKind:
         return SiteKind.VERTEX_DUAL if j % 2 == 0 else SiteKind.EDGE_GROUP
 
+    @functools.cached_property
+    def site_table(self) -> tuple:
+        """The site ids (j, x2), site number row * n + x2 // 2; built once per lattice object."""
+        return tuple((j, j % 2 + 2 * k) for j in self.rows for k in range(self.n))
+
     def sites(self) -> list[tuple]:
-        return [(s, self.site_kind(s[0])) for s in _site_table(self.n, len(self.rows))]
+        return [(s, self.site_kind(s[0])) for s in self.site_table]
 
     def wrap(self, j: int, x2: int) -> tuple[int, int]:
         if self.vertical == "periodic":
@@ -259,8 +264,7 @@ def _build_bulk_stabilizers(spec: CodeSpec) -> PlacedTerms:
     kept = fid >= 0
     start = np.concatenate(([0], np.cumsum(kept.sum(axis=2).ravel())))
     site = np.broadcast_to(sites[:, None, :], fid.shape)[kept]
-    table = _site_table(lat.n, len(lat.rows))
-    placement = Placement(start, site, fid[kept], table, tuple(factors), group.phase_modulus)
+    placement = Placement(start, site, fid[kept], lat.site_table, tuple(factors), group.phase_modulus)
     label_id = ((j % 2)[:, None] * size + np.arange(size)).ravel()
     return PlacedTerms(placement, np.repeat(centers, size, axis=0), label_id, tuple(label_table), lat)
 
@@ -269,12 +273,6 @@ def _centers(lat: Lattice2D) -> np.ndarray:
     """The face centers (j, c), one array row each: n per lattice row, rows 1..m-1 on a cylinder."""
     j = np.repeat(np.arange(lat.m) if lat.vertical == "periodic" else np.arange(1, lat.m), lat.n)
     return np.stack([j, (j + 1) % 2 + 2 * (np.arange(j.size) % lat.n)], axis=1)
-
-
-@functools.lru_cache(maxsize=8)
-def _site_table(n: int, rows: int) -> tuple:
-    """The site ids (j, x2), site number row * n + x2 // 2; shared by every lattice of one shape."""
-    return tuple((j, j % 2 + 2 * k) for j in range(rows) for k in range(n))
 
 
 def build_boundary_terms(spec: CodeSpec, which: str) -> list[StabilizerTerm]:
@@ -380,13 +378,11 @@ def _by_template(terms) -> dict | None:
     pairs_checked is the cell's partners times n m / 2, halved.
     """
     lat = terms.lattice if isinstance(terms, PlacedTerms) else None
-    if lat is None:
+    # A cylinder's terms fit its own site table and centers, but its rows do not wrap.
+    if lat is None or lat.vertical != "periodic":
         return None
     placed, n, m, size = terms.placement, lat.n, lat.m, lat.group.size
-    # A cylinder's site table has m + 1 rows, so only the terms of a torus pass.
-    if tuple(placed.sites) != _site_table(n, m) or not np.array_equal(
-        terms.centers, np.repeat(_centers(lat), size, axis=0)
-    ):
+    if tuple(placed.sites) != lat.site_table or not np.array_equal(terms.centers, np.repeat(_centers(lat), size, 0)):
         return None
     index = np.arange(len(terms))
     cell_term = (index // (n * size) % 2) * (n * size) + index % size

@@ -570,7 +570,8 @@ class SupportState:
     Stabilizer states have this form (Dehaene and De Moor, PRA 2003), and
     so does every gauged stack, so no dense array is formed and no check
     on such a state needs a tolerance.  Keys not strictly increasing (for
-    np.searchsorted) or roots outside 0..L-1 (for fixed_by) raise ValueError.
+    np.searchsorted) or outside [0, prod(dims)), or roots outside 0..L-1
+    (for fixed_by), raise ValueError.
     """
 
     site_ids: tuple
@@ -586,6 +587,8 @@ class SupportState:
             raise ValueError("need one root per key")
         if (self.keys[1:] <= self.keys[:-1]).any():
             raise ValueError("keys must be strictly increasing")
+        if self.keys.size and (self.keys[0] < 0 or int(self.keys[-1]) >= math.prod(self.dims)):
+            raise ValueError(f"keys must lie in [0, {math.prod(self.dims)})")
         if ((self.roots < 0) | (self.roots >= self.modulus)).any():
             raise ValueError(f"roots must be reduced mod {self.modulus}")
 

@@ -293,10 +293,9 @@ def criterion_condensation() -> dict:
     )
 
 
-def _network_matches_composition(group: GroupSpec) -> bool:
-    """True when the network of two periodic layers at n = 2 is compose_gauging's state exactly."""
-    layers = layer_stack(group, 2, 2, "periodic")
-    st = initial_state(group, layers[0])
+def _network_matches_composition(layers) -> bool:
+    """True when the network of the layers is compose_gauging's state from the product input exactly."""
+    st = initial_state(layers[0].group, layers[0])
     direct = compose_gauging(layers, st)
     try:
         via_tn = contract_pepes(layers, st)
@@ -313,8 +312,8 @@ def criterion_tensor_network() -> dict:
     skipped = []
     for orders in GROUPS:
         group = GroupSpec(orders)
-        layers = []
-        for layer in (layer for n in (2, 3) for layer in mpo_layers(group, n)):
+        layers, candidates = [], mpo_layers(group, 2) + mpo_layers(group, 3)
+        for layer in candidates:
             if not (reason := claims.exact_skip(layer)):
                 layers.append(layer)
                 continue
@@ -324,9 +323,10 @@ def criterion_tensor_network() -> dict:
         pull_ok, mpo_ok = pull_ok and pull["passed"], mpo_ok and mpo["passed"]
         mpo_checked += len(layers)
         if orders in PEPES_GROUPS:
-            # Right after the group's MPO layers, whose periodic n = 2 pair
-            # it contracts again from tensors._layer_mpo.
-            pepes_ok = _network_matches_composition(group) and pepes_ok
+            # The periodic n = 2 pair of the group's MPO layers, whose map
+            # tensors and MPOs the check above left built on those specs.
+            pair = [layer for layer in candidates if layer.n == 2 and layer.boundary == "periodic"]
+            pepes_ok = _network_matches_composition(pair) and pepes_ok
     layers = layer_stack(GroupSpec((2,)), 2, 3, "open")
     trapezoid = [layers[0].n] + [len(layer.new_positions()) for layer in layers]
     return check(

@@ -32,7 +32,6 @@ which with the diagonal matter representation used throughout equals M_e.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -45,9 +44,6 @@ from .operators import SupportState, clock_z, shift_x
 
 M_NAMES = ("M_tilde", "M_e", "M_o")
 T_NAMES = ("T_e", "T_o")
-# Contracted MPOs kept: the eight layers mpo_layers gives a group at n = 2
-# and 3, so the stacked network that follows them finds its two.
-MPO_LAYERS = 8
 
 
 def build_tensor(name: str, group: GroupSpec) -> PhaseTensor:
@@ -191,18 +187,20 @@ def contract_mpo_layer(layer: LayerSpec) -> PhaseTensor:
     Output rows are ordered (matter config, new config) as in
     GaugingMap.exact_matrix, so the two construction routes can be
     compared entrywise (the MPO carries the T prefactors in its scale).
-    The cap is checked on every call; the chain is contracted once per
-    LayerSpec (_layer_mpo) and its arrays are read-only.
+    The cap is checked on every call.  The chain is contracted once per
+    spec object and held in its attributes, as LayerSpec.exact_map is.
     """
     if not layer.twist.is_trivial:
         raise ValueError("the MPO tensors describe untwisted layers only")
     layer.check_exact_cap()
-    return _layer_mpo(layer)
+    held = vars(layer)
+    if "_mpo" not in held:
+        held["_mpo"] = _contract_mpo(layer)
+    return held["_mpo"]
 
 
-@functools.lru_cache(maxsize=MPO_LAYERS)
-def _layer_mpo(layer: LayerSpec) -> PhaseTensor:
-    """contract_mpo_layer of the layer, contracted on the first call and kept read-only."""
+def _contract_mpo(layer: LayerSpec) -> PhaseTensor:
+    """The layer's M-T chain, contracted anew on each call and viewed as (out, in), which keeps its keys canonical."""
     group = layer.group
     size, L, n = group.size, group.phase_modulus, layer.n
     open_bc = layer.boundary == "open"
@@ -230,10 +228,7 @@ def _layer_mpo(layer: LayerSpec) -> PhaseTensor:
         legs = axes + legs
     chain = contract(edge, chain, (0, 0)) if open_bc else chain.trace(0, len(chain.shape) - 1)
     chain = chain.transpose(np.argsort(legs))
-    shape = (size ** (n + len(new_pos)), size**n)
-    mpo = PhaseTensor.from_entries(shape, L, chain.flat_indices, chain.roots, chain.mults, chain.scale)
-    mpo.keys.flags.writeable = mpo.mults.flags.writeable = False
-    return mpo
+    return PhaseTensor((size ** (n + len(new_pos)), size**n), L, chain.keys, chain.mults, chain.scale)
 
 
 def mpo_layers(group: GroupSpec, n: int) -> list[LayerSpec]:

@@ -2,7 +2,7 @@
 
 This is the route compose_gauging took before it built exact support
 states: np.bincount sums each cell's term roots from
-GaugingMap._row_entries into a dense complex row kernel K[m, e], scaled
+gauging._map_terms into a dense complex row kernel K[m, e], scaled
 by |G|**(scale_power - n); a layer multiplies the dense state psi[a, m]
 by it in one broadcast; and an expectation value sums conj(psi[y(x)])
 w**phase(x) psi[x] over the nonzero amplitudes only.  It takes any dense
@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from latgauge import gauging
 from latgauge.gauging import build_gauging_map, check_cap, gauged_layout
 from latgauge.operators import SUPPORT_TILE, StateVector, SupportState, flat_action, placed_factors
 
@@ -31,7 +32,7 @@ def dense(state: SupportState) -> StateVector:
 def row_kernel(gmap) -> np.ndarray:
     """K[m, e], matter by new-row configurations: the map on the all-ones matter row."""
     L = gmap.group.phase_modulus
-    flat, root = gmap._row_entries()
+    flat, root = gauging._map_terms(gmap.layer)
     w = np.exp(2j * np.pi * np.arange(L) / L)
     kernel = np.empty(gmap.out_dim, dtype=complex)
     kernel.real = np.bincount(flat, weights=w.real[root], minlength=gmap.out_dim)

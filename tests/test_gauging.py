@@ -5,8 +5,10 @@ tests/dense_compose_oracle.py, gauges random dense inputs and must agree
 with them on the states both can build.
 """
 
+import gc
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +16,9 @@ import pytest
 
 from latgauge import gauging, suite
 from latgauge.cli import parse_twist
+from latgauge.cyclotomic import PhaseTensor
 from latgauge.gauging import (
     CapExceededError,
-    GaugingMap,
     LayerSpec,
     build_gauging_map,
     compose_gauging,
@@ -161,7 +163,7 @@ class TestSingleMap:
         # number 2**66 basis states, past what int64 keys hold.
         layer = LayerSpec(Z2, 0, 2, "periodic")
         monkeypatch.setenv("GAUGE_MAX_DIM", str(2**80))
-        monkeypatch.setattr(GaugingMap, "_row_entries", lambda gmap: pytest.fail("the map's terms were built"))
+        monkeypatch.setattr(gauging, "_map_terms", lambda layer: pytest.fail("the map's terms were built"))
         with pytest.raises(CapExceededError, match="int64"):
             build_gauging_map(layer).apply(self.behind_leading_sites(layer, 62))
 
@@ -781,6 +783,16 @@ class TestFixedBy:
             with pytest.raises(ValueError, match="reduced mod 3"):
                 SupportState(sites, kinds, dims, 3, np.array([0, 5]), np.array(roots))
 
+    def test_keys_outside_the_index_space_are_refused(self):
+        # fixed_by would read the digits of 9 as those of 0.
+        sites, kinds, dims = ("a", "b"), (SiteKind.EDGE_GROUP,) * 2, (3, 3)
+        for keys in ([0, 9], [-1, 0]):
+            with pytest.raises(ValueError, match=r"\[0, 9\)"):
+                SupportState(sites, kinds, dims, 3, np.array(keys), np.zeros(2, np.int64))
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            SupportState(("a", "b"), (SiteKind.VERTEX_DUAL,) * 2, (2, 2), 2, np.array([0, 7]), np.zeros(2, np.int64))
+        assert SupportState(sites, kinds, dims, 3, np.array([0, 8]), np.zeros(2, np.int64)).norm() == math.sqrt(2)
+
     def test_two_states_of_one_layout_in_sequence(self):
         layers, state = expectation_stack(Z22, "periodic", 3, "both")
         ops = [op for _, op in stack_local_symmetry_ops(layers)]
@@ -867,17 +879,21 @@ class TestIdentityEntries:
         assert rep["num_checked"] == len(ops)
 
 
-def _mutated_row_entries(layer_index, mutate):
-    """GaugingMap._row_entries with mutate(flat, root) applied on the layer of that index only."""
-    original = GaugingMap._row_entries
+def _mutated_map_terms(layer_index, mutate):
+    """gauging._map_terms with mutate(flat, root) applied on the layer of that index only.
 
-    def entries(gmap):
-        flat, root = original(gmap)
-        if gmap.layer.index == layer_index:
-            flat, root = mutate(flat, root.astype(np.int64), gmap.group.phase_modulus)
+    A spec reads the terms once, into its exact_map, so the patch reaches
+    only layers whose map is first built under it.
+    """
+    original = gauging._map_terms
+
+    def terms(layer):
+        flat, root = original(layer)
+        if layer.index == layer_index:
+            flat, root = mutate(flat, root.astype(np.int64), layer.group.phase_modulus)
         return flat, root
 
-    return entries
+    return terms
 
 
 class TestExactness:
@@ -894,8 +910,9 @@ class TestExactness:
             layers = layer_stack(group, 2, 3)
             assert verify_local_symmetry(compose_gauging(layers, initial_state(group, layers[0])), layers)["passed"]
             with monkeypatch.context() as patch:
-                patch.setattr(GaugingMap, "_row_entries", _mutated_row_entries(1, wrong_root))
-                state = compose_gauging(layers, initial_state(group, layers[0]))
+                patch.setattr(gauging, "_map_terms", _mutated_map_terms(1, wrong_root))
+                fresh = layer_stack(group, 2, 3)
+                state = compose_gauging(fresh, initial_state(group, fresh[0]))
             rep = verify_local_symmetry(state, layers)
             assert not rep["passed"] and rep["violations"]
 
@@ -918,8 +935,8 @@ class TestExactness:
         def one_more_copy(flat, root, L):
             return np.append(flat, flat[0]), np.append(root, root[0])
 
+        monkeypatch.setattr(gauging, "_map_terms", _mutated_map_terms(1, one_more_copy))
         layers = layer_stack(Z3, 2, 2)
-        monkeypatch.setattr(GaugingMap, "_row_entries", _mutated_row_entries(1, one_more_copy))
         with pytest.raises(ValueError, match="multiplicities"):
             compose_gauging(layers, initial_state(Z3, layers[0]))
 
@@ -939,28 +956,47 @@ class TestExactness:
 
 
 
-class TestRowEntryCache:
-    def test_terms_are_built_once_per_layer_spec(self):
+class TestExactMapOnItsSpec:
+    def test_map_tensor_is_built_once_per_layer_spec(self):
         layer = LayerSpec(Z3, 1, 2, "open")
-        first = build_gauging_map(layer)._row_entries()
-        again = build_gauging_map(LayerSpec(Z3, 1, 2, "open"))._row_entries()
-        assert all(a is b for a, b in zip(first, again))
-        other = build_gauging_map(LayerSpec(Z3, 1, 2, "periodic"))._row_entries()
-        assert first[0] is not other[0]
+        first = build_gauging_map(layer).exact_matrix()
+        again = build_gauging_map(layer).exact_matrix()
+        assert again is first
+        # An equal spec built anew builds its own, equal tensor.
+        fresh = build_gauging_map(LayerSpec(Z3, 1, 2, "open")).exact_matrix()
+        assert fresh is not first and fresh == first
+        other = build_gauging_map(LayerSpec(Z3, 1, 2, "periodic")).exact_matrix()
+        assert other.keys is not first.keys
 
-    def test_cached_terms_are_read_only(self):
-        flat, root = build_gauging_map(LayerSpec(Z22, 0, 2, "periodic", enumerate_cocycle_classes(Z22)[1]))._row_entries()
-        for array in (flat, root):
+    def test_held_tensor_is_read_only(self):
+        exact = build_gauging_map(LayerSpec(Z22, 0, 2, "periodic", enumerate_cocycle_classes(Z22)[1])).exact_matrix()
+        for array in (exact.keys, exact.mults):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
             with pytest.raises(ValueError, match="read-only"):
                 array += 1
 
+    def test_exact_matrix_is_the_tensor_apply_reads(self, monkeypatch):
+        layer = LayerSpec(Z3, 0, 3, "periodic")
+        out = build_gauging_map(layer).apply(initial_state(Z3, layer))
+        held = vars(layer)["exact_map"]
+        # Once built, apply reads the held tensor and builds no terms again.
+        monkeypatch.setattr(gauging, "_map_terms", lambda layer: pytest.fail("the map's terms were built again"))
+        assert build_gauging_map(layer).exact_matrix() is held
+        assert same_state(build_gauging_map(layer).apply(initial_state(Z3, layer)), out)
+
+    def test_held_tensor_dies_with_its_spec(self):
+        layer = LayerSpec(Z2, 0, 3, "open")
+        held = weakref.ref(build_gauging_map(layer).exact_matrix())
+        assert held() is not None
+        del layer
+        gc.collect()
+        assert held() is None
+
     def test_compose_and_emergent_check_build_each_layer_once(self, monkeypatch):
         # flat_action moves the terms while they are built, and nothing
         # else of these calls reaches it.
         layers = layer_stack(Z4, 2, 3)
-        gauging._layer_row_entries.cache_clear()
         moved = []
         monkeypatch.setattr(gauging, "flat_action", lambda *args: moved.append(1) or flat_action(*args))
         state = compose_gauging(layers, initial_state(Z4, layers[0]))
@@ -970,6 +1006,24 @@ class TestRowEntryCache:
         for layer in layers:
             assert verify_emergent_symmetry(build_gauging_map(layer))["passed"]
         assert len(moved) == built
+
+    def test_compose_and_emergent_check_canonicalize_each_layer_once(self, monkeypatch):
+        # The raw terms are the only entries put in canonical form without
+        # multiplicities; every other tensor operation passes its own.
+        layers = layer_stack(Z4, 2, 3)
+        raw = []
+        original = PhaseTensor.from_entries.__func__
+
+        def counted(cls, shape, modulus, flat, roots, mults=None, scale=Fraction(1)):
+            raw.extend([shape] if mults is None else [])
+            return original(cls, shape, modulus, flat, roots, mults, scale)
+
+        monkeypatch.setattr(PhaseTensor, "from_entries", classmethod(counted))
+        state = compose_gauging(layers, initial_state(Z4, layers[0]))
+        for layer in layers:
+            assert verify_emergent_symmetry(build_gauging_map(layer))["passed"]
+        assert verify_local_symmetry(state, layers)["passed"]
+        assert raw == [(build_gauging_map(layer).out_dim, build_gauging_map(layer).in_dim) for layer in layers]
 
 
 class TestGaussCornersOncePerLayer:
@@ -983,7 +1037,6 @@ class TestGaussCornersOncePerLayer:
         # the map's terms and the stack symmetries, not one per matter site.
         alpha = enumerate_cocycle_classes(group)[1] if twisted else None
         layers = layer_stack(group, n, num_layers, boundary, twist_even=alpha, twist_odd=alpha)
-        gauging._layer_row_entries.cache_clear()
         calls = []
         original = gauging.corner_factors
         monkeypatch.setattr(gauging, "corner_factors", lambda twist, label: calls.append(label) or original(twist, label))

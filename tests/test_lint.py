@@ -383,11 +383,38 @@ def test_site_factors_are_weyl_rows():
     assert not defined, f"deleted names defined again: {defined}"
 
 
+def _arrays_under(obj, seen: set):
+    """Every numpy array reachable from obj through attributes, tuples, lists and dict keys and values."""
+    import numpy as np
+
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for child in [*obj, *obj.values()]:
+            yield from _arrays_under(child, seen)
+    elif isinstance(obj, (tuple, list)):
+        for child in obj:
+            yield from _arrays_under(child, seen)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        for child in vars(obj).values():
+            yield from _arrays_under(child, seen)
+
+
 def test_terms_are_held_by_their_spec_and_witness_is_gone():
-    # Bulk terms live on their CodeSpec object, so no module-level cache
-    # holds them after the spec is gone; witnesses come from
-    # lattice.witnesses alone (LogicalOperator.witness is a field).
-    from latgauge import lattice
+    # Bulk terms live on their CodeSpec object, a layer's map tensor and
+    # MPO on its LayerSpec and a site table on its Lattice2D, so no
+    # module-level cache holds them after the spec is gone; the only
+    # memo left is functools.cache interning immutable labels and groups.
+    # Witnesses come from lattice.witnesses alone (LogicalOperator.witness
+    # is a field).
+    import dataclasses
+    import re
+
+    from latgauge import gauging, lattice, tensors
+    from latgauge.groups import GroupSpec
 
     for builder in (lattice.build_bulk_stabilizers, lattice._build_bulk_stabilizers):
         assert not hasattr(builder, "cache_info"), builder.__name__
@@ -398,6 +425,30 @@ def test_terms_are_held_by_their_spec_and_witness_is_gone():
         if isinstance(node, ast.FunctionDef) and node.name == "witness"
     ]
     assert not defined, f"the per-op witness function defined again: {defined}"
+    gone = r"\b(lru_cache|ROW_ENTRY_LAYERS|MPO_LAYERS|_layer_row_entries|_site_table|_row_entries)\b"
+    named = [
+        f"{path.name}:{line} {match}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for match in re.findall(gone, text)
+    ]
+    assert not named, f"guess-sized caches or their helpers named again: {named}"
+    # Every held artifact, built, refuses writes to its arrays.
+    group = GroupSpec((2, 2))
+    layer = gauging.LayerSpec(group, 0, 2)
+    tensors.contract_mpo_layer(layer)
+    gauging.build_gauging_map(layer).exact_matrix()
+    state = gauging.compose_gauging([layer], gauging.initial_state(group, layer))
+    assert gauging.verify_local_symmetry(state, [layer])["passed"]
+    code = lattice.CodeSpec(lattice.Lattice2D(group, 4, 4))
+    assert lattice.check_all_commute(lattice.build_bulk_stabilizers(code))["passed"]
+    arrays, seen = [], set()
+    for spec in (layer, code, code.lattice):
+        fields = {field.name for field in dataclasses.fields(spec)}
+        held = [value for name, value in vars(spec).items() if name not in fields]
+        assert held, type(spec).__name__
+        arrays += _arrays_under(held, seen)
+    assert len(arrays) >= 7 and not [a.shape for a in arrays if a.flags.writeable]
 
 
 POOL_NAMES = {"concurrent", "multiprocessing", "ProcessPoolExecutor", "BrokenProcessPool", "get_context"}

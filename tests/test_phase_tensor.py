@@ -113,6 +113,24 @@ class TestCanonicalForm:
         # (5, 1) sums to 2 + 3 - 5 = 0 and is dropped.
         assert t.nnz == np.count_nonzero(dense)
 
+    def test_flat_indices_out_of_range_and_wrapping_keys_are_refused(self):
+        # (2**62 - 1) * 4 + 1 would wrap int64 to -3; -1 and 6 lie outside the shape.
+        with pytest.raises(ValueError, match="int64"):
+            PhaseTensor.from_entries((2**62,), 4, [2**62 - 1, 5], [1, 0])
+        for flat in ([-1, 0], [0, 6]):
+            with pytest.raises(ValueError, match=r"\[0, 6\)"):
+                PhaseTensor.from_entries((2, 3), 3, flat, [0, 0])
+        # The largest key that fits is kept, and so are the largest indices of the shape.
+        top = PhaseTensor.from_entries((2**61,), 4, [2**61 - 1, 0], [3, 0])
+        assert top.keys.tolist() == [0, 2**63 - 1]
+        assert PhaseTensor.from_entries((2, 3), 3, [5, 0], [2, 0]).flat_indices.tolist() == [0, 5]
+
+    def test_arrays_refuse_writes(self):
+        t = PhaseTensor.from_entries((2, 3), 3, [5, 0], [2, 0])
+        for array in (t.keys, t.mults):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
     def test_counts_is_a_read_only_snapshot(self):
         t = build_tensor("T_e", GroupSpec((3,)))
         with pytest.raises(ValueError):

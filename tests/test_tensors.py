@@ -1,12 +1,14 @@
 """MPO tensors: exact entries, symmetries, contraction equivalences."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import dense_compose_oracle
-from latgauge import suite, tensors
+from latgauge import gauging, suite, tensors
 from latgauge.gauging import LayerSpec, build_gauging_map, compose_gauging, initial_state, layer_stack
 from latgauge.groups import GroupSpec, enumerate_cocycle_classes
 from latgauge.cyclotomic import PhaseTensor, mono_mul_left
@@ -184,15 +186,22 @@ class TestMpoEquivalence:
         with pytest.raises(ValueError):
             contract_mpo_layer(LayerSpec(Z22, 0, 2, "periodic", alpha))
 
-    def test_criterion_11_contracts_each_layer_once(self):
-        # The stacked networks reuse their group's periodic n = 2 layers.
-        tensors._layer_mpo.cache_clear()
+    def test_criterion_11_contracts_each_layer_once(self, monkeypatch):
+        # The stacked networks reuse their group's periodic n = 2 layers:
+        # each of those specs already holds its map tensor and its MPO.
+        terms, contracted, calls = [], [], []
+        for module, name, log in (
+            (gauging, "_map_terms", terms), (tensors, "_contract_mpo", contracted), (tensors, "contract_mpo_layer", calls)
+        ):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda layer, original=original, log=log: log.append(layer) or original(layer))
         report = suite.criterion_tensor_network()
-        info = tensors._layer_mpo.cache_info()
+        misses, hits = len(contracted), len(calls) - len(contracted)
         assert report["passed"]
-        assert (info.misses, info.hits) == (report["mpo_layers_checked"], 2 * len(suite.PEPES_GROUPS))
+        assert (misses, hits) == (report["mpo_layers_checked"], 2 * len(suite.PEPES_GROUPS))
+        assert len(terms) == report["mpo_layers_checked"] and len(set(map(id, terms))) == len(terms)
 
-    def test_cached_layer_is_read_only_and_still_capped(self, monkeypatch):
+    def test_held_layer_is_read_only_and_still_capped(self, monkeypatch):
         layer = LayerSpec(Z2, 0, 3, "open")
         mpo = contract_mpo_layer(layer)
         assert contract_mpo_layer(layer) is mpo
@@ -200,6 +209,14 @@ class TestMpoEquivalence:
         monkeypatch.setenv("GAUGE_MAX_DIM", "16")
         with pytest.raises(CapExceededError):
             contract_mpo_layer(layer)
+
+    def test_held_layer_dies_with_its_spec(self):
+        layer = LayerSpec(Z2, 0, 3, "open")
+        mpo = weakref.ref(contract_mpo_layer(layer))
+        assert contract_mpo_layer(LayerSpec(Z2, 0, 3, "open")) is not mpo()
+        del layer
+        gc.collect()
+        assert mpo() is None
 
 
 def _unit_layer_matrix(layer):
@@ -272,7 +289,7 @@ class TestPepes:
 
         assert suite.criterion_tensor_network()["pepes_fidelity_ok"]
         monkeypatch.setattr(tensors, "build_tensor", bent)
-        assert not suite._network_matches_composition(Z2)
+        assert not suite._network_matches_composition(layer_stack(Z2, 2, 2))
         rep = suite.criterion_tensor_network()
         assert not rep["passed"] and not rep["pepes_fidelity_ok"]
 
